@@ -12,16 +12,18 @@ cell coordinates -> (chunk id, local cell index) -- fully vectorized.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+import threading
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataset.chunkset import ChunkSet
 from repro.dataset.partition import regular_grid_chunkset
 from repro.space.attribute_space import AttributeSpace
+from repro.util.arrays import frozen
 from repro.util.geometry import Rect
 
-__all__ = ["OutputGrid"]
+__all__ = ["OutputGrid", "PlacedGrids"]
 
 
 class OutputGrid:
@@ -65,6 +67,11 @@ class OutputGrid:
             math.ceil(g / c) for g, c in zip(self.grid_shape, self.chunk_shape)
         )
 
+    def key(self) -> tuple:
+        """The grid's value: callers build a new ``OutputGrid`` per query
+        (the wire decoder does too), so per-grid memos key on this."""
+        return (self.space, self.grid_shape, self.chunk_shape, self.cell_value_bytes)
+
     # -- sizes --------------------------------------------------------
 
     @property
@@ -93,11 +100,17 @@ class OutputGrid:
         start, stop = self.chunk_block(chunk_id)
         return int(np.prod([b - a for a, b in zip(start, stop)]))
 
+    def _chunk_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(n_chunks, d)`` cell ranges ``(start, stop)`` of every chunk."""
+        coords = np.unravel_index(np.arange(self.n_chunks), self.blocks)
+        start = np.stack(coords, axis=1) * np.asarray(self.chunk_shape)
+        stop = np.minimum(start + np.asarray(self.chunk_shape), self.grid_shape)
+        return start, stop
+
     def chunk_cell_counts(self) -> np.ndarray:
         """``(n_chunks,)`` cells per chunk (edge chunks may be smaller)."""
-        return np.asarray(
-            [self.cells_in_chunk(c) for c in range(self.n_chunks)], dtype=np.int64
-        )
+        start, stop = self._chunk_blocks()
+        return np.prod(stop - start, axis=1, dtype=np.int64)
 
     # -- chunk metadata ---------------------------------------------------
 
@@ -106,19 +119,11 @@ class OutputGrid:
         lo, hi = self.space.bounds.as_arrays()
         span = np.where(np.asarray(self.grid_shape) > 0, hi - lo, 1.0)
         cell = span / np.asarray(self.grid_shape)
-        n = self.n_chunks
-        los = np.empty((n, self.ndim))
-        his = np.empty((n, self.ndim))
-        nbytes = np.empty(n, dtype=np.int64)
-        items = np.empty(n, dtype=np.int64)
-        for cid in range(n):
-            start, stop = self.chunk_block(cid)
-            los[cid] = lo + np.asarray(start) * cell
-            his[cid] = lo + np.asarray(stop) * cell
-            cells = int(np.prod([b - a for a, b in zip(start, stop)]))
-            items[cid] = cells
-            nbytes[cid] = cells * self.cell_value_bytes
-        return ChunkSet(los, his, nbytes, items)
+        start, stop = self._chunk_blocks()
+        items = np.prod(stop - start, axis=1, dtype=np.int64)
+        return ChunkSet(
+            lo + start * cell, lo + stop * cell, items * self.cell_value_bytes, items
+        )
 
     # -- cell coordinate plumbing -------------------------------------------
 
@@ -162,3 +167,39 @@ class OutputGrid:
             sl = tuple(slice(a, b) for a, b in zip(start, stop))
             full[sl] = vals.reshape(shape + (k,))
         return full
+
+
+class PlacedGrids:
+    """The placed output :class:`ChunkSet` of every grid one deployment
+    has planned for, drawn once per grid.
+
+    A grid's chunk metadata and its declustering do not depend on the
+    query, and a stateful declusterer must not re-draw them per query:
+    two queries over one grid have to agree on who owns an output
+    chunk.  Keyed by :meth:`OutputGrid.key`; the arrays are read-only
+    because every query over the grid shares them
+    (``n_items`` is the per-chunk cell count).
+    """
+
+    #: distinct grids kept (oldest dropped first); instances see a few
+    MAX_GRIDS = 8
+
+    def __init__(self, declusterer, n_nodes: int, disks_per_node: int = 1) -> None:
+        self._declusterer = declusterer
+        self._shape = (n_nodes, disks_per_node)
+        self._placed: Dict[tuple, ChunkSet] = {}
+        self._lock = threading.Lock()
+
+    def get(self, grid: OutputGrid) -> ChunkSet:
+        key = grid.key()
+        with self._lock:
+            placed = self._placed.get(key)
+            if placed is None:
+                placed = self._declusterer.place(grid.chunkset(), *self._shape)
+                for shared in (placed.los, placed.his, placed.nbytes,
+                               placed.n_items, placed.node, placed.disk):
+                    frozen(shared)
+                if len(self._placed) >= self.MAX_GRIDS:
+                    del self._placed[next(iter(self._placed))]
+                self._placed[key] = placed
+        return placed

@@ -31,12 +31,14 @@ ADR305    Python loop calling ``aggregate`` inside the runtime hot
           the slow pattern the fused kernels replaced; use
           ``aggregate_grouped`` over lexsorted segments instead (the
           preserved reference oracles opt out with ``noqa``)
-ADR306    per-rectangle Python loop in the index hot path
-          (``src/repro/index/``): a loop body that subscripts one MBR
-          row at a time (``los[i]`` / ``his[i]`` with the loop
-          variable) or calls ``Rect.intersects`` per entry -- compare
-          MBRs with vectorized column operations
-          (``rects_intersect_mask``, packed bitsets) instead; bounded
+ADR306    per-rectangle Python loop in the index / chunk-graph hot path
+          (``src/repro/index/``, ``dataset/graph.py``,
+          ``aggregation/output_grid.py``): a loop body that subscripts
+          one MBR row at a time (``los[i]`` / ``his[i]`` with the loop
+          variable) or calls ``intersects`` / ``intersecting`` /
+          ``project_rect`` per entry -- compare MBRs with vectorized
+          column operations (``rects_intersect_mask``,
+          ``Mapping.project_rects``, packed bitsets) instead; bounded
           structural loops (node splits, dynamic insert) opt out with
           ``noqa``
 ADR401    bare ``except:`` anywhere, or an exception handler that
@@ -108,9 +110,15 @@ LINT_CODES = (
 #: Directory whose modules are the execution hot path (ADR305).
 _RUNTIME_HOT_PATH = ("repro/runtime/",)
 
-#: Directory whose modules answer every query's chunk selection
-#: (ADR306): MBR comparisons there must be vectorized.
-_INDEX_HOT_PATH = ("repro/index/",)
+#: Modules every query's chunk selection and chunk graph pass through
+#: (ADR306): the indexes, ``ChunkGraph.from_geometry`` and the output
+#: grid's chunk metadata.  MBR work there must be vectorized.
+_INDEX_HOT_PATH = (
+    "repro/index/", "repro/dataset/graph.py", "repro/aggregation/output_grid.py",
+)
+
+#: Per-rectangle geometry calls ADR306 rejects inside a Python loop.
+_PER_RECT_CALLS = ("intersects", "intersecting", "project_rect")
 
 #: Directories where silently swallowed exceptions hide data loss
 #: (ADR401's stricter half applies here): the executing runtime, the
@@ -556,15 +564,16 @@ class _Visitor(ast.NodeVisitor):
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "intersects"
+                and child.func.attr in _PER_RECT_CALLS
             ):
                 self.out.emit(
                     "ADR306",
                     Severity.ERROR,
                     self._loc(child),
-                    "per-entry intersects() call inside a Python loop in the "
-                    "index hot path; test all candidates at once with "
-                    "rects_intersect_mask",
+                    f"per-entry {child.func.attr}() call inside a Python loop "
+                    "in the index hot path; handle all rectangles at once "
+                    "(rects_intersect_mask, Mapping.project_rects, one "
+                    "broadcast comparison)",
                 )
             stack.extend(ast.iter_child_nodes(child))
 

@@ -242,9 +242,7 @@ def _check_strategy_contracts(plan: "QueryPlan", out: DiagnosticCollector) -> No
 
     all_procs = np.arange(p.n_procs, dtype=np.int64)
     if strategy == SRA:
-        from repro.planner.strategies import _so_lists  # lazy: import cycle
-
-        so_indptr, so_ids = _so_lists(p)
+        so_indptr, so_ids = p.so_csr
     for o in range(p.n_out):
         holders = np.sort(plan.holders_of(o))
         owner = int(p.output_owner[o])

@@ -19,17 +19,24 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.dataset.chunkset import ChunkSet
 from repro.space.mapping import Mapping
-from repro.util.geometry import Rect
+from repro.util.arrays import csr_indptr, frozen, unique_rows
 
 __all__ = ["ChunkGraph"]
 
+#: (input, output) MBR pairs compared per broadcast in ``from_geometry``
+#: (bounds the temporaries; populations reach 10^4 x 10^4 chunks).
+_PAIRS_PER_BLOCK = 1 << 20
+
 
 class ChunkGraph:
-    """CSR incidence between ``n_in`` input and ``n_out`` output chunks."""
+    """CSR incidence between ``n_in`` input and ``n_out`` output chunks.
+
+    Every array the graph hands out is shared between the planners that
+    read it and is therefore read-only.
+    """
 
     def __init__(
         self,
@@ -52,19 +59,29 @@ class ChunkGraph:
             or out_ids.max() >= n_out
         ):
             raise ValueError("edge endpoints outside chunk id ranges")
-        data = np.ones(len(in_ids), dtype=np.int8)
-        mat = sp.coo_matrix((data, (in_ids, out_ids)), shape=(n_in, n_out))
-        csr = mat.tocsr()
-        csr.sum_duplicates()
-        csc = csr.tocsc()
+        self._set_edges(n_in, n_out, *unique_rows(in_ids, out_ids))
+
+    def _set_edges(
+        self, n_in: int, n_out: int, edge_in: np.ndarray, edge_out: np.ndarray
+    ) -> None:
+        """Both CSR directions from distinct edges sorted by (in, out)."""
         self.n_in = n_in
         self.n_out = n_out
-        # input -> outputs (fan-out lists)
-        self._fwd_indptr = csr.indptr.astype(np.int64)
-        self._fwd_ids = csr.indices.astype(np.int64)
-        # output -> inputs (fan-in lists)
-        self._rev_indptr = csc.indptr.astype(np.int64)
-        self._rev_ids = csc.indices.astype(np.int64)
+        self._edge_in = frozen(edge_in)
+        # input -> outputs (fan-out lists): the sorted edge list itself
+        self._fwd_indptr = frozen(csr_indptr(edge_in, n_in))
+        self._fwd_ids = frozen(edge_out)
+        # output -> inputs (fan-in lists): a stable sort by output keeps
+        # the inputs of one output ascending
+        self._rev_to_fwd = frozen(np.argsort(edge_out, kind="stable"))
+        self._rev_indptr = frozen(csr_indptr(edge_out, n_out))
+        self._rev_ids = frozen(edge_in[self._rev_to_fwd])
+
+    def __getstate__(self) -> tuple:
+        return self.n_in, self.n_out, self._edge_in, self._fwd_ids
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set_edges(*state)
 
     # -- construction ---------------------------------------------------
 
@@ -94,21 +111,25 @@ class ChunkGraph:
         mapping's chunk-level projection (Section 3, step 15 remark)
         gives, per input chunk, the output chunks it may touch.
         """
-        in_ids: list[np.ndarray] = []
-        out_ids: list[np.ndarray] = []
-        for i in range(len(inputs)):
-            projected = mapping.project_rect(inputs.mbr(i))
-            hits = outputs.intersecting(projected)
-            if len(hits):
-                in_ids.append(np.full(len(hits), i, dtype=np.int64))
-                out_ids.append(hits)
-        if in_ids:
-            ii = np.concatenate(in_ids)
-            oo = np.concatenate(out_ids)
-        else:
-            ii = np.empty(0, dtype=np.int64)
-            oo = np.empty(0, dtype=np.int64)
-        return ChunkGraph(len(inputs), len(outputs), ii, oo)
+        n_in, n_out = len(inputs), len(outputs)
+        los, his = mapping.project_rects(inputs.los, inputs.his)
+        step = max(1, _PAIRS_PER_BLOCK // max(n_out, 1))
+        in_parts, out_parts = [], []
+        for s in range(0, max(n_in, 1), step):  # once even without inputs
+            hit = (
+                (outputs.los <= his[s : s + step, None])
+                & (los[s : s + step, None] <= outputs.his)
+            ).all(axis=2)
+            ii, oo = np.nonzero(hit)
+            in_parts.append(ii + s)
+            out_parts.append(oo)
+        # np.nonzero walks row-major: the edges come out distinct and
+        # sorted by (in, out), which is what the CSR build starts from.
+        graph = ChunkGraph.__new__(ChunkGraph)
+        graph._set_edges(
+            n_in, n_out, np.concatenate(in_parts), np.concatenate(out_parts)
+        )
+        return graph
 
     # -- adjacency ---------------------------------------------------------
 
@@ -157,9 +178,16 @@ class ChunkGraph:
         return self._rev_indptr, self._rev_ids
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All edges as parallel ``(in_ids, out_ids)`` arrays."""
-        in_ids = np.repeat(np.arange(self.n_in, dtype=np.int64), self.fan_out)
-        return in_ids, self._fwd_ids.copy()
+        """All edges as parallel ``(in_ids, out_ids)`` arrays, in
+        forward-CSR order."""
+        return self._edge_in, self._fwd_ids
+
+    @property
+    def reverse_to_forward(self) -> np.ndarray:
+        """For each reverse-CSR edge slot, its index in the forward CSR,
+        so per-output edge assignments can write into forward-aligned
+        arrays without a search per edge."""
+        return self._rev_to_fwd
 
     def validate(self) -> None:
         """Internal consistency check: both directions describe the

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from repro.aggregation.output_grid import OutputGrid
+from repro.aggregation.output_grid import OutputGrid, PlacedGrids
 from repro.dataset.chunk import Chunk
 from repro.dataset.dataset import Dataset, DatasetCatalog
 from repro.dataset.graph import ChunkGraph
@@ -97,6 +97,10 @@ class ADR:
         self._routing_caches: Dict[str, RoutingCache] = {}
         self._routing_lock = threading.Lock()
         self.declusterer = declusterer if declusterer is not None else HilbertDeclusterer()
+        # Output grids are placed once per grid, not once per query.
+        self._placed_grids = PlacedGrids(
+            self.declusterer, machine.n_procs, machine.disks_per_node
+        )
         self.costs = costs
         #: prices candidate plans behind ``strategy='auto'``; any object
         #: with ``estimate(plan) -> CostEstimate`` -- the closed-form
@@ -199,12 +203,7 @@ class ADR:
                 )
         inputs = ds.chunks.subset(in_ids)
 
-        grid = query.grid
-        out_all = grid.chunkset()
-        node, disk = self.declusterer.assign(
-            out_all, self.machine.n_procs, self.machine.disks_per_node
-        )
-        out_all = out_all.with_placement(node, disk)
+        out_all = self._placed_grids.get(query.grid)
         out_region = query.mapping.project_rect(region)
         out_ids = out_all.intersecting(out_region)
         if len(out_ids) == 0:
@@ -215,7 +214,7 @@ class ADR:
 
         spec = query.spec()
         acc_nbytes = np.asarray(
-            [spec.acc_bytes(grid.cells_in_chunk(int(o))) for o in out_ids],
+            [spec.acc_bytes(cells) for cells in outputs.n_items.tolist()],
             dtype=np.int64,
         )
         return PlanningProblem(

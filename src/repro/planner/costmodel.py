@@ -24,6 +24,7 @@ from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.plan import QueryPlan
 from repro.planner.problem import PlanningProblem
 from repro.planner.stats import plan_stats
+from repro.util.arrays import tally
 
 __all__ = ["CostModel", "CostEstimate", "estimate_cost", "select_strategy"]
 
@@ -103,13 +104,9 @@ class CostModel:
             r = plan.reads
             drop = pruned[r.chunk]
             read_count -= np.bincount(r.proc[drop], minlength=P)
-            dropped_bytes = np.zeros(P)
-            np.add.at(
-                dropped_bytes,
-                r.proc[drop],
-                p.inputs.nbytes[r.chunk[drop]].astype(float),
+            read_bytes -= np.bincount(
+                r.proc[drop], weights=p.inputs.nbytes[r.chunk[drop]], minlength=P
             )
-            read_bytes -= dropped_bytes
             edge_in, _ = plan.edge_arrays
             edrop = pruned[edge_in]
             reduction_pairs -= np.bincount(plan.edge_proc[edrop], minlength=P)
@@ -121,16 +118,11 @@ class CostModel:
         t_init = c.init * stats.init_chunks.max(initial=0)
         if p.init_from_output:
             it = plan.init_transfers
-            recv = np.zeros(P, dtype=np.int64)
-            if len(it):
-                np.add.at(recv, it.dst, p.outputs.nbytes[it.chunk])
+            recv = tally(it.dst, p.outputs.nbytes[it.chunk], P)
             t_init += float(recv.max(initial=0)) / m.link_bandwidth
             t_init += (
                 stats.output_chunks.max(initial=0) * m.disk_seek
-                + float(
-                    np.bincount(p.output_owner, weights=p.outputs.nbytes, minlength=P).max()
-                )
-                / m.disk_bandwidth
+                + float(stats.write_bytes.max()) / m.disk_bandwidth
             )
 
         # Local reduction: the busiest processor's busiest resource
@@ -140,14 +132,10 @@ class CostModel:
             # those reads were charged to init above
             io = io - (
                 stats.output_chunks * m.disk_seek
-                + np.bincount(p.output_owner, weights=p.outputs.nbytes, minlength=P)
-                / m.disk_bandwidth
+                + stats.write_bytes / m.disk_bandwidth
             )
-        sent = np.zeros(P, dtype=np.int64)
-        recv = np.zeros(P, dtype=np.int64)
-        if len(t_chunk):
-            np.add.at(sent, t_src, p.inputs.nbytes[t_chunk])
-            np.add.at(recv, t_dst, p.inputs.nbytes[t_chunk])
+        sent = tally(t_src, p.inputs.nbytes[t_chunk], P)
+        recv = tally(t_dst, p.inputs.nbytes[t_chunk], P)
         # message handling is processor-driven (cpu_per_byte)
         cpu = c.reduction * reduction_pairs + (sent + recv) * m.cpu_per_byte
         net = np.maximum(sent, recv) / m.link_bandwidth
@@ -155,11 +143,8 @@ class CostModel:
 
         # Global combine: ghost shipment + merge at the owner.
         gt = plan.ghost_transfers
-        g_sent = np.zeros(P, dtype=np.int64)
-        g_recv = np.zeros(P, dtype=np.int64)
-        if len(gt):
-            np.add.at(g_sent, gt.src, p.acc_nbytes[gt.chunk])
-            np.add.at(g_recv, gt.dst, p.acc_nbytes[gt.chunk])
+        g_sent = tally(gt.src, p.acc_nbytes[gt.chunk], P)
+        g_recv = tally(gt.dst, p.acc_nbytes[gt.chunk], P)
         t_gc = float(
             np.maximum(
                 np.maximum(g_sent, g_recv) / m.link_bandwidth,
@@ -190,14 +175,8 @@ class CostModel:
         T = max(plan.n_tiles, 1)
 
         def grid(tile: np.ndarray, proc: np.ndarray, weights=None) -> np.ndarray:
-            out = np.zeros((T, P))
-            if len(tile):
-                np.add.at(
-                    out,
-                    (tile, proc),
-                    1.0 if weights is None else weights.astype(float),
-                )
-            return out
+            flat = np.bincount(tile * P + proc, weights=weights, minlength=T * P)
+            return flat.astype(float).reshape(T, P)
 
         # Initialization: accumulator allocations per (tile, proc).
         counts = np.diff(plan.holders_indptr)

@@ -35,7 +35,6 @@ import numpy as np
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.plan import QueryPlan
 from repro.planner.problem import PlanningProblem
-from repro.planner.strategies import _so_lists
 
 __all__ = ["plan_hybrid", "chunk_multigraph"]
 
@@ -80,7 +79,7 @@ def plan_hybrid(
     lr = costs.reduction if costs else 1e-3
     gc = costs.combine if costs else 1e-3
 
-    so_indptr, so_ids = _so_lists(problem)
+    so_indptr, so_ids = problem.so_csr
     fwd_indptr, fwd_ids = problem.graph.forward_csr
     rev_indptr, rev_ids = problem.graph.reverse_csr
     in_bytes = problem.inputs.nbytes
@@ -96,11 +95,10 @@ def plan_hybrid(
     opened = False
     tile_of = np.empty(problem.n_out, dtype=np.int64)
     holder_lists: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * problem.n_out
-    # edge_proc aligned with forward CSR; fill per output via reverse lists.
+    # edge_proc aligned with forward CSR; filled per output through the
+    # graph's reverse -> forward edge index map.
     edge_proc = np.empty(problem.graph.n_edges, dtype=np.int64)
-    # position of each edge (i, o) inside i's forward slice:
-    # precompute a map from (reverse) edge to forward index.
-    fwd_pos = _reverse_to_forward(problem)
+    fwd_pos = problem.graph.reverse_to_forward
 
     for o in order:
         o = int(o)
@@ -122,8 +120,7 @@ def plan_hybrid(
         candidates = [owner]
         if fan_in:
             # the processor holding the most projecting input bytes
-            bytes_by_proc = np.zeros(P, dtype=np.int64)
-            np.add.at(bytes_by_proc, in_owner[ins], in_bytes[ins])
+            bytes_by_proc = np.bincount(in_owner[ins], weights=in_bytes[ins], minlength=P)
             candidates.append(int(bytes_by_proc.argmax()))
             candidates.append(int(load.argmin()))
         best_q, best_dist = owner, np.inf
@@ -180,21 +177,3 @@ def plan_hybrid(
         edge_proc,
     )
 
-
-def _reverse_to_forward(problem: PlanningProblem) -> np.ndarray:
-    """For each reverse-CSR edge slot, its index in the forward CSR.
-
-    Lets per-output edge assignments write into the forward-aligned
-    ``edge_proc`` array without a Python-level search per edge.
-    """
-    fwd_indptr, fwd_ids = problem.graph.forward_csr
-    rev_indptr, rev_ids = problem.graph.reverse_csr
-    n_edges = problem.graph.n_edges
-    # forward edge k belongs to input i(k) and output fwd_ids[k]
-    edge_in = np.repeat(
-        np.arange(problem.n_in, dtype=np.int64), np.diff(fwd_indptr)
-    )
-    edge_out = fwd_ids
-    # sort forward edges by (out, in) -- the reverse CSR order
-    order = np.lexsort((edge_in, edge_out))
-    return order.astype(np.int64)

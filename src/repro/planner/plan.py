@@ -39,6 +39,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.planner.problem import PlanningProblem
+from repro.util.arrays import tally, unique_rows
 
 __all__ = ["QueryPlan", "Transfers", "Reads"]
 
@@ -69,15 +70,6 @@ class Transfers:
 
     def total_bytes(self, chunk_nbytes: np.ndarray) -> int:
         return int(chunk_nbytes[self.chunk].sum())
-
-
-def _unique_rows(*cols: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Deduplicate parallel integer columns (lexicographic order)."""
-    if len(cols[0]) == 0:
-        return tuple(c.copy() for c in cols)
-    stacked = np.stack(cols, axis=1)
-    uniq = np.unique(stacked, axis=0)
-    return tuple(uniq[:, j] for j in range(uniq.shape[1]))
 
 
 @dataclass
@@ -143,7 +135,7 @@ class QueryPlan:
         minimize via Hilbert ordering.
         """
         edge_in, _ = self.edge_arrays
-        tile, chunk = _unique_rows(self.edge_tile, edge_in)
+        tile, chunk = unique_rows(self.edge_tile, edge_in)
         proc = self.problem.input_owner[chunk].astype(np.int64)
         return Reads(tile, chunk, proc)
 
@@ -151,9 +143,8 @@ class QueryPlan:
     def input_transfers(self) -> Transfers:
         """Input chunks forwarded to remote processors (DA / hybrid)."""
         edge_in, _ = self.edge_arrays
-        owner = self.problem.input_owner[edge_in].astype(np.int64)
-        remote = self.edge_proc != owner
-        tile, chunk, dst = _unique_rows(
+        remote = self.edge_proc != self.problem.edge_owner
+        tile, chunk, dst = unique_rows(
             self.edge_tile[remote], edge_in[remote], self.edge_proc[remote]
         )
         src = self.problem.input_owner[chunk].astype(np.int64)
@@ -218,8 +209,9 @@ class QueryPlan:
             (self.init_transfers, p.outputs.nbytes),
         ):
             if len(tr):
-                np.add.at(sent, tr.src, sizes[tr.chunk])
-                np.add.at(recv, tr.dst, sizes[tr.chunk])
+                nbytes = sizes[tr.chunk]
+                sent += tally(tr.src, nbytes, p.n_procs)
+                recv += tally(tr.dst, nbytes, p.n_procs)
         return sent, recv
 
     # -- execution schedule ---------------------------------------------------

@@ -11,13 +11,15 @@ the chunk graph; emulators construct problems directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
+from repro.util.arrays import csr_indptr, frozen, tally, unique_rows
 
 __all__ = ["PlanningProblem"]
 
@@ -146,10 +148,7 @@ class PlanningProblem:
         aggregation pairs and forwards (a ``where=`` query priced
         without that correction is systematically over-estimated).
         """
-        if self.n_pruned == 0:
-            return None
-        mask = np.isin(self.input_global_ids, self.pruned_input_ids)
-        return mask if mask.any() else None
+        return self._pruned_mask
 
     @property
     def input_owner(self) -> np.ndarray:
@@ -161,7 +160,56 @@ class PlanningProblem:
 
     def output_hilbert_order(self) -> np.ndarray:
         """Output chunk ids in the tiling selection order (Section 3)."""
-        return self.outputs.hilbert_order(self.hilbert_bits)
+        return self._hilbert_order
+
+    # -- strategy-invariant substrate --------------------------------------
+    #
+    # Derived on first use, once per problem, and shared read-only by
+    # every planner, every plan's traffic tables, plan_stats and the
+    # cost models: ``strategy='auto'`` plans and prices one problem four
+    # times.  Nothing here may depend on ``init_from_output``, which
+    # callers set after construction (``ADR.update``).
+
+    @cached_property
+    def _hilbert_order(self) -> np.ndarray:
+        return frozen(self.outputs.hilbert_order(self.hilbert_bits))
+
+    @cached_property
+    def _pruned_mask(self) -> Optional[np.ndarray]:
+        if self.n_pruned == 0:
+            return None
+        mask = np.isin(self.input_global_ids, self.pruned_input_ids)
+        return frozen(mask) if mask.any() else None
+
+    @cached_property
+    def edge_owner(self) -> np.ndarray:
+        """Owner of the input chunk of every graph edge (forward order)."""
+        edge_in, _ = self.graph.edge_arrays()
+        return frozen(self.input_owner[edge_in].astype(np.int64))
+
+    @cached_property
+    def so_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR of ``So`` per output chunk: the processors owning at least
+        one input chunk that projects to it, ascending (Figure 5, step 5)."""
+        _, edge_out = self.graph.edge_arrays()
+        outs, procs = unique_rows(edge_out, self.edge_owner)
+        return frozen(csr_indptr(outs, self.n_out)), frozen(procs)
+
+    @cached_property
+    def output_chunks_per_proc(self) -> np.ndarray:
+        """``(n_procs,)`` output chunks each processor owns and writes."""
+        return frozen(
+            np.bincount(self.output_owner, minlength=self.n_procs).astype(np.int64)
+        )
+
+    @cached_property
+    def write_bytes_per_proc(self) -> np.ndarray:
+        """``(n_procs,)`` output bytes each processor owns and writes."""
+        return frozen(tally(self.output_owner, self.outputs.nbytes, self.n_procs))
+
+    def __getstate__(self) -> dict:
+        # the substrate is rebuilt on demand, never pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def procs_with_input_for(self, output_id: int) -> np.ndarray:
         """The SRA set ``So``: processors owning at least one input

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.planner.plan import QueryPlan
+from repro.util.arrays import tally
 
 __all__ = ["PlanStats", "plan_stats"]
 
@@ -83,20 +84,17 @@ def plan_stats(plan: QueryPlan) -> PlanStats:
     g = plan.ghost_transfers
     combine_ops = np.bincount(g.dst, minlength=P).astype(np.int64) if len(g) else np.zeros(P, dtype=np.int64)
 
-    output_chunks = np.bincount(p.output_owner, minlength=P).astype(np.int64)
+    # plan-independent rows come from the problem's shared substrate
+    output_chunks = p.output_chunks_per_proc
+    write_bytes = p.write_bytes_per_proc
 
     r = plan.reads
     read_count = np.bincount(r.proc, minlength=P).astype(np.int64)
-    read_bytes = np.zeros(P, dtype=np.int64)
-    if len(r):
-        np.add.at(read_bytes, r.proc, p.inputs.nbytes[r.chunk])
+    read_bytes = tally(r.proc, p.inputs.nbytes[r.chunk], P)
     if p.init_from_output:
         # Owners also read the existing output chunks once per tile.
-        np.add.at(read_bytes, p.output_owner, p.outputs.nbytes)
+        read_bytes += write_bytes
         read_count += output_chunks
-
-    write_bytes = np.zeros(P, dtype=np.int64)
-    np.add.at(write_bytes, p.output_owner, p.outputs.nbytes)
 
     sent_bytes, recv_bytes = plan.comm_bytes_per_proc()
 

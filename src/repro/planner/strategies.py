@@ -26,20 +26,6 @@ from repro.planner.problem import PlanningProblem
 __all__ = ["plan_fra", "plan_sra", "plan_da", "plan_query", "STRATEGIES"]
 
 
-def _so_lists(problem: PlanningProblem) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR of ``So`` per output chunk: processors owning at least one
-    input chunk that projects to it (Figure 5, step 5), vectorized over
-    all edges at once."""
-    edge_in, edge_out = problem.graph.edge_arrays()
-    if len(edge_in) == 0:
-        return np.zeros(problem.n_out + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pairs = np.stack((edge_out, problem.input_owner[edge_in].astype(np.int64)), axis=1)
-    uniq = np.unique(pairs, axis=0)
-    counts = np.bincount(uniq[:, 0], minlength=problem.n_out)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr.astype(np.int64), uniq[:, 1].copy()
-
-
 def _holders_csr(holder_lists: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     counts = np.asarray([len(h) for h in holder_lists], dtype=np.int64)
     indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -79,10 +65,9 @@ def plan_fra(problem: PlanningProblem, order: np.ndarray | None = None) -> Query
     holders_indptr = np.arange(problem.n_out + 1, dtype=np.int64) * problem.n_procs
     holders_ids = np.tile(all_procs, problem.n_out)
 
-    edge_in, _ = problem.graph.edge_arrays()
-    edge_proc = problem.input_owner[edge_in].astype(np.int64)
     return QueryPlan(
-        "FRA", problem, n_tiles, tile_of, holders_indptr, holders_ids, edge_proc
+        "FRA", problem, n_tiles, tile_of, holders_indptr, holders_ids,
+        problem.edge_owner,
     )
 
 
@@ -93,7 +78,7 @@ def plan_sra(problem: PlanningProblem, order: np.ndarray | None = None) -> Query
     projecting input chunk; a tile closes as soon as the next chunk
     would overflow *any* involved processor's remaining memory.
     """
-    so_indptr, so_ids = _so_lists(problem)
+    so_indptr, so_ids = problem.so_csr
     order = problem.output_hilbert_order() if order is None else np.asarray(order)
     mem = problem.memory_per_proc.astype(np.int64).copy()
     tile_of = np.empty(problem.n_out, dtype=np.int64)
@@ -104,7 +89,7 @@ def plan_sra(problem: PlanningProblem, order: np.ndarray | None = None) -> Query
         size = int(problem.acc_nbytes[o])
         owner = int(problem.output_owner[o])
         so = so_ids[so_indptr[o] : so_indptr[o + 1]]
-        # so is sorted (np.unique); deviation: the owner always holds
+        # so is sorted ascending; deviation: the owner always holds
         # its chunk even when it stores no projecting input.
         pos = np.searchsorted(so, owner)
         if pos < len(so) and so[pos] == owner:
@@ -122,10 +107,9 @@ def plan_sra(problem: PlanningProblem, order: np.ndarray | None = None) -> Query
     n_tiles = tile + 1 if problem.n_out else 0
 
     holders_indptr, holders_ids = _holders_csr(holder_lists)
-    edge_in, _ = problem.graph.edge_arrays()
-    edge_proc = problem.input_owner[edge_in].astype(np.int64)
     return QueryPlan(
-        "SRA", problem, n_tiles, tile_of, holders_indptr, holders_ids, edge_proc
+        "SRA", problem, n_tiles, tile_of, holders_indptr, holders_ids,
+        problem.edge_owner,
     )
 
 

@@ -93,11 +93,9 @@ def plan_features(plan: QueryPlan) -> Dict[str, float]:
         r = plan.reads
         drop = pruned[r.chunk]
         read_count -= np.bincount(r.proc[drop], minlength=P)
-        dropped_bytes = np.zeros(P)
-        np.add.at(
-            dropped_bytes, r.proc[drop], p.inputs.nbytes[r.chunk[drop]].astype(float)
+        read_bytes -= np.bincount(
+            r.proc[drop], weights=p.inputs.nbytes[r.chunk[drop]], minlength=P
         )
-        read_bytes -= dropped_bytes
         edge_in, _ = plan.edge_arrays
         edrop = pruned[edge_in]
         reduction_pairs -= np.bincount(plan.edge_proc[edrop], minlength=P)

@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.aggregation.output_grid import PlacedGrids
 from repro.dataset.graph import ChunkGraph
 from repro.decluster.hilbert import HilbertDeclusterer
 from repro.frontend.protocol import DeadlineExceededError, ProtocolError
@@ -215,6 +216,9 @@ class ShardRouter:
 
             cost_model = CostModel(machine, DEFAULT_COSTS)
         self.cost_model = cost_model
+        # output grids as the pricing problem places them: one
+        # "processor" per shard, drawn once per grid
+        self._placed_grids = PlacedGrids(HilbertDeclusterer(), topology.n_shards)
         self.endpoints: Dict[int, ShardEndpoint] = {}
         for ep in endpoints:
             if ep.shard_id in self.endpoints:
@@ -252,7 +256,7 @@ class ShardRouter:
         if len(in_ids) == 0:
             raise ValueError(f"query region {region} selects no input chunks")
 
-        out_all = query.grid.chunkset()
+        out_all = self._placed_grids.get(query.grid)
         out_ids = out_all.intersecting(query.mapping.project_rect(region))
         if len(out_ids) == 0:
             raise ValueError("query region projects onto no output chunks")
@@ -294,13 +298,11 @@ class ShardRouter:
         inputs = topo.chunks.subset(in_ids).with_placement(
             shard_of, np.zeros(len(in_ids), dtype=np.int64)
         )
-        out_all = query.grid.chunkset()
-        node, disk = HilbertDeclusterer().assign(out_all, n, 1)
-        outputs = out_all.with_placement(node, disk).subset(out_ids)
+        outputs = self._placed_grids.get(query.grid).subset(out_ids)
         graph = ChunkGraph.from_geometry(inputs, outputs, query.mapping)
         spec = query.spec()
         acc_nbytes = np.asarray(
-            [spec.acc_bytes(query.grid.cells_in_chunk(int(o))) for o in out_ids],
+            [spec.acc_bytes(cells) for cells in outputs.n_items.tolist()],
             dtype=np.int64,
         )
         pruned_ids = np.empty(0, dtype=np.int64)

@@ -61,36 +61,40 @@ class Mapping(ABC):
     # -- chunk level ---------------------------------------------------
 
     def project_rect(self, rect: Rect) -> Rect:
-        """Project an input MBR to its output-space MBR (incl. footprint).
+        """Project an input MBR to its output-space MBR (incl. footprint):
+        the one-row case of :meth:`project_rects`."""
+        lo, hi = rect.as_arrays()
+        plo, phi = self.project_rects(lo[None, :], hi[None, :])
+        return Rect(tuple(plo[0]), tuple(phi[0]))
 
-        The default implementation maps the 2^d corner points and takes
-        their bounding box, which is exact for any affine mapping and a
-        conservative (enclosing) approximation otherwise -- exactly
-        what the planner needs: a superset of intersecting output
-        chunks is safe, a subset is not.
+    def project_rects(
+        self, los: np.ndarray, his: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Project ``(n, d_in)`` input MBR corner arrays to ``(n, d_out)``
+        output-space MBR corner arrays (incl. footprint).
+
+        The default implementation maps the 2^d corner points of every
+        MBR in one :meth:`map_points` call and takes their bounding
+        boxes, which is exact for any affine mapping and a conservative
+        (enclosing) approximation otherwise -- exactly what the planner
+        needs: a superset of intersecting output chunks is safe, a
+        subset is not.
         """
-        corners = _rect_corners(rect)
-        mapped = self.map_points(corners)
-        lo = mapped.min(axis=0) - np.asarray(self.footprint)
-        hi = mapped.max(axis=0) + np.asarray(self.footprint)
-        return Rect(tuple(lo), tuple(hi))
+        n, d = los.shape
+        # corner c takes hi in dimension j when bit j of c is set
+        take_hi = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
+        corners = np.where(take_hi, his[:, None, :], los[:, None, :])
+        mapped = self.map_points(corners.reshape(n << d, d)).reshape(
+            n, 1 << d, self.output_space.ndim
+        )
+        fp = np.asarray(self.footprint)
+        return mapped.min(axis=1) - fp, mapped.max(axis=1) + fp
 
     def point_footprints(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-point output boxes ``(lo, hi)`` including the footprint."""
         mapped = self.map_points(points)
         fp = np.asarray(self.footprint)
         return mapped - fp, mapped + fp
-
-
-def _rect_corners(rect: Rect) -> np.ndarray:
-    """All 2^d corner points of a Rect as an array."""
-    lo, hi = rect.as_arrays()
-    d = rect.ndim
-    corners = np.empty((1 << d, d), dtype=float)
-    for i in range(1 << d):
-        for j in range(d):
-            corners[i, j] = hi[j] if (i >> j) & 1 else lo[j]
-    return corners
 
 
 class IdentityMapping(Mapping):

@@ -174,11 +174,17 @@ def hilbert_point(index: int, bits: int, ndim: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+#: Points per pass of the vectorized path: every temporary of a pass
+#: (the widest is ``bits`` words per point) stays cache-sized.
+_BLOCK = 16384
+
+
 def hilbert_indices(coords: np.ndarray, bits: int) -> np.ndarray:
     """Hilbert indices for an ``(n, d)`` array of integer grid points.
 
     Vectorized across points: the loops run over ``bits`` and ``d``
-    only, with all n points processed per step as NumPy bit-ops.
+    only, with all points of a block processed per step as in-place
+    NumPy bit-ops.
     """
     pts = np.ascontiguousarray(coords, dtype=np.int64)
     if pts.ndim != 2:
@@ -196,38 +202,56 @@ def hilbert_indices(coords: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError(f"coordinates outside [0, 2**{bits})")
     if ndim == 1:
         return pts[:, 0].copy()
+    keys = np.empty(n_pts, dtype=np.int64)
+    for s in range(0, n_pts, _BLOCK):
+        keys[s : s + _BLOCK] = _hilbert_block(pts[s : s + _BLOCK], bits)
+    return keys
 
-    x = [pts[:, i].copy() for i in range(ndim)]
 
-    # Inverse undo.
-    q = np.int64(1 << (bits - 1))
-    while q > 1:
-        p = q - 1
-        for i in range(ndim):
-            hit = (x[i] & q) != 0
-            # Where hit: invert low bits of x[0]; else swap bits with x[0].
-            t = np.where(hit, 0, (x[0] ^ x[i]) & p)
-            x[0] = np.where(hit, x[0] ^ p, x[0] ^ t)
+def _hilbert_block(pts: np.ndarray, bits: int) -> np.ndarray:
+    """Skilling's transform and the interleave for one block of points."""
+    n_pts, ndim = pts.shape
+    x = np.array(pts.T, order="C")  # (ndim, n) working copy, one row per axis
+    x0 = x[0]
+    invert = np.empty_like(x)
+    swap = np.empty_like(x)
+    t = np.empty(n_pts, dtype=np.int64)
+
+    # Inverse undo.  Bit b of every axis is fixed within level b (only
+    # the lower bits move), so both masks are taken for all axes at once.
+    for b in range(bits - 1, 0, -1):
+        p = (1 << b) - 1
+        np.right_shift(x, b, out=invert)
+        invert &= 1
+        invert *= p  # p where bit b is set: invert the low bits of x[0]
+        np.bitwise_xor(invert, p, out=swap)  # p where clear: swap them with x[0]'s
+        x0 ^= invert[0]
+        for i in range(1, ndim):
+            np.bitwise_xor(x0, x[i], out=t)
+            t &= swap[i]
             x[i] ^= t
-        q >>= 1
+            x0 ^= t
+            x0 ^= invert[i]
 
-    # Gray encode.
+    # Gray encode.  t is the XOR of (q - 1) over the set bits q > 1 of
+    # the last axis, i.e. a suffix parity, taken in log2(bits) steps.
     for i in range(1, ndim):
         x[i] ^= x[i - 1]
-    t = np.zeros(n_pts, dtype=np.int64)
-    q = np.int64(1 << (bits - 1))
-    while q > 1:
-        t ^= np.where((x[ndim - 1] & q) != 0, q - 1, 0)
-        q >>= 1
-    for i in range(ndim):
-        x[i] ^= t
+    np.right_shift(x[ndim - 1], 1, out=t)
+    s = 1
+    while s < bits:
+        t ^= t >> s
+        s <<= 1
+    x ^= t
 
-    # Interleave transpose words into indices.
-    h = np.zeros(n_pts, dtype=np.int64)
-    for bit in range(bits - 1, -1, -1):
-        for i in range(ndim):
-            h = (h << 1) | ((x[i] >> bit) & 1)
-    return h
+    # Interleave transpose words: bit k of axis i lands at k*ndim + (ndim-1-i).
+    bit = np.arange(bits, dtype=np.int64)[:, None]
+    keys = np.zeros(n_pts, dtype=np.int64)
+    for i in range(ndim):
+        spread = (x[i] >> bit) & 1
+        spread <<= bit * ndim + (ndim - 1 - i)
+        keys |= np.bitwise_or.reduce(spread, axis=0)
+    return keys
 
 
 def hilbert_sort_keys(

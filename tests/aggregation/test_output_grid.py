@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.aggregation.output_grid import OutputGrid
+from repro.aggregation.output_grid import OutputGrid, PlacedGrids
+from repro.decluster.simple import RandomDeclusterer
 from repro.space.attribute_space import AttributeSpace
 from repro.util.geometry import Rect
 
@@ -54,6 +55,71 @@ class TestChunkset:
         g = make_grid(grid=(10, 10), chunk=(4, 4))
         cs = g.chunkset()
         assert cs.nbytes.min() == 4 * g.cell_value_bytes
+
+
+    @pytest.mark.parametrize(
+        "grid,chunk", [((12, 8), (4, 4)), ((10, 7), (4, 3)), ((5, 5), (5, 1))]
+    )
+    def test_all_chunks_at_once_equal_one_chunk_at_a_time(self, grid, chunk):
+        """``chunkset`` / ``chunk_cell_counts`` unravel every chunk id at
+        once; ``chunk_block`` (one id) is the reference."""
+        g = make_grid(grid, chunk)
+        cs = g.chunkset()
+        lo, hi = g.space.bounds.as_arrays()
+        cell = (hi - lo) / np.asarray(g.grid_shape)
+        for cid in range(g.n_chunks):
+            start, stop = g.chunk_block(cid)
+            assert cs.los[cid].tolist() == (lo + np.asarray(start) * cell).tolist()
+            assert cs.his[cid].tolist() == (lo + np.asarray(stop) * cell).tolist()
+            assert cs.n_items[cid] == g.cells_in_chunk(cid)
+            assert cs.nbytes[cid] == g.cells_in_chunk(cid) * g.cell_value_bytes
+        assert g.chunk_cell_counts().tolist() == cs.n_items.tolist()
+        assert g.chunk_cell_counts().dtype == np.int64
+
+    def test_three_dimensions(self):
+        space = AttributeSpace.regular("o", ("u", "v", "w"), (0, 0, 0), (1, 2, 4))
+        g = OutputGrid(space, (4, 5, 6), (2, 2, 4))
+        cs = g.chunkset()
+        assert len(cs) == g.n_chunks == 2 * 3 * 2
+        assert cs.n_items.tolist() == [g.cells_in_chunk(c) for c in range(g.n_chunks)]
+        assert cs.bounds == space.bounds
+
+
+class TestKey:
+    def test_equal_grids_built_apart_share_a_key(self):
+        a, b = make_grid(), make_grid()
+        assert a is not b and a.key() == b.key() and hash(a.key()) == hash(b.key())
+
+    def test_every_parameter_is_part_of_the_key(self):
+        space = AttributeSpace.regular("o", ("u", "v"), (0, 0), (1, 1))
+        other = AttributeSpace.regular("o", ("u", "v"), (0, 0), (2, 1))
+        keys = {
+            OutputGrid(space, (12, 8), (4, 4)).key(),
+            OutputGrid(space, (12, 12), (4, 4)).key(),
+            OutputGrid(space, (12, 8), (4, 2)).key(),
+            OutputGrid(space, (12, 8), (4, 4), cell_value_bytes=4).key(),
+            OutputGrid(other, (12, 8), (4, 4)).key(),
+        }
+        assert len(keys) == 5
+
+
+class TestPlacedGrids:
+    def test_drawn_once_per_grid_value_and_read_only(self):
+        placed = PlacedGrids(RandomDeclusterer(seed=3), n_nodes=4, disks_per_node=2)
+        first = placed.get(make_grid())
+        assert placed.get(make_grid()) is first  # an equal grid, built anew
+        assert first.placed and first.node.max() < 4 and first.disk.max() < 2
+        assert placed.get(make_grid(grid=(12, 12))) is not first
+        for a in (first.los, first.his, first.nbytes, first.n_items, first.node, first.disk):
+            assert not a.flags.writeable
+
+    def test_memo_is_bounded(self):
+        placed = PlacedGrids(RandomDeclusterer(seed=3), n_nodes=2)
+        first = placed.get(make_grid())
+        for n in range(PlacedGrids.MAX_GRIDS):
+            placed.get(make_grid(grid=(16 + n, 8)))
+        assert len(placed._placed) == PlacedGrids.MAX_GRIDS
+        assert placed.get(make_grid()) is not first  # the oldest was dropped
 
 
 class TestCellPlumbing:

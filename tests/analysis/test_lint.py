@@ -192,6 +192,66 @@ class TestAggregateLoop:
         assert "ADR305" in capsys.readouterr().out
 
 
+class TestPerRectangleLoop:
+    """ADR306: the loops the vectorized indexes, ``from_geometry`` and
+    ``OutputGrid.chunkset`` replaced must not come back."""
+
+    GRAPH_LOOP = """\
+        for i in range(len(inputs)):
+            projected = mapping.project_rect(inputs.mbr(i))
+            hits = outputs.intersecting(projected)
+    """
+    GRID_LOOP = """\
+        for cid in range(n):
+            start, stop = self.chunk_block(cid)
+            los[cid] = lo + np.asarray(start) * cell
+            his[cid] = lo + np.asarray(stop) * cell
+    """
+
+    def test_per_input_projection_loop_flagged(self):
+        out = findings(self.GRAPH_LOOP, index_hot_path=True)
+        assert [d.code for d in out] == ["ADR306", "ADR306"]
+        assert all(d.severity == Severity.ERROR for d in out)
+        assert "project_rect()" in out[0].message + out[1].message
+        assert "intersecting()" in out[0].message + out[1].message
+
+    def test_per_chunk_mbr_fill_loop_flagged(self):
+        out = findings(self.GRID_LOOP, index_hot_path=True)
+        assert [d.code for d in out] == ["ADR306", "ADR306"]
+
+    def test_not_flagged_outside_the_hot_path(self):
+        assert codes(self.GRAPH_LOOP) == codes(self.GRID_LOOP) == set()
+
+    def test_blocked_broadcast_is_fine(self):
+        src = """\
+            for s in range(0, n_in, step):
+                hit = ((outputs.los <= his[s : s + step, None])
+                       & (los[s : s + step, None] <= outputs.his)).all(axis=2)
+        """
+        assert codes(src, index_hot_path=True) == set()
+
+    def test_noqa_opt_out(self):
+        src = """\
+            for i in range(n):
+                tree.insert(i, los[i], his[i])  # noqa: ADR306 -- dynamic insert
+        """
+        assert codes(src, index_hot_path=True) == set()
+
+    @pytest.mark.parametrize(
+        "hot", ["index/mod.py", "dataset/graph.py", "aggregation/output_grid.py"]
+    )
+    def test_scope_resolved_from_file_location(self, hot, tmp_path, capsys):
+        src = textwrap.dedent(self.GRAPH_LOOP)
+        for rel in (hot, "dataset/chunkset.py"):
+            path = tmp_path / "src" / "repro" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(src)
+        assert main([str(tmp_path / "src" / "repro" / "dataset" / "chunkset.py")]) == 0
+        capsys.readouterr()
+        assert main([str(tmp_path / "src" / "repro" / hot)]) == 1
+        assert "ADR306" in capsys.readouterr().out
+
+
 class TestExceptionHygiene:
     """ADR401: no bare except anywhere; no silently swallowed
     exceptions in the fault-critical paths (runtime/store)."""

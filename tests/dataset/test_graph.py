@@ -1,5 +1,7 @@
 """Tests for the bipartite chunk graph."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
 from repro.space.attribute_space import AttributeSpace
-from repro.space.mapping import IdentityMapping
+from repro.space.mapping import AffineMapping, IdentityMapping
 
 
 class TestConstruction:
@@ -106,3 +108,100 @@ class TestFromGeometry:
         )
         assert no_fp.n_edges == 0
         assert with_fp.n_edges == 1
+
+
+def loop_from_geometry(inputs, outputs, mapping):
+    """The per-input ``project_rect`` / ``intersecting`` loop that
+    ``from_geometry`` used to be, kept here as its oracle."""
+    return [
+        outputs.intersecting(mapping.project_rect(inputs.mbr(i))).tolist()
+        for i in range(len(inputs))
+    ]
+
+
+def chunks_on_lattice(rng, n, ndim, zero_extent=False):
+    """MBRs with integer corners, so touching edges and zero-extent
+    boxes (the closed-interval corner cases) occur often."""
+    los = rng.integers(0, 12, size=(n, ndim)).astype(float)
+    ext = rng.integers(0 if zero_extent else 1, 4, size=(n, ndim))
+    return ChunkSet(los, los + ext, np.full(n, 10, dtype=np.int64))
+
+
+class TestFromGeometryVectorized:
+    @given(st.integers(0, 2**31), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_input_loop(self, seed, footprint, zero_extent):
+        rng = np.random.default_rng(seed)
+        d_out = int(rng.integers(1, 4))
+        d_in = d_out + int(rng.integers(0, 2))  # dim_select may drop a dimension
+        in_space = AttributeSpace.regular(
+            "i", [f"x{k}" for k in range(d_in)], (0,) * d_in, (16,) * d_in
+        )
+        out_space = AttributeSpace.regular(
+            "o", [f"u{k}" for k in range(d_out)], (0,) * d_out, (16,) * d_out
+        )
+        mapping = AffineMapping(
+            in_space, out_space,
+            scale=rng.choice([-2.0, -1.0, 0.5, 1.0, 2.0], size=d_out),
+            offset=rng.integers(-3, 4, size=d_out).astype(float),
+            dim_select=tuple(rng.permutation(d_in)[:d_out].tolist()),
+            footprint=tuple(rng.integers(0, 3, size=d_out).tolist()) if footprint else None,
+        )
+        inputs = chunks_on_lattice(rng, int(rng.integers(1, 25)), d_in, zero_extent)
+        outputs = chunks_on_lattice(rng, int(rng.integers(1, 12)), d_out, zero_extent)
+        g = ChunkGraph.from_geometry(inputs, outputs, mapping)
+        g.validate()
+        want = loop_from_geometry(inputs, outputs, mapping)
+        assert [g.outputs_of(i).tolist() for i in range(len(inputs))] == want
+        same = ChunkGraph.from_lists(len(inputs), len(outputs), want)
+        assert g.reverse_csr[0].tolist() == same.reverse_csr[0].tolist()
+        assert g.reverse_csr[1].tolist() == same.reverse_csr[1].tolist()
+
+    def test_empty_populations(self):
+        space = AttributeSpace.regular("s", ("x", "y"), (0, 0), (16, 16))
+        none = ChunkSet(np.empty((0, 2)), np.empty((0, 2)), np.empty(0, dtype=np.int64))
+        some = ChunkSet(np.zeros((3, 2)), np.ones((3, 2)), np.ones(3, dtype=np.int64))
+        for inputs, outputs in ((none, some), (some, none), (none, none)):
+            g = ChunkGraph.from_geometry(inputs, outputs, IdentityMapping(space))
+            g.validate()
+            assert (g.n_in, g.n_out, g.n_edges) == (len(inputs), len(outputs), 0)
+
+    def test_blocks_of_inputs_concatenate_in_order(self, rng, monkeypatch):
+        import repro.dataset.graph as graph_module
+
+        space = AttributeSpace.regular("s", ("x", "y"), (0, 0), (16, 16))
+        inputs = chunks_on_lattice(rng, 23, 2)
+        outputs = chunks_on_lattice(rng, 7, 2)
+        whole = ChunkGraph.from_geometry(inputs, outputs, IdentityMapping(space))
+        monkeypatch.setattr(graph_module, "_PAIRS_PER_BLOCK", 7 * 5)
+        blocked = ChunkGraph.from_geometry(inputs, outputs, IdentityMapping(space))
+        assert blocked.n_edges == whole.n_edges > 0
+        for a, b in zip(blocked.edge_arrays(), whole.edge_arrays()):
+            assert a.tolist() == b.tolist()
+
+
+class TestSharedArrays:
+    def graph(self):
+        return ChunkGraph(3, 2, np.array([2, 0, 1, 1]), np.array([1, 0, 1, 0]))
+
+    def test_views_are_read_only(self):
+        g = self.graph()
+        shared = [*g.edge_arrays(), *g.forward_csr, *g.reverse_csr, g.reverse_to_forward]
+        assert shared and not any(a.flags.writeable for a in shared)
+        with pytest.raises(ValueError):
+            g.edge_arrays()[1][0] = 1
+
+    def test_reverse_to_forward_maps_slots(self):
+        g = self.graph()
+        edge_in, edge_out = g.edge_arrays()
+        rev_indptr, rev_ids = g.reverse_csr
+        rev_out = np.repeat(np.arange(g.n_out), np.diff(rev_indptr))
+        assert edge_in[g.reverse_to_forward].tolist() == rev_ids.tolist()
+        assert edge_out[g.reverse_to_forward].tolist() == rev_out.tolist()
+
+    def test_pickle_round_trip_rebuilds_both_directions(self):
+        g = self.graph()
+        loaded = pickle.loads(pickle.dumps(g))
+        loaded.validate()
+        assert loaded.reverse_csr[1].tolist() == g.reverse_csr[1].tolist()
+        assert not loaded.edge_arrays()[0].flags.writeable

@@ -5,6 +5,7 @@ import pytest
 
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.partition import hilbert_partition
+from repro.decluster.simple import RandomDeclusterer
 from repro.frontend.adr import ADR
 from repro.frontend.query import RangeQuery
 from repro.machine.config import MachineConfig
@@ -16,8 +17,11 @@ from repro.util.geometry import Rect
 from repro.util.units import MB
 
 
-def build_instance(rng, n_procs=3, store=None):
-    adr = ADR(machine=MachineConfig(n_procs=n_procs, memory_per_proc=1 * MB), store=store)
+def build_instance(rng, n_procs=3, store=None, declusterer=None):
+    adr = ADR(
+        machine=MachineConfig(n_procs=n_procs, memory_per_proc=1 * MB),
+        store=store, declusterer=declusterer,
+    )
     in_space = AttributeSpace.regular("readings", ("x", "y"), (0, 0), (10, 10))
     out_space = AttributeSpace.regular("image", ("u", "v"), (0, 0), (1, 1))
     coords = rng.uniform(0, 10, size=(400, 2))
@@ -163,6 +167,67 @@ class TestPlanningSurface:
         prob = adr.build_problem(full_query(mapping, grid))
         assert len(prob.input_global_ids) == len(chunks)
         assert len(prob.output_global_ids) == grid.n_chunks
+
+
+class TestPlanOncePerGrid:
+    """What does not depend on the query is computed once per grid, and
+    what does not depend on the strategy once per query."""
+
+    def sub_query(self, mapping, grid, lo):
+        # a grid *equal* to the loaded one but built anew, as the wire
+        # decoder and most callers do for every query
+        grid = OutputGrid(grid.space, grid.grid_shape, grid.chunk_shape)
+        return RangeQuery(
+            "sensors", Rect((lo, lo), (lo + 5, lo + 5)), mapping, grid,
+            aggregation="mean", strategy="AUTO",
+        )
+
+    def test_second_auto_query_on_a_grid(self, rng, monkeypatch):
+        import repro.util.hilbert as hilbert_module
+
+        adr, _, mapping, grid = build_instance(rng)
+        adr.execute(self.sub_query(mapping, grid, 0.0))
+        calls = {"hilbert": 0, "chunkset": 0}
+        real_indices, real_chunkset = hilbert_module.hilbert_indices, OutputGrid.chunkset
+
+        def counting_indices(*args, **kwargs):
+            calls["hilbert"] += 1
+            return real_indices(*args, **kwargs)
+
+        def counting_chunkset(self):
+            calls["chunkset"] += 1
+            return real_chunkset(self)
+
+        monkeypatch.setattr(hilbert_module, "hilbert_indices", counting_indices)
+        monkeypatch.setattr(OutputGrid, "chunkset", counting_chunkset)
+        result = adr.execute(self.sub_query(mapping, grid, 4.0))
+        assert len(result.strategy_ranking) == 4  # four plans priced ...
+        assert calls == {"hilbert": 1, "chunkset": 0}  # ... on one Hilbert order
+
+    def test_stateful_declusterer_places_a_grid_once(self, rng):
+        """Two queries over one grid must agree on who owns an output
+        chunk; a seeded ``RandomDeclusterer`` used to re-draw the
+        placement on every ``build_problem``."""
+        adr, _, mapping, grid = build_instance(rng, declusterer=RandomDeclusterer(seed=5))
+        owners = {}
+        for lo in (0.0, 2.0, 4.0, 0.0):
+            problem = adr.build_problem(self.sub_query(mapping, grid, lo))
+            for out_id, node in zip(problem.output_global_ids, problem.output_owner):
+                assert owners.setdefault(int(out_id), int(node)) == int(node)
+        assert len(set(owners.values())) > 1
+
+    def test_update_flips_init_from_output_on_a_planned_problem(self, rng):
+        adr, _, mapping, grid = build_instance(rng)
+        query = self.sub_query(mapping, grid, 0.0)
+        problem = adr.build_problem(query)
+        before = adr._choose(problem, "AUTO")[1]
+        problem.init_from_output = True
+        after = adr._choose(problem, "AUTO")[1]
+        fresh = adr.build_problem(query)
+        fresh.init_from_output = True
+        want = adr._choose(fresh, "AUTO")[1]
+        assert after.estimates == want.estimates
+        assert after.estimates != before.estimates
 
 
 class TestFileStoreBacked:

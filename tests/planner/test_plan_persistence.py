@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.machine.config import ComputeCosts, MachineConfig
+from repro.planner.costmodel import CostModel
 from repro.planner.plan import QueryPlan
+from repro.planner.select import choose_strategy
 from repro.planner.strategies import plan_da, plan_fra
 from repro.planner.validate import PlanValidationError
 from repro.sim.query_sim import simulate_query
@@ -50,6 +52,27 @@ class TestPlanPersistence:
         loaded = QueryPlan.load(path)
         assert len(loaded.reads) == len(plan.reads)
         assert loaded.total_read_bytes == plan.total_read_bytes
+
+    def test_substrate_dropped_on_save_and_rebuilt_after_load(self, tmp_path):
+        """Save a plan whose problem has been planned four times, load
+        it, and select again: equal to selecting on a fresh problem."""
+        model = CostModel(MachineConfig(n_procs=3, memory_per_proc=1 << 20), COSTS)
+        prob = make_problem(np.random.default_rng(77), n_procs=3, memory=300_000)
+        choice = choose_strategy(prob, model)
+        path = tmp_path / "auto.plan"
+        choice.plan.save(path)
+        with open(path, "rb") as fh:
+            _, state = pickle.load(fh)
+        assert not {"_hilbert_order", "edge_owner", "so_csr"} & set(vars(state["problem"]))
+        again = choose_strategy(QueryPlan.load(path).problem, model)
+        fresh = choose_strategy(
+            make_problem(np.random.default_rng(77), n_procs=3, memory=300_000), model
+        )
+        assert again.selected == fresh.selected == choice.selected
+        assert again.estimates == fresh.estimates == choice.estimates
+        for attr in ("tile_of_output", "holders_indptr", "holders_ids", "edge_proc"):
+            assert getattr(again.plan, attr).tolist() == getattr(fresh.plan, attr).tolist()
+        assert not again.plan.problem.output_hilbert_order().flags.writeable
 
     def test_wrong_payload_rejected(self, tmp_path):
         path = tmp_path / "bad.plan"

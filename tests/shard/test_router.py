@@ -129,6 +129,19 @@ class TestAutoStrategy:
         totals = [est.total for _, est in plan.choice.ranking]
         assert totals == sorted(totals)
 
+    def test_router_places_an_output_grid_once(self, deployment, monkeypatch):
+        from repro.aggregation.output_grid import OutputGrid
+
+        cluster, _, query = deployment
+        first = cluster.router.plan(query(strategy="auto"))
+        monkeypatch.setattr(
+            OutputGrid, "chunkset",
+            lambda self: pytest.fail("the grid's chunkset was rebuilt for a second plan"),
+        )
+        again = cluster.router.plan(query(strategy="auto"))
+        assert again.output_ids.tolist() == first.output_ids.tolist()
+        assert again.choice.estimates == first.choice.estimates
+
     def test_auto_matches_solo_execution(self, deployment):
         cluster, solo, query = deployment
         got = cluster.execute(query(strategy="auto"))

@@ -87,6 +87,36 @@ class TestVectorized:
         scalar = [hilbert_index(c, bits) for c in coords]
         assert vec.tolist() == scalar
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("bits", [1, 8, 16])
+    @given(st.integers(0, 2**31))
+    @settings(max_examples=10, deadline=None)
+    def test_keys_bit_identical_to_scalar(self, ndim, bits, seed):
+        """The in-place bit-op path against the scalar reference at the
+        curve orders the planner and the declusterer use, corner cells
+        and a block boundary included."""
+        rng = np.random.default_rng(seed)
+        top = (1 << bits) - 1
+        coords = rng.integers(0, top + 1, size=(40, ndim))
+        coords[0], coords[1] = 0, top
+        vec = hilbert_indices(coords, bits)
+        assert vec.dtype == np.int64
+        assert vec.tolist() == [hilbert_index(c, bits) for c in coords]
+
+    def test_blocks_concatenate(self, monkeypatch):
+        import repro.util.hilbert as hilbert_module
+
+        coords = np.random.default_rng(5).integers(0, 1 << 12, size=(1000, 3))
+        whole = hilbert_indices(coords, 12)
+        monkeypatch.setattr(hilbert_module, "_BLOCK", 64)
+        assert hilbert_indices(coords, 12).tolist() == whole.tolist()
+
+    def test_input_left_untouched(self):
+        coords = np.array([[3, 9], [12, 1]], dtype=np.int64)
+        before = coords.copy()
+        hilbert_indices(coords, 4)
+        assert np.array_equal(coords, before)
+
     def test_empty(self):
         out = hilbert_indices(np.empty((0, 3), dtype=np.int64), 4)
         assert out.shape == (0,)
