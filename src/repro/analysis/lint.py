@@ -30,7 +30,11 @@ ADR305    Python loop calling ``aggregate`` inside the runtime hot
           path (``src/repro/runtime/``) -- per-item/per-edge loops are
           the slow pattern the fused kernels replaced; use
           ``aggregate_grouped`` over lexsorted segments instead (the
-          preserved reference oracles opt out with ``noqa``)
+          preserved reference oracles opt out with ``noqa``).  In
+          ``src/repro/runtime/phases.py`` also a loop calling
+          ``group_read`` / ``prereduce_groups``: the phase executor
+          groups and pre-reduces a whole batch of reads at once
+          (``group_reads``), never per read
 ADR306    per-rectangle Python loop in the index / chunk-graph hot path
           (``src/repro/index/``, ``dataset/graph.py``,
           ``aggregation/output_grid.py``): a loop body that subscripts
@@ -146,6 +150,10 @@ _GUARDED_CACHE_MODULES = ("store/cache.py", "store\\cache.py")
 
 #: The one module allowed to sequence the four phases (ADR501).
 _PHASE_LOOP_HOME = ("runtime/phases.py", "runtime\\phases.py")
+
+#: Per-read kernel calls ADR305 rejects inside a loop of that module:
+#: its reduce phase runs them once per batch of reads.
+_PER_READ_CALLS = ("group_read", "prereduce_groups")
 
 #: Library code under these roots must import strategy names from
 #: :mod:`repro.planner.select` instead of hard-coding the strings
@@ -266,10 +274,10 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _calls_aggregate_directly(loop: ast.AST) -> Optional[ast.Call]:
-    """The first ``aggregate(...)`` / ``*.aggregate(...)`` call in the
-    loop body that is not inside a *nested* loop (the inner loop gets
-    its own finding)."""
+def _calls_directly(loop: ast.AST, names: Sequence[str]) -> Optional[ast.Call]:
+    """The first ``name(...)`` / ``*.name(...)`` call, *name* one of
+    *names*, in the loop body that is not inside a *nested* loop (the
+    inner loop gets its own finding)."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(loop))
     while stack:
         node = stack.pop(0)
@@ -280,7 +288,7 @@ def _calls_aggregate_directly(loop: ast.AST) -> Optional[ast.Call]:
             name = fn.attr if isinstance(fn, ast.Attribute) else (
                 fn.id if isinstance(fn, ast.Name) else None
             )
-            if name == "aggregate":
+            if name in names:
                 return node
         stack.extend(ast.iter_child_nodes(node))
     return None
@@ -310,7 +318,7 @@ class _Visitor(ast.NodeVisitor):
         runtime_hot_path: bool = False, fault_critical: bool = False,
         phase_scope: bool = False, index_hot_path: bool = False,
         wire_scope: bool = False, strategy_scope: bool = False,
-        docstring_ids: Optional[Set[int]] = None,
+        docstring_ids: Optional[Set[int]] = None, phase_home: bool = False,
     ) -> None:
         self.path = path
         self.out = out
@@ -318,6 +326,7 @@ class _Visitor(ast.NodeVisitor):
         self.runtime_hot_path = runtime_hot_path
         self.fault_critical = fault_critical
         self.phase_scope = phase_scope
+        self.phase_home = phase_home
         self.index_hot_path = index_hot_path
         self.wire_scope = wire_scope
         self.strategy_scope = strategy_scope
@@ -504,8 +513,7 @@ class _Visitor(ast.NodeVisitor):
     def _check_aggregate_loop(self, node: ast.AST) -> None:
         if not self.runtime_hot_path:
             return
-        call = _calls_aggregate_directly(node)
-        if call is not None:
+        if _calls_directly(node, ("aggregate",)) is not None:
             self.out.emit(
                 "ADR305",
                 Severity.ERROR,
@@ -515,6 +523,18 @@ class _Visitor(ast.NodeVisitor):
                 "replaced -- group with repro.runtime.kernels.group_read and "
                 "call aggregate_grouped (reference oracles may opt out with "
                 "noqa)",
+            )
+        call = _calls_directly(node, _PER_READ_CALLS) if self.phase_home else None
+        if call is not None:
+            name = getattr(call.func, "attr", None) or call.func.id
+            self.out.emit(
+                "ADR305",
+                Severity.ERROR,
+                self._loc(node),
+                f"Python loop calling {name}() in the phase executor; the "
+                "reduce phase groups and pre-reduces a batch of reads with "
+                "one repro.runtime.kernels.group_reads / prereduce_groups "
+                "call, not one per read",
             )
 
     # -- ADR306: per-rectangle loops in the index hot path -----------------
@@ -660,6 +680,7 @@ def lint_source(
     phase_scope: bool = False, concurrency_scope: bool = False,
     guarded_cache: bool = False, index_hot_path: bool = False,
     wire_scope: bool = False, strategy_scope: bool = False,
+    phase_home: bool = False,
 ) -> List[Diagnostic]:
     """Lint one module's source text (the testable core).
 
@@ -678,6 +699,7 @@ def lint_source(
         path, out, rng_exempt, runtime_hot_path, fault_critical, phase_scope,
         index_hot_path, wire_scope, strategy_scope,
         docstring_ids=_docstring_node_ids(tree) if strategy_scope else None,
+        phase_home=phase_home,
     ).visit(tree)
     if check_all and not any(
         isinstance(n, ast.Assign)
@@ -722,6 +744,7 @@ def lint_file(path: Path) -> List[Diagnostic]:
             any(m in posix for m in _RUNTIME_HOT_PATH)
             and not any(posix.endswith(e) for e in _PHASE_LOOP_HOME)
         ),
+        phase_home=any(posix.endswith(e) for e in _PHASE_LOOP_HOME),
         concurrency_scope=any(m in posix for m in _CONCURRENCY_PATHS),
         guarded_cache=any(posix.endswith(e) for e in _GUARDED_CACHE_MODULES),
         index_hot_path=any(m in posix for m in _INDEX_HOT_PATH),

@@ -15,9 +15,10 @@ the sequential engine and the multiprocess backend:
   row-major strides so *all* mapped cells of a read resolve to flat
   local accumulator indices in one vectorized expression (the old path
   called ``grid.local_cell_index`` once per segment);
-- :func:`group_read` performs **one lexsort per read** over
-  ``(output chunk, flat cell)`` and hands back contiguous, cell-sorted
-  segments, which lets
+- :func:`group_reads` performs **one lexsort per batch of reads** over
+  ``(read, output chunk, flat cell)`` and hands back contiguous,
+  cell-sorted segments (:func:`group_read` is its one-read case), which
+  lets
   :meth:`~repro.aggregation.functions.AggregationSpec.aggregate_grouped`
   pre-reduce duplicate cells with ``ufunc.reduceat`` and update the
   accumulator with plain fancy indexing instead of ``np.add.at``;
@@ -38,7 +39,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "coerce_values",
     "filter_predicate",
     "group_read",
+    "group_reads",
     "reference_segment_reduction",
     "route_chunk",
     "routing_key",
@@ -311,29 +313,110 @@ def filter_predicate(
 
 @dataclass
 class ReadSegments:
-    """One read's scatter work, lexsorted by (output chunk, cell).
+    """A batch of reads' scatter work, lexsorted by (read, output
+    chunk, cell); one read's work when the batch holds one.
 
     ``starts[k]:ends[k]`` slices ``flat``/``values`` for the segment
-    aimed at local output chunk ``seg_out[k]``; within a segment the
-    flat cell indices are sorted ascending, which is the precondition
-    of the ``aggregate_grouped`` fast path.
+    read ``seg_read[k]`` (a position in the batch) aims at local output
+    chunk ``seg_out[k]``; within a segment the flat cell indices are
+    sorted ascending, which is the precondition of the
+    ``aggregate_grouped`` fast path.  Batch position *p* owns segments
+    ``read_bounds[p]:read_bounds[p+1]``.
 
-    ``group_starts``/``group_bounds`` describe the read's *cell runs*
-    (maximal runs of one (output chunk, cell) pair): run ``j`` is
+    ``group_starts``/``group_bounds`` describe the *cell runs* (maximal
+    runs of one (read, output chunk, cell) triple): run ``j`` is
     ``flat[group_starts[j]:group_starts[j+1]]`` and segment *k* owns
     runs ``group_bounds[k]:group_bounds[k+1]``.  Computed once per
-    read, they let ``AggregationSpec.prereduce_groups`` collapse every
+    batch, they let ``AggregationSpec.prereduce_groups`` collapse every
     duplicate cell in one ``reduceat`` sweep; the per-segment work then
     shrinks to a single fancy-indexed scatter of pre-reduced rows.
     """
 
-    seg_out: np.ndarray  # (k,) local output chunk ids, ascending
+    seg_read: np.ndarray  # (k,) batch positions, ascending
+    seg_out: np.ndarray  # (k,) local output chunk ids, ascending per read
     starts: np.ndarray  # (k,)
     ends: np.ndarray  # (k,)
     flat: np.ndarray  # (m,) flat local cell indices, segment-sorted
     values: np.ndarray  # (m, value_components) float64
     group_starts: np.ndarray  # (g,) run starts into flat/values
     group_bounds: np.ndarray  # (k+1,) segment -> run range
+    read_bounds: np.ndarray  # (n_parts+1,) batch position -> segment range
+
+
+def group_reads(
+    parts: Sequence[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    grid: OutputGrid,
+    sel_map: np.ndarray,
+    tile_of_output: np.ndarray,
+    tile: int,
+    indexer: Optional[GridIndexer] = None,
+) -> Optional[ReadSegments]:
+    """Filter a batch of reads' mapped cells to the current tile and
+    group them into cell-sorted segments with a single lexsort.
+
+    ``parts[p]`` is ``(item_idx, cells, values)`` of batch position *p*
+    -- ``item_idx``/``cells`` from :func:`route_chunk`, ``values`` the
+    chunk's payload already through :func:`coerce_values` -- or None
+    for a read that contributes nothing.  The sort's primary key is the
+    batch position, so each (read, output chunk, cell) run holds
+    exactly the items, in exactly the order, that grouping the read on
+    its own would: pre-reduced rows are bit-identical however reads are
+    batched.  Returns None when nothing lands in this tile.
+    """
+    live = [p for p, part in enumerate(parts) if part is not None and len(part[1])]
+    if not live:
+        return None
+    n_local = len(tile_of_output)
+    if len(live) == 1:
+        item_idx, cells, values = parts[live[0]]
+        read_key = live[0] * n_local
+    else:
+        sizes = [len(parts[p][1]) for p in live]
+        n_items = np.cumsum([0] + [len(parts[p][2]) for p in live[:-1]])
+        item_idx = np.concatenate([parts[p][0] for p in live]) + np.repeat(n_items, sizes)
+        cells = np.concatenate([parts[p][1] for p in live])
+        values = np.concatenate([parts[p][2] for p in live])
+        read_key = np.repeat(np.asarray(live) * n_local, sizes)
+    out_chunks = grid.chunk_of_cells(cells)
+    local_out = sel_map[out_chunks]
+    keep = local_out >= 0
+    keep &= np.where(keep, tile_of_output[local_out] == tile, False)
+    if not keep.any():
+        return None
+    if indexer is None:
+        indexer = grid_indexer(grid)
+    flat = indexer.flat_index(out_chunks[keep], cells[keep])
+    # Batch positions ascend along the concatenation, so (read, output
+    # chunk) folds into one key and the sort stays a two-key lexsort.
+    seg_key = (local_out + read_key)[keep]
+
+    order = np.lexsort((flat, seg_key))
+    key_sorted = seg_key[order]
+    flat_sorted = flat[order]
+    seg_change = np.diff(key_sorted) != 0
+    boundaries = np.flatnonzero(seg_change) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [len(key_sorted)]))
+    # Cell runs: a new run wherever the segment OR the cell changes.
+    # Every segment start is also a run start, so the per-segment run
+    # ranges come straight out of one searchsorted.
+    run_change = seg_change | (np.diff(flat_sorted) != 0)
+    group_starts = np.concatenate(([0], np.flatnonzero(run_change) + 1))
+    group_bounds = np.searchsorted(
+        group_starts, np.concatenate((starts, [len(key_sorted)]))
+    )
+    seg_read, seg_out = np.divmod(key_sorted[starts], n_local)
+    return ReadSegments(
+        seg_read=seg_read,
+        seg_out=seg_out,
+        starts=starts,
+        ends=ends,
+        flat=flat_sorted,
+        values=values[item_idx[keep][order]],
+        group_starts=group_starts,
+        group_bounds=group_bounds,
+        read_bounds=np.searchsorted(seg_read, np.arange(len(parts) + 1)),
+    )
 
 
 def group_read(
@@ -346,51 +429,9 @@ def group_read(
     tile: int,
     indexer: Optional[GridIndexer] = None,
 ) -> Optional[ReadSegments]:
-    """Filter one read's mapped cells to the current tile and group
-    them into cell-sorted segments with a single lexsort.
-
-    ``item_idx``/``cells`` come from :func:`route_chunk`; ``values`` is
-    the chunk's payload already through :func:`coerce_values`.
-    Returns None when nothing lands in this tile.
-    """
-    if len(cells) == 0:
-        return None
-    out_chunks = grid.chunk_of_cells(cells)
-    local_out = sel_map[out_chunks]
-    keep = local_out >= 0
-    keep &= np.where(keep, tile_of_output[local_out] == tile, False)
-    if not keep.any():
-        return None
-    item_idx = item_idx[keep]
-    out_chunks = out_chunks[keep]
-    local_out = local_out[keep]
-    if indexer is None:
-        indexer = grid_indexer(grid)
-    flat = indexer.flat_index(out_chunks, cells[keep])
-
-    order = np.lexsort((flat, local_out))
-    lo_sorted = local_out[order]
-    flat_sorted = flat[order]
-    seg_change = np.diff(lo_sorted) != 0
-    boundaries = np.flatnonzero(seg_change) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(lo_sorted)]))
-    # Cell runs: a new run wherever the segment OR the cell changes.
-    # Every segment start is also a run start, so the per-segment run
-    # ranges come straight out of one searchsorted.
-    run_change = seg_change | (np.diff(flat_sorted) != 0)
-    group_starts = np.concatenate(([0], np.flatnonzero(run_change) + 1))
-    group_bounds = np.searchsorted(
-        group_starts, np.concatenate((starts, [len(lo_sorted)]))
-    )
-    return ReadSegments(
-        seg_out=lo_sorted[starts],
-        starts=starts,
-        ends=ends,
-        flat=flat_sorted,
-        values=values[item_idx[order]],
-        group_starts=group_starts,
-        group_bounds=group_bounds,
+    """The one-read case of :func:`group_reads`."""
+    return group_reads(
+        [(item_idx, cells, values)], grid, sel_map, tile_of_output, tile, indexer
     )
 
 

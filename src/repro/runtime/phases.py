@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,13 +75,14 @@ from repro.runtime.kernels import (
     coerce_values,
     filter_predicate,
     grid_indexer,
-    group_read,
+    group_reads,
     route_chunk,
     tile_schedule,
 )
 from repro.runtime.transport import Transport
 from repro.space.mapping import GridMapping
 from repro.store.chunk_store import RECOVERABLE_READ_ERRORS
+from repro.util.arrays import unique_rows
 
 __all__ = [
     "MESSAGE_OPS",
@@ -95,6 +97,12 @@ __all__ = [
 
 #: Execution phases, in order; the keys of ``phase_times``.
 PHASES = ("initialize", "reduce", "combine", "output")
+
+#: Input-chunk payload bytes one Local Reduction batch may hold.  The
+#: paper streams input chunks and budgets memory for the accumulator
+#: only, so a tile's reads are fetched and grouped in bounded runs of
+#: consecutive reads -- never the whole tile at once, whatever its size.
+_BATCH_BYTES = 1 << 20
 
 #: Transport-visible operations a rank performs, in the vocabulary of
 #: :class:`MessageFlow` events.  ``send_seg``/``recv_seg`` forward
@@ -182,25 +190,34 @@ class PhaseSchedule:
     init_counts:
         ``(max(n_tiles, 1), n_procs)`` accumulator allocations per
         (tile, processor) -- phase 1's work tally.
+
+    The compute units and ``init_counts`` are read by the simulator
+    only, so they are built on first access: a real execution never
+    pays for them.
     """
 
     def __init__(self, plan: QueryPlan) -> None:
         problem = plan.problem
         P = problem.n_procs
-        n_in = problem.n_in
         self.n_tiles = plan.n_tiles
         self.tiles: TileSchedule = tile_schedule(plan)
 
-        fwd_indptr, fwd_ids = problem.graph.forward_csr
+        # Every edge belongs to exactly one read -- the one of its
+        # (tile, input chunk), and ``plan.reads`` is sorted by that
+        # pair -- so all reads' recipients come out of one sorted pass
+        # over the distinct (read, edge processor) pairs.
         reads = plan.reads
-        self.recipients: List[np.ndarray] = []
-        for r in range(len(reads)):
-            i = int(reads.chunk[r])
-            t = int(reads.tile[r])
-            lo, hi = fwd_indptr[i], fwd_indptr[i + 1]
-            active = plan.tile_of_output[fwd_ids[lo:hi]] == t
-            procs = np.unique(plan.edge_proc[lo:hi][active])
-            self.recipients.append(procs[procs != int(reads.proc[r])])
+        edge_in, _ = plan.edge_arrays
+        n_in = problem.n_in
+        edge_read = np.searchsorted(
+            reads.tile * n_in + reads.chunk, plan.edge_tile * n_in + edge_in
+        )
+        forwarded = plan.edge_proc != reads.proc[edge_read]
+        pair_read, procs = unique_rows(edge_read[forwarded], plan.edge_proc[forwarded])
+        bounds = np.searchsorted(pair_read, np.arange(len(reads) + 1)).tolist()
+        self.recipients: List[np.ndarray] = [
+            procs[a:b] for a, b in zip(bounds, bounds[1:])
+        ]
 
         # The endpoint tables :meth:`message_flow` replays the phase
         # loop over (kept here so the flow is derived from the same
@@ -212,31 +229,35 @@ class PhaseSchedule:
         self.transfer_dst = gt.dst.astype(np.int64)
         self.output_owner = problem.output_owner.astype(np.int64)
 
-        # Compute units: unique (tile, input chunk, processor) with the
-        # number of (input, accumulator) pairs each represents.
-        edge_in, _ = plan.edge_arrays
-        if len(edge_in):
-            key = (plan.edge_tile.astype(np.int64) * n_in + edge_in) * P + plan.edge_proc
-            uniq, counts = np.unique(key, return_counts=True)
-            self.cu_tile = (uniq // (n_in * P)).astype(np.int64)
-            rem = uniq % (n_in * P)
-            self.cu_in = (rem // P).astype(np.int64)
-            self.cu_proc = (rem % P).astype(np.int64)
-            self.cu_pairs = counts.astype(np.int64)
-        else:
-            self.cu_tile = np.empty(0, dtype=np.int64)
-            self.cu_in = np.empty(0, dtype=np.int64)
-            self.cu_proc = np.empty(0, dtype=np.int64)
-            self.cu_pairs = np.empty(0, dtype=np.int64)
-        self.cu_bounds = np.searchsorted(self.cu_tile, np.arange(self.n_tiles + 1))
+        # What the simulator-only tables below are derived from, on
+        # first use (no reference to the plan: it owns this object).
+        self._edges = (plan.edge_tile, edge_in, plan.edge_proc, n_in)
+        self._holders = (plan.holders_indptr, plan.holders_ids, plan.tile_of_output)
 
-        # Initialization work: accumulator allocations per (tile, proc).
-        counts = np.diff(plan.holders_indptr)
-        flat_out = np.repeat(np.arange(problem.n_out, dtype=np.int64), counts)
-        flat_tile = plan.tile_of_output[flat_out]
-        self.init_counts = np.zeros((max(self.n_tiles, 1), P), dtype=np.int64)
-        if len(flat_out):
-            np.add.at(self.init_counts, (flat_tile, plan.holders_ids), 1)
+    @cached_property
+    def _compute_units(self) -> Tuple[np.ndarray, ...]:
+        edge_tile, edge_in, edge_proc, n_in = self._edges
+        P = self.n_procs
+        key = (edge_tile.astype(np.int64) * n_in + edge_in) * P + edge_proc
+        uniq, counts = np.unique(key, return_counts=True)
+        cu_tile, rem = np.divmod(uniq, n_in * P)
+        bounds = np.searchsorted(cu_tile, np.arange(self.n_tiles + 1))
+        return cu_tile, rem // P, rem % P, counts.astype(np.int64), bounds
+
+    cu_tile = property(lambda self: self._compute_units[0])
+    cu_in = property(lambda self: self._compute_units[1])
+    cu_proc = property(lambda self: self._compute_units[2])
+    cu_pairs = property(lambda self: self._compute_units[3])
+    cu_bounds = property(lambda self: self._compute_units[4])
+
+    @cached_property
+    def init_counts(self) -> np.ndarray:
+        indptr, holders, tile_of_output = self._holders
+        flat_tile = np.repeat(tile_of_output, np.diff(indptr))
+        n_rows = max(self.n_tiles, 1)
+        return np.bincount(
+            flat_tile * self.n_procs + holders, minlength=n_rows * self.n_procs
+        ).reshape(n_rows, self.n_procs)
 
     def reads_of(self, tile: int) -> np.ndarray:
         return self.tiles.reads_of(tile)
@@ -442,7 +463,10 @@ class PhaseExecutor:
         self.predicate = predicate
 
         self._indexer = grid_indexer(grid)
-        self._fwd_indptr, self._fwd_ids = self.problem.graph.forward_csr
+        # (input, output) of every graph edge as one ascending key, in
+        # forward-CSR order (aligned with ``plan.edge_proc``).
+        edge_in, edge_out = plan.edge_arrays
+        self._edge_key = edge_in * self.problem.n_out + edge_out
         # Dataset-level output chunk id -> dense local id (or -1).
         self._sel_map = np.full(grid.n_chunks, -1, dtype=np.int64)
         self._sel_map[self.problem.output_global_ids] = np.arange(self.problem.n_out)
@@ -494,150 +518,145 @@ class PhaseExecutor:
 
     # -- phase 2: local reduction --------------------------------------
 
-    def _edge_slices(self, i: int):
-        lo, hi = self._fwd_indptr[i], self._fwd_indptr[i + 1]
-        return self._fwd_ids[lo:hi], self.plan.edge_proc[lo:hi]
-
-    def _edge_proc_of(self, i: int, o: int) -> int:
-        edges_out, edges_proc = self._edge_slices(i)
-        pos = np.searchsorted(edges_out, o)
-        if pos >= len(edges_out) or edges_out[pos] != o:
+    def _edge_positions(self, in_ids: np.ndarray, out_ids: np.ndarray) -> np.ndarray:
+        """Forward-CSR positions of the ``(input, output)`` edges (so
+        ``plan.edge_proc[pos]`` is who the plan assigned each to)."""
+        key = in_ids * self.problem.n_out + out_ids
+        pos = np.searchsorted(self._edge_key, key).clip(max=len(self._edge_key) - 1)
+        missing = np.flatnonzero(self._edge_key[pos] != key)
+        if len(missing):
+            i, o = int(in_ids[missing[0]]), int(out_ids[missing[0]])
             raise AssertionError(
                 f"items of input chunk {i} land in output chunk {o} "
                 "but the chunk graph has no such edge -- the graph "
                 "must be a superset of the item-level mapping"
             )
-        return int(edges_proc[pos])
+        return pos
+
+    def _fetch(self, r: int, reader: int):
+        """Read *r* of hosted rank *reader*, routed and filtered:
+        ``(item_idx, cells, values)`` for :func:`group_reads`, or None
+        when it contributes nothing (degraded, unrouted or fully
+        filtered)."""
+        problem = self.problem
+        self.transport.before_read(reader, self._reads_seen[reader])
+        self._reads_seen[reader] += 1
+        i = int(self.plan.reads.chunk[r])
+        gid = int(problem.input_global_ids[i])
+        try:
+            chunk = self.source.get(r, gid)
+        except RECOVERABLE_READ_ERRORS as e:
+            if self.on_error != "degrade":
+                raise
+            self.chunk_errors.setdefault(gid, f"{type(e).__name__}: {e}")
+            return None
+        self.n_reads += 1
+        self.bytes_read += int(problem.inputs.nbytes[i])
+        item_idx, cells = route_chunk(
+            chunk, self.mapping, self.grid, self.region,
+            cache=self.routing_cache, chunk_id=gid,
+        )
+        # Residual value filter *after* routing, so the routing cache
+        # stays predicate-independent.
+        item_idx, cells = filter_predicate(chunk, item_idx, cells, self.predicate)
+        if not len(cells):
+            return None
+        return item_idx, cells, coerce_values(chunk.values, self.spec.value_components)
+
+    def _apply(self, rank: int, t: int, kind: str, o: int, cell_idx, payload) -> None:
+        if self.observer is not None:
+            self.observer.on_aggregate(rank, o, t)
+        if kind == "red":
+            self.accs.scatter_groups(rank, o, cell_idx, payload)
+        else:
+            self.accs.aggregate_grouped(rank, o, cell_idx, payload)
+        self.n_aggregations += 1
 
     def _reduce(self, t: int) -> None:
-        plan, problem, spec = self.plan, self.problem, self.spec
-        reads = plan.reads
-        in_global = problem.input_global_ids
+        """Tile *t*'s reads in schedule order, in batches of consecutive
+        reads whose payload bytes stay under :data:`_BATCH_BYTES`."""
+        reads = self.schedule.reads_of(t)
+        sizes = self.problem.inputs.nbytes[self.plan.reads.chunk[reads]]
+        batch: List[int] = []
+        held = 0
+        for r, size in zip(reads.tolist(), sizes.tolist()):
+            if batch and held + size > _BATCH_BYTES:
+                self._reduce_batch(t, batch)
+                batch, held = [], 0
+            batch.append(r)
+            held += size
+        if batch:
+            self._reduce_batch(t, batch)
+
+    def _reduce_batch(self, t: int, batch: List[int]) -> None:
+        plan, spec = self.plan, self.spec
         rank_set = self.accs.rank_set
-        observer = self.observer
-        for r in self.schedule.reads_of(t):
-            r = int(r)
-            reader = int(reads.proc[r])
-            recipients = self.schedule.recipients[r]
+        readers = plan.reads.proc[batch].tolist()
+        # Fetch every read of the batch this executor hosts, then group
+        # them all with one sort and pre-reduce duplicate cells batch-
+        # wide (when the aggregation supports it): forwarded segments
+        # ship one row per distinct cell and both sides apply one
+        # fancy-indexed scatter per segment -- the same arithmetic, in
+        # the same order, on every backend and for every batch bound.
+        segs = group_reads(
+            [self._fetch(r, p) if p in rank_set else None for r, p in zip(batch, readers)],
+            self.grid, self._sel_map, plan.tile_of_output, t, self._indexer,
+        )
+        rb = [0] * (len(batch) + 1)  # batch position -> its segment range
+        if segs is not None:
+            seg_in = plan.reads.chunk[batch][segs.seg_read]
+            seg_procs = plan.edge_proc[self._edge_positions(seg_in, segs.seg_out)].tolist()
+            seg_out = segs.seg_out.tolist()
+            rb = segs.read_bounds.tolist()
+            rows = spec.prereduce_groups(segs.values, segs.group_starts)
+            if rows is None:
+                kind, idx, rows = "raw", segs.flat, segs.values
+                lo, hi = segs.starts.tolist(), segs.ends.tolist()
+            else:
+                kind, idx = "red", segs.flat[segs.group_starts]
+                lo = segs.group_bounds.tolist()
+                hi = lo[1:]
+        # Walk the reads in schedule order: apply own segments, forward
+        # the rest (the DA communication), then receive -- sends and
+        # receives stay per read, so the cross-rank message schedule is
+        # the one ``PhaseSchedule.message_flow`` states.  A degraded
+        # (unreadable) chunk still ships its (empty) messages.
+        for k, (r, reader) in enumerate(zip(batch, readers)):
+            recipients = self.schedule.recipients[r].tolist()
             if reader in rank_set:
-                self.transport.before_read(reader, self._reads_seen[reader])
-                self._reads_seen[reader] += 1
-                i = int(reads.chunk[r])
-                gid = int(in_global[i])
-                chunk = None
-                try:
-                    chunk = self.source.get(r, gid)
-                except RECOVERABLE_READ_ERRORS as e:
-                    if self.on_error != "degrade":
-                        raise
-                    self.chunk_errors.setdefault(gid, f"{type(e).__name__}: {e}")
-                segs = None
-                if chunk is not None:
-                    self.n_reads += 1
-                    self.bytes_read += int(problem.inputs.nbytes[i])
-                    item_idx, cells = route_chunk(
-                        chunk, self.mapping, self.grid, self.region,
-                        cache=self.routing_cache, chunk_id=gid,
-                    )
-                    # Residual value filter *after* routing, so the
-                    # routing cache stays predicate-independent.
-                    item_idx, cells = filter_predicate(
-                        chunk, item_idx, cells, self.predicate
-                    )
-                    if len(cells):
-                        values = coerce_values(chunk.values, spec.value_components)
-                        segs = group_read(
-                            item_idx, cells, values, self.grid, self._sel_map,
-                            plan.tile_of_output, t, self._indexer,
+                outbound: Dict[int, list] = {q: [] for q in recipients}
+                for j in range(rb[k], rb[k + 1]):
+                    o, q = seg_out[j], seg_procs[j]
+                    cell_idx, payload = idx[lo[j] : hi[j]], rows[lo[j] : hi[j]]
+                    if q == reader:
+                        assert self.accs.holds(reader, o), (
+                            "reader aggregating into chunk it does not hold"
                         )
-                # Partition segments by assigned processor; apply own,
-                # forward the rest (the DA communication), keeping the
-                # ascending-segment order everywhere.  Duplicate cells
-                # are pre-reduced read-wide first (when the aggregation
-                # supports it), so forwarded segments ship one row per
-                # distinct cell and both sides apply one fancy-indexed
-                # scatter per segment -- the same arithmetic, in the
-                # same order, on every backend.  A degraded (unreadable)
-                # chunk still ships its (empty) messages, so the
-                # cross-rank message schedule never skews.
-                outbound: Dict[int, list] = {int(q): [] for q in recipients}
-                if segs is not None:
-                    edges_out, edges_proc = self._edge_slices(i)
-                    pos = np.searchsorted(edges_out, segs.seg_out)
-                    if len(edges_out):
-                        found = pos < len(edges_out)
-                        found &= edges_out[np.where(found, pos, 0)] == segs.seg_out
+                        self._apply(reader, t, kind, o, cell_idx, payload)
                     else:
-                        found = np.zeros(len(segs.seg_out), dtype=bool)
-                    if not found.all():
-                        o = int(segs.seg_out[np.flatnonzero(~found)[0]])
-                        raise AssertionError(
-                            f"items of input chunk {i} land in output chunk {o} "
-                            "but the chunk graph has no such edge -- the graph "
-                            "must be a superset of the item-level mapping"
+                        outbound[q].append(
+                            (kind, o, np.ascontiguousarray(cell_idx),
+                             np.ascontiguousarray(payload))
                         )
-                    seg_procs = edges_proc[pos]
-                    reduced = spec.prereduce_groups(segs.values, segs.group_starts)
-                    gflat = (
-                        segs.flat[segs.group_starts] if reduced is not None else None
-                    )
-                    gb = segs.group_bounds
-                    for k in range(len(segs.seg_out)):
-                        o = int(segs.seg_out[k])
-                        q = int(seg_procs[k])
-                        if q == reader:
-                            assert self.accs.holds(reader, o), (
-                                "reader aggregating into chunk it does not hold"
-                            )
-                            if observer is not None:
-                                observer.on_aggregate(reader, o, t)
-                            if reduced is None:
-                                s, e = int(segs.starts[k]), int(segs.ends[k])
-                                self.accs.aggregate_grouped(
-                                    reader, o, segs.flat[s:e], segs.values[s:e]
-                                )
-                            else:
-                                self.accs.scatter_groups(
-                                    reader, o,
-                                    gflat[gb[k] : gb[k + 1]],
-                                    reduced[gb[k] : gb[k + 1]],
-                                )
-                            self.n_aggregations += 1
-                        elif reduced is None:
-                            s, e = int(segs.starts[k]), int(segs.ends[k])
-                            outbound[q].append(
-                                ("raw", o, np.ascontiguousarray(segs.flat[s:e]),
-                                 np.ascontiguousarray(segs.values[s:e]))
-                            )
-                        else:
-                            outbound[q].append(
-                                ("red", o,
-                                 np.ascontiguousarray(gflat[gb[k] : gb[k + 1]]),
-                                 np.ascontiguousarray(reduced[gb[k] : gb[k + 1]]))
-                            )
                 for q in recipients:
-                    self.transport.send_segments(int(q), t, r, outbound[int(q)])
+                    self.transport.send_segments(q, t, r, outbound[q])
             for q in recipients:
-                q = int(q)
                 if q not in rank_set:
                     continue
                 segments = self.transport.recv_segments(q, t, r)
-                i = int(reads.chunk[r])
-                for kind, o, cell_idx, payload in segments:
-                    assert self._edge_proc_of(i, o) == q, (
-                        "forwarded segment for an edge the plan did not "
-                        "assign to this processor"
-                    )
+                if not segments:
+                    continue
+                outs = np.array([seg[1] for seg in segments])
+                edges = self._edge_positions(np.full(len(outs), plan.reads.chunk[r]), outs)
+                assert (plan.edge_proc[edges] == q).all(), (
+                    "forwarded segment for an edge the plan did not "
+                    "assign to this processor"
+                )
+                for kind_in, o, cell_idx, payload in segments:
                     assert self.accs.holds(q, o), (
                         "segment for a chunk this rank does not hold"
                     )
-                    if observer is not None:
-                        observer.on_aggregate(q, o, t)
-                    if kind == "red":
-                        self.accs.scatter_groups(q, o, cell_idx, payload)
-                    else:
-                        self.accs.aggregate_grouped(q, o, cell_idx, payload)
-                    self.n_aggregations += 1
+                    self._apply(q, t, kind_in, o, cell_idx, payload)
 
     # -- phase 3: global combine ---------------------------------------
 

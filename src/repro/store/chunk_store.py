@@ -145,6 +145,7 @@ class FileChunkStore(ChunkStore):
         self.retry = retry
         # dataset -> chunk_id -> (node, disk); lazily loaded from manifests.
         self._manifests: Dict[str, Dict[int, Placement]] = {}
+        self._dataset_dirs: Dict[str, str] = {}
 
     # -- paths -----------------------------------------------------------
 
@@ -153,13 +154,23 @@ class FileChunkStore(ChunkStore):
             raise ValueError(f"invalid dataset name {dataset!r}")
         return self.root / dataset
 
-    def _chunk_path(self, dataset: str, chunk_id: int, node: int, disk: int) -> Path:
-        return (
-            self._dataset_dir(dataset)
-            / f"node{node:03d}"
-            / f"disk{disk:02d}"
-            / f"chunk{chunk_id:08d}.adc"
-        )
+    def _chunk_path(self, dataset: str, chunk_id: int, node: int, disk: int) -> str:
+        # One string format per read/write; the dataset directory is
+        # validated and resolved once per dataset.
+        base = self._dataset_dirs.get(dataset)
+        if base is None:
+            base = self._dataset_dirs[dataset] = str(self._dataset_dir(dataset))
+        return f"{base}/node{node:03d}/disk{disk:02d}/chunk{chunk_id:08d}.adc"
+
+    @staticmethod
+    def _create(path: str):
+        """Open a chunk file for writing; only a disk directory's first
+        chunk pays for making the directory."""
+        try:
+            return open(path, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            return open(path, "wb")
 
     def _manifest_path(self, dataset: str) -> Path:
         return self._dataset_dir(dataset) / "manifest.json"
@@ -196,10 +207,9 @@ class FileChunkStore(ChunkStore):
         if node < 0 or disk < 0:
             raise ValueError("placement indices must be non-negative")
         path = self._chunk_path(dataset, chunk.chunk_id, node, disk)
-        path.parent.mkdir(parents=True, exist_ok=True)
         data = encode_chunk(chunk)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
+        tmp = os.path.splitext(path)[0] + ".tmp"
+        with self._create(tmp) as fh:
             fh.write(data)
         os.replace(tmp, path)
         manifest = self._manifests.setdefault(dataset, {})
@@ -221,8 +231,7 @@ class FileChunkStore(ChunkStore):
             if node < 0 or disk < 0:
                 raise ValueError("placement indices must be non-negative")
             path = self._chunk_path(dataset, chunk.chunk_id, node, disk)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "wb") as fh:
+            with self._create(path) as fh:
                 fh.write(encode_chunk(chunk))
             manifest[chunk.chunk_id] = (node, disk)
         self._save_manifest(dataset)

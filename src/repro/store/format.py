@@ -145,7 +145,8 @@ def decode_chunk(data: bytes) -> Chunk:
         raise ChunkFormatError(f"bad magic {magic!r}")
     if version not in _SUPPORTED_VERSIONS:
         raise ChunkFormatError(f"unsupported format version {version}")
-    body = data[_HEADER.size :]
+    # A view, not a slice: ``data[44:]`` on bytes would copy the file.
+    body = memoryview(data)[_HEADER.size :]
     # CRC first: the v2 synopsis size depends on the trailing shape,
     # which lives in the body, so the body must be proven intact before
     # any of it is trusted for length arithmetic.
@@ -156,7 +157,7 @@ def decode_chunk(data: bytes) -> Chunk:
             f"body length {len(body)} too short for dtype + shape region"
         )
     pos = 0
-    dtype = np.dtype(body[pos : pos + dtype_len].decode("ascii"))
+    dtype = np.dtype(str(body[pos : pos + dtype_len], "ascii"))
     pos += dtype_len
     trailing = tuple(
         np.frombuffer(body, dtype="<i8", count=rank, offset=pos).tolist()
@@ -211,7 +212,7 @@ def decode_synopsis(data: bytes) -> tuple:
     if version < 2:
         chunk = decode_chunk(data)
         return ValueSynopsis.summarize_values(chunk.values)
-    body = data[_HEADER.size :]
+    body = memoryview(data)[_HEADER.size :]
     if zlib.crc32(body) != crc:
         raise CorruptChunkError("CRC mismatch: chunk file is corrupt")
     ndim = _HEADER.unpack_from(data)[2]

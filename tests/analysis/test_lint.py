@@ -177,6 +177,63 @@ class TestAggregateLoop:
         """
         assert codes(src, runtime_hot_path=True) == set()
 
+    PER_READ = """\
+        for r in reads_of(t):
+            segs = group_read(item_idx, cells, values, grid, sel_map, tiles, t)
+            reduced = spec.prereduce_groups(segs.values, segs.group_starts)
+    """
+
+    def test_per_read_grouping_flagged_in_the_phase_executor(self):
+        out = findings(self.PER_READ, runtime_hot_path=True, phase_home=True)
+        assert [d.code for d in out] == ["ADR305"]
+        assert "group_read()" in out[0].message
+        src = """\
+            while pending:
+                rows = self.spec.prereduce_groups(values, starts)
+        """
+        out = findings(src, runtime_hot_path=True, phase_home=True)
+        assert [d.code for d in out] == ["ADR305"]
+        assert "prereduce_groups()" in out[0].message
+
+    def test_per_read_grouping_rule_is_scoped_to_the_phase_executor(self):
+        """Kernels, the serial oracle and benchmarks may group one read."""
+        assert codes(self.PER_READ, runtime_hot_path=True) == set()
+        assert codes(self.PER_READ) == set()
+
+    def test_batched_grouping_ok(self):
+        src = """\
+            segs = group_reads([fetch(r) for r in batch], grid, sel_map, tiles, t)
+            rows = spec.prereduce_groups(segs.values, segs.group_starts)
+            for k, r in enumerate(batch):
+                accs.scatter_groups(reader, o, idx[lo[k] : hi[k]], rows[lo[k] : hi[k]])
+        """
+        assert codes(src, runtime_hot_path=True, phase_home=True) == set()
+
+    def test_per_read_grouping_noqa_and_nesting(self):
+        src = """\
+            for t in range(n_tiles):
+                for r in reads_of(t):  # noqa: ADR305 -- measuring the old path
+                    segs = group_read(item_idx, cells, values, grid, sel_map, tiles, t)
+        """
+        assert codes(src, runtime_hot_path=True, phase_home=True) == set()
+        out = findings(src.replace("  # noqa: ADR305 -- measuring the old path", ""),
+                       runtime_hot_path=True, phase_home=True)
+        assert [d.code for d in out] == ["ADR305"]
+        assert ":2:" in out[0].location  # the inner loop, not the outer
+
+    def test_phase_home_resolved_from_file_location(self, tmp_path, capsys):
+        """Only src/repro/runtime/phases.py gets the per-read half."""
+        src = "for r in batch:\n    segs = group_read(*fetch(r), grid, sel_map, tiles, t)\n"
+        runtime = tmp_path / "src" / "repro" / "runtime"
+        runtime.mkdir(parents=True)
+        (runtime / "serial.py").write_text(src)
+        assert main([str(runtime)]) == 0
+        capsys.readouterr()
+        (runtime / "phases.py").write_text(src)
+        assert main([str(runtime)]) == 1
+        out = capsys.readouterr().out
+        assert "ADR305" in out and "phases.py" in out and "serial.py" not in out
+
     def test_hot_path_resolved_from_file_location(self, tmp_path, capsys):
         """Only files under repro/runtime/ get the rule."""
         src = textwrap.dedent(self.LOOP)

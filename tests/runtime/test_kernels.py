@@ -8,21 +8,26 @@ engine loop kept verbatim) on arbitrary workloads.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation.functions import (
     AGGREGATIONS,
     BestValueComposite,
     CountAggregation,
+    MaxAggregation,
     MeanAggregation,
     MinAggregation,
     SumAggregation,
 )
+from repro.aggregation.output_grid import OutputGrid
 from repro.runtime.kernels import (
     GridIndexer,
     RoutingCache,
     coerce_values,
     grid_indexer,
     group_read,
+    group_reads,
     reference_segment_reduction,
     route_chunk,
     routing_key,
@@ -176,6 +181,131 @@ class TestFusedVsReference:
             assert np.all(runs < segs.ends[k])
             # within a segment every run is one distinct cell
             assert np.all(np.diff(segs.flat[runs]) > 0)
+
+
+#: What one batch position holds: nothing, a routed read left empty by
+#: the predicate, items only in unselected output chunks, items only in
+#: another tile's output chunks, or items landing (partly) in this tile.
+PART_KINDS = ("none", "empty", "unselected", "other_tile", "live", "live")
+
+
+class TestGroupReadsBatch:
+    """``group_reads`` is ``group_read`` per read, laid end to end: the
+    batch sliced by ``read_bounds`` equals each read grouped on its own
+    field by field, and the batch-wide pre-reduced rows are the per-read
+    rows bit for bit -- which is what lets the phase executor batch a
+    tile's reads without changing a result."""
+
+    GRID = OutputGrid(
+        make_functional_setup(np.random.default_rng(0))[1], (9, 8), (3, 2)
+    )
+
+    def make_batch(self, seed, kinds, value_components):
+        rng = np.random.default_rng(seed)
+        grid = self.GRID
+        n = grid.n_chunks
+        # Two thirds of the output chunks selected, over two tiles.
+        picked = np.flatnonzero(np.arange(n) % 3 != 2)
+        sel_map = np.full(n, -1, dtype=np.int64)
+        sel_map[picked] = np.arange(len(picked))
+        tile_of_output = np.arange(len(picked), dtype=np.int64) % 2
+        all_cells = np.stack(
+            np.meshgrid(*[np.arange(k) for k in grid.grid_shape], indexing="ij"), -1
+        ).reshape(-1, grid.ndim)
+        local = sel_map[grid.chunk_of_cells(all_cells)]
+        pools = {
+            "unselected": all_cells[local < 0],
+            "other_tile": all_cells[(local >= 0) & (tile_of_output[local] == 1)],
+            "live": all_cells,
+        }
+        parts = []
+        for kind in kinds:
+            if kind == "none":
+                parts.append(None)
+                continue
+            n_items = int(rng.integers(1, 12))
+            m = 0 if kind == "empty" else int(rng.integers(1, 40))
+            pool = pools.get(kind, all_cells)
+            values = rng.normal(size=(n_items, value_components))
+            values *= 10.0 ** rng.integers(-8, 8, size=values.shape)
+            parts.append((
+                rng.integers(0, n_items, size=m),  # fan-out: items repeat
+                pool[rng.integers(0, len(pool), size=m)],
+                values,
+            ))
+        return parts, grid, sel_map, tile_of_output
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SumAggregation(1), MeanAggregation(2), MaxAggregation(2),
+         AGGREGATIONS["variance"](), BestValueComposite(2)],
+        ids=lambda s: type(s).__name__,
+    )
+    @given(
+        seed=st.integers(0, 2**31),
+        kinds=st.lists(st.sampled_from(PART_KINDS), min_size=1, max_size=7),
+    )
+    @example(seed=1, kinds=["live"])
+    @example(seed=2, kinds=["none", "live", "empty", "live", "other_tile"])
+    @example(seed=3, kinds=["empty", "unselected", "live", "live", "none"])
+    @example(seed=4, kinds=["none", "empty", "unselected", "other_tile"])
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_per_read(self, spec, seed, kinds):
+        parts, grid, sel_map, tile_of_output = self.make_batch(
+            seed, kinds, spec.value_components
+        )
+        singles = [
+            None if part is None
+            else group_read(*part, grid, sel_map, tile_of_output, 0)
+            for part in parts
+        ]
+        batch = group_reads(parts, grid, sel_map, tile_of_output, 0)
+        if batch is None:
+            assert all(single is None for single in singles)
+            return
+        rows = spec.prereduce_groups(batch.values, batch.group_starts)
+        assert batch.read_bounds[0] == 0
+        assert batch.read_bounds[-1] == len(batch.seg_out)
+        assert len(batch.read_bounds) == len(parts) + 1
+        for k, single in enumerate(singles):
+            a, b = batch.read_bounds[k], batch.read_bounds[k + 1]
+            if single is None:
+                assert a == b, f"read {k} groups to nothing on its own"
+                continue
+            assert np.all(batch.seg_read[a:b] == k)
+            lo, hi = batch.starts[a], batch.ends[b - 1]
+            g0, g1 = batch.group_bounds[a], batch.group_bounds[b]
+            got = {
+                "seg_out": batch.seg_out[a:b],
+                "starts": batch.starts[a:b] - lo,
+                "ends": batch.ends[a:b] - lo,
+                "flat": batch.flat[lo:hi],
+                "values": batch.values[lo:hi],
+                "group_starts": batch.group_starts[g0:g1] - lo,
+                "group_bounds": batch.group_bounds[a : b + 1] - g0,
+            }
+            for name, value in got.items():
+                np.testing.assert_array_equal(value, getattr(single, name), name)
+            own = spec.prereduce_groups(single.values, single.group_starts)
+            if rows is None:
+                assert own is None
+            else:
+                assert np.array_equal(rows[g0:g1], own)
+
+    def test_one_read_batch_takes_the_parts_arrays_as_they_are(self, monkeypatch):
+        """A one-read batch (``group_read``) pays for no repeat or
+        concatenate, wherever in the batch the one live read sits."""
+        parts, grid, sel_map, tile_of_output = self.make_batch(
+            5, ["none", "empty", "live", "none"], 1
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-read batch must not repeat")
+
+        monkeypatch.setattr(np, "repeat", refuse)
+        batch = group_reads(parts, grid, sel_map, tile_of_output, 0)
+        assert batch.read_bounds.tolist() == [0, 0, 0, len(batch.seg_out), len(batch.seg_out)]
+        assert np.all(batch.seg_read == 2)
 
 
 class TestPrereduceMatchesGrouped:

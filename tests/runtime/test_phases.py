@@ -16,8 +16,12 @@ from repro.dataset.graph import ChunkGraph
 from repro.decluster.hilbert import HilbertDeclusterer
 from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_query
+from repro.faults import FaultInjector, FaultPlan
+from repro.runtime import engine, phases
 from repro.runtime.engine import execute_plan
-from repro.runtime.phases import PHASES, PhaseSchedule
+from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
+from repro.runtime.transport import InprocTransport
+from repro.store.format import CorruptChunkError
 from repro.store.prefetch import PrefetchPolicy
 
 from helpers import SMALL_COSTS, make_functional_setup, small_machine
@@ -75,11 +79,7 @@ class TestBackendEquivalence:
             plan, lambda i: chunks[i], mapping, grid, spec,
             backend=backend, prefetch=prefetch,
         )
-        assert res.output_ids.tolist() == seq.output_ids.tolist()
-        for o, rv, sv in zip(seq.output_ids, res.chunk_values, seq.chunk_values):
-            assert np.array_equal(rv, sv, equal_nan=True), f"chunk {int(o)}"
-        for counter in COUNTERS:
-            assert getattr(res, counter) == getattr(seq, counter), counter
+        assert_same_result(res, seq)
         assert sorted(res.phase_times) == sorted(PHASES)
         assert sorted(seq.phase_times) == sorted(PHASES)
 
@@ -167,3 +167,151 @@ class TestCounterContract:
         )
         for counter in COUNTERS:
             assert getattr(par, counter) == getattr(seq, counter), counter
+
+
+class LoggingTransport(InprocTransport):
+    """An :class:`InprocTransport` that writes down what it is asked:
+    ``reads`` is the ``before_read`` sequence, ``calls`` every message
+    operation in order, payload bytes included (taken at the call:
+    ghosts travel by reference)."""
+
+    created = []
+
+    def __init__(self):
+        super().__init__()
+        self.reads, self.calls = [], []
+        LoggingTransport.created.append(self)
+
+    def before_read(self, rank, reads_done):
+        self.reads.append((rank, reads_done))
+
+    def __getattribute__(self, name):
+        attr = super().__getattribute__(name)
+        if name.split("_")[0] not in ("send", "recv", "emit", "tile"):
+            return attr
+
+        def logged(*args):
+            seen = [
+                [(kind, o, idx.tobytes(), rows.tobytes()) for kind, o, idx, rows in a]
+                if isinstance(a, list) else a.tobytes() if isinstance(a, np.ndarray) else a
+                for a in args
+            ]
+            self.calls.append((name, *seen))
+            return attr(*args)
+
+        return logged
+
+
+def run_bounded(monkeypatch, bound, plan, chunks, mapping, grid, spec, **kwargs):
+    """``execute_plan`` with the reduce batch bound at *bound* bytes;
+    returns the result, the sizes of the batches the (sequential)
+    executor reduced and its transport log."""
+    sizes = []
+    reduce_batch = PhaseExecutor._reduce_batch
+
+    def counting(self, t, batch):
+        sizes.append(len(batch))
+        return reduce_batch(self, t, batch)
+
+    monkeypatch.setattr(phases, "_BATCH_BYTES", bound)
+    monkeypatch.setattr(PhaseExecutor, "_reduce_batch", counting)
+    monkeypatch.setattr(engine, "InprocTransport", LoggingTransport)
+    LoggingTransport.created.clear()
+    res = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec, **kwargs)
+    return res, sizes, LoggingTransport.created[-1] if LoggingTransport.created else None
+
+
+def assert_same_result(res, ref):
+    assert res.output_ids.tolist() == ref.output_ids.tolist()
+    for o, rv, sv in zip(ref.output_ids, res.chunk_values, ref.chunk_values):
+        assert np.array_equal(rv, sv, equal_nan=True), f"chunk {int(o)}"
+    for counter in COUNTERS + ("chunk_errors",):
+        assert getattr(res, counter) == getattr(ref, counter), counter
+
+
+def mid_batch_read(plan, forwarding=False):
+    """A read in the middle of tile 0's schedule (one batch under the
+    default bound), optionally one with forwarding recipients."""
+    sched = plan.schedule()
+    reads = sched.reads_of(0).tolist()
+    inner = [r for r in reads[1:-1] if len(sched.recipients[r]) or not forwarding]
+    assert inner, "tile 0 needs an inner read"
+    return inner[len(inner) // 2]
+
+
+class TestReduceBatches:
+    """Local Reduction fetches a run of reads, groups it with one sort,
+    then applies read by read: how the tile's reads are cut into
+    batches must be invisible -- in the values, the counters and the
+    order of every transport call."""
+
+    @pytest.mark.parametrize("prefetch", [None, True], ids=["sync", "prefetch"])
+    @pytest.mark.parametrize("strategy", ["FRA", "SRA", "DA", "HYBRID"])
+    def test_batch_bound_is_invisible(self, monkeypatch, workload, strategy, prefetch):
+        chunks, mapping, grid, spec, prob = workload
+        plan = plan_query(prob, strategy)
+        assert plan.n_tiles > 1
+        args = (plan, chunks, mapping, grid, spec)
+        two = 2 * int(prob.inputs.nbytes.max())
+        whole, sizes, log = run_bounded(
+            monkeypatch, float("inf"), *args, prefetch=prefetch
+        )
+        tile_reads = [len(plan.schedule().reads_of(t)) for t in range(plan.n_tiles)]
+        assert sizes == [n for n in tile_reads if n] and max(sizes) > 2
+        for bound, largest in ((0, 1), (two, 2)):
+            res, sizes, other = run_bounded(monkeypatch, bound, *args, prefetch=prefetch)
+            assert max(sizes) == largest and sum(sizes) == len(plan.reads)
+            assert_same_result(res, whole)
+            assert other.reads == log.reads
+            assert other.calls == log.calls
+            par, _, _ = run_bounded(
+                monkeypatch, bound, *args, prefetch=prefetch, backend="parallel"
+            )
+            assert_same_result(par, whole)
+        par, _, _ = run_bounded(
+            monkeypatch, float("inf"), *args, prefetch=prefetch, backend="parallel"
+        )
+        assert_same_result(par, whole)
+        # The log is the message flow the schedule states, rank by rank.
+        flow = plan.schedule().message_flow()
+        sent = [(c[0], c[2], c[3], c[1]) for c in log.calls if c[0] == "send_segments"]
+        assert sent == [
+            ("send_segments", t, r, q)
+            for p, kind, t, r, q in sorted(flow.sends(), key=lambda s: (s[2], s[3]))
+            if kind == "seg"
+        ]
+
+    def test_degraded_read_inside_a_batch_ships_empty_messages(self, monkeypatch, workload):
+        chunks, mapping, grid, spec, prob = workload
+        plan = plan_query(prob, "DA")
+        victim_read = mid_batch_read(plan, forwarding=True)
+        victim = int(plan.reads.chunk[victim_read])
+        inject = lambda: FaultInjector(FaultPlan.corrupt_chunk(victim))  # noqa: E731
+        seq, _, log = run_bounded(
+            monkeypatch, float("inf"), plan, chunks, mapping, grid, spec,
+            on_error="degrade", fault_injector=inject(),
+        )
+        assert set(seq.chunk_errors) == {victim}
+        shipped = {
+            c[1]: c[4] for c in log.calls
+            if c[0] == "send_segments" and c[3] == victim_read
+        }
+        recipients = plan.schedule().recipients[victim_read].tolist()
+        assert shipped == {q: [] for q in recipients} and recipients
+        # The peers of a worker host block on those messages: a parallel
+        # run that finishes, bit-identically, received every one.
+        par = execute_plan(
+            plan, lambda i: chunks[i], mapping, grid, spec, backend="parallel",
+            on_error="degrade", fault_injector=inject(),
+        )
+        assert_same_result(par, seq)
+
+    def test_failed_read_inside_a_batch_raises_its_own_error(self, workload):
+        chunks, mapping, grid, spec, prob = workload
+        plan = plan_query(prob, "DA")
+        victim = int(plan.reads.chunk[mid_batch_read(plan)])
+        with pytest.raises(CorruptChunkError, match="CRC"):
+            execute_plan(
+                plan, lambda i: chunks[i], mapping, grid, spec,
+                fault_injector=FaultInjector(FaultPlan.corrupt_chunk(victim)),
+            )

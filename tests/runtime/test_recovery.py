@@ -48,6 +48,28 @@ class TestCrashRecovery:
         assert par.completeness == 1.0 and par.chunk_errors == {}
 
 
+    def test_crash_inside_a_reduce_batch_recovers(self, rng, strategy):
+        """Under the default batch bound a tile's reads are fetched as
+        one batch; a crash armed on a read in the middle of it fires
+        mid-fetch, with the batch's earlier reads held but unapplied,
+        and the re-execution is still bit-identical, counters included."""
+        plan, chunks, mapping, grid, spec = make_plan(rng, strategy)
+        schedule = plan.schedule().reads_of(0).tolist()
+        assert len(schedule) >= 3
+        middle = len(schedule) // 2
+        rank = int(plan.reads.proc[schedule[middle]])
+        earlier = sum(int(plan.reads.proc[r]) == rank for r in schedule[:middle])
+        injector = FaultInjector(FaultPlan.crash_worker(rank=rank, after_reads=earlier))
+        seq = run(plan, chunks, mapping, grid, spec)
+        par = run(
+            plan, chunks, mapping, grid, spec, backend="parallel",
+            fault_injector=injector, recovery=FAST_RECOVERY,
+        )
+        assert injector.attempt == 1  # the crash fired; attempt 1 finished
+        assert_bitwise_equal(seq, par)
+        assert par.completeness == 1.0 and par.chunk_errors == {}
+
+
 class TestRecoveryModes:
     def test_immediate_crash_before_any_read(self, rng):
         plan, chunks, mapping, grid, spec = make_plan(rng, "FRA")

@@ -1,5 +1,7 @@
 """Tests for chunk stores (file-backed and in-memory)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,7 @@ class TestReadManyPartialFailure:
 
     @staticmethod
     def corrupt_file(store, chunk_id):
-        path = store._chunk_path("ds", chunk_id, *store.placement("ds", chunk_id))
+        path = Path(store._chunk_path("ds", chunk_id, *store.placement("ds", chunk_id)))
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))

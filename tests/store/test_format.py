@@ -228,3 +228,57 @@ class TestSynopsisBlock:
         data[0:4] = b"NOPE"
         with pytest.raises(ChunkFormatError, match="magic"):
             decode_synopsis(bytes(data))
+
+
+@pytest.mark.parametrize("buffer", [bytes, bytearray, memoryview])
+class TestBufferInputs:
+    """The decoders read through a memoryview, so whatever buffer the
+    file arrived in -- ``bytes``, ``bytearray``, ``memoryview`` --
+    round-trips, and truncation and corruption raise the same errors."""
+
+    def test_round_trip_owns_its_arrays(self, rng, buffer):
+        chunk = make_chunk(rng, comps=2)
+        raw = bytearray(encode_chunk(chunk))
+        back = decode_chunk(buffer(raw))
+        vmin, _, _, count = decode_synopsis(buffer(raw))
+        raw[:] = bytes(len(raw))  # the decoded arrays must not alias the input
+        np.testing.assert_array_equal(back.coords, chunk.coords)
+        np.testing.assert_array_equal(back.values, chunk.values)
+        np.testing.assert_array_equal(vmin, chunk.values.min(axis=0))
+        assert count == chunk.n_items
+        assert back.coords.flags.owndata or back.coords.base.flags.owndata
+
+    @pytest.mark.parametrize("decode", [decode_chunk, decode_synopsis])
+    @pytest.mark.parametrize("cut", [5, 60, 10_000])
+    def test_truncation_is_corrupt(self, rng, buffer, decode, cut):
+        data = encode_chunk(make_chunk(rng))
+        with pytest.raises(CorruptChunkError):
+            decode(buffer(data[: max(0, len(data) - cut)]))
+
+    @pytest.mark.parametrize("decode", [decode_chunk, decode_synopsis])
+    @pytest.mark.parametrize("pos", [44, 60, -1])
+    def test_flipped_body_byte_is_corrupt(self, rng, buffer, decode, pos):
+        data = bytearray(encode_chunk(make_chunk(rng)))
+        data[pos] ^= 0xFF
+        with pytest.raises(CorruptChunkError, match="CRC"):
+            decode(buffer(data))
+
+    @pytest.mark.parametrize("decode", [decode_chunk, decode_synopsis])
+    def test_bad_magic_and_version_are_not_corrupt(self, rng, buffer, decode):
+        for at, value, match in ((0, ord("N"), "magic"), (4, 99, "version")):
+            data = bytearray(encode_chunk(make_chunk(rng)))
+            data[at] = value
+            with pytest.raises(ChunkFormatError, match=match) as excinfo:
+                decode(buffer(data))
+            assert not isinstance(excinfo.value, CorruptChunkError)
+
+    def test_inflated_header_lengths_are_corrupt(self, rng, buffer):
+        """A header claiming more payload than the (CRC-intact) body
+        holds fails the length check, not a frombuffer error."""
+        from repro.store.format import _HEADER
+
+        data = encode_chunk(make_chunk(rng))
+        fields = list(_HEADER.unpack_from(data))
+        fields[5] += 8  # coords payload length
+        with pytest.raises(CorruptChunkError, match="does not match"):
+            decode_chunk(buffer(_HEADER.pack(*fields) + data[_HEADER.size :]))

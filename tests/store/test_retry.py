@@ -3,6 +3,8 @@
 All timing runs on a fake clock -- these tests never actually sleep.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,7 +206,7 @@ class TestFileStoreRetry:
         )
         coords = rng.uniform(0, 10, size=(4, 2))
         store.write_chunk("d", Chunk.from_items(0, coords, np.ones((4, 1))), 0, 0)
-        path = store._chunk_path("d", 0, 0, 0)
+        path = Path(store._chunk_path("d", 0, 0, 0))
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -218,7 +220,7 @@ class TestFileStoreRetry:
         coords = rng.uniform(0, 10, size=(4, 2))
         plain = FileChunkStore(tmp_path)
         plain.write_chunk("d", Chunk.from_items(0, coords, np.ones((4, 1))), 0, 0)
-        path = plain._chunk_path("d", 0, 0, 0)
+        path = Path(plain._chunk_path("d", 0, 0, 0))
         good = path.read_bytes()
         raw = bytearray(good)
         raw[-1] ^= 0xFF
