@@ -155,8 +155,7 @@ def verify_shared_matches_isolated(in_space, chunks, queries, n_procs):
     ]
     service = QueryService(
         make_adr(in_space, chunks, n_procs, 0.0, 64 * MB),
-        ServicePolicy(max_inflight=2, batch_max=len(queries),
-                      batch_window=0.05),
+        ServicePolicy(max_inflight=2, batch_max=len(queries)),
     )
     try:
         tickets = [service.submit(q) for q in queries]
@@ -235,7 +234,6 @@ def bench_mode(mode, in_space, chunks, queries, n_procs, delay, n_clients,
             adr = make_adr(in_space, chunks, n_procs, delay, 64 * MB)
             policy = ServicePolicy(
                 max_queue=4 * len(queries), max_inflight=4, batch_max=8,
-                batch_window=0.005,
             )
         with ADRServer(adr, port=0, policy=policy) as server:
             wall, latencies = drive_round(server, queries, n_clients)

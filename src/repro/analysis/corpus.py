@@ -782,11 +782,10 @@ def verify_service_corpus() -> Tuple[int, List[Tuple[str, str]]]:
         # Isolated ground truth: each query alone on a fresh instance.
         isolated = [make_adr().execute(q) for q in queries]
 
-        # Concurrent shared execution: one service, one batch window.
+        # Concurrent shared execution: one service, one worker.
         service = QueryService(
             make_adr(),
-            ServicePolicy(max_inflight=1, batch_max=len(queries),
-                          batch_window=0.25),
+            ServicePolicy(max_inflight=1, batch_max=len(queries)),
         )
         try:
             tickets = [service.submit(q) for q in queries]

@@ -350,19 +350,41 @@ def query_from_dict(payload: Dict[str, Any]) -> RangeQuery:
 # -- results ------------------------------------------------------------------
 
 
+def _encode_block(block: np.ndarray) -> list:
+    """One accumulator block as rows of Python floats, NaN as ``"nan"``:
+    the lists ``float(v)`` per element would give, built array-at-a-time."""
+    values = np.asarray(block, dtype=np.float64)
+    nan = np.isnan(values)
+    if not nan.any():
+        return values.tolist()
+    boxed = values.astype(object)
+    boxed[nan] = "nan"
+    return boxed.tolist()
+
+
+def _decode_block(rows: Any) -> np.ndarray:
+    """Inverse of :func:`_encode_block`: ``float64``, ``(n, k)`` (``(0,)``
+    for ``[]``).  As strict as ``float(v)`` per element: NumPy's
+    conversion reads ``"nan"`` as NaN but also JSON ``null``, which is
+    rejected here, as are ragged, nested and non-numeric entries (with
+    the ``ValueError`` / ``TypeError`` that :func:`result_from_dict`
+    turns into :class:`ProtocolError`)."""
+    values = np.asarray(rows, dtype=np.float64)
+    if values.ndim != 2 and values.shape != (0,):
+        raise ValueError(f"chunk_values block of shape {values.shape}")
+    if np.isnan(values).any() and any(None in row for row in rows):
+        raise ValueError("null in a chunk_values block")
+    return values
+
+
 def result_to_dict(result: QueryResult) -> Dict[str, Any]:
     """Encode a result (NaN travels as the string ``"nan"``)."""
-
-    def encode(arr: np.ndarray) -> list:
-        return [
-            ["nan" if np.isnan(v) else float(v) for v in row] for row in arr
-        ]
 
     payload = {
         "version": PROTOCOL_VERSION,
         "strategy": result.strategy,
-        "output_ids": [int(o) for o in result.output_ids],
-        "chunk_values": [encode(v) for v in result.chunk_values],
+        "output_ids": np.asarray(result.output_ids, dtype=np.int64).tolist(),
+        "chunk_values": [_encode_block(v) for v in result.chunk_values],
         "n_tiles": result.n_tiles,
         "n_reads": result.n_reads,
         "bytes_read": result.bytes_read,
@@ -416,16 +438,11 @@ def result_from_dict(payload: Dict[str, Any]) -> QueryResult:
             f"protocol version {payload.get('version')!r} not supported"
         )
 
-    def decode(rows: list) -> np.ndarray:
-        return np.asarray(
-            [[np.nan if v == "nan" else float(v) for v in row] for row in rows]
-        )
-
     try:
         return QueryResult(
             strategy=payload["strategy"],
             output_ids=np.asarray(payload["output_ids"], dtype=np.int64),
-            chunk_values=[decode(v) for v in payload["chunk_values"]],
+            chunk_values=[_decode_block(v) for v in payload["chunk_values"]],
             n_tiles=int(payload["n_tiles"]),
             n_reads=int(payload["n_reads"]),
             bytes_read=int(payload["bytes_read"]),

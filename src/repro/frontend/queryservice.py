@@ -11,16 +11,21 @@ the queue in *shared-scan batches*.
 
 Scheduling
 ----------
-A free worker dequeues one pending query, then gathers up to
-``batch_max - 1`` more pending queries against the same dataset
-(waiting at most ``batch_window`` seconds for stragglers -- under
-load, batches form from the backlog without waiting).  The batch is
-planned per query (each query keeps its own strategy), ordered by the
-greedy shared-input-bytes chain of
-:func:`repro.planner.batch.order_for_sharing`, and executed in that
-order on the worker.  Batches over different datasets -- or over the
-same dataset once one worker's batch is full -- run concurrently on
-other workers.
+The scheduler is work-conserving: nothing sleeps while work is queued.
+A free worker dequeues the oldest pending query whose dataset has no
+*open batch*, takes the pending queries against the same dataset with
+it (a backlog fills a batch at once), marks the batch open and starts
+planning immediately.  Planning time is the batching window: queries
+that arrive against that dataset while the worker plans stay pending
+-- other workers leave them to the open batch and serve other datasets
+-- and join the batch when the planning round ends.  The batch closes
+when a round ends with no new arrival or at ``batch_max`` queries, so
+a lone query never waits.  The batch is planned per query (each query
+keeps its own strategy), ordered by the greedy shared-input-bytes
+chain of :func:`repro.planner.batch.order_for_sharing`, and executed
+in that order on the worker.  Batches over different datasets -- or
+over the same dataset once its batch has closed -- run concurrently
+on other workers.
 
 Functional scan sharing
 -----------------------
@@ -116,10 +121,6 @@ class ServicePolicy:
         Worker threads, i.e. batches executing concurrently.
     batch_max:
         Most queries fused into one shared-scan batch.
-    batch_window:
-        Seconds a worker holding a non-full batch waits for further
-        same-dataset queries before executing.  Zero disables waiting;
-        under sustained load batches fill from the backlog regardless.
     share_scans:
         ``False`` disables batching, reordering and cache pinning --
         every query executes alone (the ablation baseline for
@@ -129,7 +130,6 @@ class ServicePolicy:
     max_queue: int = 64
     max_inflight: int = 4
     batch_max: int = 8
-    batch_window: float = 0.002
     share_scans: bool = True
 
     def __post_init__(self) -> None:
@@ -139,8 +139,6 @@ class ServicePolicy:
             raise ValueError("max_inflight must be >= 1")
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
-        if self.batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
 
 
 class QueryTicket:
@@ -157,6 +155,8 @@ class QueryTicket:
         #: ``strategy='auto'`` queries -- ``selected_strategy``
         self.service_info: Dict[str, object] = {}
         self.submitted_at = time.monotonic()
+        #: when the scheduler moved this ticket out of the pending queue
+        self.dequeued_at = self.submitted_at
 
     def done(self) -> bool:
         return self._done.is_set()
@@ -227,6 +227,9 @@ class QueryService:
         self.telemetry = telemetry
         self._cv = threading.Condition()
         self._pending: Deque[QueryTicket] = deque()
+        #: dataset -> its batch while that batch still takes arrivals
+        #: (at most one open batch per dataset; guarded by ``_cv``)
+        self._open: Dict[str, List[QueryTicket]] = {}
         self._inflight = 0
         self._closed = False
         self._counters: Dict[str, int] = {name: 0 for name in SERVICE_COUNTERS}
@@ -255,15 +258,11 @@ class QueryService:
             if len(self._pending) >= self.policy.max_queue:
                 self._counters["rejected"] += 1
                 depth = len(self._pending)
-                # Deterministic back-off hint: one batch window scaled by
-                # how far over capacity the backlog sits relative to the
-                # worker pool.  Heuristic, not a guarantee -- but stable
-                # for a given policy, so tests and routers can rely on it.
-                hint = round(
-                    max(0.01, self.policy.batch_window)
-                    * (1.0 + depth / self.policy.max_inflight),
-                    4,
-                )
+                # Deterministic back-off hint: 10 ms scaled by how far
+                # over capacity the backlog sits relative to the worker
+                # pool.  Heuristic, not a guarantee -- but stable for a
+                # given policy, so tests and routers can rely on it.
+                hint = round(0.01 * (1.0 + depth / self.policy.max_inflight), 4)
                 raise ServiceOverloadedError(
                     f"pending queue full ({self.policy.max_queue} queries); "
                     "retry with back-off",
@@ -292,7 +291,6 @@ class QueryService:
             "max_queue": self.policy.max_queue,
             "max_inflight": self.policy.max_inflight,
             "batch_max": self.policy.batch_max,
-            "batch_window": self.policy.batch_window,
             "share_scans": self.policy.share_scans,
         }
         store = self.adr.store
@@ -330,61 +328,88 @@ class QueryService:
                 self._run_batch(batch)
             finally:
                 with self._cv:
+                    self._close_batch_locked(batch)
                     self._inflight -= len(batch)
                     self._cv.notify_all()
 
     def _next_batch(self) -> Optional[List[QueryTicket]]:
-        """Dequeue a same-dataset batch (or ``None`` on shutdown).
+        """Open a batch on the oldest pending query whose dataset has no
+        open batch (``None`` on shutdown, once the queue is drained).
 
-        Marks the batch in flight before releasing the lock.
+        The batch takes the same-dataset backlog with it and is marked
+        in flight before the lock is released.
         """
-        limit = self.policy.batch_max if self.policy.share_scans else 1
         with self._cv:
-            while not self._pending:
-                if self._closed:
+            while True:
+                first = next(
+                    (t for t in self._pending if t.query.dataset not in self._open),
+                    None,
+                )
+                if first is not None:
+                    break
+                if self._closed and not self._pending:
                     return None
                 self._cv.wait(timeout=0.1)
-            first = self._pending.popleft()
-            batch = [first]
-            deadline = time.monotonic() + self.policy.batch_window
-            while len(batch) < limit:
-                self._gather_locked(first.query.dataset, batch, limit)
-                if len(batch) >= limit or self._closed:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cv.wait(timeout=remaining)
-            self._inflight += len(batch)
+            batch: List[QueryTicket] = []
+            self._open[first.query.dataset] = batch
+            self._gather_locked(first.query.dataset, batch)
         return batch
 
-    def _gather_locked(
-        self, dataset: str, batch: List[QueryTicket], limit: int
-    ) -> None:
-        """Move pending same-dataset tickets into *batch* (lock held)."""
+    def _gather_locked(self, dataset: str, batch: List[QueryTicket]) -> None:
+        """Move pending *dataset* tickets into its open *batch* (lock held).
+
+        Each ticket is stamped and counted in flight as it leaves the
+        queue.  The batch stays open -- its worker plans the newcomers
+        and gathers again -- only while it grows and is below the limit;
+        a closed batch takes nothing.
+        """
+        if self._open.get(dataset) is not batch:
+            return
+        limit = self.policy.batch_max if self.policy.share_scans else 1
+        now = time.monotonic()
+        size = len(batch)
         keep: Deque[QueryTicket] = deque()
         while self._pending and len(batch) < limit:
             ticket = self._pending.popleft()
             if ticket.query.dataset == dataset:
+                ticket.dequeued_at = now
                 batch.append(ticket)
             else:
                 keep.append(ticket)
         while keep:
             self._pending.appendleft(keep.pop())
+        self._inflight += len(batch) - size
+        if len(batch) == size or len(batch) >= limit:
+            self._close_batch_locked(batch)
+
+    def _close_batch_locked(self, batch: List[QueryTicket]) -> None:
+        """Stop *batch* taking arrivals, if it still is (lock held): its
+        dataset's pending queries are another worker's to start on."""
+        dataset = batch[0].query.dataset
+        if self._open.get(dataset) is batch:
+            del self._open[dataset]
+            if self._pending:
+                self._cv.notify_all()
 
     # -- execution ---------------------------------------------------------
 
     def _run_batch(self, batch: List[QueryTicket]) -> None:
-        dequeued = time.monotonic()
+        dataset = batch[0].query.dataset
         planned: List[
             Tuple[QueryTicket, QueryPlan, Optional[StrategyChoice]]
         ] = []
+        # Planning is the batching window.  A round ends at the batch's
+        # last ticket; what arrived meanwhile then joins, so *batch*
+        # grows under this loop until a round adds nothing.
         for ticket in batch:
             try:
                 plan, choice = self.adr.plan_with_choice(ticket.query)
                 planned.append((ticket, plan, choice))
             except Exception as e:  # planning errors resolve one ticket
                 self._finish(ticket, None, e)
+            if ticket is batch[-1]:
+                with self._cv:
+                    self._gather_locked(dataset, batch)
         if not planned:
             return
 
@@ -392,7 +417,6 @@ class QueryService:
         # scheduler-level failure (ordering, shared-key computation, a
         # pin that raises) must resolve *every* still-pending ticket --
         # an unresolved ticket is a client hung in ``result()`` forever.
-        dataset = planned[0][0].query.dataset
         cache = self.adr.store if isinstance(self.adr.store, CachedChunkStore) else None
         pinned: frozenset = frozenset()
         try:
@@ -414,7 +438,7 @@ class QueryService:
                     self._finish(ticket, None, e)
                     continue
                 info = {
-                    "queue_wait_s": round(dequeued - ticket.submitted_at, 6),
+                    "queue_wait_s": round(ticket.dequeued_at - ticket.submitted_at, 6),
                     "batch_size": len(planned),
                     "batch_pos": pos,
                     "shared_reads": int(result.shared_reads),

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation.functions import SumAggregation
 from repro.aggregation.output_grid import OutputGrid
@@ -227,6 +229,105 @@ class TestResultRoundTrip:
         assert "phase_times" not in payload and "cache_stats" not in payload
         back = result_from_dict(payload)
         assert back.phase_times == {} and back.cache_stats == {}
+
+
+# The per-element codec the array-at-a-time one replaced: kept here as
+# the oracle for the wire text and for what the decoder must refuse.
+def oracle_encode(arr):
+    return [["nan" if np.isnan(v) else float(v) for v in row] for row in arr]
+
+
+def oracle_decode(rows):
+    try:
+        return np.asarray(
+            [[np.nan if v == "nan" else float(v) for v in row] for row in rows]
+        )
+    except (TypeError, ValueError) as e:
+        raise ProtocolError(f"bad result payload: {e}") from e
+
+
+def block_result(*blocks):
+    from repro.runtime.engine import QueryResult
+
+    return QueryResult(
+        strategy="FRA",
+        output_ids=np.arange(len(blocks)),
+        chunk_values=list(blocks),
+        n_tiles=1, n_reads=1, bytes_read=10, n_combines=0, n_aggregations=1,
+    )
+
+
+EDGE_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308,
+               1e300, -1e300, 1e-300, 1.0, 0.1, -2.5]
+
+
+def make_block(n, k, dtype, flat):
+    with np.errstate(over="ignore"):  # 1e300 is inf in float32
+        return np.asarray(flat).reshape(n, k).astype(dtype)
+
+
+value_blocks = st.tuples(
+    st.integers(0, 6), st.integers(1, 3), st.sampled_from(["f8", "f4", "i8", "i4"])
+).flatmap(
+    lambda nkd: st.lists(
+        st.integers(-(2 ** 31), 2 ** 31 - 1) if nkd[2][0] == "i"
+        else st.sampled_from(EDGE_FLOATS) | st.floats(),
+        min_size=nkd[0] * nkd[1], max_size=nkd[0] * nkd[1],
+    ).map(lambda flat: make_block(*nkd, flat))
+)
+
+good_row = st.lists(st.sampled_from([1.0, 2, "nan", -0.5]), min_size=2, max_size=2)
+bad_cell = st.sampled_from([None, "x", {}, [1.0], [], [None]])
+malformed_blocks = st.one_of(
+    # a bad entry somewhere among good rows: null, non-numeric, nested
+    st.tuples(st.lists(good_row, max_size=2), bad_cell, st.lists(good_row, max_size=2))
+    .map(lambda pre_bad_post: [*pre_bad_post[0], [1.0, pre_bad_post[1]], *pre_bad_post[2]]),
+    # ragged, flat, and uniformly nested blocks
+    st.just([[1.0], [1.0, 2.0]]),
+    st.just([[1.0, 2.0], []]),
+    st.just([1.0, 2.0]),
+    st.just([[[1.0], [2.0]]]),
+    st.just([None]),
+    st.just(None),
+)
+
+
+class TestArrayCodecMatchesPerElementOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(value_blocks, max_size=3))
+    def test_wire_text_identical_and_roundtrip_exact(self, blocks):
+        payload = result_to_dict(block_result(*blocks))
+        assert json.dumps(payload["chunk_values"]) == json.dumps(
+            [oracle_encode(b) for b in blocks]
+        )
+        assert payload["output_ids"] == list(range(len(blocks)))
+        assert all(type(o) is int for o in payload["output_ids"])
+        back = result_from_dict(json.loads(json.dumps(payload)))
+        for block, rows, got in zip(blocks, payload["chunk_values"], back.chunk_values):
+            want = oracle_decode(json.loads(json.dumps(rows)))
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(
+                got.reshape(block.shape), block.astype(np.float64), equal_nan=True
+            )
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(malformed_blocks)
+    def test_malformed_blocks_refused_like_the_oracle(self, rows):
+        payload = result_to_dict(block_result(np.zeros((1, 2))))
+        payload["chunk_values"] = [rows]
+        with pytest.raises(ProtocolError):
+            oracle_decode(rows)
+        with pytest.raises(ProtocolError):
+            result_from_dict(payload)
+
+    def test_empty_block_list_decodes_to_empty_float_vector(self):
+        payload = result_to_dict(block_result(np.zeros((1, 1))))
+        payload["chunk_values"] = [[]]
+        got = result_from_dict(payload).chunk_values[0]
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestStrategyChoiceOnTheWire:

@@ -1,6 +1,7 @@
 """Tests for the concurrent query service (admission, batching,
 functional scan sharing, bit-identical results under concurrency)."""
 
+import sys
 import threading
 import time
 
@@ -138,15 +139,15 @@ class TestAdmissionControl:
             ServicePolicy(max_queue=0)
         with pytest.raises(ValueError):
             ServicePolicy(max_inflight=0)
-        with pytest.raises(ValueError):
-            ServicePolicy(batch_window=-1)
+        with pytest.raises(TypeError):  # the knob is gone, not aliased
+            ServicePolicy(batch_window=0.002)
 
 
 class TestBatchingScheduler:
     def _run_backlogged(self, queries, policy):
         """Submit *queries* against a gated store so they all queue
         behind one blocked warm-up query, then release the gate --
-        batch formation is deterministic (pure backlog, no windowing)."""
+        batch formation is deterministic (pure backlog)."""
         gate = GateStore(MemoryChunkStore())
         adr, space = build_adr(store=gate)
         tickets = []
@@ -169,7 +170,7 @@ class TestBatchingScheduler:
             make_query(space, Rect((5.2, 5.2), (10, 10))),  # far from A
             make_query(space, Rect((1, 1), (5.5, 5.5))),    # overlaps A heavily
         ]
-        policy = ServicePolicy(max_inflight=1, batch_max=8, batch_window=0.5)
+        policy = ServicePolicy(max_inflight=1, batch_max=8)
         tickets, _, service = self._run_backlogged(queries, policy)
         infos = [t.service_info for t in tickets]
         assert all(i["batch_size"] == 3 for i in infos)
@@ -179,16 +180,14 @@ class TestBatchingScheduler:
     def test_batch_max_caps_batch_size(self):
         _, space = build_adr()
         queries = [make_query(space, Rect((0, 0), (10, 10))) for _ in range(5)]
-        policy = ServicePolicy(max_inflight=1, batch_max=2, batch_window=0.5)
+        policy = ServicePolicy(max_inflight=1, batch_max=2)
         tickets, _, _ = self._run_backlogged(queries, policy)
         assert max(t.service_info["batch_size"] for t in tickets) <= 2
 
     def test_share_scans_off_disables_batching(self):
         _, space = build_adr()
         queries = [make_query(space, Rect((0, 0), (10, 10))) for _ in range(3)]
-        policy = ServicePolicy(
-            max_inflight=1, batch_max=8, batch_window=0.5, share_scans=False
-        )
+        policy = ServicePolicy(max_inflight=1, batch_max=8, share_scans=False)
         tickets, results, _ = self._run_backlogged(queries, policy)
         assert all(t.service_info["batch_size"] == 1 for t in tickets)
 
@@ -201,11 +200,173 @@ class TestBatchingScheduler:
         assert tickets[0].service_info["queue_wait_s"] >= 0.0
 
 
+class PlanGate:
+    """Stands in for ``adr.plan_with_choice``: each call on a gated
+    dataset announces itself (``entered``) and blocks until it is let
+    through, so a test decides what arrives *while the worker plans*."""
+
+    def __init__(self, adr, datasets=("sensors",)):
+        self.inner = adr.plan_with_choice
+        self.datasets = datasets
+        self.entered = threading.Semaphore(0)
+        self.passes = threading.Semaphore(0)
+        adr.plan_with_choice = self
+
+    def __call__(self, query):
+        if query.dataset in self.datasets:
+            self.entered.release()
+            assert self.passes.acquire(timeout=30), "plan gate never opened"
+        return self.inner(query)
+
+    def wait_entered(self):
+        assert self.entered.acquire(timeout=30), "no query reached planning"
+
+    def let_through(self, n=1):
+        for _ in range(n):
+            self.passes.release()
+
+
+class TestOpenBatch:
+    """The work-conserving scheduler: planning time is the window."""
+
+    def test_arrivals_during_planning_join_the_open_batch(self):
+        adr, space = build_adr()
+        gate = PlanGate(adr)
+        q = make_query(space, Rect((0, 0), (10, 10)))
+        with QueryService(adr, ServicePolicy(max_inflight=1, batch_max=8)) as service:
+            first = service.submit(q)
+            gate.wait_entered()  # the worker is planning `first`
+            stats = service.stats()
+            assert (stats["in_flight"], stats["queue_depth"]) == (1, 0)
+            joiners = [service.submit(q), service.submit(q)]
+            stats = service.stats()
+            assert (stats["in_flight"], stats["queue_depth"]) == (1, 2)
+            gate.let_through()  # round one ends: the joiners leave the queue
+            gate.wait_entered()
+            stats = service.stats()
+            assert (stats["in_flight"], stats["queue_depth"]) == (3, 0)
+            gate.let_through(100)
+            tickets = [first, *joiners]
+            for t in tickets:
+                assert t.result(timeout=30).n_reads > 0
+            stats = service.stats()
+        assert stats["batches"] == 1 and stats["batched_queries"] == 3
+        assert stats["in_flight"] == 0
+        assert [t.service_info["batch_size"] for t in tickets] == [3, 3, 3]
+        assert sorted(t.service_info["batch_pos"] for t in tickets) == [0, 1, 2]
+        # stamped as each ticket left the queue: never negative, and the
+        # joiners' wait covers the planning round they sat out
+        assert all(t.service_info["queue_wait_s"] >= 0 for t in tickets)
+
+    def test_second_worker_leaves_open_dataset_but_serves_another(self):
+        adr, space = build_adr()
+        rng = np.random.default_rng(SEED + 1)
+        adr.load(
+            "other", space,
+            hilbert_partition(rng.uniform(0, 10, size=(100, 2)), np.ones(100), 20),
+        )
+        gate = PlanGate(adr, datasets=("sensors",))
+        q = make_query(space, Rect((0, 0), (10, 10)))
+        other = make_query(space, Rect((0, 0), (10, 10)))
+        other.dataset = "other"
+        with QueryService(adr, ServicePolicy(max_inflight=2, batch_max=8)) as service:
+            first = service.submit(q)
+            gate.wait_entered()  # "sensors" has an open batch
+            second = service.submit(q)
+            # Submitted after `second`, so the free worker scanned past
+            # `second` to reach it -- and ran it while "sensors" planned.
+            assert service.submit(other).result(timeout=30).n_reads > 0
+            stats = service.stats()
+            assert stats["queue_depth"] == 1 and stats["batches"] == 1
+            assert not second.done()
+            gate.let_through(100)
+            for t in (first, second):
+                assert t.result(timeout=30).n_reads > 0
+                assert t.service_info["batch_size"] == 2
+            assert service.stats()["batches"] == 2
+
+    def test_lone_query_never_waits_before_planning(self):
+        adr, space = build_adr()
+        events = []
+        inner_plan = adr.plan_with_choice
+
+        def plan(query):
+            events.append("plan")
+            return inner_plan(query)
+
+        adr.plan_with_choice = plan
+        with QueryService(adr, ServicePolicy(max_inflight=1)) as service:
+            real_wait = service._cv.wait
+
+            def wait(timeout=None):
+                # called with the (re-entrant) lock held
+                events.append(("wait", service.stats()["submitted"]))
+                return real_wait(timeout)
+
+            service._cv.wait = wait
+            ticket = service.submit(make_query(space, Rect((0, 0), (10, 10))))
+            assert ticket.result(timeout=30).n_reads > 0
+        # Any wait entered once the query was submitted and before it is
+        # planned is a sleep on the critical path.
+        assert ("wait", 1) not in events[: events.index("plan")]
+        assert ticket.service_info["batch_size"] == 1
+
+    def test_failure_after_batch_grew_resolves_joiners(self, monkeypatch):
+        adr, space = build_adr()
+        gate = PlanGate(adr)
+        q = make_query(space, Rect((0, 0), (10, 10)))
+        monkeypatch.setattr(
+            "repro.frontend.queryservice.order_for_sharing",
+            lambda plans: (_ for _ in ()).throw(RuntimeError("scheduler broke")),
+        )
+        with QueryService(adr, ServicePolicy(max_inflight=1, batch_max=4)) as service:
+            first = service.submit(q)
+            gate.wait_entered()
+            joiners = [service.submit(q), service.submit(q)]
+            gate.let_through(100)
+            for t in (first, *joiners):
+                with pytest.raises(RuntimeError, match="scheduler broke"):
+                    t.result(timeout=30)
+            stats = service.stats()
+            assert stats["failed"] == 3
+            # "sensors" is not left marked open: a new query on it is
+            # dequeued (alone, so never ordered) and served.
+            assert service.submit(q).result(timeout=30).n_reads > 0
+            stats = service.stats()
+        assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
+
+    def test_close_drains_tickets_pending_behind_an_open_batch(self):
+        adr, space = build_adr()
+        gate = PlanGate(adr)
+        q = make_query(space, Rect((0, 0), (10, 10)))
+        service = QueryService(adr, ServicePolicy(max_inflight=2, batch_max=2))
+        try:
+            first = service.submit(q)
+            gate.wait_entered()
+            pending = [service.submit(q) for _ in range(3)]
+            # Returns with the workers still busy behind the gate; what
+            # matters is that the service is now closed.
+            service.close(timeout=0.01)
+            with pytest.raises(ServiceClosedError):
+                service.submit(q)
+            assert service.stats()["queue_depth"] == 3
+            gate.let_through(100)
+            for t in (first, *pending):
+                assert t.result(timeout=30).n_reads > 0
+        finally:
+            gate.let_through(100)
+            service.close()
+        stats = service.stats()
+        assert stats["completed"] == 4
+        assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
+        assert max(t.service_info["batch_size"] for t in (first, *pending)) == 2
+
+
 class TestScanSharing:
     def test_batched_duplicates_share_reads(self):
         adr, space = build_adr()
         q = make_query(space, Rect((0, 0), (10, 10)))
-        policy = ServicePolicy(max_inflight=1, batch_max=4, batch_window=0.5)
+        policy = ServicePolicy(max_inflight=1, batch_max=4)
         with QueryService(adr, policy) as service:
             tickets = [service.submit(q) for _ in range(3)]
             results = [t.result(timeout=30) for t in tickets]
@@ -223,7 +384,7 @@ class TestScanSharing:
         the pin/unpin path works."""
         adr, space = build_adr(cache_bytes=1)
         q = make_query(space, Rect((0, 0), (10, 10)))
-        policy = ServicePolicy(max_inflight=1, batch_max=2, batch_window=0.5)
+        policy = ServicePolicy(max_inflight=1, batch_max=2)
         with QueryService(adr, policy) as service:
             tickets = [service.submit(q) for _ in range(2)]
             results = [t.result(timeout=30) for t in tickets]
@@ -234,7 +395,7 @@ class TestScanSharing:
     def test_results_bit_identical_to_isolated(self):
         adr, space = build_adr()
         queries = workload(space)
-        policy = ServicePolicy(max_inflight=3, batch_max=8, batch_window=0.05)
+        policy = ServicePolicy(max_inflight=3, batch_max=8)
         with QueryService(adr, policy) as service:
             tickets = [service.submit(q) for q in queries]
             shared_results = [t.result(timeout=60) for t in tickets]
@@ -258,7 +419,7 @@ class TestScanSharing:
             make_query(space, Rect((0, 0), (6, 6)), on_error="degrade"),
             make_query(space, Rect((2, 2), (10, 10)), on_error="degrade"),
         ]
-        policy = ServicePolicy(max_inflight=2, batch_max=4, batch_window=0.05)
+        policy = ServicePolicy(max_inflight=2, batch_max=4)
         with QueryService(adr, policy) as service:
             tickets = [service.submit(q) for q in queries]
             shared_results = [t.result(timeout=60) for t in tickets]
@@ -277,7 +438,7 @@ class TestErrors:
         good = make_query(space, Rect((0, 0), (10, 10)))
         bad = make_query(space, Rect((0, 0), (10, 10)))
         bad.dataset = "absent"
-        policy = ServicePolicy(max_inflight=1, batch_max=4, batch_window=0.2)
+        policy = ServicePolicy(max_inflight=1, batch_max=4)
         with QueryService(adr, policy) as service:
             tg, tb = service.submit(good), service.submit(bad)
             with pytest.raises(KeyError):
@@ -323,16 +484,26 @@ class TestConcurrentHammer:
                 with lock:
                     failures.append(e)
 
-        with QueryService(adr, policy) as adr_service:
-            threads = [
-                threading.Thread(target=hammer, args=(t,)) for t in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
+        # A short switch interval interleaves submitters, joiners and
+        # workers far more finely than the default 5 ms would.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(adr, policy) as adr_service:
+                threads = [
+                    threading.Thread(target=hammer, args=(t,)) for t in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
         assert not failures, failures[0]
-        assert adr_service.stats()["completed"] == 24
+        stats = adr_service.stats()
+        assert stats["completed"] == 24
+        assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
 
 
 class TestOverloadDetails:
@@ -376,9 +547,7 @@ class TestSchedulerFailure:
         gate = GateStore(MemoryChunkStore())
         adr, space = build_adr(store=gate)
         q = make_query(space, Rect((0, 0), (10, 10)))
-        policy = ServicePolicy(
-            max_queue=8, max_inflight=1, batch_max=4, batch_window=0.05
-        )
+        policy = ServicePolicy(max_queue=8, max_inflight=1, batch_max=4)
         monkeypatch.setattr(
             "repro.frontend.queryservice.order_for_sharing",
             lambda plans: (_ for _ in ()).throw(RuntimeError("scheduler broke")),
