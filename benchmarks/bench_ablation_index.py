@@ -1,4 +1,4 @@
-"""Ablation: spatial index (R-tree vs grid vs vectorized scan vs bitmap).
+"""Ablation: spatial index (R-tree vs vectorized scan vs bitmap).
 
 Section 2.2 indexes chunk MBRs with an R-tree.  Two measurements live
 here:
@@ -42,7 +42,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.index import (  # noqa: E402
     BruteForceIndex,
-    GridIndex,
     HierarchicalBitmapIndex,
     RTree,
     ScanIndex,
@@ -61,9 +60,7 @@ POPULATIONS = {
     "full": (10_000, 100_000, 1_000_000),
 }
 
-#: contenders in the sweep -- GridIndex is excluded above the micro
-#: bench because its build loop is per-rect Python (one-time cost, but
-#: minutes at 1M rects)
+#: contenders in the sweep
 SWEEP_INDEXES = {
     "rtree": (RTree, {"bulk": "hilbert"}),
     "scan": (ScanIndex, {}),
@@ -89,7 +86,6 @@ try:  # pragma: no cover - exercised only under pytest-benchmark
     INDEXES = {
         "rtree-str": (RTree, {"bulk": "str"}),
         "rtree-hilbert": (RTree, {"bulk": "hilbert"}),
-        "grid": (GridIndex, {}),
         "scan": (ScanIndex, {}),
         "bitmap": (HierarchicalBitmapIndex, {}),
         "brute": (BruteForceIndex, {}),

@@ -4,7 +4,7 @@
 Recreates the paper's Figure 2 deployment: an ADR front-end process
 serving a loaded repository, first to a sequential client (client A
 in the figure) submitting range queries over the socket interface as
-newline-delimited JSON, then to several concurrent clients whose
+length-prefixed JSON frames, then to several concurrent clients whose
 overlapping queries are batched and share chunk scans through the
 pinned payload cache (see docs/service.md).
 

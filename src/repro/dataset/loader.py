@@ -13,9 +13,7 @@ against a chunk store and returns the placed metadata plus the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Type
-
-import numpy as np
+from typing import Optional, Sequence, Type
 
 from repro.dataset.chunk import Chunk
 from repro.dataset.chunkset import ChunkSet
@@ -74,11 +72,7 @@ def load_dataset(
 
     # Step 3: move chunks to their disks.
     placements = list(zip(node.tolist(), disk.tolist()))
-    if hasattr(store, "write_chunks"):
-        store.write_chunks(name, list(chunks), placements)
-    else:
-        for chunk, (nd, dk) in zip(chunks, placements):
-            store.write_chunk(name, chunk, nd, dk)
+    store.write_chunks(name, list(chunks), placements)
 
     placed = chunkset.with_placement(node, disk)
 

@@ -17,11 +17,9 @@ Compose it under the resilience wrappers to test them::
 
 from __future__ import annotations
 
-from typing import Iterator, List
-
 from repro.dataset.chunk import Chunk
 from repro.faults.injector import FaultInjector
-from repro.store.chunk_store import ChunkStore
+from repro.store.chunk_store import ChunkStore, ChunkStoreStage
 from repro.store.format import decode_chunk, encode_chunk
 
 __all__ = ["FaultyChunkStore", "corrupt_decode"]
@@ -39,16 +37,17 @@ def corrupt_decode(chunk: Chunk) -> Chunk:
     return decode_chunk(bytes(data))
 
 
-class FaultyChunkStore(ChunkStore):
+class FaultyChunkStore(ChunkStoreStage):
     """Injects planned faults into reads of the wrapped store.
 
-    Writes, placements and deletions pass through untouched; only the
-    read path is fault-injected (the paper's degraded scenarios are all
-    read-side: query processing never mutates input datasets).
+    Only the read path is fault-injected (the paper's degraded
+    scenarios are all read-side: query processing never mutates input
+    datasets); ``read_many`` reads per chunk, so each id is individually
+    fault-checked.
     """
 
     def __init__(self, inner: ChunkStore, injector: FaultInjector) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.injector = injector
 
     def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
@@ -57,24 +56,3 @@ class FaultyChunkStore(ChunkStore):
         if corrupt:
             return corrupt_decode(chunk)
         return chunk
-
-    def read_many(self, dataset: str, chunk_ids: List[int]) -> Iterator[Chunk]:
-        """Per-chunk reads so each id is individually fault-checked
-        (forgoes the inner store's placement-order batching)."""
-        for cid in chunk_ids:
-            yield self.read_chunk(dataset, cid)
-
-    def write_chunk(self, dataset: str, chunk: Chunk, node: int, disk: int) -> None:
-        self.inner.write_chunk(dataset, chunk, node, disk)
-
-    def placement(self, dataset: str, chunk_id: int):
-        return self.inner.placement(dataset, chunk_id)
-
-    def chunk_ids(self, dataset: str) -> List[int]:
-        return self.inner.chunk_ids(dataset)
-
-    def delete_dataset(self, dataset: str) -> None:
-        self.inner.delete_dataset(dataset)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

@@ -21,7 +21,6 @@ are all reachable separately for inspection (``build_problem``,
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from repro.aggregation.output_grid import OutputGrid, PlacedGrids
 from repro.dataset.chunk import Chunk
 from repro.dataset.dataset import Dataset, DatasetCatalog
-from repro.dataset.graph import ChunkGraph
 from repro.dataset.loader import LoadedDataset, load_dataset
 from repro.decluster.base import Declusterer
 from repro.decluster.hilbert import HilbertDeclusterer
@@ -39,7 +37,7 @@ from repro.index.rtree import RTree
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.costmodel import CostModel
 from repro.planner.plan import QueryPlan
-from repro.planner.problem import PlanningProblem
+from repro.planner.problem import PlanningProblem, select_chunks
 from repro.planner.select import StrategyChoice, choose_strategy, is_auto
 from repro.planner.strategies import plan_query
 from repro.planner.validate import validate_plan
@@ -81,14 +79,19 @@ class ADR:
         self.store = store if store is not None else MemoryChunkStore()
         # Retry sits *under* the cache: a retried read that eventually
         # succeeds is cached like any other, and cache hits never pay
-        # backoff.  (A FileChunkStore built with its own retry keeps
-        # it; this wrapper serves stores without one.)
+        # backoff.
         if retry is not None and not isinstance(self.store, RetryingChunkStore):
             self.store = RetryingChunkStore(self.store, retry)
+        #: the payload cache -- then ``store`` itself, the outermost
+        #: stage -- or ``None`` when there is none
+        self.cache: Optional[CachedChunkStore] = None
         # Payload LRU in front of the store: batched queries ordered
-        # for shared scans actually reuse the shared chunks.
-        if cache_bytes > 0 and not isinstance(self.store, CachedChunkStore):
-            self.store = CachedChunkStore(self.store, max_bytes=cache_bytes)
+        # for shared scans actually reuse the shared chunks.  A cache
+        # the caller built is adopted as is.
+        if isinstance(self.store, CachedChunkStore):
+            self.cache = self.store
+        elif cache_bytes > 0:
+            self.cache = self.store = CachedChunkStore(self.store, max_bytes=cache_bytes)
         # Per-dataset memo of chunk->cell routing, reused across
         # tiles and queries; dropped when the dataset is (re)loaded.
         # The creation lock makes first-use from concurrent service
@@ -173,66 +176,19 @@ class ADR:
 
     def build_problem(self, query: RangeQuery) -> PlanningProblem:
         """Restrict the universe to the query: select intersecting
-        input chunks through the index, prune chunks whose value
+        input chunks through the index, drop chunks whose value
         synopsis rules out the ``where`` predicate, project the region
-        onto the output grid, and derive the chunk graph geometrically."""
+        onto the output grid, and derive the chunk graph geometrically
+        (:func:`repro.planner.problem.select_chunks`)."""
         ds = self.dataset(query.dataset)
-        region = ds.space.validate_query(query.region)
-
-        in_ids = self.index(query.dataset).query(region)
-        if len(in_ids) == 0:
-            raise ValueError(f"query region {region} selects no input chunks")
-
-        # Value-synopsis pruning: a chunk that spatially intersects but
-        # provably holds no predicate-satisfying item is never planned,
-        # scheduled, or read.  The kernels re-apply the predicate exactly
-        # to every surviving chunk, so pruning cannot change results.
-        pruned_ids = np.empty(0, dtype=np.int64)
-        pruned_bytes = 0
-        predicate = query.predicate()
-        if predicate is not None and ds.chunks.synopsis is not None:
-            prunable = predicate.prunable_chunks(ds.chunks.synopsis.subset(in_ids))
-            pruned_ids = in_ids[prunable]
-            pruned_bytes = int(ds.chunks.nbytes[pruned_ids].sum())
-            in_ids = in_ids[~prunable]
-            if len(in_ids) == 0:
-                raise ValueError(
-                    f"query region {region} selects no input chunks after "
-                    f"value-synopsis pruning (predicate excluded all "
-                    f"{len(pruned_ids)} intersecting chunks)"
-                )
-        inputs = ds.chunks.subset(in_ids)
-
-        out_all = self._placed_grids.get(query.grid)
-        out_region = query.mapping.project_rect(region)
-        out_ids = out_all.intersecting(out_region)
-        if len(out_ids) == 0:
-            raise ValueError("query region projects onto no output chunks")
-        outputs = out_all.subset(out_ids)
-
-        graph = ChunkGraph.from_geometry(inputs, outputs, query.mapping)
-
-        spec = query.spec()
-        acc_nbytes = np.asarray(
-            [spec.acc_bytes(cells) for cells in outputs.n_items.tolist()],
-            dtype=np.int64,
-        )
-        return PlanningProblem(
-            n_procs=self.machine.n_procs,
-            memory_per_proc=self.machine.memory_per_proc,
-            inputs=inputs,
-            outputs=outputs,
-            graph=graph,
-            acc_nbytes=acc_nbytes,
-            input_global_ids=in_ids,
-            output_global_ids=out_ids,
-            pruned_input_ids=pruned_ids,
-            pruned_bytes=pruned_bytes,
-        )
+        return select_chunks(
+            query, ds.space, self.index(query.dataset), ds.chunks,
+            self._placed_grids, drop_pruned=True,
+        ).problem(self.machine.n_procs, self.machine.memory_per_proc)
 
     def plan(self, query: RangeQuery) -> QueryPlan:
         """Plan the query; ``strategy="AUTO"`` lets the cost model pick."""
-        return self._plan_for(self.build_problem(query), query.strategy)
+        return self.plan_with_choice(query)[0]
 
     def plan_with_choice(
         self, query: RangeQuery
@@ -253,9 +209,6 @@ class ADR:
         plan = plan_query(problem, strategy)
         validate_plan(plan)
         return plan, None
-
-    def _plan_for(self, problem: PlanningProblem, strategy: str) -> QueryPlan:
-        return self._choose(problem, strategy)[0]
 
     # ------------------------------------------------------------------
     # Execution
@@ -292,58 +245,56 @@ class ADR:
         choice: Optional[StrategyChoice] = None
         if plan is None:
             plan, choice = self.plan_with_choice(query)
+        result = self._run(query, plan, choice, backend=backend)
+        if store_as is not None:
+            self._write_back(store_as, query, result)
+        return result
+
+    def _run(
+        self,
+        query: RangeQuery,
+        plan: QueryPlan,
+        choice: Optional[StrategyChoice],
+        backend: str = "sequential",
+        prior=None,
+    ) -> QueryResult:
+        """Execute *plan* and fold in what only this instance knows:
+        the query's exact payload-cache tallies and the auto-selection
+        audit trail."""
         name = query.dataset
         region = self.dataset(name).space.validate_query(query.region)
+        # Exact under concurrency, unlike a before/after delta of the
+        # cache's global counters: the recorder is threaded through
+        # every read this query issues, prefetch worker threads included.
+        cache, store = self.cache, self.store
+        recorder = ScanRecorder() if cache is not None else None
 
-        provider, recorder = self._recording_provider(name)
+        def provider(chunk_id: int) -> Chunk:
+            if cache is None:
+                return store.read_chunk(name, chunk_id)
+            return cache.read_chunk(name, chunk_id, recorder=recorder)
+
         result = execute_plan(
             plan, provider, query.mapping, query.grid, query.spec(),
-            region=region, backend=backend,
+            region=region, prior=prior, backend=backend,
             routing_cache=self.routing_cache(name),
             on_error=query.on_error,
             prefetch=self.prefetch if query.prefetch is None else query.prefetch,
             predicate=query.predicate(),
         )
         if recorder is not None:
-            self._merge_store_stats(result, recorder)
+            # ``cache_stats`` hit/miss counts and the documented
+            # shared-read counters (``shared_reads`` / ``shared_bytes``)
+            snap = recorder.snapshot()
+            result.cache_stats["chunk_hits"] = snap["hits"]
+            result.cache_stats["chunk_misses"] = snap["misses"]
+            result.cache_stats["chunk_bytes"] = int(cache.nbytes)
+            result.shared_reads = snap["hits"]
+            result.shared_bytes = snap["hit_bytes"]
         if choice is not None:
             result.selected_strategy = choice.selected
             result.strategy_ranking = choice.ranking_dict()
-        if store_as is not None:
-            self._write_back(store_as, query, result)
         return result
-
-    def _recording_provider(self, name: str):
-        """A chunk provider for *name*, plus the per-query
-        :class:`~repro.store.cache.ScanRecorder` attributing each read
-        to this query (``None`` when the store is uncached).  Exact
-        under concurrency, unlike a before/after delta of the cache's
-        global counters: the recorder is threaded through every read
-        this query issues, prefetch worker threads included."""
-        if isinstance(self.store, CachedChunkStore):
-            cached = self.store
-            recorder = ScanRecorder()
-
-            def provider(chunk_id: int) -> Chunk:
-                return cached.read_chunk(name, chunk_id, recorder=recorder)
-
-            return provider, recorder
-
-        def provider(chunk_id: int) -> Chunk:
-            return self.store.read_chunk(name, chunk_id)
-
-        return provider, None
-
-    def _merge_store_stats(self, result: QueryResult, recorder: ScanRecorder) -> None:
-        """Fold this query's exact payload-cache tallies into the
-        result: ``cache_stats`` hit/miss counts and the documented
-        shared-read counters (``shared_reads`` / ``shared_bytes``)."""
-        snap = recorder.snapshot()
-        result.cache_stats["chunk_hits"] = snap["hits"]
-        result.cache_stats["chunk_misses"] = snap["misses"]
-        result.cache_stats["chunk_bytes"] = int(self.store.nbytes)
-        result.shared_reads = snap["hits"]
-        result.shared_bytes = snap["hit_bytes"]
 
     def _write_back(self, name: str, query: RangeQuery, result: QueryResult) -> None:
         """Materialize a query result as a dataset in the output space."""
@@ -388,21 +339,8 @@ class ADR:
 
         problem = self.build_problem(query)
         problem.init_from_output = True
-        plan = self._plan_for(problem, query.strategy)
-        name = query.dataset
-        region = self.dataset(name).space.validate_query(query.region)
-
-        provider, recorder = self._recording_provider(name)
-        result = execute_plan(
-            plan, provider, query.mapping, query.grid, query.spec(),
-            region=region, prior=prior,
-            routing_cache=self.routing_cache(name),
-            on_error=query.on_error,
-            prefetch=self.prefetch if query.prefetch is None else query.prefetch,
-            predicate=query.predicate(),
-        )
-        if recorder is not None:
-            self._merge_store_stats(result, recorder)
+        plan, choice = self._choose(problem, query.strategy)
+        result = self._run(query, plan, choice, prior=prior)
         # write updated chunks back to their original locations
         missing = [int(o) for o in result.output_ids if int(o) not in pos_of]
         if missing:

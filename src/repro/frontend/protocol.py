@@ -83,9 +83,8 @@ class DeadlineExceededError(TimeoutError):
 # big-endian payload length followed by that many bytes of UTF-8 JSON.
 # Framing makes torn connections *loud* -- a short read is a
 # ProtocolError naming the missing bytes, never a hang or a bare
-# struct.error.  Servers keep reading newline-delimited JSON from
-# legacy clients: a first byte of ``{`` (impossible in a framed header
-# under MAX_FRAME_BYTES) selects line mode per message.
+# struct.error.  Frames are the only dialect: bytes that are not a
+# frame read as an oversized declared length.
 
 _FRAME_HEADER = struct.Struct(">I")
 
@@ -107,15 +106,14 @@ def write_frame(wfile: BinaryIO, message: Dict[str, Any]) -> None:
     wfile.flush()
 
 
-def read_frame(rfile: BinaryIO, prefix: bytes = b"") -> Optional[Dict[str, Any]]:
+def read_frame(rfile: BinaryIO) -> Optional[Dict[str, Any]]:
     """Read one length-prefixed frame; ``None`` on clean EOF.
 
-    *prefix* holds header bytes the caller already consumed (the
-    server's one-byte legacy-protocol sniff).  Raises
-    :class:`ProtocolError` on a truncated header, an oversized declared
-    length, a torn payload, or a payload that is not valid JSON.
+    Raises :class:`ProtocolError` on a truncated header, an oversized
+    declared length, a torn payload, or a payload that is not valid
+    JSON.
     """
-    header = prefix + rfile.read(_FRAME_HEADER.size - len(prefix))
+    header = rfile.read(_FRAME_HEADER.size)
     if not header:
         return None
     if len(header) < _FRAME_HEADER.size:

@@ -63,7 +63,6 @@ from repro.planner.plan import QueryPlan
 from repro.planner.select import StrategyChoice
 from repro.planner.telemetry import MeasuredRun, TelemetryLog
 from repro.runtime.engine import QueryResult
-from repro.store.cache import CachedChunkStore
 
 __all__ = [
     "ServicePolicy",
@@ -121,16 +120,13 @@ class ServicePolicy:
         Worker threads, i.e. batches executing concurrently.
     batch_max:
         Most queries fused into one shared-scan batch.
-    share_scans:
-        ``False`` disables batching, reordering and cache pinning --
-        every query executes alone (the ablation baseline for
-        ``benchmarks/bench_service.py``).
+        ``1`` disables batching, reordering and cache pinning -- every
+        query executes alone.
     """
 
     max_queue: int = 64
     max_inflight: int = 4
     batch_max: int = 8
-    share_scans: bool = True
 
     def __post_init__(self) -> None:
         if self.max_queue < 1:
@@ -291,11 +287,9 @@ class QueryService:
             "max_queue": self.policy.max_queue,
             "max_inflight": self.policy.max_inflight,
             "batch_max": self.policy.batch_max,
-            "share_scans": self.policy.share_scans,
         }
-        store = self.adr.store
-        if isinstance(store, CachedChunkStore):
-            cache = {str(k): int(v) for k, v in store.stats().items()}
+        if self.adr.cache is not None:
+            cache = {str(k): int(v) for k, v in self.adr.cache.stats().items()}
             lookups = cache.get("chunk_hits", 0) + cache.get("chunk_misses", 0)
             cache["chunk_hit_rate"] = (
                 cache.get("chunk_hits", 0) / lookups if lookups else 0.0
@@ -365,7 +359,7 @@ class QueryService:
         """
         if self._open.get(dataset) is not batch:
             return
-        limit = self.policy.batch_max if self.policy.share_scans else 1
+        limit = self.policy.batch_max
         now = time.monotonic()
         size = len(batch)
         keep: Deque[QueryTicket] = deque()
@@ -417,10 +411,10 @@ class QueryService:
         # scheduler-level failure (ordering, shared-key computation, a
         # pin that raises) must resolve *every* still-pending ticket --
         # an unresolved ticket is a client hung in ``result()`` forever.
-        cache = self.adr.store if isinstance(self.adr.store, CachedChunkStore) else None
+        cache = self.adr.cache
         pinned: frozenset = frozenset()
         try:
-            share = self.policy.share_scans and len(planned) > 1
+            share = len(planned) > 1
             plans = [plan for _, plan, _ in planned]
             order = order_for_sharing(plans) if share else list(range(len(planned)))
             if share and cache is not None:

@@ -22,18 +22,15 @@ Message envelope (one frame per message; see ``protocol.write_frame``):
   "shard_unavailable"|"deadline_exceeded", "error": "...",
   "details": {...}}``
 
-Legacy clients speaking newline-delimited JSON keep working: a frame
-header under ``MAX_FRAME_BYTES`` (64 MiB) starts with a byte ``<=
-0x04``, so any larger first byte -- every printable ASCII character,
-in particular ``{`` -- selects line mode for that one message and the
-server answers in kind.  Framing errors on a framed stream close the
-connection (byte offsets are unrecoverable); malformed line-mode JSON
-answers ``bad_request`` and keeps the connection open.
+Frames are the only dialect.  A framing error -- a truncated header, a
+torn payload, bytes that are not a frame at all (their first four read
+as a declared length over ``MAX_FRAME_BYTES``) -- answers one framed
+``bad_request`` and closes the connection: byte offsets on the stream
+are unrecoverable.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import socketserver
 import sys
@@ -43,7 +40,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.frontend.adr import ADR
 from repro.frontend.protocol import (
-    MAX_FRAME_BYTES,
     DeadlineExceededError,
     ProtocolError,
     error_to_dict,
@@ -71,11 +67,6 @@ __all__ = ["ADRServer", "ADRClient", "RemoteQueryError"]
 #: succeed.
 _BAD_REQUEST_ERRORS = (ProtocolError, KeyError, ValueError)
 
-#: Largest first byte of a valid framed header: frames are capped at
-#: ``MAX_FRAME_BYTES``, so a bigger first byte cannot open a frame and
-#: must be the start of a legacy newline-delimited JSON message.
-_MAX_HEADER_FIRST_BYTE = MAX_FRAME_BYTES >> 24
-
 
 class RemoteQueryError(RuntimeError):
     """A server-side failure relayed over the wire.
@@ -101,44 +92,22 @@ class RemoteQueryError(RuntimeError):
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         while True:
-            first = self.rfile.read(1)
-            if not first:
-                return
-            if first in (b"\r", b"\n"):
-                continue
-            if first[0] > _MAX_HEADER_FIRST_BYTE:
-                # Legacy newline-delimited JSON message.
-                raw = first + self.rfile.readline()
-                try:
-                    message = json.loads(raw)
-                except Exception as e:  # malformed JSON and friends
-                    self._respond(error_to_dict("bad_request", e), framed=False)
-                    continue
-                self._respond(self._dispatch_safe(message), framed=False)
-                continue
             try:
-                message = read_frame(self.rfile, prefix=first)
+                message = read_frame(self.rfile)
             except ProtocolError as e:
                 # Framing desync: the stream's byte offsets are
                 # unrecoverable, so answer once and close loudly.
-                self._respond(error_to_dict("bad_request", e), framed=True)
+                write_frame(self.wfile, error_to_dict("bad_request", e))
                 return
             if message is None:
                 return
-            self._respond(self._dispatch_safe(message), framed=True)
+            write_frame(self.wfile, self._dispatch_safe(message))
 
     def _dispatch_safe(self, message: dict) -> dict:
         try:
             return self.server.adr_dispatch(message)
         except Exception as e:  # dispatch must never kill the connection
             return error_to_dict("internal", e)
-
-    def _respond(self, response: dict, framed: bool) -> None:
-        if framed:
-            write_frame(self.wfile, response)
-        else:
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
 
 
 class ADRServer(socketserver.ThreadingTCPServer):
@@ -176,14 +145,16 @@ class ADRServer(socketserver.ThreadingTCPServer):
         policy: Optional[ServicePolicy] = None,
         service: Optional[QueryService] = None,
     ) -> None:
-        self.adr = adr
         if service is not None and policy is not None:
             raise ValueError("pass either policy or service, not both")
+        # Bind before the owned service starts its worker threads: a
+        # failed bind must leave nothing running.
+        super().__init__((host, port), _Handler)
+        self.adr = adr
         self._owns_service = service is None
         self.service = service if service is not None else QueryService(adr, policy)
         self._thread: Optional[threading.Thread] = None
         self._draining = threading.Event()
-        super().__init__((host, port), _Handler)
 
     # -- request dispatch ------------------------------------------------
 
@@ -213,7 +184,7 @@ class ADRServer(socketserver.ThreadingTCPServer):
         except _BAD_REQUEST_ERRORS as e:
             return error_to_dict("bad_request", e)
         try:
-            ticket = self.service.submit(query)
+            ticket = self.service.submit(self._submitted(query, message))
         except ServiceOverloadedError as e:
             return error_to_dict("overloaded", e)
         except ServiceClosedError as e:
@@ -221,13 +192,26 @@ class ADRServer(socketserver.ThreadingTCPServer):
         try:
             result = ticket.result()
         except _BAD_REQUEST_ERRORS as e:
-            return error_to_dict("bad_request", e)
+            result = self._stand_in(query, message, e)
+            if result is None:
+                return error_to_dict("bad_request", e)
         except Exception as e:
             return error_to_dict("internal", e)
         response: Dict[str, Any] = {"ok": True, "result": result_to_dict(result)}
         if ticket.service_info:
             response["service"] = dict(ticket.service_info)
         return response
+
+    def _submitted(self, query: RangeQuery, message: dict) -> RangeQuery:
+        """Hook: the query submitted to the service for *message*."""
+        return query
+
+    def _stand_in(
+        self, query: RangeQuery, message: dict, error: Exception
+    ) -> Optional[QueryResult]:
+        """Hook: a result to answer with although the query failed with
+        the bad-request *error*; ``None`` relays the error."""
+        return None
 
     # -- liveness / drain -----------------------------------------------------
 
@@ -365,14 +349,9 @@ class ADRClient:
     def stats(self, deadline: Optional[float] = None) -> Dict[str, Any]:
         """Service counters (queue depth, in-flight, batches, sharing,
         cache hit rates) -- the ``{"op": "stats"}`` endpoint."""
-        response = self._call({"op": "stats"}, deadline)
-        if not response.get("ok"):
-            raise RemoteQueryError(
-                f"stats failed: {response.get('error')}",
-                code=response.get("code", "internal"),
-                details=response.get("details"),
-            )
-        return response["result"]
+        return self._checked(self._call({"op": "stats"}, deadline), "stats")[
+            "result"
+        ]
 
     def health(self, deadline: Optional[float] = None) -> Dict[str, Any]:
         """Liveness probe -- ``{"status": "serving"|"draining", ...}``."""

@@ -9,7 +9,6 @@ This package implements that index from scratch:
 
 - :class:`RTree` -- dynamic inserts with quadratic split plus an STR
   (Sort-Tile-Recursive) bulk loader used by the dataset loader;
-- :class:`GridIndex` -- a uniform-grid baseline;
 - :class:`BruteForceIndex` -- the vectorized linear scan every other
   index is checked against in tests and benches;
 - :class:`ScanIndex` -- packed MBR columns sorted on the primary
@@ -22,14 +21,12 @@ This package implements that index from scratch:
 from repro.index.base import SpatialIndex
 from repro.index.bitmap import HierarchicalBitmapIndex
 from repro.index.brute import BruteForceIndex
-from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
 
 __all__ = [
     "SpatialIndex",
     "BruteForceIndex",
-    "GridIndex",
     "RTree",
     "ScanIndex",
     "HierarchicalBitmapIndex",

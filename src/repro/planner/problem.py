@@ -4,9 +4,11 @@ Planning operates on the chunks a range query selects, not whole
 datasets.  A :class:`PlanningProblem` is that dense sub-universe:
 input chunks (with sizes and placements), output/accumulator chunks
 (sizes, accumulator sizes, placements, centers for Hilbert ordering)
-and the bipartite incidence between them.  The front end builds one by
-running the range query against the dataset indices and sub-setting
-the chunk graph; emulators construct problems directly.
+and the bipartite incidence between them.  :func:`select_chunks` runs
+a range query against one chunk population and
+:meth:`QuerySelection.problem` turns the selection into a problem --
+the one builder behind ``ADR.build_problem`` and ``ShardRouter.plan``;
+emulators construct problems directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
 from repro.util.arrays import csr_indptr, frozen, tally, unique_rows
 
-__all__ = ["PlanningProblem"]
+__all__ = ["PlanningProblem", "QuerySelection", "select_chunks"]
 
 
 @dataclass
@@ -231,3 +233,99 @@ class PlanningProblem:
             f"fan-in {self.graph.avg_fan_in:.1f}, fan-out {self.graph.avg_fan_out:.2f}"
             f"{pruned}"
         )
+
+
+@dataclass(frozen=True)
+class QuerySelection:
+    """What a range query selects from one chunk population: the
+    dataset-global input and output chunk ids every later step works
+    from.  ``pruned_ids`` are the inputs whose value synopsis rules out
+    the query's predicate -- disjoint from ``in_ids`` when they were
+    dropped, a subset of them when they were kept and listed."""
+
+    query: object
+    chunks: ChunkSet
+    in_ids: np.ndarray
+    pruned_ids: np.ndarray
+    #: the placed chunk population of the whole output grid
+    grid_chunks: ChunkSet
+    out_ids: np.ndarray
+
+    def problem(
+        self,
+        n_procs: int,
+        memory_per_proc,
+        input_node: Optional[np.ndarray] = None,
+    ) -> PlanningProblem:
+        """Derive the chunk graph geometrically and size the
+        accumulators.  *input_node* re-places the selected inputs (one
+        owner per entry of ``in_ids``, disk 0); by default they keep the
+        placement ``chunks`` carries."""
+        inputs = self.chunks.subset(self.in_ids)
+        if input_node is not None:
+            inputs = inputs.with_placement(
+                input_node, np.zeros(len(self.in_ids), dtype=np.int64)
+            )
+        outputs = self.grid_chunks.subset(self.out_ids)
+        graph = ChunkGraph.from_geometry(inputs, outputs, self.query.mapping)
+        spec = self.query.spec()
+        acc_nbytes = np.asarray(
+            [spec.acc_bytes(cells) for cells in outputs.n_items.tolist()],
+            dtype=np.int64,
+        )
+        return PlanningProblem(
+            n_procs=n_procs,
+            memory_per_proc=memory_per_proc,
+            inputs=inputs,
+            outputs=outputs,
+            graph=graph,
+            acc_nbytes=acc_nbytes,
+            input_global_ids=self.in_ids,
+            output_global_ids=self.out_ids,
+            pruned_input_ids=self.pruned_ids,
+            pruned_bytes=int(self.chunks.nbytes[self.pruned_ids].sum()),
+        )
+
+
+def select_chunks(
+    query, space, index, chunks: ChunkSet, placed_grids, drop_pruned: bool
+) -> QuerySelection:
+    """Restrict the universe to *query*: select the intersecting input
+    chunks of *chunks* through *index*, prune those whose value synopsis
+    rules out the ``where`` predicate, and project the region onto the
+    output grid (placed once per grid by *placed_grids*).
+
+    With *drop_pruned* a prunable chunk is never planned, scheduled or
+    read -- the kernels re-apply the predicate exactly to every
+    surviving chunk, so pruning cannot change results.  Without it the
+    prunable chunks stay selected and are only listed (the overlapping
+    convention of :meth:`PlanningProblem.pruned_in_plan_mask`): a shard
+    router scatters the unpruned selection, because each shard prunes
+    locally and the completeness denominator must keep covering what
+    was planned, yet prices its plans without the work they will not
+    cost.
+    """
+    region = space.validate_query(query.region)
+    in_ids = index.query(region)
+    if len(in_ids) == 0:
+        raise ValueError(f"query region {region} selects no input chunks")
+
+    pruned_ids = np.empty(0, dtype=np.int64)
+    predicate = query.predicate()
+    if predicate is not None and chunks.synopsis is not None:
+        prunable = predicate.prunable_chunks(chunks.synopsis.subset(in_ids))
+        pruned_ids = in_ids[prunable]
+        if drop_pruned:
+            in_ids = in_ids[~prunable]
+            if len(in_ids) == 0:
+                raise ValueError(
+                    f"query region {region} selects no input chunks after "
+                    f"value-synopsis pruning (predicate excluded all "
+                    f"{len(pruned_ids)} intersecting chunks)"
+                )
+
+    grid_chunks = placed_grids.get(query.grid)
+    out_ids = grid_chunks.intersecting(query.mapping.project_rect(region))
+    if len(out_ids) == 0:
+        raise ValueError("query region projects onto no output chunks")
+    return QuerySelection(query, chunks, in_ids, pruned_ids, grid_chunks, out_ids)

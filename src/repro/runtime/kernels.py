@@ -30,8 +30,7 @@ the sequential engine and the multiprocess backend:
   tiling tries to minimize) is mapped once.
 
 :func:`reference_segment_reduction` preserves the original per-segment
-loop verbatim.  It is the correctness oracle for every fused kernel
-and the baseline of ``benchmarks/bench_kernels.py``.
+loop verbatim.  It is the correctness oracle for every fused kernel.
 """
 
 from __future__ import annotations
@@ -458,8 +457,7 @@ def reference_segment_reduction(
     local_cells, values)`` callback (which, through
     ``AggregationSpec.aggregate``, re-coerces and re-validates the
     batch and scatters with ``np.add.at``-style ufuncs).  Kept as the
-    oracle the fused kernels are tested against and as the baseline
-    ``benchmarks/bench_kernels.py`` measures the speedup over.
+    oracle the fused kernels are tested against.
     Returns the number of segments processed.
     """
     if len(cells) == 0:

@@ -39,19 +39,18 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.aggregation.output_grid import PlacedGrids
-from repro.dataset.graph import ChunkGraph
 from repro.decluster.hilbert import HilbertDeclusterer
 from repro.frontend.protocol import DeadlineExceededError, ProtocolError
 from repro.frontend.query import RangeQuery
 from repro.frontend.service import RemoteQueryError
 from repro.machine.config import MachineConfig
-from repro.planner.problem import PlanningProblem
+from repro.planner.problem import select_chunks
 from repro.planner.select import StrategyChoice, choose_strategy, is_auto
 from repro.runtime.engine import QueryResult
 from repro.runtime.phases import PHASES
@@ -241,9 +240,9 @@ class ShardRouter:
         winning strategy, so every shard partitions its work the same
         way and the partial accumulators merge consistently.
 
-        Raises the same ``ValueError`` messages a single-process
-        ``ADR.build_problem`` would for empty selections/projections,
-        so clients cannot tell a router from a standalone server.
+        Empty selections/projections raise from the builder
+        ``ADR.build_problem`` shares, so clients cannot tell a router
+        from a standalone server.
         """
         topo = self.topology
         if query.dataset != topo.dataset:
@@ -251,80 +250,31 @@ class ShardRouter:
                 f"query targets dataset {query.dataset!r}; this router "
                 f"serves {topo.dataset!r}"
             )
-        region = topo.space.validate_query(query.region)
-        in_ids = topo.index.query(region)
-        if len(in_ids) == 0:
-            raise ValueError(f"query region {region} selects no input chunks")
-
-        out_all = self._placed_grids.get(query.grid)
-        out_ids = out_all.intersecting(query.mapping.project_rect(region))
-        if len(out_ids) == 0:
-            raise ValueError("query region projects onto no output chunks")
+        # The scatter is *not* pruned (see ``select_chunks``): prunable
+        # chunks stay planned and are only listed for pricing.
+        selection = select_chunks(
+            query, topo.space, topo.index, topo.chunks, self._placed_grids,
+            drop_pruned=False,
+        )
+        in_ids = selection.in_ids
+        shard_of = topo.assignment.shard_of[in_ids]
 
         choice: Optional[StrategyChoice] = None
         if is_auto(query.strategy):
-            from dataclasses import replace
-
-            problem = self._pricing_problem(query, in_ids, out_ids)
+            # Priced on the global problem: one "processor" per shard,
+            # inputs placed on their owning shard.
+            problem = selection.problem(
+                topo.n_shards, self.machine.memory_per_proc, input_node=shard_of
+            )
             choice = choose_strategy(problem, self.cost_model)
             query = replace(query, strategy=choice.selected)
 
-        shard_of = topo.assignment.shard_of[in_ids]
         by_shard = {
             int(sid): in_ids[shard_of == sid] for sid in np.unique(shard_of)
         }
         return ScatterPlan(
-            query=query, output_ids=out_ids, in_ids_by_shard=by_shard,
-            choice=choice,
-        )
-
-    def _pricing_problem(
-        self, query: RangeQuery, in_ids: np.ndarray, out_ids: np.ndarray
-    ) -> PlanningProblem:
-        """The global planning problem ``strategy='auto'`` is priced on.
-
-        One "processor" per shard, inputs placed on their owning shard.
-        The scatter itself is *not* pruned here -- each shard prunes
-        locally at execution time, and the completeness denominator
-        must keep covering what was planned -- so prunable chunks stay
-        in the input universe and are listed in ``pruned_input_ids``
-        (the overlapping convention of
-        :meth:`~repro.planner.problem.PlanningProblem.pruned_in_plan_mask`),
-        letting the cost model subtract the work they will not cost.
-        """
-        topo = self.topology
-        n = topo.n_shards
-        shard_of = topo.assignment.shard_of[in_ids]
-        inputs = topo.chunks.subset(in_ids).with_placement(
-            shard_of, np.zeros(len(in_ids), dtype=np.int64)
-        )
-        outputs = self._placed_grids.get(query.grid).subset(out_ids)
-        graph = ChunkGraph.from_geometry(inputs, outputs, query.mapping)
-        spec = query.spec()
-        acc_nbytes = np.asarray(
-            [spec.acc_bytes(cells) for cells in outputs.n_items.tolist()],
-            dtype=np.int64,
-        )
-        pruned_ids = np.empty(0, dtype=np.int64)
-        pruned_bytes = 0
-        predicate = query.predicate()
-        if predicate is not None and topo.chunks.synopsis is not None:
-            prunable = predicate.prunable_chunks(
-                topo.chunks.synopsis.subset(in_ids)
-            )
-            pruned_ids = in_ids[prunable]
-            pruned_bytes = int(topo.chunks.nbytes[pruned_ids].sum())
-        return PlanningProblem(
-            n_procs=n,
-            memory_per_proc=self.machine.memory_per_proc,
-            inputs=inputs,
-            outputs=outputs,
-            graph=graph,
-            acc_nbytes=acc_nbytes,
-            input_global_ids=in_ids,
-            output_global_ids=out_ids,
-            pruned_input_ids=pruned_ids,
-            pruned_bytes=pruned_bytes,
+            query=query, output_ids=selection.out_ids,
+            in_ids_by_shard=by_shard, choice=choice,
         )
 
     # -- execution ------------------------------------------------------

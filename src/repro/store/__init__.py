@@ -7,9 +7,10 @@ provides that substrate for the functional path:
 
 - :mod:`repro.store.format` -- self-describing binary chunk files with
   header and CRC (corruption surfaces as :class:`CorruptChunkError`);
-- :mod:`repro.store.chunk_store` -- the store interface plus a
-  file-backed :class:`FileChunkStore` (one directory per (node, disk))
-  and a :class:`MemoryChunkStore` for tests;
+- :mod:`repro.store.chunk_store` -- the store interface, a
+  file-backed :class:`FileChunkStore` (one directory per (node, disk)),
+  a :class:`MemoryChunkStore` for tests, and :class:`ChunkStoreStage`,
+  the delegating base of everything stacked on a store;
 - :mod:`repro.store.retry` -- :class:`RetryPolicy` (exponential
   backoff + per-read deadline) and the :class:`RetryingChunkStore`
   wrapper;
@@ -31,6 +32,7 @@ from repro.store.format import (
 )
 from repro.store.chunk_store import (
     ChunkStore,
+    ChunkStoreStage,
     FileChunkStore,
     MemoryChunkStore,
     RECOVERABLE_READ_ERRORS,
@@ -44,6 +46,7 @@ __all__ = [
     "ChunkFormatError",
     "CorruptChunkError",
     "ChunkStore",
+    "ChunkStoreStage",
     "FileChunkStore",
     "MemoryChunkStore",
     "RECOVERABLE_READ_ERRORS",

@@ -30,7 +30,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dataset.chunk import Chunk
-from repro.store.chunk_store import ChunkStore
+from repro.store.chunk_store import ChunkStore, ChunkStoreStage
 from repro.util.units import MB
 
 __all__ = ["CachedChunkStore", "ScanRecorder"]
@@ -84,7 +84,7 @@ class ScanRecorder:
             }
 
 
-class CachedChunkStore(ChunkStore):
+class CachedChunkStore(ChunkStoreStage):
     """LRU-cached view of *inner*, bounded by decoded payload bytes.
 
     Reads fill the cache; writes and deletions invalidate the affected
@@ -96,7 +96,7 @@ class CachedChunkStore(ChunkStore):
     def __init__(self, inner: ChunkStore, max_bytes: int = 64 * MB) -> None:
         if isinstance(inner, CachedChunkStore):
             raise ValueError("refusing to stack chunk caches")
-        self.inner = inner
+        super().__init__(inner)
         self.max_bytes = int(max_bytes)
         self._lock = threading.RLock()
         self._entries: "OrderedDict[_Key, Chunk]" = OrderedDict()
@@ -279,22 +279,8 @@ class CachedChunkStore(ChunkStore):
 
     def write_chunks(self, dataset: str, chunks, placements) -> None:
         self.invalidate(dataset, [c.chunk_id for c in chunks])
-        if hasattr(self.inner, "write_chunks"):
-            self.inner.write_chunks(dataset, chunks, placements)
-        else:
-            for chunk, (node, disk) in zip(chunks, placements):
-                self.inner.write_chunk(dataset, chunk, node, disk)
+        self.inner.write_chunks(dataset, chunks, placements)
 
     def delete_dataset(self, dataset: str) -> None:
         self.invalidate(dataset)
         self.inner.delete_dataset(dataset)
-
-    def placement(self, dataset: str, chunk_id: int):
-        return self.inner.placement(dataset, chunk_id)
-
-    def chunk_ids(self, dataset: str) -> List[int]:
-        return self.inner.chunk_ids(dataset)
-
-    def __getattr__(self, name: str):
-        # Store-specific extras (e.g. FileChunkStore.root) pass through.
-        return getattr(self.inner, name)

@@ -13,6 +13,10 @@ processor to which the disk is attached".
 plus a per-dataset ``manifest.json`` recording placements, so a store
 can be reopened later.  :class:`MemoryChunkStore` implements the same
 interface in dictionaries for tests and small examples.
+
+:class:`ChunkStoreStage` is the base of everything stacked on a store
+(payload cache, read retry, fault injection): it forwards the whole
+interface to ``inner``, and a stage overrides only what it changes.
 """
 
 from __future__ import annotations
@@ -21,16 +25,14 @@ import json
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.dataset.chunk import Chunk
 from repro.store.format import ChunkFormatError, decode_chunk, encode_chunk
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle (retry imports this module)
-    from repro.store.retry import RetryPolicy
-
 __all__ = [
     "ChunkStore",
+    "ChunkStoreStage",
     "FileChunkStore",
     "MemoryChunkStore",
     "RECOVERABLE_READ_ERRORS",
@@ -85,8 +87,50 @@ class ChunkStore(ABC):
         for cid in chunk_ids:
             yield self.read_chunk(dataset, cid)
 
+    def write_chunks(
+        self, dataset: str, chunks: Sequence[Chunk], placements: Sequence[Placement]
+    ) -> None:
+        """Store several chunks, one placement each (the loader's bulk
+        path; stores with a cheaper bulk form override it)."""
+        if len(chunks) != len(placements):
+            raise ValueError("one placement per chunk required")
+        for chunk, (node, disk) in zip(chunks, placements):
+            self.write_chunk(dataset, chunk, node, disk)
+
     def placements(self, dataset: str) -> Dict[int, Placement]:
         return {cid: self.placement(dataset, cid) for cid in self.chunk_ids(dataset)}
+
+
+class ChunkStoreStage(ChunkStore):
+    """A store stacked on another: every call goes to ``inner``.
+
+    Reads go chunk by chunk through :meth:`read_chunk`, so a stage that
+    overrides it sees every read (``read_many`` gives up the inner
+    store's placement-order batching for that).
+    """
+
+    def __init__(self, inner: ChunkStore) -> None:
+        self.inner = inner
+
+    def write_chunk(self, dataset: str, chunk: Chunk, node: int, disk: int) -> None:
+        self.inner.write_chunk(dataset, chunk, node, disk)
+
+    def write_chunks(
+        self, dataset: str, chunks: Sequence[Chunk], placements: Sequence[Placement]
+    ) -> None:
+        self.inner.write_chunks(dataset, chunks, placements)
+
+    def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
+        return self.inner.read_chunk(dataset, chunk_id)
+
+    def placement(self, dataset: str, chunk_id: int) -> Placement:
+        return self.inner.placement(dataset, chunk_id)
+
+    def chunk_ids(self, dataset: str) -> List[int]:
+        return self.inner.chunk_ids(dataset)
+
+    def delete_dataset(self, dataset: str) -> None:
+        self.inner.delete_dataset(dataset)
 
 
 class MemoryChunkStore(ChunkStore):
@@ -129,20 +173,11 @@ class MemoryChunkStore(ChunkStore):
 
 
 class FileChunkStore(ChunkStore):
-    """Directory-tree store emulating a multi-disk farm.
+    """Directory-tree store emulating a multi-disk farm."""
 
-    With a :class:`~repro.store.retry.RetryPolicy` attached, each
-    chunk's open-read-decode is retried with exponential backoff under
-    the policy's per-read deadline; manifest lookups (``KeyError``,
-    i.e. absence) are never retried.
-    """
-
-    def __init__(
-        self, root: str | os.PathLike, retry: Optional["RetryPolicy"] = None
-    ) -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.retry = retry
         # dataset -> chunk_id -> (node, disk); lazily loaded from manifests.
         self._manifests: Dict[str, Dict[int, Placement]] = {}
         self._dataset_dirs: Dict[str, str] = {}
@@ -219,7 +254,7 @@ class FileChunkStore(ChunkStore):
         self._save_manifest(dataset)
 
     def write_chunks(
-        self, dataset: str, chunks: List[Chunk], placements: List[Placement]
+        self, dataset: str, chunks: Sequence[Chunk], placements: Sequence[Placement]
     ) -> None:
         """Bulk write with a single manifest flush (loader fast path)."""
         if len(chunks) != len(placements):
@@ -239,27 +274,21 @@ class FileChunkStore(ChunkStore):
     def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
         node, disk = self.placement(dataset, chunk_id)
         path = self._chunk_path(dataset, chunk_id, node, disk)
-
-        def attempt() -> Chunk:
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except FileNotFoundError:
-                raise ChunkFormatError(
-                    f"manifest lists chunk {chunk_id} of {dataset!r} at "
-                    f"node {node} disk {disk} but the file is missing"
-                ) from None
-            chunk = decode_chunk(data)
-            if chunk.chunk_id != chunk_id:
-                raise ChunkFormatError(
-                    f"file {path} claims chunk id {chunk.chunk_id}, "
-                    f"expected {chunk_id}"
-                )
-            return chunk
-
-        if self.retry is None:
-            return attempt()
-        return self.retry.run(attempt)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise ChunkFormatError(
+                f"manifest lists chunk {chunk_id} of {dataset!r} at "
+                f"node {node} disk {disk} but the file is missing"
+            ) from None
+        chunk = decode_chunk(data)
+        if chunk.chunk_id != chunk_id:
+            raise ChunkFormatError(
+                f"file {path} claims chunk id {chunk.chunk_id}, "
+                f"expected {chunk_id}"
+            )
+        return chunk
 
     def placement(self, dataset: str, chunk_id: int) -> Placement:
         manifest = self._manifest(dataset)

@@ -7,13 +7,9 @@ not acceptable.  :class:`RetryPolicy` is the knob: how many attempts,
 how the backoff grows, and how much wall-clock one logical read may
 consume before its last error is surfaced.
 
-Two wiring points:
-
-- :class:`~repro.store.chunk_store.FileChunkStore` accepts a policy
-  directly (``FileChunkStore(root, retry=...)``) and retries the
-  open-read-decode of each chunk;
-- :class:`RetryingChunkStore` wraps *any* store (memory, faulty,
-  file), for the ADR facade's ``retry=`` parameter.
+One wiring point: :class:`RetryingChunkStore` wraps *any* store
+(memory, faulty, file); the ADR facade's ``retry=`` parameter installs
+it under the payload cache.
 
 Semantics that matter to callers:
 
@@ -36,10 +32,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple, Type
+from typing import Callable, Iterator, Optional, Tuple, Type
 
 from repro.dataset.chunk import Chunk
-from repro.store.chunk_store import ChunkStore
+from repro.store.chunk_store import ChunkStore, ChunkStoreStage
 from repro.store.format import CorruptChunkError
 
 __all__ = ["RetryPolicy", "RetryingChunkStore", "DEFAULT_RETRY_ON"]
@@ -110,38 +106,17 @@ class RetryPolicy:
         raise AssertionError("unreachable: loop returns or raises")
 
 
-class RetryingChunkStore(ChunkStore):
+class RetryingChunkStore(ChunkStoreStage):
     """Apply a :class:`RetryPolicy` to every read of the wrapped store.
 
     Reads are retried per chunk (each chunk gets its own attempt budget
-    and deadline); writes, placements and deletions pass through.
-    ``read_many`` iterates per chunk so each id is individually
-    retried, trading the inner store's placement-order batching for
-    read-level fault isolation.
+    and deadline), ``read_many`` included -- it trades the inner
+    store's placement-order batching for read-level fault isolation.
     """
 
     def __init__(self, inner: ChunkStore, policy: RetryPolicy) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy
 
     def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
         return self.policy.run(lambda: self.inner.read_chunk(dataset, chunk_id))
-
-    def read_many(self, dataset: str, chunk_ids: List[int]):
-        for cid in chunk_ids:
-            yield self.read_chunk(dataset, cid)
-
-    def write_chunk(self, dataset: str, chunk: Chunk, node: int, disk: int) -> None:
-        self.inner.write_chunk(dataset, chunk, node, disk)
-
-    def placement(self, dataset: str, chunk_id: int):
-        return self.inner.placement(dataset, chunk_id)
-
-    def chunk_ids(self, dataset: str) -> List[int]:
-        return self.inner.chunk_ids(dataset)
-
-    def delete_dataset(self, dataset: str) -> None:
-        self.inner.delete_dataset(dataset)
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

@@ -272,6 +272,18 @@ class TestRobustness:
                   retry=RetryPolicy(base_delay=0))
         assert isinstance(adr.store, CachedChunkStore)
         assert isinstance(adr.store.inner, RetryingChunkStore)
+        assert adr.cache is adr.store
+
+    def test_cache_attribute_follows_the_wrap_or_adopt_decision(self):
+        from repro.store.cache import CachedChunkStore
+        from repro.store.chunk_store import MemoryChunkStore
+
+        machine = MachineConfig(n_procs=2, memory_per_proc=MB)
+        mine = CachedChunkStore(MemoryChunkStore(), max_bytes=1)
+        adopted = ADR(machine=machine, store=mine)
+        assert adopted.cache is mine and adopted.store is mine
+        bare = ADR(machine=machine, cache_bytes=0)
+        assert bare.cache is None and isinstance(bare.store, MemoryChunkStore)
 
     def test_flaky_store_healed_by_retry(self, rng):
         """Two injected I/O failures are absorbed by the façade's retry

@@ -520,18 +520,6 @@ class TestFraming:
         with pytest.raises(ProtocolError, match="bad frame payload"):
             read_frame(io.BytesIO(data))
 
-    def test_prefix_bytes_count_toward_header(self):
-        """The server's one-byte legacy sniff hands its byte back via
-        ``prefix``; the frame must decode exactly as if unread."""
-        import io
-
-        from repro.frontend.protocol import read_frame, write_frame
-
-        buf = io.BytesIO()
-        write_frame(buf, {"op": "ping"})
-        raw = buf.getvalue()
-        assert read_frame(io.BytesIO(raw[1:]), prefix=raw[:1]) == {"op": "ping"}
-
     def test_oversized_outgoing_payload_refused(self):
         import io
 

@@ -21,8 +21,9 @@ from repro.frontend.queryservice import (
 )
 from repro.machine.config import MachineConfig
 from repro.space.attribute_space import AttributeSpace
-from repro.store.chunk_store import ChunkStore, MemoryChunkStore
 from repro.space.mapping import GridMapping
+from repro.store.cache import CachedChunkStore
+from repro.store.chunk_store import ChunkStoreStage, MemoryChunkStore
 from repro.util.geometry import Rect
 from repro.util.units import MB
 
@@ -81,28 +82,16 @@ def assert_identical(shared, solo, label=""):
     assert shared.chunk_errors == solo.chunk_errors, label
 
 
-class GateStore(ChunkStore):
-    """Store whose reads block until the gate opens (delegates rest)."""
+class GateStore(ChunkStoreStage):
+    """Store whose reads block until the gate opens."""
 
     def __init__(self, inner):
-        self.inner = inner
+        super().__init__(inner)
         self.gate = threading.Event()
 
     def read_chunk(self, dataset, chunk_id):
         assert self.gate.wait(timeout=30), "gate never opened"
         return self.inner.read_chunk(dataset, chunk_id)
-
-    def write_chunk(self, dataset, chunk, node, disk):
-        self.inner.write_chunk(dataset, chunk, node, disk)
-
-    def delete_dataset(self, dataset):
-        self.inner.delete_dataset(dataset)
-
-    def placement(self, dataset, chunk_id):
-        return self.inner.placement(dataset, chunk_id)
-
-    def chunk_ids(self, dataset):
-        return self.inner.chunk_ids(dataset)
 
 
 class TestAdmissionControl:
@@ -139,8 +128,10 @@ class TestAdmissionControl:
             ServicePolicy(max_queue=0)
         with pytest.raises(ValueError):
             ServicePolicy(max_inflight=0)
-        with pytest.raises(TypeError):  # the knob is gone, not aliased
+        with pytest.raises(TypeError):  # the knobs are gone, not aliased
             ServicePolicy(batch_window=0.002)
+        with pytest.raises(TypeError):
+            ServicePolicy(share_scans=False)
 
 
 class TestBatchingScheduler:
@@ -184,12 +175,18 @@ class TestBatchingScheduler:
         tickets, _, _ = self._run_backlogged(queries, policy)
         assert max(t.service_info["batch_size"] for t in tickets) <= 2
 
-    def test_share_scans_off_disables_batching(self):
+    def test_batch_max_one_never_batches_or_pins(self, monkeypatch):
+        pins = []
+        monkeypatch.setattr(
+            CachedChunkStore, "pin", lambda self, *args: pins.append(args)
+        )
         _, space = build_adr()
         queries = [make_query(space, Rect((0, 0), (10, 10))) for _ in range(3)]
-        policy = ServicePolicy(max_inflight=1, batch_max=8, share_scans=False)
-        tickets, results, _ = self._run_backlogged(queries, policy)
+        policy = ServicePolicy(max_inflight=1, batch_max=1)
+        tickets, _, service = self._run_backlogged(queries, policy)
         assert all(t.service_info["batch_size"] == 1 for t in tickets)
+        assert service.stats()["batched_queries"] == 0
+        assert not pins
 
     def test_queue_wait_reported(self):
         _, space = build_adr()

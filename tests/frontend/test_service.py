@@ -10,6 +10,7 @@ import pytest
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.partition import hilbert_partition
 from repro.frontend.adr import ADR
+from repro.frontend.protocol import read_frame
 from repro.frontend.query import RangeQuery
 from repro.frontend.service import ADRClient, ADRServer
 from repro.machine.config import MachineConfig
@@ -79,15 +80,34 @@ class TestService:
             assert "unknown op" in response["error"]
 
     def test_malformed_json_survives(self, service):
+        """Bytes that are not a frame cost their own connection only:
+        one framed refusal, EOF, and the server keeps serving."""
         adr, server, _ = service
         with ADRClient(*server.address) as client:
             client._file.write(b"this is not json\n")
             client._file.flush()
-            raw = client._file.readline()
-            response = json.loads(raw)
-            assert not response["ok"]
-            # connection still usable afterwards
+            assert not read_frame(client._file)["ok"]
+            assert client._file.read() == b""
+        with ADRClient(*server.address) as client:
             assert client.ping()
+
+
+class TestFailedBind:
+    @pytest.mark.parametrize("kind", ["adr", "shard"])
+    def test_failed_bind_leaves_no_worker_threads(self, service, kind):
+        """Regression: the owned QueryService used to start its workers
+        before the bind, so ``EADDRINUSE`` leaked them forever."""
+        from repro.shard.server import ShardServer
+
+        adr, server, _ = service
+        port = server.address[1]
+        before = threading.active_count()
+        with pytest.raises(OSError):
+            if kind == "adr":
+                ADRServer(adr, port=port)
+            else:
+                ShardServer(adr, 0, port=port)
+        assert threading.active_count() == before
 
 
 class TestErrorCodes:
@@ -120,10 +140,12 @@ class TestErrorCodes:
     def test_malformed_json_gets_bad_request_code(self, service):
         adr, server, _ = service
         with ADRClient(*server.address) as client:
-            client._file.write(b"not json at all\n")
+            client._file.write(b'{"op": "ping"}\n')
             client._file.flush()
-            response = json.loads(client._file.readline())
+            response = read_frame(client._file)
             assert response["code"] == "bad_request"
+            assert "exceeds MAX_FRAME_BYTES" in response["error"]
+            assert read_frame(client._file) is None
 
     def test_client_error_message_carries_code(self, service):
         adr, server, query = service
@@ -135,28 +157,16 @@ class TestErrorCodes:
     def test_overloaded_code_when_queue_full(self, rng):
         """Admission-control rejections travel as ``overloaded``."""
         from repro.frontend.queryservice import ServicePolicy
-        from repro.store.chunk_store import ChunkStore, MemoryChunkStore
+        from repro.store.chunk_store import ChunkStoreStage, MemoryChunkStore
 
-        class GateStore(ChunkStore):
+        class GateStore(ChunkStoreStage):
             def __init__(self, inner):
-                self.inner = inner
+                super().__init__(inner)
                 self.gate = threading.Event()
 
             def read_chunk(self, dataset, chunk_id):
                 assert self.gate.wait(timeout=30)
                 return self.inner.read_chunk(dataset, chunk_id)
-
-            def write_chunk(self, dataset, chunk, node, disk):
-                self.inner.write_chunk(dataset, chunk, node, disk)
-
-            def delete_dataset(self, dataset):
-                self.inner.delete_dataset(dataset)
-
-            def placement(self, dataset, chunk_id):
-                return self.inner.placement(dataset, chunk_id)
-
-            def chunk_ids(self, dataset):
-                return self.inner.chunk_ids(dataset)
 
         gate = GateStore(MemoryChunkStore())
         adr = ADR(machine=MachineConfig(n_procs=2, memory_per_proc=MB), store=gate)
@@ -202,7 +212,7 @@ class TestErrorCodes:
                 )
                 assert response["ok"] is False
                 assert response["code"] == "overloaded"
-            server.service.adr.store.gate.set()
+            gate.gate.set()
             for t in threads:
                 t.join(timeout=30)
             assert len(background) == 2

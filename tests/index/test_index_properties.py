@@ -19,14 +19,13 @@ from repro.dataset.predicate import ValuePredicate
 from repro.dataset.synopsis import ValueSynopsis
 from repro.index import (
     BruteForceIndex,
-    GridIndex,
     HierarchicalBitmapIndex,
     RTree,
     ScanIndex,
 )
 from repro.util.geometry import Rect
 
-INDEX_TYPES = [GridIndex, RTree, ScanIndex, HierarchicalBitmapIndex]
+INDEX_TYPES = [RTree, ScanIndex, HierarchicalBitmapIndex]
 
 
 def _population(rng, n, ndim):

@@ -13,7 +13,6 @@ import pytest
 
 from repro.index import (
     BruteForceIndex,
-    GridIndex,
     HierarchicalBitmapIndex,
     RTree,
     ScanIndex,
@@ -25,7 +24,6 @@ from helpers import random_rects
 
 ALL_INDEX_TYPES = [
     BruteForceIndex,
-    GridIndex,
     RTree,
     ScanIndex,
     HierarchicalBitmapIndex,

@@ -46,10 +46,6 @@ class TestCacheBasics:
         with pytest.raises(ValueError, match="stack"):
             CachedChunkStore(store)
 
-    def test_inner_extras_pass_through(self, tmp_path):
-        store = CachedChunkStore(FileChunkStore(tmp_path / "farm"))
-        assert store.root == tmp_path / "farm"
-
     def test_stats_keys(self, filled):
         store, _ = filled
         store.read_chunk("ds", 0)

@@ -193,3 +193,55 @@ class TestMemoryStoreSpecifics:
         assert s.nbytes() == 0
         s.write_chunk("ds", make_chunks(rng, 1)[0], 0, 0)
         assert s.nbytes() > 0
+
+
+class TestStages:
+    """The wrappers share one delegating base and nothing falls through
+    ``__getattr__`` any more."""
+
+    @staticmethod
+    def stages(inner):
+        from repro.faults import FaultInjector, FaultPlan, FaultyChunkStore
+        from repro.store.cache import CachedChunkStore
+        from repro.store.retry import RetryingChunkStore, RetryPolicy
+
+        return [
+            CachedChunkStore(inner),
+            RetryingChunkStore(inner, RetryPolicy()),
+            FaultyChunkStore(inner, FaultInjector(FaultPlan())),
+        ]
+
+    def test_copy_returns_a_stage_over_the_same_inner(self):
+        """Regression: ``__getattr__('inner')`` recursed before ``inner``
+        was set, so ``copy.copy`` of any wrapper raised RecursionError."""
+        import copy
+
+        inner = MemoryChunkStore()
+        for stage in self.stages(inner):
+            clone = copy.copy(stage)
+            assert type(clone) is type(stage) and clone.inner is inner
+
+    def test_bulk_write_reaches_the_base_store_once(self, tmp_path, rng):
+        """``write_chunks`` is part of the interface: every stage hands
+        the batch on whole (one manifest flush), and a store without a
+        bulk form gets the loop default."""
+        chunks = make_chunks(rng, 3)
+        places = [(0, 0), (1, 0), (0, 1)]
+        base = FileChunkStore(tmp_path)
+        flushes = []
+        base._save_manifest = flushes.append
+        for stage in self.stages(base):
+            name = type(stage).__name__
+            stage.write_chunks(name, chunks, places)
+            assert flushes.pop() == name and not flushes
+            assert stage.placements(name) == dict(enumerate(places))
+        memory = MemoryChunkStore()
+        memory.write_chunks("ds", chunks, places)
+        assert memory.placements("ds") == dict(enumerate(places))
+        with pytest.raises(ValueError, match="one placement per chunk"):
+            memory.write_chunks("ds", chunks, places[:2])
+
+    def test_inner_extras_do_not_fall_through(self, tmp_path):
+        for stage in self.stages(FileChunkStore(tmp_path)):
+            assert not hasattr(stage, "root")
+            assert stage.inner.root == tmp_path

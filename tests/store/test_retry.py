@@ -201,12 +201,13 @@ class TestFileStoreRetry:
     def test_corrupt_file_retried_then_surfaced(self, rng, tmp_path):
         """A persistently corrupt file exhausts the budget and raises
         the real CorruptChunkError, not a wrapper."""
-        store = FileChunkStore(
-            tmp_path, retry=RetryPolicy(max_attempts=3, base_delay=0)
-        )
+        with pytest.raises(TypeError):  # the wrapper is the one wiring point
+            FileChunkStore(tmp_path, retry=RetryPolicy())
+        base = FileChunkStore(tmp_path)
+        store = RetryingChunkStore(base, RetryPolicy(max_attempts=3, base_delay=0))
         coords = rng.uniform(0, 10, size=(4, 2))
         store.write_chunk("d", Chunk.from_items(0, coords, np.ones((4, 1))), 0, 0)
-        path = Path(store._chunk_path("d", 0, 0, 0))
+        path = Path(base._chunk_path("d", 0, 0, 0))
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
