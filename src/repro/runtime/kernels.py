@@ -28,9 +28,6 @@ the sequential engine and the multiprocess backend:
   (chunk, region, mapping, grid) across tiles and across queries -- an
   input chunk straddling several tiles (the multiple-retrieval cost
   tiling tries to minimize) is mapped once.
-
-:func:`reference_segment_reduction` preserves the original per-segment
-loop verbatim.  It is the correctness oracle for every fused kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +53,6 @@ __all__ = [
     "filter_predicate",
     "group_read",
     "group_reads",
-    "reference_segment_reduction",
     "route_chunk",
     "routing_key",
     "tile_schedule",
@@ -432,62 +428,6 @@ def group_read(
     return group_reads(
         [(item_idx, cells, values)], grid, sel_map, tile_of_output, tile, indexer
     )
-
-
-# ---------------------------------------------------------------------------
-# Reference (pre-fusion) path: oracle + benchmark baseline
-# ---------------------------------------------------------------------------
-
-
-def reference_segment_reduction(
-    item_idx: np.ndarray,
-    cells: np.ndarray,
-    raw_values: np.ndarray,
-    grid: OutputGrid,
-    sel_map: np.ndarray,
-    tile_of_output: np.ndarray,
-    tile: int,
-    out_global: np.ndarray,
-    aggregate: Callable[[int, np.ndarray, np.ndarray], None],
-) -> int:
-    """The original per-segment local-reduction loop, verbatim.
-
-    ``argsort`` by output chunk, then per segment a Python-level
-    ``grid.local_cell_index`` call and one scalar ``aggregate(o,
-    local_cells, values)`` callback (which, through
-    ``AggregationSpec.aggregate``, re-coerces and re-validates the
-    batch and scatters with ``np.add.at``-style ufuncs).  Kept as the
-    oracle the fused kernels are tested against.
-    Returns the number of segments processed.
-    """
-    if len(cells) == 0:
-        return 0
-    out_chunks = grid.chunk_of_cells(cells)
-    local_out = sel_map[out_chunks]
-    keep = local_out >= 0
-    keep &= np.where(keep, tile_of_output[local_out] == tile, False)
-    if not keep.any():
-        return 0
-    item_idx, cells = item_idx[keep], cells[keep]
-    local_out = local_out[keep]
-
-    values = np.asarray(raw_values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-
-    order = np.argsort(local_out, kind="stable")
-    lo_sorted = local_out[order]
-    boundaries = np.flatnonzero(np.diff(lo_sorted)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(lo_sorted)]))
-    n_segments = 0
-    for s, e in zip(starts, ends):  # noqa: ADR305 -- preserved pre-fusion oracle
-        o = int(lo_sorted[s])
-        sel = order[s:e]
-        local_cells = grid.local_cell_index(int(out_global[o]), cells[sel])
-        aggregate(o, local_cells, values[item_idx[sel]])
-        n_segments += 1
-    return n_segments
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ parallel strategy is tested against this oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -61,7 +61,6 @@ def execute_serial(
     spec: AggregationSpec,
     output_ids: Optional[np.ndarray] = None,
     region: Optional[Rect] = None,
-    fused: bool = True,
     predicate=None,
 ) -> Dict[int, np.ndarray]:
     """Run the Figure-1 loop over *chunks*; returns per-output-chunk
@@ -76,18 +75,12 @@ def execute_serial(
     skips items whose *values* fail the query's ``where`` clause --
     the oracle semantics synopsis pruning must preserve.
 
-    ``fused`` selects the grouped-scatter kernels from
-    :mod:`repro.runtime.kernels` (the default); ``fused=False`` runs
-    the original scalar per-segment loop, kept as the oracle the fused
-    path -- and every parallel strategy -- is tested against.
+    The loop shares no kernel with the phase executor: one
+    ``grid.local_cell_index`` call and one scalar
+    ``AggregationSpec.aggregate`` per (input chunk, output chunk)
+    segment, so a fault in the fused kernels cannot hide in the
+    reference they are tested against.
     """
-    from repro.runtime.kernels import (
-        coerce_values,
-        filter_predicate,
-        grid_indexer,
-        group_read,
-    )
-
     if output_ids is None:
         wanted = np.arange(grid.n_chunks, dtype=np.int64)
     else:
@@ -96,48 +89,21 @@ def execute_serial(
             raise ValueError("output ids outside the grid")
     selected = np.zeros(grid.n_chunks, dtype=bool)
     selected[wanted] = True
-    # Identity local-id map / single-tile map, so the serial loop can
-    # share group_read with the engine backends.
-    sel_map = np.where(selected, np.arange(grid.n_chunks, dtype=np.int64), -1)
-    tile_of_output = np.zeros(grid.n_chunks, dtype=np.int64)
-    indexer = grid_indexer(grid)
 
     # Initialization (steps 1-3).
     accs: Dict[int, np.ndarray] = {
         int(o): spec.initialize(grid.cells_in_chunk(int(o))) for o in wanted
     }
 
-    # Reduction (steps 4-8).
+    # Reduction (steps 4-8): argsort by output chunk, then per segment
+    # local_cell_index + scalar aggregate.
     for chunk in chunks:
         item_idx, cells = map_chunk_to_cells(chunk, mapping, grid, region)
-        item_idx, cells = filter_predicate(chunk, item_idx, cells, predicate)
+        if predicate is not None:
+            passed = predicate.mask(chunk.values)[item_idx]
+            item_idx, cells = item_idx[passed], cells[passed]
         if len(cells) == 0:
             continue
-        if fused:
-            values = coerce_values(chunk.values, spec.value_components)
-            segs = group_read(
-                item_idx, cells, values, grid, sel_map, tile_of_output, 0, indexer
-            )
-            if segs is None:
-                continue
-            reduced = spec.prereduce_groups(segs.values, segs.group_starts)  # noqa: ADR501 -- reference oracle
-            if reduced is None:
-                for k in range(len(segs.seg_out)):
-                    o = int(segs.seg_out[k])
-                    s, e = segs.starts[k], segs.ends[k]
-                    spec.aggregate_grouped(accs[o], segs.flat[s:e], segs.values[s:e])  # noqa: ADR501 -- reference oracle
-            else:
-                gflat = segs.flat[segs.group_starts]
-                gb = segs.group_bounds
-                for k in range(len(segs.seg_out)):
-                    o = int(segs.seg_out[k])
-                    spec.scatter_groups(  # noqa: ADR501 -- reference oracle
-                        accs[o], gflat[gb[k] : gb[k + 1]], reduced[gb[k] : gb[k + 1]]
-                    )
-            continue
-
-        # Scalar oracle path: argsort by output chunk, per-segment
-        # local_cell_index + scalar aggregate.
         out_chunks = grid.chunk_of_cells(cells)
         keep = selected[out_chunks]
         if not keep.any():

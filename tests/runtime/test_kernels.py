@@ -1,9 +1,9 @@
-"""Fused reduction kernels vs the preserved pre-fusion oracle.
+"""Fused reduction kernels vs the serial oracle.
 
 Every fast path in :mod:`repro.runtime.kernels` and the
 ``aggregate_grouped``/``prereduce_groups`` spec hooks must reproduce
-the scalar reference (`reference_segment_reduction`, the pre-fusion
-engine loop kept verbatim) on arbitrary workloads.
+:func:`~repro.runtime.serial.execute_serial` -- the scalar Figure-1
+loop, which shares no kernel with them -- on arbitrary workloads.
 """
 
 import numpy as np
@@ -28,11 +28,10 @@ from repro.runtime.kernels import (
     grid_indexer,
     group_read,
     group_reads,
-    reference_segment_reduction,
     route_chunk,
     routing_key,
 )
-from repro.runtime.serial import map_chunk_to_cells
+from repro.runtime.serial import execute_serial, map_chunk_to_cells
 from repro.space.mapping import GridMapping
 
 from helpers import make_functional_setup
@@ -48,22 +47,11 @@ def specs():
     ]
 
 
-def run_reference(routed, grid, spec, sel_map, tile_of_output, tile, out_global):
-    accs = {o: spec.initialize(grid.cells_in_chunk(o)) for o in range(grid.n_chunks)}
-
-    def aggregate(o, local_cells, values):
-        spec.aggregate(accs[o], local_cells, values)
-
-    for chunk, item_idx, cells in routed:
-        reference_segment_reduction(
-            item_idx, cells, chunk.values, grid, sel_map,
-            tile_of_output, tile, out_global, aggregate,
-        )
-    return accs
-
-
-def run_fused(routed, grid, spec, sel_map, tile_of_output, tile):
-    accs = {o: spec.initialize(grid.cells_in_chunk(o)) for o in range(grid.n_chunks)}
+def run_fused(routed, grid, spec, sel_map, tile_of_output, tile, out_global):
+    """Final values per local output chunk (global id ``out_global[o]``)."""
+    accs = {
+        o: spec.initialize(grid.cells_in_chunk(int(g))) for o, g in enumerate(out_global)
+    }
     indexer = grid_indexer(grid)
     for chunk, item_idx, cells in routed:
         values = coerce_values(chunk.values, spec.value_components)
@@ -86,7 +74,7 @@ def run_fused(routed, grid, spec, sel_map, tile_of_output, tile):
                 spec.scatter_groups(
                     accs[o], gflat[gb[k] : gb[k + 1]], reduced[gb[k] : gb[k + 1]]
                 )
-    return accs
+    return {o: spec.output(acc) for o, acc in accs.items()}
 
 
 class TestFusedVsReference:
@@ -98,17 +86,16 @@ class TestFusedVsReference:
         )
         routed = [(c, *map_chunk_to_cells(c, mapping, grid, None)) for c in chunks]
         n = grid.n_chunks
-        sel_map = np.arange(n, dtype=np.int64)
-        tile_of_output = np.zeros(n, dtype=np.int64)
-        out_global = np.arange(n, dtype=np.int64)
-        ref = run_reference(routed, grid, spec, sel_map, tile_of_output, 0, out_global)
-        fused = run_fused(routed, grid, spec, sel_map, tile_of_output, 0)
+        every = np.arange(n, dtype=np.int64)
+        fused = run_fused(routed, grid, spec, every, np.zeros(n, dtype=np.int64), 0, every)
+        serial = execute_serial(chunks, mapping, grid, spec)
         for o in range(n):
-            np.testing.assert_allclose(fused[o], ref[o])
+            np.testing.assert_allclose(fused[o], serial[o])
 
     def test_tile_and_selection_filtering(self, rng):
-        """Cells outside the selected outputs / current tile are dropped
-        identically by both paths."""
+        """A tile is exactly the oracle restricted to the tile's
+        outputs: cells outside the selected outputs or the current tile
+        are dropped, and the other tile's accumulators stay untouched."""
         spec = SumAggregation(1)
         _, _, chunks, mapping, grid = make_functional_setup(rng)
         n = grid.n_chunks
@@ -117,43 +104,18 @@ class TestFusedVsReference:
         picked = np.arange(0, n, 2, dtype=np.int64)
         sel_map[picked] = np.arange(len(picked))
         tile_of_output = np.arange(len(picked), dtype=np.int64) % 2
-        out_global = picked
         routed = [(c, *map_chunk_to_cells(c, mapping, grid, None)) for c in chunks]
         for tile in (0, 1):
-            accs_ref = {
-                o: spec.initialize(grid.cells_in_chunk(int(out_global[o])))
-                for o in range(len(picked))
-            }
-
-            def aggregate(o, local_cells, values):
-                spec.aggregate(accs_ref[o], local_cells, values)
-
-            for chunk, item_idx, cells in routed:
-                reference_segment_reduction(
-                    item_idx, cells, chunk.values, grid, sel_map,
-                    tile_of_output, tile, out_global, aggregate,
+            fused = run_fused(routed, grid, spec, sel_map, tile_of_output, tile, picked)
+            serial = execute_serial(
+                chunks, mapping, grid, spec, output_ids=picked[tile_of_output == tile]
+            )
+            for o, g in enumerate(picked):
+                want = (
+                    serial[int(g)] if tile_of_output[o] == tile
+                    else spec.output(spec.initialize(grid.cells_in_chunk(int(g))))
                 )
-            accs_fused = {
-                o: spec.initialize(grid.cells_in_chunk(int(out_global[o])))
-                for o in range(len(picked))
-            }
-            indexer = grid_indexer(grid)
-            for chunk, item_idx, cells in routed:
-                values = coerce_values(chunk.values, 1)
-                segs = group_read(
-                    item_idx, cells, values, grid, sel_map, tile_of_output,
-                    tile, indexer,
-                )
-                if segs is None:
-                    continue
-                for k in range(len(segs.seg_out)):
-                    o = int(segs.seg_out[k])
-                    s, e = segs.starts[k], segs.ends[k]
-                    spec.aggregate_grouped(
-                        accs_fused[o], segs.flat[s:e], segs.values[s:e]
-                    )
-            for o in accs_ref:
-                np.testing.assert_allclose(accs_fused[o], accs_ref[o])
+                np.testing.assert_allclose(fused[o], want)
 
     def test_group_read_segments_are_sorted(self, rng):
         _, _, chunks, mapping, grid = make_functional_setup(rng, footprint=(0.1, 0.1))
