@@ -44,8 +44,6 @@ from repro.planner import (
     plan_query,
     validate_plan,
     plan_stats,
-    estimate_cost,
-    select_strategy,
 )
 from repro.sim.query_sim import simulate_query, SimResult
 from repro.runtime.engine import execute_plan, QueryResult
@@ -72,8 +70,6 @@ __all__ = [
     "plan_query",
     "validate_plan",
     "plan_stats",
-    "estimate_cost",
-    "select_strategy",
     "simulate_query",
     "SimResult",
     "execute_plan",

@@ -179,6 +179,12 @@ class PlacedGrids:
     chunk.  Keyed by :meth:`OutputGrid.key`; the arrays are read-only
     because every query over the grid shares them
     (``n_items`` is the per-chunk cell count).
+
+    The output chunks' Hilbert keys are taken here too, once per grid
+    over the grid's own bounds (:meth:`ChunkSet.hilbert_keys`, the
+    planner's default bits): a query's outputs, a subset of the grid,
+    keep them, so tiling walks the paper's curve over the output space
+    restricted to the query.
     """
 
     #: distinct grids kept (oldest dropped first); instances see a few
@@ -196,6 +202,7 @@ class PlacedGrids:
             placed = self._placed.get(key)
             if placed is None:
                 placed = self._declusterer.place(grid.chunkset(), *self._shape)
+                placed.hilbert_keys()
                 for shared in (placed.los, placed.his, placed.nbytes,
                                placed.n_items, placed.node, placed.disk):
                     frozen(shared)

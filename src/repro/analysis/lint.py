@@ -34,7 +34,11 @@ ADR305    Python loop calling ``aggregate`` inside the runtime hot
           ``src/repro/runtime/phases.py`` also a loop calling
           ``group_read`` / ``prereduce_groups``: the phase executor
           groups and pre-reduces a whole batch of reads at once
-          (``group_reads``), never per read
+          (``group_reads``), never per read.  In
+          ``src/repro/planner/select.py`` a loop calling ``.estimate``
+          / ``plan_stats`` / ``plan_features``: strategy selection
+          prices every candidate in one stacked pass
+          (``estimate_many``), never one plan at a time
 ADR306    per-rectangle Python loop in the index / chunk-graph hot path
           (``src/repro/index/``, ``dataset/graph.py``,
           ``aggregation/output_grid.py``): a loop body that subscripts
@@ -154,6 +158,11 @@ _PHASE_LOOP_HOME = ("runtime/phases.py", "runtime\\phases.py")
 #: Per-read kernel calls ADR305 rejects inside a loop of that module:
 #: its reduce phase runs them once per batch of reads.
 _PER_READ_CALLS = ("group_read", "prereduce_groups")
+
+#: The strategy-selection module, and the per-plan pricing calls ADR305
+#: rejects inside a loop there: every candidate is priced in one pass.
+_SELECT_HOME = ("planner/select.py", "planner\\select.py")
+_PER_CANDIDATE_CALLS = ("estimate", "plan_stats", "plan_features")
 
 #: Library code under these roots must import strategy names from
 #: :mod:`repro.planner.select` instead of hard-coding the strings
@@ -294,6 +303,11 @@ def _calls_directly(loop: ast.AST, names: Sequence[str]) -> Optional[ast.Call]:
     return None
 
 
+def _call_name(call: ast.Call) -> str:
+    fn = call.func
+    return fn.attr if isinstance(fn, ast.Attribute) else fn.id
+
+
 def _docstring_node_ids(tree: ast.AST) -> Set[int]:
     """``id()`` of every docstring Constant (ADR502 exempts them)."""
     out: Set[int] = set()
@@ -319,6 +333,7 @@ class _Visitor(ast.NodeVisitor):
         phase_scope: bool = False, index_hot_path: bool = False,
         wire_scope: bool = False, strategy_scope: bool = False,
         docstring_ids: Optional[Set[int]] = None, phase_home: bool = False,
+        select_home: bool = False,
     ) -> None:
         self.path = path
         self.out = out
@@ -327,6 +342,7 @@ class _Visitor(ast.NodeVisitor):
         self.fault_critical = fault_critical
         self.phase_scope = phase_scope
         self.phase_home = phase_home
+        self.select_home = select_home
         self.index_hot_path = index_hot_path
         self.wire_scope = wire_scope
         self.strategy_scope = strategy_scope
@@ -511,9 +527,7 @@ class _Visitor(ast.NodeVisitor):
     # -- ADR305: scalar aggregate loop in the runtime hot path -------------
 
     def _check_aggregate_loop(self, node: ast.AST) -> None:
-        if not self.runtime_hot_path:
-            return
-        if _calls_directly(node, ("aggregate",)) is not None:
+        if self.runtime_hot_path and _calls_directly(node, ("aggregate",)) is not None:
             self.out.emit(
                 "ADR305",
                 Severity.ERROR,
@@ -526,15 +540,25 @@ class _Visitor(ast.NodeVisitor):
             )
         call = _calls_directly(node, _PER_READ_CALLS) if self.phase_home else None
         if call is not None:
-            name = getattr(call.func, "attr", None) or call.func.id
             self.out.emit(
                 "ADR305",
                 Severity.ERROR,
                 self._loc(node),
-                f"Python loop calling {name}() in the phase executor; the "
+                f"Python loop calling {_call_name(call)}() in the phase executor; the "
                 "reduce phase groups and pre-reduces a batch of reads with "
                 "one repro.runtime.kernels.group_reads / prereduce_groups "
                 "call, not one per read",
+            )
+        call = _calls_directly(node, _PER_CANDIDATE_CALLS) if self.select_home else None
+        if call is not None:
+            self.out.emit(
+                "ADR305",
+                Severity.ERROR,
+                self._loc(node),
+                f"Python loop calling {_call_name(call)}() in strategy selection; "
+                "price every candidate in one stacked pass "
+                "(model.estimate_many over repro.planner.stats.load_grids), "
+                "not one plan at a time",
             )
 
     # -- ADR306: per-rectangle loops in the index hot path -----------------
@@ -680,7 +704,7 @@ def lint_source(
     phase_scope: bool = False, concurrency_scope: bool = False,
     guarded_cache: bool = False, index_hot_path: bool = False,
     wire_scope: bool = False, strategy_scope: bool = False,
-    phase_home: bool = False,
+    phase_home: bool = False, select_home: bool = False,
 ) -> List[Diagnostic]:
     """Lint one module's source text (the testable core).
 
@@ -699,7 +723,7 @@ def lint_source(
         path, out, rng_exempt, runtime_hot_path, fault_critical, phase_scope,
         index_hot_path, wire_scope, strategy_scope,
         docstring_ids=_docstring_node_ids(tree) if strategy_scope else None,
-        phase_home=phase_home,
+        phase_home=phase_home, select_home=select_home,
     ).visit(tree)
     if check_all and not any(
         isinstance(n, ast.Assign)
@@ -745,6 +769,7 @@ def lint_file(path: Path) -> List[Diagnostic]:
             and not any(posix.endswith(e) for e in _PHASE_LOOP_HOME)
         ),
         phase_home=any(posix.endswith(e) for e in _PHASE_LOOP_HOME),
+        select_home=any(posix.endswith(e) for e in _SELECT_HOME),
         concurrency_scope=any(m in posix for m in _CONCURRENCY_PATHS),
         guarded_cache=any(posix.endswith(e) for e in _GUARDED_CACHE_MODULES),
         index_hot_path=any(m in posix for m in _INDEX_HOT_PATH),

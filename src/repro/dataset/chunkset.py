@@ -10,12 +10,13 @@ materialized only on demand.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.dataset.chunk import ChunkMeta
 from repro.dataset.synopsis import ValueSynopsis
+from repro.util.arrays import frozen
 from repro.util.geometry import Rect, rects_intersect_mask
 from repro.util.hilbert import hilbert_sort_keys
 
@@ -85,6 +86,9 @@ class ChunkSet:
                 f"synopsis has {len(synopsis)} rows for {n} chunks"
             )
         self.synopsis = synopsis
+        #: bits -> Hilbert keys (see :meth:`hilbert_keys`); replaced, never
+        #: mutated, so threads sharing the set can read it unlocked
+        self._hilbert_keys: Dict[int, np.ndarray] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -161,8 +165,27 @@ class ChunkSet:
         mask = rects_intersect_mask(self.los, self.his, query)
         return np.flatnonzero(mask)
 
+    def hilbert_keys(self, bits: int = 16) -> np.ndarray:
+        """Read-only Hilbert key of every chunk's MBR mid-point, on a
+        ``2**bits`` grid over the bounds of the set the keys were
+        computed for (once per set and *bits*).
+
+        A :meth:`subset` keeps its parent's keys: it is ordered along
+        the parent's curve restricted to it, not along a curve re-fitted
+        to its own bounding box.
+        """
+        keys = self._hilbert_keys.get(bits)
+        if keys is None:
+            keys = (
+                hilbert_sort_keys(self.centers, self.bounds, bits)
+                if len(self)
+                else np.empty(0, dtype=np.int64)  # bounds are undefined
+            )
+            self._hilbert_keys = {**self._hilbert_keys, bits: frozen(keys)}
+        return keys
+
     def hilbert_order(self, bits: int = 16) -> np.ndarray:
-        """Chunk ids sorted by the Hilbert key of their MBR mid-point.
+        """Chunk ids sorted by :meth:`hilbert_keys`.
 
         This is the selection order used by all three tiling
         algorithms (paper Section 3): "the mid-point of the bounding
@@ -170,10 +193,7 @@ class ChunkSet:
         index [and] the chunks are sorted with respect to this index".
         Ties are broken by chunk id so the order is deterministic.
         """
-        if not len(self):  # empty selection: bounds are undefined
-            return np.empty(0, dtype=np.int64)
-        keys = hilbert_sort_keys(self.centers, self.bounds, bits)
-        return np.lexsort((np.arange(len(self)), keys))
+        return np.lexsort((np.arange(len(self)), self.hilbert_keys(bits)))
 
     # -- placement ------------------------------------------------------------
 
@@ -208,7 +228,7 @@ class ChunkSet:
         ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0:
             raise ValueError("subset must keep at least one chunk")
-        return ChunkSet(
+        out = ChunkSet(
             self.los[ids],
             self.his[ids],
             self.nbytes[ids],
@@ -217,3 +237,7 @@ class ChunkSet:
             self.disk[ids],
             synopsis=None if self.synopsis is None else self.synopsis.subset(ids),
         )
+        out._hilbert_keys = {
+            bits: frozen(keys[ids]) for bits, keys in self._hilbert_keys.items()
+        }
+        return out

@@ -33,7 +33,7 @@ from repro.planner.strategies import plan_fra, plan_sra, plan_da, plan_query, ST
 from repro.planner.validate import validate_plan
 from repro.planner.stats import PlanStats, plan_stats
 from repro.planner.hybrid import plan_hybrid
-from repro.planner.costmodel import CostModel, estimate_cost, select_strategy
+from repro.planner.costmodel import CostModel
 from repro.planner.select import (
     ALL_STRATEGIES,
     AUTO,
@@ -64,8 +64,6 @@ __all__ = [
     "PlanStats",
     "plan_stats",
     "CostModel",
-    "estimate_cost",
-    "select_strategy",
     "ALL_STRATEGIES",
     "AUTO",
     "FIXED_STRATEGIES",

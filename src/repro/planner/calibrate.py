@@ -45,12 +45,13 @@ import numpy as np
 
 from repro.planner.costmodel import CostEstimate
 from repro.planner.plan import QueryPlan
+from repro.planner.stats import load_grids
 from repro.planner.telemetry import (
     CANONICAL_PHASES,
     FEATURES,
     MeasuredRun,
     TelemetryLog,
-    plan_features,
+    grid_features,
 )
 
 __all__ = [
@@ -127,7 +128,8 @@ class CalibratedCostModel:
 
     Duck-type compatible with :class:`~repro.planner.costmodel.
     CostModel`: ``estimate(plan)`` returns a
-    :class:`~repro.planner.costmodel.CostEstimate`, so
+    :class:`~repro.planner.costmodel.CostEstimate` and
+    ``estimate_many(plans)`` one per candidate, so
     :func:`~repro.planner.select.choose_strategy` accepts either.
     Unlike the closed-form model it carries no machine description --
     everything it knows came from the data.
@@ -152,24 +154,27 @@ class CalibratedCostModel:
         per_byte = float(self.constants["read_byte"])
         return 1.0 / per_byte if per_byte > 0 else float("inf")
 
-    def phase_cost(self, phase: str, features: Dict[str, float]) -> float:
-        return float(
-            sum(
-                self.constants[const] * features.get(feat, 0.0)
-                for const, feat in PHASE_TERMS[phase]
-            )
+    def phase_cost(self, phase: str, features: Dict[str, np.ndarray]):
+        """*phase*'s cost from *features* (floats, or arrays of one
+        value per candidate)."""
+        return sum(
+            self.constants[const] * features.get(feat, 0.0)
+            for const, feat in PHASE_TERMS[phase]
         )
 
     def estimate(self, plan: QueryPlan) -> CostEstimate:
-        features = plan_features(plan)
-        costs = {p: self.phase_cost(p, features) for p in CANONICAL_PHASES}
-        return CostEstimate(
-            strategy=plan.strategy,
-            init=costs["init"],
-            reduction=costs["reduction"],
-            combine=costs["combine"],
-            output=costs["output"],
-        )
+        return self.estimate_many([plan])[0]
+
+    def estimate_many(self, plans: Sequence[QueryPlan]) -> List[CostEstimate]:
+        """Price candidate plans of one problem in one stacked pass (the
+        :func:`~repro.planner.telemetry.grid_features` of their load
+        grids through :data:`PHASE_TERMS`)."""
+        features = grid_features(load_grids(plans))
+        costs = [self.phase_cost(p, features) for p in CANONICAL_PHASES]
+        return [
+            CostEstimate(plan.strategy, *(float(c[k]) for c in costs))
+            for k, plan in enumerate(plans)
+        ]
 
     # -- persistence ----------------------------------------------------
 

@@ -117,17 +117,17 @@ def plan_hybrid(
         # stored away from q, plus the marginal load imbalance, plus a
         # ghost shipment when q is not the owner.
         work = lr * fan_in
+        bytes_by_proc = np.bincount(in_owner[ins], weights=in_bytes[ins], minlength=P)
+        in_total = bytes_by_proc.sum()  # whole bytes: every sum here is exact
         candidates = [owner]
         if fan_in:
             # the processor holding the most projecting input bytes
-            bytes_by_proc = np.bincount(in_owner[ins], weights=in_bytes[ins], minlength=P)
             candidates.append(int(bytes_by_proc.argmax()))
             candidates.append(int(load.argmin()))
         best_q, best_dist = owner, np.inf
         base_load = load.max()
         for q in dict.fromkeys(candidates):
-            remote = in_owner[ins] != q
-            comm = float(in_bytes[ins[remote]].sum()) / link_bw
+            comm = float(in_total - bytes_by_proc[q]) / link_bw  # stored away from q
             ghost = 0.0 if q == owner else (size / link_bw + gc)
             imbalance = max(load[q] + work - max(base_load, work), 0.0)
             total = comm + ghost + imbalance
@@ -139,7 +139,7 @@ def plan_hybrid(
             if pos < len(so) and so[pos] == owner:
                 holders = so.copy()
             else:
-                holders = np.insert(so, pos, owner)
+                holders = np.concatenate((so[:pos], (owner,), so[pos:]))
             procs = in_owner[ins].astype(np.int64)
         else:
             holders = (

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
-from repro.util.arrays import csr_indptr, frozen, tally, unique_rows
+from repro.util.arrays import csr_indptr, frozen, tally
 
 __all__ = ["PlanningProblem", "QuerySelection", "select_chunks"]
 
@@ -51,7 +51,12 @@ class PlanningProblem:
         True when accumulator initialization must read the existing
         output dataset (phase-1 retrieval + forwarding).
     hilbert_bits:
-        Order of the Hilbert curve used to sort output chunks.
+        Order of the Hilbert curve used to sort output chunks.  The keys
+        are the outputs' own (:meth:`ChunkSet.hilbert_keys`): a problem
+        built by :meth:`QuerySelection.problem` has outputs cut from
+        the placed output grid, so they follow the curve over the whole
+        grid restricted to the query; one built directly fits the curve
+        to its outputs' bounding box.
     """
 
     n_procs: int
@@ -123,13 +128,14 @@ class PlanningProblem:
 
     # -- convenient views ------------------------------------------------
 
+    # the graph's sizes, checked equal to the populations' at construction
     @property
     def n_in(self) -> int:
-        return len(self.inputs)
+        return self.graph.n_in
 
     @property
     def n_out(self) -> int:
-        return len(self.outputs)
+        return self.graph.n_out
 
     @property
     def n_pruned(self) -> int:
@@ -167,8 +173,8 @@ class PlanningProblem:
     # -- strategy-invariant substrate --------------------------------------
     #
     # Derived on first use, once per problem, and shared read-only by
-    # every planner, every plan's traffic tables, plan_stats and the
-    # cost models: ``strategy='auto'`` plans and prices one problem four
+    # every planner, every plan's traffic tables and the load grids the
+    # cost models price: ``strategy='auto'`` plans one problem four
     # times.  Nothing here may depend on ``init_from_output``, which
     # callers set after construction (``ADR.update``).
 
@@ -194,7 +200,9 @@ class PlanningProblem:
         """CSR of ``So`` per output chunk: the processors owning at least
         one input chunk that projects to it, ascending (Figure 5, step 5)."""
         _, edge_out = self.graph.edge_arrays()
-        outs, procs = unique_rows(edge_out, self.edge_owner)
+        outs, procs = np.divmod(
+            np.unique(edge_out * self.n_procs + self.edge_owner), self.n_procs
+        )
         return frozen(csr_indptr(outs, self.n_out)), frozen(procs)
 
     @cached_property
@@ -260,7 +268,9 @@ class QuerySelection:
         """Derive the chunk graph geometrically and size the
         accumulators.  *input_node* re-places the selected inputs (one
         owner per entry of ``in_ids``, disk 0); by default they keep the
-        placement ``chunks`` carries."""
+        placement ``chunks`` carries.  The outputs keep the grid's
+        Hilbert keys, so tiling walks the output grid's curve (ties by
+        grid chunk id)."""
         inputs = self.chunks.subset(self.in_ids)
         if input_node is not None:
             inputs = inputs.with_placement(

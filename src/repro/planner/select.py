@@ -5,11 +5,12 @@ application, machine size or scaling mode, which is why Section 6
 names automated selection from "simple but reasonably accurate cost
 models" as the long-term goal.  :func:`choose_strategy` is that
 decision, made in exactly one place: plan the problem with every
-candidate strategy, price each plan with a cost model (closed-form
-:class:`~repro.planner.costmodel.CostModel` or a measurement-fitted
-:class:`~repro.planner.calibrate.CalibratedCostModel` -- anything with
-an ``estimate(plan) -> CostEstimate`` method), and return the argmin
-plus the full ranking so callers can audit the decision.
+candidate strategy, price all the plans in one stacked pass of a cost
+model (closed-form :class:`~repro.planner.costmodel.CostModel` or a
+measurement-fitted :class:`~repro.planner.calibrate.CalibratedCostModel`
+-- anything with an ``estimate(plan) -> CostEstimate`` method), and
+return the argmin plus the full ranking so callers can audit the
+decision.
 
 Every layer that accepts ``strategy='auto'`` -- the ADR facade, batch
 planning, the concurrent query service, the wire protocol, the shard
@@ -90,44 +91,51 @@ def choose_strategy(
     model,
     candidates: Sequence[str] = ALL_STRATEGIES,
 ) -> StrategyChoice:
-    """Plan *problem* with every candidate strategy, price each with
-    *model*, and return the cheapest plan plus the full ranking.
+    """Plan *problem* with every candidate strategy, price all the
+    candidates with *model* at once, and return the cheapest plan plus
+    the full ranking.
 
-    *model* is duck-typed: anything exposing ``estimate(plan) ->
-    CostEstimate``.  A closed-form :class:`CostModel` also carries the
-    machine/cost constants the hybrid planner weighs its tile
-    partitioning with; a :class:`CalibratedCostModel` does not, and
-    the hybrid then falls back to its nominal weights.
+    Each planner makes only its three decisions (tile of every output,
+    accumulator holders, processor of every edge); the model prices
+    them in one stacked pass (``estimate_many(plans)``), so no plan --
+    the winner included -- builds its traffic tables here.  *model* is
+    duck-typed: one exposing only ``estimate(plan) -> CostEstimate`` is
+    asked once per candidate.  A closed-form :class:`CostModel` also
+    carries the machine/cost constants the hybrid planner weighs its
+    tile partitioning with; a :class:`CalibratedCostModel` does not,
+    and the hybrid then falls back to its nominal weights.
     """
     names = [str(c).upper() for c in candidates]
     if not names:
         raise ValueError("need at least one candidate strategy")
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate candidate strategies in {names}")
-    for name in names:
-        if name == AUTO:
-            raise ValueError("AUTO cannot be its own candidate")
+    if AUTO in names:
+        raise ValueError("AUTO cannot be its own candidate")
 
     from repro.planner.hybrid import plan_hybrid
     from repro.planner.strategies import plan_query
 
-    best_plan: QueryPlan = None  # set on first iteration (names non-empty)
-    best_name = ""
-    best_cost = float("inf")
-    estimates: Dict[str, CostEstimate] = {}
-    for name in names:
-        if name == HYBRID:
-            plan = plan_hybrid(
-                problem,
-                machine=getattr(model, "machine", None),
-                costs=getattr(model, "costs", None),
-            )
-        else:
-            plan = plan_query(problem, name)
-        est = model.estimate(plan)
-        estimates[plan.strategy] = est
-        if est.total < best_cost:
-            best_cost = est.total
-            best_plan = plan
-            best_name = plan.strategy
-    return StrategyChoice(plan=best_plan, selected=best_name, estimates=estimates)
+    plans = [
+        plan_hybrid(
+            problem,
+            machine=getattr(model, "machine", None),
+            costs=getattr(model, "costs", None),
+        )
+        if name == HYBRID
+        else plan_query(problem, name)
+        for name in names
+    ]
+    estimate_many = getattr(model, "estimate_many", None)
+    estimates = (
+        estimate_many(plans)
+        if estimate_many is not None
+        else [model.estimate(plan) for plan in plans]
+    )
+    # the first cheapest wins a tie, in candidate order
+    best = min(range(len(plans)), key=lambda k: estimates[k].total)
+    return StrategyChoice(
+        plan=plans[best],
+        selected=plans[best].strategy,
+        estimates={plan.strategy: est for plan, est in zip(plans, estimates)},
+    )

@@ -61,9 +61,9 @@ def plan_fra(problem: PlanningProblem, order: np.ndarray | None = None) -> Query
         tile_of[o] = tile
     n_tiles = tile + 1 if problem.n_out else 0
 
-    all_procs = np.arange(problem.n_procs, dtype=np.int64)
-    holders_indptr = np.arange(problem.n_out + 1, dtype=np.int64) * problem.n_procs
-    holders_ids = np.tile(all_procs, problem.n_out)
+    P = problem.n_procs
+    holders_indptr = np.arange(problem.n_out + 1, dtype=np.int64) * P
+    holders_ids = np.arange(problem.n_out * P, dtype=np.int64) % P  # all, per output
 
     return QueryPlan(
         "FRA", problem, n_tiles, tile_of, holders_indptr, holders_ids,
@@ -95,7 +95,7 @@ def plan_sra(problem: PlanningProblem, order: np.ndarray | None = None) -> Query
         if pos < len(so) and so[pos] == owner:
             holders = so
         else:
-            holders = np.insert(so, pos, owner)
+            holders = np.concatenate((so[:pos], (owner,), so[pos:]))
         if opened and np.any(mem[holders] < size):
             tile += 1
             mem[:] = problem.memory_per_proc

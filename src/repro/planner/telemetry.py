@@ -28,13 +28,14 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from repro.planner.plan import QueryPlan
-from repro.planner.stats import plan_stats
+from repro.planner.stats import LoadGrids, load_grids
 
 __all__ = [
     "CANONICAL_PHASES",
     "FEATURES",
     "MeasuredRun",
     "TelemetryLog",
+    "grid_features",
     "plan_features",
 ]
 
@@ -67,64 +68,35 @@ FEATURES = (
 )
 
 
-def plan_features(plan: QueryPlan) -> Dict[str, float]:
-    """Busiest-processor work quantities of one plan.
+def grid_features(grids: LoadGrids) -> Dict[str, np.ndarray]:
+    """Busiest-processor work quantities of every candidate of
+    *grids*, one ``(S,)`` array per name of :data:`FEATURES`.
 
     Each phase's cost is about the busiest processor's busiest
-    resource; these are the per-resource maxima the closed-form model
-    and the calibrated model both price.  When the problem marks
-    planned chunks as prunable
-    (:meth:`~repro.planner.problem.PlanningProblem.pruned_in_plan_mask`),
-    their reads, aggregation pairs and forwards are subtracted --
-    execution will skip them.
+    resource; these are the per-resource maxima of the whole-query
+    totals that the calibrated model prices.  Chunks the problem marks
+    as prunable are not in the grids -- execution will skip them.
     """
-    p = plan.problem
-    P = p.n_procs
-    stats = plan_stats(plan)
-    pruned = p.pruned_in_plan_mask()
-
-    read_count = stats.read_count.astype(float)
-    read_bytes = stats.read_bytes.astype(float)
-    reduction_pairs = stats.reduction_pairs.astype(float)
-
-    it = plan.input_transfers
-    t_chunk, t_src, t_dst = it.chunk, it.src, it.dst
-    if pruned is not None:
-        r = plan.reads
-        drop = pruned[r.chunk]
-        read_count -= np.bincount(r.proc[drop], minlength=P)
-        read_bytes -= np.bincount(
-            r.proc[drop], weights=p.inputs.nbytes[r.chunk[drop]], minlength=P
-        )
-        edge_in, _ = plan.edge_arrays
-        edrop = pruned[edge_in]
-        reduction_pairs -= np.bincount(plan.edge_proc[edrop], minlength=P)
-        if len(it):
-            keep = ~pruned[t_chunk]
-            t_chunk, t_src, t_dst = t_chunk[keep], t_src[keep], t_dst[keep]
-
-    lr_messages = np.zeros(P, dtype=np.int64)
-    if len(t_chunk):
-        lr_messages += np.bincount(t_src, minlength=P)
-        lr_messages += np.bincount(t_dst, minlength=P)
-
-    gt = plan.ghost_transfers
-    gc_messages = np.zeros(P, dtype=np.int64)
-    if len(gt):
-        gc_messages += np.bincount(gt.src, minlength=P)
-        gc_messages += np.bincount(gt.dst, minlength=P)
-
-    return {
-        "init_chunks": float(stats.init_chunks.max(initial=0)),
-        "reduction_pairs": float(reduction_pairs.max(initial=0)),
-        "read_count": float(read_count.max(initial=0)),
-        "read_bytes": float(read_bytes.max(initial=0)),
-        "lr_messages": float(lr_messages.max(initial=0)),
-        "combine_ops": float(stats.combine_ops.max(initial=0)),
-        "gc_messages": float(gc_messages.max(initial=0)),
-        "output_chunks": float(stats.output_chunks.max(initial=0)),
-        "write_bytes": float(stats.write_bytes.max(initial=0)),
+    g = grids
+    read_count, read_bytes = g.read_totals()
+    totals = {
+        "init_chunks": g.totals(g.allocs),
+        "reduction_pairs": g.totals(g.pairs),
+        "read_count": read_count,
+        "read_bytes": read_bytes,
+        "lr_messages": g.totals(g.lr_messages),
+        "combine_ops": g.totals(g.combine_ops),
+        "gc_messages": g.totals(g.gc_messages),
+        "output_chunks": g.totals(g.outputs),
+        "write_bytes": g.totals(g.write_bytes),
     }
+    return {name: totals[name].max(axis=1) for name in FEATURES}
+
+
+def plan_features(plan: QueryPlan) -> Dict[str, float]:
+    """:func:`grid_features` of one plan."""
+    features = grid_features(load_grids([plan]))
+    return {name: float(value[0]) for name, value in features.items()}
 
 
 def _normalize_phase_times(times: Dict[str, float]) -> Dict[str, float]:

@@ -278,7 +278,7 @@ class CachedChunkStore(ChunkStoreStage):
         self.inner.write_chunk(dataset, chunk, node, disk)
 
     def write_chunks(self, dataset: str, chunks, placements) -> None:
-        self.invalidate(dataset, [c.chunk_id for c in chunks])
+        self.invalidate(dataset)  # the dataset is replaced, dropped ids too
         self.inner.write_chunks(dataset, chunks, placements)
 
     def delete_dataset(self, dataset: str) -> None:

@@ -90,10 +90,19 @@ class ChunkStore(ABC):
     def write_chunks(
         self, dataset: str, chunks: Sequence[Chunk], placements: Sequence[Placement]
     ) -> None:
-        """Store several chunks, one placement each (the loader's bulk
-        path; stores with a cheaper bulk form override it)."""
+        """Store *chunks*, one placement each, as the whole of *dataset*
+        (the loader's bulk path): afterwards :meth:`chunk_ids` lists
+        exactly their ids, so reloading a name drops the chunks the
+        earlier load had beyond them.  Stores with a cheaper bulk form
+        override it."""
         if len(chunks) != len(placements):
             raise ValueError("one placement per chunk required")
+        try:
+            stale = set(self.chunk_ids(dataset)) - {c.chunk_id for c in chunks}
+        except KeyError:  # a new dataset
+            stale = set()
+        if stale:
+            self.delete_dataset(dataset)
         for chunk, (node, disk) in zip(chunks, placements):
             self.write_chunk(dataset, chunk, node, disk)
 
@@ -224,6 +233,12 @@ class FileChunkStore(ChunkStore):
             }
         return self._manifests[dataset]
 
+    def _manifest_or_new(self, dataset: str) -> Dict[int, Placement]:
+        try:
+            return self._manifest(dataset)
+        except KeyError:
+            return self._manifests.setdefault(dataset, {})
+
     def _save_manifest(self, dataset: str) -> None:
         path = self._manifest_path(dataset)
         payload = {
@@ -247,21 +262,23 @@ class FileChunkStore(ChunkStore):
         with self._create(tmp) as fh:
             fh.write(data)
         os.replace(tmp, path)
-        manifest = self._manifests.setdefault(dataset, {})
-        if not manifest and self._manifest_path(dataset).exists():
-            manifest.update(self._manifest(dataset))
-        manifest[chunk.chunk_id] = (node, disk)
+        self._manifest_or_new(dataset)[chunk.chunk_id] = (node, disk)
         self._save_manifest(dataset)
 
     def write_chunks(
         self, dataset: str, chunks: Sequence[Chunk], placements: Sequence[Placement]
     ) -> None:
-        """Bulk write with a single manifest flush (loader fast path)."""
+        """Bulk write with a single manifest flush (loader fast path).
+
+        The new manifest replaces the old one before the files it no
+        longer lists where they are -- dropped ids, moved chunks -- are
+        removed, so a crash in between leaves strays, never a manifest
+        entry without its file; reloading the same ids to the same
+        places removes nothing."""
         if len(chunks) != len(placements):
             raise ValueError("one placement per chunk required")
-        manifest = self._manifests.setdefault(dataset, {})
-        if not manifest and self._manifest_path(dataset).exists():
-            manifest.update(self._manifest(dataset))
+        old = self._manifest_or_new(dataset)
+        manifest: Dict[int, Placement] = {}
         for chunk, (node, disk) in zip(chunks, placements):
             if node < 0 or disk < 0:
                 raise ValueError("placement indices must be non-negative")
@@ -269,7 +286,14 @@ class FileChunkStore(ChunkStore):
             with self._create(path) as fh:
                 fh.write(encode_chunk(chunk))
             manifest[chunk.chunk_id] = (node, disk)
+        self._manifests[dataset] = manifest
         self._save_manifest(dataset)
+        for chunk_id, placement in old.items():
+            if manifest.get(chunk_id) != placement:
+                try:
+                    os.remove(self._chunk_path(dataset, chunk_id, *placement))
+                except FileNotFoundError:  # noqa: ADR401 -- already gone: nothing is lost
+                    pass
 
     def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
         node, disk = self.placement(dataset, chunk_id)

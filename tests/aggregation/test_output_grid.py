@@ -121,6 +121,36 @@ class TestPlacedGrids:
         assert len(placed._placed) == PlacedGrids.MAX_GRIDS
         assert placed.get(make_grid()) is not first  # the oldest was dropped
 
+    def test_hilbert_keys_taken_once_per_grid_over_its_bounds(self, monkeypatch):
+        import repro.dataset.chunkset as chunkset
+        from repro.util.hilbert import hilbert_sort_keys
+
+        calls = []
+
+        def counted(points, bbox, bits):
+            calls.append(bits)
+            return hilbert_sort_keys(points, bbox, bits)
+
+        monkeypatch.setattr(chunkset, "hilbert_sort_keys", counted)
+        placed = PlacedGrids(RandomDeclusterer(seed=3), n_nodes=2)
+        grid = make_grid()
+        keys = placed.get(grid).hilbert_keys()
+        assert calls == [16]
+        assert placed.get(make_grid()).hilbert_keys() is keys and calls == [16]
+        assert not keys.flags.writeable
+        want = hilbert_sort_keys(grid.chunkset().centers, grid.space.bounds, 16)
+        assert keys.tolist() == want.tolist()
+        # a query's outputs keep the grid's keys instead of re-fitting
+        sub = placed.get(grid).subset(np.array([5, 1, 3]))
+        assert sub.hilbert_keys().tolist() == want[[5, 1, 3]].tolist() and calls == [16]
+        # the keys live and die with their grid under the MAX_GRIDS bound
+        for n in range(PlacedGrids.MAX_GRIDS):
+            placed.get(make_grid(grid=(16 + n, 8)))
+        assert len(placed._placed) == PlacedGrids.MAX_GRIDS
+        assert len(calls) == 1 + PlacedGrids.MAX_GRIDS
+        placed.get(make_grid())
+        assert len(calls) == 2 + PlacedGrids.MAX_GRIDS
+
 
 class TestCellPlumbing:
     def test_chunk_of_cells(self):

@@ -234,6 +234,51 @@ class TestAggregateLoop:
         out = capsys.readouterr().out
         assert "ADR305" in out and "phases.py" in out and "serial.py" not in out
 
+    #: the candidate loop strategy selection had before it priced all
+    #: candidates in one stacked pass
+    PER_CANDIDATE = """\
+        for name in names:
+            plan = plan_query(problem, name)
+            est = model.estimate(plan)
+            estimates[plan.strategy] = est
+    """
+
+    def test_per_candidate_pricing_flagged_in_strategy_selection(self):
+        out = findings(self.PER_CANDIDATE, select_home=True)
+        assert [d.code for d in out] == ["ADR305"]
+        assert "estimate()" in out[0].message and ":1:" in out[0].location
+        for call in ("plan_stats(plan)", "plan_features(plan)"):
+            src = f"while todo:\n    plan = todo.pop()\n    rows.append({call})\n"
+            out = findings(src, select_home=True)
+            assert [d.code for d in out] == ["ADR305"], call
+
+    def test_per_candidate_rule_is_scoped_to_strategy_selection(self):
+        """Cost models, tests and benchmarks may price one plan."""
+        assert codes(self.PER_CANDIDATE) == set()
+        assert codes(self.PER_CANDIDATE, runtime_hot_path=True, phase_home=True) == set()
+        stacked = """\
+            plans = [plan_query(problem, name) for name in names]
+            estimates = model.estimate_many(plans)
+        """
+        assert codes(stacked, select_home=True) == set()
+
+    def test_select_home_resolved_from_file_location(self, tmp_path, capsys):
+        src = textwrap.dedent(self.PER_CANDIDATE)
+        planner = tmp_path / "src" / "repro" / "planner"
+        planner.mkdir(parents=True)
+        (planner / "costmodel.py").write_text(src)
+        assert main([str(planner)]) == 0
+        capsys.readouterr()
+        (planner / "select.py").write_text(src)
+        assert main([str(planner)]) == 1
+        out = capsys.readouterr().out
+        assert "ADR305" in out and "select.py" in out and "costmodel.py" not in out
+
+    def test_strategy_selection_module_is_clean(self):
+        import repro.planner.select as select
+
+        assert lint_paths([select.__file__]) == []
+
     def test_hot_path_resolved_from_file_location(self, tmp_path, capsys):
         """Only files under repro/runtime/ get the rule."""
         src = textwrap.dedent(self.LOOP)

@@ -6,7 +6,8 @@ import pytest
 from repro.emulator import SATEmulator, VMEmulator
 from repro.machine.config import ComputeCosts
 from repro.machine.presets import ibm_sp
-from repro.planner.costmodel import CostModel, estimate_cost, select_strategy
+from repro.planner.costmodel import CostModel
+from repro.planner.select import FIXED_STRATEGIES, choose_strategy
 from repro.planner.strategies import plan_da, plan_fra, plan_query
 from repro.sim.query_sim import simulate_query
 
@@ -21,26 +22,26 @@ def problem(rng):
 class TestEstimates:
     def test_positive_components(self, problem):
         m = small_machine()
-        est = estimate_cost(plan_fra(problem), m, SMALL_COSTS)
+        est = CostModel(m, SMALL_COSTS).estimate(plan_fra(problem))
         assert est.total > 0
         assert est.reduction > 0
         assert est.init >= 0 and est.combine >= 0 and est.output > 0
 
     def test_da_has_no_combine_cost(self, problem):
-        est = estimate_cost(plan_da(problem), small_machine(), SMALL_COSTS)
+        est = CostModel(small_machine(), SMALL_COSTS).estimate(plan_da(problem))
         assert est.combine == 0.0
 
     def test_fra_combine_positive_when_multi_proc(self, problem):
-        est = estimate_cost(plan_fra(problem), small_machine(), SMALL_COSTS)
+        est = CostModel(small_machine(), SMALL_COSTS).estimate(plan_fra(problem))
         assert est.combine > 0.0
 
     def test_zero_compute_costs(self, problem):
         zero = ComputeCosts(0, 0, 0, 0)
-        est = estimate_cost(plan_fra(problem), small_machine(), zero)
+        est = CostModel(small_machine(), zero).estimate(plan_fra(problem))
         assert est.total > 0  # I/O and comm still cost time
 
     def test_row_smoke(self, problem):
-        row = estimate_cost(plan_fra(problem), small_machine(), SMALL_COSTS).row()
+        row = CostModel(small_machine(), SMALL_COSTS).estimate(plan_fra(problem)).row()
         assert "est" in row
 
     def test_machine_proc_count_must_match_for_sim_but_not_model(self, problem):
@@ -52,20 +53,20 @@ class TestEstimates:
 
 class TestSelection:
     def test_returns_cheapest(self, problem):
-        m = small_machine()
-        best, estimates = select_strategy(problem, m, SMALL_COSTS)
+        model = CostModel(small_machine(), SMALL_COSTS)
+        choice = choose_strategy(problem, model, FIXED_STRATEGIES)
+        estimates = choice.estimates
         assert set(estimates) == {"FRA", "SRA", "DA"}
-        assert estimates[best.strategy].total == min(e.total for e in estimates.values())
+        assert estimates[choice.selected].total == min(e.total for e in estimates.values())
 
     def test_subset_of_strategies(self, problem):
-        best, estimates = select_strategy(
-            problem, small_machine(), SMALL_COSTS, ["FRA", "DA"]
-        )
-        assert set(estimates) == {"FRA", "DA"}
+        model = CostModel(small_machine(), SMALL_COSTS)
+        choice = choose_strategy(problem, model, ["FRA", "DA"])
+        assert set(choice.estimates) == {"FRA", "DA"}
 
     def test_empty_candidates_rejected(self, problem):
         with pytest.raises(ValueError):
-            select_strategy(problem, small_machine(), SMALL_COSTS, [])
+            choose_strategy(problem, CostModel(small_machine(), SMALL_COSTS), [])
 
 
 class TestPrunePricing:

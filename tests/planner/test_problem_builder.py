@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.output_grid import OutputGrid
+from repro.dataset.chunkset import ChunkSet
 from repro.dataset.partition import hilbert_partition
 from repro.frontend.adr import ADR
 from repro.frontend.query import RangeQuery
@@ -18,6 +19,7 @@ from repro.shard.topology import ShardTopology
 from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping
 from repro.util.geometry import Rect
+from repro.util.hilbert import hilbert_sort_keys
 from repro.util.units import MB
 
 IN_SPACE = AttributeSpace.regular("in", ("x", "y"), (0, 0), (10, 10))
@@ -126,3 +128,51 @@ class TestRouterAndSoloShareOneBuilder:
             OutputGrid(OUT_SPACE, (8, 8), (4, 4)), aggregation="sum", strategy="FRA",
         ))
         assert plan.choice is None and plan.n_planned == len(chunks)
+
+
+class TestOutputsFollowTheGridCurve:
+    """A built problem tiles its outputs in the order of the Hilbert
+    curve over the whole output grid, restricted to the query."""
+
+    @staticmethod
+    def adr_and_grid(rng, cells=16, chunk=2):
+        coords = rng.uniform(0, 10, size=(300, 2))
+        adr = ADR(machine=MachineConfig(n_procs=3, memory_per_proc=MB))
+        adr.load("d", IN_SPACE, hilbert_partition(coords, np.ones((300, 1)), 15))
+        mapping = GridMapping(IN_SPACE, OUT_SPACE, (cells, cells))
+        return adr, OutputGrid(OUT_SPACE, (cells, cells), (chunk, chunk)), mapping
+
+    def test_whole_grid_order_is_the_outputs_own(self, rng):
+        adr, grid, mapping = self.adr_and_grid(rng)
+        problem = adr.build_problem(
+            RangeQuery("d", Rect((0, 0), (10, 10)), mapping, grid, aggregation="sum")
+        )
+        assert problem.n_out == grid.n_chunks
+        outputs = problem.outputs
+        fresh = ChunkSet(outputs.los, outputs.his, outputs.nbytes)  # no keys yet
+        assert problem.output_hilbert_order().tolist() == fresh.hilbert_order().tolist()
+
+    @given(st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_query_order_is_monotone_in_the_grid_keys(self, seed):
+        rng = np.random.default_rng(seed)
+        adr, grid, mapping = self.adr_and_grid(rng, chunk=int(rng.integers(1, 5)))
+        lo = rng.uniform(0, 8, size=2)
+        problem = adr.build_problem(RangeQuery(
+            "d", Rect(tuple(lo), tuple(lo + rng.uniform(0.5, 2, size=2))),
+            mapping, grid, aggregation="sum",
+        ))
+        grid_keys = hilbert_sort_keys(grid.chunkset().centers, OUT_SPACE.bounds, 16)
+        order = problem.output_hilbert_order()
+        keys = grid_keys[problem.output_global_ids[order]]
+        ids = problem.output_global_ids[order]
+        assert np.all(np.diff(keys) >= 0)
+        assert all(i < j for k, l, i, j in zip(keys, keys[1:], ids, ids[1:]) if k == l)
+
+    def test_problems_built_directly_keep_their_own_curve(self, rng):
+        from helpers import make_problem
+
+        problem = make_problem(rng, n_out=9)
+        outputs = problem.outputs
+        fresh = ChunkSet(outputs.los, outputs.his, outputs.nbytes)
+        assert problem.output_hilbert_order().tolist() == fresh.hilbert_order().tolist()

@@ -123,13 +123,35 @@ class TestChooseStrategy:
         assert isinstance(choice, StrategyChoice)
 
 
-class TestCostmodelSelectStrategy:
-    """costmodel.select_strategy now routes through choose_strategy."""
+class TestPricedInOnePass:
+    """The candidates are priced together; a plan's own estimate is the
+    one-plan case of the same pass."""
 
-    def test_same_winner_as_choke_point(self, problem, model):
-        from repro.planner.costmodel import select_strategy
-
-        best, estimates = select_strategy(problem, small_machine(), SMALL_COSTS)
+    def test_estimates_equal_pricing_each_plan_alone(self, problem, model):
         choice = choose_strategy(problem, model, FIXED_STRATEGIES)
-        assert best.strategy == choice.selected
-        assert set(estimates) == set(FIXED_STRATEGIES)
+        alone = {name: model.estimate(plan_query(problem, name)) for name in FIXED_STRATEGIES}
+        assert choice.estimates == alone
+        assert choice.selected == min(alone, key=lambda name: alone[name].total)
+
+    def test_no_plan_builds_traffic_tables(self, problem, model, monkeypatch):
+        """Pricing reads each candidate's three decisions only: neither
+        a loser nor the winner derives its reads or transfers."""
+        import repro.planner.hybrid as hybrid
+        import repro.planner.strategies as strategies
+
+        built = []
+
+        def spy(planner):
+            def plan(*args, **kwargs):
+                built.append(planner(*args, **kwargs))
+                return built[-1]
+            return plan
+
+        monkeypatch.setattr(strategies, "plan_query", spy(strategies.plan_query))
+        monkeypatch.setattr(hybrid, "plan_hybrid", spy(hybrid.plan_hybrid))
+        choice = choose_strategy(problem, model)
+        assert sorted(plan.strategy for plan in built) == sorted(ALL_STRATEGIES)
+        assert any(plan is choice.plan for plan in built)
+        tables = {"reads", "input_transfers", "ghost_transfers", "init_transfers", "edge_tile"}
+        for plan in built:
+            assert not tables & set(vars(plan)), plan.strategy

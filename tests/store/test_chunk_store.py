@@ -78,6 +78,19 @@ class TestStoreInterface:
         assert store.chunk_ids("d1") == [0]
         assert store.placement("d2", 1) == (1, 0)
 
+    def test_bulk_write_replaces_the_dataset(self, store, rng):
+        """Reloading a name lists exactly the new ids: the chunks the
+        first load had beyond them are gone, not merged in."""
+        chunks = make_chunks(rng, 20)
+        store.write_chunks("ds", chunks, [(i % 3, 0) for i in range(20)])
+        store.write_chunks("ds", chunks[:4], [(i % 3, 0) for i in range(4)])
+        assert store.chunk_ids("ds") == [0, 1, 2, 3]
+        with pytest.raises(KeyError):
+            store.read_chunk("ds", 10)
+        store.write_chunks("ds", chunks[:6], [(0, 0)] * 6)  # grow again
+        assert store.chunk_ids("ds") == list(range(6))
+        np.testing.assert_array_equal(store.read_chunk("ds", 5).values, chunks[5].values)
+
 
 class TestFileStoreSpecifics:
     def test_reopen_from_manifest(self, tmp_path, rng):
@@ -89,6 +102,48 @@ class TestFileStoreSpecifics:
         assert s2.chunk_ids("ds") == [0, 1, 2]
         assert s2.placement("ds", 1) == (1, 0)
         np.testing.assert_array_equal(s2.read_chunk("ds", 2).coords, chunks[2].coords)
+
+    @staticmethod
+    def chunk_files(root):
+        return sorted(p.relative_to(root).as_posix() for p in root.rglob("*.adc"))
+
+    def test_reload_removes_dropped_and_moved_files_and_reopens(self, tmp_path, rng):
+        root = tmp_path / "farm"
+        chunks = make_chunks(rng, 20)
+        store = FileChunkStore(root)
+        store.write_chunks("ds", chunks, [(i % 2, 0) for i in range(20)])
+        assert len(self.chunk_files(root)) == 20
+        # four stay, chunk 3 moves from node 1 to node 0
+        store.write_chunks("ds", chunks[:4], [(0, 0), (1, 0), (0, 0), (0, 0)])
+        assert self.chunk_files(root) == [
+            f"ds/node000/disk00/chunk{i:08d}.adc" for i in (0, 2, 3)
+        ] + ["ds/node001/disk00/chunk00000001.adc"]
+        reopened = FileChunkStore(root)
+        assert reopened.chunk_ids("ds") == [0, 1, 2, 3]
+        assert reopened.placement("ds", 3) == (0, 0)
+        np.testing.assert_array_equal(reopened.read_chunk("ds", 3).values, chunks[3].values)
+
+    def test_reloading_the_same_ids_adds_no_file_system_call(self, tmp_path, rng, monkeypatch):
+        """The bulk path of a reload in place -- ``update_write`` does it
+        every other op -- pays for the writes and one manifest flush only."""
+        import repro.store.chunk_store as chunk_store
+
+        store = FileChunkStore(tmp_path / "farm")
+        chunks, places = make_chunks(rng, 5), [(i % 2, 0) for i in range(5)]
+        store.write_chunks("ds", chunks, places)
+        monkeypatch.setattr(chunk_store.os, "remove", lambda path: pytest.fail(f"removed {path}"))
+        monkeypatch.setattr(
+            chunk_store.Path, "exists", lambda self: pytest.fail(f"probed {self}")
+        )
+        store.write_chunks("ds", make_chunks(rng, 5), places)
+        assert store.chunk_ids("ds") == list(range(5))
+
+    def test_single_write_on_a_reopened_store_keeps_the_rest(self, tmp_path, rng):
+        root = tmp_path / "farm"
+        chunks = make_chunks(rng, 3)
+        FileChunkStore(root).write_chunks("ds", chunks, [(0, 0)] * 3)
+        FileChunkStore(root).write_chunk("ds", chunks[1], 1, 0)  # a fresh handle
+        assert FileChunkStore(root).placements("ds") == {0: (0, 0), 1: (1, 0), 2: (0, 0)}
 
     def test_directory_layout(self, tmp_path, rng):
         s = FileChunkStore(tmp_path / "farm")
