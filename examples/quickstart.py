@@ -54,10 +54,10 @@ def main() -> None:
         aggregation="mean",
         strategy="AUTO",
     )
-    plan = adr.plan(query)
+    plan, choice = adr.plan_with_choice(query)
     print(f"planner chose {plan.strategy}: {plan.summary()}")
 
-    result = adr.execute(query, plan)
+    result = adr.execute(query, plan=(plan, choice))
     full = result.assemble(grid)[:, :, 0]
     print(f"computed {len(result.output_ids)} output chunks "
           f"({result.n_reads} chunk reads over {result.n_tiles} tile(s))")

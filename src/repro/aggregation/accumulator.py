@@ -156,14 +156,6 @@ class AccumulatorSet:
         """Fold mapped items into one accumulator chunk (phase 2)."""
         self.spec.aggregate(self.get(output_chunk).data, cell_idx, values)
 
-    def aggregate_grouped(
-        self, output_chunk: int, cell_idx: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Fused phase-2 fold: *cell_idx* is pre-sorted, *values* is
-        already a validated float ``(n, value_components)`` batch (see
-        :meth:`AggregationSpec.aggregate_grouped`)."""
-        self.spec.aggregate_grouped(self.get(output_chunk).data, cell_idx, values)
-
     def scatter_groups(
         self, output_chunk: int, cell_idx: np.ndarray, reduced: np.ndarray
     ) -> None:

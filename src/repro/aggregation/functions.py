@@ -26,13 +26,13 @@ chunk.  The four functions are:
 Two optional fast paths ride on top of the four (each with the scalar
 path as its oracle, so custom aggregations need not implement them):
 
-``aggregate_grouped(acc, cell_idx, values)``
-    Batched scatter for the fused reduction kernels
-    (:mod:`repro.runtime.kernels`): ``cell_idx`` is sorted ascending
-    and ``values`` is already a validated float ``(n, components)``
-    batch, so duplicate cells can be pre-reduced with
-    ``ufunc.reduceat`` and folded in with plain fancy indexing instead
-    of the much slower ``np.add.at``-family scatter.
+``prereduce_groups(values, group_starts)`` / ``scatter_groups(acc, cell_idx, reduced)``
+    Batched reduction for the fused kernels
+    (:mod:`repro.runtime.kernels`): duplicate cells of a whole batch of
+    reads are pre-reduced with one ``ufunc.reduceat`` sweep and folded
+    in with plain fancy indexing instead of the much slower
+    ``np.add.at``-family scatter.  An aggregation without them is
+    reduced by :meth:`~AggregationSpec.aggregate`.
 ``initialize_into(acc)``
     Re-initialize a recycled accumulator buffer in place (the
     :class:`~repro.aggregation.accumulator.BufferPool` fast path).
@@ -46,7 +46,6 @@ from typing import Dict, Type
 import numpy as np
 
 __all__ = [
-    "sorted_group_starts",
     "AggregationSpec",
     "SumAggregation",
     "CountAggregation",
@@ -56,17 +55,6 @@ __all__ = [
     "BestValueComposite",
     "AGGREGATIONS",
 ]
-
-
-def sorted_group_starts(cell_idx: np.ndarray) -> tuple:
-    """``(unique_cells, starts)`` for an ascending-sorted index array:
-    ``cell_idx[starts[k]:starts[k+1]]`` is the run of ``unique_cells[k]``.
-
-    The building block of every ``aggregate_grouped`` fast path --
-    runs feed ``ufunc.reduceat`` so each unique cell is touched once.
-    """
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(cell_idx)) + 1))
-    return cell_idx[starts], starts
 
 
 class AggregationSpec(ABC):
@@ -135,20 +123,6 @@ class AggregationSpec(ABC):
     def aggregate(self, acc: np.ndarray, cell_idx: np.ndarray, values: np.ndarray) -> None:
         """Scatter-fold ``values[k]`` into ``acc[cell_idx[k]]`` in place."""
 
-    def aggregate_grouped(
-        self, acc: np.ndarray, cell_idx: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Batched fast-path scatter used by the fused kernels.
-
-        Contract (the caller -- :mod:`repro.runtime.kernels` --
-        guarantees both): ``cell_idx`` is int64, in-range and sorted
-        ascending; ``values`` is a float ``(n, value_components)``
-        batch already validated once per chunk.  The default simply
-        delegates to the scalar :meth:`aggregate`, which keeps the
-        scalar path the oracle for every override.
-        """
-        self.aggregate(acc, cell_idx, values)
-
     def initialize_into(self, acc: np.ndarray) -> None:
         """Re-initialize a recycled accumulator buffer in place
         (buffer-pool fast path; same result as :meth:`initialize`)."""
@@ -165,12 +139,11 @@ class AggregationSpec(ABC):
         ``ufunc.reduceat`` sweep replacing a reduction per segment; the
         rows then fold in via :meth:`scatter_groups`, one fancy-indexed
         update per segment.  The reduction order within a run is the
-        run's element order -- identical to what per-segment
-        ``aggregate_grouped`` would compute, bit for bit.
+        run's element order.
 
         Returns None when the aggregation has no pre-reduction (the
-        default); callers must then fall back to
-        :meth:`aggregate_grouped` per segment.
+        default); callers must then fall back to :meth:`aggregate` per
+        segment.
         """
         return None
 
@@ -236,12 +209,6 @@ class SumAggregation(AggregationSpec):
         values = self._check_batch(acc, cell_idx, values)
         np.add.at(acc, cell_idx, values)
 
-    def aggregate_grouped(self, acc, cell_idx, values) -> None:
-        if not len(cell_idx):
-            return
-        uniq, starts = sorted_group_starts(cell_idx)
-        acc[uniq] += np.add.reduceat(values, starts, axis=0)
-
     def prereduce_groups(self, values, group_starts):
         return np.add.reduceat(values, group_starts, axis=0)
 
@@ -278,12 +245,6 @@ class CountAggregation(AggregationSpec):
     def aggregate(self, acc, cell_idx, values) -> None:
         self._check_batch(acc, cell_idx, values)
         np.add.at(acc[:, 0], cell_idx, 1.0)
-
-    def aggregate_grouped(self, acc, cell_idx, values) -> None:
-        if not len(cell_idx):
-            return
-        uniq, starts = sorted_group_starts(cell_idx)
-        acc[uniq, 0] += np.diff(np.append(starts, len(cell_idx)))
 
     def prereduce_groups(self, values, group_starts):
         return np.diff(np.append(group_starts, len(values))).astype(float)[:, None]
@@ -324,12 +285,6 @@ class MinAggregation(AggregationSpec):
         values = self._check_batch(acc, cell_idx, values)
         np.minimum.at(acc, cell_idx, values)
 
-    def aggregate_grouped(self, acc, cell_idx, values) -> None:
-        if not len(cell_idx):
-            return
-        uniq, starts = sorted_group_starts(cell_idx)
-        acc[uniq] = np.minimum(acc[uniq], np.minimum.reduceat(values, starts, axis=0))
-
     def prereduce_groups(self, values, group_starts):
         return np.minimum.reduceat(values, group_starts, axis=0)
 
@@ -368,12 +323,6 @@ class MaxAggregation(AggregationSpec):
     def aggregate(self, acc, cell_idx, values) -> None:
         values = self._check_batch(acc, cell_idx, values)
         np.maximum.at(acc, cell_idx, values)
-
-    def aggregate_grouped(self, acc, cell_idx, values) -> None:
-        if not len(cell_idx):
-            return
-        uniq, starts = sorted_group_starts(cell_idx)
-        acc[uniq] = np.maximum(acc[uniq], np.maximum.reduceat(values, starts, axis=0))
 
     def prereduce_groups(self, values, group_starts):
         return np.maximum.reduceat(values, group_starts, axis=0)
@@ -414,13 +363,6 @@ class MeanAggregation(AggregationSpec):
         values = self._check_batch(acc, cell_idx, values)
         np.add.at(acc[:, : self.value_components], cell_idx, values)
         np.add.at(acc[:, -1], cell_idx, 1.0)
-
-    def aggregate_grouped(self, acc, cell_idx, values) -> None:
-        if not len(cell_idx):
-            return
-        uniq, starts = sorted_group_starts(cell_idx)
-        acc[uniq, : self.value_components] += np.add.reduceat(values, starts, axis=0)
-        acc[uniq, -1] += np.diff(np.append(starts, len(cell_idx)))
 
     def prereduce_groups(self, values, group_starts):
         reduced = np.empty((len(group_starts), self.acc_components))
@@ -475,8 +417,8 @@ class BestValueComposite(AggregationSpec):
         return acc
 
     def initialize_into(self, acc) -> None:
-        # aggregate_grouped stays on the scalar-path default: the
-        # lexsorted segment-argmax in aggregate() is already batched.
+        # No pre-reduction: the lexsorted segment-argmax in aggregate()
+        # is already batched.
         acc.fill(-np.inf)
 
     @staticmethod

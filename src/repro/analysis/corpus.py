@@ -62,8 +62,7 @@ from repro.machine.config import MachineConfig
 from repro.planner.problem import PlanningProblem, select_chunks
 from repro.planner.select import ALL_STRATEGIES, FRA, HYBRID
 from repro.planner.strategies import plan_query
-from repro.runtime.engine import QueryResult, execute_plan
-from repro.runtime.phases import PHASES
+from repro.runtime.engine import QueryResult, assemble_result, execute_plan
 from repro.runtime.serial import execute_serial
 from repro.space.mapping import GridMapping
 from repro.util.geometry import Rect
@@ -276,12 +275,7 @@ class Workload:
             [c for i, c in enumerate(self.chunks) if i != skip],
             self.mapping, self.grid, self.spec, predicate=predicate,
         )
-        return QueryResult(
-            strategy="", output_ids=np.fromiter(values, dtype=np.int64),
-            chunk_values=list(values.values()), n_tiles=0, n_reads=0,
-            bytes_read=0, n_combines=0, n_aggregations=0,
-            phase_times=dict.fromkeys(PHASES, 0.0), **stated,
-        )
+        return assemble_result(None, values, strategy="", n_tiles=0, **stated)
 
     def adr(self) -> ADR:
         """A fresh single-process ADR holding the chunks (1 MB per processor)."""

@@ -28,9 +28,10 @@ ADR304    ``__all__`` missing from a public library module (packages
           under ``src/``; ``__main__.py`` and private modules exempt)
 ADR305    Python loop calling ``aggregate`` inside the runtime hot
           path (``src/repro/runtime/``) -- per-item/per-edge loops are
-          the slow pattern the fused kernels replaced; use
-          ``aggregate_grouped`` over lexsorted segments instead (the
-          preserved reference oracles opt out with ``noqa``).  In
+          the slow pattern the fused kernels replaced; pre-reduce a
+          batch of reads with ``prereduce_groups`` and fold it with
+          ``scatter_groups`` instead (the preserved reference oracles
+          opt out with ``noqa``).  In
           ``src/repro/runtime/phases.py`` also a loop calling
           ``group_read`` / ``prereduce_groups``: the phase executor
           groups and pre-reduces a whole batch of reads at once
@@ -65,14 +66,17 @@ ADR402    untimed socket use inside the wire-protocol paths
           scatter/gather path turns any dead peer into a hung query;
           every wire operation must carry a deadline
 ADR501    phase-sequencing accumulator call (``allocate`` /
-          ``aggregate_grouped`` / ``scatter_groups`` /
-          ``combine_from`` / ``initialize_into`` /
-          ``initialize_from`` / ``prereduce_groups``) in a
-          ``src/repro/runtime/`` module other than ``phases.py`` --
-          the four-phase tile loop lives in one place
-          (:class:`repro.runtime.phases.PhaseExecutor`); backends
-          drive it, they do not re-implement it (the serial Figure-1
-          oracle opts out with ``noqa``)
+          ``scatter_groups`` / ``combine_from`` /
+          ``initialize_into`` / ``initialize_from`` /
+          ``prereduce_groups``) in a ``src/repro/runtime/`` module
+          other than ``phases.py`` -- the four-phase tile loop lives
+          in one place (:class:`repro.runtime.phases.PhaseExecutor`);
+          backends drive it, they do not re-implement it (the serial
+          Figure-1 oracle opts out with ``noqa``).  Likewise a
+          ``QueryResult(...)`` construction in ``src/repro/runtime/``
+          or ``src/repro/shard/`` outside ``runtime/engine.py``: a
+          result is assembled from tallies in one place
+          (``repro.runtime.engine.assemble_result``)
 ADR502    hard-coded strategy string literal (``"FRA"`` / ``"SRA"`` /
           ``"DA"`` / ``"HYBRID"`` / ``"AUTO"``) in library code
           outside ``src/repro/planner/`` -- strategy names are defined
@@ -155,6 +159,11 @@ _GUARDED_CACHE_MODULES = ("store/cache.py", "store\\cache.py")
 #: The one module allowed to sequence the four phases (ADR501).
 _PHASE_LOOP_HOME = ("runtime/phases.py", "runtime\\phases.py")
 
+#: Where ADR501's result half applies, and the one module allowed to
+#: construct a ``QueryResult`` there.
+_RESULT_SCOPE_PATHS = ("repro/runtime/", "repro/shard/")
+_RESULT_HOME = ("runtime/engine.py", "runtime\\engine.py")
+
 #: Per-read kernel calls ADR305 rejects inside a loop of that module:
 #: its reduce phase runs them once per batch of reads.
 _PER_READ_CALLS = ("group_read", "prereduce_groups")
@@ -179,8 +188,8 @@ _STRATEGY_LITERALS = frozenset({"FRA", "SRA", "DA", "HYBRID", "AUTO"})  # noqa: 
 #: duplicating :class:`~repro.runtime.phases.PhaseExecutor`.
 _PHASE_SEQUENCING_CALLS = frozenset(
     {
-        "allocate", "aggregate_grouped", "scatter_groups", "combine_from",
-        "initialize_into", "initialize_from", "prereduce_groups",
+        "allocate", "scatter_groups", "combine_from", "initialize_into",
+        "initialize_from", "prereduce_groups",
     }
 )
 
@@ -333,7 +342,7 @@ class _Visitor(ast.NodeVisitor):
         phase_scope: bool = False, index_hot_path: bool = False,
         wire_scope: bool = False, strategy_scope: bool = False,
         docstring_ids: Optional[Set[int]] = None, phase_home: bool = False,
-        select_home: bool = False,
+        select_home: bool = False, result_scope: bool = False,
     ) -> None:
         self.path = path
         self.out = out
@@ -343,6 +352,7 @@ class _Visitor(ast.NodeVisitor):
         self.phase_scope = phase_scope
         self.phase_home = phase_home
         self.select_home = select_home
+        self.result_scope = result_scope
         self.index_hot_path = index_hot_path
         self.wire_scope = wire_scope
         self.strategy_scope = strategy_scope
@@ -475,6 +485,15 @@ class _Visitor(ast.NodeVisitor):
                 "PhaseExecutor -- drive it instead of re-implementing it "
                 "(the serial oracle may opt out with noqa)",
             )
+        if self.result_scope and _dotted(node.func) in ("QueryResult", "engine.QueryResult"):
+            self.out.emit(
+                "ADR501",
+                Severity.ERROR,
+                self._loc(node),
+                "QueryResult constructed outside runtime/engine.py; results "
+                "are assembled from tallies in one place -- call "
+                "repro.runtime.engine.assemble_result",
+            )
         if self.wire_scope:
             self._check_wire_call(node)
         self.generic_visit(node)
@@ -534,9 +553,9 @@ class _Visitor(ast.NodeVisitor):
                 self._loc(node),
                 "Python loop calling aggregate() in the runtime hot path; "
                 "per-item/per-edge loops are the pattern the fused kernels "
-                "replaced -- group with repro.runtime.kernels.group_read and "
-                "call aggregate_grouped (reference oracles may opt out with "
-                "noqa)",
+                "replaced -- group a batch with repro.runtime.kernels.group_reads, "
+                "pre-reduce it with prereduce_groups and fold it with "
+                "scatter_groups (reference oracles may opt out with noqa)",
             )
         call = _calls_directly(node, _PER_READ_CALLS) if self.phase_home else None
         if call is not None:
@@ -705,6 +724,7 @@ def lint_source(
     guarded_cache: bool = False, index_hot_path: bool = False,
     wire_scope: bool = False, strategy_scope: bool = False,
     phase_home: bool = False, select_home: bool = False,
+    result_scope: bool = False,
 ) -> List[Diagnostic]:
     """Lint one module's source text (the testable core).
 
@@ -723,7 +743,7 @@ def lint_source(
         path, out, rng_exempt, runtime_hot_path, fault_critical, phase_scope,
         index_hot_path, wire_scope, strategy_scope,
         docstring_ids=_docstring_node_ids(tree) if strategy_scope else None,
-        phase_home=phase_home, select_home=select_home,
+        phase_home=phase_home, select_home=select_home, result_scope=result_scope,
     ).visit(tree)
     if check_all and not any(
         isinstance(n, ast.Assign)
@@ -770,6 +790,10 @@ def lint_file(path: Path) -> List[Diagnostic]:
         ),
         phase_home=any(posix.endswith(e) for e in _PHASE_LOOP_HOME),
         select_home=any(posix.endswith(e) for e in _SELECT_HOME),
+        result_scope=(
+            any(m in posix for m in _RESULT_SCOPE_PATHS)
+            and not any(posix.endswith(e) for e in _RESULT_HOME)
+        ),
         concurrency_scope=any(m in posix for m in _CONCURRENCY_PATHS),
         guarded_cache=any(posix.endswith(e) for e in _GUARDED_CACHE_MODULES),
         index_hot_path=any(m in posix for m in _INDEX_HOT_PATH),

@@ -42,8 +42,9 @@ class FaultyChunkStore(ChunkStoreStage):
 
     Only the read path is fault-injected (the paper's degraded
     scenarios are all read-side: query processing never mutates input
-    datasets); ``read_many`` reads per chunk, so each id is individually
-    fault-checked.
+    datasets); every chunk read is individually fault-checked, in
+    whatever ``(node, disk, chunk id)`` placement order the caller
+    reads in.
     """
 
     def __init__(self, inner: ChunkStore, injector: FaultInjector) -> None:

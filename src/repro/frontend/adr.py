@@ -217,11 +217,16 @@ class ADR:
     def execute(
         self,
         query: RangeQuery,
-        plan: Optional[QueryPlan] = None,
+        plan: Optional[Tuple[QueryPlan, Optional[StrategyChoice]]] = None,
         store_as: Optional[str] = None,
         backend: str = "sequential",
     ) -> QueryResult:
         """Plan (unless given) and functionally execute the query.
+
+        *plan* is the ``(plan, choice)`` pair :meth:`plan_with_choice`
+        returns, for a caller that planned ahead (the query service
+        plans a batch before running it); the choice is what the result
+        reports as its strategy-selection audit.
 
         With ``store_as``, the query output becomes a *new ADR dataset*
         under that name -- the paper's "if a new output dataset is
@@ -242,9 +247,7 @@ class ADR:
         ``QueryResult.chunk_errors`` / ``completeness`` (see
         ``docs/robustness.md``).
         """
-        choice: Optional[StrategyChoice] = None
-        if plan is None:
-            plan, choice = self.plan_with_choice(query)
+        plan, choice = plan if plan is not None else self.plan_with_choice(query)
         result = self._run(query, plan, choice, backend=backend)
         if store_as is not None:
             self._write_back(store_as, query, result)
@@ -260,7 +263,8 @@ class ADR:
     ) -> QueryResult:
         """Execute *plan* and fold in what only this instance knows:
         the query's exact payload-cache tallies and the auto-selection
-        audit trail."""
+        audit trail (the one place a single-process result is stamped
+        with *choice*)."""
         name = query.dataset
         region = self.dataset(name).space.validate_query(query.region)
         # Exact under concurrency, unlike a before/after delta of the
@@ -356,53 +360,6 @@ class ADR:
                 target, Chunk(old.meta, old.coords, values), node, disk
             )
         return result
-
-    def plan_batch(
-        self, queries: Sequence[RangeQuery], strategy: Optional[str] = None
-    ):
-        """Plan a set of queries together (paper Section 2.1: the
-        planning service processes *sets* of queries), ordering them so
-        consecutive queries share as many input chunk retrievals as
-        possible.  Returns a :class:`repro.planner.batch.BatchPlan`.
-
-        By default every query is planned with its *own* strategy
-        (``RangeQuery`` defaults to ``AUTO``, so the cost model picks
-        per query); passing *strategy* forces one strategy batch-wide.
-        """
-        from repro.planner.batch import BatchPlan, order_for_sharing
-        from repro.planner.batch import plan_batch as _plan_batch
-
-        if not queries:
-            raise ValueError("plan_batch needs at least one query")
-        datasets = {q.dataset for q in queries}
-        if len(datasets) != 1:
-            raise ValueError(
-                f"batch queries must target one dataset, got {sorted(datasets)}"
-            )
-        problems = [self.build_problem(q) for q in queries]
-        if strategy is not None and not is_auto(strategy):
-            return _plan_batch(problems, strategy)
-        plans = [
-            self._choose(p, q.strategy if strategy is None else strategy)[0]
-            for p, q in zip(problems, queries)
-        ]
-        return BatchPlan(plans, order_for_sharing(plans))
-
-    def execute_batch(
-        self, queries: Sequence[RangeQuery], strategy: Optional[str] = None,
-        backend: str = "sequential",
-    ) -> list:
-        """Functionally execute a batch in its shared-scan order;
-        returns results in the original submission order.  The chunk
-        payload cache makes consecutive queries actually reuse their
-        shared retrievals (see ``cache_stats`` on each result)."""
-        batch = self.plan_batch(queries, strategy)
-        results: list = [None] * len(queries)
-        for idx in batch.order:
-            results[idx] = self.execute(
-                queries[idx], plan=batch.plans[idx], backend=backend
-            )
-        return results
 
     def simulate(
         self,

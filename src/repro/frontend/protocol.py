@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import MISSING, fields
 from typing import Any, BinaryIO, Dict, Optional
 
 import numpy as np
@@ -375,58 +376,56 @@ def _decode_block(rows: Any) -> np.ndarray:
     return values
 
 
+def _str_keys(convert):
+    """A dict codec converting keys to ``str`` and values by *convert*."""
+    return lambda d: {str(k): convert(v) for k, v in d.items()}
+
+
+def _int_keys(convert):
+    return lambda d: {int(k): convert(v) for k, v in d.items()}
+
+
+#: The result's wire fields, in payload order: ``(name, encode,
+#: decode)``.  A field without a dataclass default always travels; one
+#: with a default travels only when it differs from it, so a clean,
+#: unpruned, unshared, fixed-strategy result carries the counters alone.
+#: ``race_diagnostics`` stays off the wire.
+_RESULT_WIRE = (
+    ("strategy", lambda v: v, lambda v: v),
+    ("output_ids", lambda v: np.asarray(v, dtype=np.int64).tolist(),
+     lambda v: np.asarray(v, dtype=np.int64)),
+    ("chunk_values", lambda vs: [_encode_block(v) for v in vs],
+     lambda vs: [_decode_block(v) for v in vs]),
+    *((name, int, int) for name in (
+        "n_tiles", "n_reads", "bytes_read", "n_combines", "n_aggregations",
+    )),
+    ("phase_times", _str_keys(float), _str_keys(float)),
+    ("cache_stats", _str_keys(int), _str_keys(int)),
+    *((name, int, int) for name in (
+        "chunks_pruned", "bytes_pruned", "shared_reads", "shared_bytes",
+    )),
+    ("chunk_errors", _str_keys(str), _int_keys(str)),
+    ("completeness", float, float),
+    ("shard_errors", _str_keys(str), _int_keys(str)),
+    ("selected_strategy", str, str),
+    ("strategy_ranking", _str_keys(float), _str_keys(float)),
+)
+
+#: Field name -> dataclass default; required fields are absent.
+_DEFAULTS = {
+    f.name: f.default if f.default is not MISSING else f.default_factory()
+    for f in fields(QueryResult)
+    if f.default is not MISSING or f.default_factory is not MISSING
+}
+
+
 def result_to_dict(result: QueryResult) -> Dict[str, Any]:
     """Encode a result (NaN travels as the string ``"nan"``)."""
-
-    payload = {
-        "version": PROTOCOL_VERSION,
-        "strategy": result.strategy,
-        "output_ids": np.asarray(result.output_ids, dtype=np.int64).tolist(),
-        "chunk_values": [_encode_block(v) for v in result.chunk_values],
-        "n_tiles": result.n_tiles,
-        "n_reads": result.n_reads,
-        "bytes_read": result.bytes_read,
-        "n_combines": result.n_combines,
-        "n_aggregations": result.n_aggregations,
-    }
-    # Optional diagnostics (absent on results from older servers).
-    if result.phase_times:
-        payload["phase_times"] = {k: float(v) for k, v in result.phase_times.items()}
-    if result.cache_stats:
-        payload["cache_stats"] = {k: int(v) for k, v in result.cache_stats.items()}
-    # Pruning counters: present only when the planner actually pruned,
-    # so unpruned results encode byte-identically to older payloads.
-    if result.chunks_pruned:
-        payload["chunks_pruned"] = int(result.chunks_pruned)
-        payload["bytes_pruned"] = int(result.bytes_pruned)
-    # Shared-read counters: present only when the payload cache served
-    # part of this query (cross-query scan sharing), so unshared
-    # results encode byte-identically to older payloads.
-    if result.shared_reads:
-        payload["shared_reads"] = int(result.shared_reads)
-        payload["shared_bytes"] = int(result.shared_bytes)
-    # Degradation report: present only on degraded results, so clean
-    # results encode byte-identically to pre-robustness payloads.
-    if result.chunk_errors:
-        payload["chunk_errors"] = {
-            str(k): str(v) for k, v in result.chunk_errors.items()
-        }
-        payload["completeness"] = float(result.completeness)
-    # Shard-level degradation (scatter/gather deployments only).
-    if result.shard_errors:
-        payload["shard_errors"] = {
-            str(k): str(v) for k, v in result.shard_errors.items()
-        }
-        payload["completeness"] = float(result.completeness)
-    # Auto-selection audit trail: present only when the server resolved
-    # ``strategy='auto'``, so fixed-strategy results encode
-    # byte-identically to older payloads.
-    if result.selected_strategy:
-        payload["selected_strategy"] = str(result.selected_strategy)
-        if result.strategy_ranking:
-            payload["strategy_ranking"] = {
-                str(k): float(v) for k, v in result.strategy_ranking.items()
-            }
+    payload: Dict[str, Any] = {"version": PROTOCOL_VERSION}
+    for name, encode, _ in _RESULT_WIRE:
+        value = getattr(result, name)
+        if name not in _DEFAULTS or value != _DEFAULTS[name]:
+            payload[name] = encode(value)
     return payload
 
 
@@ -435,43 +434,11 @@ def result_from_dict(payload: Dict[str, Any]) -> QueryResult:
         raise ProtocolError(
             f"protocol version {payload.get('version')!r} not supported"
         )
-
     try:
-        return QueryResult(
-            strategy=payload["strategy"],
-            output_ids=np.asarray(payload["output_ids"], dtype=np.int64),
-            chunk_values=[_decode_block(v) for v in payload["chunk_values"]],
-            n_tiles=int(payload["n_tiles"]),
-            n_reads=int(payload["n_reads"]),
-            bytes_read=int(payload["bytes_read"]),
-            n_combines=int(payload["n_combines"]),
-            n_aggregations=int(payload["n_aggregations"]),
-            phase_times={
-                str(k): float(v)
-                for k, v in payload.get("phase_times", {}).items()
-            },
-            cache_stats={
-                str(k): int(v)
-                for k, v in payload.get("cache_stats", {}).items()
-            },
-            chunk_errors={
-                int(k): str(v)
-                for k, v in payload.get("chunk_errors", {}).items()
-            },
-            shard_errors={
-                int(k): str(v)
-                for k, v in payload.get("shard_errors", {}).items()
-            },
-            completeness=float(payload.get("completeness", 1.0)),
-            chunks_pruned=int(payload.get("chunks_pruned", 0)),
-            bytes_pruned=int(payload.get("bytes_pruned", 0)),
-            shared_reads=int(payload.get("shared_reads", 0)),
-            shared_bytes=int(payload.get("shared_bytes", 0)),
-            selected_strategy=str(payload.get("selected_strategy", "")),
-            strategy_ranking={
-                str(k): float(v)
-                for k, v in payload.get("strategy_ranking", {}).items()
-            },
-        )
+        return QueryResult(**{
+            name: decode(payload[name])
+            for name, _, decode in _RESULT_WIRE
+            if name in payload or name not in _DEFAULTS
+        })
     except (KeyError, TypeError, ValueError) as e:
         raise ProtocolError(f"bad result payload: {e}") from e

@@ -427,7 +427,7 @@ class QueryService:
             for pos, idx in enumerate(order):
                 ticket, plan, choice = planned[idx]
                 try:
-                    result = self.adr.execute(ticket.query, plan=plan)
+                    result = self.adr.execute(ticket.query, plan=(plan, choice))
                 except Exception as e:
                     self._finish(ticket, None, e)
                     continue
@@ -439,8 +439,6 @@ class QueryService:
                     "shared_bytes": int(result.shared_bytes),
                 }
                 if choice is not None:
-                    result.selected_strategy = choice.selected
-                    result.strategy_ranking = choice.ranking_dict()
                     info["selected_strategy"] = choice.selected
                 self._record_telemetry(plan, result)
                 self._finish(ticket, result, None, info)

@@ -34,7 +34,7 @@ than a tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,17 +46,18 @@ from repro.dataset.dataset import Dataset
 from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import RoutingCache
 from repro.runtime.phases import (
-    PHASES,
     AccumulatorHost,
     ChunkSource,
     PhaseExecutor,
     ProviderChunkSource,
+    Tally,
+    merge_tallies,
 )
 from repro.runtime.transport import InprocTransport
 from repro.space.mapping import GridMapping
 from repro.store.prefetch import PrefetchPolicy
 
-__all__ = ["QueryResult", "execute_plan"]
+__all__ = ["QueryResult", "assemble_result", "execute_plan"]
 
 ChunkProvider = Callable[[int], Chunk]
 
@@ -65,17 +66,11 @@ ChunkProvider = Callable[[int], Chunk]
 class QueryResult:
     """Final values per output chunk, plus execution counters.
 
-    The counters follow one backend-independent contract (documented
-    in full in :mod:`repro.runtime.phases` and asserted across
-    backends by the functional corpus): ``n_reads`` counts successful
-    scheduled chunk retrievals summed over ranks, ``bytes_read`` the
-    plan's chunk bytes over those reads, ``n_aggregations`` applied
-    edge segments on whichever rank the plan assigned them,
-    ``n_combines`` ghost merges at the owning rank, and
-    ``phase_times`` has exactly the keys of
-    :data:`repro.runtime.phases.PHASES` (sequential: this process's
-    wall clock; parallel: the per-phase maximum across worker hosts,
-    i.e. the critical path).
+    The counters follow one backend-independent contract, stated in
+    :mod:`repro.runtime.phases` together with the one rule that merges
+    them across ranks, worker hosts and shards; the functional corpus
+    asserts it across backends.  Results are built only by
+    :func:`assemble_result` (and decoded by the wire protocol).
     """
 
     strategy: str
@@ -161,6 +156,44 @@ class QueryResult:
             else:
                 parts.append(np.full((grid.cells_in_chunk(cid), k), np.nan))
         return grid.assemble(parts)
+
+
+def assemble_result(
+    plan: Optional[QueryPlan],
+    emitted: Dict[int, np.ndarray],
+    tallies: Sequence[Tally] = (),
+    **stated,
+) -> QueryResult:
+    """The one place a :class:`QueryResult` is built (lint ADR501).
+
+    *emitted* maps output chunk ids to their final values: the plan's
+    local ids under a *plan*, listed in the plan's output order; without
+    one (a router's merge of shard partials, an empty partial, the
+    serial oracle), dataset-level ids in the given order.  *tallies* --
+    one per executor, worker host or shard, none when nothing ran --
+    merge by :func:`~repro.runtime.phases.merge_tallies`.  The plan
+    states the strategy, ``n_tiles``, the pruning counters and the
+    completeness denominator; *stated* sets what neither knows (and,
+    without a plan, the strategy and ``n_tiles``).
+    """
+    tally = merge_tallies(tallies)
+    keys = sorted(emitted) if plan is not None else list(emitted)
+    ids = np.asarray(keys, dtype=np.int64)
+    record = dict(vars(tally), chunk_errors=dict(sorted(tally.chunk_errors.items())))
+    if plan is not None:
+        problem = plan.problem
+        ids = problem.output_global_ids[ids]
+        record.update(
+            strategy=plan.strategy,
+            n_tiles=plan.n_tiles,
+            completeness=1.0 - len(tally.chunk_errors) / max(problem.n_in, 1),
+            chunks_pruned=problem.n_pruned,
+            bytes_pruned=problem.pruned_bytes,
+        )
+    record.update(stated)
+    return QueryResult(
+        output_ids=ids, chunk_values=[emitted[k] for k in keys], **record
+    )
 
 
 def _provider(source: Union[Dataset, ChunkProvider]) -> ChunkProvider:
@@ -380,29 +413,11 @@ def execute_plan(
     finally:
         source.close()
 
-    cache_stats: Dict[str, int] = dict(pool.stats())
+    tally = executor.tally
+    tally.cache_stats = dict(pool.stats())
     if routing_cache is not None:
-        cache_stats.update(routing_cache.stats())
-
-    results = transport.results
-    out_global = problem.output_global_ids
-    ordered = sorted(results)
-    return QueryResult(
-        strategy=plan.strategy,
-        output_ids=out_global[np.asarray(ordered, dtype=np.int64)]
-        if ordered
-        else np.empty(0, dtype=np.int64),
-        chunk_values=[results[o] for o in ordered],
-        n_tiles=plan.n_tiles,
-        n_reads=executor.n_reads,
-        bytes_read=executor.bytes_read,
-        n_combines=executor.n_combines,
-        n_aggregations=executor.n_aggregations,
+        tally.cache_stats.update(routing_cache.stats())
+    return assemble_result(
+        plan, transport.results, [tally],
         race_diagnostics=detector.report() if detector is not None else [],
-        phase_times=executor.phase_times,
-        cache_stats=cache_stats,
-        chunk_errors=dict(sorted(executor.chunk_errors.items())),
-        completeness=1.0 - len(executor.chunk_errors) / max(problem.n_in, 1),
-        chunks_pruned=problem.n_pruned,
-        bytes_pruned=problem.pruned_bytes,
     )

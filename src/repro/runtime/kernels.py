@@ -19,9 +19,10 @@ the sequential engine and the multiprocess backend:
   ``(read, output chunk, flat cell)`` and hands back contiguous,
   cell-sorted segments (:func:`group_read` is its one-read case), which
   lets
-  :meth:`~repro.aggregation.functions.AggregationSpec.aggregate_grouped`
-  pre-reduce duplicate cells with ``ufunc.reduceat`` and update the
-  accumulator with plain fancy indexing instead of ``np.add.at``;
+  :meth:`~repro.aggregation.functions.AggregationSpec.prereduce_groups`
+  pre-reduce duplicate cells with ``ufunc.reduceat`` and
+  ``scatter_groups`` update the accumulator with plain fancy indexing
+  instead of ``np.add.at``;
 - :func:`coerce_values` does the dtype-stable float coercion once per
   chunk instead of once per segment;
 - :class:`RoutingCache` memoizes the item->cell routing of a chunk per
@@ -314,8 +315,7 @@ class ReadSegments:
     ``starts[k]:ends[k]`` slices ``flat``/``values`` for the segment
     read ``seg_read[k]`` (a position in the batch) aims at local output
     chunk ``seg_out[k]``; within a segment the flat cell indices are
-    sorted ascending, which is the precondition of the
-    ``aggregate_grouped`` fast path.  Batch position *p* owns segments
+    sorted ascending.  Batch position *p* owns segments
     ``read_bounds[p]:read_bounds[p+1]``.
 
     ``group_starts``/``group_bounds`` describe the *cell runs* (maximal

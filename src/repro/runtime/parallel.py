@@ -74,7 +74,7 @@ from repro.dataset.chunk import Chunk
 from repro.dataset.dataset import Dataset
 from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import RoutingCache
-from repro.runtime.phases import AccumulatorHost, PhaseExecutor
+from repro.runtime.phases import AccumulatorHost, PhaseExecutor, Tally, is_gauge
 from repro.runtime.transport import (  # noqa: F401  (CRASH_EXIT_CODE re-export)
     CRASH_EXIT_CODE,
     QueueTransport,
@@ -265,23 +265,13 @@ def _worker_body(
     finally:
         source.close()
 
-    cache_stats = {}
+    tally = executor.tally
     if routing_cache is not None:
-        for key, v in routing_cache.stats().items():
-            if key.endswith("_bytes"):
-                cache_stats[key] = int(v)
-            else:
-                cache_stats[key] = int(v) - int(cache_base.get(key, 0))
-    stats = {
-        "n_reads": executor.n_reads,
-        "bytes_read": executor.bytes_read,
-        "n_aggregations": executor.n_aggregations,
-        "n_combines": executor.n_combines,
-        "phase_times": executor.phase_times,
-        "cache_stats": cache_stats,
-        "chunk_errors": executor.chunk_errors,
-    }
-    result_q.put(("done", host, stats))
+        tally.cache_stats = {
+            key: int(v) if is_gauge(key) else int(v) - int(cache_base.get(key, 0))
+            for key, v in routing_cache.stats().items()
+        }
+    result_q.put(("done", host, tally))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +319,11 @@ def execute_parallel(
     Same contract and result as ``execute_plan(..., backend=
     "sequential")`` -- bit for bit -- except that race detection is not
     available (each rank asserts plan-authorized access instead) and
-    ``phase_times`` reports the per-phase maximum across worker hosts
-    (the critical path).  A *routing_cache* is forked copy-on-write
-    into each host: hits still apply per host, but the parent's cache
-    object is not updated; per-host hit counters are summed into
-    ``cache_stats``.
+    the worker hosts' tallies merge by the one contract reduction
+    (:func:`~repro.runtime.phases.merge_tallies`: ``phase_times`` is the
+    critical path).  A *routing_cache* is forked copy-on-write into each
+    host: hits still apply per host, but the parent's cache object is
+    not updated; each host reports its own hit counters.
 
     Fault tolerance: a worker host that dies (or a peer timeout it
     causes) triggers up to ``recovery.max_restarts`` deterministic
@@ -357,7 +347,7 @@ def execute_parallel(
     import multiprocessing
     from multiprocessing import shared_memory
 
-    from repro.runtime.engine import QueryResult, _provider
+    from repro.runtime.engine import _provider, assemble_result
 
     if recovery is None:
         recovery = RecoveryPolicy()
@@ -366,18 +356,7 @@ def execute_parallel(
     layout = _Layout(plan, grid, spec, enforce_memory)
 
     if plan.n_tiles == 0 or problem.n_out == 0:
-        return QueryResult(
-            strategy=plan.strategy,
-            output_ids=np.empty(0, dtype=np.int64),
-            chunk_values=[],
-            n_tiles=plan.n_tiles,
-            n_reads=0,
-            bytes_read=0,
-            n_combines=0,
-            n_aggregations=0,
-            chunks_pruned=problem.n_pruned,
-            bytes_pruned=problem.pruned_bytes,
-        )
+        return assemble_result(plan, {})
 
     try:
         ctx = multiprocessing.get_context("fork")
@@ -397,10 +376,7 @@ def execute_parallel(
     shm = shared_memory.SharedMemory(create=True, size=layout.arena_bytes)
 
     results: Dict[int, np.ndarray] = {}
-    totals = {"n_reads": 0, "bytes_read": 0, "n_aggregations": 0, "n_combines": 0}
-    phase_times = {"initialize": 0.0, "reduce": 0.0, "combine": 0.0, "output": 0.0}
-    cache_stats: Dict[str, int] = {}
-    chunk_errors: Dict[int, str] = {}
+    tallies: List[Tally] = []
 
     try:
         attempt = 0
@@ -427,12 +403,7 @@ def execute_parallel(
             # Per-attempt tallies: only the successful attempt counts,
             # keeping recovered counters identical to a clean run.
             results.clear()
-            for key in totals:
-                totals[key] = 0
-            for key in phase_times:
-                phase_times[key] = 0.0
-            cache_stats.clear()
-            chunk_errors.clear()
+            tallies.clear()
 
             failed: Optional[str] = None
             fatal: Optional[str] = None
@@ -477,23 +448,9 @@ def execute_parallel(
                     elif kind == "tile":
                         pass  # heartbeat: progress noted, quiet_polls reset
                     elif kind == "done":
-                        _, h, stats = msg
+                        _, h, tally = msg
                         pending.discard(h)
-                        for key in totals:
-                            totals[key] += stats[key]
-                        for key in phase_times:
-                            phase_times[key] = max(
-                                phase_times[key], stats["phase_times"][key]
-                            )
-                        for key, v in stats["cache_stats"].items():
-                            if key.endswith("_bytes"):
-                                cache_stats[key] = max(
-                                    cache_stats.get(key, 0), int(v)
-                                )
-                            else:
-                                cache_stats[key] = cache_stats.get(key, 0) + int(v)
-                        for gid, err in stats["chunk_errors"].items():
-                            chunk_errors.setdefault(int(gid), err)
+                        tallies.append(tally)
                     elif kind == "error":
                         _, h, tb, retryable = msg
                         dead_hosts = [
@@ -540,25 +497,4 @@ def execute_parallel(
         shm.close()
         shm.unlink()
 
-    out_global = problem.output_global_ids
-    ordered = sorted(results)
-    n_in = max(problem.n_in, 1)
-    return QueryResult(
-        strategy=plan.strategy,
-        output_ids=out_global[np.asarray(ordered, dtype=np.int64)]
-        if ordered
-        else np.empty(0, dtype=np.int64),
-        chunk_values=[results[o] for o in ordered],
-        n_tiles=plan.n_tiles,
-        n_reads=totals["n_reads"],
-        bytes_read=totals["bytes_read"],
-        n_combines=totals["n_combines"],
-        n_aggregations=totals["n_aggregations"],
-        race_diagnostics=[],
-        phase_times=phase_times,
-        cache_stats=cache_stats,
-        chunk_errors=dict(sorted(chunk_errors.items())),
-        completeness=1.0 - len(chunk_errors) / n_in,
-        chunks_pruned=problem.n_pruned,
-        bytes_pruned=problem.pruned_bytes,
-    )
+    return assemble_result(plan, results, tallies)

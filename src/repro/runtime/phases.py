@@ -42,10 +42,17 @@ functional corpus asserts cross-backend equality):
   the same numbers, and pruned chunks never appear in ``n_reads`` /
   ``bytes_read`` because they were never scheduled.
 - ``phase_times``: wall-clock seconds per phase with the keys of
-  :data:`PHASES`.  Each executor reports its own wall-clock; the
-  parallel parent reduces per-host times with ``max`` (the critical
-  path), so absolute values are backend-dependent -- only the key set
-  is part of the cross-backend contract.
+  :data:`PHASES`.  Each executor reports its own wall-clock; merged
+  levels take the per-phase ``max`` (the critical path), so absolute
+  values are backend-dependent -- only the key set is part of the
+  cross-backend contract.
+
+Each executor hands its counters out as one :class:`Tally`.  Partial
+results merge the same way whichever level produced them -- worker
+hosts in the parallel parent, shard partials in the router -- by the
+one reduction :func:`merge_tallies`; ``repro.runtime.engine.
+assemble_result`` is the one place a ``QueryResult`` is built from
+tallies.
 
 **Determinism.** The executor walks reads, transfers and outputs in
 the plan's deterministic schedule order, and each accumulator receives
@@ -58,7 +65,7 @@ bit, counters included.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -93,10 +100,71 @@ __all__ = [
     "PhaseExecutor",
     "PhaseSchedule",
     "ProviderChunkSource",
+    "Tally",
+    "is_gauge",
+    "merge_tallies",
 ]
 
 #: Execution phases, in order; the keys of ``phase_times``.
 PHASES = ("initialize", "reduce", "combine", "output")
+
+
+@dataclass
+class Tally:
+    """The counters one level of execution reports (see the module's
+    counter contract): an executor's hosted ranks, a worker host, a
+    shard's partial, or a router's own combines."""
+
+    n_reads: int = 0
+    bytes_read: int = 0
+    n_aggregations: int = 0
+    n_combines: int = 0
+    chunks_pruned: int = 0
+    bytes_pruned: int = 0
+    shared_reads: int = 0
+    shared_bytes: int = 0
+    phase_times: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0)
+    )
+    cache_stats: Dict[str, int] = field(default_factory=dict)
+    chunk_errors: Dict[int, str] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, result) -> "Tally":
+        """The tally a finished ``QueryResult`` reports."""
+        return cls(**{f.name: getattr(result, f.name) for f in fields(cls)})
+
+
+#: The :class:`Tally` counters :func:`merge_tallies` sums.
+_SUMMED = tuple(f.name for f in fields(Tally) if f.type == "int")
+
+
+def is_gauge(key: str) -> bool:
+    """A ``cache_stats`` key ending in ``_bytes`` is a gauge -- bytes one
+    cache holds -- and merges by ``max``; every other key counts events
+    and merges by sum."""
+    return key.endswith("_bytes")
+
+
+def merge_tallies(tallies: Sequence[Tally]) -> Tally:
+    """The contract's one reduction: counters are summed, ``phase_times``
+    takes the per-phase max (the critical path), ``cache_stats`` merges
+    per :func:`is_gauge`, and ``chunk_errors`` is the union (the first
+    tally naming a chunk keeps its message).  No tallies merge to zero
+    counters with every phase of :data:`PHASES` at 0.0."""
+    out = Tally()
+    for t in tallies:
+        for name in _SUMMED:
+            setattr(out, name, getattr(out, name) + int(getattr(t, name)))
+        for k, v in t.phase_times.items():
+            out.phase_times[k] = max(out.phase_times.get(k, 0.0), float(v))
+        for k, v in t.cache_stats.items():
+            had = out.cache_stats.get(k, 0)
+            out.cache_stats[k] = max(had, int(v)) if is_gauge(k) else had + int(v)
+        for gid, err in t.chunk_errors.items():
+            out.chunk_errors.setdefault(int(gid), err)
+    return out
+
 
 #: Input-chunk payload bytes one Local Reduction batch may hold.  The
 #: paper streams input chunks and budgets memory for the accumulator
@@ -389,8 +457,8 @@ class AccumulatorHost:
     def get(self, rank: int, output_chunk: int):
         return self._sets[rank].get(output_chunk)
 
-    def aggregate_grouped(self, rank, output_chunk, cell_idx, values) -> None:
-        self._sets[rank].aggregate_grouped(output_chunk, cell_idx, values)
+    def aggregate(self, rank, output_chunk, cell_idx, values) -> None:
+        self._sets[rank].aggregate(output_chunk, cell_idx, values)
 
     def scatter_groups(self, rank, output_chunk, cell_idx, reduced) -> None:
         self._sets[rank].scatter_groups(output_chunk, cell_idx, reduced)
@@ -422,10 +490,8 @@ class PhaseExecutor:
     surface (``on_allocate`` / ``on_aggregate`` / ``on_combine`` /
     ``on_output`` / ``end_tile``).
 
-    After :meth:`run`, the counters (``n_reads``, ``bytes_read``,
-    ``n_aggregations``, ``n_combines``, ``chunk_errors``,
-    ``phase_times``) hold this executor's totals across its hosted
-    ranks, per the module-level counter contract.
+    After :meth:`run`, :attr:`tally` holds this executor's counters
+    across its hosted ranks, per the module-level counter contract.
     """
 
     def __init__(
@@ -471,12 +537,7 @@ class PhaseExecutor:
         self._sel_map = np.full(grid.n_chunks, -1, dtype=np.int64)
         self._sel_map[self.problem.output_global_ids] = np.arange(self.problem.n_out)
 
-        self.n_reads = 0
-        self.bytes_read = 0
-        self.n_aggregations = 0
-        self.n_combines = 0
-        self.chunk_errors: Dict[int, str] = {}
-        self.phase_times = dict.fromkeys(PHASES, 0.0)
+        self.tally = Tally()
         self._reads_seen = {p: 0 for p in accs.ranks}
 
     # -- phase 1: initialization ---------------------------------------
@@ -548,10 +609,10 @@ class PhaseExecutor:
         except RECOVERABLE_READ_ERRORS as e:
             if self.on_error != "degrade":
                 raise
-            self.chunk_errors.setdefault(gid, f"{type(e).__name__}: {e}")
+            self.tally.chunk_errors.setdefault(gid, f"{type(e).__name__}: {e}")
             return None
-        self.n_reads += 1
-        self.bytes_read += int(problem.inputs.nbytes[i])
+        self.tally.n_reads += 1
+        self.tally.bytes_read += int(problem.inputs.nbytes[i])
         item_idx, cells = route_chunk(
             chunk, self.mapping, self.grid, self.region,
             cache=self.routing_cache, chunk_id=gid,
@@ -569,8 +630,8 @@ class PhaseExecutor:
         if kind == "red":
             self.accs.scatter_groups(rank, o, cell_idx, payload)
         else:
-            self.accs.aggregate_grouped(rank, o, cell_idx, payload)
-        self.n_aggregations += 1
+            self.accs.aggregate(rank, o, cell_idx, payload)
+        self.tally.n_aggregations += 1
 
     def _reduce(self, t: int) -> None:
         """Tile *t*'s reads in schedule order, in batches of consecutive
@@ -681,7 +742,7 @@ class PhaseExecutor:
                 if self.observer is not None:
                     self.observer.on_combine(src, dst, o, t)
                 self.accs.combine_from(dst, o, ghost_data)
-                self.n_combines += 1
+                self.tally.n_combines += 1
 
     # -- phase 4: output handling --------------------------------------
 
@@ -704,22 +765,23 @@ class PhaseExecutor:
     # -- driver ---------------------------------------------------------
 
     def run(self) -> None:
-        """Execute every tile; counters accumulate on ``self``."""
+        """Execute every tile; counters accumulate on ``self.tally``."""
+        times = self.tally.phase_times
         for t in range(self.plan.n_tiles):
             self.accs.begin_tile(t)
             self.source.begin_tile(t)
             t0 = time.perf_counter()
             self._initialize(t)
-            self.phase_times["initialize"] += time.perf_counter() - t0
+            times["initialize"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             self._reduce(t)
-            self.phase_times["reduce"] += time.perf_counter() - t0
+            times["reduce"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             self._combine(t)
-            self.phase_times["combine"] += time.perf_counter() - t0
+            times["combine"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             self._output(t)
-            self.phase_times["output"] += time.perf_counter() - t0
+            times["output"] += time.perf_counter() - t0
             self.transport.tile_done(t)
             if self.observer is not None:
                 self.observer.end_tile(t)

@@ -27,7 +27,7 @@ import numpy as np
 from repro.aggregation.functions import AggregationSpec
 from repro.aggregation.output_grid import OutputGrid
 from repro.frontend.query import RangeQuery
-from repro.runtime.engine import QueryResult
+from repro.runtime.engine import QueryResult, assemble_result
 
 __all__ = [
     "PartialAggregationSpec",
@@ -79,9 +79,6 @@ class PartialAggregationSpec(AggregationSpec):
     def aggregate(self, acc, cell_idx, values) -> None:
         self.inner.aggregate(acc, cell_idx, values)
 
-    def aggregate_grouped(self, acc, cell_idx, values) -> None:
-        self.inner.aggregate_grouped(acc, cell_idx, values)
-
     def prereduce_groups(self, values, group_starts):
         return self.inner.prereduce_groups(values, group_starts)
 
@@ -111,16 +108,7 @@ def empty_partial_result(query: RangeQuery) -> QueryResult:
     the router's completeness denominator keeps its planned chunks,
     which is conservative and documented in ``docs/sharding.md``.)
     """
-    return QueryResult(
-        strategy=query.strategy.upper(),
-        output_ids=np.empty(0, dtype=np.int64),
-        chunk_values=[],
-        n_tiles=0,
-        n_reads=0,
-        bytes_read=0,
-        n_combines=0,
-        n_aggregations=0,
-    )
+    return assemble_result(None, {}, strategy=query.strategy.upper(), n_tiles=0)
 
 
 def combine_partials(

@@ -52,8 +52,8 @@ from repro.frontend.service import RemoteQueryError
 from repro.machine.config import MachineConfig
 from repro.planner.problem import select_chunks
 from repro.planner.select import StrategyChoice, choose_strategy, is_auto
-from repro.runtime.engine import QueryResult
-from repro.runtime.phases import PHASES
+from repro.runtime.engine import QueryResult, assemble_result
+from repro.runtime.phases import Tally, merge_tallies
 from repro.shard.partial import combine_partials
 from repro.shard.server import ShardClient
 from repro.shard.topology import ShardTopology
@@ -466,72 +466,50 @@ class ShardRouter:
         shard_failures: Dict[int, BaseException],
     ) -> QueryResult:
         query = plan.query
-        spec = query.spec()
         values, router_combines = combine_partials(
-            spec, query.grid, plan.output_ids, partials
+            query.spec(), query.grid, plan.output_ids, partials
         )
 
-        # Chunk-level degradation in dataset-global ids: a live shard's
-        # local chunk errors translate through its global-id spine; a
-        # dead shard contributes every chunk it was planned to serve.
+        # The contract's merge over one tally per shard plus the router's
+        # own combines.  A live shard's local chunk errors translate to
+        # dataset-global ids through its global-id spine; a dead shard is
+        # charged every chunk it was planned to serve.
         assignment = self.topology.assignment
-        chunk_errors: Dict[int, str] = {}
+        tallies = [Tally(n_combines=router_combines)]
         for sid, r in sorted(partials, key=lambda item: item[0]):
             gids = assignment.global_ids(sid)
-            for local, msg in r.chunk_errors.items():
-                chunk_errors[int(gids[int(local)])] = str(msg)
+            tally = Tally.of(r)
+            tally.chunk_errors = {
+                int(gids[int(local)]): str(msg) for local, msg in r.chunk_errors.items()
+            }
+            tallies.append(tally)
         shard_errors: Dict[int, str] = {}
         for sid in sorted(shard_failures):
             msg = f"{type(shard_failures[sid]).__name__}: {shard_failures[sid]}"
             shard_errors[sid] = msg
-            for gid in plan.in_ids_by_shard[sid]:
-                chunk_errors[int(gid)] = f"shard {sid} unavailable: {msg}"
+            tallies.append(Tally(chunk_errors={
+                int(gid): f"shard {sid} unavailable: {msg}"
+                for gid in plan.in_ids_by_shard[sid]
+            }))
+        tally = merge_tallies(tallies)
 
         # Completeness over the *effective* plan: every contacted
         # shard's spatially planned chunks, minus what live shards
         # provably pruned (a dead shard's chunks stay in the
         # denominator unpruned -- conservative; see docs/sharding.md).
-        n_effective = plan.n_planned - sum(r.chunks_pruned for _, r in partials)
+        n_effective = plan.n_planned - tally.chunks_pruned
         completeness = (
-            1.0 - len(chunk_errors) / n_effective if n_effective > 0 else 1.0
+            1.0 - len(tally.chunk_errors) / n_effective if n_effective > 0 else 1.0
         )
-
-        phase_times: Dict[str, float] = {}
-        for name in PHASES:
-            stamps = [
-                r.phase_times[name] for _, r in partials if name in r.phase_times
-            ]
-            if stamps:
-                phase_times[name] = max(stamps)
-        cache_stats: Dict[str, int] = {}
-        for _, r in partials:
-            for k, v in r.cache_stats.items():
-                cache_stats[k] = cache_stats.get(k, 0) + int(v)
-
-        return QueryResult(
+        choice = plan.choice
+        return assemble_result(
+            None, dict(zip(plan.output_ids.tolist(), values)), [tally],
             strategy=query.strategy.upper(),
-            output_ids=np.asarray(plan.output_ids, dtype=np.int64),
-            chunk_values=values,
             n_tiles=max((r.n_tiles for _, r in partials), default=0),
-            n_reads=sum(r.n_reads for _, r in partials),
-            bytes_read=sum(r.bytes_read for _, r in partials),
-            n_combines=sum(r.n_combines for _, r in partials) + router_combines,
-            n_aggregations=sum(r.n_aggregations for _, r in partials),
-            phase_times=phase_times,
-            cache_stats=cache_stats,
-            chunk_errors=chunk_errors,
             completeness=completeness,
-            chunks_pruned=sum(r.chunks_pruned for _, r in partials),
-            bytes_pruned=sum(r.bytes_pruned for _, r in partials),
-            shared_reads=sum(r.shared_reads for _, r in partials),
-            shared_bytes=sum(r.shared_bytes for _, r in partials),
             shard_errors=shard_errors,
-            selected_strategy=(
-                plan.choice.selected if plan.choice is not None else ""
-            ),
-            strategy_ranking=(
-                plan.choice.ranking_dict() if plan.choice is not None else {}
-            ),
+            selected_strategy=choice.selected if choice is not None else "",
+            strategy_ranking=choice.ranking_dict() if choice is not None else {},
         )
 
     # -- liveness -------------------------------------------------------

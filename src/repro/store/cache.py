@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dataset.chunk import Chunk
 from repro.store.chunk_store import ChunkStore, ChunkStoreStage
@@ -228,50 +228,6 @@ class CachedChunkStore(ChunkStoreStage):
         if recorder is not None:
             recorder.record(False, _chunk_bytes(chunk))
         return chunk
-
-    def read_many(self, dataset: str, chunk_ids: List[int]) -> Iterator[Chunk]:
-        """Serve hits from cache; fetch the misses in one batch through
-        the inner store (which orders them by disk placement); yield in
-        the caller's order.
-
-        Partial failures honor the :class:`ChunkStore` contract: chunks
-        retrieved before the inner iterator raised are cached and
-        yielded (cache hits always are), and the first id without a
-        chunk raises the inner store's error at its position in the
-        iteration.  A failed read is **never** cached -- the next call
-        re-attempts it against the inner store.
-        """
-        ids = [int(c) for c in chunk_ids]
-        got: Dict[int, Chunk] = {}
-        missing: List[int] = []
-        with self._lock:
-            for cid in dict.fromkeys(ids):  # preserve order, visit once
-                chunk = self._lookup_locked((dataset, cid))
-                if chunk is None:
-                    missing.append(cid)
-                else:
-                    got[cid] = chunk
-        failure: Optional[Exception] = None
-        if missing:
-            inner_iter = self.inner.read_many(dataset, missing)
-            while True:
-                try:
-                    chunk = next(inner_iter)
-                except StopIteration:
-                    break
-                except Exception as e:
-                    failure = e  # cache the prefix, report at yield time
-                    break
-                cid = int(chunk.chunk_id)
-                got[cid] = chunk
-                with self._lock:
-                    self._insert_locked((dataset, cid), chunk)
-        for cid in ids:
-            if cid not in got:
-                if failure is not None:
-                    raise failure
-                raise KeyError(f"chunk {cid} of {dataset!r} not in store")
-            yield got[cid]
 
     def write_chunk(self, dataset: str, chunk: Chunk, node: int, disk: int) -> None:
         self.invalidate(dataset, [chunk.chunk_id])

@@ -25,7 +25,7 @@ import json
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dataset.chunk import Chunk
 from repro.store.format import ChunkFormatError, decode_chunk, encode_chunk
@@ -72,21 +72,6 @@ class ChunkStore(ABC):
     def delete_dataset(self, dataset: str) -> None:
         """Remove a dataset and all its chunks."""
 
-    def read_many(self, dataset: str, chunk_ids: List[int]) -> Iterator[Chunk]:
-        """Retrieve several chunks (in the given order).
-
-        **Partial-failure contract** (all implementations): chunks are
-        yielded in the caller's order; the first id whose read fails
-        raises that chunk's own error *at its position* in the
-        iteration, after every preceding id has been yielded.  No id is
-        ever silently skipped -- each requested chunk is either yielded
-        or is the one that raised.  (A raised iterator is finished, per
-        the iterator protocol; callers needing per-chunk recovery use
-        ``read_chunk`` individually or degraded execution.)
-        """
-        for cid in chunk_ids:
-            yield self.read_chunk(dataset, cid)
-
     def write_chunks(
         self, dataset: str, chunks: Sequence[Chunk], placements: Sequence[Placement]
     ) -> None:
@@ -113,9 +98,9 @@ class ChunkStore(ABC):
 class ChunkStoreStage(ChunkStore):
     """A store stacked on another: every call goes to ``inner``.
 
-    Reads go chunk by chunk through :meth:`read_chunk`, so a stage that
-    overrides it sees every read (``read_many`` gives up the inner
-    store's placement-order batching for that).
+    Reads go chunk by chunk through :meth:`read_chunk` -- the prefetcher
+    issues them in ``(node, disk, chunk id)`` placement order -- so a
+    stage that overrides it sees every read.
     """
 
     def __init__(self, inner: ChunkStore) -> None:
@@ -320,41 +305,6 @@ class FileChunkStore(ChunkStore):
             return manifest[chunk_id]
         except KeyError:
             raise KeyError(f"chunk {chunk_id} of {dataset!r} not in store") from None
-
-    def read_many(self, dataset: str, chunk_ids: List[int]) -> Iterator[Chunk]:
-        """Retrieve several chunks, batching the physical reads in
-        ``(node, disk, chunk_id)`` placement order.
-
-        The paper's disk-locality rule makes chunks on one disk
-        contiguous on that disk; visiting the farm disk by disk (and
-        in ascending id order within a disk) turns a scattered request
-        list into per-disk sequential scans.  The *returned* order is
-        the caller's order, so callers are oblivious to the reordering
-        (duplicated ids are read once and yielded as many times as
-        requested).
-
-        Partial failures honor the base-class contract: every distinct
-        id is physically attempted (a failure on one disk does not
-        abandon the scan of the others), successes are yielded in
-        caller order, and the first failed id raises its own error at
-        its position in the iteration.
-        """
-        ids = [int(c) for c in chunk_ids]
-        distinct = list(dict.fromkeys(ids))
-        by_placement = sorted(
-            distinct, key=lambda cid: (*self.placement(dataset, cid), cid)
-        )
-        got: Dict[int, Chunk] = {}
-        errors: Dict[int, Exception] = {}
-        for cid in by_placement:
-            try:
-                got[cid] = self.read_chunk(dataset, cid)
-            except RECOVERABLE_READ_ERRORS as e:
-                errors[cid] = e
-        for cid in ids:
-            if cid in errors:
-                raise errors[cid]
-            yield got[cid]
 
     def chunk_ids(self, dataset: str) -> List[int]:
         return sorted(self._manifest(dataset).keys())

@@ -8,10 +8,8 @@ read stalls the pipeline for the full disk (or injected-fault) latency
 
 :class:`TilePrefetcher` overlaps them: background threads *issue*
 reads ahead of consumption -- the current tile's remaining reads plus
-a bounded look-ahead into the next tile -- in the same
-``(node, disk, chunk id)`` placement order
-:meth:`~repro.store.chunk_store.FileChunkStore.read_many` batches
-physical reads in, so read-ahead preserves the per-disk sequential
+a bounded look-ahead into the next tile -- in ``(node, disk, chunk
+id)`` placement order, so read-ahead preserves the per-disk sequential
 scans the declusterer set up.  The executor still *consumes* in
 schedule order, so results stay bit-for-bit identical to the
 synchronous path.
@@ -83,9 +81,8 @@ def read_batches(plan, ranks=None) -> List[List[Tuple[int, int]]]:
     """Per-tile ``(read index, dataset chunk id)`` issue batches.
 
     Within each tile the reads are ordered by the input chunk's
-    ``(node, disk, chunk id)`` placement -- the order
-    ``FileChunkStore.read_many`` performs physical reads in -- so
-    prefetch issues per-disk sequential scans.  *ranks* (a container
+    ``(node, disk, chunk id)`` placement order, so prefetch issues
+    per-disk sequential scans.  *ranks* (a container
     of processor ids) restricts the batches to reads those ranks
     perform, which is what a multiprocess worker host prefetches.
     """

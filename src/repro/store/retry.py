@@ -109,9 +109,9 @@ class RetryPolicy:
 class RetryingChunkStore(ChunkStoreStage):
     """Apply a :class:`RetryPolicy` to every read of the wrapped store.
 
-    Reads are retried per chunk (each chunk gets its own attempt budget
-    and deadline), ``read_many`` included -- it trades the inner
-    store's placement-order batching for read-level fault isolation.
+    Reads are retried per chunk: each chunk gets its own attempt budget
+    and deadline, whatever ``(node, disk, chunk id)`` placement order
+    the caller reads in.
     """
 
     def __init__(self, inner: ChunkStore, policy: RetryPolicy) -> None:

@@ -156,7 +156,7 @@ class TestAggregateLoop:
     def test_grouped_call_in_loop_ok(self):
         src = """\
             for k in range(len(seg_out)):
-                acc_sets[q].aggregate_grouped(o, flat, values)
+                accs.scatter_groups(q, o, idx[lo[k] : hi[k]], rows[lo[k] : hi[k]])
         """
         assert codes(src, runtime_hot_path=True) == set()
 
@@ -448,8 +448,8 @@ class TestPhaseLoopOwnership:
     runtime/phases.py; other runtime modules drive PhaseExecutor."""
 
     CALLS = """
-    def reduce(spec, acc, idx, vals):
-        spec.aggregate_grouped(acc, idx, vals)
+    def reduce(spec, acc, idx, rows):
+        spec.scatter_groups(acc, idx, rows)
     """
 
     def test_sequencing_call_flagged_in_phase_scope(self):
@@ -487,6 +487,60 @@ class TestPhaseLoopOwnership:
         assert {d.code for d in lint_file(runtime / "mod.py")} == {"ADR501"}
         assert {d.code for d in lint_file(runtime / "phases.py")} == set()
         assert {d.code for d in lint_file(elsewhere / "mod.py")} == set()
+
+
+class TestResultAssemblyOwnership:
+    """ADR501's result half: in runtime/ and shard/, a QueryResult is
+    built only by runtime/engine.py's assemble_result."""
+
+    #: the hand-written constructions the parallel backend, the router
+    #: merge and the empty partial had before they called the assembly
+    CONSTRUCTIONS = {
+        "runtime/parallel.py": """
+            def execute_parallel(plan):
+                if plan.n_tiles == 0:
+                    return QueryResult(
+                        strategy=plan.strategy, output_ids=np.empty(0), chunk_values=[],
+                        n_tiles=plan.n_tiles, n_reads=0, bytes_read=0, n_combines=0,
+                        n_aggregations=0,
+                    )
+            """,
+        "shard/router.py": """
+            class ShardRouter:
+                def _merge(self, plan, partials, shard_failures):
+                    return QueryResult(strategy=plan.query.strategy.upper(), **merged)
+            """,
+        "shard/partial.py": """
+            def empty_partial_result(query):
+                return engine.QueryResult(query.strategy.upper(), ids, [], 0, 0, 0, 0, 0)
+            """,
+    }
+
+    def test_construction_flagged_in_result_scope(self):
+        for src in self.CONSTRUCTIONS.values():
+            assert codes(src, result_scope=True) == {"ADR501"}
+            assert codes(src) == set()
+
+    def test_assembly_call_ok(self):
+        src = "r = assemble_result(plan, emitted, [tally], race_diagnostics=[])\n"
+        assert codes(src, result_scope=True) == set()
+
+    def test_result_scope_resolved_from_file_location(self, tmp_path):
+        """runtime/ and shard/ modules get the rule, except the engine;
+        the wire decoder and the corpus oracle live elsewhere."""
+        from repro.analysis.lint import lint_file
+
+        src = "r = QueryResult(*fields)\n"
+        flagged = [*self.CONSTRUCTIONS, "runtime/mod.py"]
+        exempt = ["runtime/engine.py", "frontend/protocol.py", "analysis/corpus.py"]
+        for rel in flagged + exempt:
+            path = tmp_path / "repro" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(src)
+        for rel in flagged:
+            assert {d.code for d in lint_file(tmp_path / "repro" / rel)} == {"ADR501"}, rel
+        for rel in exempt:
+            assert {d.code for d in lint_file(tmp_path / "repro" / rel)} == set(), rel
 
 
 class TestStrategyLiteralMonopoly:

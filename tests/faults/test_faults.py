@@ -177,15 +177,6 @@ class TestFaultyChunkStore:
                 store.read_chunk("d", 0)
         assert store.read_chunk("d", 0).chunk_id == 0
 
-    def test_read_many_faults_at_position(self, rng):
-        store = FaultyChunkStore(
-            make_store(rng), FaultInjector(FaultPlan.corrupt_chunk(1))
-        )
-        it = store.read_many("d", [0, 1, 2])
-        assert next(it).chunk_id == 0
-        with pytest.raises(CorruptChunkError):
-            next(it)
-
     def test_writes_pass_through(self, rng):
         inner = make_store(rng)
         store = FaultyChunkStore(inner, FaultInjector(FaultPlan()))

@@ -1,4 +1,6 @@
-"""Tests for ADR batch-query submission."""
+"""Tests for batch-query submission against an ADR instance: batches are
+planned by :func:`repro.planner.batch.plan_batch` over the front end's
+planning problems and executed by the :class:`QueryService` scheduler."""
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.partition import hilbert_partition
 from repro.frontend.adr import ADR
 from repro.frontend.query import RangeQuery
+from repro.frontend.queryservice import QueryService, ServicePolicy
 from repro.machine.config import MachineConfig
+from repro.planner.batch import plan_batch
 from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping
 from repro.util.geometry import Rect
@@ -26,10 +30,14 @@ def setup(rng):
     grid = OutputGrid(out_space, (8, 8), (4, 4))
     mapping = GridMapping(space, out_space, (8, 8))
 
-    def query(region):
-        return RangeQuery("d", region, mapping, grid, aggregation="sum")
+    def query(region, strategy="DA"):
+        return RangeQuery("d", region, mapping, grid, aggregation="sum", strategy=strategy)
 
     return adr, query
+
+
+def batch_of(adr, queries):
+    return plan_batch([adr.build_problem(q) for q in queries])
 
 
 class TestADRBatch:
@@ -40,7 +48,9 @@ class TestADRBatch:
             query(Rect((4, 4), (10, 10))),
             query(Rect((0, 4), (6, 10))),
         ]
-        batch_results = adr.execute_batch(queries, strategy="DA")
+        with QueryService(adr, ServicePolicy(max_inflight=1, batch_max=8)) as service:
+            tickets = [service.submit(q) for q in queries]
+            batch_results = [t.result(timeout=30) for t in tickets]
         for q, br in zip(queries, batch_results):
             solo = adr.execute(q)
             assert br.output_ids.tolist() == solo.output_ids.tolist()
@@ -54,24 +64,15 @@ class TestADRBatch:
             query(Rect((5.2, 5.2), (10, 10))),  # far from A
             query(Rect((1, 1), (5.5, 5.5))),    # overlaps A heavily
         ]
-        batch = adr.plan_batch(queries)
+        batch = batch_of(adr, queries)
         pos = {q: i for i, q in enumerate(batch.order)}
         assert abs(pos[0] - pos[2]) == 1
 
-    def test_batch_requires_single_dataset(self, setup):
-        adr, query = setup
-        q1 = query(Rect((0, 0), (5, 5)))
-        q2 = query(Rect((0, 0), (5, 5)))
-        q2.dataset = "other"
-        with pytest.raises(ValueError, match="one dataset"):
-            adr.plan_batch([q1, q2])
-
     def test_empty_batch(self, setup):
-        adr, _ = setup
         with pytest.raises(ValueError):
-            adr.plan_batch([])
+            plan_batch([])
 
     def test_batch_summary(self, setup):
         adr, query = setup
-        batch = adr.plan_batch([query(Rect((0, 0), (8, 8))), query(Rect((2, 2), (10, 10)))])
+        batch = batch_of(adr, [query(Rect((0, 0), (8, 8))), query(Rect((2, 2), (10, 10)))])
         assert "shareable" in batch.summary()

@@ -1,6 +1,7 @@
 """Tests for the client wire protocol."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -592,3 +593,230 @@ class TestValueComponentsOnTheWire:
         assert back.aggregation == "min"
         assert back.value_components == 2
         assert back.spec().value_components == 2
+
+
+# -- the hand-listed result codec the field table replaced ---------------
+# Kept verbatim as the oracle for the wire text, the round trip and the
+# refusals of ``result_to_dict`` / ``result_from_dict``.
+
+
+def oracle_result_to_dict(result):
+    from repro.frontend.protocol import PROTOCOL_VERSION, _encode_block
+
+    payload = {
+        "version": PROTOCOL_VERSION,
+        "strategy": result.strategy,
+        "output_ids": np.asarray(result.output_ids, dtype=np.int64).tolist(),
+        "chunk_values": [_encode_block(v) for v in result.chunk_values],
+        "n_tiles": result.n_tiles,
+        "n_reads": result.n_reads,
+        "bytes_read": result.bytes_read,
+        "n_combines": result.n_combines,
+        "n_aggregations": result.n_aggregations,
+    }
+    if result.phase_times:
+        payload["phase_times"] = {k: float(v) for k, v in result.phase_times.items()}
+    if result.cache_stats:
+        payload["cache_stats"] = {k: int(v) for k, v in result.cache_stats.items()}
+    if result.chunks_pruned:
+        payload["chunks_pruned"] = int(result.chunks_pruned)
+        payload["bytes_pruned"] = int(result.bytes_pruned)
+    if result.shared_reads:
+        payload["shared_reads"] = int(result.shared_reads)
+        payload["shared_bytes"] = int(result.shared_bytes)
+    if result.chunk_errors:
+        payload["chunk_errors"] = {str(k): str(v) for k, v in result.chunk_errors.items()}
+        payload["completeness"] = float(result.completeness)
+    if result.shard_errors:
+        payload["shard_errors"] = {str(k): str(v) for k, v in result.shard_errors.items()}
+        payload["completeness"] = float(result.completeness)
+    if result.selected_strategy:
+        payload["selected_strategy"] = str(result.selected_strategy)
+        if result.strategy_ranking:
+            payload["strategy_ranking"] = {
+                str(k): float(v) for k, v in result.strategy_ranking.items()
+            }
+    return payload
+
+
+def oracle_result_from_dict(payload):
+    from repro.frontend.protocol import PROTOCOL_VERSION, _decode_block
+    from repro.runtime.engine import QueryResult
+
+    if payload.get("version") != PROTOCOL_VERSION:
+        raise ProtocolError(f"protocol version {payload.get('version')!r} not supported")
+    try:
+        return QueryResult(
+            strategy=payload["strategy"],
+            output_ids=np.asarray(payload["output_ids"], dtype=np.int64),
+            chunk_values=[_decode_block(v) for v in payload["chunk_values"]],
+            n_tiles=int(payload["n_tiles"]),
+            n_reads=int(payload["n_reads"]),
+            bytes_read=int(payload["bytes_read"]),
+            n_combines=int(payload["n_combines"]),
+            n_aggregations=int(payload["n_aggregations"]),
+            phase_times={str(k): float(v) for k, v in payload.get("phase_times", {}).items()},
+            cache_stats={str(k): int(v) for k, v in payload.get("cache_stats", {}).items()},
+            chunk_errors={int(k): str(v) for k, v in payload.get("chunk_errors", {}).items()},
+            shard_errors={int(k): str(v) for k, v in payload.get("shard_errors", {}).items()},
+            completeness=float(payload.get("completeness", 1.0)),
+            chunks_pruned=int(payload.get("chunks_pruned", 0)),
+            bytes_pruned=int(payload.get("bytes_pruned", 0)),
+            shared_reads=int(payload.get("shared_reads", 0)),
+            shared_bytes=int(payload.get("shared_bytes", 0)),
+            selected_strategy=str(payload.get("selected_strategy", "")),
+            strategy_ranking={
+                str(k): float(v) for k, v in payload.get("strategy_ranking", {}).items()
+            },
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise ProtocolError(f"bad result payload: {e}") from e
+
+
+def optional(value_strategy, default):
+    """A field either at its dataclass default or set."""
+    return st.just(default) | value_strategy
+
+
+counts = st.integers(0, 2 ** 40)
+names = st.sampled_from(["FRA", "SRA", "DA", "HYBRID"])
+messages = st.text(max_size=12)
+finite = st.floats(0, 1e6, allow_nan=False)
+
+
+@st.composite
+def wire_results(draw):
+    from repro.runtime.engine import QueryResult
+    from repro.runtime.phases import PHASES
+
+    blocks = draw(st.lists(value_blocks, max_size=3))
+    r = QueryResult(
+        strategy=draw(names | st.just("")),
+        output_ids=np.asarray(
+            draw(st.lists(counts, min_size=len(blocks), max_size=len(blocks))),
+            dtype=np.int64,
+        ),
+        chunk_values=blocks,
+        n_tiles=draw(counts), n_reads=draw(counts), bytes_read=draw(counts),
+        n_combines=draw(counts), n_aggregations=draw(counts),
+        race_diagnostics=draw(optional(st.just(["a finding"]), [])),
+        phase_times=draw(optional(st.fixed_dictionaries({p: finite for p in PHASES}), {})),
+        cache_stats=draw(optional(st.dictionaries(st.sampled_from(
+            ["routing_hits", "routing_bytes", "chunk_hits", "pool_reuses"]), counts,
+            min_size=1), {})),
+        chunk_errors=draw(optional(st.dictionaries(counts, messages, min_size=1), {})),
+        completeness=draw(optional(st.floats(0, 1, exclude_max=True), 1.0)),
+        chunks_pruned=draw(optional(st.integers(1, 2 ** 40), 0)),
+        bytes_pruned=draw(optional(st.integers(1, 2 ** 40), 0)),
+        shared_reads=draw(optional(st.integers(1, 2 ** 40), 0)),
+        shared_bytes=draw(optional(st.integers(1, 2 ** 40), 0)),
+        shard_errors=draw(optional(st.dictionaries(counts, messages, min_size=1), {})),
+        selected_strategy=draw(optional(names, "")),
+        strategy_ranking=draw(optional(st.dictionaries(names, finite, min_size=1), {})),
+    )
+    if draw(st.booleans()):  # pair the fields the way real results do
+        r = replace(
+            r,
+            bytes_pruned=(r.bytes_pruned or 1) if r.chunks_pruned else 0,
+            shared_bytes=(r.shared_bytes or 1) if r.shared_reads else 0,
+            shard_errors=r.shard_errors if r.chunk_errors else {},
+            completeness=min(r.completeness, 0.5) if r.chunk_errors else 1.0,
+            strategy_ranking=(r.strategy_ranking or {"FRA": 1.0})
+            if r.selected_strategy else {},
+        )
+    return r
+
+
+def paired(r):
+    """The field pairs every real result keeps, which the hand-listed
+    encoder's layout relied on: pruned bytes with pruned chunks, shared
+    bytes with shared reads, incompleteness with errors (and shard
+    errors with the chunk errors they charge), the ranking with the
+    selected strategy."""
+    errors = bool(r.chunk_errors or r.shard_errors)
+    return (
+        bool(r.chunks_pruned) == bool(r.bytes_pruned)
+        and bool(r.shared_reads) == bool(r.shared_bytes)
+        and (r.completeness < 1.0) == errors
+        and (not r.shard_errors or bool(r.chunk_errors))
+        and bool(r.selected_strategy) == bool(r.strategy_ranking)
+    )
+
+
+def assert_same_result(got, want):
+    from dataclasses import fields
+
+    from repro.runtime.engine import QueryResult
+
+    for f in fields(QueryResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "output_ids":
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        elif f.name == "chunk_values":
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert x.size == y.size
+                assert np.array_equal(x.reshape(y.shape), y, equal_nan=True)
+        else:
+            assert a == b, f.name
+
+
+class TestResultFieldTable:
+    """One field table drives the result codec: it round-trips every
+    field but ``race_diagnostics`` and writes the hand-listed encoder's
+    JSON text for every result whose paired fields agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wire_results())
+    def test_roundtrip_and_wire_text_match_the_oracle(self, r):
+        payload = result_to_dict(r)
+        text = json.dumps(payload)  # what the server writes into a frame
+        back = result_from_dict(json.loads(text))
+        assert "race_diagnostics" not in payload and back.race_diagnostics == []
+        want = replace(r, race_diagnostics=[],
+                       chunk_values=[np.asarray(v, dtype=np.float64) for v in r.chunk_values])
+        assert_same_result(back, want)
+        old = oracle_result_from_dict(json.loads(json.dumps(oracle_result_to_dict(r))))
+        if paired(r):
+            assert text == json.dumps(oracle_result_to_dict(r))
+            for x, y in zip(back.chunk_values, old.chunk_values):
+                assert x.shape == y.shape and x.dtype == y.dtype
+            assert_same_result(back, old)
+
+    def test_empty_result_carries_the_counters_alone(self):
+        from repro.runtime.engine import QueryResult
+
+        r = QueryResult("FRA", np.empty(0, dtype=np.int64), [], 0, 0, 0, 0, 0)
+        payload = result_to_dict(r)
+        assert payload == oracle_result_to_dict(r) == {
+            "version": 1, "strategy": "FRA", "output_ids": [], "chunk_values": [],
+            "n_tiles": 0, "n_reads": 0, "bytes_read": 0, "n_combines": 0,
+            "n_aggregations": 0,
+        }
+        assert_same_result(result_from_dict(payload), r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wire_results(), st.data())
+    def test_malformed_payloads_refused_like_the_oracle(self, r, data):
+        payload = result_to_dict(r)
+        required = ["strategy", "output_ids", "chunk_values", "n_tiles", "n_reads",
+                    "bytes_read", "n_combines", "n_aggregations"]
+        breakage = data.draw(st.sampled_from([
+            ("drop", name) for name in required
+        ] + [
+            ("set", "version", 0), ("set", "n_reads", "many"), ("set", "n_tiles", None),
+            ("set", "output_ids", [["x"]]), ("set", "chunk_values", [[[1.0], None]]),
+            ("set", "completeness", "x"), ("set", "chunks_pruned", [1]),
+            ("set", "chunk_errors", {"seven": "lost"}), ("set", "phase_times", {"reduce": "x"}),
+            ("set", "cache_stats", {"routing_hits": "x"}),
+            ("set", "strategy_ranking", {"FRA": None}),
+        ]))
+        if breakage[0] == "drop":
+            del payload[breakage[1]]
+        else:
+            payload[breakage[1]] = breakage[2]
+        with pytest.raises(ProtocolError) as new:
+            result_from_dict(payload)
+        with pytest.raises(ProtocolError) as old:
+            oracle_result_from_dict(payload)
+        assert str(new.value) == str(old.value)

@@ -168,6 +168,35 @@ class TestBatchingScheduler:
         assert abs(infos[0]["batch_pos"] - infos[2]["batch_pos"]) == 1
         assert service.stats()["batches"] >= 1
 
+    def test_backlog_batches_per_dataset(self):
+        """A batch holds one dataset's queries: an interleaved backlog
+        over two datasets forms one batch per dataset."""
+        gate = GateStore(MemoryChunkStore())
+        adr, space = build_adr(store=gate)
+        rng = np.random.default_rng(SEED + 1)
+        adr.load(
+            "other", space,
+            hilbert_partition(rng.uniform(0, 10, size=(100, 2)), np.ones(100), 20),
+        )
+        queries = []
+        for dataset in ("sensors", "other", "sensors", "other", "sensors"):
+            q = make_query(space, Rect((0, 0), (10, 10)))
+            q.dataset = dataset
+            queries.append(q)
+        with QueryService(adr, ServicePolicy(max_inflight=1, batch_max=8)) as service:
+            warmup = service.submit(make_query(space, Rect((0, 0), (1.5, 1.5))))
+            deadline = time.monotonic() + 10
+            while service.stats()["in_flight"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            tickets = [service.submit(q) for q in queries]
+            gate.gate.set()
+            warmup.result(timeout=30)
+            for t in tickets:
+                assert t.result(timeout=30).n_reads > 0
+        sizes = [t.service_info["batch_size"] for t in tickets]
+        assert sizes == [3, 2, 3, 2, 3]
+
     def test_batch_max_caps_batch_size(self):
         _, space = build_adr()
         queries = [make_query(space, Rect((0, 0), (10, 10))) for _ in range(5)]

@@ -70,6 +70,8 @@ class TestBatchPlan:
     def test_summary_smoke(self, rng):
         batch = plan_batch([sub_problem(rng, range(10))])
         assert "batch of 1" in batch.summary()
+        batch = plan_batch([sub_problem(rng, range(0, 20)), sub_problem(rng, range(10, 30))])
+        assert "batch of 2" in batch.summary() and "shareable" in batch.summary()
 
 
 class TestSimulateBatch:

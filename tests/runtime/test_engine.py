@@ -180,12 +180,11 @@ class TestEmptyResults:
         assert full.shape == grid.grid_shape + (1,)
         assert np.isnan(full).all()
 
-    def test_empty_problem_executes_and_assembles(self, rng):
+    @staticmethod
+    def empty_problem(rng):
         from helpers import make_chunkset
 
-        spec = SumAggregation(1)
-        _, _, chunks, mapping, grid = make_functional_setup(rng)
-        prob = PlanningProblem(
+        return PlanningProblem(
             n_procs=2,
             memory_per_proc=np.int64(1 << 14),
             inputs=make_chunkset(rng, 0, placed_on=2),
@@ -193,12 +192,33 @@ class TestEmptyResults:
             graph=ChunkGraph(0, 0, np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64)),
         )
-        plan = plan_query(prob, "FRA")
+
+    def test_empty_problem_executes_and_assembles(self, rng):
+        spec = SumAggregation(1)
+        _, _, chunks, mapping, grid = make_functional_setup(rng)
+        plan = plan_query(self.empty_problem(rng), "FRA")
         result = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec)
         assert result.chunk_values == [] and result.n_tiles == 0
         full = result.assemble(grid)
         assert full.shape == grid.grid_shape + (1,)
         assert np.isnan(full).all()
+
+    def test_empty_plan_same_on_both_backends(self, rng):
+        """Both backends assemble an empty plan's result in one place,
+        so it keeps the cross-backend contract: every phase key, the
+        plan's tile count, complete."""
+        from repro.runtime.phases import PHASES
+
+        spec = SumAggregation(1)
+        _, _, chunks, mapping, grid = make_functional_setup(rng)
+        plan = plan_query(self.empty_problem(rng), "FRA")
+        seq, par = (
+            execute_plan(plan, lambda i: chunks[i], mapping, grid, spec, backend=b)
+            for b in ("sequential", "parallel")
+        )
+        assert set(seq.phase_times) == set(par.phase_times) == set(PHASES)
+        assert seq.n_tiles == par.n_tiles == plan.n_tiles
+        assert seq.completeness == par.completeness == 1.0
 
 
 @given(seed=st.integers(0, 2**31), strategy=st.sampled_from(STRATEGIES),

@@ -1,7 +1,7 @@
 """Fused reduction kernels vs the serial oracle.
 
 Every fast path in :mod:`repro.runtime.kernels` and the
-``aggregate_grouped``/``prereduce_groups`` spec hooks must reproduce
+``prereduce_groups``/``scatter_groups`` spec hooks must reproduce
 :func:`~repro.runtime.serial.execute_serial` -- the scalar Figure-1
 loop, which shares no kernel with them -- on arbitrary workloads.
 """
@@ -65,7 +65,7 @@ def run_fused(routed, grid, spec, sel_map, tile_of_output, tile, out_global):
             for k in range(len(segs.seg_out)):
                 o = int(segs.seg_out[k])
                 s, e = segs.starts[k], segs.ends[k]
-                spec.aggregate_grouped(accs[o], segs.flat[s:e], segs.values[s:e])
+                spec.aggregate(accs[o], segs.flat[s:e], segs.values[s:e])
         else:
             gflat = segs.flat[segs.group_starts]
             gb = segs.group_bounds
@@ -277,9 +277,12 @@ class TestPrereduceMatchesGrouped:
         n_cells = 50
         m = 300
         cell_idx = np.sort(rng.integers(0, n_cells, size=m)).astype(np.int64)
-        values = rng.normal(size=(m, spec.value_components))
+        # Integer-valued items: every partial sum is exact, so the scalar
+        # path and the pre-reduction (whose run sums may associate
+        # differently) must agree bit for bit.
+        values = rng.integers(-50, 50, size=(m, spec.value_components)).astype(float)
         acc_a = spec.initialize(n_cells)
-        spec.aggregate_grouped(acc_a, cell_idx, values)
+        spec.aggregate(acc_a, cell_idx, values)
         # one "read" = one segment: runs are the duplicate-cell runs
         run_starts = np.concatenate(([0], np.flatnonzero(np.diff(cell_idx)) + 1))
         reduced = spec.prereduce_groups(values, run_starts)
@@ -294,8 +297,8 @@ class TestPrereduceMatchesGrouped:
 
     def test_extra_aggregations_fall_back(self):
         """Aggregations without a pre-reduction (variance, wmean) keep
-        the default None, which routes the engine onto the
-        aggregate_grouped fallback."""
+        the default None, which routes the engine onto the scalar
+        aggregate fallback."""
         for name in ("variance", "wmean"):
             spec = AGGREGATIONS[name]()
             assert spec.prereduce_groups(np.zeros((3, spec.value_components)),

@@ -10,7 +10,9 @@ arrays the functional backends execute.
 import numpy as np
 import pytest
 
-from repro.aggregation.functions import MeanAggregation, SumAggregation
+from repro.aggregation.accumulator import AccumulatorSet
+from repro.aggregation.extra import VarianceAggregation
+from repro.aggregation.functions import BestValueComposite, MeanAggregation
 from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
 from repro.decluster.hilbert import HilbertDeclusterer
@@ -154,19 +156,35 @@ class TestCounterContract:
         assert res.n_combines == len(plan.ghost_transfers.tile)
         assert res.completeness == 1.0 and not res.chunk_errors
 
-    def test_spec_without_prereduce_matches_too(self, workload):
-        # SumAggregation exercises the prereduce/scatter path,
-        # MeanAggregation the aggregate_grouped path; both must agree
-        # across backends (covered above) and count identically here.
-        chunks, mapping, grid, _, prob = workload
-        spec = SumAggregation(1)
-        plan = plan_query(prob, "FRA")
-        seq = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec)
-        par = execute_plan(
-            plan, lambda i: chunks[i], mapping, grid, spec, backend="parallel"
-        )
-        for counter in COUNTERS:
-            assert getattr(par, counter) == getattr(seq, counter), counter
+    def test_spec_without_prereduce_matches_too(self, rng, monkeypatch):
+        """Aggregations without a pre-reduction (variance, best value)
+        take the executor's fallback -- one scalar ``aggregate`` per
+        applied segment -- and both backends agree on it bit for bit."""
+        calls = []
+        scalar = AccumulatorSet.aggregate
+
+        def counted(self, *args):
+            calls.append(args[0])
+            scalar(self, *args)
+
+        monkeypatch.setattr(AccumulatorSet, "aggregate", counted)
+        for spec in (VarianceAggregation(1), BestValueComposite(2)):
+            _, _, chunks, mapping, grid = make_functional_setup(
+                rng, value_components=spec.value_components
+            )
+            prob = build_problem(chunks, mapping, grid, spec, n_procs=3, memory=512)
+            plan = plan_query(prob, "FRA")
+            calls.clear()
+            seq = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec)
+            assert len(calls) == seq.n_aggregations > 0, type(spec).__name__
+            par = execute_plan(
+                plan, lambda i: chunks[i], mapping, grid, spec, backend="parallel"
+            )
+            assert par.output_ids.tolist() == seq.output_ids.tolist()
+            for a, b in zip(par.chunk_values, seq.chunk_values):
+                assert np.array_equal(a, b, equal_nan=True), type(spec).__name__
+            for counter in COUNTERS:
+                assert getattr(par, counter) == getattr(seq, counter), counter
 
 
 class LoggingTransport(InprocTransport):

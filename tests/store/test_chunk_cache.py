@@ -1,4 +1,4 @@
-"""CachedChunkStore (LRU payload cache) and read_many batching."""
+"""CachedChunkStore: the LRU payload cache."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.dataset.chunk import Chunk
 from repro.faults import FaultInjector, FaultPlan, FaultyChunkStore, InjectedFault
 from repro.store.cache import CachedChunkStore
-from repro.store.chunk_store import FileChunkStore, MemoryChunkStore
-from repro.store.format import CorruptChunkError
+from repro.store.chunk_store import MemoryChunkStore
 
 
 def make_chunks(rng, n=5, items=4):
@@ -125,33 +124,6 @@ class TestInvalidation:
         assert len(store) == 1
 
 
-class TestReadMany:
-    def test_caller_order_with_duplicates_and_hits(self, filled):
-        store, _ = filled
-        store.read_chunk("ds", 3)  # warm one entry
-        got = [c.chunk_id for c in store.read_many("ds", [3, 1, 3, 0, 1])]
-        assert got == [3, 1, 3, 0, 1]
-        assert store.hits == 1  # the warm 3; duplicates are visited once
-        assert store.misses == 3  # 1, 0 and the initial cold 3
-        # everything is cached now: a second pass is all hits
-        list(store.read_many("ds", [0, 1, 3]))
-        assert store.misses == 3
-
-    def test_misses_fetched_through_inner_batch(self, filled, monkeypatch):
-        store, _ = filled
-        seen = []
-        original = type(store.inner).read_many
-
-        def spy(self, dataset, chunk_ids):
-            seen.append(list(chunk_ids))
-            return original(self, dataset, chunk_ids)
-
-        monkeypatch.setattr(type(store.inner), "read_many", spy)
-        store.read_chunk("ds", 2)
-        list(store.read_many("ds", [2, 4, 0]))
-        assert seen == [[4, 0]]  # only the misses, one batch
-
-
 class TestCacheFailureHandling:
     """Failed reads are never cached; successes around a failure are."""
 
@@ -168,50 +140,6 @@ class TestCacheFailureHandling:
         assert len(store) == 0  # the failure left no cache entry
         assert store.read_chunk("ds", 1).chunk_id == 1  # retry hits inner
         assert len(store) == 1
-
-    def test_read_many_caches_successful_prefix(self, rng):
-        store = self.make_faulty(rng, FaultPlan.corrupt_chunk(1))
-        it = store.read_many("ds", [0, 1, 2])
-        assert next(it).chunk_id == 0
-        with pytest.raises(CorruptChunkError):
-            next(it)
-        assert len(store) == 1  # chunk 0 cached, the failure not
-        hits = store.hits
-        store.read_chunk("ds", 0)
-        assert store.hits == hits + 1
-
-    def test_cache_hits_served_before_failure_position(self, rng):
-        store = self.make_faulty(rng, FaultPlan.corrupt_chunk(2))
-        store.read_chunk("ds", 3)  # warm an unaffected chunk
-        it = store.read_many("ds", [3, 2, 0])
-        assert next(it).chunk_id == 3
-        with pytest.raises(CorruptChunkError):
-            next(it)
-
-
-class TestFileStoreBatching:
-    def test_reads_happen_in_placement_order(self, tmp_path, rng, monkeypatch):
-        """read_many visits the farm disk by disk (ascending chunk id
-        within a disk), regardless of the caller's order."""
-        store = FileChunkStore(tmp_path / "farm")
-        chunks = make_chunks(rng, 6)
-        placements = [(0, 1), (1, 0), (0, 0), (1, 0), (0, 1), (0, 0)]
-        store.write_chunks("ds", chunks, placements)
-
-        fetched = []
-        original = FileChunkStore.read_chunk
-
-        def spy(self, dataset, chunk_id):
-            fetched.append(chunk_id)
-            return original(self, dataset, chunk_id)
-
-        monkeypatch.setattr(FileChunkStore, "read_chunk", spy)
-        order = [4, 1, 5, 0, 2, 3, 4]
-        got = [c.chunk_id for c in store.read_many("ds", order)]
-        assert got == order  # caller order preserved, duplicate served twice
-        # physical order: (node, disk, id) ascending, each id read once
-        assert fetched == [2, 5, 0, 4, 1, 3]
-
 
 class TestPinning:
     """Shared-scan pinning: pinned payloads survive eviction pressure

@@ -1,13 +1,11 @@
 """Tests for chunk stores (file-backed and in-memory)."""
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from repro.dataset.chunk import Chunk
 from repro.store.chunk_store import FileChunkStore, MemoryChunkStore
-from repro.store.format import ChunkFormatError, CorruptChunkError
+from repro.store.format import ChunkFormatError
 
 
 def make_chunks(rng, n=5):
@@ -64,12 +62,6 @@ class TestStoreInterface:
     def test_negative_placement_rejected(self, store, rng):
         with pytest.raises(ValueError):
             store.write_chunk("ds", make_chunks(rng, 1)[0], -1, 0)
-
-    def test_read_many_order(self, store, rng):
-        for c in make_chunks(rng, 3):
-            store.write_chunk("ds", c, 0, 0)
-        got = [c.chunk_id for c in store.read_many("ds", [2, 0, 1])]
-        assert got == [2, 0, 1]
 
     def test_multiple_datasets_isolated(self, store, rng):
         a, b = make_chunks(rng, 2)
@@ -177,69 +169,6 @@ class TestFileStoreSpecifics:
         s = FileChunkStore(tmp_path / "farm")
         with pytest.raises(ValueError):
             s.write_chunks("ds", make_chunks(rng, 2), [(0, 0)])
-
-
-class TestReadManyPartialFailure:
-    """The partial-failure contract documented on ChunkStore.read_many:
-    successes yield in caller order, the first failed id raises its own
-    error at its position, and no id is silently skipped."""
-
-    @staticmethod
-    def corrupt_file(store, chunk_id):
-        path = Path(store._chunk_path("ds", chunk_id, *store.placement("ds", chunk_id)))
-        data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF
-        path.write_bytes(bytes(data))
-
-    def test_failure_raises_at_caller_position(self, tmp_path, rng):
-        store = FileChunkStore(tmp_path / "farm")
-        for c in make_chunks(rng, 4):
-            store.write_chunk("ds", c, 0, 0)
-        self.corrupt_file(store, 1)
-        it = store.read_many("ds", [2, 0, 1, 3])
-        assert next(it).chunk_id == 2
-        assert next(it).chunk_id == 0
-        with pytest.raises(CorruptChunkError):
-            next(it)
-
-    def test_every_distinct_id_attempted(self, tmp_path, rng, monkeypatch):
-        """A failure on one disk must not abandon the other disks'
-        scans (their reads may be served from the OS cache on retry)."""
-        store = FileChunkStore(tmp_path / "farm")
-        store.write_chunks("ds", make_chunks(rng, 3), [(0, 0), (1, 0), (2, 0)])
-        self.corrupt_file(store, 0)
-        attempted = []
-        original = FileChunkStore.read_chunk
-
-        def spy(self, dataset, chunk_id):
-            attempted.append(chunk_id)
-            return original(self, dataset, chunk_id)
-
-        monkeypatch.setattr(FileChunkStore, "read_chunk", spy)
-        with pytest.raises(CorruptChunkError):
-            list(store.read_many("ds", [0, 1, 2]))
-        assert sorted(attempted) == [0, 1, 2]
-
-    def test_duplicates_before_failure_still_served(self, tmp_path, rng):
-        store = FileChunkStore(tmp_path / "farm")
-        for c in make_chunks(rng, 3):
-            store.write_chunk("ds", c, 0, 0)
-        self.corrupt_file(store, 2)
-        it = store.read_many("ds", [1, 1, 2, 0])
-        assert [next(it).chunk_id, next(it).chunk_id] == [1, 1]
-        with pytest.raises(CorruptChunkError):
-            next(it)
-
-    def test_absence_raises_at_position_memory(self, rng):
-        """The base-class implementation (MemoryChunkStore) honors the
-        same contract for absent ids."""
-        store = MemoryChunkStore()
-        for c in make_chunks(rng, 2):
-            store.write_chunk("ds", c, 0, 0)
-        it = store.read_many("ds", [1, 99, 0])
-        assert next(it).chunk_id == 1
-        with pytest.raises(KeyError):
-            next(it)
 
 
 class TestMemoryStoreSpecifics:

@@ -74,9 +74,9 @@ class TestPolicy:
 
 
 class TestPlacementOrder:
-    """read_batches issues each tile's reads in the ``(node, disk,
-    chunk id)`` order FileChunkStore.read_many performs physical reads
-    in, and TilePrefetcher claims them in exactly that order."""
+    """read_batches issues each tile's reads in ``(node, disk, chunk
+    id)`` placement order, and TilePrefetcher claims them in exactly
+    that order."""
 
     @settings(max_examples=10, deadline=None)
     @given(
