@@ -76,7 +76,9 @@ ADR501    phase-sequencing accumulator call (``allocate`` /
           ``QueryResult(...)`` construction in ``src/repro/runtime/``
           or ``src/repro/shard/`` outside ``runtime/engine.py``: a
           result is assembled from tallies in one place
-          (``repro.runtime.engine.assemble_result``)
+          (``repro.runtime.engine.assemble_result``).  And an ``open()``
+          in a ``"w"`` mode or an ``O_TRUNC`` in ``src/repro/store/``:
+          store files are rewritten in place, never truncated to zero
 ADR502    hard-coded strategy string literal (``"FRA"`` / ``"SRA"`` /
           ``"DA"`` / ``"HYBRID"`` / ``"AUTO"``) in library code
           outside ``src/repro/planner/`` -- strategy names are defined
@@ -163,6 +165,9 @@ _PHASE_LOOP_HOME = ("runtime/phases.py", "runtime\\phases.py")
 #: construct a ``QueryResult`` there.
 _RESULT_SCOPE_PATHS = ("repro/runtime/", "repro/shard/")
 _RESULT_HOME = ("runtime/engine.py", "runtime\\engine.py")
+
+#: Where ADR501's write half applies.
+_WRITE_SCOPE_PATHS = ("repro/store/",)
 
 #: Per-read kernel calls ADR305 rejects inside a loop of that module:
 #: its reduce phase runs them once per batch of reads.
@@ -342,9 +347,10 @@ class _Visitor(ast.NodeVisitor):
         phase_scope: bool = False, index_hot_path: bool = False,
         wire_scope: bool = False, strategy_scope: bool = False,
         docstring_ids: Optional[Set[int]] = None, phase_home: bool = False,
-        select_home: bool = False, result_scope: bool = False,
+        select_home: bool = False, result_scope: bool = False, write_scope: bool = False,
     ) -> None:
         self.path = path
+        self.write_scope = write_scope
         self.out = out
         self.rng_exempt = rng_exempt
         self.runtime_hot_path = runtime_hot_path
@@ -494,9 +500,28 @@ class _Visitor(ast.NodeVisitor):
                 "are assembled from tallies in one place -- call "
                 "repro.runtime.engine.assemble_result",
             )
+        if self.write_scope and _dotted(node.func) == "open":
+            mode = node.args[1:2] or [k.value for k in node.keywords if k.arg == "mode"]
+            if mode and isinstance(mode[0], ast.Constant) and "w" in str(mode[0].value):
+                self._truncating_write(node, f"open(..., {mode[0].value!r})")
         if self.wire_scope:
             self._check_wire_call(node)
         self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if self.write_scope and node.attr == "O_TRUNC":
+            self._truncating_write(node, "O_TRUNC")
+        self.generic_visit(node)
+
+    def _truncating_write(self, node: ast.AST, what: str) -> None:
+        self.out.emit(
+            "ADR501",
+            Severity.ERROR,
+            self._loc(node),
+            f"{what} truncates a store file to zero, which makes ext4 start "
+            "writeback on close; write through FileChunkStore._write_file, "
+            "which rewrites in place",
+        )
 
     # -- ADR302: float equality on accumulator values ----------------------
 
@@ -724,7 +749,7 @@ def lint_source(
     guarded_cache: bool = False, index_hot_path: bool = False,
     wire_scope: bool = False, strategy_scope: bool = False,
     phase_home: bool = False, select_home: bool = False,
-    result_scope: bool = False,
+    result_scope: bool = False, write_scope: bool = False,
 ) -> List[Diagnostic]:
     """Lint one module's source text (the testable core).
 
@@ -744,6 +769,7 @@ def lint_source(
         index_hot_path, wire_scope, strategy_scope,
         docstring_ids=_docstring_node_ids(tree) if strategy_scope else None,
         phase_home=phase_home, select_home=select_home, result_scope=result_scope,
+        write_scope=write_scope,
     ).visit(tree)
     if check_all and not any(
         isinstance(n, ast.Assign)
@@ -794,6 +820,7 @@ def lint_file(path: Path) -> List[Diagnostic]:
             any(m in posix for m in _RESULT_SCOPE_PATHS)
             and not any(posix.endswith(e) for e in _RESULT_HOME)
         ),
+        write_scope=any(m in posix for m in _WRITE_SCOPE_PATHS),
         concurrency_scope=any(m in posix for m in _CONCURRENCY_PATHS),
         guarded_cache=any(posix.endswith(e) for e in _GUARDED_CACHE_MODULES),
         index_hot_path=any(m in posix for m in _INDEX_HOT_PATH),

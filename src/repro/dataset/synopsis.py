@@ -15,6 +15,7 @@ prunable via the null counts, never via the NaN extrema.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,51 +83,17 @@ class ValueSynopsis:
         Accepts ``(n,)`` or ``(n, k)`` (trailing dims flattened); the
         extrema ignore NaN, the null row counts NaN per component.
         """
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        elif vals.ndim > 2:
-            vals = vals.reshape(len(vals), -1)
-        n, k = vals.shape
-        nulls = np.count_nonzero(np.isnan(vals), axis=0).astype(np.int64)
-        vmin = np.full(k, np.nan)
-        vmax = np.full(k, np.nan)
-        live = nulls < n
-        if n and live.any():
-            with np.errstate(all="ignore"):
-                vmin[live] = np.nanmin(vals[:, live], axis=0)
-                vmax[live] = np.nanmax(vals[:, live], axis=0)
-        return vmin, vmax, nulls, n
+        vmin, vmax, nulls, counts = _summarize([values])
+        return vmin[0], vmax[0], nulls[0], int(counts[0])
 
     @classmethod
     def from_chunks(cls, chunks: Iterable) -> "ValueSynopsis":
         """Build from payload-bearing :class:`~repro.dataset.chunk.Chunk`
         objects (anything with a ``.values`` array)."""
-        rows = [cls.summarize_values(c.values) for c in chunks]
-        if not rows:
+        blocks = [c.values for c in chunks]
+        if not blocks:
             raise ValueError("cannot build a synopsis over zero chunks")
-        k = max(len(r[0]) for r in rows)
-        if any(len(r[0]) != k for r in rows):
-            raise ValueError("chunks disagree on value component count")
-        return cls(
-            vmin=np.stack([r[0] for r in rows]),
-            vmax=np.stack([r[1] for r in rows]),
-            nulls=np.stack([r[2] for r in rows]),
-            counts=np.asarray([r[3] for r in rows], dtype=np.int64),
-        )
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple]) -> "ValueSynopsis":
-        """Build from ``(vmin, vmax, nulls, count)`` rows, e.g. decoded
-        from the on-disk chunk headers by ``store.format.decode_synopsis``."""
-        if not rows:
-            raise ValueError("cannot build a synopsis over zero rows")
-        return cls(
-            vmin=np.stack([np.atleast_1d(r[0]) for r in rows]),
-            vmax=np.stack([np.atleast_1d(r[1]) for r in rows]),
-            nulls=np.stack([np.atleast_1d(r[2]) for r in rows]),
-            counts=np.asarray([r[3] for r in rows], dtype=np.int64),
-        )
+        return cls(*_summarize(blocks))
 
     def subset(self, ids: np.ndarray) -> "ValueSynopsis":
         """Rows for ``ids``, in that order (mirrors ``ChunkSet.subset``)."""
@@ -137,3 +104,29 @@ class ValueSynopsis:
             nulls=self.nulls[ids],
             counts=self.counts[ids],
         )
+
+
+def _summarize(blocks: Sequence) -> tuple:
+    """``(vmin, vmax, nulls, counts)`` of every value block in one pass:
+    the blocks are concatenated and each one's rows reduced by
+    ``reduceat`` with ``fmin`` / ``fmax``, the NaN-skipping reductions
+    ``nanmin`` / ``nanmax`` run.  An empty block takes no start (a
+    ``reduceat`` segment cannot be empty); a component with no non-null
+    item is NaN."""
+    vals = [np.asarray(b, dtype=np.float64) for b in blocks]
+    ks = {prod(v.shape[1:]) for v in vals}
+    if len(ks) > 1:
+        raise ValueError("chunks disagree on value component count")
+    (k,) = ks
+    counts = np.array([len(v) for v in vals], dtype=np.int64)
+    flat = np.concatenate([v.reshape(len(v), k) for v in vals])
+    live = counts > 0
+    starts = (np.cumsum(counts) - counts)[live]
+    vmin, vmax = np.empty((2, len(vals), k))
+    nulls = np.zeros((len(vals), k), dtype=np.int64)
+    vmin[live] = np.fmin.reduceat(flat, starts)
+    vmax[live] = np.fmax.reduceat(flat, starts)
+    nulls[live] = np.add.reduceat(np.isnan(flat), starts, dtype=np.int64)
+    dead = nulls == counts[:, None]
+    vmin[dead] = vmax[dead] = np.nan
+    return vmin, vmax, nulls, counts

@@ -99,7 +99,7 @@ def encode_chunk(chunk: Chunk) -> bytes:
     body += np.ascontiguousarray(nulls, dtype="<i8").tobytes()
     body += coords.tobytes()
     body += values.tobytes()
-    crc = zlib.crc32(bytes(body))
+    crc = zlib.crc32(body)
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -112,7 +112,7 @@ def encode_chunk(chunk: Chunk) -> bytes:
         len(trailing),
         crc,
     )
-    return header + bytes(body)
+    return header + body  # bytes: the one copy of the body
 
 
 def decode_chunk(data: bytes) -> Chunk:

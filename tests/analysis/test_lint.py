@@ -543,6 +543,55 @@ class TestResultAssemblyOwnership:
             assert {d.code for d in lint_file(tmp_path / "repro" / rel)} == set(), rel
 
 
+class TestStoreWriteOwnership:
+    """ADR501's write half: nothing in store/ truncates a file to zero;
+    FileChunkStore._write_file rewrites files in place."""
+
+    #: the chunk and manifest writers the store had before _write_file
+    TRUNCATING = """
+        class FileChunkStore:
+            @staticmethod
+            def _create(path):
+                try:
+                    return open(path, "wb")
+                except FileNotFoundError:
+                    return open(path, mode="w+b")
+
+            def _save_manifest(self, tmp, payload):
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh)
+        """
+
+    def test_truncating_opens_flagged_in_write_scope(self):
+        found = findings(self.TRUNCATING, write_scope=True)
+        assert [(d.code, d.location.split(":")[1]) for d in found] == [
+            ("ADR501", "6"), ("ADR501", "8"), ("ADR501", "11"),
+        ]
+        src = "fd = os.open(p, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)\n"
+        assert codes(src, write_scope=True) == {"ADR501"}
+        assert codes(self.TRUNCATING) == set()
+
+    def test_reads_appends_and_in_place_writes_ok(self):
+        src = """
+        a = open(p, "rb")
+        b = open(p)
+        c = open(p, mode="ab")
+        fd = os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)
+        os.ftruncate(fd, n)
+        """
+        assert codes(src, write_scope=True) == set()
+
+    def test_write_scope_resolved_from_file_location(self, tmp_path):
+        from repro.analysis.lint import lint_file
+
+        src = 'fh = open(p, "wb")\n'
+        for rel, expected in (("store/mod.py", {"ADR501"}), ("index/base.py", set())):
+            path = tmp_path / "repro" / rel
+            path.parent.mkdir(parents=True)
+            path.write_text(src)
+            assert {d.code for d in lint_file(path)} == expected, rel
+
+
 class TestStrategyLiteralMonopoly:
     """ADR502: strategy names are spelled in repro/planner/ only;
     everyone else imports them from repro.planner.select."""

@@ -5,7 +5,12 @@ import pytest
 
 from repro.dataset.chunk import Chunk
 from repro.store.chunk_store import FileChunkStore, MemoryChunkStore
-from repro.store.format import ChunkFormatError
+from repro.store.format import (
+    ChunkFormatError,
+    CorruptChunkError,
+    decode_chunk,
+    encode_chunk,
+)
 
 
 def make_chunks(rng, n=5):
@@ -117,18 +122,36 @@ class TestFileStoreSpecifics:
 
     def test_reloading_the_same_ids_adds_no_file_system_call(self, tmp_path, rng, monkeypatch):
         """The bulk path of a reload in place -- ``update_write`` does it
-        every other op -- pays for the writes and one manifest flush only."""
+        every other op -- pays for the writes only: one open per chunk
+        file, none of them truncating it to zero, and no manifest flush."""
+        import builtins
+        import os
+
         import repro.store.chunk_store as chunk_store
 
         store = FileChunkStore(tmp_path / "farm")
         chunks, places = make_chunks(rng, 5), [(i % 2, 0) for i in range(5)]
         store.write_chunks("ds", chunks, places)
-        monkeypatch.setattr(chunk_store.os, "remove", lambda path: pytest.fail(f"removed {path}"))
-        monkeypatch.setattr(
-            chunk_store.Path, "exists", lambda self: pytest.fail(f"probed {self}")
-        )
-        store.write_chunks("ds", make_chunks(rng, 5), places)
-        assert store.chunk_ids("ds") == list(range(5))
+        calls = []
+
+        def logged(name, real):
+            return lambda *a, **k: calls.append((name, a)) or real(*a, **k)
+
+        monkeypatch.setattr(chunk_store.os, "open", logged("os.open", os.open))
+        monkeypatch.setattr(chunk_store, "open", logged("open", builtins.open), raising=False)
+        monkeypatch.setattr(chunk_store.os, "remove", logged("remove", os.remove))
+        monkeypatch.setattr(chunk_store.Path, "exists", logged("exists", chunk_store.Path.exists))
+        monkeypatch.setattr(store, "_save_manifest", logged("flush", store._save_manifest))
+        reloaded = make_chunks(rng, 5)
+        store.write_chunks("ds", reloaded, places)
+        ids = store.chunk_ids("ds")
+        monkeypatch.undo()
+        assert [name for name, _ in calls] == ["os.open"] * 5
+        assert not any(args[1] & os.O_TRUNC for _, args in calls)
+        assert ids == list(range(5))
+        reopened = FileChunkStore(tmp_path / "farm")
+        assert reopened.placements("ds") == dict(enumerate(places))
+        np.testing.assert_array_equal(reopened.read_chunk("ds", 4).values, reloaded[4].values)
 
     def test_single_write_on_a_reopened_store_keeps_the_rest(self, tmp_path, rng):
         root = tmp_path / "farm"
@@ -169,6 +192,77 @@ class TestFileStoreSpecifics:
         s = FileChunkStore(tmp_path / "farm")
         with pytest.raises(ValueError):
             s.write_chunks("ds", make_chunks(rng, 2), [(0, 0)])
+
+
+class TestWritePath:
+    """Files are rewritten where they are and the manifest is flushed
+    only when a placement changed; every write still leaves a manifest
+    from which a fresh store reads back every placement."""
+
+    @staticmethod
+    def count_flushes(store):
+        flushes, save = [], store._save_manifest
+        store._save_manifest = lambda dataset: flushes.append(dataset) or save(dataset)
+        return flushes
+
+    @staticmethod
+    def chunk(rng, n):
+        return Chunk.from_items(0, rng.uniform(0, 10, size=(n, 2)), rng.normal(size=n))
+
+    def test_empty_bulk_write_to_a_new_dataset(self, tmp_path):
+        FileChunkStore(tmp_path).write_chunks("new", [], [])
+        assert FileChunkStore(tmp_path).placements("new") == {}
+
+    def test_single_write_to_a_new_dataset(self, tmp_path, rng):
+        store = FileChunkStore(tmp_path)
+        flushes = self.count_flushes(store)
+        store.write_chunk("new", make_chunks(rng, 1)[0], 2, 1)
+        assert flushes == ["new"]
+        assert FileChunkStore(tmp_path).placements("new") == {0: (2, 1)}
+
+    def test_single_write_on_a_reopened_store_flushes_only_a_move(self, tmp_path, rng):
+        chunks = make_chunks(rng, 3)
+        FileChunkStore(tmp_path).write_chunks("ds", chunks, [(0, 0), (1, 0), (0, 1)])
+        store = FileChunkStore(tmp_path)
+        flushes = self.count_flushes(store)
+        store.write_chunk("ds", chunks[2], 0, 1)  # where it is
+        assert flushes == []
+        store.write_chunk("ds", chunks[1], 0, 0)  # a move
+        assert flushes == ["ds"]
+        reopened = FileChunkStore(tmp_path)
+        assert reopened.placements("ds") == {0: (0, 0), 1: (0, 0), 2: (0, 1)}
+        for c in chunks:
+            np.testing.assert_array_equal(reopened.read_chunk("ds", c.chunk_id).values, c.values)
+
+    def test_shorter_rewrite_reads_back_exactly(self, tmp_path, rng):
+        store = FileChunkStore(tmp_path)
+        path = tmp_path / "ds" / "node000" / "disk00" / "chunk00000000.adc"
+        store.write_chunks("ds", [self.chunk(rng, 40)], [(0, 0)])
+        short = self.chunk(rng, 3)
+        store.write_chunks("ds", [short], [(0, 0)])
+        assert path.read_bytes() == encode_chunk(short)
+        path.with_suffix(".tmp").write_bytes(b"stale" * 1000)  # a crashed write_chunk's
+        shorter = self.chunk(rng, 2)
+        store.write_chunk("ds", shorter, 0, 0)
+        assert path.read_bytes() == encode_chunk(shorter)
+        back = FileChunkStore(tmp_path).read_chunk("ds", 0)
+        np.testing.assert_array_equal(back.coords, shorter.coords)
+        np.testing.assert_array_equal(back.values, shorter.values)
+
+    def test_torn_in_place_rewrite_fails_the_crc(self, tmp_path, rng):
+        """What a crash inside an in-place rewrite leaves: the new head
+        over the old tail, or a shorter record not yet cut to length."""
+        store = FileChunkStore(tmp_path)
+        old = encode_chunk(self.chunk(rng, 40))
+        store.write_chunks("ds", [decode_chunk(old)], [(0, 0)])
+        path = tmp_path / "ds" / "node000" / "disk00" / "chunk00000000.adc"
+        same = encode_chunk(self.chunk(rng, 40))
+        short = encode_chunk(self.chunk(rng, 3))
+        for torn in (same[: len(same) // 2] + old[len(same) // 2 :], short + old[len(short) :]):
+            assert len(torn) == len(old)
+            path.write_bytes(torn)
+            with pytest.raises(CorruptChunkError):
+                FileChunkStore(tmp_path).read_chunk("ds", 0)
 
 
 class TestMemoryStoreSpecifics:
