@@ -1,30 +1,30 @@
-"""Ablation: spatial index (R-tree vs vectorized scan vs bitmap).
+"""Ablation: spatial index (the loader's ScanIndex vs the paper's R-tree).
 
-Section 2.2 indexes chunk MBRs with an R-tree.  Two measurements live
-here:
+Section 2.2 indexes chunk MBRs with an R-tree; every dataset here is
+indexed by a :class:`~repro.index.scan.ScanIndex`, and this bench is
+the measurement behind that choice.  Two measurements live here:
 
-- **pytest-benchmark micro-ablation** (the original bench): build and
-  query cost for every index type on the SAT chunk population
-  (irregular MBRs) across selectivities.  Run with
-  ``pytest benchmarks/bench_ablation_index.py``.
-- **standalone scaling sweep + pruning workload**: chunk-MBR
-  populations up to a million rectangles, reporting build time and
-  query throughput per index with the crossover population where each
-  vectorized index overtakes the pointer-walking R-tree, plus an
-  end-to-end value-synopsis pruning run measuring the byte reduction a
-  selective ``where=`` predicate delivers.
+- **pytest-benchmark micro-ablation**: build and query cost for every
+  index type on the SAT chunk population (irregular MBRs) across
+  selectivities.  Run with ``pytest benchmarks/bench_ablation_index.py``.
+- **standalone selectivity sweep + pruning workload**: Hilbert-run
+  chunk MBRs (the shape ``hilbert_partition`` loads) at 1 000 and
+  100 000 chunks, queried by boxes covering 0 % (a point) to 50 % of
+  the domain, reporting per-query lookup time per index and the ids
+  returned; plus an end-to-end value-synopsis pruning run measuring
+  the byte reduction a selective ``where=`` predicate delivers.
 
 Run standalone (no pytest needed)::
 
     PYTHONPATH=src python benchmarks/bench_ablation_index.py \\
-        [--min-query-ratio 1.0] [--min-prune-ratio 2.0]
+        [--min-prune-ratio 2.0] [--out FILE]
 
-writes ``BENCH_index.json``.  Fidelity follows ``REPRO_BENCH_FIDELITY``
-(``fast`` caps the sweep at 250k rects; ``full`` runs the 1M
-population the committed report documents).  Every timed index is
-first checked against the brute-force oracle on the benchmark queries,
-and the pruned execution is checked bit-identical to the unpruned one
--- the numbers are only reported for answers that are provably right.
+prints the sweep as a table and, with ``--out``, writes the report as
+JSON.  ``REPRO_BENCH_FIDELITY=full`` quadruples the pruning workload.
+Every timed index is first checked against the brute-force oracle on
+the benchmark queries, and the pruned execution is checked
+bit-identical to the unpruned one -- the numbers are only reported for
+answers that are provably right.
 """
 
 from __future__ import annotations
@@ -40,42 +40,33 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.index import (  # noqa: E402
-    BruteForceIndex,
-    HierarchicalBitmapIndex,
-    RTree,
-    ScanIndex,
-)
+from repro.index import BruteForceIndex, RTree, ScanIndex  # noqa: E402
 from repro.util.geometry import Rect  # noqa: E402
+from repro.util.hilbert import hilbert_sort_keys  # noqa: E402
 
 FIDELITY = os.environ.get("REPRO_BENCH_FIDELITY", "fast").lower()
 SEED = 20260807
-ROUNDS = 3
-N_QUERIES = 24
+ROUNDS = 5
+N_QUERIES = 16
+EXTENT = 1000.0
+ITEMS_PER_CHUNK = 16
 
-#: rect populations for the scaling sweep; "full" reaches the
-#: million-chunk regime the tentpole targets
-POPULATIONS = {
-    "fast": (10_000, 100_000, 250_000),
-    "full": (10_000, 100_000, 1_000_000),
-}
+#: chunk populations of the sweep
+POPULATIONS = (1_000, 100_000)
+#: query box area as a fraction of the domain (0 is a point query)
+SELECTIVITIES = (0.0, 0.0001, 0.001, 0.01, 0.1, 0.5)
 
 #: contenders in the sweep
 SWEEP_INDEXES = {
-    "rtree": (RTree, {"bulk": "hilbert"}),
     "scan": (ScanIndex, {}),
-    "bitmap": (HierarchicalBitmapIndex, {}),
+    "rtree": (RTree, {"bulk": "hilbert"}),
     "brute": (BruteForceIndex, {}),
 }
 
-#: the vectorized newcomers gated against the R-tree
-NEW_INDEXES = ("scan", "bitmap")
-GATE_MIN_POPULATION = 100_000
-
 
 # ---------------------------------------------------------------------------
-# pytest-benchmark micro-ablation (original bench; optional at import
-# time so the standalone path works where pytest is not installed)
+# pytest-benchmark micro-ablation (optional at import time so the
+# standalone path works where pytest is not installed)
 # ---------------------------------------------------------------------------
 
 try:  # pragma: no cover - exercised only under pytest-benchmark
@@ -87,7 +78,6 @@ try:  # pragma: no cover - exercised only under pytest-benchmark
         "rtree-str": (RTree, {"bulk": "str"}),
         "rtree-hilbert": (RTree, {"bulk": "hilbert"}),
         "scan": (ScanIndex, {}),
-        "bitmap": (HierarchicalBitmapIndex, {}),
         "brute": (BruteForceIndex, {}),
     }
 
@@ -133,81 +123,92 @@ except ImportError:  # pytest absent: standalone main() below still works
 
 
 # ---------------------------------------------------------------------------
-# standalone scaling sweep
+# standalone selectivity sweep
 # ---------------------------------------------------------------------------
 
 
-def make_rects(rng, n, ndim=2, extent=1000.0):
-    los = rng.uniform(0.0, extent, size=(n, ndim))
-    sizes = rng.uniform(0.0, extent * 0.005, size=(n, ndim))
-    return los, los + sizes
+def make_chunk_mbrs(rng, n_chunks):
+    """MBRs of *n_chunks* Hilbert runs of uniform points, the way
+    ``hilbert_partition`` cuts a loaded dataset (vectorised here so the
+    100k population builds in well under a second)."""
+    pts = rng.uniform(0.0, EXTENT, size=(n_chunks * ITEMS_PER_CHUNK, 2))
+    bbox = Rect((0.0, 0.0), (EXTENT, EXTENT))
+    pts = pts[np.argsort(hilbert_sort_keys(pts, bbox), kind="stable")]
+    starts = np.arange(0, len(pts), ITEMS_PER_CHUNK)
+    return np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
 
 
-def make_queries(rng, ndim=2, extent=1000.0):
-    """Query rects across selectivities, all inside the domain."""
+def make_queries(rng, selectivity):
+    """Square boxes covering *selectivity* of the domain, inside it."""
+    side = EXTENT * selectivity ** 0.5
     out = []
-    for frac in (0.01, 0.05, 0.2):
-        side = extent * frac
-        for _ in range(N_QUERIES // 3):
-            lo = rng.uniform(0.0, extent - side, size=ndim)
-            out.append(Rect(tuple(lo), tuple(lo + side)))
+    for _ in range(N_QUERIES):
+        lo = rng.uniform(0.0, EXTENT - side, size=2)
+        out.append(Rect(tuple(lo), tuple(lo + side)))
     return out
 
 
 def time_queries(idx, queries, rounds=ROUNDS):
+    """Best-of-*rounds* mean seconds per query."""
     best = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
         for q in queries:
             idx.query(q)
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best / len(queries)
 
 
 def sweep_population(n):
-    rng = np.random.default_rng(SEED)
-    los, his = make_rects(rng, n)
-    queries = make_queries(rng)
-
-    entry = {"build_seconds": {}, "queries_per_sec": {}, "ratio_vs_rtree": {}}
+    rng = np.random.default_rng(SEED + n)
+    los, his = make_chunk_mbrs(rng, n)
+    entry = {"build_ms": {}, "selectivities": {}}
     indexes = {}
     for name, (cls, kwargs) in SWEEP_INDEXES.items():
         t0 = time.perf_counter()
         indexes[name] = cls.from_rects(los, his, **kwargs)
-        entry["build_seconds"][name] = time.perf_counter() - t0
+        entry["build_ms"][name] = (time.perf_counter() - t0) * 1e3
 
-    # Correctness gate: every contender answers like the oracle.
     brute = indexes["brute"]
-    for q in queries:
-        expect = brute.query(q)
+    for sel in SELECTIVITIES:
+        queries = make_queries(rng, sel)
+        # Correctness gate: every contender answers like the oracle.
+        expected = [brute.query(q) for q in queries]
         for name, idx in indexes.items():
-            got = idx.query(q)
-            if not np.array_equal(got, expect):
-                raise AssertionError(
-                    f"{name} disagreed with brute force at n={n} on {q}"
-                )
-
-    for name, idx in indexes.items():
-        entry["queries_per_sec"][name] = len(queries) / time_queries(idx, queries)
-    rtree_qps = entry["queries_per_sec"]["rtree"]
-    for name in SWEEP_INDEXES:
-        entry["ratio_vs_rtree"][name] = entry["queries_per_sec"][name] / rtree_qps
+            for q, expect in zip(queries, expected):
+                if not np.array_equal(idx.query(q), expect):
+                    raise AssertionError(
+                        f"{name} disagreed with brute force at n={n} on {q}"
+                    )
+        entry["selectivities"][str(sel)] = {
+            "mean_ids": float(np.mean([len(e) for e in expected])),
+            "query_us": {
+                name: time_queries(idx, queries) * 1e6
+                for name, idx in indexes.items()
+            },
+        }
     return entry
 
 
-def crossover(populations):
-    """Smallest population where each new index overtakes the R-tree."""
-    out = {}
-    for name in NEW_INDEXES:
-        out[name] = next(
-            (
-                n
-                for n in sorted(int(k) for k in populations)
-                if populations[str(n)]["ratio_vs_rtree"][name] >= 1.0
-            ),
-            None,
-        )
-    return out
+def format_table(populations):
+    names = list(SWEEP_INDEXES)
+    lines = [
+        "| chunks | selectivity | ids returned | "
+        + " | ".join(f"`{k}` µs" for k in names) + " |",
+        "|---:|---:|---:|" + "---:|" * len(names),
+    ]
+    for n, entry in populations.items():
+        for sel, point in entry["selectivities"].items():
+            us = point["query_us"]
+            best = min(us, key=us.get)
+            cells = [
+                f"**{us[k]:,.1f}**" if k == best else f"{us[k]:,.1f}" for k in names
+            ]
+            lines.append(
+                f"| {int(n):,} | {float(sel) * 100:g} % | "
+                f"{point['mean_ids']:,.1f} | " + " | ".join(cells) + " |"
+            )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -277,40 +278,28 @@ def bench_pruning():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--min-query-ratio", type=float, default=None,
-        help="exit 1 unless scan and bitmap reach this fraction of the "
-        f"R-tree's query throughput at populations >= {GATE_MIN_POPULATION}",
-    )
-    parser.add_argument(
         "--min-prune-ratio", type=float, default=None,
         help="exit 1 unless synopsis pruning cuts bytes read by this factor",
     )
     parser.add_argument(
-        "--out", default=str(Path(__file__).resolve().parent.parent / "BENCH_index.json"),
-        help="output JSON path (default: repo-root BENCH_index.json)",
+        "--out", default=None, help="also write the report as JSON to this path"
     )
     args = parser.parse_args(argv)
 
-    fidelity = "fast" if FIDELITY == "fast" else "full"
     report = {
         "bench": "index",
-        "fidelity": fidelity,
         "n_queries": N_QUERIES,
         "rounds": ROUNDS,
         "populations": {},
     }
-    for n in POPULATIONS[fidelity]:
+    for n in POPULATIONS:
         entry = sweep_population(n)
         report["populations"][str(n)] = entry
-        qps = entry["queries_per_sec"]
         print(
-            f"n={n:>9,}: "
-            + ", ".join(f"{k} {v:,.0f} q/s" for k, v in qps.items())
-            + f"  (scan {entry['ratio_vs_rtree']['scan']:.1f}x, "
-            f"bitmap {entry['ratio_vs_rtree']['bitmap']:.1f}x vs rtree)"
+            f"n={n:>7,} build: "
+            + ", ".join(f"{k} {v:,.2f} ms" for k, v in entry["build_ms"].items())
         )
-    report["crossover_vs_rtree"] = crossover(report["populations"])
-    print(f"crossover populations: {report['crossover_vs_rtree']}")
+    print(format_table(report["populations"]))
 
     report["pruning"] = bench_pruning()
     p = report["pruning"]
@@ -320,31 +309,17 @@ def main(argv=None) -> int:
         f"({p['byte_reduction']:.1f}x reduction)"
     )
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.out}")
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.out}")
 
-    failures = []
-    if args.min_query_ratio is not None:
-        for n_str, entry in report["populations"].items():
-            if int(n_str) < GATE_MIN_POPULATION:
-                continue
-            for name in NEW_INDEXES:
-                ratio = entry["ratio_vs_rtree"][name]
-                if ratio < args.min_query_ratio:
-                    failures.append(
-                        f"{name} at n={n_str}: {ratio:.2f}x vs rtree "
-                        f"(need {args.min_query_ratio}x)"
-                    )
-    if args.min_prune_ratio is not None:
-        if p["byte_reduction"] < args.min_prune_ratio:
-            failures.append(
-                f"pruning byte reduction {p['byte_reduction']:.2f}x "
-                f"(need {args.min_prune_ratio}x)"
-            )
-    if failures:
-        print("FAIL: " + "; ".join(failures))
+    if args.min_prune_ratio is not None and p["byte_reduction"] < args.min_prune_ratio:
+        print(
+            f"FAIL: pruning byte reduction {p['byte_reduction']:.2f}x "
+            f"(need {args.min_prune_ratio}x)"
+        )
         return 1
     return 0
 

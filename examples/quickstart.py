@@ -27,7 +27,7 @@ def main() -> None:
 
     # 2. The input dataset: 5,000 temperature readings at random
     #    coordinates, partitioned into Hilbert-contiguous chunks of 50
-    #    items, declustered and R-tree-indexed by `load`.
+    #    items, declustered and indexed by `load`.
     field = AttributeSpace.regular("field", ("x", "y"), (0, 0), (100, 100))
     coords = rng.uniform(0, 100, size=(5000, 2))
     temps = 15 + 10 * np.sin(coords[:, 0] / 15) + rng.normal(0, 1, 5000)

@@ -6,7 +6,7 @@ processing of multi-dimensional datasets on distributed-memory
 machines with disks attached to each node.  This package implements
 the full system in Python:
 
-- the chunked, declustered, R-tree-indexed storage substrate
+- the chunked, declustered, indexed storage substrate
   (:mod:`repro.dataset`, :mod:`repro.store`, :mod:`repro.index`,
   :mod:`repro.decluster`);
 - the user-customization services (:mod:`repro.space` for ``Map``,

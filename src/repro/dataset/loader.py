@@ -13,7 +13,7 @@ against a chunk store and returns the placed metadata plus the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Type
+from typing import Optional, Sequence
 
 from repro.dataset.chunk import Chunk
 from repro.dataset.chunkset import ChunkSet
@@ -22,7 +22,7 @@ from repro.dataset.synopsis import ValueSynopsis
 from repro.decluster.base import Declusterer
 from repro.decluster.hilbert import HilbertDeclusterer
 from repro.index.base import SpatialIndex
-from repro.index.rtree import RTree
+from repro.index.scan import ScanIndex
 from repro.space.attribute_space import AttributeSpace
 from repro.store.chunk_store import ChunkStore
 
@@ -49,7 +49,6 @@ def load_dataset(
     n_nodes: int,
     disks_per_node: int = 1,
     declusterer: Optional[Declusterer] = None,
-    index_cls: Type[SpatialIndex] = RTree,
 ) -> LoadedDataset:
     """Run steps 2--4: decluster, store, index.
 
@@ -77,7 +76,7 @@ def load_dataset(
     placed = chunkset.with_placement(node, disk)
 
     # Step 4: index the chunk MBRs.
-    index = index_cls.build(placed)
+    index = ScanIndex.build(placed)
 
     dataset = Dataset(name, space, placed, payloads=None)
     return LoadedDataset(dataset, index)

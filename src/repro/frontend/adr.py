@@ -21,7 +21,7 @@ are all reachable separately for inspection (``build_problem``,
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.decluster.base import Declusterer
 from repro.decluster.hilbert import HilbertDeclusterer
 from repro.frontend.query import RangeQuery
 from repro.index.base import SpatialIndex
-from repro.index.rtree import RTree
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.costmodel import CostModel
 from repro.planner.plan import QueryPlan
@@ -132,7 +131,6 @@ class ADR:
         space: AttributeSpace,
         chunks: Sequence[Chunk],
         declusterer: Optional[Declusterer] = None,
-        index_cls: Type[SpatialIndex] = RTree,
     ) -> LoadedDataset:
         """Load a partitioned dataset (steps 2--4 of Section 2.2)."""
         self.register_space(space)
@@ -144,7 +142,6 @@ class ADR:
             n_nodes=self.machine.n_procs,
             disks_per_node=self.machine.disks_per_node,
             declusterer=declusterer if declusterer is not None else self.declusterer,
-            index_cls=index_cls,
         )
         self.catalog.add(loaded.dataset, replace=True)
         self._indices[name] = loaded.index

@@ -5,21 +5,21 @@ disk farm, an index (e.g., an R-tree) is constructed using the MBRs of
 the chunks.  The index is used by the back-end nodes to find the local
 chunks with MBRs that intersect the range query."
 
-This package implements that index from scratch:
+Every dataset is indexed by a :class:`ScanIndex`, the fastest lookup
+measured wherever the lookup is a visible share of a query
+(``benchmarks/bench_ablation_index.py``).  Three implementations share
+the sorted-``int64`` :meth:`SpatialIndex.query` contract:
 
-- :class:`RTree` -- dynamic inserts with quadratic split plus an STR
-  (Sort-Tile-Recursive) bulk loader used by the dataset loader;
-- :class:`BruteForceIndex` -- the vectorized linear scan every other
-  index is checked against in tests and benches;
 - :class:`ScanIndex` -- packed MBR columns sorted on the primary
-  dimension, binsearch-narrowed branchless scan (modern-hardware
-  answer to tree traversal);
-- :class:`HierarchicalBitmapIndex` -- per-level uint64 bin bitsets
-  with segment-tree covers, AND/OR word ops per query.
+  dimension, binsearch-narrowed branchless scan; the one the loader
+  builds;
+- :class:`RTree` -- the paper's index (quadratic split plus STR and
+  Hilbert bulk loading), kept as the ablation baseline;
+- :class:`BruteForceIndex` -- the vectorized linear scan every other
+  index is checked against in tests and benches.
 """
 
 from repro.index.base import SpatialIndex
-from repro.index.bitmap import HierarchicalBitmapIndex
 from repro.index.brute import BruteForceIndex
 from repro.index.rtree import RTree
 from repro.index.scan import ScanIndex
@@ -29,5 +29,4 @@ __all__ = [
     "BruteForceIndex",
     "RTree",
     "ScanIndex",
-    "HierarchicalBitmapIndex",
 ]

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pickle
 from abc import ABC, abstractmethod
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
@@ -40,18 +37,3 @@ class SpatialIndex(ABC):
     @abstractmethod
     def n_entries(self) -> int:
         """Number of indexed MBRs."""
-
-    # -- persistence -----------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist the index (the dataset loader stores one per dataset)."""
-        with open(path, "wb") as fh:
-            pickle.dump(self, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def load(path: Union[str, Path]) -> "SpatialIndex":
-        with open(path, "rb") as fh:
-            obj = pickle.load(fh)
-        if not isinstance(obj, SpatialIndex):
-            raise TypeError(f"{path} does not contain a SpatialIndex")
-        return obj

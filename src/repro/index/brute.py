@@ -1,8 +1,8 @@
 """Brute-force index: a vectorized linear scan.
 
-The correctness oracle for the R-tree and grid index, and -- thanks to
-NumPy -- a respectable baseline for small chunk populations, which the
-index ablation bench quantifies.
+The correctness oracle for the scan index and the R-tree, and --
+thanks to NumPy -- a respectable baseline for small chunk populations,
+which the index ablation bench quantifies.
 """
 
 from __future__ import annotations

@@ -20,14 +20,14 @@ reports back into dataset-global ``chunk_errors``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Type
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.dataset.chunk import Chunk
 from repro.dataset.chunkset import ChunkSet
 from repro.index.base import SpatialIndex
-from repro.index.rtree import RTree
+from repro.index.scan import ScanIndex
 from repro.space.attribute_space import AttributeSpace
 
 __all__ = ["ShardAssignment", "ShardTopology", "assign_shards", "shard_chunks"]
@@ -129,7 +129,6 @@ class ShardTopology:
         chunks: Sequence[Chunk],
         n_shards: int,
         bits: int = 16,
-        index_cls: Type[SpatialIndex] = RTree,
     ) -> "ShardTopology":
         chunkset = ChunkSet.from_metas([c.meta for c in chunks])
         # The router prunes with the same per-chunk value synopses the
@@ -143,7 +142,7 @@ class ShardTopology:
             dataset=dataset,
             space=space,
             chunks=chunkset,
-            index=index_cls.build(chunkset),
+            index=ScanIndex.build(chunkset),
             assignment=assign_shards(chunkset, n_shards, bits),
         )
 

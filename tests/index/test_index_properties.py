@@ -11,21 +11,19 @@ Two invariants the whole pruning tentpole rests on:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.chunk import Chunk, ChunkMeta
 from repro.dataset.predicate import ValuePredicate
 from repro.dataset.synopsis import ValueSynopsis
-from repro.index import (
-    BruteForceIndex,
-    HierarchicalBitmapIndex,
-    RTree,
-    ScanIndex,
-)
+from repro.index import BruteForceIndex, RTree, ScanIndex
 from repro.util.geometry import Rect
 
-INDEX_TYPES = [RTree, ScanIndex, HierarchicalBitmapIndex]
+from helpers import random_rects
+
+INDEX_TYPES = [RTree, ScanIndex]
 
 
 def _population(rng, n, ndim):
@@ -57,6 +55,44 @@ def test_all_indexes_agree_with_brute_force(seed, n, ndim):
         expect = brute.query(q).tolist()
         for idx in indexes:
             assert idx.query(q).tolist() == expect, type(idx).__name__
+
+
+def _degenerate_population(label, rng):
+    """(los, his) for one of the nasty MBR shapes."""
+    if label == "zero-width":
+        los, _ = random_rects(rng, 120, 2)
+        return los, los.copy()
+    if label == "boundary-touching":
+        # Rectangles that touch exactly along shared edges at x = 0/5/10.
+        return (
+            np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 5.0]]),
+            np.array([[5.0, 5.0], [10.0, 5.0], [10.0, 10.0]]),
+        )
+    if label == "single-chunk":
+        return np.array([[2.0, 3.0]]), np.array([[4.0, 9.0]])
+    return np.empty((0, 2)), np.empty((0, 2))
+
+
+@pytest.mark.parametrize(
+    "label", ["zero-width", "boundary-touching", "single-chunk", "empty"]
+)
+def test_degenerate_populations_agree_with_brute_force(rng, label):
+    los, his = _degenerate_population(label, rng)
+    brute = BruteForceIndex(los, his)
+    indexes = [cls.from_rects(los.copy(), his.copy()) for cls in INDEX_TYPES]
+    probes = [
+        Rect((0.0, 0.0), (100.0, 100.0)),   # everything
+        Rect((5.0, 5.0), (5.0, 5.0)),       # a point on shared edges
+        Rect((-10.0, -10.0), (-5.0, -5.0)),  # nothing
+    ]
+    qlos, qhis = random_rects(rng, 12, 2)
+    probes += [Rect(tuple(lo), tuple(hi)) for lo, hi in zip(qlos, qhis)]
+    for idx in indexes:
+        assert idx.n_entries == len(los)
+    for q in probes:
+        expect = brute.query(q).tolist()
+        for idx in indexes:
+            assert idx.query(q).tolist() == expect, (type(idx).__name__, label, q)
 
 
 @given(

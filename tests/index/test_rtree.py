@@ -110,26 +110,6 @@ class TestStructure:
             tree.query(Rect((0,), (1,)))
 
 
-class TestPersistence:
-    def test_save_load(self, rng, tmp_path):
-        los, his = random_rects(rng, 200, 2)
-        tree = RTree.from_rects(los, his)
-        path = tmp_path / "index.rtree"
-        tree.save(path)
-        loaded = RTree.load(path)
-        q = random_query(rng)
-        assert loaded.query(q).tolist() == tree.query(q).tolist()
-
-    def test_load_wrong_type(self, tmp_path):
-        import pickle
-
-        path = tmp_path / "bad.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump({"not": "an index"}, fh)
-        with pytest.raises(TypeError):
-            RTree.load(path)
-
-
 @given(st.integers(0, 2**31), st.integers(5, 200))
 @settings(max_examples=25, deadline=None)
 def test_property_rtree_equals_brute(seed, n):

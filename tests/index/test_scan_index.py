@@ -80,3 +80,33 @@ class TestScanIndex:
         los, his = random_rects(rng, 10, 2)
         with pytest.raises(ValueError):
             ScanIndex(los, his).query(Rect((0,), (1,)))
+
+
+def test_every_loader_builds_a_scan_index(rng):
+    """The single-process loader, the ADR facade, the router's topology
+    and every shard of a cluster all index their chunks with a
+    ScanIndex; nothing selects another implementation."""
+    from repro.dataset.loader import load_dataset
+    from repro.frontend.adr import ADR
+    from repro.shard.cluster import ShardCluster
+    from repro.shard.topology import ShardTopology
+    from repro.store.chunk_store import MemoryChunkStore
+
+    from helpers import make_functional_setup, small_machine
+
+    in_space, _, chunks, _, _ = make_functional_setup(rng)
+    adr = ADR(machine=small_machine())
+    indexes = {
+        "ADR.load": adr.load("d", in_space, chunks).index,
+        "load_dataset": load_dataset(
+            MemoryChunkStore(), "d", in_space, chunks, n_nodes=2
+        ).index,
+        "ShardTopology.build": ShardTopology.build(
+            "d", in_space, chunks, n_shards=3
+        ).index,
+    }
+    cluster = ShardCluster.build("d", in_space, chunks, n_shards=3)
+    for sid, shard in enumerate(cluster.shard_adrs):
+        indexes[f"shard {sid}"] = shard.index("d")
+    for where, index in indexes.items():
+        assert type(index) is ScanIndex, where
