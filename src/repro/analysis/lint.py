@@ -76,9 +76,12 @@ ADR501    phase-sequencing accumulator call (``allocate`` /
           ``QueryResult(...)`` construction in ``src/repro/runtime/``
           or ``src/repro/shard/`` outside ``runtime/engine.py``: a
           result is assembled from tallies in one place
-          (``repro.runtime.engine.assemble_result``).  And an ``open()``
-          in a ``"w"`` mode or an ``O_TRUNC`` in ``src/repro/store/``:
-          store files are rewritten in place, never truncated to zero
+          (``repro.runtime.engine.assemble_result``).  And a builtin
+          ``open()`` in any mode, or an ``O_TRUNC``, in
+          ``src/repro/store/``: store files have one reader
+          (``FileChunkStore._read_file``) and one writer
+          (``_write_file``), which rewrites in place, never truncating
+          to zero
 ADR502    hard-coded strategy string literal (``"FRA"`` / ``"SRA"`` /
           ``"DA"`` / ``"HYBRID"`` / ``"AUTO"``) in library code
           outside ``src/repro/planner/`` -- strategy names are defined
@@ -166,7 +169,7 @@ _PHASE_LOOP_HOME = ("runtime/phases.py", "runtime\\phases.py")
 _RESULT_SCOPE_PATHS = ("repro/runtime/", "repro/shard/")
 _RESULT_HOME = ("runtime/engine.py", "runtime\\engine.py")
 
-#: Where ADR501's write half applies.
+#: Where ADR501's file half applies: one reader, one writer.
 _WRITE_SCOPE_PATHS = ("repro/store/",)
 
 #: Per-read kernel calls ADR305 rejects inside a loop of that module:
@@ -501,26 +504,24 @@ class _Visitor(ast.NodeVisitor):
                 "repro.runtime.engine.assemble_result",
             )
         if self.write_scope and _dotted(node.func) == "open":
-            mode = node.args[1:2] or [k.value for k in node.keywords if k.arg == "mode"]
-            if mode and isinstance(mode[0], ast.Constant) and "w" in str(mode[0].value):
-                self._truncating_write(node, f"open(..., {mode[0].value!r})")
+            self._store_file_access(node, "builtin open() in the store")
         if self.wire_scope:
             self._check_wire_call(node)
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if self.write_scope and node.attr == "O_TRUNC":
-            self._truncating_write(node, "O_TRUNC")
+            self._store_file_access(
+                node, "O_TRUNC truncates a store file to zero, which makes ext4 "
+                "start writeback on close"
+            )
         self.generic_visit(node)
 
-    def _truncating_write(self, node: ast.AST, what: str) -> None:
+    def _store_file_access(self, node: ast.AST, what: str) -> None:
         self.out.emit(
-            "ADR501",
-            Severity.ERROR,
-            self._loc(node),
-            f"{what} truncates a store file to zero, which makes ext4 start "
-            "writeback on close; write through FileChunkStore._write_file, "
-            "which rewrites in place",
+            "ADR501", Severity.ERROR, self._loc(node),
+            f"{what}; files are read through FileChunkStore._read_file and "
+            "written through _write_file, which rewrites in place",
         )
 
     # -- ADR302: float equality on accumulator values ----------------------

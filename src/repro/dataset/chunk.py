@@ -103,6 +103,16 @@ class Chunk:
             if (self.coords < lo - 1e-9).any() or (self.coords > hi + 1e-9).any():
                 raise ValueError("payload coordinates escape the chunk MBR")
 
+    @classmethod
+    def trusted(cls, meta: ChunkMeta, coords: np.ndarray, values: np.ndarray) -> "Chunk":
+        """A chunk whose every :meth:`__post_init__` fact the caller has
+        already proven -- C-contiguous float64 ``(n_items, ndim)``
+        coords inside ``meta.mbr``, matching ``values`` -- built without
+        checking them again (the format decoder's path)."""
+        chunk = cls.__new__(cls)
+        chunk.meta, chunk.coords, chunk.values = meta, coords, values
+        return chunk
+
     @property
     def chunk_id(self) -> int:
         return self.meta.chunk_id

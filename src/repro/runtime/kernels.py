@@ -11,9 +11,9 @@ dominated wall-clock.
 This module replaces it with fused, fully vectorized kernels shared by
 the sequential engine and the multiprocess backend:
 
-- :class:`GridIndexer` precomputes per-output-chunk block starts and
-  row-major strides so *all* mapped cells of a read resolve to flat
-  local accumulator indices in one vectorized expression (the old path
+- :meth:`~repro.aggregation.output_grid.OutputGrid.locate_cells`
+  resolves *all* mapped cells of a batch to (output chunk, flat local
+  accumulator index) with one ``divmod`` per dimension (the old path
   called ``grid.local_cell_index`` once per segment);
 - :func:`group_reads` performs **one lexsort per batch of reads** over
   ``(read, output chunk, flat cell)`` and hands back contiguous,
@@ -28,7 +28,9 @@ the sequential engine and the multiprocess backend:
 - :class:`RoutingCache` memoizes the item->cell routing of a chunk per
   (chunk, region, mapping, grid) across tiles and across queries -- an
   input chunk straddling several tiles (the multiple-retrieval cost
-  tiling tries to minimize) is mapped once.
+  tiling tries to minimize) is mapped once.  The (region, mapping,
+  grid) part of the key is the same for every chunk of a query, so
+  :func:`routing_tail` builds it once per query.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from repro.space.mapping import GridMapping, Mapping
 from repro.util.geometry import Rect
 
 __all__ = [
-    "GridIndexer",
     "ReadSegments",
     "RoutingCache",
     "TileSchedule",
@@ -56,58 +57,9 @@ __all__ = [
     "group_reads",
     "route_chunk",
     "routing_key",
+    "routing_tail",
     "tile_schedule",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized cell -> flat local index
-# ---------------------------------------------------------------------------
-
-
-class GridIndexer:
-    """Per-grid lookup tables turning ``(output chunk, cell coords)``
-    into flat local accumulator indices without per-chunk Python calls.
-
-    For every output chunk the grid's block start and the row-major
-    strides of its (possibly truncated edge-) shape are tabulated once;
-    ``flat_index`` is then a single gather + multiply-add over all
-    cells of a read.
-    """
-
-    def __init__(self, grid: OutputGrid) -> None:
-        n, d = grid.n_chunks, grid.ndim
-        self.starts = np.empty((n, d), dtype=np.int64)
-        self.strides = np.empty((n, d), dtype=np.int64)
-        for cid in range(n):
-            start, stop = grid.chunk_block(cid)
-            shape = [b - a for a, b in zip(start, stop)]
-            stride = [0] * d
-            acc = 1
-            for j in range(d - 1, -1, -1):
-                stride[j] = acc
-                acc *= shape[j]
-            self.starts[cid] = start
-            self.strides[cid] = stride
-
-    def flat_index(self, out_chunks: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Flat row-major index of each cell within its output chunk.
-
-        ``out_chunks`` is ``(m,)`` grid chunk ids, ``cells`` the
-        matching ``(m, d)`` cell coordinates; cells are assumed inside
-        their chunk block (which ``grid.chunk_of_cells`` guarantees).
-        """
-        local = cells - self.starts[out_chunks]
-        return np.einsum("ij,ij->i", local, self.strides[out_chunks])
-
-
-def grid_indexer(grid: OutputGrid) -> GridIndexer:
-    """The grid's (cached) :class:`GridIndexer`."""
-    indexer = getattr(grid, "_kernel_indexer", None)
-    if indexer is None:
-        indexer = GridIndexer(grid)
-        grid._kernel_indexer = indexer
-    return indexer
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +101,19 @@ def _mapping_fingerprint(mapping: Mapping) -> Optional[tuple]:
     return None
 
 
+def routing_tail(
+    mapping: Mapping, grid: OutputGrid, region: Optional[Rect]
+) -> Optional[tuple]:
+    """The part of a routing key every chunk of one query shares, or
+    None when the mapping is uncacheable."""
+    mkey = _mapping_fingerprint(mapping)
+    if mkey is None:
+        return None
+    rkey = None if region is None else (tuple(region.lo), tuple(region.hi))
+    gkey = (tuple(grid.grid_shape), tuple(grid.chunk_shape))
+    return (rkey, mkey, gkey)
+
+
 def routing_key(
     chunk_id: int,
     mapping: Mapping,
@@ -156,12 +121,8 @@ def routing_key(
     region: Optional[Rect],
 ) -> Optional[tuple]:
     """Cache key for one chunk's routing, or None when uncacheable."""
-    mkey = _mapping_fingerprint(mapping)
-    if mkey is None:
-        return None
-    rkey = None if region is None else (tuple(region.lo), tuple(region.hi))
-    gkey = (tuple(grid.grid_shape), tuple(grid.chunk_shape))
-    return (int(chunk_id), rkey, mkey, gkey)
+    tail = routing_tail(mapping, grid, region)
+    return None if tail is None else (int(chunk_id), *tail)
 
 
 class RoutingCache:
@@ -250,25 +211,22 @@ def route_chunk(
     grid: OutputGrid,
     region: Optional[Rect],
     cache: Optional[RoutingCache] = None,
-    chunk_id: Optional[int] = None,
+    key: Optional[tuple] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``map_chunk_to_cells`` with optional memoization.
 
-    ``chunk_id`` namespaces the cache entry (dataset-level id); when a
-    cache is provided but the mapping is not declaratively keyable the
-    call transparently falls through to the uncached path.
+    ``key`` is the chunk's :func:`routing_key` (a caller routing many
+    chunks of one query builds it from one :func:`routing_tail`); with
+    no cache or no key the call takes the uncached path.
     """
     from repro.runtime.serial import map_chunk_to_cells
 
-    key = None
-    if cache is not None and chunk_id is not None:
-        key = routing_key(chunk_id, mapping, grid, region)
-        if key is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+    if cache is not None and key is not None:
+        hit = cache.get(key)
+        if hit is not None:
+            return hit
     item_idx, cells = map_chunk_to_cells(chunk, mapping, grid, region)
-    if key is not None:
+    if cache is not None and key is not None:
         cache.put(key, item_idx, cells)
     return item_idx, cells
 
@@ -344,7 +302,6 @@ def group_reads(
     sel_map: np.ndarray,
     tile_of_output: np.ndarray,
     tile: int,
-    indexer: Optional[GridIndexer] = None,
 ) -> Optional[ReadSegments]:
     """Filter a batch of reads' mapped cells to the current tile and
     group them into cell-sorted segments with a single lexsort.
@@ -372,15 +329,13 @@ def group_reads(
         cells = np.concatenate([parts[p][1] for p in live])
         values = np.concatenate([parts[p][2] for p in live])
         read_key = np.repeat(np.asarray(live) * n_local, sizes)
-    out_chunks = grid.chunk_of_cells(cells)
+    out_chunks, flat = grid.locate_cells(cells)
     local_out = sel_map[out_chunks]
     keep = local_out >= 0
     keep &= np.where(keep, tile_of_output[local_out] == tile, False)
     if not keep.any():
         return None
-    if indexer is None:
-        indexer = grid_indexer(grid)
-    flat = indexer.flat_index(out_chunks[keep], cells[keep])
+    flat = flat[keep]
     # Batch positions ascend along the concatenation, so (read, output
     # chunk) folds into one key and the sort stays a two-key lexsort.
     seg_key = (local_out + read_key)[keep]
@@ -422,12 +377,9 @@ def group_read(
     sel_map: np.ndarray,
     tile_of_output: np.ndarray,
     tile: int,
-    indexer: Optional[GridIndexer] = None,
 ) -> Optional[ReadSegments]:
     """The one-read case of :func:`group_reads`."""
-    return group_reads(
-        [(item_idx, cells, values)], grid, sel_map, tile_of_output, tile, indexer
-    )
+    return group_reads([(item_idx, cells, values)], grid, sel_map, tile_of_output, tile)
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,9 @@ from repro.runtime.kernels import (
     TileSchedule,
     coerce_values,
     filter_predicate,
-    grid_indexer,
     group_reads,
     route_chunk,
+    routing_tail,
     tile_schedule,
 )
 from repro.runtime.transport import Transport
@@ -528,7 +528,10 @@ class PhaseExecutor:
         self.observer = observer
         self.predicate = predicate
 
-        self._indexer = grid_indexer(grid)
+        # Only the chunk id of a routing key varies from read to read.
+        self._routing_tail = (
+            None if routing_cache is None else routing_tail(mapping, grid, region)
+        )
         # (input, output) of every graph edge as one ascending key, in
         # forward-CSR order (aligned with ``plan.edge_proc``).
         edge_in, edge_out = plan.edge_arrays
@@ -613,9 +616,10 @@ class PhaseExecutor:
             return None
         self.tally.n_reads += 1
         self.tally.bytes_read += int(problem.inputs.nbytes[i])
+        tail = self._routing_tail
         item_idx, cells = route_chunk(
-            chunk, self.mapping, self.grid, self.region,
-            cache=self.routing_cache, chunk_id=gid,
+            chunk, self.mapping, self.grid, self.region, self.routing_cache,
+            None if tail is None else (gid, *tail),
         )
         # Residual value filter *after* routing, so the routing cache
         # stays predicate-independent.
@@ -661,7 +665,7 @@ class PhaseExecutor:
         # the same order, on every backend and for every batch bound.
         segs = group_reads(
             [self._fetch(r, p) if p in rank_set else None for r, p in zip(batch, readers)],
-            self.grid, self._sel_map, plan.tile_of_output, t, self._indexer,
+            self.grid, self._sel_map, plan.tile_of_output, t,
         )
         rb = [0] * (len(batch) + 1)  # batch position -> its segment range
         if segs is not None:

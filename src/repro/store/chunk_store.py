@@ -14,7 +14,9 @@ plus a per-dataset ``manifest.json`` recording placements, so a store
 can be reopened later.  :class:`MemoryChunkStore` implements the same
 interface in dictionaries for tests and small examples.
 
-Files are rewritten in place, never truncated to zero first, and the
+Every file is read by one reader, :meth:`FileChunkStore._read_file`,
+and written by one writer, :meth:`FileChunkStore._write_file`.  Files
+are rewritten in place, never truncated to zero first, and the
 manifest only when a placement changed.  ``write_chunk`` renames a
 temporary file over the chunk, so it is atomic; a torn ``write_chunks``
 file fails its CRC on read.  Nothing calls ``fsync``.
@@ -216,6 +218,23 @@ class FileChunkStore(ChunkStore):
         finally:
             os.close(fd)
 
+    @staticmethod
+    def _read_file(path: str) -> bytes:
+        """The whole file at *path*, the mirror of :meth:`_write_file`:
+        ``os.open``, ``os.fstat``, then ``os.read`` until the size is in
+        hand (a file object from ``open()`` costs more than the syscalls).
+        A file cut short under the reader comes back short, for the
+        decoder to reject."""
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            data = os.read(fd, size)
+            while len(data) < size and (more := os.read(fd, size - len(data))):
+                data += more
+            return data
+        finally:
+            os.close(fd)
+
     def _manifest_path(self, dataset: str) -> Path:
         return self._dataset_dir(dataset) / "manifest.json"
 
@@ -223,11 +242,10 @@ class FileChunkStore(ChunkStore):
 
     def _manifest(self, dataset: str) -> Dict[int, Placement]:
         if dataset not in self._manifests:
-            path = self._manifest_path(dataset)
-            if not path.exists():
-                raise KeyError(f"dataset {dataset!r} not in store")
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+            try:
+                raw = json.loads(self._read_file(str(self._manifest_path(dataset))))
+            except FileNotFoundError:
+                raise KeyError(f"dataset {dataset!r} not in store") from None
             self._manifests[dataset] = {
                 int(k): (int(v[0]), int(v[1])) for k, v in raw["placements"].items()
             }
@@ -302,8 +320,7 @@ class FileChunkStore(ChunkStore):
         node, disk = self.placement(dataset, chunk_id)
         path = self._chunk_path(dataset, chunk_id, node, disk)
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            data = self._read_file(path)
         except FileNotFoundError:
             raise ChunkFormatError(
                 f"manifest lists chunk {chunk_id} of {dataset!r} at "

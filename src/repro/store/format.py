@@ -34,7 +34,10 @@ region without materializing the payload arrays.  Version 1 files
 The format is deliberately self-describing: a chunk file can be read
 back without the dataset manifest, and the CRC turns silent bit-rot
 into a loud :class:`CorruptChunkError` -- the property the round-trip
-and corruption tests pin down.
+and corruption tests pin down.  The CRC covers the body, not the
+header; a damaged header field is caught by holding the fields against
+each other and against the body length (:func:`_parse`), and raises
+the same error.
 """
 
 from __future__ import annotations
@@ -115,32 +118,26 @@ def encode_chunk(chunk: Chunk) -> bytes:
     return header + body  # bytes: the one copy of the body
 
 
-def decode_chunk(data: bytes) -> Chunk:
-    """Parse bytes produced by :func:`encode_chunk` back into a Chunk.
+def _parse(data) -> tuple:
+    """Check every fact the header and the body lengths state, once, for
+    both decoders.
 
-    Raises
-    ------
-    ChunkFormatError
-        On a bad magic number or unsupported version (a file that was
-        never a chunk of this format).
-    CorruptChunkError
-        On truncation or CRC mismatch (a chunk file that was valid
-        once and has since been damaged).
+    The CRC covers the body only, so each header field is held against
+    the others and against the body: the dtype string must parse, the
+    payload lengths must be what ``n_items``, ``ndim`` and the values
+    shape make them, and the body must be exactly as long as the header
+    says.  Returns ``(body, version, ndim, chunk_id, n_items, dtype,
+    trailing, k, mbr_at)``: ``k`` value components, the MBR at
+    ``body[mbr_at:]``.  Raises :class:`ChunkFormatError` on a bad magic
+    or version (never a chunk of this format) and
+    :class:`CorruptChunkError` on anything else (damage, in the body or
+    in the header).
     """
     if len(data) < _HEADER.size:
         raise CorruptChunkError(f"file too short for header ({len(data)} bytes)")
-    (
-        magic,
-        version,
-        ndim,
-        chunk_id,
-        n_items,
-        coords_len,
-        values_len,
-        dtype_len,
-        rank,
-        crc,
-    ) = _HEADER.unpack_from(data)
+    magic, version, ndim, chunk_id, n_items, coords_len, values_len, dtype_len, rank, crc = (
+        _HEADER.unpack_from(data)
+    )
     if magic != MAGIC:
         raise ChunkFormatError(f"bad magic {magic!r}")
     if version not in _SUPPORTED_VERSIONS:
@@ -152,81 +149,82 @@ def decode_chunk(data: bytes) -> Chunk:
     # any of it is trusted for length arithmetic.
     if zlib.crc32(body) != crc:
         raise CorruptChunkError("CRC mismatch: chunk file is corrupt")
-    if len(body) < dtype_len + 8 * rank:
+    if chunk_id < 0 or n_items < 0:
+        raise CorruptChunkError(f"negative chunk id {chunk_id} or item count {n_items}")
+    mbr_at = dtype_len + 8 * rank
+    if len(body) < mbr_at:
+        raise CorruptChunkError(f"body length {len(body)} too short for dtype + shape")
+    try:
+        dtype = np.dtype(str(body[:dtype_len], "ascii"))
+    except (TypeError, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise CorruptChunkError(f"values dtype does not parse: {e}") from None
+    if dtype.hasobject or not dtype.itemsize:
+        raise CorruptChunkError(f"values dtype {dtype} cannot be read from bytes")
+    trailing = tuple(np.frombuffer(body, "<i8", count=rank, offset=dtype_len).tolist())
+    if min(trailing, default=0) < 0:
+        raise CorruptChunkError(f"negative values shape {trailing}")
+    k = prod(trailing)
+    if coords_len != 8 * n_items * ndim:
         raise CorruptChunkError(
-            f"body length {len(body)} too short for dtype + shape region"
+            f"coords length {coords_len} does not match {n_items} items in {ndim} dims"
         )
-    pos = 0
-    dtype = np.dtype(str(body[pos : pos + dtype_len], "ascii"))
-    pos += dtype_len
-    trailing = tuple(
-        np.frombuffer(body, dtype="<i8", count=rank, offset=pos).tolist()
-    )
-    pos += 8 * rank
-    k = prod(trailing) if trailing else 1
+    if values_len != dtype.itemsize * n_items * k:
+        raise CorruptChunkError(
+            f"values length {values_len} does not match {n_items} items "
+            f"of shape {trailing} {dtype}"
+        )
     synopsis_len = 24 * k if version >= 2 else 0
-    expected = dtype_len + 8 * rank + 16 * ndim + synopsis_len + coords_len + values_len
+    expected = mbr_at + 16 * ndim + synopsis_len + coords_len + values_len
     if len(body) != expected:
-        raise CorruptChunkError(
-            f"body length {len(body)} does not match header ({expected})"
-        )
-    lo = np.frombuffer(body, dtype="<f8", count=ndim, offset=pos)
-    pos += 8 * ndim
-    hi = np.frombuffer(body, dtype="<f8", count=ndim, offset=pos)
-    pos += 8 * ndim
-    pos += synopsis_len  # pruning summaries; payload decode skips them
-    coords = np.frombuffer(body, dtype="<f8", count=n_items * ndim, offset=pos)
+        raise CorruptChunkError(f"body length {len(body)} does not match header ({expected})")
+    return body, version, ndim, chunk_id, n_items, dtype, trailing, k, mbr_at
+
+
+def decode_chunk(data: bytes) -> Chunk:
+    """Parse bytes produced by :func:`encode_chunk` back into a Chunk.
+
+    Every shape fact is proven by :func:`_parse`, so the chunk is built
+    without :class:`Chunk`'s own checks; what is left to check on the
+    data is that the MBR is a box and the coords lie inside it.  The
+    payload arrays are copies: owning, C-contiguous and writeable.
+    Raises as :func:`_parse` does, and :class:`CorruptChunkError` on an
+    MBR that is not a box or a payload that escapes it.
+    """
+    body, version, ndim, chunk_id, n_items, dtype, trailing, k, pos = _parse(data)
+    bounds = np.frombuffer(body, "<f8", count=2 * ndim, offset=pos)
+    lo, hi = bounds[:ndim], bounds[ndim:]
+    pos += 16 * ndim
+    if version >= 2:
+        pos += 24 * k  # pruning summaries; payload decode skips them
+    coords = np.frombuffer(body, "<f8", count=n_items * ndim, offset=pos)
     coords = coords.reshape(n_items, ndim).copy()
-    pos += coords_len
-    n_values = values_len // dtype.itemsize if dtype.itemsize else 0
-    values = np.frombuffer(body, dtype=dtype, count=n_values, offset=pos)
+    pos += coords.nbytes
+    values = np.frombuffer(body, dtype, count=n_items * k, offset=pos)
     values = values.reshape((n_items,) + trailing).copy()
-    meta = ChunkMeta(
-        chunk_id=chunk_id,
-        mbr=Rect(tuple(lo), tuple(hi)),
-        nbytes=coords_len + values_len,
-        n_items=n_items,
-    )
-    return Chunk(meta, coords, values)
+    try:
+        mbr = Rect(lo.tolist(), hi.tolist())
+    except ValueError as e:
+        raise CorruptChunkError(f"bad MBR: {e}") from None
+    if n_items and ((coords < lo - 1e-9).any() or (coords > hi + 1e-9).any()):
+        raise CorruptChunkError("payload coordinates escape the chunk MBR")
+    meta = ChunkMeta(chunk_id, mbr, coords.nbytes + values.nbytes, n_items)
+    return Chunk.trusted(meta, coords, values)
 
 
 def decode_synopsis(data: bytes) -> tuple:
     """Extract ``(vmin, vmax, nulls, count)`` from an encoded chunk.
 
     For version-2 files this reads only the header region (dtype,
-    shape, MBR, synopsis block) after verifying the CRC; version-1
-    files carry no block, so their values are decoded and summarized.
-    Either way the result is identical to
-    ``ValueSynopsis.summarize_values(chunk.values)`` on the decoded
-    chunk.
+    shape, MBR, synopsis block) after :func:`_parse` has checked the
+    CRC and every length; version-1 files carry no block, so their
+    values are decoded and summarized.  Either way the result is
+    identical to ``ValueSynopsis.summarize_values(chunk.values)`` on
+    the decoded chunk.
     """
-    if len(data) < _HEADER.size:
-        raise CorruptChunkError(f"file too short for header ({len(data)} bytes)")
-    magic, version, _ndim, _cid, n_items, _clen, _vlen, dtype_len, rank, crc = (
-        _HEADER.unpack_from(data)
-    )
-    if magic != MAGIC:
-        raise ChunkFormatError(f"bad magic {magic!r}")
-    if version not in _SUPPORTED_VERSIONS:
-        raise ChunkFormatError(f"unsupported format version {version}")
+    body, version, ndim, _cid, n_items, _dtype, _trailing, k, pos = _parse(data)
     if version < 2:
-        chunk = decode_chunk(data)
-        return ValueSynopsis.summarize_values(chunk.values)
-    body = memoryview(data)[_HEADER.size :]
-    if zlib.crc32(body) != crc:
-        raise CorruptChunkError("CRC mismatch: chunk file is corrupt")
-    ndim = _HEADER.unpack_from(data)[2]
-    pos = dtype_len
-    trailing = tuple(
-        np.frombuffer(body, dtype="<i8", count=rank, offset=pos).tolist()
-    )
-    pos += 8 * rank + 16 * ndim
-    k = prod(trailing) if trailing else 1
-    if len(body) < pos + 24 * k:
-        raise CorruptChunkError("body too short for synopsis block")
-    vmin = np.frombuffer(body, dtype="<f8", count=k, offset=pos).copy()
-    pos += 8 * k
-    vmax = np.frombuffer(body, dtype="<f8", count=k, offset=pos).copy()
-    pos += 8 * k
-    nulls = np.frombuffer(body, dtype="<i8", count=k, offset=pos).copy()
-    return vmin, vmax, nulls, int(n_items)
+        return ValueSynopsis.summarize_values(decode_chunk(data).values)
+    pos += 16 * ndim
+    extremes = np.frombuffer(body, "<f8", count=2 * k, offset=pos)
+    nulls = np.frombuffer(body, "<i8", count=k, offset=pos + 16 * k).copy()
+    return extremes[:k].copy(), extremes[k:].copy(), nulls, int(n_items)

@@ -19,6 +19,7 @@ vectorize loops instead of iterating over Python objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -43,15 +44,17 @@ class Rect:
     hi: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lo = tuple(float(x) for x in self.lo)
-        hi = tuple(float(x) for x in self.hi)
+        lo = tuple(map(float, self.lo))
+        hi = tuple(map(float, self.hi))
         if len(lo) != len(hi):
             raise ValueError(f"lo has {len(lo)} dims but hi has {len(hi)}")
-        if len(lo) == 0:
+        if not lo:
             raise ValueError("Rect must have at least one dimension")
-        for i, (a, b) in enumerate(zip(lo, hi)):
-            if a > b:
-                raise ValueError(f"lo[{i}]={a} exceeds hi[{i}]={b}")
+        # One comparison pass; a NaN bound compares False, so it passes.
+        inverted = list(map(gt, lo, hi))
+        if any(inverted):
+            i = inverted.index(True)
+            raise ValueError(f"lo[{i}]={lo[i]} exceeds hi[{i}]={hi[i]}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aggregation.output_grid import OutputGrid, PlacedGrids
 from repro.decluster.simple import RandomDeclusterer
@@ -177,6 +179,37 @@ class TestCellPlumbing:
         g = make_grid()
         with pytest.raises(IndexError):
             g.local_cell_index(0, np.array([[11, 7]]))
+
+    @staticmethod
+    def check_locate_cells(grid_shape, chunk_shape):
+        names = tuple(f"d{i}" for i in range(len(grid_shape)))
+        space = AttributeSpace.regular("o", names, (0,) * len(names), (1,) * len(names))
+        g = OutputGrid(space, grid_shape, chunk_shape)
+        cells = np.stack(
+            np.meshgrid(*[np.arange(n) for n in grid_shape], indexing="ij"), -1
+        ).reshape(-1, len(grid_shape))
+        chunks, local = g.locate_cells(cells)
+        assert chunks.dtype == local.dtype == np.int64
+        assert chunks.tolist() == g.chunk_of_cells(cells).tolist()
+        for cid in range(g.n_chunks):
+            mine = chunks == cid
+            assert local[mine].tolist() == g.local_cell_index(cid, cells[mine]).tolist()
+
+    @pytest.mark.parametrize("grid,chunk", [
+        ((64, 64), (16, 16)), ((50, 37), (16, 10)), ((7,), (3,)), ((9, 8, 7), (4, 3, 7)),
+    ])
+    def test_locate_cells_on_fixed_grids(self, grid, chunk):
+        """``locate_cells`` -- one divmod per dimension -- against the
+        per-chunk path the serial oracle takes, on every cell."""
+        self.check_locate_cells(grid, chunk)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_locate_cells_on_ragged_grids(self, data, ndim):
+        """The same on drawn grids, most of them with ragged edge blocks."""
+        grid = data.draw(st.lists(st.integers(1, 13), min_size=ndim, max_size=ndim))
+        chunk = [data.draw(st.integers(1, g)) for g in grid]
+        self.check_locate_cells(tuple(grid), tuple(chunk))
 
     def test_clip_cells(self):
         g = make_grid()

@@ -544,8 +544,9 @@ class TestResultAssemblyOwnership:
 
 
 class TestStoreWriteOwnership:
-    """ADR501's write half: nothing in store/ truncates a file to zero;
-    FileChunkStore._write_file rewrites files in place."""
+    """ADR501's file half: nothing in store/ calls the builtin open();
+    FileChunkStore._read_file reads files and _write_file rewrites them
+    in place, never truncating to zero."""
 
     #: the chunk and manifest writers the store had before _write_file
     TRUNCATING = """
@@ -562,6 +563,18 @@ class TestStoreWriteOwnership:
                     json.dump(payload, fh)
         """
 
+    #: the chunk and manifest readers the store had before _read_file
+    READING = """
+        class FileChunkStore:
+            def _manifest(self, path):
+                with open(path, "r", encoding="utf-8") as fh:
+                    return json.load(fh)
+
+            def read_chunk(self, path):
+                with open(path, "rb") as fh:
+                    return decode_chunk(fh.read())
+        """
+
     def test_truncating_opens_flagged_in_write_scope(self):
         found = findings(self.TRUNCATING, write_scope=True)
         assert [(d.code, d.location.split(":")[1]) for d in found] == [
@@ -571,11 +584,20 @@ class TestStoreWriteOwnership:
         assert codes(src, write_scope=True) == {"ADR501"}
         assert codes(self.TRUNCATING) == set()
 
-    def test_reads_appends_and_in_place_writes_ok(self):
+    def test_reading_opens_flagged_in_write_scope(self):
+        found = findings(self.READING, write_scope=True)
+        assert [(d.code, d.location.split(":")[1]) for d in found] == [
+            ("ADR501", "4"), ("ADR501", "8"),
+        ]
+        assert all("_read_file" in d.message for d in found)
+        for src in ('a = open(p, "rb")\n', "b = open(p)\n", 'c = open(p, mode="ab")\n'):
+            assert codes(src, write_scope=True) == {"ADR501"}, src
+        assert codes(self.READING) == set()
+
+    def test_os_level_reads_and_in_place_writes_ok(self):
         src = """
-        a = open(p, "rb")
-        b = open(p)
-        c = open(p, mode="ab")
+        fd = os.open(p, os.O_RDONLY)
+        data = os.read(fd, os.fstat(fd).st_size)
         fd = os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)
         os.ftruncate(fd, n)
         """

@@ -351,3 +351,21 @@ class TestRobustness:
         (msg,) = result.chunk_errors.values()
         assert "CorruptChunkError" in msg
         assert result.completeness == pytest.approx(1 - 1 / len(chunks))
+
+    def test_damaged_header_on_disk_degrades(self, rng, tmp_path):
+        """The CRC does not cover the header: a flipped ``n_items`` bit
+        in a chunk file on disk must still be a chunk error a degraded
+        query records, not a crash."""
+        store = FileChunkStore(tmp_path / "farm")
+        adr, chunks, mapping, grid = build_instance(rng, store=store)
+        path = store._chunk_path("sensors", 0, *store.placement("sensors", 0))
+        with open(path, "r+b") as fh:
+            fh.seek(16)  # n_items, little-endian int64
+            low = fh.read(1)[0]
+            fh.seek(16)
+            fh.write(bytes([low ^ 1]))
+        q = full_query(mapping, grid, "FRA", aggregation="sum")
+        q.on_error = "degrade"
+        result = adr.execute(q)
+        assert list(result.chunk_errors) == [0]
+        assert "CorruptChunkError" in result.chunk_errors[0]

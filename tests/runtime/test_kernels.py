@@ -22,14 +22,13 @@ from repro.aggregation.functions import (
 )
 from repro.aggregation.output_grid import OutputGrid
 from repro.runtime.kernels import (
-    GridIndexer,
     RoutingCache,
     coerce_values,
-    grid_indexer,
     group_read,
     group_reads,
     route_chunk,
     routing_key,
+    routing_tail,
 )
 from repro.runtime.serial import execute_serial, map_chunk_to_cells
 from repro.space.mapping import GridMapping
@@ -52,12 +51,9 @@ def run_fused(routed, grid, spec, sel_map, tile_of_output, tile, out_global):
     accs = {
         o: spec.initialize(grid.cells_in_chunk(int(g))) for o, g in enumerate(out_global)
     }
-    indexer = grid_indexer(grid)
     for chunk, item_idx, cells in routed:
         values = coerce_values(chunk.values, spec.value_components)
-        segs = group_read(
-            item_idx, cells, values, grid, sel_map, tile_of_output, tile, indexer
-        )
+        segs = group_read(item_idx, cells, values, grid, sel_map, tile_of_output, tile)
         if segs is None:
             continue
         reduced = spec.prereduce_groups(segs.values, segs.group_starts)
@@ -305,27 +301,6 @@ class TestPrereduceMatchesGrouped:
                                          np.array([0])) is None
 
 
-class TestGridIndexer:
-    def test_matches_local_cell_index(self, rng):
-        _, _, _, _, grid = make_functional_setup(rng, grid_cells=(7, 5),
-                                                 chunk_cells=(3, 2))
-        indexer = GridIndexer(grid)
-        for cid in range(grid.n_chunks):
-            start, stop = grid.chunk_block(cid)
-            cells = np.stack(
-                np.meshgrid(*[np.arange(a, b) for a, b in zip(start, stop)],
-                            indexing="ij"),
-                axis=-1,
-            ).reshape(-1, grid.ndim)
-            expected = grid.local_cell_index(cid, cells)
-            got = indexer.flat_index(np.full(len(cells), cid, dtype=np.int64), cells)
-            np.testing.assert_array_equal(got, expected)
-
-    def test_cached_per_grid(self, rng):
-        _, _, _, _, grid = make_functional_setup(rng)
-        assert grid_indexer(grid) is grid_indexer(grid)
-
-
 class TestCoerceValues:
     def test_promotes_1d(self):
         out = coerce_values(np.array([1, 2, 3]), 1)
@@ -340,8 +315,9 @@ class TestRoutingCache:
     def test_hit_and_miss_counters(self, rng):
         _, _, chunks, mapping, grid = make_functional_setup(rng)
         cache = RoutingCache()
-        a = route_chunk(chunks[0], mapping, grid, None, cache=cache, chunk_id=0)
-        b = route_chunk(chunks[0], mapping, grid, None, cache=cache, chunk_id=0)
+        key = routing_key(0, mapping, grid, None)
+        a = route_chunk(chunks[0], mapping, grid, None, cache=cache, key=key)
+        b = route_chunk(chunks[0], mapping, grid, None, cache=cache, key=key)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
         assert cache.hits == 1 and cache.misses == 1
@@ -364,7 +340,8 @@ class TestRoutingCache:
     def test_invalidate_chunk_ids(self, rng):
         _, _, chunks, mapping, grid = make_functional_setup(rng)
         cache = RoutingCache()
-        route_chunk(chunks[0], mapping, grid, None, cache=cache, chunk_id=7)
+        key = routing_key(7, mapping, grid, None)
+        route_chunk(chunks[0], mapping, grid, None, cache=cache, key=key)
         assert len(cache) == 1
         cache.invalidate_chunk_ids([7])
         assert len(cache) == 0 and cache.nbytes == 0
@@ -380,7 +357,7 @@ class TestRoutingCache:
         )
         assert routing_key(0, custom, grid, None) is None
         cache = RoutingCache()
-        route_chunk(chunks[0], custom, grid, None, cache=cache, chunk_id=0)
+        route_chunk(chunks[0], custom, grid, None, cache=cache, key=None)
         assert len(cache) == 0  # fell through, nothing cached
 
     def test_region_namespaces_key(self, rng):
@@ -390,3 +367,14 @@ class TestRoutingCache:
         k1 = routing_key(0, mapping, grid, None)
         k2 = routing_key(0, mapping, grid, Rect((0.0, 0.0), (5.0, 5.0)))
         assert k1 != k2
+
+    def test_key_is_chunk_id_then_per_query_tail(self, rng):
+        """The executor builds keys as ``(chunk id, *routing_tail)``:
+        the very keys ``routing_key`` builds, so hits do not change."""
+        from repro.util.geometry import Rect
+
+        _, _, _, mapping, grid = make_functional_setup(rng)
+        for region in (None, Rect((0.0, 0.0), (5.0, 5.0))):
+            tail = routing_tail(mapping, grid, region)
+            for cid in (0, 3, 999):
+                assert (cid, *tail) == routing_key(cid, mapping, grid, region)

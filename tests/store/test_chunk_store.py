@@ -265,6 +265,41 @@ class TestWritePath:
                 FileChunkStore(tmp_path).read_chunk("ds", 0)
 
 
+class TestReadPath:
+    """One reader: chunk files and the manifest are read by
+    ``_read_file`` -- ``os.open``, ``os.fstat``, ``os.read`` -- and never
+    through a file object."""
+
+    def test_no_file_object_on_any_read(self, tmp_path, rng, monkeypatch):
+        import repro.store.chunk_store as chunk_store
+
+        chunks = make_chunks(rng, 3)
+        FileChunkStore(tmp_path).write_chunks("ds", chunks, [(0, 0), (1, 0), (1, 1)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a store read opened a file object")
+
+        monkeypatch.setattr(chunk_store, "open", refuse, raising=False)
+        reopened = FileChunkStore(tmp_path)  # the manifest is read anew
+        assert reopened.chunk_ids("ds") == [0, 1, 2]
+        for c in chunks:
+            np.testing.assert_array_equal(reopened.read_chunk("ds", c.chunk_id).values, c.values)
+
+    def test_short_reads_are_gathered(self, tmp_path, monkeypatch):
+        import os
+
+        import repro.store.chunk_store as chunk_store
+
+        path = tmp_path / "blob"
+        data = bytes(range(256)) * 40
+        path.write_bytes(data)
+        real = os.read
+        monkeypatch.setattr(chunk_store.os, "read", lambda fd, n: real(fd, min(n, 1000)))
+        assert FileChunkStore._read_file(str(path)) == data
+        (tmp_path / "empty").write_bytes(b"")
+        assert FileChunkStore._read_file(str(tmp_path / "empty")) == b""
+
+
 class TestMemoryStoreSpecifics:
     def test_nbytes_accounting(self, rng):
         s = MemoryChunkStore()

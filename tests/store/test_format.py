@@ -282,3 +282,151 @@ class TestBufferInputs:
         fields[5] += 8  # coords payload length
         with pytest.raises(CorruptChunkError, match="does not match"):
             decode_chunk(buffer(_HEADER.pack(*fields) + data[_HEADER.size :]))
+
+
+def parent_decode_chunk(data: bytes) -> Chunk:
+    """The decoder as it was before the header parser was shared: every
+    fact re-checked by ``Chunk.__post_init__``.  The oracle the faster
+    decoder is held to on well-formed files."""
+    import struct
+    import zlib
+    from math import prod
+
+    from repro.dataset.chunk import ChunkMeta
+    from repro.util.geometry import Rect
+
+    header = struct.Struct("<4sHHqqIIIII")
+    (_, version, ndim, chunk_id, n_items, coords_len, values_len, dtype_len, rank,
+     _) = header.unpack_from(data)
+    body = memoryview(data)[header.size :]
+    assert zlib.crc32(body) == header.unpack_from(data)[-1]
+    pos = 0
+    dtype = np.dtype(str(body[pos : pos + dtype_len], "ascii"))
+    pos += dtype_len
+    trailing = tuple(np.frombuffer(body, dtype="<i8", count=rank, offset=pos).tolist())
+    pos += 8 * rank
+    k = prod(trailing) if trailing else 1
+    synopsis_len = 24 * k if version >= 2 else 0
+    lo = np.frombuffer(body, dtype="<f8", count=ndim, offset=pos)
+    pos += 8 * ndim
+    hi = np.frombuffer(body, dtype="<f8", count=ndim, offset=pos)
+    pos += 8 * ndim
+    pos += synopsis_len
+    coords = np.frombuffer(body, dtype="<f8", count=n_items * ndim, offset=pos)
+    coords = coords.reshape(n_items, ndim).copy()
+    pos += coords_len
+    n_values = values_len // dtype.itemsize if dtype.itemsize else 0
+    values = np.frombuffer(body, dtype=dtype, count=n_values, offset=pos)
+    values = values.reshape((n_items,) + trailing).copy()
+    meta = ChunkMeta(
+        chunk_id=chunk_id,
+        mbr=Rect(tuple(lo), tuple(hi)),
+        nbytes=coords_len + values_len,
+        n_items=n_items,
+    )
+    return Chunk(meta, coords, values)
+
+
+def assert_same_chunk(got: Chunk, want: Chunk, ignore_id: bool = False) -> None:
+    """Field for field: meta, and for each payload array its values,
+    dtype, shape, contiguity, ownership and writeability."""
+    for name in ("mbr", "nbytes", "n_items", "node", "disk") + (() if ignore_id else ("chunk_id",)):
+        assert getattr(got.meta, name) == getattr(want.meta, name), name
+    for name in ("coords", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b)
+        for flag in ("C_CONTIGUOUS", "OWNDATA", "WRITEABLE"):
+            assert a.flags[flag] == b.flags[flag], (name, flag)
+
+
+def any_chunk(seed, n_items, ndim, dtype, trailing):
+    """A chunk of *n_items* items (none at all included) with values of
+    *dtype* and per-item shape *trailing*."""
+    from repro.dataset.chunk import ChunkMeta
+    from repro.util.geometry import Rect
+
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(-50, 50, size=(n_items, ndim))
+    shape = (n_items,) + trailing
+    if np.dtype(dtype).kind == "i":
+        values = rng.integers(-1000, 1000, size=shape).astype(dtype)
+    else:
+        values = rng.normal(size=shape).astype(dtype)
+    if n_items:
+        return Chunk.from_items(int(seed) % 1000, coords, values)
+    mbr = Rect(tuple(rng.uniform(-50, 0, ndim)), tuple(rng.uniform(0, 50, ndim)))
+    return Chunk(ChunkMeta(3, mbr, values.nbytes, 0), coords, values)
+
+
+class TestDecodeOracle:
+    """The decoder builds its chunk without re-running the ``Chunk``
+    checks; on every well-formed file it must equal the decoder that
+    did."""
+
+    @given(
+        st.integers(0, 2**31),
+        st.integers(0, 300),
+        st.integers(1, 3),
+        st.sampled_from(["<f8", "<f4", "<i8", "<i4"]),
+        st.sampled_from([(), (1,), (3,), (2, 2), (1, 3)]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_parent_decoder(self, seed, n_items, ndim, dtype, trailing, v1):
+        data = encode_chunk(any_chunk(seed, n_items, ndim, dtype, trailing))
+        if v1:
+            data = as_version1(data)
+        assert_same_chunk(decode_chunk(data), parent_decode_chunk(data))
+
+
+#: Header fields by byte range, as ``_HEADER`` packs them.
+HEADER_FIELDS = {
+    "magic": (0, 4), "version": (4, 6), "ndim": (6, 8), "chunk_id": (8, 16),
+    "n_items": (16, 24), "coords_len": (24, 28), "values_len": (28, 32),
+    "dtype_len": (32, 36), "rank": (36, 40), "crc": (40, 44),
+}
+
+
+class TestHeaderDamage:
+    """The CRC covers the body only.  A flipped header bit must still
+    surface as an error a degraded query or a retry can handle -- or,
+    in ``chunk_id``, change nothing else (the store's id check catches
+    that one)."""
+
+    @pytest.mark.parametrize("n_items,trailing,dtype", [
+        (10, (), "<f8"), (7, (3,), "<i4"), (0, (2,), "<f4"), (5, (2, 2), "<i8"),
+    ])
+    @pytest.mark.parametrize("field", sorted(HEADER_FIELDS))
+    def test_every_flipped_header_bit_is_recoverable(self, field, n_items, trailing, dtype):
+        from repro.store.chunk_store import RECOVERABLE_READ_ERRORS
+
+        chunk = any_chunk(11, n_items, 2, dtype, trailing)
+        data = encode_chunk(chunk)
+        want = decode_synopsis(data)
+        start, stop = HEADER_FIELDS[field]
+        for bit in range(8 * start, 8 * stop):
+            damaged = bytearray(data)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            try:
+                back = decode_chunk(bytes(damaged))
+            except RECOVERABLE_READ_ERRORS:
+                pass
+            else:
+                assert field == "chunk_id" and back.chunk_id != chunk.chunk_id, bit
+                assert_same_chunk(back, decode_chunk(data), ignore_id=True)
+            try:
+                got = decode_synopsis(bytes(damaged))
+            except RECOVERABLE_READ_ERRORS:
+                continue
+            assert field == "chunk_id", bit
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_payload_outside_its_mbr_is_corrupt(self, rng):
+        """A CRC-intact file whose coords escape its MBR was written
+        wrong: damage, not a ValueError."""
+        chunk = make_chunk(rng)
+        bad = Chunk.trusted(chunk.meta, chunk.coords + 1000.0, chunk.values)
+        with pytest.raises(CorruptChunkError, match="escape"):
+            decode_chunk(encode_chunk(bad))

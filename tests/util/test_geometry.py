@@ -63,6 +63,63 @@ class TestRectConstruction:
         assert len({Rect((0, 0), (1, 1)), Rect((0, 0), (1, 1))}) == 1
 
 
+def parent_rect_bounds(lo, hi):
+    """``Rect.__post_init__`` as it was, one generator per bound: the
+    oracle for what the constructor accepts and how it refuses."""
+    lo = tuple(float(x) for x in lo)
+    hi = tuple(float(x) for x in hi)
+    if len(lo) != len(hi):
+        raise ValueError(f"lo has {len(lo)} dims but hi has {len(hi)}")
+    if len(lo) == 0:
+        raise ValueError("Rect must have at least one dimension")
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if a > b:
+            raise ValueError(f"lo[{i}]={a} exceeds hi[{i}]={b}")
+    return lo, hi
+
+
+BOUND = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10, 10),
+    st.sampled_from([np.float64(1.5), np.int64(-2), np.nan, -0.0]),
+)
+
+
+def check_against_parent(lo, hi):
+    try:
+        want = parent_rect_bounds(lo, hi)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            Rect(lo, hi)
+        assert str(got.value) == str(e)
+        return
+    r = Rect(lo, hi)
+    assert np.array_equal(np.array([r.lo, r.hi]), np.array(want), equal_nan=True)
+    assert all(type(x) is float for x in r.lo + r.hi)
+
+
+class TestRectOracle:
+    """``Rect`` converts with ``map(float, ...)`` and compares in one
+    pass; it accepts and refuses exactly what the parent did, with the
+    same text, NaN bounds included (``a > b`` is False for NaN)."""
+
+    @given(st.lists(BOUND, max_size=4), st.lists(BOUND, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_same_acceptance_and_error_text(self, lo, hi):
+        check_against_parent(lo, hi)
+
+    @given(st.lists(st.tuples(BOUND, BOUND), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_same_on_equal_lengths(self, pairs):
+        """Equal lengths, so the inverted-dimension check is what runs."""
+        lo, hi = zip(*pairs)
+        check_against_parent(lo, hi)
+
+    def test_nan_bounds_accepted(self):
+        r = Rect((np.nan, 0.0), (1.0, np.nan))
+        assert np.isnan(r.lo[0]) and np.isnan(r.hi[1])
+
+
 class TestRectPredicates:
     def test_intersects_overlap(self):
         assert Rect((0, 0), (2, 2)).intersects(Rect((1, 1), (3, 3)))
