@@ -3,11 +3,9 @@
 The comm checker (:mod:`repro.analysis.comm`) proves the *protocol*
 sound; this pass checks the threaded Python that executes it.  It runs
 through the same pipeline as the project lint (:func:`lint_source`
-invokes it for files under ``repro/runtime/``, ``repro/store/`` and
-``repro/frontend/``), shares the ``# noqa: ADR7xx -- rationale``
-opt-out, and can also run standalone::
-
-    python -m repro.analysis.effects src
+invokes it for files under ``repro/runtime/``, ``repro/store/``,
+``repro/frontend/`` and ``repro/shard/``, the scope of the lint's
+``ADR7xx`` row) and shares the ``# noqa: ADR7xx -- rationale`` opt-out.
 
 ========  ==========================================================
 ADR701    shared mutable state (a ``self`` attribute) written by a
@@ -39,12 +37,11 @@ from __future__ import annotations
 
 import ast
 import re
-import sys
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector, Severity
 
-__all__ = ["EFFECTS_CODES", "check_effects", "main"]
+__all__ = ["EFFECTS_CODES", "check_effects"]
 
 EFFECTS_CODES = ("ADR701", "ADR702", "ADR703", "ADR704", "ADR705")
 
@@ -149,12 +146,12 @@ class _EffectsVisitor(ast.NodeVisitor):
         path: str,
         out: DiagnosticCollector,
         thread_targets: Set[str],
-        guarded_cache: bool,
+        cache_module: bool,
     ) -> None:
         self.path = path
         self.out = out
         self.thread_targets = thread_targets
-        self.guarded_cache = guarded_cache
+        self.cache_module = cache_module
         self.lock_depth = 0
         self.lock_stack: List[str] = []  # dotted names of held locks
         self.lock_orders: Dict[Tuple[str, str], ast.AST] = {}
@@ -235,7 +232,7 @@ class _EffectsVisitor(ast.NodeVisitor):
                 "race on must happen under the object's condition "
                 "variable/lock",
             )
-        elif self.guarded_cache and not self._in_guarded_method():
+        elif self.cache_module and not self._in_guarded_method():
             # ADR705: the guarded-cache module's discipline.
             self.out.emit(
                 "ADR705",
@@ -356,40 +353,26 @@ def _check_shared_memory(tree: ast.Module, path: str, out: DiagnosticCollector) 
 
 
 def check_effects(
-    source: str,
-    path: str,
-    *,
-    guarded_cache: bool = False,
-    tree: Optional[ast.Module] = None,
+    source: str, path: str, *, tree: Optional[ast.Module] = None
 ) -> List[Diagnostic]:
     """Run the ADR7xx checks over one module's source.
 
     Raw findings -- ``# noqa`` filtering is applied by the caller
     (:func:`repro.analysis.lint.lint_source`), so suppression works
-    identically across the 3xx/4xx/5xx/7xx rules.  *guarded_cache*
-    additionally enforces the ADR705 lock discipline (the
-    ``store/cache.py`` scope).
+    identically across the 3xx/4xx/5xx/7xx rules.  ADR705's lock
+    discipline applies where the lint's ``ADR705`` row scopes it from
+    *path* (``store/cache.py``).
     """
+    from repro.analysis.lint import active_rules  # lint imports this module
+
     out = DiagnosticCollector()
     if tree is None:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError:
             return []  # the project lint reports ADR300 for this
-    visitor = _EffectsVisitor(path, out, _thread_target_names(tree), guarded_cache)
+    cache_module = any(rule.code == "ADR705" for rule in active_rules(path))
+    visitor = _EffectsVisitor(path, out, _thread_target_names(tree), cache_module)
     visitor.visit(tree)
     _check_shared_memory(tree, path, out)
     return out.diagnostics
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone CLI; normally the checks run inside
-    ``python -m repro.analysis.lint`` (which owns path scoping, noqa
-    and output formats)."""
-    from repro.analysis.lint import main as lint_main
-
-    return lint_main(list(sys.argv[1:] if argv is None else argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,7 +4,7 @@ Enforces the repo-wide rules that keep the reproduction trustworthy
 (reproducible randomness, no accidental float-equality on accumulator
 math, immutable chunk payloads, explicit public APIs).  Run it as::
 
-    python -m repro.analysis.lint src tests benchmarks
+    python -m repro.analysis.lint src tests benchmarks examples
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` objects
 with ``path:line:col`` locations; the CLI exits nonzero when any
@@ -12,7 +12,9 @@ finding survives suppression.  A line can opt out with a rationale::
 
     legacy_sample = np.random.rand(3)  # noqa: ADR301 -- seeded upstream
 
-Rules (``ADR3xx``):
+Every rule but ADR304 is a row of :data:`RULES`: a code, the paths it
+applies to, the home modules it exempts and a matcher.  Which rows
+apply to a file is worked out from its path alone.
 
 ========  ==========================================================
 ADR301    unseeded / legacy ``np.random`` use outside ``util/rng.py``
@@ -54,9 +56,9 @@ ADR401    bare ``except:`` anywhere, or an exception handler that
           silently swallows (body of only ``pass`` / ``continue`` /
           ``...``) inside the fault-critical paths
           (``src/repro/runtime/``, ``src/repro/store/``,
-          ``src/repro/frontend/``, ``src/repro/faults/``) -- degraded
-          execution must *record* every absorbed failure
-          (``chunk_errors``), never discard it
+          ``src/repro/frontend/``, ``src/repro/faults/``,
+          ``src/repro/shard/``) -- degraded execution must *record*
+          every absorbed failure (``chunk_errors``), never discard it
 ADR402    untimed socket use inside the wire-protocol paths
           (``src/repro/frontend/``, ``src/repro/shard/``,
           ``src/repro/faults/``): a ``socket.socket()`` created
@@ -91,8 +93,8 @@ ADR502    hard-coded strategy string literal (``"FRA"`` / ``"SRA"`` /
 ========  ==========================================================
 
 Files under the concurrency-critical paths (``src/repro/runtime/``,
-``src/repro/store/``, ``src/repro/frontend/``) additionally get the
-``ADR7xx`` dataflow/concurrency rules of
+``src/repro/store/``, ``src/repro/frontend/``, ``src/repro/shard/``)
+additionally get the ``ADR7xx`` dataflow/concurrency rules of
 :mod:`repro.analysis.effects` (unguarded shared-state mutation in
 thread workers, ABBA lock order, unbounded blocking waits, leaked
 ``SharedMemory``, cache mutation outside the guarded section), through
@@ -111,95 +113,26 @@ import ast
 import json
 import re
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector, Severity
 from repro.analysis.effects import check_effects
 
-__all__ = ["lint_paths", "lint_file", "lint_source", "main", "LINT_CODES"]
+__all__ = [
+    "lint_paths", "lint_file", "lint_source", "main", "LINT_CODES", "RULES", "Rule",
+    "active_rules",
+]
 
 LINT_CODES = (
     "ADR301", "ADR302", "ADR303", "ADR304", "ADR305", "ADR306", "ADR401",
     "ADR402", "ADR501", "ADR502",
 )
 
-#: Directory whose modules are the execution hot path (ADR305).
-_RUNTIME_HOT_PATH = ("repro/runtime/",)
-
-#: Modules every query's chunk selection and chunk graph pass through
-#: (ADR306): the indexes, ``ChunkGraph.from_geometry`` and the output
-#: grid's chunk metadata.  MBR work there must be vectorized.
-_INDEX_HOT_PATH = (
-    "repro/index/", "repro/dataset/graph.py", "repro/aggregation/output_grid.py",
-)
-
-#: Per-rectangle geometry calls ADR306 rejects inside a Python loop.
-_PER_RECT_CALLS = ("intersects", "intersecting", "project_rect")
-
-#: Directories where silently swallowed exceptions hide data loss
-#: (ADR401's stricter half applies here): the executing runtime, the
-#: storage layer, the user-facing frontend (degradation reporting),
-#: and the fault-injection machinery itself.
-_FAULT_CRITICAL_PATHS = (
-    "repro/runtime/", "repro/store/", "repro/frontend/", "repro/faults/",
-    "repro/shard/",
-)
-
-#: Directories holding threaded / multiprocess code: the ADR7xx
-#: dataflow rules of :mod:`repro.analysis.effects` apply here.
-_CONCURRENCY_PATHS = (
-    "repro/runtime/", "repro/store/", "repro/frontend/", "repro/shard/",
-)
-
-#: Directories speaking the wire protocol (ADR402): every socket
-#: there must carry an explicit timeout or deadline -- a blocking
-#: socket in the scatter/gather path turns any dead peer into a hung
-#: query instead of a recorded ``shard_errors`` entry.
-_WIRE_SCOPE_PATHS = ("repro/frontend/", "repro/shard/", "repro/faults/")
-
-#: The module under the ADR705 guarded-cache lock discipline.
-_GUARDED_CACHE_MODULES = ("store/cache.py", "store\\cache.py")
-
-#: The one module allowed to sequence the four phases (ADR501).
-_PHASE_LOOP_HOME = ("runtime/phases.py", "runtime\\phases.py")
-
-#: Where ADR501's result half applies, and the one module allowed to
-#: construct a ``QueryResult`` there.
-_RESULT_SCOPE_PATHS = ("repro/runtime/", "repro/shard/")
-_RESULT_HOME = ("runtime/engine.py", "runtime\\engine.py")
-
-#: Where ADR501's file half applies: one reader, one writer.
-_WRITE_SCOPE_PATHS = ("repro/store/",)
-
-#: Per-read kernel calls ADR305 rejects inside a loop of that module:
-#: its reduce phase runs them once per batch of reads.
-_PER_READ_CALLS = ("group_read", "prereduce_groups")
-
-#: The strategy-selection module, and the per-plan pricing calls ADR305
-#: rejects inside a loop there: every candidate is priced in one pass.
-_SELECT_HOME = ("planner/select.py", "planner\\select.py")
-_PER_CANDIDATE_CALLS = ("estimate", "plan_stats", "plan_features")
-
-#: Library code under these roots must import strategy names from
-#: :mod:`repro.planner.select` instead of hard-coding the strings
-#: (ADR502); the planner itself is where the names are defined.
-_STRATEGY_SCOPE_PATHS = ("repro/",)
-_STRATEGY_NAME_HOME = ("repro/planner/",)
-
 #: The canonical strategy names (ADR502 flags these exact strings).
 _STRATEGY_LITERALS = frozenset({"FRA", "SRA", "DA", "HYBRID", "AUTO"})  # noqa: ADR502 -- the rule's own pattern table
-
-#: Accumulator-lifecycle methods whose call sites *are* the phase
-#: loop: allocating/initializing accumulators, applying reduction
-#: segments, merging ghosts.  Any runtime module calling these is
-#: duplicating :class:`~repro.runtime.phases.PhaseExecutor`.
-_PHASE_SEQUENCING_CALLS = frozenset(
-    {
-        "allocate", "scatter_groups", "combine_from", "initialize_into",
-        "initialize_from", "prereduce_groups",
-    }
-)
 
 #: np.random functions backed by the legacy global RandomState --
 #: unseedable per call site, therefore never reproducible.
@@ -211,9 +144,6 @@ _LEGACY_RANDOM = frozenset(
         "poisson", "binomial", "exponential", "beta", "gamma", "lognormal",
     }
 )
-
-#: Modules exempt from ADR301: the one place that may mint generators.
-_RNG_EXEMPT = ("util/rng.py", "util\\rng.py")
 
 #: ``# noqa: <code-list>`` where the list may mix tools (``# noqa:
 #: E402, ADR301``); only the listed ADR codes are suppressed, and only
@@ -234,6 +164,9 @@ _STRUCTURAL_ATTRS = frozenset(
     {"shape", "dtype", "ndim", "size", "nbytes", "itemsize",
      "output_chunk", "ghost", "n_items", "strategy"}
 )
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _is_acc_value_name(name: str) -> bool:
@@ -300,38 +233,34 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _calls_directly(loop: ast.AST, names: Sequence[str]) -> Optional[ast.Call]:
-    """The first ``name(...)`` / ``*.name(...)`` call, *name* one of
-    *names*, in the loop body that is not inside a *nested* loop (the
-    inner loop gets its own finding)."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(loop))
+def _last_name(node: ast.AST) -> Optional[str]:
+    """``name`` for ``name`` and ``*.name``, else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _own_nodes(node: ast.AST, nested: Tuple[type, ...]) -> Iterator[ast.AST]:
+    """Descendants of *node*, breadth first, outside any nested node of
+    a *nested* type (that node reports from its own visit)."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(node))
     while stack:
-        node = stack.pop(0)
-        if isinstance(node, (ast.For, ast.While, ast.AsyncFor)):
-            continue  # the nested loop is flagged on its own
-        if isinstance(node, ast.Call):
-            fn = node.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else (
-                fn.id if isinstance(fn, ast.Name) else None
-            )
-            if name in names:
-                return node
-        stack.extend(ast.iter_child_nodes(node))
-    return None
-
-
-def _call_name(call: ast.Call) -> str:
-    fn = call.func
-    return fn.attr if isinstance(fn, ast.Attribute) else fn.id
+        child = stack.pop(0)
+        if isinstance(child, nested):
+            continue
+        yield child
+        stack.extend(ast.iter_child_nodes(child))
 
 
 def _docstring_node_ids(tree: ast.AST) -> Set[int]:
     """``id()`` of every docstring Constant (ADR502 exempts them)."""
     out: Set[int] = set()
     for node in ast.walk(tree):
-        if isinstance(
-            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
+        if isinstance(node, (ast.Module, ast.ClassDef, *_FUNCTIONS)):
             body = node.body
             if (
                 body
@@ -343,394 +272,393 @@ def _docstring_node_ids(tree: ast.AST) -> Set[int]:
     return out
 
 
-class _Visitor(ast.NodeVisitor):
-    def __init__(
-        self, path: str, out: DiagnosticCollector, rng_exempt: bool,
-        runtime_hot_path: bool = False, fault_critical: bool = False,
-        phase_scope: bool = False, index_hot_path: bool = False,
-        wire_scope: bool = False, strategy_scope: bool = False,
-        docstring_ids: Optional[Set[int]] = None, phase_home: bool = False,
-        select_home: bool = False, result_scope: bool = False, write_scope: bool = False,
-    ) -> None:
-        self.path = path
-        self.write_scope = write_scope
-        self.out = out
-        self.rng_exempt = rng_exempt
-        self.runtime_hot_path = runtime_hot_path
-        self.fault_critical = fault_critical
-        self.phase_scope = phase_scope
-        self.phase_home = phase_home
-        self.select_home = select_home
-        self.result_scope = result_scope
-        self.index_hot_path = index_hot_path
-        self.wire_scope = wire_scope
-        self.strategy_scope = strategy_scope
-        self.docstring_ids = docstring_ids if docstring_ids is not None else set()
-        #: ADR402 per-function frames: sockets created vs. timed.
-        self._socket_frames: List[dict] = []
+# -- matchers: each yields (node, message) per violation at one node ------
 
-    def _loc(self, node: ast.AST) -> str:
-        return f"{self.path}:{node.lineno}:{node.col_offset}"
+Matcher = Callable[["_Visitor", ast.AST], Iterable[Tuple[ast.AST, str]]]
 
-    # -- ADR402: untimed sockets in wire-protocol code ---------------------
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_wire_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_wire_function(node)
-
-    def _visit_wire_function(self, node: ast.AST) -> None:
-        if not self.wire_scope:
-            self.generic_visit(node)
-            return
-        frame = {"created": [], "timed": set()}
-        self._socket_frames.append(frame)
-        self.generic_visit(node)
-        self._socket_frames.pop()
-        for name, creation in frame["created"]:
-            if name not in frame["timed"]:
-                self.out.emit(
-                    "ADR402",
-                    Severity.ERROR,
-                    self._loc(creation),
-                    f"socket '{name}' created without settimeout() in the "
-                    "same function; a blocking socket in the wire path "
-                    "turns a dead peer into a hung query -- set an "
-                    "explicit timeout",
-                )
-
-    def _check_wire_call(self, node: ast.Call) -> None:
+def _calls(names: Sequence[str], message: str) -> Matcher:
+    """Calls spelled one of *names*: ``.name`` is any attribute call of
+    that name, anything else must be the whole dotted callee.
+    ``{name}`` in *message* is the matched name."""
+    def match(v: "_Visitor", node: ast.Call) -> Iterator[Tuple[ast.AST, str]]:
         fn = node.func
-        attr = fn.attr if isinstance(fn, ast.Attribute) else None
-        if attr == "create_connection":
-            timed = len(node.args) >= 2 or any(
-                kw.arg == "timeout" for kw in node.keywords
-            )
-            if not timed:
-                self.out.emit(
-                    "ADR402",
-                    Severity.ERROR,
-                    self._loc(node),
-                    "create_connection() without a timeout blocks "
-                    "indefinitely on an unreachable peer; pass "
-                    "timeout= (derive it from the request deadline)",
-                )
-        elif attr == "settimeout":
-            if (
-                len(node.args) == 1
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            ):
-                self.out.emit(
-                    "ADR402",
-                    Severity.ERROR,
-                    self._loc(node),
-                    "settimeout(None) makes the socket blocking forever; "
-                    "wire-path sockets must keep an explicit timeout",
-                )
-            elif self._socket_frames:
-                target = _dotted(fn.value)
-                if target is not None:
-                    self._socket_frames[-1]["timed"].add(target)
+        if isinstance(fn, ast.Attribute) and "." + fn.attr in names:
+            yield node, message.format(name=fn.attr)
+        elif _dotted(fn) in names:
+            yield node, message.format(name=_dotted(fn))
+    return match
 
-    def _note_wire_assignment(self, node: ast.Assign) -> None:
-        if not isinstance(node.value, ast.Call):
-            return
-        dotted = _dotted(node.value.func)
-        if dotted is None or dotted.split(".")[-2:] != ["socket", "socket"]:
-            return
-        if not self._socket_frames:
-            return
-        for t in node.targets:
-            target = _dotted(t)
-            if target is not None:
-                self._socket_frames[-1]["created"].append((target, node))
 
-    # -- ADR301: unseeded randomness --------------------------------------
+def _loop_calls(names: Sequence[str], message: str) -> Matcher:
+    """A loop whose body calls ``name(...)`` / ``*.name(...)``, *name*
+    one of *names*, outside any nested loop (the inner loop gets its
+    own finding).  ``{name}`` in *message* is the first such call."""
+    def match(v: "_Visitor", node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+        for child in _own_nodes(node, _LOOPS):
+            if isinstance(child, ast.Call) and _last_name(child.func) in names:
+                yield node, message.format(name=_last_name(child.func))
+                return
+    return match
 
-    def visit_Call(self, node: ast.Call) -> None:
-        if not self.rng_exempt:
-            dotted = _dotted(node.func)
-            if dotted is not None:
-                tail = dotted.split(".")
-                if len(tail) >= 3 and tail[-3] in ("np", "numpy") and tail[-2] == "random":
-                    fn = tail[-1]
-                    if fn in _LEGACY_RANDOM:
-                        self.out.emit(
-                            "ADR301",
-                            Severity.ERROR,
-                            self._loc(node),
-                            f"legacy global-state RNG call np.random.{fn}(); "
-                            "route randomness through repro.util.rng.make_rng",
-                        )
-                    elif fn == "default_rng" and (
-                        not node.args
-                        or (
-                            isinstance(node.args[0], ast.Constant)
-                            and node.args[0].value is None
-                        )
-                    ) and not node.keywords:
-                        self.out.emit(
-                            "ADR301",
-                            Severity.ERROR,
-                            self._loc(node),
-                            "np.random.default_rng() without a seed is "
-                            "nondeterministic; thread a seed or Generator "
-                            "through repro.util.rng.make_rng",
-                        )
-        # -- ADR501: phase sequencing outside runtime/phases.py -----------
-        if (
-            self.phase_scope
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _PHASE_SEQUENCING_CALLS
-        ):
-            self.out.emit(
-                "ADR501",
-                Severity.ERROR,
-                self._loc(node),
-                f"phase-sequencing call '{node.func.attr}()' outside "
-                "runtime/phases.py; the four-phase tile loop is owned by "
-                "PhaseExecutor -- drive it instead of re-implementing it "
-                "(the serial oracle may opt out with noqa)",
-            )
-        if self.result_scope and _dotted(node.func) in ("QueryResult", "engine.QueryResult"):
-            self.out.emit(
-                "ADR501",
-                Severity.ERROR,
-                self._loc(node),
-                "QueryResult constructed outside runtime/engine.py; results "
-                "are assembled from tallies in one place -- call "
-                "repro.runtime.engine.assemble_result",
-            )
-        if self.write_scope and _dotted(node.func) == "open":
-            self._store_file_access(node, "builtin open() in the store")
-        if self.wire_scope:
-            self._check_wire_call(node)
-        self.generic_visit(node)
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self.write_scope and node.attr == "O_TRUNC":
-            self._store_file_access(
-                node, "O_TRUNC truncates a store file to zero, which makes ext4 "
-                "start writeback on close"
-            )
-        self.generic_visit(node)
+def _attribute(name: str, message: str) -> Matcher:
+    def match(v: "_Visitor", node: ast.Attribute) -> Iterator[Tuple[ast.AST, str]]:
+        if node.attr == name:
+            yield node, message
+    return match
 
-    def _store_file_access(self, node: ast.AST, what: str) -> None:
-        self.out.emit(
-            "ADR501", Severity.ERROR, self._loc(node),
-            f"{what}; files are read through FileChunkStore._read_file and "
-            "written through _write_file, which rewrites in place",
+
+def _unseeded_rng(v: "_Visitor", node: ast.Call) -> Iterator[Tuple[ast.AST, str]]:
+    tail = (_dotted(node.func) or "").split(".")
+    if len(tail) < 3 or tail[-3] not in ("np", "numpy") or tail[-2] != "random":
+        return
+    if tail[-1] in _LEGACY_RANDOM:
+        yield node, (
+            f"legacy global-state RNG call np.random.{tail[-1]}(); "
+            "route randomness through repro.util.rng.make_rng"
+        )
+    elif (
+        tail[-1] == "default_rng"
+        and (not node.args or _is_none(node.args[0]))
+        and not node.keywords
+    ):
+        yield node, (
+            "np.random.default_rng() without a seed is nondeterministic; "
+            "thread a seed or Generator through repro.util.rng.make_rng"
         )
 
-    # -- ADR302: float equality on accumulator values ----------------------
 
-    def visit_Compare(self, node: ast.Compare) -> None:
-        if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-            operands = [node.left, *node.comparators]
-            if any(_mentions_accumulator(o) for o in operands):
-                self.out.emit(
-                    "ADR302",
-                    Severity.ERROR,
-                    self._loc(node),
-                    "== / != on float accumulator values; partial sums are "
-                    "order-dependent -- use np.isclose/np.allclose or "
-                    "compare integer counters",
-                )
-        self.generic_visit(node)
+def _accumulator_equality(v: "_Visitor", node: ast.Compare) -> Iterator[Tuple[ast.AST, str]]:
+    if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops) and any(
+        _mentions_accumulator(o) for o in (node.left, *node.comparators)
+    ):
+        yield node, (
+            "== / != on float accumulator values; partial sums are "
+            "order-dependent -- use np.isclose/np.allclose or "
+            "compare integer counters"
+        )
 
-    # -- ADR303: chunk payload mutation ------------------------------------
 
-    def _check_mutation_target(self, target: ast.AST, node: ast.AST) -> None:
-        attr = target
-        if isinstance(attr, ast.Subscript):  # chunk.values[i] = ...
-            attr = attr.value
+def _chunk_mutation(v: "_Visitor", node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        # chunk.values[i] = ... mutates the payload too
+        attr = target.value if isinstance(target, ast.Subscript) else target
         if isinstance(attr, ast.Attribute) and attr.attr in ("coords", "values", "meta"):
             root = _root_name(attr.value)
             if root and "chunk" in root.lower():
-                self.out.emit(
-                    "ADR303",
-                    Severity.ERROR,
-                    self._loc(node),
+                yield node, (
                     f"mutation of Chunk payload '.{attr.attr}' after "
                     "construction; chunk payloads are shared between "
-                    "virtual processors and must stay read-only",
+                    "virtual processors and must stay read-only"
                 )
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for t in node.targets:
-            self._check_mutation_target(t, node)
-        if self.wire_scope:
-            self._note_wire_assignment(node)
-        self.generic_visit(node)
 
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_mutation_target(node.target, node)
-        self.generic_visit(node)
-
-    # -- ADR305: scalar aggregate loop in the runtime hot path -------------
-
-    def _check_aggregate_loop(self, node: ast.AST) -> None:
-        if self.runtime_hot_path and _calls_directly(node, ("aggregate",)) is not None:
-            self.out.emit(
-                "ADR305",
-                Severity.ERROR,
-                self._loc(node),
-                "Python loop calling aggregate() in the runtime hot path; "
-                "per-item/per-edge loops are the pattern the fused kernels "
-                "replaced -- group a batch with repro.runtime.kernels.group_reads, "
-                "pre-reduce it with prereduce_groups and fold it with "
-                "scatter_groups (reference oracles may opt out with noqa)",
-            )
-        call = _calls_directly(node, _PER_READ_CALLS) if self.phase_home else None
-        if call is not None:
-            self.out.emit(
-                "ADR305",
-                Severity.ERROR,
-                self._loc(node),
-                f"Python loop calling {_call_name(call)}() in the phase executor; the "
-                "reduce phase groups and pre-reduces a batch of reads with "
-                "one repro.runtime.kernels.group_reads / prereduce_groups "
-                "call, not one per read",
-            )
-        call = _calls_directly(node, _PER_CANDIDATE_CALLS) if self.select_home else None
-        if call is not None:
-            self.out.emit(
-                "ADR305",
-                Severity.ERROR,
-                self._loc(node),
-                f"Python loop calling {_call_name(call)}() in strategy selection; "
-                "price every candidate in one stacked pass "
-                "(model.estimate_many over repro.planner.stats.load_grids), "
-                "not one plan at a time",
-            )
-
-    # -- ADR306: per-rectangle loops in the index hot path -----------------
-
-    def _check_index_loop(self, node: ast.AST) -> None:
-        if not self.index_hot_path:
-            return
-        # Loop targets (``for i in ...``): a bare-name subscript
-        # ``los[i]`` / ``his[i]`` with one of them walks MBRs one row
-        # at a time.  ``los[:, dim]`` (a per-dimension column, tuple
-        # slice) stays vectorized over the rectangles and is fine.
-        targets = (
-            {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
-            if isinstance(node, (ast.For, ast.AsyncFor))
-            else set()
-        )
-        if targets:
-            for child in ast.walk(node):
-                if not isinstance(child, ast.Subscript):
-                    continue
-                base = child.value
-                name = base.attr if isinstance(base, ast.Attribute) else (
-                    base.id if isinstance(base, ast.Name) else None
-                )
-                if (
-                    name in ("los", "his")
-                    and isinstance(child.slice, ast.Name)
-                    and child.slice.id in targets
-                ):
-                    self.out.emit(
-                        "ADR306",
-                        Severity.ERROR,
-                        self._loc(child),
-                        f"per-rectangle subscript '{name}[{child.slice.id}]' "
-                        "inside a Python loop in the index hot path; compare "
-                        "MBRs with vectorized column operations "
-                        "(rects_intersect_mask, packed bitsets) -- bounded "
-                        "structural loops may opt out with noqa",
-                    )
-        # Per-entry Rect.intersects() calls anywhere in the loop body
-        # (nested loops report from their own visit, like ADR305).
-        stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-        while stack:
-            child = stack.pop(0)
-            if isinstance(child, (ast.For, ast.While, ast.AsyncFor)):
+def _per_rect_loop(v: "_Visitor", node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+    # Loop targets (``for i in ...``): a bare-name subscript
+    # ``los[i]`` / ``his[i]`` with one of them walks MBRs one row
+    # at a time.  ``los[:, dim]`` (a per-dimension column, tuple
+    # slice) stays vectorized over the rectangles and is fine.
+    targets = (
+        {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+        if isinstance(node, (ast.For, ast.AsyncFor))
+        else set()
+    )
+    if targets:
+        for child in ast.walk(node):
+            if not isinstance(child, ast.Subscript):
                 continue
+            name = _last_name(child.value)
             if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in _PER_RECT_CALLS
+                name in ("los", "his")
+                and isinstance(child.slice, ast.Name)
+                and child.slice.id in targets
             ):
-                self.out.emit(
-                    "ADR306",
-                    Severity.ERROR,
-                    self._loc(child),
-                    f"per-entry {child.func.attr}() call inside a Python loop "
-                    "in the index hot path; handle all rectangles at once "
-                    "(rects_intersect_mask, Mapping.project_rects, one "
-                    "broadcast comparison)",
+                yield child, (
+                    f"per-rectangle subscript '{name}[{child.slice.id}]' "
+                    "inside a Python loop in the index hot path; compare "
+                    "MBRs with vectorized column operations "
+                    "(rects_intersect_mask, packed bitsets) -- bounded "
+                    "structural loops may opt out with noqa"
                 )
-            stack.extend(ast.iter_child_nodes(child))
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_aggregate_loop(node)
-        self._check_index_loop(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_aggregate_loop(node)
-        self._check_index_loop(node)
-        self.generic_visit(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._check_aggregate_loop(node)
-        self._check_index_loop(node)
-        self.generic_visit(node)
-
-    # -- ADR502: strategy literals outside the planner ---------------------
-
-    def visit_Constant(self, node: ast.Constant) -> None:
+    # Per-entry Rect.intersects() calls anywhere in the loop body
+    # (nested loops report from their own visit, like ADR305).
+    for child in _own_nodes(node, _LOOPS):
         if (
-            self.strategy_scope
-            and isinstance(node.value, str)
-            and node.value in _STRATEGY_LITERALS
-            and id(node) not in self.docstring_ids
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr in ("intersects", "intersecting", "project_rect")
         ):
-            self.out.emit(
-                "ADR502",
-                Severity.ERROR,
-                self._loc(node),
-                f"hard-coded strategy literal {node.value!r} outside "
-                "repro/planner/; import the name from repro.planner.select "
-                "(FRA/SRA/DA/HYBRID/AUTO, FIXED_STRATEGIES, ALL_STRATEGIES) "
-                "so strategy selection keeps a single choke point",
+            yield child, (
+                f"per-entry {child.func.attr}() call inside a Python loop "
+                "in the index hot path; handle all rectangles at once "
+                "(rects_intersect_mask, Mapping.project_rects, one "
+                "broadcast comparison)"
             )
-        self.generic_visit(node)
 
-    # -- ADR401: swallowed exceptions in fault-critical code ---------------
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if node.type is None:
-            self.out.emit(
-                "ADR401",
-                Severity.ERROR,
-                self._loc(node),
-                "bare 'except:' catches SystemExit/KeyboardInterrupt and "
-                "hides the failure class; name the exceptions (at minimum "
-                "'except Exception')",
-            )
-        elif self.fault_critical and all(
-            isinstance(stmt, (ast.Pass, ast.Continue))
-            or (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is Ellipsis
-            )
-            for stmt in node.body
+def _bare_except(v: "_Visitor", node: ast.ExceptHandler) -> Iterator[Tuple[ast.AST, str]]:
+    if node.type is None:
+        yield node, (
+            "bare 'except:' catches SystemExit/KeyboardInterrupt and "
+            "hides the failure class; name the exceptions (at minimum "
+            "'except Exception')"
+        )
+
+
+def _swallowed_exception(v: "_Visitor", node: ast.ExceptHandler) -> Iterator[Tuple[ast.AST, str]]:
+    if node.type is not None and all(
+        isinstance(stmt, (ast.Pass, ast.Continue))
+        or (
+            isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Constant)
+            and stmt.value.value is Ellipsis
+        )
+        for stmt in node.body
+    ):
+        yield node, (
+            "exception swallowed without a trace in fault-critical code "
+            "(runtime/, store/, frontend/, faults/, shard/); record it (e.g. "
+            "in chunk_errors) or re-raise -- silent data loss is "
+            "indistinguishable from a clean run"
+        )
+
+
+def _sets_no_timeout(call: ast.Call) -> bool:
+    return len(call.args) == 1 and _is_none(call.args[0])
+
+
+def _untimed_socket(v: "_Visitor", node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+    """Sockets a function creates without a ``settimeout`` on them in
+    the same function (a nested function is a function of its own)."""
+    created: List[Tuple[str, ast.AST]] = []
+    timed: Set[str] = set()
+    for child in _own_nodes(node, _FUNCTIONS):
+        if isinstance(child, ast.Assign) and isinstance(child.value, ast.Call):
+            if (_dotted(child.value.func) or "").split(".")[-2:] == ["socket", "socket"]:
+                created += [(t, child) for t in map(_dotted, child.targets) if t]
+        elif (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr == "settimeout"
+            and not _sets_no_timeout(child)
+            and _dotted(child.func.value)
         ):
-            self.out.emit(
-                "ADR401",
-                Severity.ERROR,
-                self._loc(node),
-                "exception swallowed without a trace in fault-critical code "
-                "(runtime/store); record it (e.g. in chunk_errors) or "
-                "re-raise -- silent data loss is indistinguishable from a "
-                "clean run",
+            timed.add(_dotted(child.func.value))
+    for name, creation in created:
+        if name not in timed:
+            yield creation, (
+                f"socket '{name}' created without settimeout() in the "
+                "same function; a blocking socket in the wire path "
+                "turns a dead peer into a hung query -- set an "
+                "explicit timeout"
             )
+
+
+def _blocking_socket_call(v: "_Visitor", node: ast.Call) -> Iterator[Tuple[ast.AST, str]]:
+    attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
+    if attr == "create_connection" and not (
+        len(node.args) >= 2 or any(kw.arg == "timeout" for kw in node.keywords)
+    ):
+        yield node, (
+            "create_connection() without a timeout blocks "
+            "indefinitely on an unreachable peer; pass "
+            "timeout= (derive it from the request deadline)"
+        )
+    elif attr == "settimeout" and _sets_no_timeout(node):
+        yield node, (
+            "settimeout(None) makes the socket blocking forever; "
+            "wire-path sockets must keep an explicit timeout"
+        )
+
+
+def _strategy_literal(v: "_Visitor", node: ast.Constant) -> Iterator[Tuple[ast.AST, str]]:
+    if (
+        isinstance(node.value, str)
+        and node.value in _STRATEGY_LITERALS
+        and id(node) not in v.docstring_ids
+    ):
+        yield node, (
+            f"hard-coded strategy literal {node.value!r} outside "
+            "repro/planner/; import the name from repro.planner.select "
+            "(FRA/SRA/DA/HYBRID/AUTO, FIXED_STRATEGIES, ALL_STRATEGIES) "
+            "so strategy selection keeps a single choke point"
+        )
+
+
+# -- the rule table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of :data:`RULES`.
+
+    *code* applies to a file whose path matches a *scope* pattern and
+    no *home* pattern; there *match* runs on every node of an *on*
+    type.  A pattern ending in ``/`` is a directory and matches
+    anywhere in the path, any other pattern is a module and matches
+    the path's end (``""`` matches every path).  The ``ADR7xx`` rows
+    have no matcher: they scope :func:`repro.analysis.effects.check_effects`.
+    """
+
+    name: str
+    code: str
+    scope: Tuple[str, ...]
+    home: Tuple[str, ...]
+    on: Tuple[type, ...]
+    match: Optional[Matcher]
+
+    def applies(self, posix: str) -> bool:
+        return _matches(self.scope, posix) and not _matches(self.home, posix)
+
+
+def _matches(patterns: Sequence[str], posix: str) -> bool:
+    return any(p in posix if p.endswith("/") else posix.endswith(p) for p in patterns)
+
+
+_STORE_FILES = (
+    "; files are read through FileChunkStore._read_file and written "
+    "through _write_file, which rewrites in place"
+)
+
+#: The lint's rules, one row each, in the order they report at one node.
+RULES: Tuple[Rule, ...] = (
+    # name, code, scope, home, node types, matcher
+    Rule("unseeded-rng", "ADR301", ("",), ("util/rng.py",), (ast.Call,), _unseeded_rng),
+    Rule(
+        "accumulator-equality", "ADR302", ("",), (), (ast.Compare,),
+        _accumulator_equality,
+    ),
+    Rule("chunk-mutation", "ADR303", ("",), (), (ast.Assign, ast.AugAssign), _chunk_mutation),
+    Rule(
+        "aggregate-loop", "ADR305", ("repro/runtime/",), (), _LOOPS,
+        _loop_calls(
+            ("aggregate",),
+            "Python loop calling {name}() in the runtime hot path; "
+            "per-item/per-edge loops are the pattern the fused kernels "
+            "replaced -- group a batch with repro.runtime.kernels.group_reads, "
+            "pre-reduce it with prereduce_groups and fold it with "
+            "scatter_groups (reference oracles may opt out with noqa)",
+        ),
+    ),
+    Rule(
+        "per-read-loop", "ADR305", ("runtime/phases.py",), (), _LOOPS,
+        _loop_calls(
+            ("group_read", "prereduce_groups"),
+            "Python loop calling {name}() in the phase executor; the "
+            "reduce phase groups and pre-reduces a batch of reads with "
+            "one repro.runtime.kernels.group_reads / prereduce_groups "
+            "call, not one per read",
+        ),
+    ),
+    Rule(
+        "per-candidate-loop", "ADR305", ("planner/select.py",), (), _LOOPS,
+        _loop_calls(
+            ("estimate", "plan_stats", "plan_features"),
+            "Python loop calling {name}() in strategy selection; "
+            "price every candidate in one stacked pass "
+            "(model.estimate_many over repro.planner.stats.load_grids), "
+            "not one plan at a time",
+        ),
+    ),
+    Rule(
+        "per-rect-loop", "ADR306",
+        ("repro/index/", "repro/dataset/graph.py", "repro/aggregation/output_grid.py"),
+        (), _LOOPS, _per_rect_loop,
+    ),
+    Rule("bare-except", "ADR401", ("",), (), (ast.ExceptHandler,), _bare_except),
+    Rule(
+        "swallowed-exception", "ADR401",
+        ("repro/runtime/", "repro/store/", "repro/frontend/", "repro/faults/", "repro/shard/"),
+        (), (ast.ExceptHandler,), _swallowed_exception,
+    ),
+    Rule(
+        "untimed-socket", "ADR402", ("repro/frontend/", "repro/shard/", "repro/faults/"),
+        (), _FUNCTIONS, _untimed_socket,
+    ),
+    Rule(
+        "blocking-socket-call", "ADR402",
+        ("repro/frontend/", "repro/shard/", "repro/faults/"), (), (ast.Call,),
+        _blocking_socket_call,
+    ),
+    Rule(
+        "phase-call", "ADR501", ("repro/runtime/",), ("runtime/phases.py",), (ast.Call,),
+        _calls(
+            (".allocate", ".scatter_groups", ".combine_from", ".initialize_into",
+             ".initialize_from", ".prereduce_groups"),
+            "phase-sequencing call '{name}()' outside runtime/phases.py; the "
+            "four-phase tile loop is owned by PhaseExecutor -- drive it "
+            "instead of re-implementing it (the serial oracle may opt out "
+            "with noqa)",
+        ),
+    ),
+    Rule(
+        "result-construction", "ADR501", ("repro/runtime/", "repro/shard/"),
+        ("runtime/engine.py",), (ast.Call,),
+        _calls(
+            ("QueryResult", "engine.QueryResult"),
+            "QueryResult constructed outside runtime/engine.py; results "
+            "are assembled from tallies in one place -- call "
+            "repro.runtime.engine.assemble_result",
+        ),
+    ),
+    Rule(
+        "store-open", "ADR501", ("repro/store/",), (), (ast.Call,),
+        _calls(("open",), "builtin open() in the store" + _STORE_FILES),
+    ),
+    Rule(
+        "store-truncate", "ADR501", ("repro/store/",), (), (ast.Attribute,),
+        _attribute(
+            "O_TRUNC",
+            "O_TRUNC truncates a store file to zero, which makes ext4 start "
+            "writeback on close" + _STORE_FILES,
+        ),
+    ),
+    Rule(
+        "strategy-literal", "ADR502", ("repro/",), ("repro/planner/",), (ast.Constant,),
+        _strategy_literal,
+    ),
+    Rule(
+        "concurrency-effects", "ADR7xx",
+        ("repro/runtime/", "repro/store/", "repro/frontend/", "repro/shard/"), (), (), None,
+    ),
+    Rule("guarded-cache", "ADR705", ("store/cache.py",), (), (), None),
+)
+
+
+def active_rules(path: str) -> List[Rule]:
+    """The rows of :data:`RULES` that apply to the file at *path*."""
+    posix = Path(path).as_posix()
+    return [rule for rule in RULES if rule.applies(posix)]
+
+
+class _Visitor(ast.NodeVisitor):
+    """Walks one module and runs each active row's matcher on the nodes
+    of its types."""
+
+    def __init__(
+        self, path: str, out: DiagnosticCollector, rules: Sequence[Rule], tree: ast.AST
+    ) -> None:
+        self.path = path
+        self.out = out
+        self.tree = tree
+        self.rules_by_type: Dict[type, List[Rule]] = {}
+        for rule in rules:
+            for node_type in rule.on:
+                self.rules_by_type.setdefault(node_type, []).append(rule)
+
+    @cached_property
+    def docstring_ids(self) -> Set[int]:
+        return _docstring_node_ids(self.tree)
+
+    def visit(self, node: ast.AST) -> None:
+        for rule in self.rules_by_type.get(type(node), ()):
+            for at, message in rule.match(self, node):
+                self.out.emit(
+                    rule.code, Severity.ERROR,
+                    f"{self.path}:{at.lineno}:{at.col_offset}", message,
+                )
         self.generic_visit(node)
 
 
@@ -743,21 +671,13 @@ def _is_public_library_module(path: Path) -> bool:
     return (path.parent / "__init__.py").exists()
 
 
-def lint_source(
-    source: str, path: str, *, rng_exempt: bool = False, check_all: bool = False,
-    runtime_hot_path: bool = False, fault_critical: bool = False,
-    phase_scope: bool = False, concurrency_scope: bool = False,
-    guarded_cache: bool = False, index_hot_path: bool = False,
-    wire_scope: bool = False, strategy_scope: bool = False,
-    phase_home: bool = False, select_home: bool = False,
-    result_scope: bool = False, write_scope: bool = False,
-) -> List[Diagnostic]:
+def lint_source(source: str, path: str, *, check_all: bool = False) -> List[Diagnostic]:
     """Lint one module's source text (the testable core).
 
-    *concurrency_scope* adds the ADR7xx dataflow/concurrency rules
-    (:mod:`repro.analysis.effects`); *guarded_cache* additionally
-    enforces the ADR705 cache-lock discipline.  Both share this
-    function's per-line ``# noqa`` suppression.
+    The rows of :data:`RULES` that apply are picked from *path*; where
+    an ``ADR7xx`` row applies, the :mod:`repro.analysis.effects` checks
+    run too and share this function's per-line ``# noqa`` suppression.
+    *check_all* adds ADR304, which needs the file system.
     """
     out = DiagnosticCollector()
     try:
@@ -765,13 +685,8 @@ def lint_source(
     except SyntaxError as exc:
         out.error("ADR300", f"{path}:{exc.lineno or 0}:0", f"syntax error: {exc.msg}")
         return out.diagnostics
-    _Visitor(
-        path, out, rng_exempt, runtime_hot_path, fault_critical, phase_scope,
-        index_hot_path, wire_scope, strategy_scope,
-        docstring_ids=_docstring_node_ids(tree) if strategy_scope else None,
-        phase_home=phase_home, select_home=select_home, result_scope=result_scope,
-        write_scope=write_scope,
-    ).visit(tree)
+    rules = active_rules(path)
+    _Visitor(path, out, rules, tree).visit(tree)
     if check_all and not any(
         isinstance(n, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
@@ -784,10 +699,8 @@ def lint_source(
             "public module defines no __all__; declare the public API "
             "explicitly",
         )
-    if concurrency_scope or guarded_cache:
-        out.diagnostics.extend(
-            check_effects(source, path, guarded_cache=guarded_cache, tree=tree)
-        )
+    if any(rule.code.startswith("ADR7") for rule in rules):
+        out.diagnostics.extend(check_effects(source, path, tree=tree))
     suppressed = _noqa_lines(source)
     kept: List[Diagnostic] = []
     for d in out.diagnostics:
@@ -802,34 +715,9 @@ def lint_source(
 
 
 def lint_file(path: Path) -> List[Diagnostic]:
-    text = path.read_text(encoding="utf-8")
-    posix = path.as_posix()
     return lint_source(
-        text,
-        str(path),
-        rng_exempt=any(posix.endswith(e) for e in _RNG_EXEMPT),
+        path.read_text(encoding="utf-8"), str(path),
         check_all=_is_public_library_module(path),
-        runtime_hot_path=any(m in posix for m in _RUNTIME_HOT_PATH),
-        fault_critical=any(m in posix for m in _FAULT_CRITICAL_PATHS),
-        phase_scope=(
-            any(m in posix for m in _RUNTIME_HOT_PATH)
-            and not any(posix.endswith(e) for e in _PHASE_LOOP_HOME)
-        ),
-        phase_home=any(posix.endswith(e) for e in _PHASE_LOOP_HOME),
-        select_home=any(posix.endswith(e) for e in _SELECT_HOME),
-        result_scope=(
-            any(m in posix for m in _RESULT_SCOPE_PATHS)
-            and not any(posix.endswith(e) for e in _RESULT_HOME)
-        ),
-        write_scope=any(m in posix for m in _WRITE_SCOPE_PATHS),
-        concurrency_scope=any(m in posix for m in _CONCURRENCY_PATHS),
-        guarded_cache=any(posix.endswith(e) for e in _GUARDED_CACHE_MODULES),
-        index_hot_path=any(m in posix for m in _INDEX_HOT_PATH),
-        wire_scope=any(m in posix for m in _WIRE_SCOPE_PATHS),
-        strategy_scope=(
-            any(m in posix for m in _STRATEGY_SCOPE_PATHS)
-            and not any(m in posix for m in _STRATEGY_NAME_HOME)
-        ),
     )
 
 

@@ -275,8 +275,8 @@ class RTree(SpatialIndex):
         for s in range(0, len(order), cap):
             group = order[s : s + cap]
             leaf = _Node(self.ndim, leaf=True)
-            leaf.los = los[group].copy()  # noqa: ADR306 -- vectorized gather (group is an id array)
-            leaf.his = his[group].copy()  # noqa: ADR306 -- vectorized gather (group is an id array)
+            leaf.los = los[group].copy()
+            leaf.his = his[group].copy()
             leaf.ids = [int(i) for i in group]
             leaves.append(leaf)
         return leaves

@@ -75,11 +75,7 @@ from repro.dataset.dataset import Dataset
 from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import RoutingCache
 from repro.runtime.phases import AccumulatorHost, PhaseExecutor, Tally, is_gauge
-from repro.runtime.transport import (  # noqa: F401  (CRASH_EXIT_CODE re-export)
-    CRASH_EXIT_CODE,
-    QueueTransport,
-    RecoveryPolicy,
-)
+from repro.runtime.transport import QueueTransport, RecoveryPolicy
 from repro.space.mapping import GridMapping
 from repro.store.chunk_store import RECOVERABLE_READ_ERRORS
 

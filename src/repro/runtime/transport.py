@@ -25,8 +25,7 @@ schedule order, which is what keeps the backends bit-for-bit equal.
 
 :class:`RecoveryPolicy` lives here too: crash detection and restart
 budgets are properties of the transport layer (the in-process
-transport cannot lose a worker), though
-:mod:`repro.runtime.parallel` re-exports it for compatibility.
+transport cannot lose a worker).
 """
 
 from __future__ import annotations

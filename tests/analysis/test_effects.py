@@ -2,8 +2,8 @@
 
 Each rule gets a firing snippet (seeded mutation of the real pattern
 it guards) and a clean counterpart proving the guard does not
-overreach.  The snippets run through :func:`lint_source` with the
-concurrency scopes enabled, so noqa handling and diagnostic plumbing
+overreach.  The snippets run through :func:`lint_source` at a path
+under the concurrency paths, so noqa handling and diagnostic plumbing
 are exercised too.
 """
 
@@ -15,9 +15,8 @@ from repro.analysis.effects import check_effects
 from repro.analysis.lint import lint_file
 
 
-def findings(src, path="repro/runtime/mod.py", **kwargs):
-    kwargs.setdefault("concurrency_scope", True)
-    return lint_source(textwrap.dedent(src), path, **kwargs)
+def findings(src, path="repro/runtime/mod.py"):
+    return lint_source(textwrap.dedent(src), path)
 
 
 def codes(src, **kwargs):
@@ -99,8 +98,8 @@ class TestThreadWorkerWrites:
         """
         assert codes(src) == set()
 
-    def test_outside_concurrency_scope_not_flagged(self):
-        assert codes(self.UNGUARDED, concurrency_scope=False) == set()
+    def test_outside_concurrency_paths_not_flagged(self):
+        assert codes(self.UNGUARDED, path="repro/planner/mod.py") == set()
 
 
 class TestLockOrder:
@@ -173,8 +172,8 @@ class TestUnboundedWaits:
     def test_dict_get_with_default_ok(self):
         assert codes("v = d.get(key, None)\n") == set()
 
-    def test_outside_concurrency_scope_not_flagged(self):
-        assert codes("item = q.get()\n", concurrency_scope=False) == set()
+    def test_outside_concurrency_paths_not_flagged(self):
+        assert codes("item = q.get()\n", path="repro/planner/mod.py") == set()
 
     def test_noqa_opt_out(self):
         src = "item = q.get()  # noqa: ADR703 -- consumer owns the queue\n"
@@ -262,7 +261,7 @@ class TestGuardedCache:
     or in *_locked helpers."""
 
     def fcodes(self, src):
-        return codes(src, path="repro/store/cache.py", guarded_cache=True)
+        return codes(src, path="repro/store/cache.py")
 
     def test_unlocked_mutation_flagged(self):
         src = """

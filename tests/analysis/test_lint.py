@@ -1,12 +1,27 @@
 """Tests for the AST project lint pass."""
 
+import io
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import Severity, lint_paths, lint_source
-from repro.analysis.lint import main
+from repro.analysis import lint
+from repro.analysis.lint import RULES, lint_file, main
+
+
+#: A file in each rule scope the tests below plant violations in.
+RNG_HOME = "src/repro/util/rng.py"
+RUNTIME = "src/repro/runtime/mod.py"
+PHASES = "src/repro/runtime/phases.py"
+SELECT = "src/repro/planner/select.py"
+INDEX = "src/repro/index/mod.py"
+FAULTS = "src/repro/faults/mod.py"
+SHARD = "src/repro/shard/mod.py"
+STORE = "src/repro/store/mod.py"
+LIBRARY = "src/repro/mod.py"
 
 
 def findings(src, path="mod.py", **kwargs):
@@ -38,7 +53,7 @@ class TestUnseededRandom:
 
     def test_rng_module_exempt(self):
         src = "import numpy as np\nr = np.random.default_rng()\n"
-        assert codes(src, rng_exempt=True) == set()
+        assert codes(src, path=RNG_HOME) == set()
 
 
 class TestFloatAccumulatorEquality:
@@ -138,7 +153,7 @@ class TestAggregateLoop:
     """
 
     def test_flagged_in_hot_path(self):
-        out = findings(self.LOOP, runtime_hot_path=True)
+        out = findings(self.LOOP, path=RUNTIME)
         assert [d.code for d in out] == ["ADR305"]
         assert out[0].severity == Severity.ERROR
 
@@ -151,14 +166,14 @@ class TestAggregateLoop:
                 aggregate(k, cells, values)
                 k += 1
         """
-        assert codes(src, runtime_hot_path=True) == {"ADR305"}
+        assert codes(src, path=RUNTIME) == {"ADR305"}
 
     def test_grouped_call_in_loop_ok(self):
         src = """\
             for k in range(len(seg_out)):
                 accs.scatter_groups(q, o, idx[lo[k] : hi[k]], rows[lo[k] : hi[k]])
         """
-        assert codes(src, runtime_hot_path=True) == set()
+        assert codes(src, path=PHASES) == set()
 
     def test_nested_loop_flagged_once_on_inner(self):
         src = """\
@@ -166,7 +181,7 @@ class TestAggregateLoop:
                 for s, e in zip(starts, ends):
                     spec.aggregate(acc, cells[s:e], values[s:e])
         """
-        out = findings(src, runtime_hot_path=True)
+        out = findings(src, path=RUNTIME)
         assert [d.code for d in out] == ["ADR305"]
         assert ":2:" in out[0].location  # the inner loop, not the outer
 
@@ -175,7 +190,7 @@ class TestAggregateLoop:
             for s, e in zip(starts, ends):  # noqa: ADR305 -- reference oracle
                 spec.aggregate(acc, cells[s:e], values[s:e])
         """
-        assert codes(src, runtime_hot_path=True) == set()
+        assert codes(src, path=RUNTIME) == set()
 
     PER_READ = """\
         for r in reads_of(t):
@@ -184,20 +199,20 @@ class TestAggregateLoop:
     """
 
     def test_per_read_grouping_flagged_in_the_phase_executor(self):
-        out = findings(self.PER_READ, runtime_hot_path=True, phase_home=True)
+        out = findings(self.PER_READ, path=PHASES)
         assert [d.code for d in out] == ["ADR305"]
         assert "group_read()" in out[0].message
         src = """\
             while pending:
                 rows = self.spec.prereduce_groups(values, starts)
         """
-        out = findings(src, runtime_hot_path=True, phase_home=True)
+        out = findings(src, path=PHASES)
         assert [d.code for d in out] == ["ADR305"]
         assert "prereduce_groups()" in out[0].message
 
     def test_per_read_grouping_rule_is_scoped_to_the_phase_executor(self):
         """Kernels, the serial oracle and benchmarks may group one read."""
-        assert codes(self.PER_READ, runtime_hot_path=True) == set()
+        assert codes(self.PER_READ, path=RUNTIME) == {"ADR501"}  # not ADR305
         assert codes(self.PER_READ) == set()
 
     def test_batched_grouping_ok(self):
@@ -207,7 +222,7 @@ class TestAggregateLoop:
             for k, r in enumerate(batch):
                 accs.scatter_groups(reader, o, idx[lo[k] : hi[k]], rows[lo[k] : hi[k]])
         """
-        assert codes(src, runtime_hot_path=True, phase_home=True) == set()
+        assert codes(src, path=PHASES) == set()
 
     def test_per_read_grouping_noqa_and_nesting(self):
         src = """\
@@ -215,24 +230,10 @@ class TestAggregateLoop:
                 for r in reads_of(t):  # noqa: ADR305 -- measuring the old path
                     segs = group_read(item_idx, cells, values, grid, sel_map, tiles, t)
         """
-        assert codes(src, runtime_hot_path=True, phase_home=True) == set()
-        out = findings(src.replace("  # noqa: ADR305 -- measuring the old path", ""),
-                       runtime_hot_path=True, phase_home=True)
+        assert codes(src, path=PHASES) == set()
+        out = findings(src.replace("  # noqa: ADR305 -- measuring the old path", ""), path=PHASES)
         assert [d.code for d in out] == ["ADR305"]
         assert ":2:" in out[0].location  # the inner loop, not the outer
-
-    def test_phase_home_resolved_from_file_location(self, tmp_path, capsys):
-        """Only src/repro/runtime/phases.py gets the per-read half."""
-        src = "for r in batch:\n    segs = group_read(*fetch(r), grid, sel_map, tiles, t)\n"
-        runtime = tmp_path / "src" / "repro" / "runtime"
-        runtime.mkdir(parents=True)
-        (runtime / "serial.py").write_text(src)
-        assert main([str(runtime)]) == 0
-        capsys.readouterr()
-        (runtime / "phases.py").write_text(src)
-        assert main([str(runtime)]) == 1
-        out = capsys.readouterr().out
-        assert "ADR305" in out and "phases.py" in out and "serial.py" not in out
 
     #: the candidate loop strategy selection had before it priced all
     #: candidates in one stacked pass
@@ -244,55 +245,28 @@ class TestAggregateLoop:
     """
 
     def test_per_candidate_pricing_flagged_in_strategy_selection(self):
-        out = findings(self.PER_CANDIDATE, select_home=True)
+        out = findings(self.PER_CANDIDATE, path=SELECT)
         assert [d.code for d in out] == ["ADR305"]
         assert "estimate()" in out[0].message and ":1:" in out[0].location
         for call in ("plan_stats(plan)", "plan_features(plan)"):
             src = f"while todo:\n    plan = todo.pop()\n    rows.append({call})\n"
-            out = findings(src, select_home=True)
+            out = findings(src, path=SELECT)
             assert [d.code for d in out] == ["ADR305"], call
 
     def test_per_candidate_rule_is_scoped_to_strategy_selection(self):
         """Cost models, tests and benchmarks may price one plan."""
         assert codes(self.PER_CANDIDATE) == set()
-        assert codes(self.PER_CANDIDATE, runtime_hot_path=True, phase_home=True) == set()
+        assert codes(self.PER_CANDIDATE, path=PHASES) == set()
         stacked = """\
             plans = [plan_query(problem, name) for name in names]
             estimates = model.estimate_many(plans)
         """
-        assert codes(stacked, select_home=True) == set()
-
-    def test_select_home_resolved_from_file_location(self, tmp_path, capsys):
-        src = textwrap.dedent(self.PER_CANDIDATE)
-        planner = tmp_path / "src" / "repro" / "planner"
-        planner.mkdir(parents=True)
-        (planner / "costmodel.py").write_text(src)
-        assert main([str(planner)]) == 0
-        capsys.readouterr()
-        (planner / "select.py").write_text(src)
-        assert main([str(planner)]) == 1
-        out = capsys.readouterr().out
-        assert "ADR305" in out and "select.py" in out and "costmodel.py" not in out
+        assert codes(stacked, path=SELECT) == set()
 
     def test_strategy_selection_module_is_clean(self):
         import repro.planner.select as select
 
         assert lint_paths([select.__file__]) == []
-
-    def test_hot_path_resolved_from_file_location(self, tmp_path, capsys):
-        """Only files under repro/runtime/ get the rule."""
-        src = textwrap.dedent(self.LOOP)
-        hot = tmp_path / "src" / "repro" / "runtime"
-        hot.mkdir(parents=True)
-        (hot / "mod.py").write_text(src)
-        cold = tmp_path / "src" / "repro" / "planner"
-        cold.mkdir(parents=True)
-        (cold / "mod.py").write_text(src)
-        assert main([str(cold)]) == 0
-        capsys.readouterr()
-        assert main([str(hot)]) == 1
-        assert "ADR305" in capsys.readouterr().out
-
 
 class TestPerRectangleLoop:
     """ADR306: the loops the vectorized indexes, ``from_geometry`` and
@@ -311,14 +285,14 @@ class TestPerRectangleLoop:
     """
 
     def test_per_input_projection_loop_flagged(self):
-        out = findings(self.GRAPH_LOOP, index_hot_path=True)
+        out = findings(self.GRAPH_LOOP, path=INDEX)
         assert [d.code for d in out] == ["ADR306", "ADR306"]
         assert all(d.severity == Severity.ERROR for d in out)
         assert "project_rect()" in out[0].message + out[1].message
         assert "intersecting()" in out[0].message + out[1].message
 
     def test_per_chunk_mbr_fill_loop_flagged(self):
-        out = findings(self.GRID_LOOP, index_hot_path=True)
+        out = findings(self.GRID_LOOP, path=INDEX)
         assert [d.code for d in out] == ["ADR306", "ADR306"]
 
     def test_not_flagged_outside_the_hot_path(self):
@@ -330,14 +304,14 @@ class TestPerRectangleLoop:
                 hit = ((outputs.los <= his[s : s + step, None])
                        & (los[s : s + step, None] <= outputs.his)).all(axis=2)
         """
-        assert codes(src, index_hot_path=True) == set()
+        assert codes(src, path=INDEX) == set()
 
     def test_noqa_opt_out(self):
         src = """\
             for i in range(n):
                 tree.insert(i, los[i], his[i])  # noqa: ADR306 -- dynamic insert
         """
-        assert codes(src, index_hot_path=True) == set()
+        assert codes(src, path=INDEX) == set()
 
     @pytest.mark.parametrize(
         "hot", ["index/mod.py", "dataset/graph.py", "aggregation/output_grid.py"]
@@ -352,7 +326,6 @@ class TestPerRectangleLoop:
         capsys.readouterr()
         assert main([str(tmp_path / "src" / "repro" / hot)]) == 1
         assert "ADR306" in capsys.readouterr().out
-
 
 class TestExceptionHygiene:
     """ADR401: no bare except anywhere; no silently swallowed
@@ -373,11 +346,11 @@ class TestExceptionHygiene:
             handle()
         """
         assert codes(src) == {"ADR401"}
-        assert codes(src, fault_critical=True) == {"ADR401"}
+        assert codes(src, path=FAULTS) == {"ADR401"}
 
-    def test_swallow_flagged_only_in_fault_critical_code(self):
+    def test_swallow_flagged_only_in_fault_paths(self):
         assert codes(self.SWALLOW) == set()
-        assert codes(self.SWALLOW, fault_critical=True) == {"ADR401"}
+        assert codes(self.SWALLOW, path=FAULTS) == {"ADR401"}
 
     def test_continue_and_ellipsis_bodies_flagged(self):
         src = """
@@ -387,14 +360,14 @@ class TestExceptionHygiene:
             except ValueError:
                 continue
         """
-        assert codes(src, fault_critical=True) == {"ADR401"}
+        assert codes(src, path=FAULTS) == {"ADR401"}
         src = """
         try:
             f()
         except ValueError:
             ...
         """
-        assert codes(src, fault_critical=True) == {"ADR401"}
+        assert codes(src, path=FAULTS) == {"ADR401"}
 
     def test_recording_handler_ok(self):
         src = """
@@ -403,7 +376,7 @@ class TestExceptionHygiene:
         except OSError as e:
             errors[cid] = str(e)
         """
-        assert codes(src, fault_critical=True) == set()
+        assert codes(src, path=FAULTS) == set()
 
     def test_reraise_ok(self):
         src = """
@@ -412,7 +385,7 @@ class TestExceptionHygiene:
         except OSError:
             raise
         """
-        assert codes(src, fault_critical=True) == set()
+        assert codes(src, path=FAULTS) == set()
 
     def test_noqa_opt_out(self):
         src = """
@@ -421,27 +394,7 @@ class TestExceptionHygiene:
         except OSError:  # noqa: ADR401 -- probing an optional capability
             pass
         """
-        assert codes(src, fault_critical=True) == set()
-
-    def test_fault_critical_resolved_from_file_location(self, tmp_path):
-        """lint_file applies the stricter half under repro/runtime/,
-        repro/store/, repro/frontend/ and repro/faults/ -- everywhere
-        an error can reach the fault-tolerant execution path."""
-        import textwrap as tw
-
-        from repro.analysis.lint import lint_file
-
-        src = tw.dedent(self.SWALLOW)
-        for part in ("store", "runtime", "frontend", "faults"):
-            critical = tmp_path / "repro" / part / "mod.py"
-            critical.parent.mkdir(parents=True)
-            critical.write_text(src)
-            assert {d.code for d in lint_file(critical)} == {"ADR401"}, part
-        elsewhere = tmp_path / "repro" / "planner" / "mod.py"
-        elsewhere.parent.mkdir(parents=True)
-        elsewhere.write_text(src)
-        assert {d.code for d in lint_file(elsewhere)} == set()
-
+        assert codes(src, path=FAULTS) == set()
 
 class TestPhaseLoopOwnership:
     """ADR501: phase-sequencing accumulator calls belong to
@@ -452,42 +405,25 @@ class TestPhaseLoopOwnership:
         spec.scatter_groups(acc, idx, rows)
     """
 
-    def test_sequencing_call_flagged_in_phase_scope(self):
-        assert codes(self.CALLS, phase_scope=True) == {"ADR501"}
+    def test_sequencing_call_flagged_in_runtime(self):
+        assert codes(self.CALLS, path=RUNTIME) == {"ADR501"}
         for name in ("allocate", "scatter_groups", "combine_from",
                      "initialize_into", "initialize_from", "prereduce_groups"):
-            assert codes(f"x = accs.{name}(a, b)\n", phase_scope=True) == {"ADR501"}
+            assert codes(f"x = accs.{name}(a, b)\n", path=RUNTIME) == {"ADR501"}
 
-    def test_not_flagged_outside_phase_scope(self):
+    def test_not_flagged_outside_runtime(self):
         assert codes(self.CALLS) == set()
 
     def test_plain_function_call_ok(self):
         # Only attribute calls sequence phases; a bare helper of the
         # same name (e.g. a test fixture factory) is fine.
-        assert codes("x = allocate(5)\n", phase_scope=True) == set()
+        assert codes("x = allocate(5)\n", path=RUNTIME) == set()
 
     def test_noqa_opt_out(self):
         src = """
         spec.scatter_groups(acc, idx, vals)  # noqa: ADR501 -- reference oracle
         """
-        assert codes(src, phase_scope=True) == set()
-
-    def test_phase_scope_resolved_from_file_location(self, tmp_path):
-        """Every runtime module except phases.py gets the rule."""
-        from repro.analysis.lint import lint_file
-
-        src = textwrap.dedent(self.CALLS)
-        runtime = tmp_path / "repro" / "runtime"
-        runtime.mkdir(parents=True)
-        (runtime / "mod.py").write_text(src)
-        (runtime / "phases.py").write_text(src)
-        elsewhere = tmp_path / "repro" / "aggregation"
-        elsewhere.mkdir(parents=True)
-        (elsewhere / "mod.py").write_text(src)
-        assert {d.code for d in lint_file(runtime / "mod.py")} == {"ADR501"}
-        assert {d.code for d in lint_file(runtime / "phases.py")} == set()
-        assert {d.code for d in lint_file(elsewhere / "mod.py")} == set()
-
+        assert codes(src, path=RUNTIME) == set()
 
 class TestResultAssemblyOwnership:
     """ADR501's result half: in runtime/ and shard/, a QueryResult is
@@ -516,32 +452,14 @@ class TestResultAssemblyOwnership:
             """,
     }
 
-    def test_construction_flagged_in_result_scope(self):
+    def test_construction_flagged_in_runtime_and_shard(self):
         for src in self.CONSTRUCTIONS.values():
-            assert codes(src, result_scope=True) == {"ADR501"}
+            assert codes(src, path=SHARD) == {"ADR501"}
             assert codes(src) == set()
 
     def test_assembly_call_ok(self):
         src = "r = assemble_result(plan, emitted, [tally], race_diagnostics=[])\n"
-        assert codes(src, result_scope=True) == set()
-
-    def test_result_scope_resolved_from_file_location(self, tmp_path):
-        """runtime/ and shard/ modules get the rule, except the engine;
-        the wire decoder and the corpus oracle live elsewhere."""
-        from repro.analysis.lint import lint_file
-
-        src = "r = QueryResult(*fields)\n"
-        flagged = [*self.CONSTRUCTIONS, "runtime/mod.py"]
-        exempt = ["runtime/engine.py", "frontend/protocol.py", "analysis/corpus.py"]
-        for rel in flagged + exempt:
-            path = tmp_path / "repro" / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(src)
-        for rel in flagged:
-            assert {d.code for d in lint_file(tmp_path / "repro" / rel)} == {"ADR501"}, rel
-        for rel in exempt:
-            assert {d.code for d in lint_file(tmp_path / "repro" / rel)} == set(), rel
-
+        assert codes(src, path=SHARD) == set()
 
 class TestStoreWriteOwnership:
     """ADR501's file half: nothing in store/ calls the builtin open();
@@ -575,23 +493,23 @@ class TestStoreWriteOwnership:
                     return decode_chunk(fh.read())
         """
 
-    def test_truncating_opens_flagged_in_write_scope(self):
-        found = findings(self.TRUNCATING, write_scope=True)
+    def test_truncating_opens_flagged_in_store(self):
+        found = findings(self.TRUNCATING, path=STORE)
         assert [(d.code, d.location.split(":")[1]) for d in found] == [
             ("ADR501", "6"), ("ADR501", "8"), ("ADR501", "11"),
         ]
         src = "fd = os.open(p, os.O_WRONLY | os.O_CREAT | os.O_TRUNC)\n"
-        assert codes(src, write_scope=True) == {"ADR501"}
+        assert codes(src, path=STORE) == {"ADR501"}
         assert codes(self.TRUNCATING) == set()
 
-    def test_reading_opens_flagged_in_write_scope(self):
-        found = findings(self.READING, write_scope=True)
+    def test_reading_opens_flagged_in_store(self):
+        found = findings(self.READING, path=STORE)
         assert [(d.code, d.location.split(":")[1]) for d in found] == [
             ("ADR501", "4"), ("ADR501", "8"),
         ]
         assert all("_read_file" in d.message for d in found)
         for src in ('a = open(p, "rb")\n', "b = open(p)\n", 'c = open(p, mode="ab")\n'):
-            assert codes(src, write_scope=True) == {"ADR501"}, src
+            assert codes(src, path=STORE) == {"ADR501"}, src
         assert codes(self.READING) == set()
 
     def test_os_level_reads_and_in_place_writes_ok(self):
@@ -601,32 +519,21 @@ class TestStoreWriteOwnership:
         fd = os.open(p, os.O_WRONLY | os.O_CREAT, 0o666)
         os.ftruncate(fd, n)
         """
-        assert codes(src, write_scope=True) == set()
-
-    def test_write_scope_resolved_from_file_location(self, tmp_path):
-        from repro.analysis.lint import lint_file
-
-        src = 'fh = open(p, "wb")\n'
-        for rel, expected in (("store/mod.py", {"ADR501"}), ("index/base.py", set())):
-            path = tmp_path / "repro" / rel
-            path.parent.mkdir(parents=True)
-            path.write_text(src)
-            assert {d.code for d in lint_file(path)} == expected, rel
-
+        assert codes(src, path=STORE) == set()
 
 class TestStrategyLiteralMonopoly:
     """ADR502: strategy names are spelled in repro/planner/ only;
     everyone else imports them from repro.planner.select."""
 
-    def test_literal_flagged_in_strategy_scope(self):
+    def test_literal_flagged_in_library_code(self):
         for name in ("FRA", "SRA", "DA", "HYBRID", "AUTO"):
-            assert codes(f's = "{name}"\n', strategy_scope=True) == {"ADR502"}
+            assert codes(f's = "{name}"\n', path=LIBRARY) == {"ADR502"}
 
-    def test_not_flagged_outside_strategy_scope(self):
+    def test_not_flagged_outside_library_code(self):
         assert codes('s = "FRA"\n') == set()
 
     def test_other_strings_untouched(self):
-        assert codes('s = "fra"\ns2 = "FRAME"\n', strategy_scope=True) == set()
+        assert codes('s = "fra"\ns2 = "FRAME"\n', path=LIBRARY) == set()
 
     def test_docstrings_exempt(self):
         src = '''
@@ -634,30 +541,11 @@ class TestStrategyLiteralMonopoly:
             """Plans FRA or DA depending on the cost model."""
             return None
         '''
-        assert codes(src, strategy_scope=True) == set()
+        assert codes(src, path=LIBRARY) == set()
 
     def test_noqa_opt_out(self):
         src = 's = "FRA"  # noqa: ADR502 -- wire-format fixture\n'
-        assert codes(src, strategy_scope=True) == set()
-
-    def test_scope_resolved_from_file_location(self, tmp_path):
-        """Every repro/ module except repro/planner/ gets the rule."""
-        from repro.analysis.lint import lint_file
-
-        src = 'DEFAULT = "SRA"\n'
-        frontend = tmp_path / "repro" / "frontend"
-        frontend.mkdir(parents=True)
-        (frontend / "mod.py").write_text(src)
-        planner = tmp_path / "repro" / "planner"
-        planner.mkdir(parents=True)
-        (planner / "select.py").write_text(src)
-        outside = tmp_path / "scripts"
-        outside.mkdir(parents=True)
-        (outside / "mod.py").write_text(src)
-        assert {d.code for d in lint_file(frontend / "mod.py")} == {"ADR502"}
-        assert {d.code for d in lint_file(planner / "select.py")} == set()
-        assert {d.code for d in lint_file(outside / "mod.py")} == set()
-
+        assert codes(src, path=LIBRARY) == set()
 
 class TestTree:
     def test_src_tree_is_clean(self):
@@ -670,6 +558,36 @@ class TestTree:
         root = Path(__file__).resolve().parents[2]
         out = lint_paths([str(root / "tests"), str(root / "benchmarks")])
         assert out == [], "\n".join(d.format() for d in out)
+
+    def test_every_noqa_comment_suppresses_a_finding(self):
+        """A ``# noqa: ADRxxx`` comment whose code no longer fires on its
+        line is stale -- e.g. the rule's scope shrank under it."""
+        root = Path(__file__).resolve().parents[2]
+        stale = []
+        for top in ("src", "tests", "benchmarks", "examples"):
+            for path in sorted((root / top).rglob("*.py")):
+                text = path.read_text(encoding="utf-8")
+                lines = text.splitlines(keepends=True)
+                noqa = {}  # line -> codes its comment names
+                for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                    if tok.type != tokenize.COMMENT:
+                        continue
+                    named = lint._noqa_lines(tok.string).get(1)
+                    if named:
+                        row, col = tok.start
+                        noqa[row] = named
+                        lines[row - 1] = lines[row - 1][:col] + "\n"
+                raw = {
+                    (d.source_location()[1], d.code)
+                    for d in lint_source("".join(lines), str(path))
+                }
+                stale += [
+                    f"{path.relative_to(root)}:{row} {code}"
+                    for row, named in sorted(noqa.items())
+                    for code in sorted(named)
+                    if (row, code) not in raw
+                ]
+        assert stale == []
 
 
 class TestCli:
@@ -772,12 +690,12 @@ class TestWireTimeouts:
     """
 
     def test_socket_without_settimeout_flagged(self):
-        assert codes(self.NAKED_SOCKET, wire_scope=True) == {"ADR402"}
+        assert codes(self.NAKED_SOCKET, path=FAULTS) == {"ADR402"}
 
     def test_socket_with_settimeout_clean(self):
-        assert codes(self.TIMED_SOCKET, wire_scope=True) == set()
+        assert codes(self.TIMED_SOCKET, path=FAULTS) == set()
 
-    def test_not_flagged_outside_wire_scope(self):
+    def test_not_flagged_outside_wire_paths(self):
         assert codes(self.NAKED_SOCKET) == set()
 
     def test_create_connection_without_timeout_flagged(self):
@@ -787,7 +705,7 @@ class TestWireTimeouts:
         def dial(address):
             return socket.create_connection(address)
         """
-        assert codes(src, wire_scope=True) == {"ADR402"}
+        assert codes(src, path=FAULTS) == {"ADR402"}
 
     def test_create_connection_with_timeout_clean(self):
         for call in (
@@ -800,7 +718,7 @@ class TestWireTimeouts:
             def dial(address):
                 return {call}
             """
-            assert codes(src, wire_scope=True) == set()
+            assert codes(src, path=FAULTS) == set()
 
     def test_settimeout_none_flagged(self):
         src = """
@@ -808,7 +726,7 @@ class TestWireTimeouts:
             sock.settimeout(None)
             return sock.recv(4)
         """
-        assert codes(src, wire_scope=True) == {"ADR402"}
+        assert codes(src, path=FAULTS) == {"ADR402"}
 
     def test_noqa_opt_out(self):
         src = """
@@ -818,17 +736,62 @@ class TestWireTimeouts:
             listener = socket.socket()  # noqa: ADR402 -- closed by owner
             return listener
         """
-        assert codes(src, wire_scope=True) == set()
+        assert codes(src, path=FAULTS) == set()
 
-    def test_wire_scope_resolved_from_file_location(self, tmp_path):
-        import textwrap
 
-        for part in ("frontend", "shard", "faults"):
-            wire = tmp_path / "repro" / part / "mod.py"
-            wire.parent.mkdir(parents=True, exist_ok=True)
-            wire.write_text(textwrap.dedent(self.NAKED_SOCKET))
-            assert {d.code for d in lint_paths([str(wire)])} == {"ADR402"}
-        elsewhere = tmp_path / "repro" / "planner" / "mod.py"
-        elsewhere.parent.mkdir(parents=True, exist_ok=True)
-        elsewhere.write_text(textwrap.dedent(self.NAKED_SOCKET))
-        assert {d.code for d in lint_paths([str(elsewhere)])} == set()
+class TestRuleTable:
+    """Each row of RULES is resolved from the file's location: a planted
+    violation is flagged at every scope pattern, and not at the row's
+    home or outside its scope."""
+
+    #: row name -> (code it reports, a violation of that row only)
+    PLANTS = {
+        "unseeded-rng": ("ADR301", "import numpy as np\nx = np.random.rand(3)\n"),
+        "accumulator-equality": ("ADR302", "ok = acc.data[0] == 0.5\n"),
+        "chunk-mutation": ("ADR303", "chunk.values = new\n"),
+        "aggregate-loop": ("ADR305", textwrap.dedent(TestAggregateLoop.LOOP)),
+        "per-read-loop": (
+            "ADR305", "for r in batch:\n    segs = group_read(*fetch(r), grid, t)\n"
+        ),
+        "per-candidate-loop": ("ADR305", textwrap.dedent(TestAggregateLoop.PER_CANDIDATE)),
+        "per-rect-loop": ("ADR306", textwrap.dedent(TestPerRectangleLoop.GRAPH_LOOP)),
+        "bare-except": ("ADR401", "try:\n    f()\nexcept:\n    handle()\n"),
+        "swallowed-exception": ("ADR401", textwrap.dedent(TestExceptionHygiene.SWALLOW)),
+        "untimed-socket": ("ADR402", textwrap.dedent(TestWireTimeouts.NAKED_SOCKET)),
+        "blocking-socket-call": (
+            "ADR402", "def dial(address):\n    return socket.create_connection(address)\n"
+        ),
+        "phase-call": ("ADR501", textwrap.dedent(TestPhaseLoopOwnership.CALLS)),
+        "result-construction": ("ADR501", "r = QueryResult(*fields)\n"),
+        "store-open": ("ADR501", 'fh = open(p, "wb")\n'),
+        "store-truncate": ("ADR501", "fd = os.open(p, os.O_WRONLY | os.O_TRUNC)\n"),
+        "strategy-literal": ("ADR502", 'DEFAULT = "SRA"\n'),
+        "concurrency-effects": ("ADR703", "item = q.get()\n"),
+        "guarded-cache": ("ADR705", "class C:\n    def f(self):\n        self.hits += 1\n"),
+    }
+
+    @staticmethod
+    def lint_at(root, rel, src):
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(src)
+        return {d.code for d in lint_file(path)}
+
+    @staticmethod
+    def module_at(pattern):
+        """A file the pattern matches: a directory gets a ``mod.py``."""
+        rel = "src/repro/" + pattern.removeprefix("repro/")
+        return rel + "mod.py" if rel.endswith("/") else rel
+
+    def test_every_row_has_a_plant(self):
+        assert [r.name for r in RULES] == list(self.PLANTS)
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+    def test_scope(self, rule, tmp_path):
+        code, src = self.PLANTS[rule.name]
+        for pattern in rule.scope:
+            assert code in self.lint_at(tmp_path, self.module_at(pattern), src), pattern
+        for pattern in rule.home:
+            assert code not in self.lint_at(tmp_path, self.module_at(pattern), src), pattern
+        if rule.scope != ("",):
+            assert code not in self.lint_at(tmp_path, "scripts/mod.py", src)

@@ -83,13 +83,16 @@ def assert_identical(shared, solo, label=""):
 
 
 class GateStore(ChunkStoreStage):
-    """Store whose reads block until the gate opens."""
+    """Store whose reads block until the gate opens; ``blocked`` is set
+    once a read waits at the gate."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.gate = threading.Event()
+        self.blocked = threading.Event()
 
     def read_chunk(self, dataset, chunk_id):
+        self.blocked.set()
         assert self.gate.wait(timeout=30), "gate never opened"
         return self.inner.read_chunk(dataset, chunk_id)
 
@@ -144,10 +147,8 @@ class TestBatchingScheduler:
         tickets = []
         with QueryService(adr, policy) as service:
             warmup = service.submit(make_query(space, Rect((0, 0), (1.5, 1.5))))
-            deadline = time.monotonic() + 10
-            while service.stats()["in_flight"] < 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
+            # Blocked on a read means planned: the warm-up's batch is closed.
+            assert gate.blocked.wait(timeout=10), "warm-up never reached the store"
             tickets = [service.submit(q) for q in queries]
             gate.gate.set()
             warmup.result(timeout=30)
@@ -185,10 +186,8 @@ class TestBatchingScheduler:
             queries.append(q)
         with QueryService(adr, ServicePolicy(max_inflight=1, batch_max=8)) as service:
             warmup = service.submit(make_query(space, Rect((0, 0), (1.5, 1.5))))
-            deadline = time.monotonic() + 10
-            while service.stats()["in_flight"] < 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
+            # Blocked on a read means planned: the warm-up's batch is closed.
+            assert gate.blocked.wait(timeout=10), "warm-up never reached the store"
             tickets = [service.submit(q) for q in queries]
             gate.gate.set()
             warmup.result(timeout=30)
