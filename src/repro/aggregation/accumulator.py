@@ -10,62 +10,13 @@ and enforces the memory budget the tiling step planned against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator
 
 import numpy as np
 
 from repro.aggregation.functions import AggregationSpec
 
-__all__ = ["Accumulator", "AccumulatorSet", "BufferPool"]
-
-
-class BufferPool:
-    """Recycles accumulator arrays across tiles.
-
-    ``AccumulatorSet.clear()`` runs at every tile boundary; without a
-    pool that is one fresh ``np.zeros``-style allocation per (output
-    chunk, holder, tile).  Tiles repeat the same few accumulator
-    shapes, so released buffers are kept keyed by shape and handed
-    back on the next ``allocate`` after an in-place
-    :meth:`~repro.aggregation.functions.AggregationSpec.initialize_into`.
-    Not thread-safe (one pool per virtual processor or engine run).
-    """
-
-    def __init__(self, max_buffers_per_shape: int = 64) -> None:
-        self.max_buffers_per_shape = int(max_buffers_per_shape)
-        self._free: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-        self.reuses = 0
-        self.fresh_allocations = 0
-        self.returned = 0
-
-    def take(self, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
-        """A recycled buffer of *shape*, or None (caller allocates)."""
-        stack = self._free.get(shape)
-        if stack:
-            self.reuses += 1
-            return stack.pop()
-        self.fresh_allocations += 1
-        return None
-
-    def put(self, array: np.ndarray) -> None:
-        """Return a released accumulator buffer to the pool."""
-        if not array.flags.owndata or not array.flags.writeable:
-            return  # views into arenas (parallel backend) are not poolable
-        stack = self._free.setdefault(array.shape, [])
-        if len(stack) < self.max_buffers_per_shape:
-            stack.append(array)
-        self.returned += 1
-
-    @property
-    def buffers_held(self) -> int:
-        return sum(len(s) for s in self._free.values())
-
-    def stats(self) -> dict:
-        return {
-            "pool_reuses": self.reuses,
-            "pool_fresh_allocations": self.fresh_allocations,
-            "pool_buffers_held": self.buffers_held,
-        }
+__all__ = ["Accumulator", "AccumulatorSet"]
 
 
 @dataclass
@@ -88,11 +39,9 @@ class AccumulatorSet:
         self,
         spec: AggregationSpec,
         memory_limit: int | None = None,
-        pool: BufferPool | None = None,
     ) -> None:
         self.spec = spec
         self.memory_limit = memory_limit
-        self.pool = pool
         self._chunks: Dict[int, Accumulator] = {}
         self._bytes = 0
 
@@ -107,7 +56,7 @@ class AccumulatorSet:
 
         When *data* is given (the parallel backend's shared-memory
         arena views), it is re-initialized in place and used directly;
-        the pool is bypassed, but the memory budget still applies.
+        the memory budget still applies.
         """
         if output_chunk in self._chunks:
             raise KeyError(f"accumulator for output chunk {output_chunk} already allocated")
@@ -120,11 +69,7 @@ class AccumulatorSet:
             )
         if data is not None:
             self.spec.initialize_into(data)
-        elif self.pool is not None:
-            data = self.pool.take((n_cells, self.spec.acc_components))
-            if data is not None:
-                self.spec.initialize_into(data)
-        if data is None:
+        else:
             data = self.spec.initialize(n_cells)
         acc = Accumulator(output_chunk, data, ghost)
         self._chunks[output_chunk] = acc
@@ -185,9 +130,6 @@ class AccumulatorSet:
         return (a for a in self._chunks.values() if not a.ghost)
 
     def clear(self) -> None:
-        """Release everything (end of tile); pooled buffers recycle."""
-        if self.pool is not None:
-            for acc in self._chunks.values():
-                self.pool.put(acc.data)
+        """Release everything (end of tile)."""
         self._chunks.clear()
         self._bytes = 0

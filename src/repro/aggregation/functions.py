@@ -34,8 +34,8 @@ path as its oracle, so custom aggregations need not implement them):
     ``np.add.at``-family scatter.  An aggregation without them is
     reduced by :meth:`~AggregationSpec.aggregate`.
 ``initialize_into(acc)``
-    Re-initialize a recycled accumulator buffer in place (the
-    :class:`~repro.aggregation.accumulator.BufferPool` fast path).
+    Re-initialize an existing accumulator buffer in place (the
+    parallel backend's shared-memory arena views).
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class AggregationSpec(ABC):
         """Scatter-fold ``values[k]`` into ``acc[cell_idx[k]]`` in place."""
 
     def initialize_into(self, acc: np.ndarray) -> None:
-        """Re-initialize a recycled accumulator buffer in place
-        (buffer-pool fast path; same result as :meth:`initialize`)."""
+        """Re-initialize an existing accumulator buffer in place
+        (same result as :meth:`initialize`)."""
         acc[:] = self.initialize(len(acc))
 
     def prereduce_groups(

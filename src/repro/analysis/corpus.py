@@ -17,11 +17,9 @@ deterministic corpora, one mode per path a query can take::
                   combines, recovery-safe keys)
 ``--functional``  nine payload workloads: every strategy, the
                   ``strategy='auto'`` pick and one synopsis-pruned
-                  ``where=`` plan, each over {sequential, parallel} x
-                  {prefetch off, on}
+                  ``where=`` plan, each over {sequential, parallel}
 ``--faults``      corrupt chunk + degrade, flaky disk + retry, worker
-                  crash + recovery per workload (``--prefetch``: with
-                  read-ahead)
+                  crash + recovery per workload
 ``--service``     four overlapping queries per workload through one
                   scan-sharing query service
 ``--shards``      five queries per workload over sockets through a
@@ -345,17 +343,12 @@ def functional_workloads() -> Iterator[Tuple[str, Workload]]:
 
 
 def _variants(w: Workload, plan, **kw) -> Dict[str, QueryResult]:
-    """*plan* executed over {sequential, parallel} x {prefetch off, on},
-    the race detector armed on the plain sequential run."""
-    runs = {}
-    for backend in ("sequential", "parallel"):
-        for prefetch in (False, True):
-            name = backend + ("+prefetch" if prefetch else "")
-            runs[name] = w.run(
-                plan, backend=backend, prefetch=prefetch,
-                detect_races=True if name == "sequential" else None, **kw,
-            )
-    return runs
+    """*plan* executed on both backends, the race detector armed on
+    the sequential run."""
+    return {
+        "sequential": w.run(plan, backend="sequential", detect_races=True, **kw),
+        "parallel": w.run(plan, backend="parallel", **kw),
+    }
 
 
 def _runs_agree(tag: str, runs: Dict[str, QueryResult], want: QueryResult, *,
@@ -453,14 +446,11 @@ def verify_functional_corpus(
 
 def verify_fault_corpus(
     strategies: Sequence[str] = ALL_STRATEGIES,
-    prefetch: bool = False,
 ) -> Tuple[int, List[Tuple[str, str]]]:
     """Replay the functional corpus under the fault matrix.
 
     Three deterministic scenarios per workload, the strategy rotating
-    through *strategies*; with ``prefetch=True`` injected read faults
-    fire inside the read-ahead thread and must surface -- and degrade,
-    retry, recover -- exactly as on the synchronous path:
+    through *strategies*:
 
     - **corrupt chunk + degrade**: one input chunk fails its CRC on
       every read.  The degraded result must equal the serial oracle
@@ -490,7 +480,7 @@ def verify_fault_corpus(
         problem = w.problem()
         strategy = strategies[i % len(strategies)]
         plan = plan_query(problem, strategy)
-        clean = w.run(plan, prefetch=prefetch)
+        clean = w.run(plan)
 
         n_scenarios += 1
         tag = f"{label} / {strategy} / corrupt+degrade"
@@ -501,7 +491,7 @@ def verify_fault_corpus(
         def corrupt(**kw) -> QueryResult:
             return w.run(
                 plan, fault_injector=FaultInjector(FaultPlan.corrupt_chunk(victim)),
-                on_error="degrade", prefetch=prefetch, **kw,
+                on_error="degrade", **kw,
             )
 
         degraded = corrupt()
@@ -522,14 +512,13 @@ def verify_fault_corpus(
         )
         retried = execute_plan(
             plan, lambda c: policy.run(lambda: flaky(c)), w.mapping, w.grid, w.spec,
-            prefetch=prefetch,
         )
         failures += [(f"{label} / {strategy} / flaky+retry", m)
                      for m in _diff(retried, clean, exact=True, fields=_ALL)]
 
         n_scenarios += 1
         recovered = w.run(
-            plan, backend="parallel", recovery=recovery, prefetch=prefetch,
+            plan, backend="parallel", recovery=recovery,
             fault_injector=FaultInjector(FaultPlan.crash_worker(
                 rank=min(1, problem.n_procs - 1), after_reads=1
             )),
@@ -925,8 +914,8 @@ _MODES = (
     _Mode("--functional", "functional", (),
           lambda argv: verify_functional_corpus(),
           "plans", "executed on both backends, all matched the serial oracle"),
-    _Mode("--faults", "faults", ("--prefetch",),
-          lambda argv: verify_fault_corpus(prefetch="--prefetch" in argv),
+    _Mode("--faults", "faults", (),
+          lambda argv: verify_fault_corpus(),
           "fault scenarios", "replayed, all degraded/recovered results "
                              "matched ground truth"),
     _Mode("--service", "service", (),
@@ -947,7 +936,7 @@ _MODES = (
 
 _USAGE = (
     "usage: python -m repro.analysis.corpus "
-    "[--no-emulators] [--comm] [--functional] [--faults [--prefetch]] "
+    "[--no-emulators] [--comm] [--functional] [--faults] "
     "[--service] [--shards] [--chaos] "
     "[--format text|json|github] [--out FILE]"
 )

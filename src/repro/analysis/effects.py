@@ -239,8 +239,8 @@ class _EffectsVisitor(ast.NodeVisitor):
                 Severity.ERROR,
                 self._loc(node),
                 f"cache state 'self.{attr}' mutated outside the guarded "
-                "section; the LRU is shared between the engine and "
-                "prefetch threads -- mutate under 'with self._lock' or in "
+                "section; the LRU is shared between QueryService worker "
+                "threads -- mutate under 'with self._lock' or in "
                 "a '*_locked' helper",
             )
 

@@ -21,7 +21,7 @@ are all reachable separately for inspection (``build_problem``,
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from repro.sim.query_sim import SimResult, simulate_query
 from repro.space.attribute_space import AttributeSpace, AttributeSpaceRegistry
 from repro.store.cache import CachedChunkStore, ScanRecorder
 from repro.store.chunk_store import ChunkStore, MemoryChunkStore
-from repro.store.prefetch import PrefetchPolicy
 from repro.store.retry import RetryPolicy, RetryingChunkStore
 from repro.util.units import MB
 
@@ -60,6 +59,8 @@ DEFAULT_COSTS = ComputeCosts.from_ms(1, 5, 1, 1)
 class ADR:
     """A complete (front end + back end) ADR instance."""
 
+    prefetch = None  # stub for benchmarks/e2e/workloads.py:326; ROADMAP item 2 drops it
+
     def __init__(
         self,
         machine: MachineConfig,
@@ -68,13 +69,9 @@ class ADR:
         costs: ComputeCosts = DEFAULT_COSTS,
         cache_bytes: int = 64 * MB,
         retry: Optional[RetryPolicy] = None,
-        prefetch: Union[bool, PrefetchPolicy, None] = None,
         cost_model=None,
     ) -> None:
         self.machine = machine
-        #: instance-wide read-ahead default; a query's ``prefetch``
-        #: field overrides it (see :mod:`repro.store.prefetch`)
-        self.prefetch = PrefetchPolicy.coerce(prefetch)
         self.store = store if store is not None else MemoryChunkStore()
         # Retry sits *under* the cache: a retried read that eventually
         # succeeds is cached like any other, and cache hits never pay
@@ -234,10 +231,6 @@ class ADR:
         ``backend="parallel"`` runs the virtual processors as real OS
         processes (see :mod:`repro.runtime.parallel`).
 
-        Read-ahead follows ``query.prefetch`` when set, else the
-        instance-wide ``prefetch`` passed to :class:`ADR`; results are
-        bit-for-bit identical with it on or off.
-
         Failure handling follows ``query.on_error``: ``"raise"``
         surfaces the first unreadable chunk's error, ``"degrade"``
         completes over the readable chunks and reports the rest in
@@ -266,7 +259,7 @@ class ADR:
         region = self.dataset(name).space.validate_query(query.region)
         # Exact under concurrency, unlike a before/after delta of the
         # cache's global counters: the recorder is threaded through
-        # every read this query issues, prefetch worker threads included.
+        # every read this query issues.
         cache, store = self.cache, self.store
         recorder = ScanRecorder() if cache is not None else None
 
@@ -280,7 +273,6 @@ class ADR:
             region=region, prior=prior, backend=backend,
             routing_cache=self.routing_cache(name),
             on_error=query.on_error,
-            prefetch=self.prefetch if query.prefetch is None else query.prefetch,
             predicate=query.predicate(),
         )
         if recorder is not None:

@@ -31,7 +31,6 @@ from repro.planner.select import AUTO
 from repro.runtime.engine import QueryResult
 from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping
-from repro.store.prefetch import PrefetchPolicy
 from repro.util.geometry import Rect
 
 __all__ = [
@@ -287,31 +286,10 @@ def query_to_dict(query: RangeQuery) -> Dict[str, Any]:
     # byte-identical to pre-robustness servers.
     if query.on_error != "raise":
         payload["on_error"] = query.on_error
-    if query.prefetch is not None:
-        if isinstance(query.prefetch, PrefetchPolicy):
-            payload["prefetch"] = {
-                "depth": query.prefetch.depth,
-                "workers": query.prefetch.workers,
-            }
-        else:
-            payload["prefetch"] = bool(query.prefetch)
     predicate = query.predicate()
     if predicate is not None:
         payload["where"] = predicate.to_payload()
     return payload
-
-
-def _prefetch_from_payload(value: Any) -> Any:
-    if value is None or isinstance(value, bool):
-        return value
-    if isinstance(value, dict):
-        try:
-            return PrefetchPolicy(
-                depth=int(value["depth"]), workers=int(value["workers"])
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ProtocolError(f"bad prefetch payload: {e}") from e
-    raise ProtocolError(f"bad prefetch payload: {value!r}")
 
 
 def _where_from_payload(value: Any) -> Any:
@@ -324,7 +302,9 @@ def _where_from_payload(value: Any) -> Any:
 
 
 def query_from_dict(payload: Dict[str, Any]) -> RangeQuery:
-    """Decode a query dictionary (validates the schema)."""
+    """Decode a query dictionary (validates the schema).  Keys this
+    version does not read -- such as the read-ahead setting older
+    clients sent -- are ignored."""
     if payload.get("version") != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version {payload.get('version')!r} not supported"
@@ -341,7 +321,6 @@ def query_from_dict(payload: Dict[str, Any]) -> RangeQuery:
         strategy=payload.get("strategy", AUTO),
         value_components=int(payload.get("value_components", 1)),
         on_error=payload.get("on_error", "raise"),
-        prefetch=_prefetch_from_payload(payload.get("prefetch")),
         where=_where_from_payload(payload.get("where")),
     )
 

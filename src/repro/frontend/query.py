@@ -18,7 +18,6 @@ from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.predicate import ValuePredicate
 from repro.planner.select import AUTO
 from repro.space.mapping import GridMapping
-from repro.store.prefetch import PrefetchPolicy
 from repro.util.geometry import Rect
 
 __all__ = ["RangeQuery"]
@@ -53,12 +52,6 @@ class RangeQuery:
         completes over the readable chunks, reporting the unreadable
         ones in ``QueryResult.chunk_errors`` and the incorporated
         fraction in ``QueryResult.completeness``.
-    prefetch:
-        I/O read-ahead for this query: ``True`` or a
-        :class:`~repro.store.prefetch.PrefetchPolicy` overlaps chunk
-        retrieval with reduction, ``False`` forces synchronous reads,
-        ``None`` (default) defers to the ADR instance's setting.
-        Results are bit-for-bit identical either way.
     where:
         Optional value predicate restricting which *items* contribute:
         a :class:`~repro.dataset.predicate.ValuePredicate` or a
@@ -80,7 +73,6 @@ class RangeQuery:
     strategy: str = AUTO
     value_components: int = 1
     on_error: str = "raise"
-    prefetch: Union[bool, PrefetchPolicy, None] = None
     where: Union[ValuePredicate, Dict[int, tuple], None] = None
 
     def __post_init__(self) -> None:
@@ -88,8 +80,6 @@ class RangeQuery:
             raise ValueError(
                 f"unknown on_error {self.on_error!r}; expected 'raise' or 'degrade'"
             )
-        if self.prefetch is not None:
-            PrefetchPolicy.coerce(self.prefetch)  # validate the type early
         self.where = ValuePredicate.coerce(self.where)
 
     def predicate(self) -> Optional[ValuePredicate]:

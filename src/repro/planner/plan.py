@@ -223,7 +223,7 @@ class QueryPlan:
         read/transfer/output orders, per-read forwarding recipients,
         per-(tile, processor) work tallies -- shared by the sequential
         engine, the multiprocess workers (which inherit it through
-        fork), the prefetcher and the discrete-event simulator.
+        fork) and the discrete-event simulator.
         Imported lazily: the planner package stays importable without
         the runtime layer.
         """

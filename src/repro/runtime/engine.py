@@ -38,24 +38,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.aggregation.accumulator import BufferPool
 from repro.aggregation.functions import AggregationSpec
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.chunk import Chunk
 from repro.dataset.dataset import Dataset
 from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import RoutingCache
-from repro.runtime.phases import (
-    AccumulatorHost,
-    ChunkSource,
-    PhaseExecutor,
-    ProviderChunkSource,
-    Tally,
-    merge_tallies,
-)
+from repro.runtime.phases import AccumulatorHost, PhaseExecutor, Tally, merge_tallies
 from repro.runtime.transport import InprocTransport
 from repro.space.mapping import GridMapping
-from repro.store.prefetch import PrefetchPolicy
 
 __all__ = ["QueryResult", "assemble_result", "execute_plan"]
 
@@ -91,8 +82,8 @@ class QueryResult:
     #: wall-clock seconds per execution phase (initialize / reduce /
     #: combine / output), as measured by the executing backend
     phase_times: Dict[str, float] = field(default_factory=dict)
-    #: cache and pool counters (routing-cache hits/misses, chunk
-    #: payload cache hits/misses, accumulator buffer-pool reuses)
+    #: cache counters (routing-cache hits/misses, chunk payload cache
+    #: hits/misses)
     cache_stats: Dict[str, int] = field(default_factory=dict)
     #: degraded execution only: dataset-level *input* chunk ids that
     #: could not be read, mapped to a short error description
@@ -204,21 +195,6 @@ def _provider(source: Union[Dataset, ChunkProvider]) -> ChunkProvider:
     raise TypeError("chunk source must be a Dataset with payloads or a callable")
 
 
-def _chunk_source(
-    provider: ChunkProvider, plan: QueryPlan, prefetch, ranks=None
-) -> ChunkSource:
-    """The reduce phase's payload source: synchronous provider calls,
-    or a :class:`~repro.store.prefetch.TilePrefetcher` issuing them
-    ahead of consumption in placement order.  *ranks* restricts the
-    prefetched reads to the hosted processors (worker hosts)."""
-    policy = PrefetchPolicy.coerce(prefetch)
-    if policy is None:
-        return ProviderChunkSource(provider)
-    from repro.store.prefetch import TilePrefetcher, read_batches
-
-    return TilePrefetcher(provider, read_batches(plan, ranks=ranks), policy)
-
-
 def execute_plan(
     plan: QueryPlan,
     chunks: Union[Dataset, ChunkProvider],
@@ -235,8 +211,9 @@ def execute_plan(
     on_error: str = "raise",
     fault_injector=None,
     recovery=None,
-    prefetch: Union[bool, PrefetchPolicy, None] = None,
     predicate=None,
+    # Stub for benchmarks/e2e/workloads.py:326; ROADMAP item 2 (benchmarks-scoped) drops it.
+    prefetch=None,
 ) -> QueryResult:
     """Execute *plan* over real chunk payloads.
 
@@ -314,14 +291,6 @@ def execute_plan(
         Optional :class:`repro.runtime.parallel.RecoveryPolicy` tuning
         worker-crash detection and the restart budget (parallel
         backend only).
-    prefetch:
-        I/O read-ahead: ``True`` (or a
-        :class:`~repro.store.prefetch.PrefetchPolicy`) overlaps chunk
-        retrieval with reduction by issuing the current tile's and the
-        next tile's reads from background threads in placement order
-        (see :mod:`repro.store.prefetch`).  ``None``/``False`` (the
-        default) reads synchronously.  Results are bit-for-bit
-        identical either way, counters included.
     predicate:
         Optional :class:`~repro.dataset.predicate.ValuePredicate`
         residual filter: items of retrieved chunks whose values fail
@@ -339,7 +308,8 @@ def execute_plan(
         raise ValueError(
             f"unknown on_error {on_error!r}; expected 'raise' or 'degrade'"
         )
-    PrefetchPolicy.coerce(prefetch)  # validate early, on any backend
+    if prefetch:
+        raise ValueError("prefetch was removed: execution reads chunks synchronously")
     if backend == "parallel":
         if race_detector is not None or detect_races:
             raise ValueError(
@@ -363,7 +333,6 @@ def execute_plan(
             routing_cache=routing_cache,
             on_error=on_error,
             fault_injector=fault_injector,
-            prefetch=prefetch,
             predicate=predicate,
             **kwargs,
         )
@@ -382,23 +351,20 @@ def execute_plan(
     if fault_injector is not None:
         provider = fault_injector.wrap_provider(provider)
 
-    pool = BufferPool()
     accs = AccumulatorHost(
         spec,
         range(problem.n_procs),
         memory_limit=(
             (lambda p: int(problem.memory_per_proc[p])) if enforce_memory else None
         ),
-        pool=pool,
     )
     transport = InprocTransport()
-    source = _chunk_source(provider, plan, prefetch)
     executor = PhaseExecutor(
         plan,
         grid,
         spec,
         mapping,
-        source,
+        provider,
         accs,
         transport,
         region=region,
@@ -408,15 +374,11 @@ def execute_plan(
         observer=detector,
         predicate=predicate,
     )
-    try:
-        executor.run()
-    finally:
-        source.close()
+    executor.run()
 
     tally = executor.tally
-    tally.cache_stats = dict(pool.stats())
     if routing_cache is not None:
-        tally.cache_stats.update(routing_cache.stats())
+        tally.cache_stats = dict(routing_cache.stats())
     return assemble_result(
         plan, transport.results, [tally],
         race_diagnostics=detector.report() if detector is not None else [],

@@ -93,7 +93,6 @@ class _WorkerConfig:
     on_error: str = "raise"
     inbox_timeout: float = 120.0
     injector: Optional[object] = None  # repro.faults.FaultInjector
-    prefetch: object = None  # bool | PrefetchPolicy | None
     predicate: object = None  # repro.dataset.predicate.ValuePredicate | None
 
 
@@ -208,8 +207,6 @@ def _worker_body(
 ) -> None:
     """Thin driver: arena views + queue transport around the unified
     :class:`~repro.runtime.phases.PhaseExecutor`."""
-    from repro.runtime.engine import _chunk_source
-
     ranks = tuple(int(p) for p in ranks)
     injector = cfg.injector
     if injector is not None:
@@ -240,13 +237,12 @@ def _worker_body(
     transport = QueueTransport(
         host, ranks, inboxes, result_q, cfg.inbox_timeout, injector=injector
     )
-    source = _chunk_source(provider, plan, cfg.prefetch, ranks=frozenset(ranks))
     executor = PhaseExecutor(
         plan,
         grid,
         spec,
         mapping,
-        source,
+        provider,
         accs,
         transport,
         schedule=layout.schedule,
@@ -256,10 +252,7 @@ def _worker_body(
         on_error=cfg.on_error,
         predicate=cfg.predicate,
     )
-    try:
-        executor.run()
-    finally:
-        source.close()
+    executor.run()
 
     tally = executor.tally
     if routing_cache is not None:
@@ -307,7 +300,6 @@ def execute_parallel(
     on_error: str = "raise",
     fault_injector=None,
     recovery: Optional[RecoveryPolicy] = None,
-    prefetch=None,
     predicate=None,
 ):
     """Execute *plan* with the virtual processors as OS processes.
@@ -330,12 +322,6 @@ def execute_parallel(
     *fault_injector* (a :class:`repro.faults.FaultInjector`) arms
     deterministic fault injection in the workers' read paths, read
     loops, and IPC sends.
-
-    *prefetch* (a bool or :class:`~repro.store.prefetch.PrefetchPolicy`)
-    enables per-host threaded read-ahead: each worker prefetches only
-    the reads its hosted ranks perform, in placement order, through
-    its own fully-wrapped provider (cache, retry, fault injection), so
-    injected read faults surface identically to the synchronous path.
 
     Requires the ``fork`` start method (POSIX): the chunk provider and
     *prior* callables are inherited, never pickled.
@@ -365,7 +351,6 @@ def execute_parallel(
         on_error=on_error,
         inbox_timeout=recovery.inbox_timeout,
         injector=fault_injector,
-        prefetch=prefetch,
         predicate=predicate,
     )
     groups: List[List[int]] = [[p] for p in range(problem.n_procs)]

@@ -13,8 +13,8 @@ loop:
   the simulator turns into events.  ``plan.schedule()`` caches one.
 - :class:`AccumulatorHost` is the accumulator state for the ranks one
   executor hosts -- the sequential engine hosts every rank, a
-  multiprocess worker hosts its group -- backed either by pooled
-  private buffers or by externally provided shared-memory arena views.
+  multiprocess worker hosts its group -- backed either by private
+  buffers or by externally provided shared-memory arena views.
 - :class:`PhaseExecutor` walks the four phases over a
   :class:`~repro.runtime.transport.Transport`.  The sequential engine
   and the multiprocess workers are now thin drivers around it; the
@@ -71,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aggregation.accumulator import AccumulatorSet, BufferPool
+from repro.aggregation.accumulator import AccumulatorSet
 from repro.aggregation.functions import AggregationSpec
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.chunk import Chunk
@@ -96,10 +96,8 @@ __all__ = [
     "MessageFlow",
     "PHASES",
     "AccumulatorHost",
-    "ChunkSource",
     "PhaseExecutor",
     "PhaseSchedule",
-    "ProviderChunkSource",
     "Tally",
     "is_gauge",
     "merge_tallies",
@@ -236,8 +234,8 @@ class PhaseSchedule:
     the plan once and shared by every consumer.
 
     ``plan.schedule()`` caches one per plan, so the sequential engine,
-    the multiprocess parent (whose forked workers inherit it), the
-    prefetcher and the simulator all walk literally the same arrays.
+    the multiprocess parent (whose forked workers inherit it) and the
+    simulator all walk literally the same arrays.
 
     Attributes
     ----------
@@ -368,43 +366,6 @@ class PhaseSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Chunk sources (synchronous provider or threaded prefetcher)
-# ---------------------------------------------------------------------------
-
-
-class ChunkSource:
-    """Where the reduce phase gets its chunk payloads.
-
-    ``get`` is addressed by the plan's *read index* (so a prefetching
-    source can match issue against consumption) plus the dataset-level
-    chunk id a synchronous source needs.  Exceptions raised by the
-    underlying provider surface from ``get`` exactly as they would
-    from a direct provider call, wherever the payload was actually
-    fetched -- that is what keeps ``on_error='degrade'`` and the fault
-    corpus backend-agnostic.
-    """
-
-    def begin_tile(self, tile: int) -> None:
-        """The executor is about to consume tile *tile*'s reads."""
-
-    def get(self, read_index: int, chunk_id: int) -> Chunk:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release background resources (idempotent)."""
-
-
-class ProviderChunkSource(ChunkSource):
-    """Synchronous source: one provider call at consumption time."""
-
-    def __init__(self, provider: Callable[[int], Chunk]) -> None:
-        self._provider = provider
-
-    def get(self, read_index: int, chunk_id: int) -> Chunk:
-        return self._provider(chunk_id)
-
-
-# ---------------------------------------------------------------------------
 # Accumulator hosting
 # ---------------------------------------------------------------------------
 
@@ -414,7 +375,7 @@ class AccumulatorHost:
 
     Wraps one :class:`~repro.aggregation.accumulator.AccumulatorSet`
     per hosted rank.  The sequential engine hosts every rank with
-    pooled private buffers (and optional per-rank memory budgets); a
+    private buffers (and optional per-rank memory budgets); a
     multiprocess worker hosts its rank group with *buffer_for*
     supplying shared-memory arena views, so allocation only
     re-initializes the view in place.
@@ -425,7 +386,6 @@ class AccumulatorHost:
         spec: AggregationSpec,
         ranks: Sequence[int],
         memory_limit: Optional[Callable[[int], Optional[int]]] = None,
-        pool: Optional[BufferPool] = None,
         buffer_for: Optional[Callable[[int, int, int, int], np.ndarray]] = None,
     ) -> None:
         self.spec = spec
@@ -436,7 +396,6 @@ class AccumulatorHost:
             p: AccumulatorSet(
                 spec,
                 memory_limit=memory_limit(p) if memory_limit is not None else None,
-                pool=pool,
             )
             for p in self.ranks
         }
@@ -485,8 +444,11 @@ class PhaseExecutor:
     sequential engine instantiates it once with every rank and an
     :class:`~repro.runtime.transport.InprocTransport`; each
     multiprocess worker instantiates it with its rank group and a
-    :class:`~repro.runtime.transport.QueueTransport`.  *observer* is
-    the optional :class:`~repro.analysis.races.RaceDetector` hook
+    :class:`~repro.runtime.transport.QueueTransport`.  *provider*
+    maps a dataset-level input chunk id to its payload; the executor
+    calls it for each read, in schedule order, on the calling thread,
+    and whatever it raises surfaces unchanged (``on_error='degrade'``
+    absorbs the recoverable kinds).  *observer* is the optional :class:`~repro.analysis.races.RaceDetector` hook
     surface (``on_allocate`` / ``on_aggregate`` / ``on_combine`` /
     ``on_output`` / ``end_tile``).
 
@@ -500,7 +462,7 @@ class PhaseExecutor:
         grid: OutputGrid,
         spec: AggregationSpec,
         mapping: GridMapping,
-        source: ChunkSource,
+        provider: Callable[[int], Chunk],
         accs: AccumulatorHost,
         transport: Transport,
         *,
@@ -517,7 +479,7 @@ class PhaseExecutor:
         self.grid = grid
         self.spec = spec
         self.mapping = mapping
-        self.source = source
+        self.provider = provider
         self.accs = accs
         self.transport = transport
         self.schedule = schedule if schedule is not None else plan.schedule()
@@ -608,7 +570,7 @@ class PhaseExecutor:
         i = int(self.plan.reads.chunk[r])
         gid = int(problem.input_global_ids[i])
         try:
-            chunk = self.source.get(r, gid)
+            chunk = self.provider(gid)
         except RECOVERABLE_READ_ERRORS as e:
             if self.on_error != "degrade":
                 raise
@@ -773,7 +735,6 @@ class PhaseExecutor:
         times = self.tally.phase_times
         for t in range(self.plan.n_tiles):
             self.accs.begin_tile(t)
-            self.source.begin_tile(t)
             t0 = time.perf_counter()
             self._initialize(t)
             times["initialize"] += time.perf_counter() - t0

@@ -15,10 +15,7 @@ provides that substrate for the functional path:
   backoff + per-read deadline) and the :class:`RetryingChunkStore`
   wrapper;
 - :mod:`repro.store.cache` -- the LRU payload cache (never caches a
-  failed read);
-- :mod:`repro.store.prefetch` -- bounded threaded read-ahead
-  (:class:`PrefetchPolicy` / :class:`TilePrefetcher`) overlapping
-  chunk retrieval with tile reduction in placement order.
+  failed read).
 
 Performance experiments never touch this package; they use the
 machine model in :mod:`repro.machine` / :mod:`repro.sim`.
@@ -37,7 +34,6 @@ from repro.store.chunk_store import (
     MemoryChunkStore,
     RECOVERABLE_READ_ERRORS,
 )
-from repro.store.prefetch import PrefetchPolicy, TilePrefetcher
 from repro.store.retry import RetryPolicy, RetryingChunkStore
 
 __all__ = [
@@ -50,8 +46,6 @@ __all__ = [
     "FileChunkStore",
     "MemoryChunkStore",
     "RECOVERABLE_READ_ERRORS",
-    "PrefetchPolicy",
     "RetryPolicy",
     "RetryingChunkStore",
-    "TilePrefetcher",
 ]

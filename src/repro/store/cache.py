@@ -12,10 +12,10 @@ Cached chunks are shared between callers -- treat payload arrays as
 read-only (the execution engine never mutates retrieved chunks).
 
 Thread safety: all cache state (the LRU ordering, the byte budget and
-the hit/miss/eviction counters) is guarded by one re-entrant lock, so
-the cache may sit under a multi-worker
-:class:`~repro.store.prefetch.TilePrefetcher` or be shared between a
-query thread and a prefetch thread.  The lock is never held across an
+the hit/miss/eviction counters) is guarded by one re-entrant lock,
+because one ADR facade's cache is shared by every worker thread of a
+:class:`~repro.frontend.queryservice.QueryService` executing queries
+against it.  The lock is never held across an
 inner-store read (misses fetch outside the guarded section and insert
 on return), so a slow disk stalls only the caller that missed.  The
 static pass :mod:`repro.analysis.effects` (ADR705) enforces the
@@ -52,8 +52,10 @@ class ScanRecorder:
     :meth:`CachedChunkStore.read_chunk` for every read issued on behalf
     of one query, and the cache tells the recorder whether that read
     was served from memory (a *shared* read -- some earlier query paid
-    the disk retrieval) or went to the inner store.  Thread-safe, so
-    prefetch worker threads reading for the same query may share one.
+    the disk retrieval) or went to the inner store.  Locked like the
+    cache, so a recorder is safe whichever
+    :class:`~repro.frontend.queryservice.QueryService` worker thread
+    issues its query's reads.
     """
 
     __slots__ = ("_lock", "hits", "misses", "hit_bytes", "miss_bytes")

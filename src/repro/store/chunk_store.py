@@ -105,9 +105,11 @@ class ChunkStore(ABC):
 class ChunkStoreStage(ChunkStore):
     """A store stacked on another: every call goes to ``inner``.
 
-    Reads go chunk by chunk through :meth:`read_chunk` -- the prefetcher
-    issues them in ``(node, disk, chunk id)`` placement order -- so a
-    stage that overrides it sees every read.
+    Reads go chunk by chunk through :meth:`read_chunk`, so a stage
+    that overrides it sees every read -- on the thread executing the
+    query, which under a
+    :class:`~repro.frontend.queryservice.QueryService` is one of
+    several worker threads sharing the stage.
     """
 
     def __init__(self, inner: ChunkStore) -> None:

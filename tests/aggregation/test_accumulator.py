@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.aggregation.accumulator import AccumulatorSet, BufferPool
+from repro.aggregation.accumulator import AccumulatorSet
 from repro.aggregation.functions import (
     MaxAggregation,
     MeanAggregation,
@@ -36,6 +36,17 @@ class TestAllocation:
         s.allocate(0, 6, ghost=False)
         with pytest.raises(MemoryError, match="budget"):
             s.allocate(1, 6, ghost=False)
+
+    def test_given_buffer_is_reinitialized_in_place(self):
+        """A caller-supplied buffer (the parallel backend's arena view)
+        is used as is and re-initialized through the spec: max starts
+        at -inf, not at whatever the arena held."""
+        arena = np.full(8, 7.0)
+        view = arena[2:5].reshape(3, 1)
+        acc = AccumulatorSet(MaxAggregation(1)).allocate(0, 3, ghost=False, data=view)
+        assert acc.data is view
+        assert np.all(np.isneginf(arena[2:5]))
+        assert np.all(arena[:2] == 7.0) and np.all(arena[5:] == 7.0)
 
     def test_bytes_in_use_and_clear(self):
         spec = MeanAggregation(2)
@@ -82,69 +93,3 @@ class TestAggregationPaths:
         s.allocate(2, 2, ghost=True)
         assert sorted(a.output_chunk for a in s.ghosts()) == [1, 2]
         assert [a.output_chunk for a in s.locals()] == [0]
-
-
-class TestBufferPool:
-    def test_clear_recycles_and_reinitializes(self):
-        """A buffer released at a tile boundary comes back zeroed (via
-        initialize_into) on the next allocation of the same shape."""
-        pool = BufferPool()
-        s = AccumulatorSet(SumAggregation(1), pool=pool)
-        s.allocate(0, 5, ghost=False)
-        s.aggregate(0, np.array([2]), np.array([9.0]))
-        dirty = s.get(0).data
-        s.clear()
-        assert pool.buffers_held == 1
-        acc = s.allocate(7, 5, ghost=False)
-        assert acc.data is dirty  # recycled, not reallocated
-        np.testing.assert_array_equal(acc.data, np.zeros((5, 1)))
-        assert pool.reuses == 1 and pool.fresh_allocations == 1
-
-    def test_reinit_respects_spec_identity(self):
-        """Max re-initializes to -inf, not zero -- reuse must go through
-        the spec, not a blanket fill."""
-        pool = BufferPool()
-        s = AccumulatorSet(MaxAggregation(1), pool=pool)
-        s.allocate(0, 3, ghost=False)
-        s.aggregate(0, np.array([0]), np.array([4.0]))
-        s.clear()
-        acc = s.allocate(1, 3, ghost=False)
-        assert np.all(np.isneginf(acc.data))
-
-    def test_shape_mismatch_allocates_fresh(self):
-        pool = BufferPool()
-        s = AccumulatorSet(SumAggregation(1), pool=pool)
-        s.allocate(0, 5, ghost=False)
-        s.clear()
-        s.allocate(0, 6, ghost=False)  # different shape: pool can't serve
-        assert pool.reuses == 0 and pool.fresh_allocations == 2
-        assert pool.buffers_held == 1  # the 5-cell buffer still waits
-
-    def test_non_owning_views_not_pooled(self):
-        """Arena views (the parallel backend's accumulators) must never
-        enter the pool."""
-        pool = BufferPool()
-        arena = np.zeros(10)
-        view = arena[2:8].reshape(3, 2)
-        pool.put(view)
-        readonly = np.zeros((3, 2))
-        readonly.setflags(write=False)
-        pool.put(readonly)
-        assert pool.buffers_held == 0 and pool.returned == 0
-
-    def test_capacity_bound(self):
-        pool = BufferPool(max_buffers_per_shape=1)
-        pool.put(np.zeros((4, 1)))
-        pool.put(np.zeros((4, 1)))
-        assert pool.buffers_held == 1
-
-    def test_stats(self):
-        pool = BufferPool()
-        assert pool.take((3, 1)) is None
-        pool.put(np.zeros((3, 1)))
-        assert pool.take((3, 1)) is not None
-        assert pool.stats() == {
-            "pool_reuses": 1,
-            "pool_fresh_allocations": 1,
-            "pool_buffers_held": 0,
-        }

@@ -67,6 +67,8 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         "argv",
+        # ``--prefetch`` no longer exists; a stale script passing it must
+        # still fail loudly rather than run the default mode.
         [["--prefetch"], ["--comm", "--functional"], ["--service", "--no-emulators"]],
         ids=["prefetch-without-faults", "two-modes", "modifier-of-another-mode"],
     )
@@ -81,7 +83,7 @@ CLI_MODES = {
     "verify": (["--no-emulators"], 24),
     "comm": (["--comm", "--no-emulators"], 24),
     "functional": (["--functional"], 6),
-    "faults": (["--faults", "--prefetch"], 3),
+    "faults": (["--faults"], 3),
     "service": (["--service"], 4),
     "shards": (["--shards"], 5),
     "chaos": (["--chaos"], 0),
@@ -146,7 +148,7 @@ class TestFunctionalCorpus:
 
     The full sweep -- 4 strategies x 9 workloads plus one auto-resolved
     and one predicate-bearing (``where=``) pruned plan per workload, 54
-    plans, each over {sequential, parallel} x {prefetch off, on} -- is
+    plans, each on the sequential and the parallel backend -- is
     the CI job ``python -m repro.analysis.corpus --functional``; here
     one strategy keeps tier-1 fast while still exercising the whole
     pipeline end to end.
@@ -173,19 +175,20 @@ class TestFunctionalCorpus:
 
         def drifting(w, plan, **kw):
             runs = run_variants(w, plan, **kw)
-            par, pre = runs["parallel"], runs["sequential+prefetch"]
-            runs["parallel"] = replace(par, n_combines=par.n_combines + 1)
-            values = [v.copy() for v in pre.chunk_values]
+            par = runs["parallel"]
+            values = [v.copy() for v in par.chunk_values]
             values[0][0, 0] += 1.0
-            runs["sequential+prefetch"] = replace(pre, chunk_values=values)
-            moved.add(f"chunk_values[{int(pre.output_ids[0])}]")
+            runs["parallel"] = replace(
+                par, n_combines=par.n_combines + 1, chunk_values=values
+            )
+            moved.add(f"chunk_values[{int(par.output_ids[0])}]")
             return runs
 
         monkeypatch.setattr(corpus, "_variants", drifting)
         _, failures = verify_functional_corpus(strategies=(FRA,))
         named = {(tag.rsplit(" / ", 1)[1], msg.split()[0]) for tag, msg in failures}
         assert named == {("parallel", "n_combines")} | {
-            ("sequential+prefetch", field) for field in moved
+            ("parallel", field) for field in moved
         }
 
 

@@ -93,6 +93,20 @@ class TestQueryRoundTrip:
         with pytest.raises(ProtocolError, match="grid"):
             query_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "legacy", [True, False, {"depth": 2, "workers": 1}],
+        ids=["on", "off", "policy"],
+    )
+    def test_legacy_prefetch_key_is_ignored(self, legacy):
+        """Older clients sent a read-ahead setting; results never
+        depended on it, so it decodes like its absence and is never
+        emitted."""
+        payload = json.loads(json.dumps(query_to_dict(make_query())))
+        assert "prefetch" not in payload
+        old = query_from_dict(dict(payload, prefetch=legacy))
+        new = query_from_dict(payload)
+        assert query_to_dict(old) == query_to_dict(new) == payload
+
 
 class TestDegradedResultsOnTheWire:
     """on_error / chunk_errors / completeness cross the wire, and only
@@ -209,7 +223,7 @@ class TestResultRoundTrip:
             phase_times={"initialize": 0.25, "reduce": 1.5,
                          "combine": 0.0, "output": 0.125},
             cache_stats={"routing_hits": 3, "routing_misses": 1,
-                         "pool_reuses": 2},
+                         "chunk_misses": 2},
         )
         back = result_from_dict(json.loads(json.dumps(result_to_dict(res))))
         assert back.phase_times == res.phase_times
@@ -702,7 +716,7 @@ def wire_results(draw):
         race_diagnostics=draw(optional(st.just(["a finding"]), [])),
         phase_times=draw(optional(st.fixed_dictionaries({p: finite for p in PHASES}), {})),
         cache_stats=draw(optional(st.dictionaries(st.sampled_from(
-            ["routing_hits", "routing_bytes", "chunk_hits", "pool_reuses"]), counts,
+            ["routing_hits", "routing_bytes", "chunk_hits", "chunk_misses"]), counts,
             min_size=1), {})),
         chunk_errors=draw(optional(st.dictionaries(counts, messages, min_size=1), {})),
         completeness=draw(optional(st.floats(0, 1, exclude_max=True), 1.0)),

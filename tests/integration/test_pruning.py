@@ -40,7 +40,7 @@ def build_instance(rng, n_procs=3):
     return adr, chunks, mapping, grid
 
 
-def query(mapping, grid, where=None, strategy="FRA", prefetch=None):
+def query(mapping, grid, where=None, strategy="FRA"):
     return RangeQuery(
         dataset="sensors",
         region=Rect((0, 0), (10, 10)),
@@ -49,7 +49,6 @@ def query(mapping, grid, where=None, strategy="FRA", prefetch=None):
         aggregation="sum",
         strategy=strategy,
         where=where,
-        prefetch=prefetch,
     )
 
 
@@ -87,13 +86,6 @@ class TestPrunedResultIdentity:
             "sequential": adr.execute(query(mapping, grid, WHERE, strategy)),
             "parallel": adr.execute(
                 query(mapping, grid, WHERE, strategy), backend="parallel"
-            ),
-            "sequential+prefetch": adr.execute(
-                query(mapping, grid, WHERE, strategy, prefetch=True)
-            ),
-            "parallel+prefetch": adr.execute(
-                query(mapping, grid, WHERE, strategy, prefetch=True),
-                backend="parallel",
             ),
         }
         # Strip the synopsis: same predicate, but nothing can be pruned.

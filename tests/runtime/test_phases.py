@@ -1,8 +1,8 @@
 """Tests for the unified phase pipeline (:mod:`repro.runtime.phases`).
 
 One :class:`PhaseExecutor` serves every backend; these tests pin the
-cross-backend contract: {sequential, parallel} x {prefetch off, on}
-agree bit for bit -- values, counters and ``phase_times`` key set --
+cross-backend contract: the sequential and parallel backends agree
+bit for bit -- values, counters and ``phase_times`` key set --
 and the simulator prices literally the same :class:`PhaseSchedule`
 arrays the functional backends execute.
 """
@@ -24,7 +24,6 @@ from repro.runtime.engine import execute_plan
 from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
 from repro.runtime.transport import InprocTransport
 from repro.store.format import CorruptChunkError
-from repro.store.prefetch import PrefetchPolicy
 
 from helpers import SMALL_COSTS, make_functional_setup, small_machine
 
@@ -60,30 +59,38 @@ def workload(rng):
 
 
 class TestBackendEquivalence:
-    """The tentpole invariant: hosting and read-ahead are invisible."""
+    """The tentpole invariant: hosting is invisible."""
 
     @pytest.mark.parametrize("strategy", ["FRA", "DA"])
-    @pytest.mark.parametrize(
-        "backend,prefetch",
-        [
-            ("sequential", True),
-            ("parallel", False),
-            ("parallel", PrefetchPolicy(depth=3, workers=2)),
-        ],
-        ids=["seq+prefetch", "parallel", "parallel+prefetch"],
-    )
-    def test_bitwise_equal(self, workload, strategy, backend, prefetch):
+    @pytest.mark.parametrize("backend", ["parallel"])
+    def test_bitwise_equal(self, workload, strategy, backend):
         chunks, mapping, grid, spec, prob = workload
         plan = plan_query(prob, strategy)
         assert plan.n_tiles > 1  # memory chosen to force real tiling
         seq = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec)
         res = execute_plan(
             plan, lambda i: chunks[i], mapping, grid, spec,
-            backend=backend, prefetch=prefetch,
+            backend=backend,
         )
         assert_same_result(res, seq)
         assert sorted(res.phase_times) == sorted(PHASES)
         assert sorted(seq.phase_times) == sorted(PHASES)
+
+    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
+    def test_read_ahead_request_raises(self, workload, backend):
+        """Execution reads synchronously; ``prefetch`` survives only as
+        a keyword that must stay unset."""
+        chunks, mapping, grid, spec, prob = workload
+        plan = plan_query(prob, "FRA")
+        with pytest.raises(ValueError, match="prefetch"):
+            execute_plan(
+                plan, lambda i: chunks[i], mapping, grid, spec,
+                backend=backend, prefetch=True,
+            )
+        res = execute_plan(
+            plan, lambda i: chunks[i], mapping, grid, spec, prefetch=None
+        )
+        assert res.n_reads > 0
 
 
 class TestPhaseSchedule:
@@ -263,32 +270,25 @@ class TestReduceBatches:
     batches must be invisible -- in the values, the counters and the
     order of every transport call."""
 
-    @pytest.mark.parametrize("prefetch", [None, True], ids=["sync", "prefetch"])
     @pytest.mark.parametrize("strategy", ["FRA", "SRA", "DA", "HYBRID"])
-    def test_batch_bound_is_invisible(self, monkeypatch, workload, strategy, prefetch):
+    def test_batch_bound_is_invisible(self, monkeypatch, workload, strategy):
         chunks, mapping, grid, spec, prob = workload
         plan = plan_query(prob, strategy)
         assert plan.n_tiles > 1
         args = (plan, chunks, mapping, grid, spec)
         two = 2 * int(prob.inputs.nbytes.max())
-        whole, sizes, log = run_bounded(
-            monkeypatch, float("inf"), *args, prefetch=prefetch
-        )
+        whole, sizes, log = run_bounded(monkeypatch, float("inf"), *args)
         tile_reads = [len(plan.schedule().reads_of(t)) for t in range(plan.n_tiles)]
         assert sizes == [n for n in tile_reads if n] and max(sizes) > 2
         for bound, largest in ((0, 1), (two, 2)):
-            res, sizes, other = run_bounded(monkeypatch, bound, *args, prefetch=prefetch)
+            res, sizes, other = run_bounded(monkeypatch, bound, *args)
             assert max(sizes) == largest and sum(sizes) == len(plan.reads)
             assert_same_result(res, whole)
             assert other.reads == log.reads
             assert other.calls == log.calls
-            par, _, _ = run_bounded(
-                monkeypatch, bound, *args, prefetch=prefetch, backend="parallel"
-            )
+            par, _, _ = run_bounded(monkeypatch, bound, *args, backend="parallel")
             assert_same_result(par, whole)
-        par, _, _ = run_bounded(
-            monkeypatch, float("inf"), *args, prefetch=prefetch, backend="parallel"
-        )
+        par, _, _ = run_bounded(monkeypatch, float("inf"), *args, backend="parallel")
         assert_same_result(par, whole)
         # The log is the message flow the schedule states, rank by rank.
         flow = plan.schedule().message_flow()
