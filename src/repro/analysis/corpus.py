@@ -60,9 +60,10 @@ from repro.machine.config import MachineConfig
 from repro.planner.problem import PlanningProblem, select_chunks
 from repro.planner.select import ALL_STRATEGIES, FRA, HYBRID
 from repro.planner.strategies import plan_query
-from repro.runtime.engine import QueryResult, assemble_result, execute_plan
+from repro.runtime.engine import BatchReader, QueryResult, assemble_result, execute_plan
 from repro.runtime.serial import execute_serial
 from repro.space.mapping import GridMapping
+from repro.store.chunk_store import read_each
 from repro.util.geometry import Rect
 from repro.util.rng import make_rng
 from repro.util.units import KB, MB
@@ -508,10 +509,11 @@ def verify_fault_corpus(
         n_scenarios += 1
         policy = RetryPolicy(max_attempts=4, base_delay=0.0)
         flaky = FaultInjector(FaultPlan.flaky_read(times=2)).wrap_provider(
-            w.chunks.__getitem__
+            lambda ids: read_each(w.chunks.__getitem__, ids)
         )
         retried = execute_plan(
-            plan, lambda c: policy.run(lambda: flaky(c)), w.mapping, w.grid, w.spec,
+            plan, BatchReader(lambda ids: policy.run_batch(flaky, ids)),
+            w.mapping, w.grid, w.spec,
         )
         failures += [(f"{label} / {strategy} / flaky+retry", m)
                      for m in _diff(retried, clean, exact=True, fields=_ALL)]

@@ -27,7 +27,8 @@ ADR704    ``SharedMemory(...)`` bound to a name without a
 ADR705    cache state mutated outside the guarded section in the
           guarded-cache module (``store/cache.py``): every write to
           the LRU's attributes must happen under ``with self._lock``
-          or inside a ``*_locked`` helper (called with the lock held)
+          or inside a ``*_locked`` helper, and a ``*_locked`` helper is
+          called only with the lock held
 ========  ==========================================================
 
 See ``docs/static_analysis.md`` for the catalog and rationale.
@@ -258,6 +259,15 @@ class _EffectsVisitor(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         self._check_shared_write(_self_attr_mutating_call(node), node)
         fn = node.func
+        helper = _dotted(fn) or ""
+        if helper.startswith("self.") and helper.endswith("_locked") and (
+            self.cache_module and not self.lock_depth and not self._in_guarded_method()
+        ):
+            self.out.emit(
+                "ADR705", Severity.ERROR, self._loc(node),
+                f"'{helper}()' called outside the guarded section; a '*_locked' "
+                "helper runs with the lock held -- call it under 'with self._lock'",
+            )
         if (
             isinstance(fn, ast.Attribute)
             and fn.attr in ("get", "join")

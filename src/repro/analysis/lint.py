@@ -52,6 +52,11 @@ ADR306    per-rectangle Python loop in the index / chunk-graph hot path
           ``Mapping.project_rects``, packed bitsets) instead; bounded
           structural loops (node splits, dynamic insert) opt out with
           ``noqa``
+ADR307    per-read store call in ``src/repro/runtime/`` outside
+          ``runtime/engine.py``: any ``.read_chunk()``, or a loop or
+          comprehension calling ``provider`` (or a function of the
+          module that calls it) -- the executor reads a batch per call,
+          and ``engine._provider`` is the one per-id adapter
 ADR401    bare ``except:`` anywhere, or an exception handler that
           silently swallows (body of only ``pass`` / ``continue`` /
           ``...``) inside the fault-critical paths
@@ -127,7 +132,7 @@ __all__ = [
 ]
 
 LINT_CODES = (
-    "ADR301", "ADR302", "ADR303", "ADR304", "ADR305", "ADR306", "ADR401",
+    "ADR301", "ADR302", "ADR303", "ADR304", "ADR305", "ADR306", "ADR307", "ADR401",
     "ADR402", "ADR501", "ADR502",
 )
 
@@ -166,6 +171,7 @@ _STRUCTURAL_ATTRS = frozenset(
 )
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -398,6 +404,25 @@ def _per_rect_loop(v: "_Visitor", node: ast.AST) -> Iterator[Tuple[ast.AST, str]
             )
 
 
+_PER_READ = (
+    "'{name}()' reads chunks one call per id in the runtime; the phase executor "
+    "reads a batch per provider call, and repro.runtime.engine._provider is the "
+    "one adapter from a per-id reader"
+)
+_read_chunk_call = _calls((".read_chunk",), _PER_READ)
+
+
+def _per_read_call(v: "_Visitor", node: ast.AST) -> Iterator[Tuple[ast.AST, str]]:
+    """``.read_chunk()``; a loop calling the provider or a caller of it."""
+    if isinstance(node, ast.Call):
+        yield from _read_chunk_call(v, node)
+        return
+    for child in _own_nodes(node, _LOOPS + _COMPREHENSIONS):
+        if isinstance(child, ast.Call) and _last_name(child.func) in v.provider_callers:
+            yield node, _PER_READ.format(name=_last_name(child.func))
+            return
+
+
 def _bare_except(v: "_Visitor", node: ast.ExceptHandler) -> Iterator[Tuple[ast.AST, str]]:
     if node.type is None:
         yield node, (
@@ -567,6 +592,10 @@ RULES: Tuple[Rule, ...] = (
         ("repro/index/", "repro/dataset/graph.py", "repro/aggregation/output_grid.py"),
         (), _LOOPS, _per_rect_loop,
     ),
+    Rule(
+        "per-read-call", "ADR307", ("repro/runtime/",), ("runtime/engine.py",),
+        (ast.Call,) + _LOOPS + _COMPREHENSIONS, _per_read_call,
+    ),
     Rule("bare-except", "ADR401", ("",), (), (ast.ExceptHandler,), _bare_except),
     Rule(
         "swallowed-exception", "ADR401",
@@ -651,6 +680,17 @@ class _Visitor(ast.NodeVisitor):
     @cached_property
     def docstring_ids(self) -> Set[int]:
         return _docstring_node_ids(self.tree)
+
+    @cached_property
+    def provider_callers(self) -> Set[str]:
+        """``provider`` and the module's functions that call it."""
+        return {"provider"} | {
+            fn.name for fn in ast.walk(self.tree)
+            if isinstance(fn, _FUNCTIONS) and any(
+                isinstance(c, ast.Call) and _last_name(c.func) == "provider"
+                for c in ast.walk(fn)
+            )
+        }
 
     def visit(self, node: ast.AST) -> None:
         for rule in self.rules_by_type.get(type(node), ()):

@@ -3,11 +3,12 @@
 One injector instance is threaded through the execution stack and
 consulted at three kinds of injection point:
 
-- **chunk reads** -- :meth:`FaultInjector.read_faults` (used by
+- **chunk reads** -- :meth:`FaultInjector.read_batch` (behind
   :class:`repro.faults.store.FaultyChunkStore` and
-  :meth:`FaultInjector.wrap_provider`) can raise :class:`InjectedFault`
-  (an ``OSError``), stall the read, or corrupt the payload so the
-  on-disk CRC trips a real
+  :meth:`FaultInjector.wrap_provider`) consults
+  :meth:`FaultInjector.read_faults` per slot of a batch, in order, and
+  can fail a slot with :class:`InjectedFault` (an ``OSError``), stall
+  the read, or corrupt the payload so the on-disk CRC trips a real
   :class:`~repro.store.format.CorruptChunkError`;
 - **worker loops** -- :meth:`FaultInjector.should_crash` tells a
   parallel worker to hard-exit before processing a scheduled read;
@@ -25,12 +26,14 @@ shared counters.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
+from repro.dataset.chunk import Chunk
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.store.format import CorruptChunkError, decode_chunk, encode_chunk
 from repro.util.rng import spawn_rngs
 
-__all__ = ["InjectedFault", "FaultInjector"]
+__all__ = ["InjectedFault", "FaultInjector", "corruption"]
 
 
 class InjectedFault(OSError):
@@ -39,6 +42,18 @@ class InjectedFault(OSError):
     Subclasses ``OSError`` so retry policies and degraded execution
     treat it exactly like a real disk error.
     """
+
+
+def corruption(chunk: Chunk) -> CorruptChunkError:
+    """The error decoding *chunk* raises once re-encoded with one payload
+    byte flipped (inside the CRC-covered body, so decoding always fails)."""
+    data = bytearray(encode_chunk(chunk))
+    data[-1] ^= 0xFF
+    try:
+        decode_chunk(bytes(data))
+    except CorruptChunkError as e:
+        return e
+    raise AssertionError("a flipped payload byte passed the CRC")
 
 
 class _SpecState:
@@ -126,24 +141,31 @@ class FaultInjector:
                 corrupt = True
         return corrupt
 
+    def read_batch(self, read, dataset: Optional[str], chunk_ids: Sequence[int]) -> list:
+        """``read(ids)``, a batch reader, under this plan's read faults,
+        consulted per slot in order, so they fire as one read at a time
+        would.  An ``io_error`` slot is not read; a ``corrupt`` slot is
+        read, then holds the :func:`corruption` a rotten file raises."""
+        out: list = [None] * len(chunk_ids)
+        corrupt = []
+        for i, chunk_id in enumerate(chunk_ids):
+            try:
+                if self.apply_read_faults(dataset, chunk_id):
+                    corrupt.append(i)
+            except InjectedFault as e:
+                out[i] = e
+        live = [i for i, slot in enumerate(out) if slot is None]
+        for i, slot in zip(live, read([chunk_ids[i] for i in live])):
+            out[i] = slot
+        for i in corrupt:
+            if isinstance(out[i], Chunk):
+                out[i] = corruption(out[i])
+        return out
+
     def wrap_provider(self, provider, dataset: Optional[str] = None):
-        """Wrap a dataset-level chunk provider with read-fault injection.
-
-        Corruption is physical: the chunk is re-encoded, one payload
-        byte is flipped, and decoding raises the same
-        :class:`~repro.store.format.CorruptChunkError` a rotten file
-        would produce.
-        """
-        from repro.faults.store import corrupt_decode
-
-        def faulty_provider(chunk_id: int):
-            corrupt = self.apply_read_faults(dataset, chunk_id)
-            chunk = provider(chunk_id)
-            if corrupt:
-                return corrupt_decode(chunk)
-            return chunk
-
-        return faulty_provider
+        """Wrap a batch chunk provider (ids -> slots) with read-fault
+        injection (:meth:`read_batch`)."""
+        return lambda chunk_ids: self.read_batch(provider, dataset, chunk_ids)
 
     # -- worker-loop faults -----------------------------------------------
 

@@ -17,24 +17,12 @@ Compose it under the resilience wrappers to test them::
 
 from __future__ import annotations
 
-from repro.dataset.chunk import Chunk
+from typing import List, Sequence
+
 from repro.faults.injector import FaultInjector
-from repro.store.chunk_store import ChunkStore, ChunkStoreStage
-from repro.store.format import decode_chunk, encode_chunk
+from repro.store.chunk_store import ChunkStore, ChunkStoreStage, ReadSlot
 
-__all__ = ["FaultyChunkStore", "corrupt_decode"]
-
-
-def corrupt_decode(chunk: Chunk) -> Chunk:
-    """Re-encode *chunk*, flip one payload byte, decode.
-
-    Always raises :class:`~repro.store.format.CorruptChunkError` (the
-    flipped byte is in the CRC-covered body); the return type exists
-    only for signature honesty.
-    """
-    data = bytearray(encode_chunk(chunk))
-    data[-1] ^= 0xFF
-    return decode_chunk(bytes(data))
+__all__ = ["FaultyChunkStore"]
 
 
 class FaultyChunkStore(ChunkStoreStage):
@@ -42,18 +30,16 @@ class FaultyChunkStore(ChunkStoreStage):
 
     Only the read path is fault-injected (the paper's degraded
     scenarios are all read-side: query processing never mutates input
-    datasets); every chunk read is individually fault-checked, in
-    whatever ``(node, disk, chunk id)`` placement order the caller
-    reads in.
+    datasets); every slot of a batch is individually fault-checked
+    (:meth:`FaultInjector.read_batch`), in whatever ``(node, disk,
+    chunk id)`` placement order the caller reads in.
     """
 
     def __init__(self, inner: ChunkStore, injector: FaultInjector) -> None:
         super().__init__(inner)
         self.injector = injector
 
-    def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
-        corrupt = self.injector.apply_read_faults(dataset, chunk_id)
-        chunk = self.inner.read_chunk(dataset, chunk_id)
-        if corrupt:
-            return corrupt_decode(chunk)
-        return chunk
+    def read_batch(self, dataset: str, chunk_ids: Sequence[int]) -> List[ReadSlot]:
+        return self.injector.read_batch(
+            lambda ids: self.inner.read_batch(dataset, ids), dataset, chunk_ids
+        )

@@ -40,12 +40,12 @@ from repro.planner.problem import PlanningProblem, select_chunks
 from repro.planner.select import StrategyChoice, choose_strategy, is_auto
 from repro.planner.strategies import plan_query
 from repro.planner.validate import validate_plan
-from repro.runtime.engine import QueryResult, execute_plan
+from repro.runtime.engine import BatchReader, QueryResult, execute_plan
 from repro.runtime.kernels import RoutingCache
 from repro.sim.query_sim import SimResult, simulate_query
 from repro.space.attribute_space import AttributeSpace, AttributeSpaceRegistry
 from repro.store.cache import CachedChunkStore, ScanRecorder
-from repro.store.chunk_store import ChunkStore, MemoryChunkStore
+from repro.store.chunk_store import ChunkStore, MemoryChunkStore, unwrap
 from repro.store.retry import RetryPolicy, RetryingChunkStore
 from repro.util.units import MB
 
@@ -263,13 +263,12 @@ class ADR:
         cache, store = self.cache, self.store
         recorder = ScanRecorder() if cache is not None else None
 
-        def provider(chunk_id: int) -> Chunk:
-            if cache is None:
-                return store.read_chunk(name, chunk_id)
-            return cache.read_chunk(name, chunk_id, recorder=recorder)
-
+        if cache is None:
+            reader = BatchReader(lambda ids: store.read_batch(name, ids))
+        else:
+            reader = BatchReader(lambda ids: cache.read_batch(name, ids, recorder=recorder))
         result = execute_plan(
-            plan, provider, query.mapping, query.grid, query.spec(),
+            plan, reader, query.mapping, query.grid, query.spec(),
             region=region, prior=prior, backend=backend,
             routing_cache=self.routing_cache(name),
             on_error=query.on_error,
@@ -323,15 +322,17 @@ class ADR:
             )
         out_ids = self._materialized[target]
         pos_of = {int(g): i for i, g in enumerate(out_ids)}
+        problem = self.build_problem(query)
+        problem.init_from_output = True
+        # The stored chunks the plan updates, read as one batch: they
+        # seed the accumulators and are what the write-back rewrites.
+        held = [pos_of[g] for g in problem.output_global_ids.tolist() if g in pos_of]
+        old = dict(zip(held, map(unwrap, self.store.read_batch(target, held))))
 
         def prior(global_out: int):
             i = pos_of.get(int(global_out))
-            if i is None:
-                return None
-            return self.store.read_chunk(target, i).values
+            return None if i is None else old[i].values
 
-        problem = self.build_problem(query)
-        problem.init_from_output = True
         plan, choice = self._choose(problem, query.strategy)
         result = self._run(query, plan, choice, prior=prior)
         # write updated chunks back to their original locations
@@ -343,10 +344,9 @@ class ADR:
             )
         for o, values in zip(result.output_ids, result.chunk_values):
             i = pos_of[int(o)]
-            old = self.store.read_chunk(target, i)
             node, disk = self.store.placement(target, i)
             self.store.write_chunk(
-                target, Chunk(old.meta, old.coords, values), node, disk
+                target, Chunk(old[i].meta, old[i].coords, values), node, disk
             )
         return result
 

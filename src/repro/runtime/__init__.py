@@ -16,7 +16,7 @@ sequential engine and the multiprocess backend are thin drivers around
 it.
 """
 
-from repro.runtime.engine import QueryResult, execute_plan
+from repro.runtime.engine import BatchReader, QueryResult, execute_plan
 from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
 from repro.runtime.serial import execute_serial
 from repro.runtime.transport import (
@@ -28,6 +28,7 @@ from repro.runtime.transport import (
 
 __all__ = [
     "PHASES",
+    "BatchReader",
     "InprocTransport",
     "PhaseExecutor",
     "PhaseSchedule",

@@ -47,10 +47,20 @@ from repro.runtime.kernels import RoutingCache
 from repro.runtime.phases import AccumulatorHost, PhaseExecutor, Tally, merge_tallies
 from repro.runtime.transport import InprocTransport
 from repro.space.mapping import GridMapping
+from repro.store.chunk_store import ReadSlot, read_each
 
-__all__ = ["QueryResult", "assemble_result", "execute_plan"]
+__all__ = ["BatchReader", "QueryResult", "assemble_result", "execute_plan"]
 
 ChunkProvider = Callable[[int], Chunk]
+BatchProvider = Callable[[Sequence[int]], List[ReadSlot]]
+
+
+@dataclass(frozen=True)
+class BatchReader:
+    """Marks *read* for :func:`execute_plan` as a batch reader of
+    dataset-level ids: a store's ``read_batch`` with its dataset bound."""
+
+    read: BatchProvider
 
 
 @dataclass
@@ -187,17 +197,20 @@ def assemble_result(
     )
 
 
-def _provider(source: Union[Dataset, ChunkProvider]) -> ChunkProvider:
-    if isinstance(source, Dataset):
-        return source.payload
-    if callable(source):
-        return source
-    raise TypeError("chunk source must be a Dataset with payloads or a callable")
+def _provider(source: Union[Dataset, ChunkProvider, BatchReader]) -> BatchProvider:
+    """The one adapter from a chunk source to the executor's batch form;
+    a :class:`Dataset` or a per-id callable is read id by id."""
+    if isinstance(source, BatchReader):
+        return source.read
+    one = source.payload if isinstance(source, Dataset) else source
+    if not callable(one):
+        raise TypeError("chunk source must be a Dataset, a callable or a BatchReader")
+    return lambda chunk_ids: read_each(one, chunk_ids)
 
 
 def execute_plan(
     plan: QueryPlan,
-    chunks: Union[Dataset, ChunkProvider],
+    chunks: Union[Dataset, ChunkProvider, BatchReader],
     mapping: GridMapping,
     grid: OutputGrid,
     spec: AggregationSpec,
@@ -223,8 +236,9 @@ def execute_plan(
         Any validated plan (FRA/SRA/DA/hybrid) over a geometry-derived
         problem.
     chunks:
-        A payload-carrying :class:`Dataset` or a callable mapping
-        *dataset-level* input chunk ids to :class:`Chunk`.
+        A payload-carrying :class:`Dataset`, a callable mapping
+        *dataset-level* input chunk ids to :class:`Chunk`, or a
+        :class:`BatchReader`; each batch of a tile's reads is one call.
     mapping, grid, spec:
         The user customization: ``Map``, the output dataset layout,
         and the aggregation functions.

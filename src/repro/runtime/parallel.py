@@ -61,6 +61,7 @@ callables are inherited, never pickled), i.e. a POSIX host.
 
 from __future__ import annotations
 
+import gc
 import queue as queue_mod
 import traceback
 from dataclasses import dataclass
@@ -70,9 +71,11 @@ import numpy as np
 
 from repro.aggregation.functions import AggregationSpec
 from repro.aggregation.output_grid import OutputGrid
-from repro.dataset.chunk import Chunk
 from repro.dataset.dataset import Dataset
 from repro.planner.plan import QueryPlan
+from repro.runtime.engine import (
+    BatchProvider, BatchReader, ChunkProvider, _provider, assemble_result,
+)
 from repro.runtime.kernels import RoutingCache
 from repro.runtime.phases import AccumulatorHost, PhaseExecutor, Tally, is_gauge
 from repro.runtime.transport import QueueTransport, RecoveryPolicy
@@ -80,8 +83,6 @@ from repro.space.mapping import GridMapping
 from repro.store.chunk_store import RECOVERABLE_READ_ERRORS
 
 __all__ = ["execute_parallel", "RecoveryPolicy"]
-
-ChunkProvider = Callable[[int], Chunk]
 
 _ALIGN = 64  # worker arena slices are cache-line aligned
 
@@ -169,7 +170,7 @@ def _worker(
     host: int,
     ranks: Tuple[int, ...],
     plan: QueryPlan,
-    provider: ChunkProvider,
+    provider: BatchProvider,
     mapping: GridMapping,
     grid: OutputGrid,
     spec: AggregationSpec,
@@ -198,7 +199,13 @@ def _worker(
         retryable = not isinstance(e, RECOVERABLE_READ_ERRORS)
         result_q.put(("error", host, traceback.format_exc(), retryable))
     finally:
-        shm.close()
+        try:
+            shm.close()
+        except BufferError:
+            # A read error kept in a batch slot is in a reference cycle
+            # with frames holding arena views: collect it, then close.
+            gc.collect()
+            shm.close()
 
 
 def _worker_body(
@@ -289,7 +296,7 @@ def _regroup(
 
 def execute_parallel(
     plan: QueryPlan,
-    chunks: Union[Dataset, ChunkProvider],
+    chunks: Union[Dataset, ChunkProvider, BatchReader],
     mapping: GridMapping,
     grid: OutputGrid,
     spec: AggregationSpec,
@@ -328,8 +335,6 @@ def execute_parallel(
     """
     import multiprocessing
     from multiprocessing import shared_memory
-
-    from repro.runtime.engine import _provider, assemble_result
 
     if recovery is None:
         recovery = RecoveryPolicy()

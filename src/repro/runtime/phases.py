@@ -74,7 +74,6 @@ import numpy as np
 from repro.aggregation.accumulator import AccumulatorSet
 from repro.aggregation.functions import AggregationSpec
 from repro.aggregation.output_grid import OutputGrid
-from repro.dataset.chunk import Chunk
 from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import (
     RoutingCache,
@@ -88,7 +87,7 @@ from repro.runtime.kernels import (
 )
 from repro.runtime.transport import Transport
 from repro.space.mapping import GridMapping
-from repro.store.chunk_store import RECOVERABLE_READ_ERRORS
+from repro.store.chunk_store import RECOVERABLE_READ_ERRORS, ReadSlot
 from repro.util.arrays import unique_rows
 
 __all__ = [
@@ -445,10 +444,12 @@ class PhaseExecutor:
     :class:`~repro.runtime.transport.InprocTransport`; each
     multiprocess worker instantiates it with its rank group and a
     :class:`~repro.runtime.transport.QueueTransport`.  *provider*
-    maps a dataset-level input chunk id to its payload; the executor
-    calls it for each read, in schedule order, on the calling thread,
-    and whatever it raises surfaces unchanged (``on_error='degrade'``
-    absorbs the recoverable kinds).  *observer* is the optional :class:`~repro.analysis.races.RaceDetector` hook
+    maps a batch of dataset-level input chunk ids to one slot each --
+    the payload, or the recoverable error reading it raised
+    (:func:`repro.runtime.engine._provider` adapts every chunk source
+    to this form).  The executor calls it once per batch of a tile's
+    reads, on the calling thread; a slot's error surfaces unchanged, the
+    first in schedule order (``on_error='degrade'`` absorbs them).  *observer* is the optional :class:`~repro.analysis.races.RaceDetector` hook
     surface (``on_allocate`` / ``on_aggregate`` / ``on_combine`` /
     ``on_output`` / ``end_tile``).
 
@@ -462,7 +463,7 @@ class PhaseExecutor:
         grid: OutputGrid,
         spec: AggregationSpec,
         mapping: GridMapping,
-        provider: Callable[[int], Chunk],
+        provider: Callable[[Sequence[int]], List[ReadSlot]],
         accs: AccumulatorHost,
         transport: Transport,
         *,
@@ -559,36 +560,40 @@ class PhaseExecutor:
             )
         return pos
 
-    def _fetch(self, r: int, reader: int):
-        """Read *r* of hosted rank *reader*, routed and filtered:
+    def _fetch(self, batch: List[int], readers: List[int]) -> List[Optional[tuple]]:
+        """The reads of *batch* this executor hosts, read with one
+        provider call, then routed and filtered: per read
         ``(item_idx, cells, values)`` for :func:`group_reads`, or None
-        when it contributes nothing (degraded, unrouted or fully
-        filtered)."""
+        when it contributes nothing (not hosted, degraded, unrouted or
+        fully filtered)."""
         problem = self.problem
-        self.transport.before_read(reader, self._reads_seen[reader])
-        self._reads_seen[reader] += 1
-        i = int(self.plan.reads.chunk[r])
-        gid = int(problem.input_global_ids[i])
-        try:
-            chunk = self.provider(gid)
-        except RECOVERABLE_READ_ERRORS as e:
-            if self.on_error != "degrade":
-                raise
-            self.tally.chunk_errors.setdefault(gid, f"{type(e).__name__}: {e}")
-            return None
-        self.tally.n_reads += 1
-        self.tally.bytes_read += int(problem.inputs.nbytes[i])
+        hosted = [k for k, p in enumerate(readers) if p in self.accs.rank_set]
+        for k in hosted:
+            self.transport.before_read(readers[k], self._reads_seen[readers[k]])
+            self._reads_seen[readers[k]] += 1
+        inputs = self.plan.reads.chunk[batch].tolist()
+        gids = problem.input_global_ids[[inputs[k] for k in hosted]].tolist()
+        slots = self.provider(gids)
+        parts: List[Optional[tuple]] = [None] * len(batch)
         tail = self._routing_tail
-        item_idx, cells = route_chunk(
-            chunk, self.mapping, self.grid, self.region, self.routing_cache,
-            None if tail is None else (gid, *tail),
-        )
-        # Residual value filter *after* routing, so the routing cache
-        # stays predicate-independent.
-        item_idx, cells = filter_predicate(chunk, item_idx, cells, self.predicate)
-        if not len(cells):
-            return None
-        return item_idx, cells, coerce_values(chunk.values, self.spec.value_components)
+        for k, gid, chunk in zip(hosted, gids, slots):
+            if isinstance(chunk, Exception):
+                if self.on_error != "degrade" or not isinstance(chunk, RECOVERABLE_READ_ERRORS):
+                    raise chunk
+                self.tally.chunk_errors.setdefault(gid, f"{type(chunk).__name__}: {chunk}")
+                continue
+            self.tally.n_reads += 1
+            self.tally.bytes_read += int(problem.inputs.nbytes[inputs[k]])
+            item_idx, cells = route_chunk(
+                chunk, self.mapping, self.grid, self.region, self.routing_cache,
+                None if tail is None else (gid, *tail),
+            )
+            # Residual value filter *after* routing, so the routing cache
+            # stays predicate-independent.
+            item_idx, cells = filter_predicate(chunk, item_idx, cells, self.predicate)
+            if len(cells):
+                parts[k] = item_idx, cells, coerce_values(chunk.values, self.spec.value_components)
+        return parts
 
     def _apply(self, rank: int, t: int, kind: str, o: int, cell_idx, payload) -> None:
         if self.observer is not None:
@@ -626,8 +631,7 @@ class PhaseExecutor:
         # fancy-indexed scatter per segment -- the same arithmetic, in
         # the same order, on every backend and for every batch bound.
         segs = group_reads(
-            [self._fetch(r, p) if p in rank_set else None for r, p in zip(batch, readers)],
-            self.grid, self._sel_map, plan.tile_of_output, t,
+            self._fetch(batch, readers), self.grid, self._sel_map, plan.tile_of_output, t,
         )
         rb = [0] * (len(batch) + 1)  # batch position -> its segment range
         if segs is not None:

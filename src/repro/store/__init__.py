@@ -23,6 +23,7 @@ machine model in :mod:`repro.machine` / :mod:`repro.sim`.
 
 from repro.store.format import (
     encode_chunk,
+    encode_chunks,
     decode_chunk,
     ChunkFormatError,
     CorruptChunkError,
@@ -38,6 +39,7 @@ from repro.store.retry import RetryPolicy, RetryingChunkStore
 
 __all__ = [
     "encode_chunk",
+    "encode_chunks",
     "decode_chunk",
     "ChunkFormatError",
     "CorruptChunkError",

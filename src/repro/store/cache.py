@@ -15,9 +15,9 @@ Thread safety: all cache state (the LRU ordering, the byte budget and
 the hit/miss/eviction counters) is guarded by one re-entrant lock,
 because one ADR facade's cache is shared by every worker thread of a
 :class:`~repro.frontend.queryservice.QueryService` executing queries
-against it.  The lock is never held across an
-inner-store read (misses fetch outside the guarded section and insert
-on return), so a slow disk stalls only the caller that missed.  The
+against it.  A batch read takes it twice, for all its lookups and then
+all its inserts, never across the inner read of its misses, so a slow
+disk stalls only the caller that missed.  The
 static pass :mod:`repro.analysis.effects` (ADR705) enforces the
 discipline: every mutation happens under ``with self._lock`` or
 inside a ``*_locked`` helper.
@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dataset.chunk import Chunk
-from repro.store.chunk_store import ChunkStore, ChunkStoreStage
+from repro.store.chunk_store import ChunkStore, ChunkStoreStage, ReadSlot, unwrap
 from repro.util.units import MB
 
 __all__ = ["CachedChunkStore", "ScanRecorder"]
@@ -49,10 +49,11 @@ class ScanRecorder:
     a concurrent query service many queries mutate them at once, so a
     before/after delta cannot attribute a hit to a query.  A recorder
     is the exact per-query view: the caller passes one to
-    :meth:`CachedChunkStore.read_chunk` for every read issued on behalf
-    of one query, and the cache tells the recorder whether that read
-    was served from memory (a *shared* read -- some earlier query paid
-    the disk retrieval) or went to the inner store.  Locked like the
+    :meth:`CachedChunkStore.read_batch` for every batch read on behalf
+    of one query, and the cache tells the recorder, once per batch, how
+    many of its reads were served from memory (*shared* reads -- some
+    earlier query paid the disk retrieval) and how many went to the
+    inner store.  Failed reads are not counted.  Locked like the
     cache, so a recorder is safe whichever
     :class:`~repro.frontend.queryservice.QueryService` worker thread
     issues its query's reads.
@@ -67,14 +68,13 @@ class ScanRecorder:
         self.hit_bytes = 0
         self.miss_bytes = 0
 
-    def record(self, hit: bool, nbytes: int) -> None:
+    def record(self, hits: Sequence[Chunk], misses: Sequence[Chunk]) -> None:
+        """Count one batch: its chunks served from memory, and read."""
         with self._lock:
-            if hit:
-                self.hits += 1
-                self.hit_bytes += int(nbytes)
-            else:
-                self.misses += 1
-                self.miss_bytes += int(nbytes)
+            self.hits += len(hits)
+            self.hit_bytes += sum(map(_chunk_bytes, hits))
+            self.misses += len(misses)
+            self.miss_bytes += sum(map(_chunk_bytes, misses))
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
@@ -207,29 +207,39 @@ class CachedChunkStore(ChunkStoreStage):
 
     # -- store interface ---------------------------------------------------
 
+    def read_batch(
+        self,
+        dataset: str,
+        chunk_ids: Sequence[int],
+        recorder: Optional[ScanRecorder] = None,
+    ) -> List[ReadSlot]:
+        """Serve the hits, then read every miss in one inner batch, with
+        the lock dropped.  A failed slot is never cached; all lookups
+        precede all inserts, so no insert evicts a later slot's hit."""
+        keys = [(dataset, int(c)) for c in chunk_ids]
+        with self._lock:
+            out: List[ReadSlot] = [self._lookup_locked(k) for k in keys]
+        missed = [i for i, c in enumerate(out) if c is None]
+        hits = [c for c in out if c is not None] if recorder is not None else []
+        if missed:
+            fetched = self.inner.read_batch(dataset, [keys[i][1] for i in missed])
+            with self._lock:
+                for i, slot in zip(missed, fetched):
+                    out[i] = slot
+                    if isinstance(slot, Chunk):
+                        self._insert_locked(keys[i], slot)
+        if recorder is not None:
+            recorder.record(hits, [out[i] for i in missed if isinstance(out[i], Chunk)])
+        return out
+
     def read_chunk(
         self,
         dataset: str,
         chunk_id: int,
         recorder: Optional[ScanRecorder] = None,
     ) -> Chunk:
-        key = (dataset, int(chunk_id))
-        with self._lock:
-            chunk = self._lookup_locked(key)
-        if chunk is not None:
-            if recorder is not None:
-                recorder.record(True, _chunk_bytes(chunk))
-            return chunk
-        # The lock is dropped across the inner read: a raising read
-        # inserts nothing (failures are never cached, a later retry
-        # reaches the real store) and a slow disk stalls only the
-        # caller that missed.
-        chunk = self.inner.read_chunk(dataset, chunk_id)
-        with self._lock:
-            self._insert_locked(key, chunk)
-        if recorder is not None:
-            recorder.record(False, _chunk_bytes(chunk))
-        return chunk
+        (slot,) = self.read_batch(dataset, [chunk_id], recorder=recorder)
+        return unwrap(slot)
 
     def write_chunk(self, dataset: str, chunk: Chunk, node: int, disk: int) -> None:
         self.invalidate(dataset, [chunk.chunk_id])

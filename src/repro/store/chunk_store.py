@@ -19,7 +19,9 @@ and written by one writer, :meth:`FileChunkStore._write_file`.  Files
 are rewritten in place, never truncated to zero first, and the
 manifest only when a placement changed.  ``write_chunk`` renames a
 temporary file over the chunk, so it is atomic; a torn ``write_chunks``
-file fails its CRC on read.  Nothing calls ``fsync``.
+file fails its CRC on read.  Nothing calls ``fsync``.  A batch is the
+unit of the hot calls: ``write_chunks`` (one value-synopsis pass) and
+:meth:`ChunkStore.read_batch`.
 
 :class:`ChunkStoreStage` is the base of everything stacked on a store
 (payload cache, read retry, fault injection): it forwards the whole
@@ -32,10 +34,10 @@ import json
 import os
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from repro.dataset.chunk import Chunk
-from repro.store.format import ChunkFormatError, decode_chunk, encode_chunk
+from repro.store.format import ChunkFormatError, decode_chunk, encode_chunk, encode_chunks
 
 __all__ = [
     "ChunkStore",
@@ -43,6 +45,9 @@ __all__ = [
     "FileChunkStore",
     "MemoryChunkStore",
     "RECOVERABLE_READ_ERRORS",
+    "ReadSlot",
+    "read_each",
+    "unwrap",
 ]
 
 Placement = Tuple[int, int]
@@ -55,6 +60,37 @@ Placement = Tuple[int, int]
 #: -- is never swallowed.
 RECOVERABLE_READ_ERRORS: Tuple[type, ...] = (ChunkFormatError, OSError, KeyError)
 
+#: One slot of :meth:`ChunkStore.read_batch`: the chunk, or the
+#: recoverable error :meth:`ChunkStore.read_chunk` would have raised.
+ReadSlot = Union[Chunk, Exception]
+
+
+def unwrap(slot: ReadSlot) -> Chunk:
+    """The chunk in *slot*, or raise the error it holds."""
+    if isinstance(slot, Exception):
+        raise slot
+    return slot
+
+
+def read_each(read: Callable[[int], Chunk], chunk_ids: Sequence[int]) -> List[ReadSlot]:
+    """A batch read one id at a time: per id, ``read(id)`` or the
+    recoverable error it raised; any other error propagates."""
+    out: List[ReadSlot] = []
+    for chunk_id in chunk_ids:
+        try:
+            out.append(read(chunk_id))
+        except RECOVERABLE_READ_ERRORS as e:
+            out.append(e)
+    return out
+
+
+def _check_placements(chunks: Sequence[Chunk], placements: Sequence[Placement]) -> None:
+    """Reject a bulk write before it writes anything."""
+    if len(chunks) != len(placements):
+        raise ValueError("one placement per chunk required")
+    if any(node < 0 or disk < 0 for node, disk in placements):
+        raise ValueError("placement indices must be non-negative")
+
 
 class ChunkStore(ABC):
     """Interface shared by file-backed and in-memory stores."""
@@ -66,6 +102,11 @@ class ChunkStore(ABC):
     @abstractmethod
     def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
         """Retrieve a chunk by id (raises ``KeyError`` if absent)."""
+
+    def read_batch(self, dataset: str, chunk_ids: Sequence[int]) -> List[ReadSlot]:
+        """Per id, in order, the chunk or the recoverable error
+        :meth:`read_chunk` raised for it (:func:`read_each`)."""
+        return read_each(lambda chunk_id: self.read_chunk(dataset, chunk_id), chunk_ids)
 
     @abstractmethod
     def placement(self, dataset: str, chunk_id: int) -> Placement:
@@ -87,8 +128,7 @@ class ChunkStore(ABC):
         exactly their ids, so reloading a name drops the chunks the
         earlier load had beyond them.  Stores with a cheaper bulk form
         override it."""
-        if len(chunks) != len(placements):
-            raise ValueError("one placement per chunk required")
+        _check_placements(chunks, placements)
         try:
             stale = set(self.chunk_ids(dataset)) - {c.chunk_id for c in chunks}
         except KeyError:  # a new dataset
@@ -105,12 +145,20 @@ class ChunkStore(ABC):
 class ChunkStoreStage(ChunkStore):
     """A store stacked on another: every call goes to ``inner``.
 
-    Reads go chunk by chunk through :meth:`read_chunk`, so a stage
-    that overrides it sees every read -- on the thread executing the
-    query, which under a
+    Reads go batch by batch through :meth:`read_batch`, and
+    :meth:`read_chunk` is its one-id case, so a stage overrides
+    ``read_batch`` alone and sees every read -- on the thread executing
+    the query, which under a
     :class:`~repro.frontend.queryservice.QueryService` is one of
-    several worker threads sharing the stage.
+    several worker threads sharing the stage.  A stage overriding
+    ``read_chunk`` without ``read_batch`` would be bypassed by batch
+    reads, so it is refused at class creation.
     """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "read_chunk" in cls.__dict__ and cls.read_batch is ChunkStoreStage.read_batch:
+            raise TypeError(f"{cls.__name__} overrides read_chunk; a stage overrides read_batch")
 
     def __init__(self, inner: ChunkStore) -> None:
         self.inner = inner
@@ -123,8 +171,12 @@ class ChunkStoreStage(ChunkStore):
     ) -> None:
         self.inner.write_chunks(dataset, chunks, placements)
 
+    def read_batch(self, dataset: str, chunk_ids: Sequence[int]) -> List[ReadSlot]:
+        return self.inner.read_batch(dataset, chunk_ids)
+
     def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
-        return self.inner.read_chunk(dataset, chunk_id)
+        (slot,) = self.read_batch(dataset, [chunk_id])
+        return unwrap(slot)
 
     def placement(self, dataset: str, chunk_id: int) -> Placement:
         return self.inner.placement(dataset, chunk_id)
@@ -149,6 +201,14 @@ class MemoryChunkStore(ChunkStore):
             raise ValueError("placement indices must be non-negative")
         self._data.setdefault(dataset, {})[chunk.chunk_id] = encode_chunk(chunk)
         self._place.setdefault(dataset, {})[chunk.chunk_id] = (node, disk)
+
+    def write_chunks(
+        self, dataset: str, chunks: Sequence[Chunk], placements: Sequence[Placement]
+    ) -> None:
+        _check_placements(chunks, placements)
+        ids = [c.chunk_id for c in chunks]
+        self._data[dataset] = dict(zip(ids, encode_chunks(chunks)))
+        self._place[dataset] = {cid: (node, disk) for cid, (node, disk) in zip(ids, placements)}
 
     def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
         try:
@@ -296,16 +356,13 @@ class FileChunkStore(ChunkStore):
         longer lists where they are -- dropped ids, moved chunks -- are
         removed, so a crash in between leaves strays, never a manifest
         entry without its file; reloading the same ids to the same
-        places removes nothing."""
-        if len(chunks) != len(placements):
-            raise ValueError("one placement per chunk required")
+        places removes nothing; a rejected placement writes nothing."""
+        _check_placements(chunks, placements)
         old = self._manifest_or_new(dataset)
         manifest: Dict[int, Placement] = {}
-        for chunk, (node, disk) in zip(chunks, placements):
-            if node < 0 or disk < 0:
-                raise ValueError("placement indices must be non-negative")
+        for chunk, (node, disk), data in zip(chunks, placements, encode_chunks(chunks)):
             path = self._chunk_path(dataset, chunk.chunk_id, node, disk)
-            self._write_file(path, encode_chunk(chunk))
+            self._write_file(path, data)
             manifest[chunk.chunk_id] = (node, disk)
         if manifest == old and dataset in self._manifests:
             return

@@ -45,15 +45,17 @@ from __future__ import annotations
 import struct
 import zlib
 from math import prod
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
 from repro.dataset.chunk import Chunk, ChunkMeta
-from repro.dataset.synopsis import ValueSynopsis
+from repro.dataset.synopsis import ValueSynopsis, _summarize
 from repro.util.geometry import Rect
 
 __all__ = [
     "encode_chunk",
+    "encode_chunks",
     "decode_chunk",
     "decode_synopsis",
     "ChunkFormatError",
@@ -86,23 +88,41 @@ class CorruptChunkError(ChunkFormatError):
 
 def encode_chunk(chunk: Chunk) -> bytes:
     """Serialize a chunk (payload + MBR + value synopsis) to bytes."""
+    return next(encode_chunks([chunk]))
+
+
+def encode_chunks(chunks: Sequence[Chunk]) -> Iterator[bytes]:
+    """Serialize *chunks*, in order, after one value-synopsis pass per
+    value component count among them (one pass when they agree: mixed
+    counts cannot share one).  The synopses are computed now; each
+    chunk's bytes are built only as the iterator reaches it, so a bulk
+    writer holds one encoded chunk at a time.  The bytes are exactly
+    :func:`encode_chunk`'s."""
+    by_k: Dict[int, List[int]] = {}
+    for i, chunk in enumerate(chunks):
+        by_k.setdefault(prod(chunk.values.shape[1:]), []).append(i)
+    rows: List[tuple] = [()] * len(chunks)
+    for members in by_k.values():
+        vmin, vmax, nulls, _ = _summarize([chunks[i].values for i in members])
+        for j, i in enumerate(members):
+            rows[i] = (vmin[j], vmax[j], nulls[j])
+    return (_encode(chunk, *row) for chunk, row in zip(chunks, rows))
+
+
+def _encode(chunk: Chunk, vmin, vmax, nulls) -> bytes:
     coords = np.ascontiguousarray(chunk.coords, dtype="<f8")
     values = np.ascontiguousarray(chunk.values)
     dtype_str = values.dtype.str.encode("ascii")
     trailing = values.shape[1:]
     lo, hi = chunk.meta.mbr.as_arrays()
-    vmin, vmax, nulls, _count = ValueSynopsis.summarize_values(values)
-    body = bytearray()
-    body += dtype_str
-    body += np.asarray(trailing, dtype="<i8").tobytes()
-    body += np.ascontiguousarray(lo, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(hi, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(vmin, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(vmax, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(nulls, dtype="<i8").tobytes()
-    body += coords.tobytes()
-    body += values.tobytes()
-    crc = zlib.crc32(body)
+    body = b"".join((
+        dtype_str,
+        np.array(trailing, dtype="<i8").tobytes(),
+        np.concatenate((lo, hi, vmin, vmax)).astype("<f8", copy=False).tobytes(),
+        np.asarray(nulls, dtype="<i8").tobytes(),
+        coords.tobytes(),
+        values.tobytes(),
+    ))
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -113,9 +133,9 @@ def encode_chunk(chunk: Chunk) -> bytes:
         values.nbytes,
         len(dtype_str),
         len(trailing),
-        crc,
+        zlib.crc32(body),
     )
-    return header + body  # bytes: the one copy of the body
+    return header + body
 
 
 def _parse(data) -> tuple:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Tuple, Type
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Type
 
-from repro.dataset.chunk import Chunk
-from repro.store.chunk_store import ChunkStore, ChunkStoreStage
+from repro.store.chunk_store import ChunkStore, ChunkStoreStage, ReadSlot, unwrap
 from repro.store.format import CorruptChunkError
 
 __all__ = ["RetryPolicy", "RetryingChunkStore", "DEFAULT_RETRY_ON"]
@@ -88,35 +87,61 @@ class RetryPolicy:
         sleep: Callable[[float], None] = time.sleep,
     ):
         """Call *fn* under this policy; re-raise its last error when
-        attempts or the deadline are exhausted."""
-        start = clock()
-        for attempt in range(self.max_attempts):
+        attempts or the deadline are exhausted (the one-slot case of
+        :meth:`run_batch`)."""
+
+        def once(_keys):
             try:
-                return fn()
-            except self.retry_on:
-                if attempt + 1 >= self.max_attempts:
-                    raise
-                pause = self.delay(attempt)
-                if (
-                    self.deadline is not None
-                    and (clock() - start) + pause > self.deadline
-                ):
-                    raise
-                sleep(pause)
-        raise AssertionError("unreachable: loop returns or raises")
+                return [fn()]
+            except self.retry_on as e:
+                return [e]
+
+        return unwrap(self.run_batch(once, [None], clock, sleep)[0])
+
+    def run_batch(
+        self,
+        fn: Callable[[Sequence], List],
+        keys: Sequence,
+        clock: Callable[[], float] = time.monotonic,
+        sleep: Callable[[float], None] = time.sleep,
+    ) -> List:
+        """Call ``fn(keys)`` -- one slot per key, a value or its error --
+        and re-issue the ``retry_on`` errors (never ``KeyError``) as one
+        call per round.  Each key has its own attempt budget and the
+        deadline from the batch's start, and keeps its last error."""
+        start = clock()
+        out = list(fn(keys))
+        pending = range(len(out))
+        for attempt in range(self.max_attempts - 1):
+            pending = [
+                i for i in pending
+                if isinstance(out[i], self.retry_on) and not isinstance(out[i], KeyError)
+            ]
+            if not pending:
+                break
+            pause = self.delay(attempt)
+            if self.deadline is not None and (clock() - start) + pause > self.deadline:
+                break
+            sleep(pause)
+            for i, slot in zip(pending, fn([keys[i] for i in pending])):
+                out[i] = slot
+        return out
 
 
 class RetryingChunkStore(ChunkStoreStage):
     """Apply a :class:`RetryPolicy` to every read of the wrapped store.
 
-    Reads are retried per chunk: each chunk gets its own attempt budget
-    and deadline, whatever ``(node, disk, chunk id)`` placement order
-    the caller reads in.
+    A batch is retried by :meth:`RetryPolicy.run_batch`: each round
+    re-reads only the failed slots, in one inner batch, and each chunk
+    keeps its own attempt budget and deadline, whatever ``(node, disk,
+    chunk id)`` placement order the caller reads in.
     """
 
     def __init__(self, inner: ChunkStore, policy: RetryPolicy) -> None:
         super().__init__(inner)
         self.policy = policy
 
-    def read_chunk(self, dataset: str, chunk_id: int) -> Chunk:
-        return self.policy.run(lambda: self.inner.read_chunk(dataset, chunk_id))
+    def read_batch(self, dataset: str, chunk_ids: Sequence[int]) -> List[ReadSlot]:
+        return self.policy.run_batch(
+            lambda ids: self.inner.read_batch(dataset, ids), list(chunk_ids)
+        )

@@ -289,6 +289,17 @@ class TestGuardedCache:
         """
         assert self.fcodes(src) == set()
 
+    def test_locked_helper_called_without_the_lock_flagged(self):
+        src = """
+        class Cache:
+            def read(self, key, chunk):
+                self._insert_locked(key, chunk)
+                with self._lock:
+                    self._insert_locked(key, chunk)
+        """
+        out = check_effects(textwrap.dedent(src), "repro/store/cache.py")
+        assert [d.code for d in out] == ["ADR705"] and out[0].location.endswith(":4:8")
+
     def test_init_exempt(self):
         src = """
         class Cache:
@@ -350,3 +361,15 @@ class TestCheckEffectsApi:
         root = Path(__file__).resolve().parents[2]
         cache = root / "src" / "repro" / "store" / "cache.py"
         assert lint_file(cache) == []
+
+    def test_cache_batch_read_is_covered(self):
+        """The batch read's inserts sit under the lock with no opt-out;
+        taking them out from under it is an ADR705 finding."""
+        root = Path(__file__).resolve().parents[2]
+        source = (root / "src" / "repro" / "store" / "cache.py").read_text()
+        batch = source[source.index("    def read_batch("):source.index("    def read_chunk(")]
+        assert "noqa" not in batch
+        locked = "            with self._lock:\n                for i, slot in zip(missed, fetched):"
+        assert locked in batch
+        unlocked = source.replace(locked, "            for i, slot in zip(missed, fetched):")
+        assert {d.code for d in check_effects(unlocked, "repro/store/cache.py")} == {"ADR705"}

@@ -425,6 +425,50 @@ class TestPhaseLoopOwnership:
         """
         assert codes(src, path=RUNTIME) == set()
 
+class TestPerReadCall:
+    """ADR307: in runtime/, chunks are read a batch per call; only
+    engine.py's adapter reads one id at a time."""
+
+    #: the pattern the rule exists for: a comprehension over a batch's
+    #: reads calling a fetch that calls the provider once per read
+    PER_READ_FETCH = """
+    class PhaseExecutor:
+        def _fetch(self, r, reader):
+            gid = int(self.gids[r])
+            return self.provider(gid)
+
+        def _reduce_batch(self, t, batch):
+            return [self._fetch(r, p) for r, p in batch]
+    """
+
+    def test_per_read_fetch_flagged(self):
+        out = findings(self.PER_READ_FETCH, path=PHASES)
+        assert [d.code for d in out] == ["ADR307"] and "'_fetch()'" in out[0].message
+
+    @pytest.mark.parametrize("src", [
+        "for gid in gids:\n    chunk = provider(gid)\n",
+        "while todo:\n    parts.append(self.provider(todo.pop()))\n",
+        "parts = {g: self.provider(g) for g in gids}\n",
+        "chunk = store.read_chunk(name, gid)\n",
+    ])
+    def test_per_id_reads_flagged(self, src):
+        assert codes(src, path=RUNTIME) == {"ADR307"}
+
+    def test_one_batch_call_ok(self):
+        src = """
+        def _fetch(self, batch):
+            slots = self.provider(self.gids[batch].tolist())
+            for k, slot in enumerate(slots):
+                self.route(k, slot)
+        """
+        assert codes(src, path=PHASES) == set()
+
+    def test_the_adapter_is_exempt(self):
+        src = "def _provider(provider):\n    return lambda ids: [provider(i) for i in ids]\n"
+        assert codes(src, path="src/repro/runtime/engine.py") == set()
+        assert codes(src, path=RUNTIME) == {"ADR307"}
+
+
 class TestResultAssemblyOwnership:
     """ADR501's result half: in runtime/ and shard/, a QueryResult is
     built only by runtime/engine.py's assemble_result."""
@@ -755,6 +799,7 @@ class TestRuleTable:
         ),
         "per-candidate-loop": ("ADR305", textwrap.dedent(TestAggregateLoop.PER_CANDIDATE)),
         "per-rect-loop": ("ADR306", textwrap.dedent(TestPerRectangleLoop.GRAPH_LOOP)),
+        "per-read-call": ("ADR307", "for gid in gids:\n    chunk = self.provider(gid)\n"),
         "bare-except": ("ADR401", "try:\n    f()\nexcept:\n    handle()\n"),
         "swallowed-exception": ("ADR401", textwrap.dedent(TestExceptionHygiene.SWALLOW)),
         "untimed-socket": ("ADR402", textwrap.dedent(TestWireTimeouts.NAKED_SOCKET)),

@@ -91,10 +91,10 @@ class GateStore(ChunkStoreStage):
         self.gate = threading.Event()
         self.blocked = threading.Event()
 
-    def read_chunk(self, dataset, chunk_id):
+    def read_batch(self, dataset, chunk_ids):
         self.blocked.set()
         assert self.gate.wait(timeout=30), "gate never opened"
-        return self.inner.read_chunk(dataset, chunk_id)
+        return self.inner.read_batch(dataset, chunk_ids)
 
 
 class TestAdmissionControl:

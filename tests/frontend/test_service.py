@@ -164,9 +164,9 @@ class TestErrorCodes:
                 super().__init__(inner)
                 self.gate = threading.Event()
 
-            def read_chunk(self, dataset, chunk_id):
+            def read_batch(self, dataset, chunk_ids):
                 assert self.gate.wait(timeout=30)
-                return self.inner.read_chunk(dataset, chunk_id)
+                return self.inner.read_batch(dataset, chunk_ids)
 
         gate = GateStore(MemoryChunkStore())
         adr = ADR(machine=MachineConfig(n_procs=2, memory_per_proc=MB), store=gate)

@@ -125,6 +125,24 @@ class TestBackendSelection:
 
 
 class TestParallelFailureModes:
+    @pytest.mark.parametrize("on_error", ["degrade", "raise"])
+    def test_worker_closes_its_arena_after_a_failed_read(self, rng, capfd, on_error):
+        """A read error held in a batch slot is in a reference cycle with
+        frames that hold arena views; the worker still closes its
+        shared memory cleanly."""
+        from repro.faults import FaultInjector, FaultPlan
+
+        _, _, chunks, mapping, grid = make_functional_setup(rng, n_items=100)
+        spec = SumAggregation(1)
+        plan = plan_query(build_problem(chunks, mapping, grid, spec, 2, 1 << 14), "FRA")
+        by_id = {c.chunk_id: c for c in chunks}
+        try:
+            execute_plan(plan, by_id.__getitem__, mapping, grid, spec, backend="parallel",
+                         on_error=on_error, fault_injector=FaultInjector(FaultPlan.corrupt_chunk(0)))
+        except RuntimeError:
+            assert on_error == "raise"
+        assert "BufferError" not in capfd.readouterr().err
+
     def test_worker_error_propagates(self, rng):
         _, _, chunks, mapping, grid = make_functional_setup(rng, n_items=100)
         spec = SumAggregation(1)

@@ -89,6 +89,21 @@ class TestStoreInterface:
         np.testing.assert_array_equal(store.read_chunk("ds", 5).values, chunks[5].values)
 
 
+    def test_rejected_bulk_write_leaves_the_dataset_as_it_was(self, store, rng):
+        """Regression: a placement rejected mid-batch used to leave the
+        chunks before it overwritten under the old manifest -- a reopened
+        store read back [2, 2, 1, 1]."""
+        coords = [rng.uniform(0, 10, size=(4, 2)) for _ in range(4)]
+        ones = [Chunk.from_items(i, c, np.full(4, 1.0)) for i, c in enumerate(coords)]
+        twos = [Chunk.from_items(i, c, np.full(4, 2.0)) for i, c in enumerate(coords)]
+        store.write_chunks("ds", ones, [(0, 0)] * 4)
+        with pytest.raises(ValueError, match="non-negative"):
+            store.write_chunks("ds", twos, [(0, 0), (0, 0), (-1, 0), (0, 0)])
+        if isinstance(store, FileChunkStore):
+            store = FileChunkStore(store.root)
+        assert [store.read_chunk("ds", i).values[0] for i in range(4)] == [1.0] * 4
+
+
 class TestFileStoreSpecifics:
     def test_reopen_from_manifest(self, tmp_path, rng):
         root = tmp_path / "farm"

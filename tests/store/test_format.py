@@ -13,6 +13,7 @@ from repro.store.format import (
     decode_chunk,
     decode_synopsis,
     encode_chunk,
+    encode_chunks,
 )
 
 
@@ -430,3 +431,113 @@ class TestHeaderDamage:
         bad = Chunk.trusted(chunk.meta, chunk.coords + 1000.0, chunk.values)
         with pytest.raises(CorruptChunkError, match="escape"):
             decode_chunk(encode_chunk(bad))
+
+
+def parent_encode_chunk(chunk: Chunk) -> bytes:
+    """The encoder as it was before bulk writes summarized a batch at
+    once: one ``summarize_values`` per chunk.  The oracle both encoder
+    paths are held to, byte for byte."""
+    import struct
+    import zlib
+
+    coords = np.ascontiguousarray(chunk.coords, dtype="<f8")
+    values = np.ascontiguousarray(chunk.values)
+    dtype_str = values.dtype.str.encode("ascii")
+    trailing = values.shape[1:]
+    lo, hi = chunk.meta.mbr.as_arrays()
+    vmin, vmax, nulls, _ = ValueSynopsis.summarize_values(values)
+    body = b"".join([
+        dtype_str, np.asarray(trailing, dtype="<i8").tobytes(),
+        np.asarray(lo, "<f8").tobytes(), np.asarray(hi, "<f8").tobytes(),
+        np.asarray(vmin, "<f8").tobytes(), np.asarray(vmax, "<f8").tobytes(),
+        np.asarray(nulls, "<i8").tobytes(), coords.tobytes(), values.tobytes(),
+    ])
+    header = struct.pack(
+        "<4sHHqqIIIII", b"ADRC", 2, coords.shape[1], chunk.meta.chunk_id, len(coords),
+        coords.nbytes, values.nbytes, len(dtype_str), len(trailing), zlib.crc32(body),
+    )
+    return header + body
+
+
+def nan_chunks(rng):
+    """Chunks of one component count: some NaN, all NaN (both signs),
+    none at all, and an empty chunk."""
+    some = any_chunk(1, 30, 2, "<f8", ())
+    some.values[::3] = np.nan
+    every = any_chunk(2, 5, 2, "<f8", ())
+    every.values[:] = np.nan
+    every.values[1] = -np.nan
+    return [some, every, any_chunk(3, 0, 2, "<f8", ()), any_chunk(4, 7, 2, "<f8", (1,))]
+
+
+class TestEncodeBatch:
+    """``encode_chunks`` summarizes a batch's values in one pass and
+    writes exactly the bytes ``encode_chunk`` writes for each chunk."""
+
+    CASES = {
+        "nan": nan_chunks,
+        "empty": lambda rng: [any_chunk(s, 0, 3, "<f8", ()) for s in range(3)],
+        "integer": lambda rng: [any_chunk(s, 9 * s, 2, "<i4", ()) for s in range(4)]
+        + [any_chunk(9, 5, 2, "<i8", ())],
+        "multi-component": lambda rng: [any_chunk(s, 6 + s, 2, "<f8", (2, 2)) for s in range(3)]
+        + [any_chunk(8, 4, 2, "<f4", (4,))],
+        "mixed-shapes": lambda rng: [
+            any_chunk(1, 5, 2, "<f8", ()), any_chunk(2, 5, 2, "<f8", (3,)),
+            any_chunk(3, 0, 2, "<f8", (3,)), any_chunk(4, 5, 2, "<i4", (1,)),
+            any_chunk(5, 5, 2, "<f8", (2, 2)),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_one_chunk_at_a_time(self, rng, case):
+        chunks = self.CASES[case](rng)
+        got = list(encode_chunks(chunks))
+        assert got == [encode_chunk(c) for c in chunks]
+        assert got == [parent_encode_chunk(c) for c in chunks]
+        for chunk, data in zip(chunks, got):
+            np.testing.assert_array_equal(decode_chunk(data).values, chunk.values)
+
+    def test_mixed_shapes_are_one_pass_per_component_count(self, rng, monkeypatch):
+        """One summary over mixed component counts raises; each count
+        gets its own pass instead."""
+        chunks = self.CASES["mixed-shapes"](rng)
+        with pytest.raises(ValueError, match="disagree on value component count"):
+            ValueSynopsis.from_chunks(chunks)
+        import repro.store.format as fmt
+
+        passes = []
+        real = fmt._summarize
+        monkeypatch.setattr(fmt, "_summarize", lambda blocks: passes.append(len(blocks)) or real(blocks))
+        list(encode_chunks(chunks))
+        assert sorted(passes) == [1, 2, 2]  # k=1: 2 chunks, k=3: 2, k=4: 1
+        passes.clear()
+        list(encode_chunks(self.CASES["nan"](rng)))
+        assert passes == [4]
+
+    def test_encodes_lazily(self, rng, monkeypatch):
+        """The synopses are computed at the call; each chunk's bytes
+        only when the iterator reaches it."""
+        import repro.store.format as fmt
+
+        built = []
+        real = fmt._encode
+        monkeypatch.setattr(fmt, "_encode", lambda c, *row: built.append(c) or real(c, *row))
+        chunks = [any_chunk(s, 4, 2, "<f8", ()) for s in range(3)]
+        first = parent_encode_chunk(chunks[0])
+        it = encode_chunks(chunks)
+        assert built == []
+        assert next(it) == first and built == [chunks[0]]
+        assert list(encode_chunks([])) == []
+
+    @given(
+        st.integers(0, 2**31),
+        st.lists(
+            st.tuples(st.integers(0, 40), st.sampled_from([(), (1,), (3,), (2, 2)])),
+            min_size=1, max_size=6,
+        ),
+        st.sampled_from(["<f8", "<f4", "<i8"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_parent_encoder_property(self, seed, shapes, dtype):
+        chunks = [any_chunk(seed + i, n, 2, dtype, t) for i, (n, t) in enumerate(shapes)]
+        assert list(encode_chunks(chunks)) == [parent_encode_chunk(c) for c in chunks]
