@@ -1,6 +1,6 @@
 """Static analysis and dynamic checking for the ADR reproduction.
 
-Five cooperating passes, all reporting structured
+Four cooperating passes, all reporting structured
 :class:`~repro.analysis.diagnostics.Diagnostic` objects with stable
 codes:
 
@@ -9,10 +9,6 @@ codes:
   contracts of paper Figures 4-6 (replication, ``So ∪ {owner}``
   holders, no DA ghosts, edge-to-holder assignment, ghost-transfer
   completeness, per-tile memory budgets);
-- :mod:`repro.analysis.races` (``ADR2xx``) -- an opt-in
-  ownership/happens-before log the functional engine feeds, flagging
-  any accumulator access the plan did not authorize (what would be a
-  data race on the real parallel machine);
 - :mod:`repro.analysis.lint` (``ADR3xx``-``ADR5xx``) -- an AST lint
   pass over the source tree enforcing repo rules (seeded randomness,
   no float equality on accumulators, immutable chunk payloads,
@@ -41,12 +37,6 @@ from repro.analysis.diagnostics import (
     DiagnosticCollector,
     Severity,
     max_severity,
-)
-from repro.analysis.races import (
-    RACE_CODES,
-    AccessEvent,
-    RaceDetector,
-    races_enabled_by_env,
 )
 from repro.analysis.verifier import VERIFIER_CODES, verify_plan
 
@@ -80,10 +70,6 @@ __all__ = [
     "max_severity",
     "verify_plan",
     "VERIFIER_CODES",
-    "RaceDetector",
-    "AccessEvent",
-    "races_enabled_by_env",
-    "RACE_CODES",
     "lint_paths",
     "lint_file",
     "lint_source",

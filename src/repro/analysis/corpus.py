@@ -163,12 +163,11 @@ def verify_corpus(
 # ---------------------------------------------------------------------------
 
 #: What a result states about its answer beside the values: how complete
-#: it is and what failed, what synopsis pruning skipped, that every phase
-#: ran and that the armed race detector saw nothing.  The serial oracle
-#: states these too (:meth:`Workload.oracle`).
+#: it is and what failed, what synopsis pruning skipped and that every
+#: phase ran.  The serial oracle states these too (:meth:`Workload.oracle`).
 _OUTCOME = (
     "completeness", "chunk_errors", "shard_errors", "chunks_pruned",
-    "bytes_pruned", "phase_times", "race_diagnostics",
+    "bytes_pruned", "phase_times",
 )
 #: The cross-backend counter contract (defined in :mod:`repro.runtime.phases`).
 _COUNTERS = ("n_reads", "bytes_read", "n_aggregations", "n_combines")
@@ -268,8 +267,8 @@ class Workload:
 
     def oracle(self, skip: Optional[int] = None, predicate=None, **stated) -> QueryResult:
         """The serial Figure-1 loop over every chunk but *skip*, as a
-        result that states a complete, unpruned, race-free answer with
-        every phase -- unless *stated* fields say otherwise."""
+        result that states a complete, unpruned answer with every phase
+        -- unless *stated* fields say otherwise."""
         values = execute_serial(
             [c for i, c in enumerate(self.chunks) if i != skip],
             self.mapping, self.grid, self.spec, predicate=predicate,
@@ -344,10 +343,9 @@ def functional_workloads() -> Iterator[Tuple[str, Workload]]:
 
 
 def _variants(w: Workload, plan, **kw) -> Dict[str, QueryResult]:
-    """*plan* executed on both backends, the race detector armed on
-    the sequential run."""
+    """*plan* executed on both backends."""
     return {
-        "sequential": w.run(plan, backend="sequential", detect_races=True, **kw),
+        "sequential": w.run(plan, backend="sequential", **kw),
         "parallel": w.run(plan, backend="parallel", **kw),
     }
 
@@ -419,9 +417,7 @@ def verify_functional_corpus(
             failures.append((tag, "predicate prunes no chunk; workload exercises nothing"))
             continue
         predicate = ValuePredicate.coerce(_WHERE)
-        unpruned = w.run(
-            plan_query(problem, strategy), predicate=predicate, detect_races=True
-        )
+        unpruned = w.run(plan_query(problem, strategy), predicate=predicate)
         failures += [(f"{tag} / unpruned", m) for m in _diff(
             unpruned, w.oracle(predicate=predicate), exact=False, fields=_OUTCOME
         )]

@@ -1,7 +1,7 @@
 """Structured diagnostics shared by every analysis pass.
 
-All three passes (plan verifier, simulated-race detector, project
-lint) report problems the same way: a :class:`Diagnostic` with a
+Every pass (plan verifier, project lint, comm checker, effects lint)
+reports problems the same way: a :class:`Diagnostic` with a
 stable code, a severity, a location and a human-readable message.
 Stable codes let tests pin individual invariants, let CI gate on
 severity, and let source lines suppress a finding explicitly
@@ -10,8 +10,7 @@ severity, and let source lines suppress a finding explicitly
 Code ranges
 -----------
 - ``ADR1xx`` -- static plan invariants (:mod:`repro.analysis.verifier`)
-- ``ADR2xx`` -- simulated races observed at execution time
-  (:mod:`repro.analysis.races`)
+- ``ADR2xx`` -- retired with the simulated-race detector; never reused
 - ``ADR3xx`` -- project lint over the source tree
   (:mod:`repro.analysis.lint`)
 - ``ADR4xx`` / ``ADR5xx`` -- exception hygiene and phase-loop

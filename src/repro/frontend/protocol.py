@@ -368,7 +368,6 @@ def _int_keys(convert):
 #: decode)``.  A field without a dataclass default always travels; one
 #: with a default travels only when it differs from it, so a clean,
 #: unpruned, unshared, fixed-strategy result carries the counters alone.
-#: ``race_diagnostics`` stays off the wire.
 _RESULT_WIRE = (
     ("strategy", lambda v: v, lambda v: v),
     ("output_ids", lambda v: np.asarray(v, dtype=np.int64).tolist(),

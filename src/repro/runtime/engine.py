@@ -86,9 +86,6 @@ class QueryResult:
     n_combines: int
     #: aggregate() calls, i.e. executed (input, accumulator) edges
     n_aggregations: int
-    #: simulated-race findings (empty unless executed with the
-    #: ``detect_races`` opt-in; see :mod:`repro.analysis.races`)
-    race_diagnostics: List = field(default_factory=list)
     #: wall-clock seconds per execution phase (initialize / reduce /
     #: combine / output), as measured by the executing backend
     phase_times: Dict[str, float] = field(default_factory=dict)
@@ -217,8 +214,6 @@ def execute_plan(
     enforce_memory: bool = False,
     region=None,
     prior: Optional[Callable[[int], np.ndarray]] = None,
-    detect_races: Optional[bool] = None,
-    race_detector=None,
     backend: str = "sequential",
     routing_cache: Optional[RoutingCache] = None,
     on_error: str = "raise",
@@ -259,16 +254,6 @@ def execute_plan(
         (ghost) holders are seeded too only for idempotent
         aggregations -- otherwise the global combine would double-count
         the prior.
-    detect_races:
-        Opt-in simulated-race detection: every accumulator access is
-        checked against the plan's ownership tables by a
-        :class:`repro.analysis.races.RaceDetector`, and findings land
-        in ``QueryResult.race_diagnostics``.  ``None`` (the default)
-        defers to the ``REPRO_DETECT_RACES`` environment variable.
-    race_detector:
-        A pre-built detector to report to (overrides *detect_races*);
-        tests pass a detector built from a *reference* plan to catch
-        an engine/plan drifting apart.
     backend:
         ``"sequential"`` (default) executes the virtual processors in
         one address space; ``"parallel"`` runs each virtual processor
@@ -277,12 +262,10 @@ def execute_plan(
         Both backends drive the same
         :class:`~repro.runtime.phases.PhaseExecutor` over the same
         fused kernels and per-accumulator operation order, so their
-        results agree bit-for-bit.  Race detection is a
-        sequential-backend feature: requesting it explicitly together
-        with ``backend="parallel"`` raises (the parallel backend
-        instead asserts plan-authorized access inside each worker);
-        the ``REPRO_DETECT_RACES`` environment default is silently
-        ignored by the parallel backend.
+        results agree bit-for-bit.  Every accumulator access is
+        asserted against the plan's authorization on both backends,
+        and the parallel backend gives each worker its own arena, so
+        an access the plan did not assign fails the query there.
     routing_cache:
         Optional :class:`repro.runtime.kernels.RoutingCache` memoizing
         ``map_chunk_to_cells`` per (chunk, region) across tiles and
@@ -325,13 +308,6 @@ def execute_plan(
     if prefetch:
         raise ValueError("prefetch was removed: execution reads chunks synchronously")
     if backend == "parallel":
-        if race_detector is not None or detect_races:
-            raise ValueError(
-                "race detection runs on the sequential backend; the parallel "
-                "backend asserts plan-authorized access inside each worker "
-                "instead -- drop detect_races/race_detector or use "
-                "backend='sequential'"
-            )
         from repro.runtime.parallel import execute_parallel
 
         kwargs = {} if recovery is None else {"recovery": recovery}
@@ -351,16 +327,6 @@ def execute_plan(
             **kwargs,
         )
     problem = plan.problem
-    detector = race_detector
-    if detector is None:
-        if detect_races is None:
-            from repro.analysis.races import races_enabled_by_env
-
-            detect_races = races_enabled_by_env()
-        if detect_races:
-            from repro.analysis.races import RaceDetector
-
-            detector = RaceDetector(plan)
     provider = _provider(chunks)
     if fault_injector is not None:
         provider = fault_injector.wrap_provider(provider)
@@ -385,7 +351,6 @@ def execute_plan(
         prior=prior,
         routing_cache=routing_cache,
         on_error=on_error,
-        observer=detector,
         predicate=predicate,
     )
     executor.run()
@@ -393,7 +358,4 @@ def execute_plan(
     tally = executor.tally
     if routing_cache is not None:
         tally.cache_stats = dict(routing_cache.stats())
-    return assemble_result(
-        plan, transport.results, [tally],
-        race_diagnostics=detector.report() if detector is not None else [],
-    )
+    return assemble_result(plan, transport.results, [tally])

@@ -312,13 +312,14 @@ def execute_parallel(
     """Execute *plan* with the virtual processors as OS processes.
 
     Same contract and result as ``execute_plan(..., backend=
-    "sequential")`` -- bit for bit -- except that race detection is not
-    available (each rank asserts plan-authorized access instead) and
-    the worker hosts' tallies merge by the one contract reduction
-    (:func:`~repro.runtime.phases.merge_tallies`: ``phase_times`` is the
-    critical path).  A *routing_cache* is forked copy-on-write into each
-    host: hits still apply per host, but the parent's cache object is
-    not updated; each host reports its own hit counters.
+    "sequential")`` -- bit for bit -- except that each rank writes only
+    its own arena, so an access the plan did not authorize fails the
+    query, and the worker hosts' tallies merge by the one contract
+    reduction (:func:`~repro.runtime.phases.merge_tallies`:
+    ``phase_times`` is the critical path).  A *routing_cache* is forked
+    copy-on-write into each host: hits still apply per host, but the
+    parent's cache object is not updated; each host reports its own hit
+    counters.
 
     Fault tolerance: a worker host that dies (or a peer timeout it
     causes) triggers up to ``recovery.max_restarts`` deterministic

@@ -449,9 +449,7 @@ class PhaseExecutor:
     (:func:`repro.runtime.engine._provider` adapts every chunk source
     to this form).  The executor calls it once per batch of a tile's
     reads, on the calling thread; a slot's error surfaces unchanged, the
-    first in schedule order (``on_error='degrade'`` absorbs them).  *observer* is the optional :class:`~repro.analysis.races.RaceDetector` hook
-    surface (``on_allocate`` / ``on_aggregate`` / ``on_combine`` /
-    ``on_output`` / ``end_tile``).
+    first in schedule order (``on_error='degrade'`` absorbs them).
 
     After :meth:`run`, :attr:`tally` holds this executor's counters
     across its hosted ranks, per the module-level counter contract.
@@ -472,7 +470,6 @@ class PhaseExecutor:
         prior: Optional[Callable[[int], np.ndarray]] = None,
         routing_cache: Optional[RoutingCache] = None,
         on_error: str = "raise",
-        observer=None,
         predicate=None,
     ) -> None:
         self.plan = plan
@@ -488,7 +485,6 @@ class PhaseExecutor:
         self.prior = prior
         self.routing_cache = routing_cache
         self.on_error = on_error
-        self.observer = observer
         self.predicate = predicate
 
         # Only the chunk id of a routing key varies from read to read.
@@ -523,8 +519,6 @@ class PhaseExecutor:
                 if p not in rank_set:
                     continue
                 acc = self.accs.allocate(p, o, n_cells, ghost=p != owner)
-                if self.observer is not None:
-                    self.observer.on_allocate(p, o, t)
                 # Replicated (ghost) holders are seeded only for
                 # idempotent aggregations -- otherwise the global
                 # combine would double-count the prior.  The prior is
@@ -596,8 +590,6 @@ class PhaseExecutor:
         return parts
 
     def _apply(self, rank: int, t: int, kind: str, o: int, cell_idx, payload) -> None:
-        if self.observer is not None:
-            self.observer.on_aggregate(rank, o, t)
         if kind == "red":
             self.accs.scatter_groups(rank, o, cell_idx, payload)
         else:
@@ -709,8 +701,6 @@ class PhaseExecutor:
                 assert int(problem.output_owner[o]) == dst, (
                     "ghost shipped to a non-owner"
                 )
-                if self.observer is not None:
-                    self.observer.on_combine(src, dst, o, t)
                 self.accs.combine_from(dst, o, ghost_data)
                 self.tally.n_combines += 1
 
@@ -727,8 +717,6 @@ class PhaseExecutor:
             acc = self.accs.get(owner, o)
             if acc.ghost:
                 raise AssertionError("owner holds a ghost for its own chunk")
-            if self.observer is not None:
-                self.observer.on_output(owner, o, t)
             self.transport.emit_result(o, spec.output(acc.data))
         self.accs.end_tile()
 
@@ -752,5 +740,3 @@ class PhaseExecutor:
             self._output(t)
             times["output"] += time.perf_counter() - t0
             self.transport.tile_done(t)
-            if self.observer is not None:
-                self.observer.end_tile(t)

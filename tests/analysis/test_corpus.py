@@ -23,7 +23,6 @@ from repro.analysis.corpus import (
     verify_service_corpus,
     verify_shard_corpus,
 )
-from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.planner.select import FRA, SRA
 from repro.runtime.engine import QueryResult
 from repro.runtime.phases import PHASES
@@ -263,10 +262,6 @@ def perturbed(result, name):
     value = getattr(result, name)
     if name == "strategy":
         return replace(result, strategy=SRA)
-    if name == "race_diagnostics":
-        return replace(result, race_diagnostics=[
-            Diagnostic("ADR201", Severity.ERROR, "tile 0", "race")
-        ])
     if isinstance(value, dict):
         extra = "extra" if name == "phase_times" else 99
         return replace(result, **{name: {**value, extra: 0.0}})

@@ -502,7 +502,7 @@ class TestResultAssemblyOwnership:
             assert codes(src) == set()
 
     def test_assembly_call_ok(self):
-        src = "r = assemble_result(plan, emitted, [tally], race_diagnostics=[])\n"
+        src = "r = assemble_result(plan, emitted, [tally], n_tiles=0)\n"
         assert codes(src, path=SHARD) == set()
 
 class TestStoreWriteOwnership:

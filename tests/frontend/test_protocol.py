@@ -13,6 +13,7 @@ from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.partition import hilbert_partition
 from repro.frontend.adr import ADR
 from repro.frontend.protocol import (
+    _RESULT_WIRE,
     ProtocolError,
     query_from_dict,
     query_to_dict,
@@ -713,7 +714,6 @@ def wire_results(draw):
         chunk_values=blocks,
         n_tiles=draw(counts), n_reads=draw(counts), bytes_read=draw(counts),
         n_combines=draw(counts), n_aggregations=draw(counts),
-        race_diagnostics=draw(optional(st.just(["a finding"]), [])),
         phase_times=draw(optional(st.fixed_dictionaries({p: finite for p in PHASES}), {})),
         cache_stats=draw(optional(st.dictionaries(st.sampled_from(
             ["routing_hits", "routing_bytes", "chunk_hits", "chunk_misses"]), counts,
@@ -777,8 +777,17 @@ def assert_same_result(got, want):
 
 class TestResultFieldTable:
     """One field table drives the result codec: it round-trips every
-    field but ``race_diagnostics`` and writes the hand-listed encoder's
-    JSON text for every result whose paired fields agree."""
+    field and writes the hand-listed encoder's JSON text for every
+    result whose paired fields agree."""
+
+    def test_every_result_field_travels(self):
+        from dataclasses import fields
+
+        from repro.runtime.engine import QueryResult
+
+        assert {name for name, _, _ in _RESULT_WIRE} == {
+            f.name for f in fields(QueryResult)
+        }
 
     @settings(max_examples=300, deadline=None)
     @given(wire_results())
@@ -786,9 +795,7 @@ class TestResultFieldTable:
         payload = result_to_dict(r)
         text = json.dumps(payload)  # what the server writes into a frame
         back = result_from_dict(json.loads(text))
-        assert "race_diagnostics" not in payload and back.race_diagnostics == []
-        want = replace(r, race_diagnostics=[],
-                       chunk_values=[np.asarray(v, dtype=np.float64) for v in r.chunk_values])
+        want = replace(r, chunk_values=[np.asarray(v, dtype=np.float64) for v in r.chunk_values])
         assert_same_result(back, want)
         old = oracle_result_from_dict(json.loads(json.dumps(oracle_result_to_dict(r))))
         if paired(r):

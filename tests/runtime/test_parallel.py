@@ -100,29 +100,6 @@ class TestBackendSelection:
             execute_plan(plan, lambda i: chunks[i], mapping, grid, spec,
                          backend="threads")
 
-    def test_race_detection_rejected_on_parallel(self, rng):
-        from repro.analysis.races import RaceDetector
-
-        _, _, chunks, mapping, grid = make_functional_setup(rng, n_items=100)
-        spec = SumAggregation(1)
-        prob = build_problem(chunks, mapping, grid, spec, 2, 1 << 14)
-        plan = plan_query(prob, "FRA")
-        with pytest.raises(ValueError, match="sequential backend"):
-            execute_plan(plan, lambda i: chunks[i], mapping, grid, spec,
-                         backend="parallel", detect_races=True)
-        with pytest.raises(ValueError, match="sequential backend"):
-            execute_plan(plan, lambda i: chunks[i], mapping, grid, spec,
-                         backend="parallel", race_detector=RaceDetector(plan))
-
-    def test_env_race_flag_ignored_on_parallel(self, rng, monkeypatch):
-        """REPRO_DETECT_RACES=1 (the CI default) must not break the
-        parallel backend -- only an explicit request is an error."""
-        monkeypatch.setenv("REPRO_DETECT_RACES", "1")
-        _, _, chunks, mapping, grid = make_functional_setup(rng, n_items=100)
-        _, seq, par = run_both(chunks, mapping, grid, SumAggregation(1), "FRA",
-                               n_procs=2)
-        assert_bitwise_equal(seq, par)
-
 
 class TestParallelFailureModes:
     @pytest.mark.parametrize("on_error", ["degrade", "raise"])
