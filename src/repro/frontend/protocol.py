@@ -5,7 +5,9 @@ the range queries to the back-end"; sequential clients connect through
 a socket interface.  This module is that interface's message format:
 queries and results round-trip through plain JSON-compatible
 dictionaries, so a client process needs nothing but ``json`` and this
-schema to drive an ADR service.
+schema to drive an ADR service.  Accumulator values are the exception
+to printed text: each block travels as the base64 of its raw
+little-endian ``float64`` buffer (protocol version 2).
 
 Only declarative customizations travel over the wire -- the built-in
 aggregations by name and :class:`~repro.space.mapping.GridMapping`
@@ -16,7 +18,9 @@ needing them register them server-side and reference them by name.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import struct
 from dataclasses import MISSING, fields
 from typing import Any, BinaryIO, Dict, Optional
@@ -47,7 +51,7 @@ __all__ = [
     "read_frame",
 ]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Machine-distinguishable failure classes on the wire.  ``bad_request``:
 #: the message or query is malformed / names unknown entities (do not
@@ -301,14 +305,20 @@ def _where_from_payload(value: Any) -> Any:
         raise ProtocolError(f"bad where payload: {e}") from e
 
 
-def query_from_dict(payload: Dict[str, Any]) -> RangeQuery:
-    """Decode a query dictionary (validates the schema).  Keys this
-    version does not read -- such as the read-ahead setting older
-    clients sent -- are ignored."""
+def _check_version(payload: Any) -> None:
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"payload is a JSON {type(payload).__name__}, not an object")
     if payload.get("version") != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version {payload.get('version')!r} not supported"
         )
+
+
+def query_from_dict(payload: Dict[str, Any]) -> RangeQuery:
+    """Decode a query dictionary (validates the schema).  Keys this
+    version does not read -- such as the read-ahead setting older
+    clients sent -- are ignored."""
+    _check_version(payload)
     for key in ("dataset", "region", "mapping", "grid", "aggregation"):
         if key not in payload:
             raise ProtocolError(f"query payload missing {key!r}")
@@ -328,31 +338,31 @@ def query_from_dict(payload: Dict[str, Any]) -> RangeQuery:
 # -- results ------------------------------------------------------------------
 
 
-def _encode_block(block: np.ndarray) -> list:
-    """One accumulator block as rows of Python floats, NaN as ``"nan"``:
-    the lists ``float(v)`` per element would give, built array-at-a-time."""
-    values = np.asarray(block, dtype=np.float64)
-    nan = np.isnan(values)
-    if not nan.any():
-        return values.tolist()
-    boxed = values.astype(object)
-    boxed[nan] = "nan"
-    return boxed.tolist()
+def _encode_block(block: np.ndarray) -> Dict[str, Any]:
+    """One accumulator block as its shape and the base64 of its C-order
+    little-endian ``float64`` buffer, so every value -- NaN payloads,
+    ``-0.0``, infinities, subnormals -- crosses bit for bit."""
+    values = np.asarray(block, dtype="<f8")
+    return {"shape": list(values.shape),
+            "data": base64.b64encode(values.tobytes()).decode("ascii")}
 
 
-def _decode_block(rows: Any) -> np.ndarray:
-    """Inverse of :func:`_encode_block`: ``float64``, ``(n, k)`` (``(0,)``
-    for ``[]``).  As strict as ``float(v)`` per element: NumPy's
-    conversion reads ``"nan"`` as NaN but also JSON ``null``, which is
-    rejected here, as are ragged, nested and non-numeric entries (with
-    the ``ValueError`` / ``TypeError`` that :func:`result_from_dict`
-    turns into :class:`ProtocolError`)."""
-    values = np.asarray(rows, dtype=np.float64)
-    if values.ndim != 2 and values.shape != (0,):
-        raise ValueError(f"chunk_values block of shape {values.shape}")
-    if np.isnan(values).any() and any(None in row for row in rows):
-        raise ValueError("null in a chunk_values block")
-    return values
+def _decode_block(record: Any) -> np.ndarray:
+    """Inverse of :func:`_encode_block`: a writeable ``float64`` array of
+    shape ``(n, k)`` (or ``(0,)``).  A record that is not an object, a
+    shape that is not non-negative ints, data that is not strict base64
+    or not exactly ``8 * n * k`` bytes raise the ``KeyError`` /
+    ``TypeError`` / ``ValueError`` :func:`result_from_dict` turns into
+    :class:`ProtocolError`."""
+    shape, data = record["shape"], record["data"]
+    if type(shape) is not list or not (len(shape) == 2 or shape == [0]) or not all(
+        type(d) is int and d >= 0 for d in shape
+    ):
+        raise ValueError(f"chunk_values block of shape {shape!r}")
+    raw = base64.b64decode(data, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{len(raw)} bytes for a chunk_values block of shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _str_keys(convert):
@@ -398,7 +408,7 @@ _DEFAULTS = {
 
 
 def result_to_dict(result: QueryResult) -> Dict[str, Any]:
-    """Encode a result (NaN travels as the string ``"nan"``)."""
+    """Encode a result; ``chunk_values`` blocks as raw ``float64`` records."""
     payload: Dict[str, Any] = {"version": PROTOCOL_VERSION}
     for name, encode, _ in _RESULT_WIRE:
         value = getattr(result, name)
@@ -408,10 +418,7 @@ def result_to_dict(result: QueryResult) -> Dict[str, Any]:
 
 
 def result_from_dict(payload: Dict[str, Any]) -> QueryResult:
-    if payload.get("version") != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version {payload.get('version')!r} not supported"
-        )
+    _check_version(payload)
     try:
         return QueryResult(**{
             name: decode(payload[name])

@@ -159,6 +159,8 @@ class ADRServer(socketserver.ThreadingTCPServer):
     # -- request dispatch ------------------------------------------------
 
     def adr_dispatch(self, message: dict) -> dict:
+        if not isinstance(message, dict):
+            return error_to_dict("bad_request", "message is not a JSON object")
         op = message.get("op")
         if op == "ping":
             return {"ok": True, "result": "pong"}

@@ -1,6 +1,10 @@
 """Tests for the client wire protocol."""
 
+import base64
 import json
+import math
+import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -247,19 +251,31 @@ class TestResultRoundTrip:
         assert back.phase_times == {} and back.cache_stats == {}
 
 
-# The per-element codec the array-at-a-time one replaced: kept here as
-# the oracle for the wire text and for what the decoder must refuse.
+# A per-element reference for the block record: each value packed by
+# ``struct`` and the concatenation base64-encoded; its decoder checks the
+# record field by field in plain Python before unpacking value by value.
 def oracle_encode(arr):
-    return [["nan" if np.isnan(v) else float(v) for v in row] for row in arr]
+    data = b"".join(struct.pack("<d", float(v)) for v in np.asarray(arr).flat)
+    return {"shape": list(np.shape(arr)), "data": base64.b64encode(data).decode("ascii")}
 
 
-def oracle_decode(rows):
-    try:
-        return np.asarray(
-            [[np.nan if v == "nan" else float(v) for v in row] for row in rows]
-        )
-    except (TypeError, ValueError) as e:
-        raise ProtocolError(f"bad result payload: {e}") from e
+B64 = re.compile(r"(?:[A-Za-z0-9+/]{4})*(?:[A-Za-z0-9+/]{2}==|[A-Za-z0-9+/]{3}=)?")
+
+
+def oracle_decode(record):
+    if not isinstance(record, dict) or not {"shape", "data"} <= set(record):
+        raise ProtocolError(f"not a block record: {record!r}")
+    shape, data = record["shape"], record["data"]
+    if not (isinstance(shape, list) and (len(shape) == 2 or shape == [0])
+            and all(type(d) is int and d >= 0 for d in shape)):
+        raise ProtocolError(f"bad block shape {shape!r}")
+    if not isinstance(data, str) or not B64.fullmatch(data):
+        raise ProtocolError(f"block data is not base64: {data!r}")
+    raw = base64.b64decode(data)
+    count = math.prod(shape)
+    if len(raw) != 8 * count:
+        raise ProtocolError(f"{len(raw)} bytes for shape {shape}")
+    return np.array(struct.unpack(f"<{count}d", raw), dtype=np.float64).reshape(shape)
 
 
 def block_result(*blocks):
@@ -292,20 +308,41 @@ value_blocks = st.tuples(
     ).map(lambda flat: make_block(*nkd, flat))
 )
 
-good_row = st.lists(st.sampled_from([1.0, 2, "nan", -0.5]), min_size=2, max_size=2)
-bad_cell = st.sampled_from([None, "x", {}, [1.0], [], [None]])
-malformed_blocks = st.one_of(
-    # a bad entry somewhere among good rows: null, non-numeric, nested
-    st.tuples(st.lists(good_row, max_size=2), bad_cell, st.lists(good_row, max_size=2))
-    .map(lambda pre_bad_post: [*pre_bad_post[0], [1.0, pre_bad_post[1]], *pre_bad_post[2]]),
-    # ragged, flat, and uniformly nested blocks
-    st.just([[1.0], [1.0, 2.0]]),
-    st.just([[1.0, 2.0], []]),
-    st.just([1.0, 2.0]),
-    st.just([[[1.0], [2.0]]]),
-    st.just([None]),
-    st.just(None),
-)
+
+def b64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+def malformed_records(block, data):
+    """One way to break *block*'s record, drawn from *data*.  Shape
+    breakages keep the byte count consistent with the product, so the
+    shape check itself must refuse them."""
+    n, k = block.shape
+    raw = np.asarray(block, dtype="<f8").tobytes()
+    good = {"shape": [n, k], "data": b64(raw)}
+    one = b64(bytes(8))
+    at = data.draw(st.integers(0, len(good["data"])))
+    return data.draw(st.sampled_from([
+        # not an object: the v1 list of rows, and other JSON values
+        block.astype(np.float64).tolist(), None, good["data"], 3.0, [good],
+        # a key missing
+        {"shape": [n, k]}, {"data": good["data"]},
+        # bool / negative / float / rank-1 / rank-3 / non-list shapes
+        {"shape": [True, True], "data": one}, {"shape": [-1, -1], "data": one},
+        {"shape": [float(n), k], "data": good["data"]},
+        {"shape": [1], "data": one}, {"shape": [n, k, 1], "data": good["data"]},
+        {"shape": f"[{n}, {k}]", "data": good["data"]}, {"shape": None, "data": ""},
+        # data that is not a string
+        {"shape": [n, k], "data": None}, {"shape": [n, k], "data": 0},
+        {"shape": [n, k], "data": [good["data"]]},
+        # a character outside the base64 alphabet, or torn padding
+        *({"shape": [n, k], "data": good["data"][:at] + c + good["data"][at:]}
+          for c in ("!", "-", "_", " ", "\n", "\u00e9")),
+        {"shape": [n, k], "data": good["data"] + "A"},
+        # one byte too many or too few
+        {"shape": [n, k], "data": b64(raw + b"\0")},
+        {"shape": [n + 1, k], "data": b64(raw + bytes(8 * k - 1))},
+    ]))
 
 
 class TestArrayCodecMatchesPerElementOracle:
@@ -319,31 +356,64 @@ class TestArrayCodecMatchesPerElementOracle:
         assert payload["output_ids"] == list(range(len(blocks)))
         assert all(type(o) is int for o in payload["output_ids"])
         back = result_from_dict(json.loads(json.dumps(payload)))
-        for block, rows, got in zip(blocks, payload["chunk_values"], back.chunk_values):
-            want = oracle_decode(json.loads(json.dumps(rows)))
+        for block, record, got in zip(blocks, payload["chunk_values"], back.chunk_values):
+            want = oracle_decode(json.loads(json.dumps(record)))
             assert got.dtype == want.dtype == np.float64
-            assert got.shape == want.shape
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(
-                got.reshape(block.shape), block.astype(np.float64), equal_nan=True
-            )
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.shape == want.shape == block.shape
+            assert got.flags.writeable
+            # bit for bit: NaN payloads and the sign of zero included
+            bits = block.astype(np.float64).view("<u8")
+            assert np.array_equal(got.view("<u8"), bits, equal_nan=True)
+            assert np.array_equal(want.view("<u8"), bits, equal_nan=True)
 
-    @settings(max_examples=100, deadline=None)
-    @given(malformed_blocks)
-    def test_malformed_blocks_refused_like_the_oracle(self, rows):
-        payload = result_to_dict(block_result(np.zeros((1, 2))))
-        payload["chunk_values"] = [rows]
+    @settings(max_examples=200, deadline=None)
+    @given(value_blocks, st.data())
+    def test_malformed_blocks_refused_like_the_oracle(self, block, data):
+        record = malformed_records(block, data)
+        payload = result_to_dict(block_result(block))
+        payload["chunk_values"] = [record]
         with pytest.raises(ProtocolError):
-            oracle_decode(rows)
+            oracle_decode(record)
         with pytest.raises(ProtocolError):
-            result_from_dict(payload)
+            result_from_dict(json.loads(json.dumps(payload)))
 
     def test_empty_block_list_decodes_to_empty_float_vector(self):
         payload = result_to_dict(block_result(np.zeros((1, 1))))
-        payload["chunk_values"] = [[]]
+        payload["chunk_values"] = [{"shape": [0], "data": ""}]
         got = result_from_dict(payload).chunk_values[0]
         assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_v1_payload_with_rows_refused_by_version(self):
+        payload = result_to_dict(block_result(np.array([[1.0, np.nan]])))
+        payload.update(version=1, chunk_values=[[[1.0, "nan"]]])
+        with pytest.raises(ProtocolError, match="protocol version 1 not supported"):
+            result_from_dict(payload)
+
+    def test_result_frames_are_strict_json(self):
+        import io
+
+        from repro.frontend.protocol import write_frame
+
+        def refuse(token):
+            raise AssertionError(f"non-JSON token {token} in a result frame")
+
+        bits = np.array([
+            [0x7FF8000000000000, 0x7FF0000000000000],  # nan, inf
+            [0xFFF0000000000000, 0x8000000000000000],  # -inf, -0.0
+            [0x7FF8000000000123, 0xFFF0000000000001],  # NaN payloads, one negative signalling
+        ], dtype="<u8")
+        buf = io.BytesIO()
+        write_frame(buf, {"ok": True, "result": result_to_dict(block_result(bits.view("<f8")))})
+        message = json.loads(buf.getvalue()[4:].decode("utf-8"), parse_constant=refuse)
+        got = result_from_dict(message["result"]).chunk_values[0]
+        assert np.array_equal(got.view("<u8"), bits)
+
+    @pytest.mark.parametrize("payload", [[], [1, 2], "query", None, 7])
+    def test_non_object_payloads_refused(self, payload):
+        with pytest.raises(ProtocolError, match="not an object"):
+            result_from_dict(payload)
+        with pytest.raises(ProtocolError, match="not an object"):
+            query_from_dict(payload)
 
 
 class TestStrategyChoiceOnTheWire:
@@ -611,18 +681,20 @@ class TestValueComponentsOnTheWire:
 
 
 # -- the hand-listed result codec the field table replaced ---------------
-# Kept verbatim as the oracle for the wire text, the round trip and the
-# refusals of ``result_to_dict`` / ``result_from_dict``.
+# Kept as the oracle for the wire text, the round trip and the refusals
+# of ``result_to_dict`` / ``result_from_dict``; its blocks are written by
+# the per-element ``oracle_encode`` and read by the module's decoder, so
+# the refusal texts stay comparable.
 
 
 def oracle_result_to_dict(result):
-    from repro.frontend.protocol import PROTOCOL_VERSION, _encode_block
+    from repro.frontend.protocol import PROTOCOL_VERSION
 
     payload = {
         "version": PROTOCOL_VERSION,
         "strategy": result.strategy,
         "output_ids": np.asarray(result.output_ids, dtype=np.int64).tolist(),
-        "chunk_values": [_encode_block(v) for v in result.chunk_values],
+        "chunk_values": [oracle_encode(v) for v in result.chunk_values],
         "n_tiles": result.n_tiles,
         "n_reads": result.n_reads,
         "bytes_read": result.bytes_read,
@@ -810,7 +882,7 @@ class TestResultFieldTable:
         r = QueryResult("FRA", np.empty(0, dtype=np.int64), [], 0, 0, 0, 0, 0)
         payload = result_to_dict(r)
         assert payload == oracle_result_to_dict(r) == {
-            "version": 1, "strategy": "FRA", "output_ids": [], "chunk_values": [],
+            "version": 2, "strategy": "FRA", "output_ids": [], "chunk_values": [],
             "n_tiles": 0, "n_reads": 0, "bytes_read": 0, "n_combines": 0,
             "n_aggregations": 0,
         }

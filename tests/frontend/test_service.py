@@ -1,6 +1,7 @@
 """Tests for the socket front-end service."""
 
 import json
+import socket
 import threading
 import time
 
@@ -10,7 +11,7 @@ import pytest
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.partition import hilbert_partition
 from repro.frontend.adr import ADR
-from repro.frontend.protocol import read_frame
+from repro.frontend.protocol import ProtocolError, read_frame, write_frame
 from repro.frontend.query import RangeQuery
 from repro.frontend.service import ADRClient, ADRServer
 from repro.machine.config import MachineConfig
@@ -130,6 +131,47 @@ class TestErrorCodes:
         with ADRClient(*server.address) as client:
             response = client._call({"op": "query", "query": {"version": 99}})
             assert response["code"] == "bad_request"
+
+    def test_bad_request_code_for_non_object_query(self, service):
+        adr, server, _ = service
+        with ADRClient(*server.address) as client:
+            response = client._call({"op": "query", "query": []})
+            assert response["code"] == "bad_request"
+            assert "not an object" in response["error"]
+            assert client.ping()
+
+    def test_bad_request_code_for_non_object_message(self, service):
+        """A well-formed frame whose JSON is not an object is a bad
+        request, answered in turn; the connection keeps serving."""
+        adr, server, _ = service
+        with ADRClient(*server.address) as client:
+            write_frame(client._file, [1, 2])
+            response = read_frame(client._file)
+            assert response["code"] == "bad_request"
+            assert "not a JSON object" in response["error"]
+            assert client.ping()
+
+    def test_non_object_result_is_a_protocol_error(self, service):
+        """A server answering ``"result": []`` gets a ProtocolError at
+        the client, not an AttributeError."""
+        _, _, query = service
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rwb") as f:
+                read_frame(f)
+                write_frame(f, {"ok": True, "result": []})
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        try:
+            with ADRClient(*listener.getsockname()[:2]) as client:
+                with pytest.raises(ProtocolError, match="not an object"):
+                    client.query(query)
+        finally:
+            thread.join(timeout=5)
+            listener.close()
 
     def test_bad_request_code_for_unknown_op(self, service):
         adr, server, _ = service
