@@ -18,7 +18,7 @@ codes:
   communication-protocol checker that model-checks each plan's
   :class:`~repro.runtime.phases.MessageFlow`: deadlock-freedom,
   exact send/receive matching, combine completeness and
-  recovery-safe message keying;
+  unique message keys;
 - :mod:`repro.analysis.effects` (``ADR7xx``) -- a dataflow /
   concurrency lint over the threaded runtime (unguarded shared-state
   mutation in thread workers, ABBA lock order, unbounded blocking

@@ -4,10 +4,9 @@ The multiprocess backend is only correct because the message schedule
 every rank derives from the shared plan is *the same program*: each
 send has exactly one receiver expecting exactly that key, receives are
 consumed in an order some global schedule can serve, ghost merges
-cover every non-owner holder exactly once, and a
-:class:`~repro.runtime.transport.RecoveryPolicy` re-execution can
-replay the whole program into fresh queues without double-applying
-anything.  Those properties were previously enforced only dynamically
+cover every non-owner holder exactly once, and no two messages to one
+rank share a key, since the transport stash holds one payload per key.
+Those properties were previously enforced only dynamically
 (an execution either hangs, crashes an assert, or produces the wrong
 sum).  This pass proves them statically, per plan, from the
 :class:`~repro.runtime.phases.MessageFlow` view of
@@ -33,13 +32,13 @@ ADR603    combine incompleteness: the ghost merges an owner receives
           once each, a ghost ships to a non-owner, or a ghost message
           departs from the plan's transfer table -- the FRA/SRA
           global combine would drop or double-count partial sums
-ADR604    recovery-unsafe traffic: two messages share one
+ADR604    ambiguous traffic: two messages share one
           ``(kind, tile, index)`` inbox key to the same destination
-          (the transport stash would overwrite one; a re-execution
-          could double-apply), or an output chunk is emitted more
-          than once, by a non-owner, in the wrong tile, or never --
-          the parent dedups results by output chunk id, which is only
-          sound if each attempt emits each chunk exactly once
+          (the stash holds one payload per key, so one would be
+          overwritten), or an output chunk is emitted more than once,
+          by a non-owner, in the wrong tile, or never -- the parent
+          keys results by output chunk id, which is only sound if the
+          query emits each chunk exactly once
 ========  ==========================================================
 
 Run it over the CI corpus with ``python -m repro.analysis.corpus
@@ -143,9 +142,8 @@ def _match_sends_recvs(
             out.error(
                 "ADR604", loc,
                 f"{len(s)} sends share inbox key {(kind, tile, index)!r} to "
-                f"rank {dst}; the transport stash holds one payload per key, "
-                "so a duplicate is silently overwritten and a recovery "
-                "re-execution could double-apply it",
+                f"rank {dst}; the stash holds one payload per key, "
+                "so a duplicate is silently overwritten",
             )
             unique = False
         if len(r) > 1:
@@ -422,8 +420,8 @@ def check_plan_comm(plan, flow: Optional[MessageFlow] = None) -> List[Diagnostic
                 f"must be emitted exactly once by its owner rank {owner} "
                 f"in tile {t}; the flow emits it "
                 f"{[f'rank {p} tile {a}' for p, a in where] or 'never'} -- "
-                "result collection dedups by output chunk id and relies on "
-                "one emit per chunk per attempt",
+                "result collection keys results by output chunk id and "
+                "relies on one emit per chunk",
             )
     for o, where in sorted(emits.items()):
         out.error(

@@ -14,12 +14,12 @@ deterministic corpora, one mode per path a query can take::
 ``--comm``        the same plans through
                   :func:`~repro.analysis.comm.check_plan_comm` (ADR6xx:
                   deadlock-freedom, matched sends/receives, complete
-                  combines, recovery-safe keys)
+                  combines, unique message keys)
 ``--functional``  nine payload workloads: every strategy, the
                   ``strategy='auto'`` pick and one synopsis-pruned
                   ``where=`` plan, each over {sequential, parallel}
-``--faults``      corrupt chunk + degrade, flaky disk + retry, worker
-                  crash + recovery per workload
+``--faults``      corrupt chunk + degrade and flaky disk + retry per
+                  workload
 ``--service``     four overlapping queries per workload through one
                   scan-sharing query service
 ``--shards``      five queries per workload over sockets through a
@@ -446,7 +446,7 @@ def verify_fault_corpus(
 ) -> Tuple[int, List[Tuple[str, str]]]:
     """Replay the functional corpus under the fault matrix.
 
-    Three deterministic scenarios per workload, the strategy rotating
+    Two deterministic scenarios per workload, the strategy rotating
     through *strategies*:
 
     - **corrupt chunk + degrade**: one input chunk fails its CRC on
@@ -457,21 +457,14 @@ def verify_fault_corpus(
       reproduce it bit for bit;
     - **flaky disk + retry**: the first two reads raise ``OSError``; a
       zero-backoff :class:`~repro.store.retry.RetryPolicy` absorbs them
-      and the result is the clean run, bit for bit;
-    - **worker crash + recovery**: one virtual processor hard-exits
-      mid-tile on the parallel backend; after recovery the result is
-      the clean sequential run, bit for bit, counters included.
+      and the result is the clean run, bit for bit.
     """
     from repro.dataset.predicate import ValuePredicate
     from repro.faults import FaultInjector, FaultPlan
-    from repro.runtime.parallel import RecoveryPolicy
     from repro.store.retry import RetryPolicy
 
     failures: List[Tuple[str, str]] = []
     n_scenarios = 0
-    recovery = RecoveryPolicy(
-        max_restarts=2, inbox_timeout=10.0, poll_interval=0.1, grace_polls=5
-    )
     predicate = ValuePredicate.coerce(_WHERE)
     for i, (label, w) in enumerate(functional_workloads()):
         problem = w.problem()
@@ -494,7 +487,7 @@ def verify_fault_corpus(
         degraded = corrupt()
         for got, want, exact, fields in (
             (degraded, w.oracle(skip=victim, **lost), False, _OUTCOME),
-            (corrupt(backend="parallel", recovery=recovery), degraded, True, _ALL),
+            (corrupt(backend="parallel"), degraded, True, _ALL),
             # A value predicate filters items, never reads: the same
             # chunk fails and completeness is unchanged.
             (corrupt(predicate=predicate),
@@ -513,16 +506,6 @@ def verify_fault_corpus(
         )
         failures += [(f"{label} / {strategy} / flaky+retry", m)
                      for m in _diff(retried, clean, exact=True, fields=_ALL)]
-
-        n_scenarios += 1
-        recovered = w.run(
-            plan, backend="parallel", recovery=recovery,
-            fault_injector=FaultInjector(FaultPlan.crash_worker(
-                rank=min(1, problem.n_procs - 1), after_reads=1
-            )),
-        )
-        failures += [(f"{label} / {strategy} / crash+recover", m)
-                     for m in _diff(recovered, clean, exact=True, fields=_ALL)]
     return n_scenarios, failures
 
 
@@ -907,14 +890,14 @@ _MODES = (
               check_plan_comm, include_emulators="--no-emulators" not in argv
           ),
           "plans", "model-checked (deadlock-free, matched send/recv "
-                   "multisets, complete combines, recovery-safe keys), "
+                   "multisets, complete combines, unique message keys), "
                    "zero diagnostics"),
     _Mode("--functional", "functional", (),
           lambda argv: verify_functional_corpus(),
           "plans", "executed on both backends, all matched the serial oracle"),
     _Mode("--faults", "faults", (),
           lambda argv: verify_fault_corpus(),
-          "fault scenarios", "replayed, all degraded/recovered results "
+          "fault scenarios", "replayed, all degraded/retried results "
                              "matched ground truth"),
     _Mode("--service", "service", (),
           lambda argv: verify_service_corpus(),

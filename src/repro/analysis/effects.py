@@ -17,9 +17,8 @@ ADR702    inconsistent lock-acquisition order: two locks nested in
           opposite orders within one module -- the classic ABBA
           deadlock
 ADR703    blocking ``.get()`` / ``.join()`` with no timeout in a
-          concurrency-critical module -- an unbounded wait defeats
-          crash recovery (the parent must always regain control to
-          count restarts)
+          concurrency-critical module -- a dead peer must fail the
+          query, not hang it
 ADR704    ``SharedMemory(...)`` bound to a name without a
           ``try/finally`` in the same function calling ``.close()``
           (and ``.unlink()`` when ``create=True``) -- leaked segments
@@ -280,9 +279,9 @@ class _EffectsVisitor(ast.NodeVisitor):
                 Severity.ERROR,
                 self._loc(node),
                 f"blocking '.{fn.attr}()' with no timeout in a "
-                "concurrency-critical module; an unbounded wait can hang "
-                "recovery forever -- pass a timeout and surface the "
-                "failure (RecoveryPolicy budgets every wait)",
+                "concurrency-critical module; a dead peer must fail the "
+                "query, not hang it -- pass a timeout and surface the "
+                "failure",
             )
         self.generic_visit(node)
 

@@ -2,10 +2,10 @@
 
 ADR queries span many disks on many nodes; this package makes the
 failures such a deployment actually sees -- I/O errors, bit-rot,
-slow disks, dead workers, lost messages -- injectable on demand and
+slow disks, dead shards, torn frames -- injectable on demand and
 reproducible by seed, so the recovery machinery (chunk CRCs, retry
-policies, degraded results, worker-crash recovery) is tested against
-real failure paths rather than hand-mocked exceptions.
+policies, degraded results, shard failover) is tested against real
+failure paths rather than hand-mocked exceptions.
 
 - :class:`FaultPlan` / :class:`FaultSpec` -- declarative, seedable
   fault scenarios (pure data);

@@ -1,26 +1,16 @@
 """The fault injector: interprets a :class:`~repro.faults.plan.FaultPlan`.
 
 One injector instance is threaded through the execution stack and
-consulted at three kinds of injection point:
+consulted at chunk reads: :meth:`FaultInjector.read_batch` (behind
+:class:`repro.faults.store.FaultyChunkStore` and
+:meth:`FaultInjector.wrap_provider`) consults
+:meth:`FaultInjector.read_faults` per slot of a batch, in order, and
+can fail a slot with :class:`InjectedFault` (an ``OSError``), stall the
+read, or corrupt the payload so the on-disk CRC trips a real
+:class:`~repro.store.format.CorruptChunkError`.
 
-- **chunk reads** -- :meth:`FaultInjector.read_batch` (behind
-  :class:`repro.faults.store.FaultyChunkStore` and
-  :meth:`FaultInjector.wrap_provider`) consults
-  :meth:`FaultInjector.read_faults` per slot of a batch, in order, and
-  can fail a slot with :class:`InjectedFault` (an ``OSError``), stall
-  the read, or corrupt the payload so the on-disk CRC trips a real
-  :class:`~repro.store.format.CorruptChunkError`;
-- **worker loops** -- :meth:`FaultInjector.should_crash` tells a
-  parallel worker to hard-exit before processing a scheduled read;
-- **IPC queues** -- :meth:`FaultInjector.should_drop` tells the
-  parallel backend to silently drop a forward/ghost message.
-
-State notes: ``times`` counters live in the consulting process.  The
-parallel backend forks workers, so each worker counts its own firings;
-cross-restart one-shot behavior for crashes and drops comes from the
-spec's ``attempt`` scoping (the parent bumps
-:attr:`FaultInjector.attempt` before each re-execution), not from
-shared counters.
+``times`` counters live in the consulting process.  The parallel
+backend forks workers, so each worker counts its own firings.
 """
 
 from __future__ import annotations
@@ -66,10 +56,8 @@ class _SpecState:
         self.remaining = spec.times  # None = unlimited
         self.rng = rng
 
-    def fire(self, attempt: int) -> bool:
+    def fire(self) -> bool:
         spec = self.spec
-        if spec.attempt is not None and spec.attempt != attempt:
-            return False
         if self.remaining is not None and self.remaining <= 0:
             return False
         if spec.p < 1.0 and float(self.rng.uniform()) >= spec.p:
@@ -88,42 +76,26 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, sleep: Callable[[float], None] = time.sleep):
         self.plan = plan
         self.sleep = sleep
-        #: current parallel execution attempt (bumped by the parent on
-        #: each crash-recovery re-execution; irrelevant elsewhere)
-        self.attempt = 0
         self._states = [
             _SpecState(spec, rng)
             for spec, rng in zip(plan.specs, spawn_rngs(plan.seed, max(len(plan), 1)))
         ]
         self.fired: List[FaultSpec] = []
 
-    # -- matching ---------------------------------------------------------
-
-    def _fire_matching(self, predicate) -> List[FaultSpec]:
-        hits: List[FaultSpec] = []
-        for state in self._states:
-            if predicate(state.spec) and state.fire(self.attempt):
-                hits.append(state.spec)
-                self.fired.append(state.spec)
-        return hits
-
-    # -- chunk-read faults ------------------------------------------------
-
     def read_faults(self, dataset: Optional[str], chunk_id: int) -> List[FaultSpec]:
-        """Fire every armed read-level spec matching this read.
+        """Fire every armed spec matching this read.
 
         Returns the fired specs in plan order; the caller applies them
         (delay first, then raise/corrupt -- see :func:`apply_read_faults`).
         """
-
-        def matches(spec: FaultSpec) -> bool:
-            if spec.kind not in ("io_error", "corrupt", "slow_read"):
-                return False
-            if spec.dataset is not None and spec.dataset != dataset:
-                return False
-            return spec.chunk_id is None or int(spec.chunk_id) == int(chunk_id)
-
-        return self._fire_matching(matches)
+        hits = [
+            state.spec for state in self._states
+            if state.spec.dataset in (None, dataset)
+            and state.spec.chunk_id in (None, int(chunk_id))
+            and state.fire()
+        ]
+        self.fired += hits
+        return hits
 
     def apply_read_faults(self, dataset: Optional[str], chunk_id: int) -> bool:
         """Consult and apply pre-read faults; returns True when the
@@ -166,36 +138,3 @@ class FaultInjector:
         """Wrap a batch chunk provider (ids -> slots) with read-fault
         injection (:meth:`read_batch`)."""
         return lambda chunk_ids: self.read_batch(provider, dataset, chunk_ids)
-
-    # -- worker-loop faults -----------------------------------------------
-
-    def should_crash(self, rank: int, reads_done: int) -> bool:
-        """True when virtual processor *rank*, about to process its
-        (reads_done+1)-th scheduled read, must hard-crash."""
-
-        def matches(spec: FaultSpec) -> bool:
-            return (
-                spec.kind == "worker_crash"
-                and int(spec.rank) == int(rank)
-                and int(spec.after_reads) == int(reads_done)
-            )
-
-        return bool(self._fire_matching(matches))
-
-    # -- IPC faults ---------------------------------------------------------
-
-    def should_drop(self, message_kind: str, message_index: int) -> bool:
-        """True when the forward/ghost message keyed by
-        ``(message_kind, message_index)`` must be silently dropped."""
-
-        def matches(spec: FaultSpec) -> bool:
-            if spec.kind != "drop_message":
-                return False
-            if spec.message_kind is not None and spec.message_kind != message_kind:
-                return False
-            return (
-                spec.message_index is None
-                or int(spec.message_index) == int(message_index)
-            )
-
-        return bool(self._fire_matching(matches))

@@ -3,38 +3,24 @@
 A :class:`FaultPlan` is a seedable, deterministic list of
 :class:`FaultSpec` entries.  Nothing here touches the execution stack;
 the plan is pure data, and :class:`repro.faults.injector.FaultInjector`
-interprets it at the injection points (chunk-store reads, the parallel
-backend's worker loop, and the ghost/forward IPC queues).
+interprets it where chunks are read.
 
 Determinism contract: given the same seed and the same sequence of
 injector queries, a plan makes the same decisions -- probabilistic
 specs draw from per-spec generators spawned from the plan seed
 (:func:`repro.util.rng.spawn_rngs`), so one spec's draws never perturb
 another's.
-
-The ``attempt`` field scopes process-level faults to one parallel
-execution attempt: a worker crash injected with ``attempt=0`` (the
-default for :meth:`FaultPlan.crash_worker` and
-:meth:`FaultPlan.drop_message`) fires during the first attempt and
-stays quiet during the recovery re-execution -- modelling a node that
-died once, not a node that dies every time it is replaced.  Store-level
-faults default to ``attempt=None`` (a corrupt file does not heal when a
-worker restarts); use ``times`` to model transient flakiness instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan"]
 
-#: Supported fault kinds, by injection point:
-#:
-#: - ``io_error`` / ``corrupt`` / ``slow_read``: chunk-store reads
-#: - ``worker_crash``: the parallel backend's per-worker read loop
-#: - ``drop_message``: the forward/ghost IPC queues
-FAULT_KINDS = ("io_error", "corrupt", "slow_read", "worker_crash", "drop_message")
+#: Supported fault kinds, all injected at chunk reads.
+FAULT_KINDS = ("io_error", "corrupt", "slow_read")
 
 
 @dataclass(frozen=True)
@@ -44,32 +30,20 @@ class FaultSpec:
     Matching fields left as ``None`` act as wildcards.  ``times``
     bounds how often the spec fires (``None`` = every match);
     ``p`` makes firing probabilistic (drawn from the plan's seeded
-    per-spec stream); ``attempt`` restricts firing to one parallel
-    execution attempt (``None`` = every attempt).
+    per-spec stream).
     """
 
     kind: str
-    #: store faults: match the dataset name (None = any)
+    #: match the dataset name (None = any)
     dataset: Optional[str] = None
-    #: store faults: match the chunk id (None = any)
+    #: match the chunk id (None = any)
     chunk_id: Optional[int] = None
-    #: worker_crash: the virtual processor to kill
-    rank: Optional[int] = None
-    #: worker_crash: crash when the rank is about to process its
-    #: (after_reads+1)-th scheduled read
-    after_reads: int = 0
-    #: drop_message: message kind to drop ("seg" / "ghost", None = any)
-    message_kind: Optional[str] = None
-    #: drop_message: schedule index of the message (None = any)
-    message_index: Optional[int] = None
     #: slow_read: seconds to stall the read
     delay: float = 0.0
     #: firing probability per match
     p: float = 1.0
     #: maximum number of firings (None = unlimited)
     times: Optional[int] = 1
-    #: parallel execution attempt this spec is scoped to (None = all)
-    attempt: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -80,8 +54,6 @@ class FaultSpec:
             raise ValueError(f"fault probability must be in [0, 1], got {self.p}")
         if self.times is not None and self.times < 1:
             raise ValueError(f"times must be >= 1 or None, got {self.times}")
-        if self.kind == "worker_crash" and self.rank is None:
-            raise ValueError("worker_crash needs an explicit rank")
 
 
 @dataclass(frozen=True)
@@ -136,31 +108,5 @@ class FaultPlan:
         return FaultPlan(
             (FaultSpec("slow_read", dataset=dataset, chunk_id=chunk_id,
                        delay=delay, times=times),),
-            seed=seed,
-        )
-
-    @staticmethod
-    def crash_worker(
-        rank: int, after_reads: int = 0, attempt: int = 0, seed: int = 0,
-    ) -> "FaultPlan":
-        """Kill virtual processor *rank* (hard exit, no cleanup) when it
-        is about to process its (after_reads+1)-th scheduled read of
-        parallel execution attempt *attempt*."""
-        return FaultPlan(
-            (FaultSpec("worker_crash", rank=rank, after_reads=after_reads,
-                       attempt=attempt),),
-            seed=seed,
-        )
-
-    @staticmethod
-    def drop_messages(
-        message_kind: Optional[str] = None, message_index: Optional[int] = None,
-        times: Optional[int] = 1, attempt: int = 0, seed: int = 0,
-    ) -> "FaultPlan":
-        """Silently drop matching forward/ghost IPC messages during
-        parallel execution attempt *attempt*."""
-        return FaultPlan(
-            (FaultSpec("drop_message", message_kind=message_kind,
-                       message_index=message_index, times=times, attempt=attempt),),
             seed=seed,
         )

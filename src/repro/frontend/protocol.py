@@ -44,6 +44,7 @@ __all__ = [
     "result_from_dict",
     "error_to_dict",
     "ProtocolError",
+    "NotAnObjectError",
     "DeadlineExceededError",
     "ERROR_CODES",
     "MAX_FRAME_BYTES",
@@ -70,6 +71,11 @@ ERROR_CODES = (
 
 class ProtocolError(ValueError):
     """Malformed or unsupported protocol message."""
+
+
+class NotAnObjectError(ProtocolError):
+    """A whole frame whose JSON payload is not an object (``null``
+    included): a bad message, but the stream is still in sync."""
 
 
 class DeadlineExceededError(TimeoutError):
@@ -111,11 +117,13 @@ def write_frame(wfile: BinaryIO, message: Dict[str, Any]) -> None:
 
 
 def read_frame(rfile: BinaryIO) -> Optional[Dict[str, Any]]:
-    """Read one length-prefixed frame; ``None`` on clean EOF.
+    """Read one length-prefixed frame's JSON object; ``None`` only on
+    clean EOF.
 
     Raises :class:`ProtocolError` on a truncated header, an oversized
     declared length, a torn payload, or a payload that is not valid
-    JSON.
+    JSON, and :class:`NotAnObjectError` on valid JSON that is not an
+    object.
     """
     header = rfile.read(_FRAME_HEADER.size)
     if not header:
@@ -137,9 +145,12 @@ def read_frame(rfile: BinaryIO) -> Optional[Dict[str, Any]]:
             f"torn frame: got {len(payload)} of {length} payload bytes"
         )
     try:
-        return json.loads(payload.decode("utf-8"))
+        message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as e:
         raise ProtocolError(f"bad frame payload: {e}") from e
+    if not isinstance(message, dict):
+        raise NotAnObjectError("message is not a JSON object")
+    return message
 
 
 def error_to_dict(

@@ -41,6 +41,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.frontend.adr import ADR
 from repro.frontend.protocol import (
     DeadlineExceededError,
+    NotAnObjectError,
     ProtocolError,
     error_to_dict,
     query_from_dict,
@@ -94,6 +95,10 @@ class _Handler(socketserver.StreamRequestHandler):
         while True:
             try:
                 message = read_frame(self.rfile)
+            except NotAnObjectError as e:
+                # A whole frame was read: answer it and keep serving.
+                write_frame(self.wfile, error_to_dict("bad_request", e))
+                continue
             except ProtocolError as e:
                 # Framing desync: the stream's byte offsets are
                 # unrecoverable, so answer once and close loudly.
@@ -159,8 +164,6 @@ class ADRServer(socketserver.ThreadingTCPServer):
     # -- request dispatch ------------------------------------------------
 
     def adr_dispatch(self, message: dict) -> dict:
-        if not isinstance(message, dict):
-            return error_to_dict("bad_request", "message is not a JSON object")
         op = message.get("op")
         if op == "ping":
             return {"ok": True, "result": "pong"}

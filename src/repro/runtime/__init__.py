@@ -19,12 +19,7 @@ it.
 from repro.runtime.engine import BatchReader, QueryResult, execute_plan
 from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
 from repro.runtime.serial import execute_serial
-from repro.runtime.transport import (
-    InprocTransport,
-    QueueTransport,
-    RecoveryPolicy,
-    Transport,
-)
+from repro.runtime.transport import InprocTransport, QueueTransport, Transport
 
 __all__ = [
     "PHASES",
@@ -34,7 +29,6 @@ __all__ = [
     "PhaseSchedule",
     "QueryResult",
     "QueueTransport",
-    "RecoveryPolicy",
     "Transport",
     "execute_plan",
     "execute_serial",

@@ -218,7 +218,6 @@ def execute_plan(
     routing_cache: Optional[RoutingCache] = None,
     on_error: str = "raise",
     fault_injector=None,
-    recovery=None,
     predicate=None,
     # Stub for benchmarks/e2e/workloads.py:326; ROADMAP item 2 (benchmarks-scoped) drops it.
     prefetch=None,
@@ -282,12 +281,7 @@ def execute_plan(
         absorbed.
     fault_injector:
         Optional :class:`repro.faults.FaultInjector` arming
-        deterministic fault injection on the read path (both backends)
-        and on worker crashes / message drops (parallel backend).
-    recovery:
-        Optional :class:`repro.runtime.parallel.RecoveryPolicy` tuning
-        worker-crash detection and the restart budget (parallel
-        backend only).
+        deterministic fault injection on the read path (both backends).
     predicate:
         Optional :class:`~repro.dataset.predicate.ValuePredicate`
         residual filter: items of retrieved chunks whose values fail
@@ -310,7 +304,6 @@ def execute_plan(
     if backend == "parallel":
         from repro.runtime.parallel import execute_parallel
 
-        kwargs = {} if recovery is None else {"recovery": recovery}
         return execute_parallel(
             plan,
             chunks,
@@ -324,7 +317,6 @@ def execute_plan(
             on_error=on_error,
             fault_injector=fault_injector,
             predicate=predicate,
-            **kwargs,
         )
     problem = plan.problem
     provider = _provider(chunks)

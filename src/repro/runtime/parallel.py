@@ -2,25 +2,21 @@
 
 The sequential engine (:mod:`repro.runtime.engine`) honors the plan's
 data placement inside one address space.  This backend makes the
-placement physical: virtual processors run inside forked *worker
-hosts*, each with
+placement physical: each virtual processor runs inside its own forked
+*worker host*, with
 
 - its own slice of a :class:`multiprocessing.shared_memory.SharedMemory`
   arena holding the accumulator chunks it is a plan-declared holder of,
-- a private inbox :class:`multiprocessing.Queue` per hosted rank over
-  which forwarded input segments (the DA communication) and ghost
-  accumulator chunks (the FRA/SRA communication) arrive as real IPC,
+- a private inbox :class:`multiprocessing.Queue` over which forwarded
+  input segments (the DA communication) and ghost accumulator chunks
+  (the FRA/SRA communication) arrive as real IPC,
 - plan-authorization asserts on every access: a rank only ever touches
   accumulators it holds, applies edges the plan assigned to it, and
   combines ghosts the plan declares shipped to it.
 
-**Hosting.** A healthy run hosts one rank per OS process.  After a
-worker crash, the dead rank's virtual processor is *reassigned*: the
-recovery re-execution co-hosts it on a surviving host, which walks the
-combined schedule for all its ranks in global order (exactly how the
-sequential backend hosts every rank at once).  Messages between
-co-hosted ranks still travel their queues, so the message schedule is
-identical whatever the hosting.
+It is a placement checker, not a faster backend: every rank walks the
+tile's reads in global order, so on a few cores it runs slower than the
+sequential engine (``docs/architecture.md`` gives the measurement).
 
 **Determinism.** Every worker host drives the same
 :class:`~repro.runtime.phases.PhaseExecutor` as the sequential engine
@@ -33,19 +29,16 @@ routes the chunk and forwards per-edge segments, recipients block for
 the forward before moving on -- so each accumulator receives exactly
 the same floating-point operations in exactly the same order as under
 the sequential backend, and results agree **bit for bit**
-(``np.array_equal``) regardless of hosting, crashes, or recovery.
+(``np.array_equal``).
 
-**Fault tolerance.** The parent polls worker liveness and per-tile
-heartbeat messages.  When a host dies (or a survivor times out waiting
-on a dead peer), the parent terminates the attempt, reassigns the dead
-ranks to survivors, re-initializes every accumulator from scratch
-(initialization is idempotent: phase 1 of every tile overwrites the
-arena, so no partial sums from the failed attempt survive), and
-re-executes.  Counters and outputs are taken exclusively from the
-successful attempt, keeping recovered runs bit-identical to the
-sequential backend.  Deterministic fault injection (crashes, dropped
-messages, read faults) plugs in via
-:class:`repro.faults.FaultInjector`; see ``docs/robustness.md``.
+**Failure.** A worker that raises reports its traceback, and the parent
+fails the query with it.  A worker that exits without reporting (killed,
+``os._exit``) is found by the parent's liveness poll, every
+:data:`_POLL_S` seconds, and fails the query with its exit code.  Either
+way the parent terminates the other hosts and unlinks the arena before
+it raises; nothing is re-run.  Unreadable chunks under
+``on_error='degrade'`` are not failures: they land in the result's
+``chunk_errors``.
 
 **Deadlock freedom.** Sends never block (unbounded queues); a rank
 only blocks waiting for the message of the earliest unprocessed read
@@ -65,7 +58,7 @@ import gc
 import queue as queue_mod
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -78,21 +71,21 @@ from repro.runtime.engine import (
 )
 from repro.runtime.kernels import RoutingCache
 from repro.runtime.phases import AccumulatorHost, PhaseExecutor, Tally, is_gauge
-from repro.runtime.transport import QueueTransport, RecoveryPolicy
+from repro.runtime.transport import QueueTransport
 from repro.space.mapping import GridMapping
-from repro.store.chunk_store import RECOVERABLE_READ_ERRORS
 
-__all__ = ["execute_parallel", "RecoveryPolicy"]
+__all__ = ["execute_parallel"]
 
 _ALIGN = 64  # worker arena slices are cache-line aligned
+#: seconds between the parent's checks for a worker that exited unreported
+_POLL_S = 0.1
 
 
 @dataclass(frozen=True)
 class _WorkerConfig:
-    """Per-attempt execution settings inherited by every worker."""
+    """Execution settings inherited by every worker."""
 
     on_error: str = "raise"
-    inbox_timeout: float = 120.0
     injector: Optional[object] = None  # repro.faults.FaultInjector
     predicate: object = None  # repro.dataset.predicate.ValuePredicate | None
 
@@ -108,8 +101,7 @@ class _Layout:
     Everything here is a pure function of (plan, grid, spec); workers
     inherit it read-only through fork, so parent and every worker agree
     on offsets and message schedules without any further coordination.
-    The layout is keyed by *rank*, never by host process, so it is
-    invariant under recovery re-hosting.  The schedule itself (per-tile
+    The schedule itself (per-tile
     orders, forwarding recipients) is ``plan.schedule()`` -- the same
     object the sequential engine and the simulator consume.
     """
@@ -167,8 +159,7 @@ class _Layout:
 
 
 def _worker(
-    host: int,
-    ranks: Tuple[int, ...],
+    rank: int,
     plan: QueryPlan,
     provider: BatchProvider,
     mapping: GridMapping,
@@ -183,21 +174,17 @@ def _worker(
     result_q,
     cfg: _WorkerConfig,
 ) -> None:
-    """One worker host executing one or more virtual processors."""
+    """The worker host of virtual processor *rank*."""
     from multiprocessing import shared_memory
 
     shm = shared_memory.SharedMemory(name=shm_name)
     try:
         _worker_body(
-            host, ranks, plan, provider, mapping, grid, spec, region, prior,
+            rank, plan, provider, mapping, grid, spec, region, prior,
             routing_cache, layout, shm, inboxes, result_q, cfg,
         )
-    except BaseException as e:
-        # Deterministic data errors (corrupt/missing/unreadable chunks
-        # under on_error='raise') will recur on a re-execution; process
-        # faults (peer timeouts, anything else) are worth a restart.
-        retryable = not isinstance(e, RECOVERABLE_READ_ERRORS)
-        result_q.put(("error", host, traceback.format_exc(), retryable))
+    except Exception:
+        result_q.put(("error", rank, traceback.format_exc()))
     finally:
         try:
             shm.close()
@@ -209,12 +196,11 @@ def _worker(
 
 
 def _worker_body(
-    host, ranks, plan, provider, mapping, grid, spec, region, prior,
+    rank, plan, provider, mapping, grid, spec, region, prior,
     routing_cache, layout, shm, inboxes, result_q, cfg,
 ) -> None:
     """Thin driver: arena views + queue transport around the unified
     :class:`~repro.runtime.phases.PhaseExecutor`."""
-    ranks = tuple(int(p) for p in ranks)
     injector = cfg.injector
     if injector is not None:
         provider = injector.wrap_provider(provider)
@@ -224,26 +210,22 @@ def _worker_body(
     cache_base = routing_cache.stats() if routing_cache is not None else {}
 
     arena = np.frombuffer(shm.buf, dtype=np.uint8)
-    bases = {p: int(layout.slice_starts[p]) for p in ranks}
+    base = int(layout.slice_starts[rank])
     offsets = {
-        (t, p, o): offset
+        (t, o): offset
         for t in range(plan.n_tiles)
-        for p in ranks
-        for (o, n_cells, offset) in layout.tile_accs[t][p]
+        for (o, n_cells, offset) in layout.tile_accs[t][rank]
     }
 
-    def buffer_for(tile: int, rank: int, o: int, n_cells: int) -> np.ndarray:
-        start = bases[rank] + offsets[(tile, rank, o)]
+    def buffer_for(tile: int, p: int, o: int, n_cells: int) -> np.ndarray:
+        start = base + offsets[(tile, o)]
         return (
             arena[start : start + spec.acc_bytes(n_cells)]
             .view(spec.acc_dtype)
             .reshape(n_cells, spec.acc_components)
         )
 
-    accs = AccumulatorHost(spec, ranks, buffer_for=buffer_for)
-    transport = QueueTransport(
-        host, ranks, inboxes, result_q, cfg.inbox_timeout, injector=injector
-    )
+    accs = AccumulatorHost(spec, (rank,), buffer_for=buffer_for)
     executor = PhaseExecutor(
         plan,
         grid,
@@ -251,7 +233,7 @@ def _worker_body(
         mapping,
         provider,
         accs,
-        transport,
+        QueueTransport(rank, inboxes, result_q),
         schedule=layout.schedule,
         region=region,
         prior=prior,
@@ -267,31 +249,12 @@ def _worker_body(
             key: int(v) if is_gauge(key) else int(v) - int(cache_base.get(key, 0))
             for key, v in routing_cache.stats().items()
         }
-    result_q.put(("done", host, tally))
+    result_q.put(("done", rank, tally))
 
 
 # ---------------------------------------------------------------------------
 # Parent orchestration
 # ---------------------------------------------------------------------------
-
-
-def _regroup(
-    groups: List[List[int]], dead_hosts: Sequence[int]
-) -> List[List[int]]:
-    """Reassign the ranks of dead hosts to survivors.
-
-    Orphaned ranks are adopted by the first surviving host (lowest
-    index); if every host died, one fresh host takes all ranks.  The
-    result is deterministic, so a recovered run's hosting -- and hence
-    its message schedule -- is reproducible.
-    """
-    dead = set(dead_hosts)
-    survivors = [list(g) for h, g in enumerate(groups) if h not in dead]
-    orphaned = sorted(r for h in dead for r in groups[h])
-    if not survivors:
-        return [orphaned]
-    survivors[0] = survivors[0] + orphaned
-    return survivors
 
 
 def execute_parallel(
@@ -306,7 +269,6 @@ def execute_parallel(
     routing_cache: Optional[RoutingCache] = None,
     on_error: str = "raise",
     fault_injector=None,
-    recovery: Optional[RecoveryPolicy] = None,
     predicate=None,
 ):
     """Execute *plan* with the virtual processors as OS processes.
@@ -321,15 +283,13 @@ def execute_parallel(
     parent's cache object is not updated; each host reports its own hit
     counters.
 
-    Fault tolerance: a worker host that dies (or a peer timeout it
-    causes) triggers up to ``recovery.max_restarts`` deterministic
-    re-executions with the dead ranks reassigned to surviving hosts;
-    outputs and counters come exclusively from the successful attempt.
+    A worker that fails or dies fails the query with a ``RuntimeError``
+    naming its host (and exit code, when it died unreported), after the
+    other hosts are terminated and the arena is unlinked.
     ``on_error='degrade'`` absorbs unreadable chunks into the result's
-    ``chunk_errors`` / ``completeness`` instead of failing the query.
-    *fault_injector* (a :class:`repro.faults.FaultInjector`) arms
-    deterministic fault injection in the workers' read paths, read
-    loops, and IPC sends.
+    ``chunk_errors`` / ``completeness`` instead.  *fault_injector* (a
+    :class:`repro.faults.FaultInjector`) arms deterministic read-fault
+    injection in the workers' read paths.
 
     Requires the ``fork`` start method (POSIX): the chunk provider and
     *prior* callables are inherited, never pickled.
@@ -337,8 +297,6 @@ def execute_parallel(
     import multiprocessing
     from multiprocessing import shared_memory
 
-    if recovery is None:
-        recovery = RecoveryPolicy()
     problem = plan.problem
     provider = _provider(chunks)
     layout = _Layout(plan, grid, spec, enforce_memory)
@@ -353,134 +311,68 @@ def execute_parallel(
             "backend='parallel' requires the fork start method (POSIX)"
         ) from None
 
-    cfg = _WorkerConfig(
-        on_error=on_error,
-        inbox_timeout=recovery.inbox_timeout,
-        injector=fault_injector,
-        predicate=predicate,
-    )
-    groups: List[List[int]] = [[p] for p in range(problem.n_procs)]
+    cfg = _WorkerConfig(on_error=on_error, injector=fault_injector, predicate=predicate)
     shm = shared_memory.SharedMemory(create=True, size=layout.arena_bytes)
-
+    inboxes = [ctx.Queue() for _ in range(problem.n_procs)]
+    result_q = ctx.Queue()
+    workers = [
+        ctx.Process(
+            target=_worker,
+            args=(
+                p, plan, provider, mapping, grid, spec, region, prior,
+                routing_cache, layout, shm.name, inboxes, result_q, cfg,
+            ),
+            daemon=True,
+        )
+        for p in range(problem.n_procs)
+    ]
     results: Dict[int, np.ndarray] = {}
     tallies: List[Tally] = []
-
     try:
-        attempt = 0
-        restarts_left = recovery.max_restarts
-        while True:
-            if fault_injector is not None:
-                fault_injector.attempt = attempt
-            # Fresh queues per attempt: messages of a failed attempt
-            # must never leak into its re-execution.
-            inboxes = [ctx.Queue() for _ in range(problem.n_procs)]
-            result_q = ctx.Queue()
-            workers = [
-                ctx.Process(
-                    target=_worker,
-                    args=(
-                        h, tuple(group), plan, provider, mapping, grid, spec,
-                        region, prior, routing_cache, layout, shm.name,
-                        inboxes, result_q, cfg,
-                    ),
-                    daemon=True,
-                )
-                for h, group in enumerate(groups)
-            ]
-            # Per-attempt tallies: only the successful attempt counts,
-            # keeping recovered counters identical to a clean run.
-            results.clear()
-            tallies.clear()
-
-            failed: Optional[str] = None
-            fatal: Optional[str] = None
-            dead_hosts: List[int] = []
+        for w in workers:
+            w.start()
+        pending = set(range(problem.n_procs))
+        while pending:
+            # Exit codes are read before the wait: a host flushes its
+            # messages before it exits, so one found exited here whose
+            # "done" the wait did not deliver died without sending it.
+            exited = [p for p in sorted(pending) if workers[p].exitcode is not None]
             try:
-                for w in workers:
-                    w.start()
-                pending = set(range(len(groups)))
-                quiet_polls = 0
-                while pending:
-                    try:
-                        msg = result_q.get(timeout=recovery.poll_interval)
-                    except queue_mod.Empty:
-                        dead = [
-                            h for h in pending
-                            if not workers[h].is_alive()
-                            and workers[h].exitcode is not None
-                        ]
-                        # A worker that exited 0 without reporting
-                        # "done" broke the protocol; give the queue a
-                        # few grace polls in case its final messages
-                        # are still in flight.  Nonzero exits are
-                        # immediate failures.
-                        quiet_polls += 1
-                        if dead and (
-                            quiet_polls >= recovery.grace_polls
-                            or any(workers[h].exitcode != 0 for h in dead)
-                        ):
-                            dead_hosts = dead
-                            failed = (
-                                f"worker host(s) {dead} died without reporting "
-                                f"(exit codes "
-                                f"{[workers[h].exitcode for h in dead]})"
-                            )
-                            break
-                        continue
-                    quiet_polls = 0
-                    kind = msg[0]
-                    if kind == "result":
-                        _, o, value = msg
-                        results[int(o)] = value
-                    elif kind == "tile":
-                        pass  # heartbeat: progress noted, quiet_polls reset
-                    elif kind == "done":
-                        _, h, tally = msg
-                        pending.discard(h)
-                        tallies.append(tally)
-                    elif kind == "error":
-                        _, h, tb, retryable = msg
-                        dead_hosts = [
-                            x for x in pending
-                            if workers[x].exitcode not in (None, 0)
-                        ]
-                        if retryable:
-                            failed = f"worker host {h} failed:\n{tb}"
-                        else:
-                            fatal = f"parallel worker host {h} failed:\n{tb}"
-                        break
-                    else:  # pragma: no cover - defensive
-                        raise RuntimeError(f"unexpected worker message {kind!r}")
-                if failed is None and fatal is None:
-                    for w in workers:
-                        w.join(timeout=30)
-            finally:
-                for w in workers:
-                    if w.is_alive():
-                        w.terminate()
-                for w in workers:
-                    w.join(timeout=5)
-                for w in workers:
-                    if w.is_alive():  # pragma: no cover - stuck worker
-                        w.kill()
-                        w.join(timeout=5)
-                for q in inboxes:
-                    q.close()
-                result_q.close()
-            if fatal is not None:
-                raise RuntimeError(fatal)
-            if failed is None:
-                break  # attempt succeeded
-            if restarts_left <= 0:
-                raise RuntimeError(
-                    f"parallel execution failed after "
-                    f"{recovery.max_restarts} restart(s); last failure: "
-                    f"{failed}"
-                )
-            restarts_left -= 1
-            attempt += 1
-            groups = _regroup(groups, dead_hosts)
+                msg = result_q.get(timeout=_POLL_S)
+            except queue_mod.Empty:
+                if exited:
+                    p = exited[0]
+                    raise RuntimeError(
+                        f"parallel worker host {p} exited with code "
+                        f"{workers[p].exitcode} before reporting done"
+                    ) from None
+                continue
+            kind = msg[0]
+            if kind == "result":
+                _, o, value = msg
+                results[int(o)] = value
+            elif kind == "done":
+                _, p, tally = msg
+                pending.discard(p)
+                tallies.append(tally)
+            else:  # "error"
+                _, p, tb = msg
+                raise RuntimeError(f"parallel worker host {p} failed:\n{tb}")
+        for w in workers:
+            w.join(timeout=30)
     finally:
+        for w in workers:
+            if w.is_alive():
+                w.terminate()
+        for w in workers:
+            w.join(timeout=5)
+        for w in workers:
+            if w.is_alive():  # pragma: no cover - stuck worker
+                w.kill()
+                w.join(timeout=5)
+        for q in inboxes:
+            q.close()
+        result_q.close()
         shm.close()
         shm.unlink()
 

@@ -375,7 +375,7 @@ class AccumulatorHost:
     Wraps one :class:`~repro.aggregation.accumulator.AccumulatorSet`
     per hosted rank.  The sequential engine hosts every rank with
     private buffers (and optional per-rank memory budgets); a
-    multiprocess worker hosts its rank group with *buffer_for*
+    multiprocess worker hosts its one rank with *buffer_for*
     supplying shared-memory arena views, so allocation only
     re-initializes the view in place.
     """
@@ -442,7 +442,7 @@ class PhaseExecutor:
     This is the one implementation of phase sequencing (ADR501).  The
     sequential engine instantiates it once with every rank and an
     :class:`~repro.runtime.transport.InprocTransport`; each
-    multiprocess worker instantiates it with its rank group and a
+    multiprocess worker instantiates it with its one rank and a
     :class:`~repro.runtime.transport.QueueTransport`.  *provider*
     maps a batch of dataset-level input chunk ids to one slot each --
     the payload, or the recoverable error reading it raised
@@ -500,7 +500,6 @@ class PhaseExecutor:
         self._sel_map[self.problem.output_global_ids] = np.arange(self.problem.n_out)
 
         self.tally = Tally()
-        self._reads_seen = {p: 0 for p in accs.ranks}
 
     # -- phase 1: initialization ---------------------------------------
 
@@ -562,9 +561,6 @@ class PhaseExecutor:
         fully filtered)."""
         problem = self.problem
         hosted = [k for k, p in enumerate(readers) if p in self.accs.rank_set]
-        for k in hosted:
-            self.transport.before_read(readers[k], self._reads_seen[readers[k]])
-            self._reads_seen[readers[k]] += 1
         inputs = self.plan.reads.chunk[batch].tolist()
         gids = problem.input_global_ids[[inputs[k] for k in hosted]].tolist()
         slots = self.provider(gids)
@@ -739,4 +735,3 @@ class PhaseExecutor:
             t0 = time.perf_counter()
             self._output(t)
             times["output"] += time.perf_counter() - t0
-            self.transport.tile_done(t)

@@ -75,7 +75,7 @@ class TestCleanPlans:
 @settings(max_examples=15, deadline=None)
 def test_property_planned_flows_are_clean(seed, strategy):
     """Whatever the planner produces model-checks clean: deadlock-free,
-    matched send/recv multisets, complete combines, recovery-safe keys."""
+    matched send/recv multisets, complete combines, unique message keys."""
     rng = np.random.default_rng(seed)
     prob = make_problem(
         rng,

@@ -82,7 +82,7 @@ CLI_MODES = {
     "verify": (["--no-emulators"], 24),
     "comm": (["--comm", "--no-emulators"], 24),
     "functional": (["--functional"], 6),
-    "faults": (["--faults"], 3),
+    "faults": (["--faults"], 2),
     "service": (["--service"], 4),
     "shards": (["--shards"], 5),
     "chaos": (["--chaos"], 0),
@@ -194,15 +194,15 @@ class TestFunctionalCorpus:
 class TestFaultCorpus:
     """The fault matrix over the functional corpus.
 
-    The full 9-workload x 3-scenario sweep is the CI job ``python -m
-    repro.analysis.corpus --faults``; here one workload (all three
-    scenarios: corrupt+degrade, flaky+retry, crash+recover) keeps
-    tier-1 fast while exercising every fault path end to end.
+    The full 9-workload x 2-scenario sweep is the CI job ``python -m
+    repro.analysis.corpus --faults``; here one workload (both
+    scenarios: corrupt+degrade, flaky+retry) keeps tier-1 fast while
+    exercising every fault path end to end.
     """
 
     def test_first_workload_survives_fault_matrix(self, one_workload):
         n_scenarios, failures = verify_fault_corpus(strategies=(FRA,))
-        assert n_scenarios == 3
+        assert n_scenarios == 2
         assert failures == [], failed(failures)
 
 

@@ -43,13 +43,9 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError, match="times"):
             FaultSpec("io_error", times=0)
 
-    def test_crash_needs_rank(self):
-        with pytest.raises(ValueError, match="rank"):
-            FaultSpec("worker_crash")
-
     def test_all_kinds_constructible(self):
         for kind in FAULT_KINDS:
-            FaultSpec(kind, rank=0 if kind == "worker_crash" else None)
+            assert FaultSpec(kind).kind == kind
 
 
 class TestInjectorDeterminism:
@@ -99,31 +95,6 @@ class TestInjectorDeterminism:
             except InjectedFault:
                 fired += 1
         assert fired == 2
-
-    def test_attempt_scoping(self):
-        """attempt=0 specs fire only during attempt 0."""
-        inj = FaultInjector(FaultPlan.crash_worker(rank=1, after_reads=3))
-        inj.attempt = 1
-        assert not inj.should_crash(1, 3)
-        inj.attempt = 0
-        assert inj.should_crash(1, 3)
-        # one-shot: consumed
-        assert not inj.should_crash(1, 3)
-
-    def test_should_crash_matching(self):
-        inj = FaultInjector(FaultPlan.crash_worker(rank=2, after_reads=1))
-        assert not inj.should_crash(1, 1)  # wrong rank
-        assert not inj.should_crash(2, 0)  # wrong read count
-        assert inj.should_crash(2, 1)
-
-    def test_should_drop_matching(self):
-        inj = FaultInjector(
-            FaultPlan.drop_messages(message_kind="seg", message_index=5)
-        )
-        assert not inj.should_drop("ghost", 5)
-        assert not inj.should_drop("seg", 4)
-        assert inj.should_drop("seg", 5)
-        assert not inj.should_drop("seg", 5)  # times=1 consumed
 
     def test_fired_log(self):
         inj = FaultInjector(FaultPlan.corrupt_chunk(3))

@@ -18,6 +18,7 @@ from repro.dataset.partition import hilbert_partition
 from repro.frontend.adr import ADR
 from repro.frontend.protocol import (
     _RESULT_WIRE,
+    NotAnObjectError,
     ProtocolError,
     query_from_dict,
     query_to_dict,
@@ -567,6 +568,11 @@ class TestFraming:
         from repro.frontend.protocol import read_frame
 
         assert read_frame(io.BytesIO(b"")) is None
+
+    @pytest.mark.parametrize("payload", [None, [1, 2], 3, "s"])
+    def test_non_object_payload_is_not_eof(self, payload):
+        with pytest.raises(NotAnObjectError, match="not a JSON object"):
+            self.roundtrip(payload)
 
     def test_truncated_header(self):
         import io

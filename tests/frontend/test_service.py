@@ -151,6 +151,17 @@ class TestErrorCodes:
             assert "not a JSON object" in response["error"]
             assert client.ping()
 
+    def test_bad_request_code_for_null_message(self, service):
+        """A ``null`` frame is a message, not end of stream: it is
+        answered ``bad_request`` and the connection keeps serving."""
+        adr, server, _ = service
+        with ADRClient(*server.address) as client:
+            write_frame(client._file, None)
+            response = read_frame(client._file)
+            assert response is not None and response["code"] == "bad_request"
+            assert "not a JSON object" in response["error"]
+            assert client.ping()
+
     def test_non_object_result_is_a_protocol_error(self, service):
         """A server answering ``"result": []`` gets a ProtocolError at
         the client, not an AttributeError."""

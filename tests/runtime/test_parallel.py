@@ -7,6 +7,11 @@ so its results (and its work counters) must match **bit for bit**, not
 just within tolerance.
 """
 
+import glob
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -132,6 +137,29 @@ class TestParallelFailureModes:
         with pytest.raises(RuntimeError, match="parallel worker"):
             execute_plan(plan, bad_provider, mapping, grid, spec,
                          backend="parallel")
+
+    def test_killed_worker_fails_the_query(self, rng):
+        """A worker that dies without reporting (``os._exit`` inside its
+        chunk provider, inherited through fork) fails the query within
+        seconds, leaving no child process and no shared-memory segment."""
+        _, _, chunks, mapping, grid = make_functional_setup(rng, n_items=100)
+        spec = SumAggregation(1)
+        plan = plan_query(build_problem(chunks, mapping, grid, spec, 2, 1 << 14), "FRA")
+        victim = int(plan.problem.input_global_ids[plan.reads.chunk[0]])
+        parent = os.getpid()
+
+        def provider(i):
+            if i == victim and os.getpid() != parent:
+                os._exit(3)
+            return chunks[i]
+
+        segments = set(glob.glob("/dev/shm/psm_*"))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            execute_plan(plan, provider, mapping, grid, spec, backend="parallel")
+        assert time.monotonic() - start < 5
+        assert multiprocessing.active_children() == []
+        assert set(glob.glob("/dev/shm/psm_*")) == segments
 
     def test_empty_plan_short_circuits(self, rng):
         _, _, chunks, mapping, grid = make_functional_setup(rng, n_items=100)

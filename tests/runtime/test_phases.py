@@ -20,7 +20,7 @@ from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_query
 from repro.faults import FaultInjector, FaultPlan
 from repro.runtime import engine, phases
-from repro.runtime.engine import execute_plan
+from repro.runtime.engine import BatchReader, execute_plan
 from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
 from repro.runtime.transport import InprocTransport
 from repro.store.format import CorruptChunkError
@@ -196,23 +196,19 @@ class TestCounterContract:
 
 class LoggingTransport(InprocTransport):
     """An :class:`InprocTransport` that writes down what it is asked:
-    ``reads`` is the ``before_read`` sequence, ``calls`` every message
-    operation in order, payload bytes included (taken at the call:
-    ghosts travel by reference)."""
+    ``calls`` is every message operation in order, payload bytes
+    included (taken at the call: ghosts travel by reference)."""
 
     created = []
 
     def __init__(self):
         super().__init__()
-        self.reads, self.calls = [], []
+        self.calls = []
         LoggingTransport.created.append(self)
-
-    def before_read(self, rank, reads_done):
-        self.reads.append((rank, reads_done))
 
     def __getattribute__(self, name):
         attr = super().__getattribute__(name)
-        if name.split("_")[0] not in ("send", "recv", "emit", "tile"):
+        if name.split("_")[0] not in ("send", "recv", "emit"):
             return attr
 
         def logged(*args):
@@ -230,8 +226,9 @@ class LoggingTransport(InprocTransport):
 def run_bounded(monkeypatch, bound, plan, chunks, mapping, grid, spec, **kwargs):
     """``execute_plan`` with the reduce batch bound at *bound* bytes;
     returns the result, the sizes of the batches the (sequential)
-    executor reduced and its transport log."""
-    sizes = []
+    executor reduced, its transport log and the global chunk ids of
+    each provider call, in order."""
+    sizes, reads = [], []
     reduce_batch = PhaseExecutor._reduce_batch
 
     def counting(self, t, batch):
@@ -242,8 +239,14 @@ def run_bounded(monkeypatch, bound, plan, chunks, mapping, grid, spec, **kwargs)
     monkeypatch.setattr(PhaseExecutor, "_reduce_batch", counting)
     monkeypatch.setattr(engine, "InprocTransport", LoggingTransport)
     LoggingTransport.created.clear()
-    res = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec, **kwargs)
-    return res, sizes, LoggingTransport.created[-1] if LoggingTransport.created else None
+
+    def provider(ids):
+        reads.append(list(ids))
+        return [chunks[i] for i in ids]
+
+    res = execute_plan(plan, BatchReader(provider), mapping, grid, spec, **kwargs)
+    log = LoggingTransport.created[-1] if LoggingTransport.created else None
+    return res, sizes, log, reads
 
 
 def assert_same_result(res, ref):
@@ -277,18 +280,25 @@ class TestReduceBatches:
         assert plan.n_tiles > 1
         args = (plan, chunks, mapping, grid, spec)
         two = 2 * int(prob.inputs.nbytes.max())
-        whole, sizes, log = run_bounded(monkeypatch, float("inf"), *args)
+        whole, sizes, log, reads = run_bounded(monkeypatch, float("inf"), *args)
         tile_reads = [len(plan.schedule().reads_of(t)) for t in range(plan.n_tiles)]
         assert sizes == [n for n in tile_reads if n] and max(sizes) > 2
         for bound, largest in ((0, 1), (two, 2)):
-            res, sizes, other = run_bounded(monkeypatch, bound, *args)
+            res, sizes, other, other_reads = run_bounded(monkeypatch, bound, *args)
             assert max(sizes) == largest and sum(sizes) == len(plan.reads)
             assert_same_result(res, whole)
-            assert other.reads == log.reads
+            # One provider call per batch; cut differently, the same
+            # chunks are read in the same order.
+            assert [len(ids) for ids in other_reads] == sizes
+            assert sum(other_reads, []) == sum(reads, [])
             assert other.calls == log.calls
-            par, _, _ = run_bounded(monkeypatch, bound, *args, backend="parallel")
+            par, *_ = run_bounded(monkeypatch, bound, *args, backend="parallel")
             assert_same_result(par, whole)
-        par, _, _ = run_bounded(monkeypatch, float("inf"), *args, backend="parallel")
+        assert sum(reads, []) == [
+            int(prob.input_global_ids[plan.reads.chunk[r]])
+            for t in range(plan.n_tiles) for r in plan.schedule().reads_of(t)
+        ]
+        par, *_ = run_bounded(monkeypatch, float("inf"), *args, backend="parallel")
         assert_same_result(par, whole)
         # The log is the message flow the schedule states, rank by rank.
         flow = plan.schedule().message_flow()
@@ -305,7 +315,7 @@ class TestReduceBatches:
         victim_read = mid_batch_read(plan, forwarding=True)
         victim = int(plan.reads.chunk[victim_read])
         inject = lambda: FaultInjector(FaultPlan.corrupt_chunk(victim))  # noqa: E731
-        seq, _, log = run_bounded(
+        seq, _, log, _ = run_bounded(
             monkeypatch, float("inf"), plan, chunks, mapping, grid, spec,
             on_error="degrade", fault_injector=inject(),
         )
