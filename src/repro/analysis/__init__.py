@@ -1,6 +1,6 @@
 """Static analysis and dynamic checking for the ADR reproduction.
 
-Four cooperating passes, all reporting structured
+Three cooperating passes, all reporting structured
 :class:`~repro.analysis.diagnostics.Diagnostic` objects with stable
 codes:
 
@@ -14,11 +14,6 @@ codes:
   no float equality on accumulators, immutable chunk payloads,
   explicit ``__all__``, exception hygiene, phase-loop ownership),
   runnable as ``python -m repro.analysis.lint``;
-- :mod:`repro.analysis.comm` (``ADR6xx``) -- a static
-  communication-protocol checker that model-checks each plan's
-  :class:`~repro.runtime.phases.MessageFlow`: deadlock-freedom,
-  exact send/receive matching, combine completeness and
-  unique message keys;
 - :mod:`repro.analysis.effects` (``ADR7xx``) -- a dataflow /
   concurrency lint over the threaded runtime (unguarded shared-state
   mutation in thread workers, ABBA lock order, unbounded blocking
@@ -26,10 +21,11 @@ codes:
   section), run as part of the lint pass for concurrency-critical
   paths.
 
-:mod:`repro.analysis.corpus` glues the verifier and the comm checker
-into CI: it plans a canned corpus of problems with every strategy and
-fails on any diagnostic (``python -m repro.analysis.corpus [--comm]``).
-See ``docs/static_analysis.md`` for the code catalog.
+:mod:`repro.analysis.corpus` glues the verifier into CI: it plans a
+canned corpus of problems with every strategy and fails on any
+diagnostic (``python -m repro.analysis.corpus``).  ``ADR2xx`` and
+``ADR6xx`` are retired and never reused.  See
+``docs/static_analysis.md`` for the code catalog.
 """
 
 from repro.analysis.diagnostics import (
@@ -41,7 +37,6 @@ from repro.analysis.diagnostics import (
 from repro.analysis.verifier import VERIFIER_CODES, verify_plan
 
 _LINT_EXPORTS = ("lint_paths", "lint_file", "lint_source", "LINT_CODES")
-_COMM_EXPORTS = ("check_plan_comm", "check_message_flow", "COMM_CODES")
 _EFFECTS_EXPORTS = ("check_effects", "EFFECTS_CODES")
 
 
@@ -52,10 +47,6 @@ def __getattr__(name):
         from repro.analysis import lint
 
         return getattr(lint, name)
-    if name in _COMM_EXPORTS:
-        from repro.analysis import comm
-
-        return getattr(comm, name)
     if name in _EFFECTS_EXPORTS:
         from repro.analysis import effects
 
@@ -74,9 +65,6 @@ __all__ = [
     "lint_file",
     "lint_source",
     "LINT_CODES",
-    "check_plan_comm",
-    "check_message_flow",
-    "COMM_CODES",
     "check_effects",
     "EFFECTS_CODES",
 ]

@@ -11,10 +11,6 @@ deterministic corpora, one mode per path a query can take::
                   scenarios, planned with every strategy and checked by
                   :func:`~repro.analysis.verifier.verify_plan` (ADR1xx;
                   ``--no-emulators`` drops the emulators)
-``--comm``        the same plans through
-                  :func:`~repro.analysis.comm.check_plan_comm` (ADR6xx:
-                  deadlock-freedom, matched sends/receives, complete
-                  combines, unique message keys)
 ``--functional``  nine payload workloads: every strategy, the
                   ``strategy='auto'`` pick and one synopsis-pruned
                   ``where=`` plan, each over {sequential, parallel}
@@ -47,7 +43,6 @@ import numpy as np
 
 from repro.aggregation.functions import AggregationSpec
 from repro.aggregation.output_grid import OutputGrid, PlacedGrids
-from repro.analysis.comm import check_plan_comm
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.verifier import verify_plan
 from repro.dataset.chunk import Chunk
@@ -141,20 +136,19 @@ def corpus_problems(include_emulators: bool = True) -> Iterator[Tuple[str, objec
 
 
 def verify_corpus(
-    check: Callable = verify_plan,
     include_emulators: bool = True,
     strategies: Sequence[str] = ALL_STRATEGIES,
 ) -> Tuple[int, List[Tuple[str, Diagnostic]]]:
-    """Plan the corpus with every strategy and run *check* on each plan
-    -- the verifier by default, :func:`check_plan_comm` for ``--comm``;
-    returns ``(n_plans, (plan label, diagnostic) pairs)``."""
+    """Plan the corpus with every strategy and verify each plan
+    (:func:`~repro.analysis.verifier.verify_plan`); returns
+    ``(n_plans, (plan label, diagnostic) pairs)``."""
     findings: List[Tuple[str, Diagnostic]] = []
     n_plans = 0
     for label, problem in corpus_problems(include_emulators):
         for strategy in strategies:
             n_plans += 1
             plan = plan_query(problem, strategy)
-            findings += [(f"{label} / {strategy}", d) for d in check(plan)]
+            findings += [(f"{label} / {strategy}", d) for d in verify_plan(plan)]
     return n_plans, findings
 
 
@@ -885,13 +879,6 @@ _MODES = (
     _Mode(None, "verify", ("--no-emulators",),
           lambda argv: verify_corpus(include_emulators="--no-emulators" not in argv),
           "plans", "verified, zero diagnostics"),
-    _Mode("--comm", "comm", ("--no-emulators",),
-          lambda argv: verify_corpus(
-              check_plan_comm, include_emulators="--no-emulators" not in argv
-          ),
-          "plans", "model-checked (deadlock-free, matched send/recv "
-                   "multisets, complete combines, unique message keys), "
-                   "zero diagnostics"),
     _Mode("--functional", "functional", (),
           lambda argv: verify_functional_corpus(),
           "plans", "executed on both backends, all matched the serial oracle"),
@@ -917,7 +904,7 @@ _MODES = (
 
 _USAGE = (
     "usage: python -m repro.analysis.corpus "
-    "[--no-emulators] [--comm] [--functional] [--faults] "
+    "[--no-emulators] [--functional] [--faults] "
     "[--service] [--shards] [--chaos] "
     "[--format text|json|github] [--out FILE]"
 )

@@ -1,6 +1,6 @@
 """Structured diagnostics shared by every analysis pass.
 
-Every pass (plan verifier, project lint, comm checker, effects lint)
+Every pass (plan verifier, project lint, effects lint)
 reports problems the same way: a :class:`Diagnostic` with a
 stable code, a severity, a location and a human-readable message.
 Stable codes let tests pin individual invariants, let CI gate on
@@ -15,8 +15,8 @@ Code ranges
   (:mod:`repro.analysis.lint`)
 - ``ADR4xx`` / ``ADR5xx`` -- exception hygiene and phase-loop
   ownership rules (also :mod:`repro.analysis.lint`)
-- ``ADR6xx`` -- static communication-protocol checks over the
-  transport schedule (:mod:`repro.analysis.comm`)
+- ``ADR6xx`` -- retired with the communication model checker; never
+  reused
 - ``ADR7xx`` -- dataflow/concurrency lint over the threaded runtime
   (:mod:`repro.analysis.effects`)
 """
@@ -175,9 +175,6 @@ class DiagnosticCollector:
 
     def warning(self, code: str, location: str, message: str) -> None:
         self.emit(code, Severity.WARNING, location, message)
-
-    def note(self, code: str, location: str, message: str) -> None:
-        self.emit(code, Severity.NOTE, location, message)
 
     def count(self, code: str) -> int:
         """Total findings emitted for *code* (including suppressed)."""

@@ -1,7 +1,8 @@
 """AST dataflow/concurrency lint over the threaded runtime (``ADR7xx``).
 
-The comm checker (:mod:`repro.analysis.comm`) proves the *protocol*
-sound; this pass checks the threaded Python that executes it.  It runs
+The plan verifier (:mod:`repro.analysis.verifier`) proves the plan
+the runtime executes; this pass checks the threaded Python that
+executes it.  It runs
 through the same pipeline as the project lint (:func:`lint_source`
 invokes it for files under ``repro/runtime/``, ``repro/store/``,
 ``repro/frontend/`` and ``repro/shard/``, the scope of the lint's

@@ -61,9 +61,6 @@ class BatchPlan:
     def __len__(self) -> int:
         return len(self.plans)
 
-    def ordered_plans(self) -> List[QueryPlan]:
-        return [self.plans[i] for i in self.order]
-
     # -- sharing analysis ----------------------------------------------
 
     def query_chunk_sets(self) -> List[FrozenSet[int]]:

@@ -50,7 +50,6 @@ from repro.util.geometry import Rect
 __all__ = [
     "ReadSegments",
     "RoutingCache",
-    "TileSchedule",
     "coerce_values",
     "filter_predicate",
     "group_read",
@@ -58,7 +57,6 @@ __all__ = [
     "route_chunk",
     "routing_key",
     "routing_tail",
-    "tile_schedule",
 ]
 
 
@@ -380,49 +378,3 @@ def group_read(
 ) -> Optional[ReadSegments]:
     """The one-read case of :func:`group_reads`."""
     return group_reads([(item_idx, cells, values)], grid, sel_map, tile_of_output, tile)
-
-
-# ---------------------------------------------------------------------------
-# Plan tile schedule (shared by the sequential and parallel backends)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TileSchedule:
-    """Per-tile grouping of the plan's reads / ghost transfers /
-    outputs: ``x_order[x_bounds[t]:x_bounds[t+1]]`` are tile *t*'s
-    entries in deterministic (tile, original index) order -- the order
-    both backends execute, which is what makes them comparable
-    bit-for-bit."""
-
-    read_order: np.ndarray
-    read_bounds: np.ndarray
-    gt_order: np.ndarray
-    gt_bounds: np.ndarray
-    out_order: np.ndarray
-    out_bounds: np.ndarray
-
-    def reads_of(self, tile: int) -> np.ndarray:
-        return self.read_order[self.read_bounds[tile] : self.read_bounds[tile + 1]]
-
-    def transfers_of(self, tile: int) -> np.ndarray:
-        return self.gt_order[self.gt_bounds[tile] : self.gt_bounds[tile + 1]]
-
-    def outputs_of(self, tile: int) -> np.ndarray:
-        return self.out_order[self.out_bounds[tile] : self.out_bounds[tile + 1]]
-
-
-def tile_schedule(plan) -> TileSchedule:
-    """Group the plan's traffic tables by tile (stable order)."""
-    ticks = np.arange(plan.n_tiles + 1)
-    reads = plan.reads
-    read_order = np.argsort(reads.tile, kind="stable")
-    read_bounds = np.searchsorted(reads.tile[read_order], ticks)
-    gt = plan.ghost_transfers
-    gt_order = np.argsort(gt.tile, kind="stable")
-    gt_bounds = np.searchsorted(gt.tile[gt_order], ticks)
-    out_order = np.argsort(plan.tile_of_output, kind="stable")
-    out_bounds = np.searchsorted(plan.tile_of_output[out_order], ticks)
-    return TileSchedule(
-        read_order, read_bounds, gt_order, gt_bounds, out_order, out_bounds
-    )

@@ -7,8 +7,7 @@ transcribed it independently.  This module is the single home of that
 loop:
 
 - :class:`PhaseSchedule` derives everything schedule-shaped from the
-  plan once: the per-tile read/transfer/output orders (via
-  :func:`~repro.runtime.kernels.tile_schedule`), the per-read
+  plan once: the per-tile read/transfer/output orders, the per-read
   forwarding recipients, and the per-(tile, processor) work tallies
   the simulator turns into events.  ``plan.schedule()`` caches one.
 - :class:`AccumulatorHost` is the accumulator state for the ranks one
@@ -77,13 +76,11 @@ from repro.aggregation.output_grid import OutputGrid
 from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import (
     RoutingCache,
-    TileSchedule,
     coerce_values,
     filter_predicate,
     group_reads,
     route_chunk,
     routing_tail,
-    tile_schedule,
 )
 from repro.runtime.transport import Transport
 from repro.space.mapping import GridMapping
@@ -91,8 +88,6 @@ from repro.store.chunk_store import RECOVERABLE_READ_ERRORS, ReadSlot
 from repro.util.arrays import unique_rows
 
 __all__ = [
-    "MESSAGE_OPS",
-    "MessageFlow",
     "PHASES",
     "AccumulatorHost",
     "PhaseExecutor",
@@ -169,60 +164,6 @@ def merge_tallies(tallies: Sequence[Tally]) -> Tally:
 #: consecutive reads -- never the whole tile at once, whatever its size.
 _BATCH_BYTES = 1 << 20
 
-#: Transport-visible operations a rank performs, in the vocabulary of
-#: :class:`MessageFlow` events.  ``send_seg``/``recv_seg`` forward
-#: reduction segments (keyed by read index), ``send_ghost``/
-#: ``recv_ghost`` ship ghost accumulators (keyed by transfer index),
-#: ``emit`` posts a finished output chunk (keyed by local output id).
-MESSAGE_OPS = ("send_seg", "recv_seg", "send_ghost", "recv_ghost", "emit")
-
-
-@dataclass(frozen=True)
-class MessageFlow:
-    """The per-rank communication program the executor will run.
-
-    ``events[p]`` is the exact ordered sequence of transport operations
-    rank *p* performs, each a ``(op, tile, index, peer)`` tuple with
-    *op* from :data:`MESSAGE_OPS`, *index* the schedule key of the
-    message (read index for segments, transfer index for ghosts, local
-    output chunk id for emits) and *peer* the destination rank of a
-    send, the source rank of a receive, and ``-1`` for an emit (the
-    result queue has no rank).
-
-    This is the object :mod:`repro.analysis.comm` model-checks: a send
-    event corresponds one-to-one with a
-    :meth:`~repro.runtime.transport.Transport.send_segments` /
-    :meth:`~repro.runtime.transport.Transport.send_ghost` call under
-    the message key of
-    :func:`repro.runtime.transport.message_key`, so proofs about the
-    flow (deadlock-freedom, matched multisets, combine completeness,
-    re-send safety) are proofs about what
-    :class:`PhaseExecutor` asks any transport to do.
-    """
-
-    n_procs: int
-    n_tiles: int
-    events: Dict[int, List[Tuple[str, int, int, int]]] = field(default_factory=dict)
-
-    def sends(self) -> List[Tuple[int, str, int, int, int]]:
-        """``(src, kind, tile, index, dst)`` rows for every send."""
-        out = []
-        for p, evs in self.events.items():
-            for op, tile, index, peer in evs:
-                if op in ("send_seg", "send_ghost"):
-                    out.append((p, op[5:], tile, index, peer))
-        return out
-
-    def recvs(self) -> List[Tuple[int, str, int, int, int]]:
-        """``(dst, kind, tile, index, src)`` rows for every receive."""
-        out = []
-        for p, evs in self.events.items():
-            for op, tile, index, peer in evs:
-                if op in ("recv_seg", "recv_ghost"):
-                    out.append((p, op[5:], tile, index, peer))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Plan-derived schedule (shared by engines, workers and the simulator)
 # ---------------------------------------------------------------------------
@@ -238,10 +179,13 @@ class PhaseSchedule:
 
     Attributes
     ----------
-    tiles:
-        The per-tile read/ghost-transfer/output orders
-        (:class:`~repro.runtime.kernels.TileSchedule`); delegated via
-        :meth:`reads_of` / :meth:`transfers_of` / :meth:`outputs_of`.
+    read_order, read_bounds, gt_order, gt_bounds, out_order, out_bounds:
+        The per-tile grouping of the plan's reads / ghost transfers /
+        outputs: ``x_order[x_bounds[t]:x_bounds[t+1]]`` are tile *t*'s
+        entries in deterministic (tile, original index) order -- the
+        order every backend executes, which is what makes them
+        comparable bit for bit.  :meth:`reads_of` /
+        :meth:`transfers_of` / :meth:`outputs_of` slice them.
     recipients:
         Per read, the ranks beyond the reader that receive a forwarded
         segment message.  Derived from the plan's edge assignment
@@ -263,15 +207,22 @@ class PhaseSchedule:
 
     def __init__(self, plan: QueryPlan) -> None:
         problem = plan.problem
-        P = problem.n_procs
         self.n_tiles = plan.n_tiles
-        self.tiles: TileSchedule = tile_schedule(plan)
+        self.n_procs = int(problem.n_procs)
+        ticks = np.arange(plan.n_tiles + 1)
+        reads = plan.reads
+        gt = plan.ghost_transfers
+        self.read_order = np.argsort(reads.tile, kind="stable")
+        self.read_bounds = np.searchsorted(reads.tile[self.read_order], ticks)
+        self.gt_order = np.argsort(gt.tile, kind="stable")
+        self.gt_bounds = np.searchsorted(gt.tile[self.gt_order], ticks)
+        self.out_order = np.argsort(plan.tile_of_output, kind="stable")
+        self.out_bounds = np.searchsorted(plan.tile_of_output[self.out_order], ticks)
 
         # Every edge belongs to exactly one read -- the one of its
         # (tile, input chunk), and ``plan.reads`` is sorted by that
         # pair -- so all reads' recipients come out of one sorted pass
         # over the distinct (read, edge processor) pairs.
-        reads = plan.reads
         edge_in, _ = plan.edge_arrays
         n_in = problem.n_in
         edge_read = np.searchsorted(
@@ -283,16 +234,6 @@ class PhaseSchedule:
         self.recipients: List[np.ndarray] = [
             procs[a:b] for a, b in zip(bounds, bounds[1:])
         ]
-
-        # The endpoint tables :meth:`message_flow` replays the phase
-        # loop over (kept here so the flow is derived from the same
-        # schedule object every backend walks).
-        self.n_procs = int(P)
-        self.read_proc = reads.proc.astype(np.int64)
-        gt = plan.ghost_transfers
-        self.transfer_src = gt.src.astype(np.int64)
-        self.transfer_dst = gt.dst.astype(np.int64)
-        self.output_owner = problem.output_owner.astype(np.int64)
 
         # What the simulator-only tables below are derived from, on
         # first use (no reference to the plan: it owns this object).
@@ -325,43 +266,13 @@ class PhaseSchedule:
         ).reshape(n_rows, self.n_procs)
 
     def reads_of(self, tile: int) -> np.ndarray:
-        return self.tiles.reads_of(tile)
+        return self.read_order[self.read_bounds[tile] : self.read_bounds[tile + 1]]
 
     def transfers_of(self, tile: int) -> np.ndarray:
-        return self.tiles.transfers_of(tile)
+        return self.gt_order[self.gt_bounds[tile] : self.gt_bounds[tile + 1]]
 
     def outputs_of(self, tile: int) -> np.ndarray:
-        return self.tiles.outputs_of(tile)
-
-    def message_flow(self) -> MessageFlow:
-        """The per-rank transport program (:class:`MessageFlow`).
-
-        Replays exactly the walk :meth:`PhaseExecutor.run` performs --
-        reads, then ghost transfers, then outputs, tile by tile in
-        schedule order -- recording every transport call each rank
-        would make.  :func:`repro.analysis.comm.check_plan_comm`
-        model-checks the result against the plan tables.
-        """
-        events: Dict[int, List[Tuple[str, int, int, int]]] = {
-            p: [] for p in range(self.n_procs)
-        }
-        for t in range(self.n_tiles):
-            for r in self.reads_of(t):
-                r = int(r)
-                reader = int(self.read_proc[r])
-                for q in self.recipients[r]:
-                    events[reader].append(("send_seg", t, r, int(q)))
-                for q in self.recipients[r]:
-                    events[int(q)].append(("recv_seg", t, r, reader))
-            for g in self.transfers_of(t):
-                g = int(g)
-                src, dst = int(self.transfer_src[g]), int(self.transfer_dst[g])
-                events[src].append(("send_ghost", t, g, dst))
-                events[dst].append(("recv_ghost", t, g, src))
-            for o in self.outputs_of(t):
-                o = int(o)
-                events[int(self.output_owner[o])].append(("emit", t, o, -1))
-        return MessageFlow(n_procs=self.n_procs, n_tiles=self.n_tiles, events=events)
+        return self.out_order[self.out_bounds[tile] : self.out_bounds[tile + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +548,8 @@ class PhaseExecutor:
                 hi = lo[1:]
         # Walk the reads in schedule order: apply own segments, forward
         # the rest (the DA communication), then receive -- sends and
-        # receives stay per read, so the cross-rank message schedule is
-        # the one ``PhaseSchedule.message_flow`` states.  A degraded
+        # receives stay per read, to the recipients the schedule names,
+        # so every rank agrees on the message schedule.  A degraded
         # (unreadable) chunk still ships its (empty) messages.
         for k, (r, reader) in enumerate(zip(batch, readers)):
             recipients = self.schedule.recipients[r].tolist()
@@ -653,6 +564,10 @@ class PhaseExecutor:
                         )
                         self._apply(reader, t, kind, o, cell_idx, payload)
                     else:
+                        assert q in outbound, (
+                            f"read {r} forwards a segment to processor {q}, "
+                            "which is not among the schedule's recipients"
+                        )
                         outbound[q].append(
                             (kind, o, np.ascontiguousarray(cell_idx),
                              np.ascontiguousarray(payload))

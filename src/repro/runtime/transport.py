@@ -43,9 +43,10 @@ def message_key(kind: str, tile: int, index: int) -> tuple:
     transfer index).  Both transports address messages by this key --
     the in-process mailbox adds the destination rank, the queue
     transport's stash holds one payload per key -- so it must be
-    unique per destination within one query: a duplicate key would
-    silently overwrite a stashed payload.  :mod:`repro.analysis.comm`
-    checks that uniqueness statically (ADR604).
+    unique per destination within one query.  The schedule keeps it
+    unique (one message per read and recipient, one per ghost
+    transfer); :class:`QueueTransport` refuses a second payload under
+    a key it still holds rather than overwrite the first.
     """
     if kind not in ("seg", "ghost"):
         raise ValueError(f"unknown message kind {kind!r}")
@@ -114,8 +115,9 @@ class QueueTransport(Transport):
     Sends put onto the destination rank's inbox queue (never blocking
     -- queues are unbounded, which is what makes the wait-chain
     deadlock-freedom argument work); receives read this rank's inbox,
-    stashing out-of-order arrivals by key until their turn comes.
-    Results are posted to the parent's result queue.
+    stashing out-of-order arrivals by key until their turn comes; a
+    second arrival under a stashed key is a ``RuntimeError``.  Results
+    are posted to the parent's result queue.
     """
 
     def __init__(self, rank: int, inboxes, result_q) -> None:
@@ -132,6 +134,8 @@ class QueueTransport(Transport):
                 raise RuntimeError(
                     f"worker timed out waiting for message {key!r}"
                 ) from None
+            if got_key in self._stash:
+                raise RuntimeError(f"worker received message {got_key!r} twice")
             self._stash[got_key] = payload
         return self._stash.pop(key)
 

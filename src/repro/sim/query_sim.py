@@ -162,7 +162,6 @@ class _QuerySim:
         # (``plan.schedule()``), so simulated and measured executions
         # can never drift apart structurally.
         sched = plan.schedule()
-        tiles = sched.tiles
 
         # Compute units: unique (tile, input chunk, processor) with the
         # number of (input, accumulator) pairs each represents.
@@ -178,16 +177,16 @@ class _QuerySim:
 
         # Ghost shipments per tile (global combine).
         g = plan.ghost_transfers
-        self.gt_tile = g.tile[tiles.gt_order]
-        self.gt_out = g.chunk[tiles.gt_order]
-        self.gt_src = g.src[tiles.gt_order]
-        self.gt_dst = g.dst[tiles.gt_order]
-        self.gt_bounds = tiles.gt_bounds
+        self.gt_tile = g.tile[sched.gt_order]
+        self.gt_out = g.chunk[sched.gt_order]
+        self.gt_src = g.src[sched.gt_order]
+        self.gt_dst = g.dst[sched.gt_order]
+        self.gt_bounds = sched.gt_bounds
 
         # Output handling per tile.
-        self.oh_out = tiles.out_order.astype(np.int64)
-        self.oh_tile = plan.tile_of_output[tiles.out_order]
-        self.oh_bounds = tiles.out_bounds
+        self.oh_out = sched.out_order.astype(np.int64)
+        self.oh_tile = plan.tile_of_output[sched.out_order]
+        self.oh_bounds = sched.out_bounds
 
         # Initialization-from-output chains (rare; off in the paper's
         # experiments): owners re-read existing output chunks and

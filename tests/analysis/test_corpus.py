@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import repro.analysis.corpus as corpus
-from repro.analysis.comm import check_plan_comm
 from repro.analysis.corpus import (
     _ALL,
     _COUNTERS,
@@ -66,10 +65,13 @@ class TestCorpus:
 
     @pytest.mark.parametrize(
         "argv",
-        # ``--prefetch`` no longer exists; a stale script passing it must
-        # still fail loudly rather than run the default mode.
-        [["--prefetch"], ["--comm", "--functional"], ["--service", "--no-emulators"]],
-        ids=["prefetch-without-faults", "two-modes", "modifier-of-another-mode"],
+        # ``--prefetch`` and ``--comm`` no longer exist; a stale script
+        # passing one must still fail loudly rather than run the default
+        # mode.
+        [["--prefetch"], ["--comm"], ["--faults", "--functional"],
+         ["--service", "--no-emulators"]],
+        ids=["prefetch-without-faults", "comm-retired", "two-modes",
+             "modifier-of-another-mode"],
     )
     def test_cli_rejects_flags_that_do_nothing(self, capsys, argv):
         assert main(argv) == 2
@@ -80,7 +82,6 @@ class TestCorpus:
 #: functional workload (chaos runs only workloads 0 and 3, so none)
 CLI_MODES = {
     "verify": (["--no-emulators"], 24),
-    "comm": (["--comm", "--no-emulators"], 24),
     "functional": (["--functional"], 6),
     "faults": (["--faults"], 2),
     "service": (["--service"], 4),
@@ -115,27 +116,6 @@ class TestCLIOutput:
         assert len(summary) == 1 and summary[0].startswith(
             f"repro.analysis.corpus: {n} "
         )
-
-
-class TestCommCorpus:
-    """The communication model check over the synthetic corpus.
-
-    The full 36-plan sweep (emulators included) is the CI job
-    ``python -m repro.analysis.corpus --comm``; tier-1 proves the 24
-    synthetic plans here.
-    """
-
-    def test_synthetic_corpus_model_checks_clean(self):
-        n_plans, findings = verify_corpus(check_plan_comm, include_emulators=False)
-        assert n_plans == 24
-        assert findings == [], "\n".join(
-            f"{label}: {d.format()}" for label, d in findings
-        )
-
-    def test_cli_comm_exits_zero(self, capsys):
-        assert main(["--comm", "--no-emulators"]) == 0
-        out = capsys.readouterr().out
-        assert "model-checked" in out and "zero diagnostics" in out
 
 
 def failed(failures):

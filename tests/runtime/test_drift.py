@@ -1,12 +1,12 @@
 """An executor that drifts from its plan is caught by the checks that
 run on every query: the parallel backend's per-rank arenas, the
-executor's ``holds`` / owner assertions, and a comparison against a
-clean run of the same plan (what the functional corpus does on both
-backends).
+executor's ``holds`` / owner / recipient assertions, and a comparison
+against a clean run of the same plan (what the functional corpus does
+on both backends).
 
-Each drift is a monkeypatch on :class:`PhaseExecutor`; forked worker
-hosts inherit it, so the parallel backend runs the drifted executor
-too.
+Each drift is a monkeypatch on :class:`PhaseExecutor` or on the plan's
+cached schedule; forked worker hosts inherit it, so the parallel
+backend runs the drifted executor too.
 """
 
 from dataclasses import replace
@@ -19,21 +19,28 @@ from repro.aggregation.functions import SumAggregation
 from repro.planner.strategies import plan_query
 from repro.runtime.engine import execute_plan
 from repro.runtime.phases import PhaseExecutor
+from repro.runtime.transport import InprocTransport
 
 from helpers import make_functional_setup
 from test_parallel import build_problem
 
 
-@pytest.fixture(params=["FRA", "SRA", "HYBRID"])
-def spread(request, rng):
-    """A plan with edges off the owner and ghosts to combine: 3 ranks,
-    2 KiB budgets."""
+def planned(rng, strategy):
+    """*strategy*'s plan over 3 ranks with 2 KiB budgets, and what
+    executing it takes."""
     _, _, chunks, mapping, grid = make_functional_setup(rng, n_items=250)
     spec = SumAggregation(1)
-    plan = plan_query(build_problem(chunks, mapping, grid, spec, 3, 1 << 11), request.param)
+    plan = plan_query(build_problem(chunks, mapping, grid, spec, 3, 1 << 11), strategy)
+    return plan, chunks, mapping, grid, spec
+
+
+@pytest.fixture(params=["FRA", "SRA", "HYBRID"])
+def spread(request, rng):
+    """A plan with edges off the owner and ghosts to combine."""
+    plan, *rest = planned(rng, request.param)
     owner = plan.problem.output_owner[plan.edge_arrays[1]]
     assert (plan.edge_proc != owner).any() and len(plan.ghost_transfers)
-    return plan, chunks, mapping, grid, spec
+    return plan, *rest
 
 
 def run(spread, backend="sequential"):
@@ -114,3 +121,27 @@ def test_combine_drift_asserts(monkeypatch, spread, drift):
         )))
     with pytest.raises(AssertionError):
         run(spread)
+
+
+@pytest.mark.parametrize("backend", ["sequential", "parallel"])
+def test_segment_for_a_dropped_recipient_asserts(monkeypatch, rng, backend):
+    """A DA read forwards a segment to a rank its schedule no longer
+    names as a recipient."""
+    forwarding = planned(rng, "DA")
+    sent = []
+    clean = InprocTransport.send_segments
+
+    def send_segments(self, dst, tile, read, segments):
+        if segments:
+            sent.append((read, dst))
+        clean(self, dst, tile, read, segments)
+
+    with monkeypatch.context() as m:
+        m.setattr(InprocTransport, "send_segments", send_segments)
+        run(forwarding)
+    read, dropped = sent[0]
+    recipients = forwarding[0].schedule().recipients
+    recipients[read] = recipients[read][recipients[read] != dropped]
+    expected = AssertionError if backend == "sequential" else RuntimeError
+    with pytest.raises(expected, match=f"read {read} forwards a segment to processor {dropped},"):
+        run(forwarding, backend=backend)

@@ -10,6 +10,7 @@ just within tolerance.
 import glob
 import multiprocessing
 import os
+import queue
 import time
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.decluster.hilbert import HilbertDeclusterer
 from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_query
 from repro.runtime.engine import execute_plan
+from repro.runtime.transport import QueueTransport, message_key
 
 from helpers import make_chunkset, make_functional_setup
 
@@ -176,3 +178,16 @@ class TestParallelFailureModes:
         result = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec,
                               backend="parallel")
         assert result.chunk_values == [] and result.n_reads == 0
+
+
+class TestQueueTransport:
+    def test_duplicate_key_is_refused(self):
+        """A second payload under a key still stashed fails the receive
+        instead of overwriting the first."""
+        k1, k2 = message_key("seg", 0, 1), message_key("seg", 0, 2)
+        inbox = queue.Queue()
+        for item in ((k1, "a"), (k1, "b"), (k2, "c")):
+            inbox.put(item)
+        transport = QueueTransport(0, [inbox], queue.Queue())
+        with pytest.raises(RuntimeError, match=r"\('seg', 0, 1\) twice"):
+            transport.recv_segments(0, 0, 2)
