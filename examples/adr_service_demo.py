@@ -6,7 +6,7 @@ serving a loaded repository, first to a sequential client (client A
 in the figure) submitting range queries over the socket interface as
 length-prefixed JSON frames, then to several concurrent clients whose
 overlapping queries are batched and share chunk scans through the
-pinned payload cache (see docs/service.md).
+LRU payload cache (see docs/service.md).
 
 Run:  python examples/adr_service_demo.py
 """

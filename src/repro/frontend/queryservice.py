@@ -21,21 +21,15 @@ that arrive against that dataset while the worker plans stay pending
 -- and join the batch when the planning round ends.  The batch closes
 when a round ends with no new arrival or at ``batch_max`` queries, so
 a lone query never waits.  The batch is planned per query (each query
-keeps its own strategy), ordered by the greedy shared-input-bytes
-chain of :func:`repro.planner.batch.order_for_sharing`, and executed
-in that order on the worker.  Batches over different datasets -- or
-over the same dataset once its batch has closed -- run concurrently
-on other workers.
+keeps its own strategy) and executed in submission order on the
+worker.  Batches over different datasets -- or over the same dataset
+once its batch has closed -- run concurrently on other workers.
 
 Functional scan sharing
 -----------------------
-Ordering is only half the sharing: the chunks two consecutive queries
-have in common must still be *in memory* when the successor asks for
-them.  Before executing, the worker pins the batch's
-consecutive-overlap chunk set in the ADR's payload cache
-(:meth:`repro.store.cache.CachedChunkStore.pin`), so the decoded
-payloads a query's reads produce survive until the batch completes no
-matter what else the cache evicts; overlapping queries aggregate out
+A batch runs its queries back to back on one worker, so a successor
+finds the chunks its predecessor read still in the ADR's LRU payload
+cache (:class:`repro.store.cache.CachedChunkStore`) and aggregates out
 of the same decoded buffers instead of re-reading the disk farm.
 Results are bit-identical to isolated execution -- sharing changes
 where bytes come from, never what is computed -- and each result's
@@ -58,7 +52,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.frontend.adr import ADR
 from repro.frontend.query import RangeQuery
-from repro.planner.batch import BatchPlan, order_for_sharing
 from repro.planner.plan import QueryPlan
 from repro.planner.select import StrategyChoice
 from repro.planner.telemetry import MeasuredRun, TelemetryLog
@@ -120,8 +113,7 @@ class ServicePolicy:
         Worker threads, i.e. batches executing concurrently.
     batch_max:
         Most queries fused into one shared-scan batch.
-        ``1`` disables batching, reordering and cache pinning -- every
-        query executes alone.
+        ``1`` turns batching off -- every query executes alone.
     """
 
     max_queue: int = 64
@@ -408,24 +400,15 @@ class QueryService:
             return
 
         # Everything past planning runs under one umbrella handler: a
-        # scheduler-level failure (ordering, shared-key computation, a
-        # pin that raises) must resolve *every* still-pending ticket --
-        # an unresolved ticket is a client hung in ``result()`` forever.
-        cache = self.adr.cache
-        pinned: frozenset = frozenset()
+        # scheduler-level failure must resolve *every* still-pending
+        # ticket -- an unresolved ticket is a client hung in ``result()``
+        # forever.
         try:
-            share = len(planned) > 1
-            plans = [plan for _, plan, _ in planned]
-            order = order_for_sharing(plans) if share else list(range(len(planned)))
-            if share and cache is not None:
-                pinned = BatchPlan(plans, list(order)).consecutive_shared_keys()
-                cache.pin(dataset, pinned)
             with self._cv:
                 self._counters["batches"] += 1
                 if len(planned) > 1:
                     self._counters["batched_queries"] += len(planned)
-            for pos, idx in enumerate(order):
-                ticket, plan, choice = planned[idx]
+            for pos, (ticket, plan, choice) in enumerate(planned):
                 try:
                     result = self.adr.execute(ticket.query, plan=(plan, choice))
                 except Exception as e:
@@ -446,11 +429,6 @@ class QueryService:
             for ticket, _, _ in planned:
                 if not ticket.done():
                     self._finish(ticket, None, e)
-        finally:
-            # Balanced even when ``pin`` itself raised partway: ``unpin``
-            # ignores keys that were never pinned.
-            if pinned and cache is not None:
-                cache.unpin(dataset, pinned)
 
     def _record_telemetry(self, plan: QueryPlan, result: QueryResult) -> None:
         """Harvest a clean completed query into the telemetry log.

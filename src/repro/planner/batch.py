@@ -12,17 +12,14 @@ processing).
 
 :func:`plan_batch` plans each query individually (any strategy) and
 then *orders* the batch to maximize consecutive-query chunk overlap --
-a greedy chain on shared input bytes -- so the one-query reuse window
-captures as much of the overlap as possible.  The ordering itself is
-:func:`order_for_sharing`, which also accepts pre-built plans: the
-concurrent front end (:mod:`repro.frontend.queryservice`) uses it to
-schedule *in-flight* queries for functional scan sharing through the
-payload cache, pinning the chunks named by
-:meth:`BatchPlan.consecutive_shared_keys` for the batch's lifetime.
+a greedy chain on shared input bytes (:func:`order_for_sharing`) -- so
+the one-query reuse window captures as much of the overlap as possible.
 :func:`repro.sim.query_sim.simulate_query` accepts the resulting
 ``cached_inputs`` set per query, and :func:`simulate_batch` runs the
 whole ordered batch, reporting per-query times and the bytes the
-sharing saved.
+sharing saved.  The concurrent front end
+(:mod:`repro.frontend.queryservice`) shares scans without reordering:
+it runs a batch in submission order over the LRU payload cache.
 """
 
 from __future__ import annotations
@@ -83,17 +80,6 @@ class BatchPlan:
                 total += sizes[g]
         return total
 
-    def consecutive_shared_keys(self) -> FrozenSet[int]:
-        """Global input chunk ids shared by *consecutive* queries under
-        the chosen order -- the chunks a shared-scan executor should pin
-        in the payload cache so the successor query's reads are served
-        from memory rather than the disk farm."""
-        sets = self.query_chunk_sets()
-        shared: set = set()
-        for a, b in zip(self.order, self.order[1:]):
-            shared |= sets[a] & sets[b]
-        return frozenset(shared)
-
     def total_read_bytes(self) -> int:
         return sum(p.total_read_bytes for p in self.plans)
 
@@ -134,10 +120,9 @@ def order_for_sharing(plans: Sequence[QueryPlan]) -> List[int]:
     append (or prepend) the query sharing the most bytes with the
     chain's current tail (or head).  Accepts plans built with *any*
     mix of strategies -- the overlap is a property of the planning
-    problems' input chunk sets, not of the tiling -- so the concurrent
-    query service can schedule in-flight queries that each chose their
-    own strategy.  With two or fewer plans (or no overlap at all) the
-    submission order is returned unchanged.
+    problems' input chunk sets, not of the tiling.  With two or fewer
+    plans (or no overlap at all) the submission order is returned
+    unchanged.
     """
     batch = BatchPlan(list(plans), list(range(len(plans))))
     if len(plans) <= 2:

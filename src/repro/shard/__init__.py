@@ -13,10 +13,9 @@ globally.  This package is that deployment shape:
   :class:`~repro.frontend.service.ADRServer` over the shard's local
   dataset, answering partial queries;
 - :mod:`repro.shard.router` -- the scatter/gather router: plans once,
-  fans sub-plans out over the wire protocol with per-shard deadlines,
-  retry/failover and optional hedging, merges partials, and degrades
-  (``shard_errors`` + completeness) instead of failing when a shard is
-  lost;
+  fans sub-plans out over the wire protocol with per-shard deadlines
+  and retry/failover, merges partials, and degrades (``shard_errors``
+  + completeness) instead of failing when a shard is lost;
 - :mod:`repro.shard.cluster` -- thread-hosted deployments for tests,
   the ``--shards`` bit-identity corpus and the chaos corpus.
 

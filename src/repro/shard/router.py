@@ -20,16 +20,15 @@ Robustness is the router's job, not the shards':
   torn frame, timeout, an ``overloaded`` rejection) are retried on the
   endpoint's address cycle -- primary first, then replicas -- under
   the backoff schedule of a :class:`~repro.store.retry.RetryPolicy`
-  with injectable clock/sleep.  ``bad_request`` is never retried: the
-  query itself is at fault.
+  with injectable clock/sleep.  An ``overloaded`` rejection's
+  ``retry_after_s`` hint lengthens the pause; a pause that would
+  overrun the deadline ends the fetch with the last error.
+  ``bad_request`` is never retried: the query itself is at fault.
 - **Degrade.**  Under ``on_error='degrade'`` a shard that stays dead
   is recorded in ``QueryResult.shard_errors`` and its planned chunks
   in ``chunk_errors`` (dataset-global ids); ``completeness`` accounts
   for both shard- and chunk-level loss.  Under ``on_error='raise'``
   any dead shard raises :class:`ShardUnavailableError`.
-- **Hedging.**  With ``hedge_after_s`` set, a straggling primary's
-  sub-plan is re-dispatched to its replicas after that delay and the
-  first response wins (the loser is abandoned, never joined).
 
 See ``docs/sharding.md`` for the merged-counter and completeness
 contracts.
@@ -127,24 +126,17 @@ class RouterPolicy:
         Backoff schedule and retryable-error classes for per-shard
         attempts; attempts cycle through the endpoint's address list,
         so ``max_attempts >= 2`` gives automatic replica failover.
-    hedge_after_s:
-        When set and a shard has replicas, a straggler's sub-plan is
-        re-dispatched to the replicas after this many seconds and the
-        first response wins.  ``None`` disables hedging.
     """
 
     shard_deadline_s: float = 30.0
     connect_timeout_s: float = 5.0
     retry: RetryPolicy = field(default_factory=_default_retry)
-    hedge_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.shard_deadline_s <= 0:
             raise ValueError("shard_deadline_s must be positive")
         if self.connect_timeout_s <= 0:
             raise ValueError("connect_timeout_s must be positive")
-        if self.hedge_after_s is not None and self.hedge_after_s < 0:
-            raise ValueError("hedge_after_s must be >= 0")
 
 
 @dataclass
@@ -313,7 +305,7 @@ class ShardRouter:
 
         def fetch(sid: int) -> None:
             try:
-                result = self._fetch_shard(self.endpoints[sid], plan.query)
+                result = self._fetch_chain(self.endpoints[sid].addresses, plan.query)
             except Exception as e:
                 with lock:
                     failures[sid] = e
@@ -349,22 +341,12 @@ class ShardRouter:
 
     # -- per-shard fetch ------------------------------------------------
 
-    def _fetch_shard(
-        self, endpoint: ShardEndpoint, query: RangeQuery
-    ) -> QueryResult:
-        deadline_at = self._clock() + self.policy.shard_deadline_s
-        hedge = self.policy.hedge_after_s
-        if hedge is None or not endpoint.replicas:
-            return self._fetch_chain(endpoint.addresses, query, deadline_at)
-        return self._fetch_hedged(endpoint, query, deadline_at)
-
     def _fetch_chain(
-        self,
-        addresses: Tuple[Any, ...],
-        query: RangeQuery,
-        deadline_at: float,
+        self, addresses: Tuple[Any, ...], query: RangeQuery
     ) -> QueryResult:
-        """Retry/failover loop cycling *addresses* under one deadline."""
+        """Retry/failover loop cycling *addresses* under the shard
+        deadline."""
+        deadline_at = self._clock() + self.policy.shard_deadline_s
         retry = self.policy.retry
         last: Optional[BaseException] = None
         for attempt in range(retry.max_attempts):
@@ -392,69 +374,16 @@ class ShardRouter:
                     client.close()
             if attempt + 1 < retry.max_attempts:
                 pause = retry.delay(attempt)
-                if self._clock() + pause < deadline_at:
-                    self._sleep(pause)
+                if isinstance(last, RemoteQueryError) and last.code == "overloaded":
+                    pause = max(pause, float(last.details.get("retry_after_s", 0.0)))
+                if self._clock() + pause >= deadline_at:
+                    break
+                self._sleep(pause)
         if last is not None:
             raise last
         raise DeadlineExceededError(
             f"shard fetch deadline of {self.policy.shard_deadline_s}s "
             "expired before any attempt completed"
-        )
-
-    def _fetch_hedged(
-        self, endpoint: ShardEndpoint, query: RangeQuery, deadline_at: float
-    ) -> QueryResult:
-        """Primary first; re-dispatch to replicas after ``hedge_after_s``.
-
-        The loser is abandoned, never joined -- hedging exists to stop
-        waiting on stragglers.  Both chains share the shard deadline.
-        """
-        cv = threading.Condition()
-        state: Dict[str, Any] = {"result": None, "errors": [], "open": 0}
-
-        def run(addresses: Tuple[Any, ...]) -> None:
-            try:
-                result = self._fetch_chain(addresses, query, deadline_at)
-            except Exception as e:
-                with cv:
-                    state["errors"].append(e)
-                    state["open"] -= 1
-                    cv.notify_all()
-                return
-            with cv:
-                if state["result"] is None:
-                    state["result"] = result
-                state["open"] -= 1
-                cv.notify_all()
-
-        def settled() -> bool:
-            return state["result"] is not None or state["open"] == 0
-
-        with cv:
-            state["open"] = 1
-            threading.Thread(
-                target=run, args=((endpoint.address,),),
-                name=f"shard-hedge-primary-{endpoint.shard_id}", daemon=True,
-            ).start()
-            cv.wait_for(settled, timeout=self.policy.hedge_after_s)
-            if state["result"] is None and state["open"] > 0:
-                # Primary is straggling: hedge to the replicas.
-                state["open"] += 1
-                threading.Thread(
-                    target=run, args=(tuple(endpoint.replicas),),
-                    name=f"shard-hedge-replica-{endpoint.shard_id}", daemon=True,
-                ).start()
-            cv.wait_for(
-                settled,
-                timeout=max(0.0, deadline_at - self._clock()) + _JOIN_GRACE_S,
-            )
-            if state["result"] is not None:
-                return state["result"]
-            if state["errors"]:
-                raise state["errors"][0]
-        raise DeadlineExceededError(
-            f"shard {endpoint.shard_id} answered on no address within "
-            f"its {self.policy.shard_deadline_s}s deadline"
         )
 
     # -- merge ----------------------------------------------------------

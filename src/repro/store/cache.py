@@ -1,12 +1,13 @@
 """Bounded LRU payload cache over any :class:`ChunkStore`.
 
-Batched queries deliberately ordered for shared scans
-(:mod:`repro.planner.batch` and its ``cached_inputs`` model) only pay
-off if a chunk retrieved by one query is still in memory when the next
-query asks for it.  :class:`CachedChunkStore` provides that memory: a
+Batched queries share scans (:mod:`repro.frontend.queryservice`, and
+the ``cached_inputs`` model of :mod:`repro.planner.batch`) only if a
+chunk retrieved by one query is still in memory when the next query
+asks for it.  :class:`CachedChunkStore` provides that memory: a
 byte-bounded LRU of decoded :class:`~repro.dataset.chunk.Chunk`
 payloads in front of the real store, transparently invalidated by
-writes and dataset deletion.
+writes and dataset deletion.  The budget is a hard bound: a chunk
+larger than the whole budget is not cached.
 
 Cached chunks are shared between callers -- treat payload arrays as
 read-only (the execution engine never mutates retrieved chunks).
@@ -102,7 +103,6 @@ class CachedChunkStore(ChunkStoreStage):
         self.max_bytes = int(max_bytes)
         self._lock = threading.RLock()
         self._entries: "OrderedDict[_Key, Chunk]" = OrderedDict()
-        self._pins: Dict[_Key, int] = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -120,58 +120,16 @@ class CachedChunkStore(ChunkStoreStage):
             return self._bytes
 
     def _insert_locked(self, key: _Key, chunk: Chunk) -> None:
-        """Insert under ``self._lock`` (evicting LRU entries to fit).
-
-        Pinned keys are always inserted and never chosen as eviction
-        victims: a shared-scan batch that pinned its overlap set is
-        guaranteed the successor query finds the chunk in memory.  The
-        byte budget may therefore be exceeded transiently, bounded by
-        the pinned set's size (the query service unpins when the batch
-        completes).
-        """
+        """Insert under ``self._lock``, evicting LRU entries to fit."""
         size = _chunk_bytes(chunk)
-        pinned = key in self._pins
-        if key in self._entries or (size > self.max_bytes and not pinned):
+        if key in self._entries or size > self.max_bytes:
             return
         while self._bytes + size > self.max_bytes:
-            victim = next((k for k in self._entries if k not in self._pins), None)
-            if victim is None:
-                break  # everything resident is pinned
-            self._bytes -= _chunk_bytes(self._entries.pop(victim))
+            _, victim = self._entries.popitem(last=False)
+            self._bytes -= _chunk_bytes(victim)
             self.evictions += 1
-        if self._bytes + size <= self.max_bytes or pinned:
-            self._entries[key] = chunk
-            self._bytes += size
-
-    # -- pinning ----------------------------------------------------------
-
-    def pin(self, dataset: str, chunk_ids) -> None:
-        """Protect ``(dataset, id)`` payloads from eviction until the
-        matching :meth:`unpin`.  Counted: concurrent batches pinning
-        the same chunk each hold an independent reference."""
-        with self._lock:
-            for cid in chunk_ids:
-                key = (dataset, int(cid))
-                self._pins[key] = self._pins.get(key, 0) + 1
-
-    def unpin(self, dataset: str, chunk_ids) -> None:
-        """Release pins taken by :meth:`pin` (unknown keys ignored).
-        Entries left over budget become ordinary LRU victims again."""
-        with self._lock:
-            for cid in chunk_ids:
-                key = (dataset, int(cid))
-                n = self._pins.get(key)
-                if n is None:
-                    continue
-                if n <= 1:
-                    del self._pins[key]
-                else:
-                    self._pins[key] = n - 1
-
-    @property
-    def pinned_count(self) -> int:
-        with self._lock:
-            return len(self._pins)
+        self._entries[key] = chunk
+        self._bytes += size
 
     def _lookup_locked(self, key: _Key) -> Optional[Chunk]:
         """Probe under ``self._lock``; counts the hit/miss."""

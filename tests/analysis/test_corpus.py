@@ -214,7 +214,7 @@ class TestServedCorpora:
             lambda self, plan, partials, shard_failures: merge(self, plan, partials, {}),
         )
         n_scenarios, failures = verify_chaos_corpus()
-        assert n_scenarios == 15
+        assert n_scenarios == 14
         caught = {tag.rsplit(" / ", 1)[1] for tag, msg in failures
                   if msg.startswith(("shard_errors keys", "completeness"))}
         assert caught == {

@@ -22,7 +22,6 @@ from repro.frontend.queryservice import (
 from repro.machine.config import MachineConfig
 from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping
-from repro.store.cache import CachedChunkStore
 from repro.store.chunk_store import ChunkStoreStage, MemoryChunkStore
 from repro.util.geometry import Rect
 from repro.util.units import MB
@@ -80,6 +79,17 @@ def assert_identical(shared, solo, label=""):
             f"{label} counter {counter}"
         )
     assert shared.chunk_errors == solo.chunk_errors, label
+
+
+class BrokenBatchCounters(dict):
+    """Service counters whose multi-query batch update raises: a
+    scheduler failure between planning and execution that spares
+    single-query batches."""
+
+    def __setitem__(self, key, value):
+        if key == "batched_queries":
+            raise RuntimeError("scheduler broke")
+        super().__setitem__(key, value)
 
 
 class GateStore(ChunkStoreStage):
@@ -155,20 +165,6 @@ class TestBatchingScheduler:
             results = [t.result(timeout=30) for t in tickets]
         return tickets, results, service
 
-    def test_overlapping_queries_scheduled_adjacent(self):
-        _, space = build_adr()
-        queries = [
-            make_query(space, Rect((0, 0), (5, 5))),       # A
-            make_query(space, Rect((5.2, 5.2), (10, 10))),  # far from A
-            make_query(space, Rect((1, 1), (5.5, 5.5))),    # overlaps A heavily
-        ]
-        policy = ServicePolicy(max_inflight=1, batch_max=8)
-        tickets, _, service = self._run_backlogged(queries, policy)
-        infos = [t.service_info for t in tickets]
-        assert all(i["batch_size"] == 3 for i in infos)
-        assert abs(infos[0]["batch_pos"] - infos[2]["batch_pos"]) == 1
-        assert service.stats()["batches"] >= 1
-
     def test_backlog_batches_per_dataset(self):
         """A batch holds one dataset's queries: an interleaved backlog
         over two datasets forms one batch per dataset."""
@@ -203,18 +199,13 @@ class TestBatchingScheduler:
         tickets, _, _ = self._run_backlogged(queries, policy)
         assert max(t.service_info["batch_size"] for t in tickets) <= 2
 
-    def test_batch_max_one_never_batches_or_pins(self, monkeypatch):
-        pins = []
-        monkeypatch.setattr(
-            CachedChunkStore, "pin", lambda self, *args: pins.append(args)
-        )
+    def test_batch_max_one_never_batches(self):
         _, space = build_adr()
         queries = [make_query(space, Rect((0, 0), (10, 10))) for _ in range(3)]
         policy = ServicePolicy(max_inflight=1, batch_max=1)
         tickets, _, service = self._run_backlogged(queries, policy)
         assert all(t.service_info["batch_size"] == 1 for t in tickets)
         assert service.stats()["batched_queries"] == 0
-        assert not pins
 
     def test_queue_wait_reported(self):
         _, space = build_adr()
@@ -278,7 +269,8 @@ class TestOpenBatch:
         assert stats["batches"] == 1 and stats["batched_queries"] == 3
         assert stats["in_flight"] == 0
         assert [t.service_info["batch_size"] for t in tickets] == [3, 3, 3]
-        assert sorted(t.service_info["batch_pos"] for t in tickets) == [0, 1, 2]
+        # executed in submission order
+        assert [t.service_info["batch_pos"] for t in tickets] == [0, 1, 2]
         # stamped as each ticket left the queue: never negative, and the
         # joiners' wait covers the planning round they sat out
         assert all(t.service_info["queue_wait_s"] >= 0 for t in tickets)
@@ -336,15 +328,12 @@ class TestOpenBatch:
         assert ("wait", 1) not in events[: events.index("plan")]
         assert ticket.service_info["batch_size"] == 1
 
-    def test_failure_after_batch_grew_resolves_joiners(self, monkeypatch):
+    def test_failure_after_batch_grew_resolves_joiners(self):
         adr, space = build_adr()
         gate = PlanGate(adr)
         q = make_query(space, Rect((0, 0), (10, 10)))
-        monkeypatch.setattr(
-            "repro.frontend.queryservice.order_for_sharing",
-            lambda plans: (_ for _ in ()).throw(RuntimeError("scheduler broke")),
-        )
         with QueryService(adr, ServicePolicy(max_inflight=1, batch_max=4)) as service:
+            service._counters = BrokenBatchCounters(service._counters)
             first = service.submit(q)
             gate.wait_entered()
             joiners = [service.submit(q), service.submit(q)]
@@ -355,7 +344,7 @@ class TestOpenBatch:
             stats = service.stats()
             assert stats["failed"] == 3
             # "sensors" is not left marked open: a new query on it is
-            # dequeued (alone, so never ordered) and served.
+            # dequeued (alone, so its batch counts cleanly) and served.
             assert service.submit(q).result(timeout=30).n_reads > 0
             stats = service.stats()
         assert stats["in_flight"] == 0 and stats["queue_depth"] == 0
@@ -402,20 +391,6 @@ class TestScanSharing:
         stats = service.stats()
         assert stats["shared_reads"] == sum(r.shared_reads for r in results)
         assert stats["shared_bytes"] == sum(r.shared_bytes for r in results)
-
-    def test_pinning_shares_despite_tiny_cache(self):
-        """With a 1-byte budget the plain LRU caches nothing -- only
-        batch pinning can retain the overlap set, so shared reads prove
-        the pin/unpin path works."""
-        adr, space = build_adr(cache_bytes=1)
-        q = make_query(space, Rect((0, 0), (10, 10)))
-        policy = ServicePolicy(max_inflight=1, batch_max=2)
-        with QueryService(adr, policy) as service:
-            tickets = [service.submit(q) for _ in range(2)]
-            results = [t.result(timeout=30) for t in tickets]
-        assert max(r.shared_reads for r in results) == results[0].n_reads
-        # pins released: the over-budget entries are evictable again
-        assert adr.store.pinned_count == 0
 
     def test_results_bit_identical_to_isolated(self):
         adr, space = build_adr()
@@ -564,21 +539,17 @@ class TestOverloadDetails:
 
 
 class TestSchedulerFailure:
-    def test_batch_scheduler_error_resolves_every_ticket(self, monkeypatch):
-        """A failure *between* planning and execution (ordering, shared
-        keys, pinning) must fail every ticket in the batch -- an
-        unresolved ticket is a client hung in result() forever -- and
-        leave the service serving."""
+    def test_batch_scheduler_error_resolves_every_ticket(self):
+        """A failure *between* planning and execution must fail every
+        ticket in the batch -- an unresolved ticket is a client hung in
+        result() forever -- and leave the service serving."""
         gate = GateStore(MemoryChunkStore())
         adr, space = build_adr(store=gate)
         q = make_query(space, Rect((0, 0), (10, 10)))
         policy = ServicePolicy(max_queue=8, max_inflight=1, batch_max=4)
-        monkeypatch.setattr(
-            "repro.frontend.queryservice.order_for_sharing",
-            lambda plans: (_ for _ in ()).throw(RuntimeError("scheduler broke")),
-        )
         with QueryService(adr, policy) as service:
-            blocked = service.submit(q)  # solo batch: never ordered
+            service._counters = BrokenBatchCounters(service._counters)
+            blocked = service.submit(q)  # solo batch: counts cleanly
             deadline = time.monotonic() + 10
             while service.stats()["in_flight"] < 1:
                 assert time.monotonic() < deadline

@@ -108,8 +108,8 @@ class TestSimulateBatch:
 
 
 class TestOrderForSharing:
-    """The standalone ordering used by the concurrent query service to
-    schedule pre-built, possibly mixed-strategy plans."""
+    """The standalone ordering over pre-built, possibly mixed-strategy
+    plans."""
 
     def _plans(self, rng, ranges, strategy="FRA"):
         from repro.planner.strategies import plan_query
@@ -165,29 +165,30 @@ class TestOrderForSharing:
 
 
 class TestConsecutiveSharedKeys:
-    """The pin set handed to the payload cache by the query service."""
+    """The chunks consecutive queries share under the batch order, as
+    the bytes a one-query reuse window saves (64 KB per chunk)."""
 
     def test_keys_are_the_consecutive_overlaps(self, rng):
         probs = [sub_problem(rng, range(0, 20)),
                  sub_problem(rng, range(15, 35))]
         batch = plan_batch(probs)
-        assert batch.consecutive_shared_keys() == frozenset(range(15, 20))
+        assert batch.consecutive_shared_bytes() == 5 * 64 * KB
 
     def test_disjoint_batch_pins_nothing(self, rng):
         probs = [sub_problem(rng, range(0, 10)),
                  sub_problem(rng, range(20, 30))]
         batch = plan_batch(probs)
-        assert batch.consecutive_shared_keys() == frozenset()
+        assert batch.consecutive_shared_bytes() == 0
 
     def test_only_adjacent_overlap_counts(self, rng):
-        """Overlap between non-consecutive queries is not in the pin
-        set -- the reuse window is one query deep."""
+        """Overlap between non-consecutive queries is not shared -- the
+        reuse window is one query deep."""
         a = sub_problem(rng, range(0, 10))
         b = sub_problem(rng, range(20, 30))
         c = sub_problem(rng, range(0, 10))  # same chunks as A
         batch = plan_batch([a, b, c], reorder=False)
         assert batch.order == [0, 1, 2]
-        assert batch.consecutive_shared_keys() == frozenset()
+        assert batch.consecutive_shared_bytes() == 0
 
     def test_chain_unions_every_adjacent_pair(self, rng):
         probs = [sub_problem(rng, range(0, 20)),
@@ -196,6 +197,4 @@ class TestConsecutiveSharedKeys:
         batch = BatchPlan(
             [plan_fra(p) for p in probs], [0, 1, 2]
         )
-        assert batch.consecutive_shared_keys() == (
-            frozenset(range(15, 20)) | frozenset(range(30, 35))
-        )
+        assert batch.consecutive_shared_bytes() == (5 + 5) * 64 * KB

@@ -1,5 +1,6 @@
 """Tests for the scatter/gather router: planning, retry/failover,
-degrade-vs-raise semantics, hedging, drain and health probes."""
+degrade-vs-raise semantics, overload back-off, drain and health
+probes."""
 
 import time
 
@@ -26,7 +27,7 @@ from repro.util.units import MB
 N_SHARDS = 3
 
 
-def fast_policy(max_attempts=2, hedge_after_s=None):
+def fast_policy(max_attempts=2):
     return RouterPolicy(
         shard_deadline_s=10.0,
         connect_timeout_s=2.0,
@@ -35,7 +36,6 @@ def fast_policy(max_attempts=2, hedge_after_s=None):
             base_delay=0.01,
             retry_on=(OSError, ProtocolError),
         ),
-        hedge_after_s=hedge_after_s,
     )
 
 
@@ -81,8 +81,6 @@ class TestRouterValidation:
             RouterPolicy(shard_deadline_s=0)
         with pytest.raises(ValueError):
             RouterPolicy(connect_timeout_s=-1)
-        with pytest.raises(ValueError):
-            RouterPolicy(hedge_after_s=-0.1)
 
 
 class TestPlanning:
@@ -250,6 +248,15 @@ class FlakyFactory:
         return _LocalShardClient(self.cluster.servers[sid])
 
 
+def overloaded(retry_after_s):
+    """A :class:`FlakyFactory` error: the service's ``overloaded``
+    rejection carrying its back-off hint."""
+    return lambda message: RemoteQueryError(
+        message, code="overloaded",
+        details={"queue_depth": 4, "retry_after_s": retry_after_s},
+    )
+
+
 class TestRetryAndFailover:
     def test_transient_failure_retried_to_success(self, deployment):
         cluster, _, query = deployment
@@ -266,6 +273,44 @@ class TestRetryAndFailover:
         assert factory.attempts == {sid: 2 for sid in range(N_SHARDS)}
         # One backoff pause per shard, at the schedule's first delay.
         assert slept == [0.01] * N_SHARDS
+
+    def test_overload_hint_sets_the_pause(self, deployment):
+        """An ``overloaded`` rejection is retried after its
+        ``retry_after_s`` hint when that beats the backoff schedule."""
+        cluster, _, query = deployment
+        slept = []
+        factory = FlakyFactory(cluster, fail=1, error=overloaded(0.3))
+        router = cluster.router_for(
+            endpoints=local_endpoints(),
+            policy=fast_policy(max_attempts=2),
+            client_factory=factory,
+            clock=lambda: 0.0,
+            sleep=slept.append,
+        )
+        got = router.execute(query())
+        assert not got.shard_errors and got.completeness == 1.0
+        assert factory.attempts == {sid: 2 for sid in range(N_SHARDS)}
+        assert slept == [0.3] * N_SHARDS
+
+    def test_overload_hint_past_the_deadline_gives_up(self, deployment):
+        """A hinted pause that would overrun the shard deadline ends the
+        fetch at once with the rejection, never a hurried retry."""
+        cluster, _, query = deployment
+        slept = []
+        factory = FlakyFactory(cluster, fail=1, error=overloaded(60.0))
+        router = cluster.router_for(
+            endpoints=local_endpoints(),
+            policy=fast_policy(max_attempts=2),
+            client_factory=factory,
+            clock=lambda: 0.0,
+            sleep=slept.append,
+        )
+        got = router.execute(query(on_error="degrade"))
+        assert set(got.shard_errors) == set(range(N_SHARDS))
+        for message in got.shard_errors.values():
+            assert message.startswith("RemoteQueryError: injected failure 0")
+        assert factory.attempts == {sid: 1 for sid in range(N_SHARDS)}
+        assert slept == []
 
     def test_persistent_failure_degrades_after_max_attempts(self, deployment):
         cluster, _, query = deployment
@@ -335,45 +380,6 @@ class TestRetryAndFailover:
         )
         got = router.execute(query())
         assert not got.shard_errors and got.completeness == 1.0
-
-
-class TestHedging:
-    def test_straggling_primary_hedged_to_replica(self, deployment):
-        cluster, _, query = deployment
-
-        class SlowClient:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def query_partial(self, q, deadline=None):
-                time.sleep(1.5)
-                return self.inner.query_partial(q, deadline)
-
-            def close(self):
-                pass
-
-        def factory(address, timeout):
-            kind, sid = address
-            client = _LocalShardClient(cluster.servers[sid])
-            return SlowClient(client) if kind == "slow" else client
-
-        eps = [
-            ShardEndpoint(
-                shard_id=sid, address=("slow", sid), replicas=(("fast", sid),)
-            )
-            for sid in range(N_SHARDS)
-        ]
-        router = cluster.router_for(
-            endpoints=eps,
-            policy=fast_policy(max_attempts=1, hedge_after_s=0.05),
-            client_factory=factory,
-        )
-        start = time.monotonic()
-        got = router.execute(query())
-        elapsed = time.monotonic() - start
-        assert not got.shard_errors and got.completeness == 1.0
-        # The replicas answered; nobody waited out the slow primaries.
-        assert elapsed < 1.4
 
 
 class TestHealth:

