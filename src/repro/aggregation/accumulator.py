@@ -45,19 +45,8 @@ class AccumulatorSet:
         self._chunks: Dict[int, Accumulator] = {}
         self._bytes = 0
 
-    def allocate(
-        self,
-        output_chunk: int,
-        n_cells: int,
-        ghost: bool,
-        data: np.ndarray | None = None,
-    ) -> Accumulator:
-        """Allocate + initialize an accumulator chunk (phase 1).
-
-        When *data* is given (the parallel backend's shared-memory
-        arena views), it is re-initialized in place and used directly;
-        the memory budget still applies.
-        """
+    def allocate(self, output_chunk: int, n_cells: int, ghost: bool) -> Accumulator:
+        """Allocate + initialize an accumulator chunk (phase 1)."""
         if output_chunk in self._chunks:
             raise KeyError(f"accumulator for output chunk {output_chunk} already allocated")
         need = self.spec.acc_bytes(n_cells)
@@ -67,11 +56,7 @@ class AccumulatorSet:
                 f"the {self.memory_limit}-byte accumulator budget "
                 f"({self._bytes} in use) -- the tiling step should prevent this"
             )
-        if data is not None:
-            self.spec.initialize_into(data)
-        else:
-            data = self.spec.initialize(n_cells)
-        acc = Accumulator(output_chunk, data, ghost)
+        acc = Accumulator(output_chunk, self.spec.initialize(n_cells), ghost)
         self._chunks[output_chunk] = acc
         self._bytes += acc.nbytes
         return acc
@@ -92,10 +77,6 @@ class AccumulatorSet:
 
     def __iter__(self) -> Iterator[Accumulator]:
         return iter(self._chunks.values())
-
-    @property
-    def bytes_in_use(self) -> int:
-        return self._bytes
 
     def aggregate(self, output_chunk: int, cell_idx: np.ndarray, values: np.ndarray) -> None:
         """Fold mapped items into one accumulator chunk (phase 2)."""
@@ -125,9 +106,6 @@ class AccumulatorSet:
     def ghosts(self) -> Iterator[Accumulator]:
         """The ghost chunks to ship to their owners in phase 3."""
         return (a for a in self._chunks.values() if a.ghost)
-
-    def locals(self) -> Iterator[Accumulator]:
-        return (a for a in self._chunks.values() if not a.ghost)
 
     def clear(self) -> None:
         """Release everything (end of tile)."""

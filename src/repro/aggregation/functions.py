@@ -33,9 +33,6 @@ path as its oracle, so custom aggregations need not implement them):
     in with plain fancy indexing instead of the much slower
     ``np.add.at``-family scatter.  An aggregation without them is
     reduced by :meth:`~AggregationSpec.aggregate`.
-``initialize_into(acc)``
-    Re-initialize an existing accumulator buffer in place (the
-    parallel backend's shared-memory arena views).
 """
 
 from __future__ import annotations
@@ -123,11 +120,6 @@ class AggregationSpec(ABC):
     def aggregate(self, acc: np.ndarray, cell_idx: np.ndarray, values: np.ndarray) -> None:
         """Scatter-fold ``values[k]`` into ``acc[cell_idx[k]]`` in place."""
 
-    def initialize_into(self, acc: np.ndarray) -> None:
-        """Re-initialize an existing accumulator buffer in place
-        (same result as :meth:`initialize`)."""
-        acc[:] = self.initialize(len(acc))
-
     def prereduce_groups(
         self, values: np.ndarray, group_starts: np.ndarray
     ):
@@ -202,9 +194,6 @@ class SumAggregation(AggregationSpec):
     def initialize(self, n_cells: int) -> np.ndarray:
         return np.zeros((n_cells, self.acc_components))
 
-    def initialize_into(self, acc) -> None:
-        acc.fill(0.0)
-
     def aggregate(self, acc, cell_idx, values) -> None:
         values = self._check_batch(acc, cell_idx, values)
         np.add.at(acc, cell_idx, values)
@@ -238,9 +227,6 @@ class CountAggregation(AggregationSpec):
 
     def initialize(self, n_cells: int) -> np.ndarray:
         return np.zeros((n_cells, 1))
-
-    def initialize_into(self, acc) -> None:
-        acc.fill(0.0)
 
     def aggregate(self, acc, cell_idx, values) -> None:
         self._check_batch(acc, cell_idx, values)
@@ -278,9 +264,6 @@ class MinAggregation(AggregationSpec):
     def initialize(self, n_cells: int) -> np.ndarray:
         return np.full((n_cells, self.acc_components), np.inf)
 
-    def initialize_into(self, acc) -> None:
-        acc.fill(np.inf)
-
     def aggregate(self, acc, cell_idx, values) -> None:
         values = self._check_batch(acc, cell_idx, values)
         np.minimum.at(acc, cell_idx, values)
@@ -317,9 +300,6 @@ class MaxAggregation(AggregationSpec):
     def initialize(self, n_cells: int) -> np.ndarray:
         return np.full((n_cells, self.acc_components), -np.inf)
 
-    def initialize_into(self, acc) -> None:
-        acc.fill(-np.inf)
-
     def aggregate(self, acc, cell_idx, values) -> None:
         values = self._check_batch(acc, cell_idx, values)
         np.maximum.at(acc, cell_idx, values)
@@ -355,9 +335,6 @@ class MeanAggregation(AggregationSpec):
 
     def initialize(self, n_cells: int) -> np.ndarray:
         return np.zeros((n_cells, self.acc_components))
-
-    def initialize_into(self, acc) -> None:
-        acc.fill(0.0)
 
     def aggregate(self, acc, cell_idx, values) -> None:
         values = self._check_batch(acc, cell_idx, values)
@@ -416,11 +393,6 @@ class BestValueComposite(AggregationSpec):
         acc = np.full((n_cells, self.acc_components), -np.inf)
         return acc
 
-    def initialize_into(self, acc) -> None:
-        # No pre-reduction: the lexsorted segment-argmax in aggregate()
-        # is already batched.
-        acc.fill(-np.inf)
-
     @staticmethod
     def _lex_better(cand: np.ndarray, cur: np.ndarray) -> np.ndarray:
         """Row-wise lexicographic ``cand > cur`` over all components."""
@@ -433,6 +405,8 @@ class BestValueComposite(AggregationSpec):
             decided |= gt | lt
         return better
 
+    # No pre-reduction: the lexsorted segment-argmax in aggregate() is
+    # already batched.
     def aggregate(self, acc, cell_idx, values) -> None:
         values = self._check_batch(acc, cell_idx, values)
         # Reduce duplicates within the batch first (segment argmax),

@@ -17,14 +17,13 @@ codes:
 - :mod:`repro.analysis.effects` (``ADR7xx``) -- a dataflow /
   concurrency lint over the threaded runtime (unguarded shared-state
   mutation in thread workers, ABBA lock order, unbounded blocking
-  waits, leaked ``SharedMemory``, cache mutation outside the guarded
-  section), run as part of the lint pass for concurrency-critical
-  paths.
+  waits, cache mutation outside the guarded section), run as part of
+  the lint pass for concurrency-critical paths.
 
 :mod:`repro.analysis.corpus` glues the verifier into CI: it plans a
 canned corpus of problems with every strategy and fails on any
-diagnostic (``python -m repro.analysis.corpus``).  ``ADR2xx`` and
-``ADR6xx`` are retired and never reused.  See
+diagnostic (``python -m repro.analysis.corpus``).  ``ADR2xx``,
+``ADR6xx`` and ``ADR704`` are retired and never reused.  See
 ``docs/static_analysis.md`` for the code catalog.
 """
 

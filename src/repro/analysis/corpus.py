@@ -13,7 +13,7 @@ deterministic corpora, one mode per path a query can take::
                   ``--no-emulators`` drops the emulators)
 ``--functional``  nine payload workloads: every strategy, the
                   ``strategy='auto'`` pick and one synopsis-pruned
-                  ``where=`` plan, each over {sequential, parallel}
+                  ``where=`` plan
 ``--faults``      corrupt chunk + degrade and flaky disk + retry per
                   workload
 ``--service``     four overlapping queries per workload through one
@@ -37,7 +37,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -163,7 +163,7 @@ _OUTCOME = (
     "completeness", "chunk_errors", "shard_errors", "chunks_pruned",
     "bytes_pruned", "phase_times",
 )
-#: The cross-backend counter contract (defined in :mod:`repro.runtime.phases`).
+#: The work counter contract (defined in :mod:`repro.runtime.phases`).
 _COUNTERS = ("n_reads", "bytes_read", "n_aggregations", "n_combines")
 #: Everything two executions of one query must agree on; only timings,
 #: cache tallies, ``shared_*`` and the auto-selection audit may differ.
@@ -336,37 +336,14 @@ def functional_workloads() -> Iterator[Tuple[str, Workload]]:
         )
 
 
-def _variants(w: Workload, plan, **kw) -> Dict[str, QueryResult]:
-    """*plan* executed on both backends."""
-    return {
-        "sequential": w.run(plan, backend="sequential", **kw),
-        "parallel": w.run(plan, backend="parallel", **kw),
-    }
-
-
-def _runs_agree(tag: str, runs: Dict[str, QueryResult], want: QueryResult, *,
-                exact: bool, fields: Sequence[str]) -> List[Tuple[str, str]]:
-    """The sequential run against *want*, then every other variant bit
-    for bit against the sequential run."""
-    seq = runs["sequential"]
-    found = [(f"{tag} / sequential", m)
-             for m in _diff(seq, want, exact=exact, fields=fields)]
-    for name, res in runs.items():
-        if res is not seq:
-            found += [(f"{tag} / {name}", m)
-                      for m in _diff(res, seq, exact=True, fields=_ALL)]
-    return found
-
-
 def verify_functional_corpus(
     strategies: Sequence[str] = ALL_STRATEGIES,
 ) -> Tuple[int, List[Tuple[str, str]]]:
     """Execute the functional corpus; return ``(n_plans, failures)``.
 
     Per workload, each of *strategies*, the ``strategy='auto'`` pick and
-    one synopsis-pruned ``where=`` plan (strategy rotating) run through
-    :func:`_variants`.  A fixed strategy's sequential run must match the
-    serial oracle; the auto pick must match planning the chosen strategy
+    one synopsis-pruned ``where=`` plan (strategy rotating) run once.
+    A fixed strategy's run must match the serial oracle; the auto pick must match planning the chosen strategy
     explicitly bit for bit (selection adds a choice, never semantics);
     the pruned plan must match the unpruned predicate run bit for bit,
     report what it pruned, and read strictly less.
@@ -385,10 +362,10 @@ def verify_functional_corpus(
         oracle = w.oracle()
         for strategy in strategies:
             n_plans += 1
-            failures += _runs_agree(
-                f"{label} / {strategy}", _variants(w, plan_query(problem, strategy)),
-                oracle, exact=False, fields=_OUTCOME,
-            )
+            tag = f"{label} / {strategy}"
+            failures += [(tag, m) for m in _diff(
+                w.run(plan_query(problem, strategy)), oracle, exact=False, fields=_OUTCOME
+            )]
 
         n_plans += 1
         model = CostModel(ibm_sp(problem.n_procs), DEFAULT_COSTS)
@@ -398,10 +375,10 @@ def verify_functional_corpus(
             if choice.selected == HYBRID
             else plan_query(problem, choice.selected)
         )
-        failures += _runs_agree(
-            f"{label} / AUTO->{choice.selected}", _variants(w, choice.plan),
-            w.run(explicit), exact=True, fields=_ALL,
-        )
+        tag = f"{label} / AUTO->{choice.selected}"
+        failures += [(tag, m) for m in _diff(
+            w.run(choice.plan), w.run(explicit), exact=True, fields=_ALL
+        )]
 
         n_plans += 1
         strategy = strategies[wi % len(strategies)]
@@ -415,17 +392,16 @@ def verify_functional_corpus(
         failures += [(f"{tag} / unpruned", m) for m in _diff(
             unpruned, w.oracle(predicate=predicate), exact=False, fields=_OUTCOME
         )]
-        runs = _variants(w, plan_query(pruned, strategy), predicate=predicate)
-        failures += _runs_agree(
-            tag, runs,
+        seq = w.run(plan_query(pruned, strategy), predicate=predicate)
+        failures += [(tag, m) for m in _diff(
+            seq,
             replace(unpruned, chunks_pruned=pruned.n_pruned,
                     bytes_pruned=pruned.pruned_bytes),
             exact=True, fields=_OUTCOME,
-        )
+        )]
         # Pruned chunks never reach the read phase (multi-tile plans
         # re-read inputs per tile, so the saving can exceed
         # bytes_pruned, which counts each pruned chunk once).
-        seq = runs["sequential"]
         if seq.n_reads >= unpruned.n_reads or seq.bytes_read >= unpruned.bytes_read:
             failures.append(
                 (tag, f"pruning did not reduce reads: {seq.n_reads} reads/"
@@ -447,8 +423,7 @@ def verify_fault_corpus(
       every read.  The degraded result must equal the serial oracle
       over every other chunk, naming exactly that chunk in
       ``chunk_errors`` with ``completeness == 1 - 1/n_in`` -- with and
-      without a value predicate -- and the parallel backend must
-      reproduce it bit for bit;
+      without a value predicate;
     - **flaky disk + retry**: the first two reads raise ``OSError``; a
       zero-backoff :class:`~repro.store.retry.RetryPolicy` absorbs them
       and the result is the clean run, bit for bit.
@@ -478,16 +453,14 @@ def verify_fault_corpus(
                 on_error="degrade", **kw,
             )
 
-        degraded = corrupt()
-        for got, want, exact, fields in (
-            (degraded, w.oracle(skip=victim, **lost), False, _OUTCOME),
-            (corrupt(backend="parallel"), degraded, True, _ALL),
+        for got, want in (
+            (corrupt(), w.oracle(skip=victim, **lost)),
             # A value predicate filters items, never reads: the same
             # chunk fails and completeness is unchanged.
             (corrupt(predicate=predicate),
-             w.oracle(skip=victim, predicate=predicate, **lost), False, _OUTCOME),
+             w.oracle(skip=victim, predicate=predicate, **lost)),
         ):
-            failures += [(tag, m) for m in _diff(got, want, exact=exact, fields=fields)]
+            failures += [(tag, m) for m in _diff(got, want, exact=False, fields=_OUTCOME)]
 
         n_scenarios += 1
         policy = RetryPolicy(max_attempts=4, base_delay=0.0)
@@ -859,7 +832,7 @@ _MODES = (
           "plans", "verified, zero diagnostics"),
     _Mode("--functional", "functional", (),
           lambda argv: verify_functional_corpus(),
-          "plans", "executed on both backends, all matched the serial oracle"),
+          "plans", "executed, all matched the serial oracle"),
     _Mode("--faults", "faults", (),
           lambda argv: verify_fault_corpus(),
           "fault scenarios", "replayed, all degraded/retried results "

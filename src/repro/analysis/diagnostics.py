@@ -18,7 +18,8 @@ Code ranges
 - ``ADR6xx`` -- retired with the communication model checker; never
   reused
 - ``ADR7xx`` -- dataflow/concurrency lint over the threaded runtime
-  (:mod:`repro.analysis.effects`)
+  (:mod:`repro.analysis.effects`); ``ADR704`` is retired with the
+  multiprocess backend, the last shared-memory user; never reused
 """
 
 from __future__ import annotations

@@ -20,16 +20,17 @@ ADR702    inconsistent lock-acquisition order: two locks nested in
 ADR703    blocking ``.get()`` / ``.join()`` with no timeout in a
           concurrency-critical module -- a dead peer must fail the
           query, not hang it
-ADR704    ``SharedMemory(...)`` bound to a name without a
-          ``try/finally`` in the same function calling ``.close()``
-          (and ``.unlink()`` when ``create=True``) -- leaked segments
-          outlive the process
 ADR705    cache state mutated outside the guarded section in the
           guarded-cache module (``store/cache.py``): every write to
           the LRU's attributes must happen under ``with self._lock``
           or inside a ``*_locked`` helper, and a ``*_locked`` helper is
           called only with the lock held
 ========  ==========================================================
+
+ADR704 (an unreleased ``SharedMemory`` segment) is retired with its
+last user, the multiprocess backend, and never reused; a CI grep over
+``src/`` now refuses the process and shared-memory modules outright,
+so code that brings them back must bring a leak check back too.
 
 See ``docs/static_analysis.md`` for the catalog and rationale.
 """
@@ -44,7 +45,7 @@ from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector, Severity
 
 __all__ = ["EFFECTS_CODES", "check_effects"]
 
-EFFECTS_CODES = ("ADR701", "ADR702", "ADR703", "ADR704", "ADR705")
+EFFECTS_CODES = ("ADR701", "ADR702", "ADR703", "ADR705")
 
 #: Names that denote a lock-ish synchronization object when they are
 #: the context expression of a ``with`` (``self._lock``, ``cv``, ...).
@@ -120,12 +121,7 @@ def _self_attr_mutating_call(call: ast.Call) -> Optional[str]:
 
 
 def _thread_target_names(tree: ast.Module) -> Set[str]:
-    """Function names handed to ``threading.Thread(target=...)``.
-
-    Only *thread* targets: ``multiprocessing.Process`` workers get a
-    copied address space and synchronize through queues, so ADR701
-    does not apply to them.
-    """
+    """Function names handed to ``threading.Thread(target=...)``."""
     targets: Set[str] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -287,81 +283,6 @@ class _EffectsVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _finally_calls(scope: ast.AST) -> Set[str]:
-    """Dotted calls appearing in any ``finally:`` block of *scope*."""
-    out: Set[str] = set()
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Try):
-            for stmt in node.finalbody:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Call):
-                        name = _dotted(sub.func)
-                        if name is not None:
-                            out.add(name)
-    return out
-
-
-class _SharedMemoryFinder(ast.NodeVisitor):
-    """Collect SharedMemory bindings keyed by nearest enclosing
-    function (or the module itself)."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.stack: List[ast.AST] = [tree]
-        #: scope node -> [(assign node, var name, created?)]
-        self.bindings: Dict[ast.AST, List[Tuple[ast.Assign, str, bool]]] = {}
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.stack.append(node)
-        self.generic_visit(node)
-        self.stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        call = node.value
-        if isinstance(call, ast.Call):
-            name = _dotted(call.func)
-            if (
-                name is not None
-                and name.split(".")[-1] == "SharedMemory"
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
-                created = any(
-                    kw.arg == "create"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                    for kw in call.keywords
-                )
-                self.bindings.setdefault(self.stack[-1], []).append(
-                    (node, node.targets[0].id, created)
-                )
-        self.generic_visit(node)
-
-
-def _check_shared_memory(tree: ast.Module, path: str, out: DiagnosticCollector) -> None:
-    """ADR704: every SharedMemory binding needs close (+unlink) on a
-    ``finally`` path of its enclosing function."""
-    finder = _SharedMemoryFinder(tree)
-    finder.visit(tree)
-    for scope, bindings in finder.bindings.items():
-        finals = _finally_calls(scope)
-        for node, var, created in bindings:
-            needed = [f"{var}.close"] + ([f"{var}.unlink"] if created else [])
-            missing = [n for n in needed if n not in finals]
-            if missing:
-                out.emit(
-                    "ADR704",
-                    Severity.ERROR,
-                    f"{path}:{node.lineno}:{node.col_offset}",
-                    "SharedMemory segment bound to "
-                    f"'{var}' without {' and '.join(m + '()' for m in missing)} "
-                    "in a finally block of the same function; an exception "
-                    "path would leak the mapping"
-                    + (" and the named segment" if created else ""),
-                )
-
-
 def check_effects(
     source: str, path: str, *, tree: Optional[ast.Module] = None
 ) -> List[Diagnostic]:
@@ -384,5 +305,4 @@ def check_effects(
     cache_module = any(rule.code == "ADR705" for rule in active_rules(path))
     visitor = _EffectsVisitor(path, out, _thread_target_names(tree), cache_module)
     visitor.visit(tree)
-    _check_shared_memory(tree, path, out)
     return out.diagnostics

@@ -74,11 +74,11 @@ ADR402    untimed socket use inside the wire-protocol paths
           every wire operation must carry a deadline
 ADR501    phase-sequencing accumulator call (``allocate`` /
           ``scatter_groups`` / ``combine_from`` /
-          ``initialize_into`` / ``initialize_from`` /
-          ``prereduce_groups``) in a ``src/repro/runtime/`` module
-          other than ``phases.py`` -- the four-phase tile loop lives
-          in one place (:class:`repro.runtime.phases.PhaseExecutor`);
-          backends drive it, they do not re-implement it (the serial
+          ``initialize_from`` / ``prereduce_groups``) in a
+          ``src/repro/runtime/`` module other than ``phases.py`` --
+          the four-phase tile loop lives in one place
+          (:class:`repro.runtime.phases.PhaseExecutor`); the engine
+          drives it, it does not re-implement it (the serial
           Figure-1 oracle opts out with ``noqa``).  Likewise a
           ``QueryResult(...)`` construction in ``src/repro/runtime/``
           or ``src/repro/shard/`` outside ``runtime/engine.py``: a
@@ -101,8 +101,8 @@ Files under the concurrency-critical paths (``src/repro/runtime/``,
 ``src/repro/store/``, ``src/repro/frontend/``, ``src/repro/shard/``)
 additionally get the ``ADR7xx`` dataflow/concurrency rules of
 :mod:`repro.analysis.effects` (unguarded shared-state mutation in
-thread workers, ABBA lock order, unbounded blocking waits, leaked
-``SharedMemory``, cache mutation outside the guarded section), through
+thread workers, ABBA lock order, unbounded blocking waits, cache
+mutation outside the guarded section), through
 the same noqa pipeline.
 
 Output formats: the default is one ``location: severity: code
@@ -614,7 +614,7 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "phase-call", "ADR501", ("repro/runtime/",), ("runtime/phases.py",), (ast.Call,),
         _calls(
-            (".allocate", ".scatter_groups", ".combine_from", ".initialize_into",
+            (".allocate", ".scatter_groups", ".combine_from",
              ".initialize_from", ".prereduce_groups"),
             "phase-sequencing call '{name}()' outside runtime/phases.py; the "
             "four-phase tile loop is owned by PhaseExecutor -- drive it "

@@ -9,8 +9,8 @@ can fail a slot with :class:`InjectedFault` (an ``OSError``), stall the
 read, or corrupt the payload so the on-disk CRC trips a real
 :class:`~repro.store.format.CorruptChunkError`.
 
-``times`` counters live in the consulting process.  The parallel
-backend forks workers, so each worker counts its own firings.
+``times`` counters live in the injector instance, so every read that
+consults one injector draws on the same firing budget.
 """
 
 from __future__ import annotations

@@ -213,7 +213,6 @@ class ADR:
         query: RangeQuery,
         plan: Optional[Tuple[QueryPlan, Optional[StrategyChoice]]] = None,
         store_as: Optional[str] = None,
-        backend: str = "sequential",
     ) -> QueryResult:
         """Plan (unless given) and functionally execute the query.
 
@@ -228,9 +227,6 @@ class ADR:
         chunks are declustered, stored and indexed like any loaded
         dataset, so later queries can range over them.
 
-        ``backend="parallel"`` runs the virtual processors as real OS
-        processes (see :mod:`repro.runtime.parallel`).
-
         Failure handling follows ``query.on_error``: ``"raise"``
         surfaces the first unreadable chunk's error, ``"degrade"``
         completes over the readable chunks and reports the rest in
@@ -238,7 +234,7 @@ class ADR:
         ``docs/robustness.md``).
         """
         plan, choice = plan if plan is not None else self.plan_with_choice(query)
-        result = self._run(query, plan, choice, backend=backend)
+        result = self._run(query, plan, choice)
         if store_as is not None:
             self._write_back(store_as, query, result)
         return result
@@ -248,7 +244,6 @@ class ADR:
         query: RangeQuery,
         plan: QueryPlan,
         choice: Optional[StrategyChoice],
-        backend: str = "sequential",
         prior=None,
     ) -> QueryResult:
         """Execute *plan* and fold in what only this instance knows:
@@ -269,7 +264,7 @@ class ADR:
             reader = BatchReader(lambda ids: cache.read_batch(name, ids, recorder=recorder))
         result = execute_plan(
             plan, reader, query.mapping, query.grid, query.spec(),
-            region=region, prior=prior, backend=backend,
+            region=region, prior=prior,
             routing_cache=self.routing_cache(name),
             on_error=query.on_error,
             predicate=query.predicate(),

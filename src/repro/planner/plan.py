@@ -32,7 +32,7 @@ other one times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
@@ -221,9 +221,8 @@ class QueryPlan:
 
         One derivation of everything schedule-shaped -- per-tile
         read/transfer/output orders, per-read forwarding recipients,
-        per-(tile, processor) work tallies -- shared by the sequential
-        engine, the multiprocess workers (which inherit it through
-        fork) and the discrete-event simulator.
+        per-(tile, processor) work tallies -- shared by the phase
+        executor and the discrete-event simulator.
         Imported lazily: the planner package stays importable without
         the runtime layer.
         """
@@ -234,53 +233,6 @@ class QueryPlan:
             sched = PhaseSchedule(self)
             self.__dict__["_phase_schedule"] = sched
         return sched
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Persist the plan (problem included) to disk.
-
-        The query planning service may cache plans: the same query
-        against an unchanged dataset replans identically, and planning
-        large populations is the front end's most expensive CPU step.
-        Cached traffic tables are dropped before pickling and rebuilt
-        lazily after load.
-        """
-        import pickle
-
-        state = dict(self.__dict__)
-        for cached in (
-            "edge_arrays", "edge_tile", "reads", "input_transfers",
-            "ghost_transfers", "init_transfers", "total_read_bytes",
-            "read_multiplicity", "total_comm_bytes", "n_holder_entries",
-            "ghost_count", "_phase_schedule",
-        ):
-            state.pop(cached, None)
-        with open(path, "wb") as fh:
-            pickle.dump((type(self).__name__, state), fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def load(path) -> "QueryPlan":
-        """Load a plan saved with :meth:`save` (structurally validated)."""
-        import pickle
-
-        from repro.planner.validate import validate_plan
-
-        with open(path, "rb") as fh:
-            tag, state = pickle.load(fh)
-        if tag != "QueryPlan":
-            raise TypeError(f"{path} does not contain a QueryPlan")
-        plan = QueryPlan(
-            strategy=state["strategy"],
-            problem=state["problem"],
-            n_tiles=state["n_tiles"],
-            tile_of_output=state["tile_of_output"],
-            holders_indptr=state["holders_indptr"],
-            holders_ids=state["holders_ids"],
-            edge_proc=state["edge_proc"],
-        )
-        validate_plan(plan)
-        return plan
 
     def summary(self) -> str:
         p = self.problem

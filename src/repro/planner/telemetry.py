@@ -3,7 +3,7 @@
 Section 6 of the paper asks for "simple but reasonably accurate cost
 models to guide and automate the selection of an appropriate
 strategy".  An accurate model needs measured data: the functional
-backends report real per-phase wall-clock (``QueryResult.phase_times``)
+engine reports real per-phase wall-clock (``QueryResult.phase_times``)
 and the discrete-event simulator reports the same per virtual phase.
 This module harvests those measurements into :class:`MeasuredRun`
 records -- one per executed query, pairing the plan's busiest-processor
@@ -133,7 +133,7 @@ class MeasuredRun:
 
     @classmethod
     def from_result(cls, plan: QueryPlan, result) -> "MeasuredRun":
-        """Harvest a run from a functional backend's ``QueryResult``."""
+        """Harvest a run from the functional engine's ``QueryResult``."""
         times = _normalize_phase_times(dict(result.phase_times))
         return cls(
             strategy=str(plan.strategy),

@@ -10,26 +10,21 @@ yield the same answer as a serial reference execution, which is the
 correctness proof for the planner's workload partitioning.
 
 The per-tile four-phase loop itself lives in
-:mod:`repro.runtime.phases` (one :class:`PhaseExecutor` for every
-backend, over the :mod:`repro.runtime.transport` abstraction); the
-sequential engine and the multiprocess backend are thin drivers around
-it.
+:mod:`repro.runtime.phases` (one :class:`PhaseExecutor`, which hosts
+every virtual processor and checks each access against the plan's
+placement); :func:`execute_plan` is a thin driver around it.
 """
 
 from repro.runtime.engine import BatchReader, QueryResult, execute_plan
 from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
 from repro.runtime.serial import execute_serial
-from repro.runtime.transport import InprocTransport, QueueTransport, Transport
 
 __all__ = [
     "PHASES",
     "BatchReader",
-    "InprocTransport",
     "PhaseExecutor",
     "PhaseSchedule",
     "QueryResult",
-    "QueueTransport",
-    "Transport",
     "execute_plan",
     "execute_serial",
 ]

@@ -18,17 +18,13 @@ its own :class:`~repro.aggregation.accumulator.AccumulatorSet`:
    output values.
 
 The phase loop itself lives in :class:`repro.runtime.phases.
-PhaseExecutor` -- this module is a thin driver that hosts *every*
-virtual processor in one address space over an
-:class:`~repro.runtime.transport.InprocTransport` (the multiprocess
-backend drives the same executor per worker host over a
-:class:`~repro.runtime.transport.QueueTransport`).  Because the
-virtual processors run in one address space the engine is sequential,
-but it honors the plan's *data placement* exactly: an aggregation only
-ever touches the accumulator set of its assigned processor, and a
-combine only merges data the plan actually ships.  That is what makes
-"FRA == SRA == DA == serial" a meaningful test of the planner rather
-than a tautology.
+PhaseExecutor` -- this module is a thin driver around it.  The virtual
+processors run in one address space, so the engine is sequential, but
+the executor checks the plan's *data placement* on every access: an
+aggregation only ever touches the accumulator set of the processor the
+plan assigned its edge to, and a combine only merges data the plan
+actually ships.  That is what makes "FRA == SRA == DA == serial" a
+meaningful test of the planner rather than a tautology.
 """
 
 from __future__ import annotations
@@ -44,8 +40,7 @@ from repro.dataset.chunk import Chunk
 from repro.dataset.dataset import Dataset
 from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import RoutingCache
-from repro.runtime.phases import AccumulatorHost, PhaseExecutor, Tally, merge_tallies
-from repro.runtime.transport import InprocTransport
+from repro.runtime.phases import PhaseExecutor, Tally, merge_tallies
 from repro.space.mapping import GridMapping
 from repro.store.chunk_store import ReadSlot, read_each
 
@@ -67,10 +62,9 @@ class BatchReader:
 class QueryResult:
     """Final values per output chunk, plus execution counters.
 
-    The counters follow one backend-independent contract, stated in
+    The counters follow one contract, stated in
     :mod:`repro.runtime.phases` together with the one rule that merges
-    them across ranks, worker hosts and shards; the functional corpus
-    asserts it across backends.  Results are built only by
+    them across shards; the corpora assert it on every execution path.  Results are built only by
     :func:`assemble_result` (and decoded by the wire protocol).
     """
 
@@ -87,7 +81,7 @@ class QueryResult:
     #: aggregate() calls, i.e. executed (input, accumulator) edges
     n_aggregations: int
     #: wall-clock seconds per execution phase (initialize / reduce /
-    #: combine / output), as measured by the executing backend
+    #: combine / output), as measured where the query ran
     phase_times: Dict[str, float] = field(default_factory=dict)
     #: cache counters (routing-cache hits/misses, chunk payload cache
     #: hits/misses)
@@ -129,12 +123,6 @@ class QueryResult:
     selected_strategy: str = ""
     strategy_ranking: Dict[str, float] = field(default_factory=dict)
 
-    def value_of(self, output_id: int) -> np.ndarray:
-        pos = np.flatnonzero(self.output_ids == output_id)
-        if not len(pos):
-            raise KeyError(f"output chunk {output_id} was not computed")
-        return self.chunk_values[int(pos[0])]
-
     def as_dict(self) -> Dict[int, np.ndarray]:
         return {int(o): v for o, v in zip(self.output_ids, self.chunk_values)}
 
@@ -168,7 +156,7 @@ def assemble_result(
     local ids under a *plan*, listed in the plan's output order; without
     one (a router's merge of shard partials, an empty partial, the
     serial oracle), dataset-level ids in the given order.  *tallies* --
-    one per executor, worker host or shard, none when nothing ran --
+    one per executor or shard, none when nothing ran --
     merge by :func:`~repro.runtime.phases.merge_tallies`.  The plan
     states the strategy, ``n_tiles``, the pruning counters and the
     completeness denominator; *stated* sets what neither knows (and,
@@ -214,7 +202,6 @@ def execute_plan(
     enforce_memory: bool = False,
     region=None,
     prior: Optional[Callable[[int], np.ndarray]] = None,
-    backend: str = "sequential",
     routing_cache: Optional[RoutingCache] = None,
     on_error: str = "raise",
     fault_injector=None,
@@ -253,18 +240,6 @@ def execute_plan(
         (ghost) holders are seeded too only for idempotent
         aggregations -- otherwise the global combine would double-count
         the prior.
-    backend:
-        ``"sequential"`` (default) executes the virtual processors in
-        one address space; ``"parallel"`` runs each virtual processor
-        as a real OS process (:mod:`repro.runtime.parallel`) with
-        shared-memory accumulators and ghost transfers as real IPC.
-        Both backends drive the same
-        :class:`~repro.runtime.phases.PhaseExecutor` over the same
-        fused kernels and per-accumulator operation order, so their
-        results agree bit-for-bit.  Every accumulator access is
-        asserted against the plan's authorization on both backends,
-        and the parallel backend gives each worker its own arena, so
-        an access the plan did not assign fails the query there.
     routing_cache:
         Optional :class:`repro.runtime.kernels.RoutingCache` memoizing
         ``map_chunk_to_cells`` per (chunk, region) across tiles and
@@ -281,64 +256,32 @@ def execute_plan(
         absorbed.
     fault_injector:
         Optional :class:`repro.faults.FaultInjector` arming
-        deterministic fault injection on the read path (both backends).
+        deterministic fault injection on the read path.
     predicate:
         Optional :class:`~repro.dataset.predicate.ValuePredicate`
         residual filter: items of retrieved chunks whose values fail
-        it are skipped after routing, on every backend.  This is the
+        it are skipped after routing.  This is the
         exact counterpart of the planner's value-synopsis pruning
         (reported in ``QueryResult.chunks_pruned`` / ``bytes_pruned``
         from the plan), and what makes pruned plans bit-identical to
         unpruned ones.
     """
-    if backend not in ("sequential", "parallel"):
-        raise ValueError(
-            f"unknown backend {backend!r}; expected 'sequential' or 'parallel'"
-        )
     if on_error not in ("raise", "degrade"):
         raise ValueError(
             f"unknown on_error {on_error!r}; expected 'raise' or 'degrade'"
         )
     if prefetch:
         raise ValueError("prefetch was removed: execution reads chunks synchronously")
-    if backend == "parallel":
-        from repro.runtime.parallel import execute_parallel
-
-        return execute_parallel(
-            plan,
-            chunks,
-            mapping,
-            grid,
-            spec,
-            enforce_memory=enforce_memory,
-            region=region,
-            prior=prior,
-            routing_cache=routing_cache,
-            on_error=on_error,
-            fault_injector=fault_injector,
-            predicate=predicate,
-        )
-    problem = plan.problem
     provider = _provider(chunks)
     if fault_injector is not None:
         provider = fault_injector.wrap_provider(provider)
-
-    accs = AccumulatorHost(
-        spec,
-        range(problem.n_procs),
-        memory_limit=(
-            (lambda p: int(problem.memory_per_proc[p])) if enforce_memory else None
-        ),
-    )
-    transport = InprocTransport()
     executor = PhaseExecutor(
         plan,
         grid,
         spec,
         mapping,
         provider,
-        accs,
-        transport,
+        enforce_memory=enforce_memory,
         region=region,
         prior=prior,
         routing_cache=routing_cache,
@@ -350,4 +293,4 @@ def execute_plan(
     tally = executor.tally
     if routing_cache is not None:
         tally.cache_stats = dict(routing_cache.stats())
-    return assemble_result(plan, transport.results, [tally])
+    return assemble_result(plan, executor.results, [tally])

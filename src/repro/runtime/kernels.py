@@ -8,8 +8,8 @@ per-segment ``np.add.at`` (which re-validated and re-coerced its
 operands every time).  On realistic workloads that loop, not the disk,
 dominated wall-clock.
 
-This module replaces it with fused, fully vectorized kernels shared by
-the sequential engine and the multiprocess backend:
+This module replaces it with fused, fully vectorized kernels, the
+phase executor's local-reduction path:
 
 - :meth:`~repro.aggregation.output_grid.OutputGrid.locate_cells`
   resolves *all* mapped cells of a batch to (output chunk, flat local
@@ -184,14 +184,6 @@ class RoutingCache:
                 self.evictions += 1
             self._entries[key] = (item_idx, cells)
             self._bytes += size
-
-    def invalidate_chunk_ids(self, chunk_ids) -> None:
-        """Drop entries for specific chunk ids (dataset reloaded)."""
-        wanted = set(int(c) for c in chunk_ids)
-        with self._lock:
-            for key in [k for k in self._entries if k[0] in wanted]:
-                idx, cells = self._entries.pop(key)
-                self._bytes -= int(idx.nbytes + cells.nbytes)
 
     def stats(self) -> dict:
         with self._lock:

@@ -1,27 +1,22 @@
-"""The unified per-tile phase pipeline: one executor for every backend.
+"""The per-tile phase pipeline: one executor, one schedule.
 
-Both functional backends and the discrete-event simulator execute the
+The functional engine and the discrete-event simulator execute the
 same computation -- the paper's Initialization, Local Reduction,
-Global Combine, Output Handling loop per tile -- but historically each
-transcribed it independently.  This module is the single home of that
-loop:
+Global Combine, Output Handling loop per tile.  This module is the
+single home of that loop:
 
 - :class:`PhaseSchedule` derives everything schedule-shaped from the
   plan once: the per-tile read/transfer/output orders, the per-read
   forwarding recipients, and the per-(tile, processor) work tallies
   the simulator turns into events.  ``plan.schedule()`` caches one.
-- :class:`AccumulatorHost` is the accumulator state for the ranks one
-  executor hosts -- the sequential engine hosts every rank, a
-  multiprocess worker hosts its group -- backed either by private
-  buffers or by externally provided shared-memory arena views.
-- :class:`PhaseExecutor` walks the four phases over a
-  :class:`~repro.runtime.transport.Transport`.  The sequential engine
-  and the multiprocess workers are now thin drivers around it; the
-  executor is the only place phase sequencing lives (lint rule ADR501
-  keeps it that way).
+- :class:`PhaseExecutor` walks the four phases, hosting every virtual
+  processor in one address space with its own accumulator set, and
+  checks every access against the plan's placement.  The engine is a
+  thin driver around it; the executor is the only place phase
+  sequencing lives (lint rule ADR501 keeps it that way).
 
-**Counter contract** (one definition for every backend; the
-functional corpus asserts cross-backend equality):
+**Counter contract** (one definition for every execution path; the
+functional, service and shard corpora assert it):
 
 - ``n_reads``: successfully retrieved scheduled chunk reads, summed
   over ranks.  A chunk read once per tile it straddles counts each
@@ -37,28 +32,26 @@ functional corpus asserts cross-backend equality):
 - ``chunks_pruned`` / ``bytes_pruned``: input chunks the planner
   dropped by value-synopsis pruning and the bytes those reads would
   have cost.  Plan-level facts (``problem.n_pruned`` /
-  ``problem.pruned_bytes``): every backend executing the plan reports
-  the same numbers, and pruned chunks never appear in ``n_reads`` /
+  ``problem.pruned_bytes``): every execution of the plan reports the
+  same numbers, and pruned chunks never appear in ``n_reads`` /
   ``bytes_read`` because they were never scheduled.
 - ``phase_times``: wall-clock seconds per phase with the keys of
-  :data:`PHASES`.  Each executor reports its own wall-clock; merged
-  levels take the per-phase ``max`` (the critical path), so absolute
-  values are backend-dependent -- only the key set is part of the
-  cross-backend contract.
+  :data:`PHASES`.  Merged levels take the per-phase ``max`` (the
+  critical path), so absolute values depend on where a query ran --
+  only the key set is part of the contract.
 
-Each executor hands its counters out as one :class:`Tally`.  Partial
-results merge the same way whichever level produced them -- worker
-hosts in the parallel parent, shard partials in the router -- by the
-one reduction :func:`merge_tallies`; ``repro.runtime.engine.
-assemble_result`` is the one place a ``QueryResult`` is built from
-tallies.
+The executor hands its counters out as one :class:`Tally`.  Partial
+results merge the same way whichever level produced them -- shard
+partials in the router -- by the one reduction :func:`merge_tallies`;
+``repro.runtime.engine.assemble_result`` is the one place a
+``QueryResult`` is built from tallies.
 
 **Determinism.** The executor walks reads, transfers and outputs in
 the plan's deterministic schedule order, and each accumulator receives
 at most one segment per read (segments within a read target distinct
 output chunks), so per-accumulator floating-point operation order is
-identical no matter how ranks are hosted -- the backends agree bit for
-bit, counters included.
+fixed by the plan: two executions of one plan agree bit for bit,
+counters included.
 """
 
 from __future__ import annotations
@@ -82,14 +75,12 @@ from repro.runtime.kernels import (
     route_chunk,
     routing_tail,
 )
-from repro.runtime.transport import Transport
 from repro.space.mapping import GridMapping
 from repro.store.chunk_store import RECOVERABLE_READ_ERRORS, ReadSlot
 from repro.util.arrays import unique_rows
 
 __all__ = [
     "PHASES",
-    "AccumulatorHost",
     "PhaseExecutor",
     "PhaseSchedule",
     "Tally",
@@ -165,7 +156,7 @@ def merge_tallies(tallies: Sequence[Tally]) -> Tally:
 _BATCH_BYTES = 1 << 20
 
 # ---------------------------------------------------------------------------
-# Plan-derived schedule (shared by engines, workers and the simulator)
+# Plan-derived schedule (shared by the executor and the simulator)
 # ---------------------------------------------------------------------------
 
 
@@ -173,9 +164,8 @@ class PhaseSchedule:
     """Everything schedule-shaped the phase loop needs, derived from
     the plan once and shared by every consumer.
 
-    ``plan.schedule()`` caches one per plan, so the sequential engine,
-    the multiprocess parent (whose forked workers inherit it) and the
-    simulator all walk literally the same arrays.
+    ``plan.schedule()`` caches one per plan, so the executor and the
+    simulator walk literally the same arrays.
 
     Attributes
     ----------
@@ -183,14 +173,14 @@ class PhaseSchedule:
         The per-tile grouping of the plan's reads / ghost transfers /
         outputs: ``x_order[x_bounds[t]:x_bounds[t+1]]`` are tile *t*'s
         entries in deterministic (tile, original index) order -- the
-        order every backend executes, which is what makes them
+        order the executor walks, which is what makes two executions
         comparable bit for bit.  :meth:`reads_of` /
         :meth:`transfers_of` / :meth:`outputs_of` slice them.
     recipients:
         Per read, the ranks beyond the reader that receive a forwarded
         segment message.  Derived from the plan's edge assignment
-        restricted to the read's tile, so sender and receivers agree
-        on the message schedule even for reads that map no items.
+        restricted to the read's tile: the only processors a read may
+        forward a segment to.
     cu_tile, cu_in, cu_proc, cu_pairs, cu_bounds:
         The *compute units*: unique (tile, input chunk, processor)
         triples with the number of (input, accumulator) pairs each
@@ -276,94 +266,34 @@ class PhaseSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Accumulator hosting
-# ---------------------------------------------------------------------------
-
-
-class AccumulatorHost:
-    """Accumulator state for the ranks one executor hosts.
-
-    Wraps one :class:`~repro.aggregation.accumulator.AccumulatorSet`
-    per hosted rank.  The sequential engine hosts every rank with
-    private buffers (and optional per-rank memory budgets); a
-    multiprocess worker hosts its one rank with *buffer_for*
-    supplying shared-memory arena views, so allocation only
-    re-initializes the view in place.
-    """
-
-    def __init__(
-        self,
-        spec: AggregationSpec,
-        ranks: Sequence[int],
-        memory_limit: Optional[Callable[[int], Optional[int]]] = None,
-        buffer_for: Optional[Callable[[int, int, int, int], np.ndarray]] = None,
-    ) -> None:
-        self.spec = spec
-        self.ranks = tuple(int(p) for p in ranks)
-        self.rank_set = frozenset(self.ranks)
-        self._buffer_for = buffer_for
-        self._sets = {
-            p: AccumulatorSet(
-                spec,
-                memory_limit=memory_limit(p) if memory_limit is not None else None,
-            )
-            for p in self.ranks
-        }
-        self._tile = -1
-
-    def begin_tile(self, tile: int) -> None:
-        self._tile = int(tile)
-
-    def allocate(self, rank: int, output_chunk: int, n_cells: int, ghost: bool):
-        data = None
-        if self._buffer_for is not None:
-            data = self._buffer_for(self._tile, rank, output_chunk, n_cells)
-        return self._sets[rank].allocate(output_chunk, n_cells, ghost, data=data)
-
-    def holds(self, rank: int, output_chunk: int) -> bool:
-        return output_chunk in self._sets[rank]
-
-    def get(self, rank: int, output_chunk: int):
-        return self._sets[rank].get(output_chunk)
-
-    def aggregate(self, rank, output_chunk, cell_idx, values) -> None:
-        self._sets[rank].aggregate(output_chunk, cell_idx, values)
-
-    def scatter_groups(self, rank, output_chunk, cell_idx, reduced) -> None:
-        self._sets[rank].scatter_groups(output_chunk, cell_idx, reduced)
-
-    def combine_from(self, rank, output_chunk, ghost_data) -> None:
-        self._sets[rank].combine_from(output_chunk, ghost_data)
-
-    def end_tile(self) -> None:
-        """Release every rank's accumulators (tile boundary)."""
-        for s in self._sets.values():
-            s.clear()
-
-
-# ---------------------------------------------------------------------------
 # The phase executor
 # ---------------------------------------------------------------------------
 
 
 class PhaseExecutor:
-    """Walk the plan's tiles through the four phases for a set of
-    hosted ranks, over a transport.
+    """Walk the plan's tiles through the four phases, hosting every
+    virtual processor.
 
-    This is the one implementation of phase sequencing (ADR501).  The
-    sequential engine instantiates it once with every rank and an
-    :class:`~repro.runtime.transport.InprocTransport`; each
-    multiprocess worker instantiates it with its one rank and a
-    :class:`~repro.runtime.transport.QueueTransport`.  *provider*
-    maps a batch of dataset-level input chunk ids to one slot each --
-    the payload, or the recoverable error reading it raised
+    This is the one implementation of phase sequencing (ADR501).  Each
+    processor owns one :class:`~repro.aggregation.accumulator.
+    AccumulatorSet` (``accs[p]``); *provider* maps a batch of
+    dataset-level input chunk ids to one slot each -- the payload, or
+    the recoverable error reading it raised
     (:func:`repro.runtime.engine._provider` adapts every chunk source
     to this form).  The executor calls it once per batch of a tile's
-    reads, on the calling thread; a slot's error surfaces unchanged, the
-    first in schedule order (``on_error='degrade'`` absorbs them).
+    reads, on the calling thread; a slot's error surfaces unchanged,
+    the first in schedule order (``on_error='degrade'`` absorbs them).
 
-    After :meth:`run`, :attr:`tally` holds this executor's counters
-    across its hosted ranks, per the module-level counter contract.
+    Placement is checked, not assumed: every segment is applied on the
+    processor the plan assigned its edge to, into an accumulator that
+    processor holds, and forwarded only to a recipient the schedule
+    names; a ghost is shipped only by a holder and only to the output
+    chunk's owner, and only owners emit.  A violation is an
+    ``AssertionError``.
+
+    After :meth:`run`, :attr:`tally` holds the counters (per the
+    module-level counter contract) and :attr:`results` maps each local
+    output chunk id to its final values.
     """
 
     def __init__(
@@ -373,10 +303,8 @@ class PhaseExecutor:
         spec: AggregationSpec,
         mapping: GridMapping,
         provider: Callable[[Sequence[int]], List[ReadSlot]],
-        accs: AccumulatorHost,
-        transport: Transport,
         *,
-        schedule: Optional[PhaseSchedule] = None,
+        enforce_memory: bool = False,
         region=None,
         prior: Optional[Callable[[int], np.ndarray]] = None,
         routing_cache: Optional[RoutingCache] = None,
@@ -384,19 +312,24 @@ class PhaseExecutor:
         predicate=None,
     ) -> None:
         self.plan = plan
-        self.problem = plan.problem
+        self.problem = problem = plan.problem
         self.grid = grid
         self.spec = spec
         self.mapping = mapping
         self.provider = provider
-        self.accs = accs
-        self.transport = transport
-        self.schedule = schedule if schedule is not None else plan.schedule()
+        self.schedule = plan.schedule()
         self.region = region
         self.prior = prior
         self.routing_cache = routing_cache
         self.on_error = on_error
         self.predicate = predicate
+        self.accs = [
+            AccumulatorSet(
+                spec,
+                memory_limit=int(problem.memory_per_proc[p]) if enforce_memory else None,
+            )
+            for p in range(problem.n_procs)
+        ]
 
         # Only the chunk id of a routing key varies from read to read.
         self._routing_tail = (
@@ -405,47 +338,37 @@ class PhaseExecutor:
         # (input, output) of every graph edge as one ascending key, in
         # forward-CSR order (aligned with ``plan.edge_proc``).
         edge_in, edge_out = plan.edge_arrays
-        self._edge_key = edge_in * self.problem.n_out + edge_out
+        self._edge_key = edge_in * problem.n_out + edge_out
+        self._edge_proc = plan.edge_proc.tolist()
         # Dataset-level output chunk id -> dense local id (or -1).
         self._sel_map = np.full(grid.n_chunks, -1, dtype=np.int64)
-        self._sel_map[self.problem.output_global_ids] = np.arange(self.problem.n_out)
+        self._sel_map[problem.output_global_ids] = np.arange(problem.n_out)
 
         self.tally = Tally()
+        #: local output chunk id -> finalized values (phase 4)
+        self.results: Dict[int, np.ndarray] = {}
 
     # -- phase 1: initialization ---------------------------------------
 
     def _initialize(self, t: int) -> None:
         problem, spec = self.problem, self.spec
         out_global = problem.output_global_ids
-        rank_set = self.accs.rank_set
-        for k in self.schedule.outputs_of(t):
-            o = int(k)
+        seeded = problem.init_from_output and self.prior is not None
+        for o in self.schedule.outputs_of(t).tolist():
             n_cells = self.grid.cells_in_chunk(int(out_global[o]))
             owner = int(problem.output_owner[o])
-            prior_acc = None
-            prior_checked = False
-            for p in self.plan.holders_of(o):
-                p = int(p)
-                if p not in rank_set:
-                    continue
-                acc = self.accs.allocate(p, o, n_cells, ghost=p != owner)
+            seed = None
+            if seeded:
+                prior_vals = self.prior(int(out_global[o]))
+                if prior_vals is not None:
+                    seed = spec.initialize_from(prior_vals)
+            for p in self.plan.holders_of(o).tolist():
+                acc = self.accs[p].allocate(o, n_cells, ghost=p != owner)
                 # Replicated (ghost) holders are seeded only for
                 # idempotent aggregations -- otherwise the global
-                # combine would double-count the prior.  The prior is
-                # fetched lazily so a worker host never retrieves
-                # existing output it does not seed from.
-                if (
-                    problem.init_from_output
-                    and self.prior is not None
-                    and (p == owner or spec.idempotent)
-                ):
-                    if not prior_checked:
-                        prior_checked = True
-                        prior_vals = self.prior(int(out_global[o]))
-                        if prior_vals is not None:
-                            prior_acc = spec.initialize_from(prior_vals)
-                    if prior_acc is not None:
-                        acc.data[:] = prior_acc
+                # combine would double-count the prior.
+                if seed is not None and (p == owner or spec.idempotent):
+                    acc.data[:] = seed
 
     # -- phase 2: local reduction --------------------------------------
 
@@ -464,27 +387,26 @@ class PhaseExecutor:
             )
         return pos
 
-    def _fetch(self, batch: List[int], readers: List[int]) -> List[Optional[tuple]]:
-        """The reads of *batch* this executor hosts, read with one
-        provider call, then routed and filtered: per read
-        ``(item_idx, cells, values)`` for :func:`group_reads`, or None
-        when it contributes nothing (not hosted, degraded, unrouted or
-        fully filtered)."""
+    def _fetch(self, batch: List[int]) -> List[Optional[tuple]]:
+        """The reads of *batch*, read with one provider call, then routed
+        and filtered: per read ``(item_idx, cells, values)`` for
+        :func:`group_reads`, or None when it contributes nothing
+        (degraded, unrouted or fully filtered)."""
         problem = self.problem
-        hosted = [k for k, p in enumerate(readers) if p in self.accs.rank_set]
-        inputs = self.plan.reads.chunk[batch].tolist()
-        gids = problem.input_global_ids[[inputs[k] for k in hosted]].tolist()
+        inputs = self.plan.reads.chunk[batch]
+        gids = problem.input_global_ids[inputs].tolist()
+        nbytes = problem.inputs.nbytes[inputs].tolist()
         slots = self.provider(gids)
         parts: List[Optional[tuple]] = [None] * len(batch)
         tail = self._routing_tail
-        for k, gid, chunk in zip(hosted, gids, slots):
+        for k, (gid, chunk) in enumerate(zip(gids, slots)):
             if isinstance(chunk, Exception):
                 if self.on_error != "degrade" or not isinstance(chunk, RECOVERABLE_READ_ERRORS):
                     raise chunk
                 self.tally.chunk_errors.setdefault(gid, f"{type(chunk).__name__}: {chunk}")
                 continue
             self.tally.n_reads += 1
-            self.tally.bytes_read += int(problem.inputs.nbytes[inputs[k]])
+            self.tally.bytes_read += nbytes[k]
             item_idx, cells = route_chunk(
                 chunk, self.mapping, self.grid, self.region, self.routing_cache,
                 None if tail is None else (gid, *tail),
@@ -496,11 +418,23 @@ class PhaseExecutor:
                 parts[k] = item_idx, cells, coerce_values(chunk.values, self.spec.value_components)
         return parts
 
-    def _apply(self, rank: int, t: int, kind: str, o: int, cell_idx, payload) -> None:
+    def _apply(self, rank: int, edge: int, kind: str, o: int, cell_idx, payload) -> None:
+        """Aggregate one segment -- the items of graph edge *edge* (a
+        forward-CSR position) into output chunk *o* -- on processor
+        *rank*, which must be the one the plan assigned the edge to."""
+        assert self._edge_proc[edge] == rank, (
+            f"edge {edge} applied on processor {rank}, but the plan "
+            f"assigned it to processor {self._edge_proc[edge]}"
+        )
+        accs = self.accs[rank]
+        assert o in accs, (
+            f"processor {rank} aggregates into output chunk {o}, "
+            "which it does not hold"
+        )
         if kind == "red":
-            self.accs.scatter_groups(rank, o, cell_idx, payload)
+            accs.scatter_groups(o, cell_idx, payload)
         else:
-            self.accs.aggregate(rank, o, cell_idx, payload)
+            accs.aggregate(o, cell_idx, payload)
         self.tally.n_aggregations += 1
 
     def _reduce(self, t: int) -> None:
@@ -521,115 +455,71 @@ class PhaseExecutor:
 
     def _reduce_batch(self, t: int, batch: List[int]) -> None:
         plan, spec = self.plan, self.spec
-        rank_set = self.accs.rank_set
+        # Fetch every read of the batch, then group them all with one
+        # sort and pre-reduce duplicate cells batch-wide (when the
+        # aggregation supports it): each segment is then one
+        # fancy-indexed scatter -- the same arithmetic, in the same
+        # order, for every batch bound.
+        segs = group_reads(self._fetch(batch), self.grid, self._sel_map, plan.tile_of_output, t)
+        if segs is None:
+            return
+        seg_in = plan.reads.chunk[batch][segs.seg_read]
+        seg_edges = self._edge_positions(seg_in, segs.seg_out).tolist()
+        seg_out = segs.seg_out.tolist()
+        rb = segs.read_bounds.tolist()
+        rows = spec.prereduce_groups(segs.values, segs.group_starts)
+        if rows is None:
+            kind, idx, rows = "raw", segs.flat, segs.values
+            lo, hi = segs.starts.tolist(), segs.ends.tolist()
+        else:
+            kind, idx = "red", segs.flat[segs.group_starts]
+            lo = segs.group_bounds.tolist()
+            hi = lo[1:]
         readers = plan.reads.proc[batch].tolist()
-        # Fetch every read of the batch this executor hosts, then group
-        # them all with one sort and pre-reduce duplicate cells batch-
-        # wide (when the aggregation supports it): forwarded segments
-        # ship one row per distinct cell and both sides apply one
-        # fancy-indexed scatter per segment -- the same arithmetic, in
-        # the same order, on every backend and for every batch bound.
-        segs = group_reads(
-            self._fetch(batch, readers), self.grid, self._sel_map, plan.tile_of_output, t,
-        )
-        rb = [0] * (len(batch) + 1)  # batch position -> its segment range
-        if segs is not None:
-            seg_in = plan.reads.chunk[batch][segs.seg_read]
-            seg_procs = plan.edge_proc[self._edge_positions(seg_in, segs.seg_out)].tolist()
-            seg_out = segs.seg_out.tolist()
-            rb = segs.read_bounds.tolist()
-            rows = spec.prereduce_groups(segs.values, segs.group_starts)
-            if rows is None:
-                kind, idx, rows = "raw", segs.flat, segs.values
-                lo, hi = segs.starts.tolist(), segs.ends.tolist()
-            else:
-                kind, idx = "red", segs.flat[segs.group_starts]
-                lo = segs.group_bounds.tolist()
-                hi = lo[1:]
-        # Walk the reads in schedule order: apply own segments, forward
-        # the rest (the DA communication), then receive -- sends and
-        # receives stay per read, to the recipients the schedule names,
-        # so every rank agrees on the message schedule.  A degraded
-        # (unreadable) chunk still ships its (empty) messages.
+        # Walk the reads in schedule order, each read's segments in
+        # output-chunk order.  A segment whose edge the plan assigned
+        # to another processor than the reader is forwarded (the DA
+        # communication): it is applied on that processor, which the
+        # schedule must name as one of the read's recipients.  Each
+        # accumulator receives at most one segment per read, so its
+        # operation order is the schedule's.
         for k, (r, reader) in enumerate(zip(batch, readers)):
-            recipients = self.schedule.recipients[r].tolist()
-            if reader in rank_set:
-                outbound: Dict[int, list] = {q: [] for q in recipients}
-                for j in range(rb[k], rb[k + 1]):
-                    o, q = seg_out[j], seg_procs[j]
-                    cell_idx, payload = idx[lo[j] : hi[j]], rows[lo[j] : hi[j]]
-                    if q == reader:
-                        assert self.accs.holds(reader, o), (
-                            "reader aggregating into chunk it does not hold"
-                        )
-                        self._apply(reader, t, kind, o, cell_idx, payload)
-                    else:
-                        assert q in outbound, (
-                            f"read {r} forwards a segment to processor {q}, "
-                            "which is not among the schedule's recipients"
-                        )
-                        outbound[q].append(
-                            (kind, o, np.ascontiguousarray(cell_idx),
-                             np.ascontiguousarray(payload))
-                        )
-                for q in recipients:
-                    self.transport.send_segments(q, t, r, outbound[q])
-            for q in recipients:
-                if q not in rank_set:
-                    continue
-                segments = self.transport.recv_segments(q, t, r)
-                if not segments:
-                    continue
-                outs = np.array([seg[1] for seg in segments])
-                edges = self._edge_positions(np.full(len(outs), plan.reads.chunk[r]), outs)
-                assert (plan.edge_proc[edges] == q).all(), (
-                    "forwarded segment for an edge the plan did not "
-                    "assign to this processor"
-                )
-                for kind_in, o, cell_idx, payload in segments:
-                    assert self.accs.holds(q, o), (
-                        "segment for a chunk this rank does not hold"
+            recipients = None
+            for j in range(rb[k], rb[k + 1]):
+                edge = seg_edges[j]
+                q = self._edge_proc[edge]
+                if q != reader:
+                    if recipients is None:
+                        recipients = self.schedule.recipients[r].tolist()
+                    assert q in recipients, (
+                        f"read {r} forwards a segment to processor {q}, "
+                        "which is not among the schedule's recipients"
                     )
-                    self._apply(q, t, kind_in, o, cell_idx, payload)
+                self._apply(q, edge, kind, seg_out[j], idx[lo[j] : hi[j]], rows[lo[j] : hi[j]])
 
     # -- phase 3: global combine ---------------------------------------
 
     def _combine(self, t: int) -> None:
-        problem = self.problem
+        owner = self.problem.output_owner
         gt = self.plan.ghost_transfers
-        rank_set = self.accs.rank_set
-        for g in self.schedule.transfers_of(t):
-            g = int(g)
-            o = int(gt.chunk[g])
-            src, dst = int(gt.src[g]), int(gt.dst[g])
-            if src in rank_set:
-                assert self.accs.holds(src, o), (
-                    "shipping a ghost this rank does not hold"
-                )
-                self.transport.send_ghost(dst, t, g, self.accs.get(src, o).data)
-            if dst in rank_set:
-                ghost_data = self.transport.recv_ghost(dst, t, g)
-                assert int(problem.output_owner[o]) == dst, (
-                    "ghost shipped to a non-owner"
-                )
-                self.accs.combine_from(dst, o, ghost_data)
-                self.tally.n_combines += 1
+        g = self.schedule.transfers_of(t)
+        for o, src, dst in zip(gt.chunk[g].tolist(), gt.src[g].tolist(), gt.dst[g].tolist()):
+            assert o in self.accs[src], "shipping a ghost this rank does not hold"
+            assert int(owner[o]) == dst, "ghost shipped to a non-owner"
+            self.accs[dst].combine_from(o, self.accs[src].get(o).data)
+            self.tally.n_combines += 1
 
     # -- phase 4: output handling --------------------------------------
 
     def _output(self, t: int) -> None:
-        problem, spec = self.problem, self.spec
-        rank_set = self.accs.rank_set
-        for k in self.schedule.outputs_of(t):
-            o = int(k)
-            owner = int(problem.output_owner[o])
-            if owner not in rank_set:
-                continue
-            acc = self.accs.get(owner, o)
+        owner = self.problem.output_owner
+        for o in self.schedule.outputs_of(t).tolist():
+            acc = self.accs[int(owner[o])].get(o)
             if acc.ghost:
                 raise AssertionError("owner holds a ghost for its own chunk")
-            self.transport.emit_result(o, spec.output(acc.data))
-        self.accs.end_tile()
+            self.results[o] = self.spec.output(acc.data)
+        for accs in self.accs:
+            accs.clear()
 
     # -- driver ---------------------------------------------------------
 
@@ -637,7 +527,6 @@ class PhaseExecutor:
         """Execute every tile; counters accumulate on ``self.tally``."""
         times = self.tally.phase_times
         for t in range(self.plan.n_tiles):
-            self.accs.begin_tile(t)
             t0 = time.perf_counter()
             self._initialize(t)
             times["initialize"] += time.perf_counter() - t0

@@ -73,9 +73,6 @@ class PartialAggregationSpec(AggregationSpec):
     def initialize_from(self, values: np.ndarray) -> np.ndarray:
         return self.inner.initialize_from(values)
 
-    def initialize_into(self, acc: np.ndarray) -> None:
-        self.inner.initialize_into(acc)
-
     def aggregate(self, acc, cell_idx, values) -> None:
         self.inner.aggregate(acc, cell_idx, values)
 

@@ -157,7 +157,7 @@ class _QuerySim:
         self.n_tiles = plan.n_tiles
 
         # The simulator prices the very schedule the functional
-        # backends execute: every per-tile grouping below comes from
+        # executor walks: every per-tile grouping below comes from
         # the shared :class:`~repro.runtime.phases.PhaseSchedule`
         # (``plan.schedule()``), so simulated and measured executions
         # can never drift apart structurally.

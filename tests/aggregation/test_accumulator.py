@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.accumulator import AccumulatorSet
-from repro.aggregation.functions import (
-    MaxAggregation,
-    MeanAggregation,
-    SumAggregation,
-)
+from repro.aggregation.functions import MeanAggregation, SumAggregation
 
 
 class TestAllocation:
@@ -37,24 +33,18 @@ class TestAllocation:
         with pytest.raises(MemoryError, match="budget"):
             s.allocate(1, 6, ghost=False)
 
-    def test_given_buffer_is_reinitialized_in_place(self):
-        """A caller-supplied buffer (the parallel backend's arena view)
-        is used as is and re-initialized through the spec: max starts
-        at -inf, not at whatever the arena held."""
-        arena = np.full(8, 7.0)
-        view = arena[2:5].reshape(3, 1)
-        acc = AccumulatorSet(MaxAggregation(1)).allocate(0, 3, ghost=False, data=view)
-        assert acc.data is view
-        assert np.all(np.isneginf(arena[2:5]))
-        assert np.all(arena[:2] == 7.0) and np.all(arena[5:] == 7.0)
-
     def test_bytes_in_use_and_clear(self):
+        """The bytes in use count against the budget until ``clear``
+        releases them with the accumulators."""
         spec = MeanAggregation(2)
-        s = AccumulatorSet(spec)
+        s = AccumulatorSet(spec, memory_limit=spec.acc_bytes(5))
         s.allocate(0, 5, ghost=False)
-        assert s.bytes_in_use == spec.acc_bytes(5)
+        with pytest.raises(MemoryError, match="budget"):
+            s.allocate(1, 1, ghost=False)
         s.clear()
-        assert s.bytes_in_use == 0 and len(s) == 0
+        assert len(s) == 0
+        s.allocate(1, 5, ghost=False)
+        assert len(s) == 1
 
 
 class TestAggregationPaths:
@@ -92,4 +82,4 @@ class TestAggregationPaths:
         s.allocate(1, 2, ghost=True)
         s.allocate(2, 2, ghost=True)
         assert sorted(a.output_chunk for a in s.ghosts()) == [1, 2]
-        assert [a.output_chunk for a in s.locals()] == [0]
+        assert [a.output_chunk for a in s if not a.ghost] == [0]

@@ -1,6 +1,8 @@
 """Diagnostic codes are stable: no two passes share one, and a retired
 code is never reused (``ADR2xx`` belonged to the removed simulated-race
-detector, ``ADR6xx`` to the removed communication model checker)."""
+detector, ``ADR6xx`` to the removed communication model checker,
+``ADR704`` to the shared-memory leak check of the removed multiprocess
+backend)."""
 
 from itertools import combinations
 
@@ -20,5 +22,6 @@ def test_passes_own_disjoint_codes():
 
 def test_retired_codes_stay_retired():
     assert [
-        c for codes in PASSES.values() for c in codes if c.startswith(("ADR2", "ADR6"))
+        c for codes in PASSES.values() for c in codes
+        if c.startswith(("ADR2", "ADR6")) or c == "ADR704"
     ] == []

@@ -123,12 +123,11 @@ def failed(failures):
 
 
 class TestFunctionalCorpus:
-    """Payload-carrying workloads executed on both backends.
+    """Payload-carrying workloads executed end to end.
 
     The full sweep -- 4 strategies x 9 workloads plus one auto-resolved
     and one predicate-bearing (``where=``) pruned plan per workload, 54
-    plans, each on the sequential and the parallel backend -- is
-    the CI job ``python -m repro.analysis.corpus --functional``; here
+    plans -- is the CI job ``python -m repro.analysis.corpus --functional``; here
     one strategy keeps tier-1 fast while still exercising the whole
     pipeline end to end.
     """
@@ -145,30 +144,30 @@ class TestFunctionalCorpus:
         assert n_plans == 27
         assert failures == [], failed(failures)
 
-    def test_drift_in_one_variant_is_named(self, one_workload, monkeypatch):
-        """One variant off by one combine, or by one output value, is a
-        failure naming exactly that field and that variant."""
-        run_variants = corpus._variants
-
+    def test_drift_in_one_run_is_named(self, one_workload, monkeypatch):
+        """One run off by one combine, or by one output value, is a
+        failure naming exactly that field and that run."""
+        clean_run = corpus.Workload.run
+        calls = []
         moved = set()
 
         def drifting(w, plan, **kw):
-            runs = run_variants(w, plan, **kw)
-            par = runs["parallel"]
-            values = [v.copy() for v in par.chunk_values]
+            res = clean_run(w, plan, **kw)
+            calls.append(plan)
+            if len(calls) != 2:  # the second run is the strategy='auto' pick
+                return res
+            values = [v.copy() for v in res.chunk_values]
             values[0][0, 0] += 1.0
-            runs["parallel"] = replace(
-                par, n_combines=par.n_combines + 1, chunk_values=values
-            )
-            moved.add(f"chunk_values[{int(par.output_ids[0])}]")
-            return runs
+            moved.add(f"chunk_values[{int(res.output_ids[0])}]")
+            return replace(res, n_combines=res.n_combines + 1, chunk_values=values)
 
-        monkeypatch.setattr(corpus, "_variants", drifting)
+        monkeypatch.setattr(corpus.Workload, "run", drifting)
         _, failures = verify_functional_corpus(strategies=(FRA,))
-        named = {(tag.rsplit(" / ", 1)[1], msg.split()[0]) for tag, msg in failures}
-        assert named == {("parallel", "n_combines")} | {
-            ("parallel", field) for field in moved
+        named = {
+            (tag.rsplit(" / ", 1)[1].split("->")[0], msg.split()[0])
+            for tag, msg in failures
         }
+        assert named == {("AUTO", "n_combines")} | {("AUTO", field) for field in moved}
 
 
 class TestFaultCorpus:

@@ -180,82 +180,6 @@ class TestUnboundedWaits:
         assert codes(src) == set()
 
 
-class TestSharedMemoryCleanup:
-    """ADR704: SharedMemory bindings need close (+unlink when created)
-    on a finally path of the same function."""
-
-    LEAKY = """
-    from multiprocessing import shared_memory
-
-    def attach(name):
-        shm = shared_memory.SharedMemory(name=name)
-        return consume(shm.buf)
-    """
-
-    CLEAN = """
-    from multiprocessing import shared_memory
-
-    def attach(name):
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            return consume(shm.buf)
-        finally:
-            shm.close()
-    """
-
-    def test_missing_close_flagged(self):
-        out = findings(self.LEAKY)
-        assert [d.code for d in out] == ["ADR704"]
-        assert "shm.close()" in out[0].message
-
-    def test_close_in_finally_ok(self):
-        assert codes(self.CLEAN) == set()
-
-    def test_created_segment_also_needs_unlink(self):
-        src = self.CLEAN.replace(
-            "SharedMemory(name=name)", "SharedMemory(create=True, size=n)"
-        )
-        out = findings(src)
-        assert [d.code for d in out] == ["ADR704"]
-        assert "shm.unlink()" in out[0].message
-
-    def test_created_segment_with_both_ok(self):
-        src = """
-        from multiprocessing import shared_memory
-
-        def serve(n):
-            shm = shared_memory.SharedMemory(create=True, size=n)
-            try:
-                fill(shm.buf)
-            finally:
-                shm.close()
-                shm.unlink()
-        """
-        assert codes(src) == set()
-
-    def test_nested_function_scopes_are_separate(self):
-        # A finally in an inner function must not satisfy an outer
-        # binding (and vice versa).
-        src = """
-        from multiprocessing import shared_memory
-
-        def outer(name):
-            shm = shared_memory.SharedMemory(name=name)
-
-            def inner(other):
-                shm2 = shared_memory.SharedMemory(name=other)
-                try:
-                    return consume(shm2.buf)
-                finally:
-                    shm2.close()
-
-            return inner
-        """
-        out = findings(src)
-        assert [d.code for d in out] == ["ADR704"]
-        assert "'shm'" in out[0].message
-
-
 class TestGuardedCache:
     """ADR705: the guarded-cache module mutates only under the lock
     or in *_locked helpers."""

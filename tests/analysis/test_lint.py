@@ -408,7 +408,7 @@ class TestPhaseLoopOwnership:
     def test_sequencing_call_flagged_in_runtime(self):
         assert codes(self.CALLS, path=RUNTIME) == {"ADR501"}
         for name in ("allocate", "scatter_groups", "combine_from",
-                     "initialize_into", "initialize_from", "prereduce_groups"):
+                     "initialize_from", "prereduce_groups"):
             assert codes(f"x = accs.{name}(a, b)\n", path=RUNTIME) == {"ADR501"}
 
     def test_not_flagged_outside_runtime(self):

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-from repro.aggregation.functions import MeanAggregation
 from repro.aggregation.output_grid import OutputGrid
-from repro.dataset.chunk import Chunk
 from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.problem import PlanningProblem
 from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping
-from repro.util.geometry import Rect
 from repro.util.units import KB, MB
 
 
@@ -89,6 +86,31 @@ def make_functional_setup(
 
 
 SMALL_COSTS = ComputeCosts.from_ms(1, 5, 2, 1)
+
+
+def build_problem(chunks, mapping, grid, spec, n_procs, memory):
+    """A geometry-derived planning problem over payload chunks,
+    Hilbert-declustered over *n_procs* with *memory* accumulator bytes
+    per processor."""
+    from repro.decluster.hilbert import HilbertDeclusterer
+
+    inputs = ChunkSet.from_metas([c.meta for c in chunks])
+    decl = HilbertDeclusterer()
+    inputs = decl.place(inputs, n_procs)
+    outputs = decl.place(grid.chunkset(), n_procs)
+    graph = ChunkGraph.from_geometry(inputs, outputs, mapping)
+    acc = np.asarray(
+        [spec.acc_bytes(grid.cells_in_chunk(o)) for o in range(grid.n_chunks)],
+        dtype=np.int64,
+    )
+    return PlanningProblem(
+        n_procs=n_procs,
+        memory_per_proc=np.int64(memory),
+        inputs=inputs,
+        outputs=outputs,
+        graph=graph,
+        acc_nbytes=acc,
+    )
 
 
 def small_machine(n_procs: int = 4, memory: int = 1 * MB) -> MachineConfig:

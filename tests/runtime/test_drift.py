@@ -1,12 +1,11 @@
 """An executor that drifts from its plan is caught by the checks that
-run on every query: the parallel backend's per-rank arenas, the
-executor's ``holds`` / owner / recipient assertions, and a comparison
-against a clean run of the same plan (what the functional corpus does
-on both backends).
+run on every query: the executor's placement assertions (edge on its
+assigned processor, ``holds``, owner, scheduled recipient) and a
+comparison against a clean run of the same plan (what the functional
+corpus does).
 
 Each drift is a monkeypatch on :class:`PhaseExecutor` or on the plan's
-cached schedule; forked worker hosts inherit it, so the parallel
-backend runs the drifted executor too.
+cached schedule.
 """
 
 from dataclasses import replace
@@ -19,10 +18,8 @@ from repro.aggregation.functions import SumAggregation
 from repro.planner.strategies import plan_query
 from repro.runtime.engine import execute_plan
 from repro.runtime.phases import PhaseExecutor
-from repro.runtime.transport import InprocTransport
 
-from helpers import make_functional_setup
-from test_parallel import build_problem
+from helpers import build_problem, make_functional_setup
 
 
 def planned(rng, strategy):
@@ -43,9 +40,9 @@ def spread(request, rng):
     return plan, *rest
 
 
-def run(spread, backend="sequential"):
+def run(spread):
     plan, chunks, mapping, grid, spec = spread
-    return execute_plan(plan, chunks.__getitem__, mapping, grid, spec, backend=backend)
+    return execute_plan(plan, chunks.__getitem__, mapping, grid, spec)
 
 
 def combining(name, substitute):
@@ -79,17 +76,19 @@ def swap(monkeypatch, a, b):
     monkeypatch.setattr(PhaseExecutor, b, first)
 
 
-def test_cross_rank_apply_fails_the_parallel_query(monkeypatch, spread):
+def test_cross_rank_apply_fails_the_query(monkeypatch, spread):
     """Each edge aggregated into its output chunk's owner instead of
-    the rank the plan assigned it to."""
+    the rank the plan assigned it to.  The owner holds the chunk too,
+    and the global combine would sum the same values, so only the
+    executor's placement check tells the runs apart."""
     clean = PhaseExecutor._apply
 
-    def _apply(self, rank, t, kind, o, cell_idx, payload):
-        clean(self, int(self.problem.output_owner[o]), t, kind, o, cell_idx, payload)
+    def _apply(self, rank, edge, kind, o, cell_idx, payload):
+        clean(self, int(self.problem.output_owner[o]), edge, kind, o, cell_idx, payload)
 
     monkeypatch.setattr(PhaseExecutor, "_apply", _apply)
-    with pytest.raises(RuntimeError):
-        run(spread, backend="parallel")
+    with pytest.raises(AssertionError, match="but the plan assigned it to processor"):
+        run(spread)
 
 
 @pytest.mark.parametrize("drift", ["skip_last", "twice", "before_reduce"])
@@ -123,25 +122,32 @@ def test_combine_drift_asserts(monkeypatch, spread, drift):
         run(spread)
 
 
-@pytest.mark.parametrize("backend", ["sequential", "parallel"])
-def test_segment_for_a_dropped_recipient_asserts(monkeypatch, rng, backend):
+def test_segment_for_a_dropped_recipient_asserts(monkeypatch, rng):
     """A DA read forwards a segment to a rank its schedule no longer
     names as a recipient."""
     forwarding = planned(rng, "DA")
-    sent = []
-    clean = InprocTransport.send_segments
+    plan = forwarding[0]
+    applied = []
+    clean = PhaseExecutor._apply
 
-    def send_segments(self, dst, tile, read, segments):
-        if segments:
-            sent.append((read, dst))
-        clean(self, dst, tile, read, segments)
+    def _apply(self, rank, edge, *rest):
+        applied.append((rank, edge))
+        clean(self, rank, edge, *rest)
 
     with monkeypatch.context() as m:
-        m.setattr(InprocTransport, "send_segments", send_segments)
+        m.setattr(PhaseExecutor, "_apply", _apply)
         run(forwarding)
-    read, dropped = sent[0]
-    recipients = forwarding[0].schedule().recipients
+    # Each edge's read is the one of its (tile, input chunk).
+    n_in = plan.problem.n_in
+    read_of = np.searchsorted(
+        plan.reads.tile * n_in + plan.reads.chunk,
+        plan.edge_tile * n_in + plan.edge_arrays[0],
+    )
+    read, dropped = next(
+        (int(read_of[edge]), rank) for rank, edge in applied
+        if rank != plan.reads.proc[read_of[edge]]
+    )
+    recipients = plan.schedule().recipients
     recipients[read] = recipients[read][recipients[read] != dropped]
-    expected = AssertionError if backend == "sequential" else RuntimeError
-    with pytest.raises(expected, match=f"read {read} forwards a segment to processor {dropped},"):
-        run(forwarding, backend=backend)
+    with pytest.raises(AssertionError, match=f"read {read} forwards a segment to processor {dropped},"):
+        run(forwarding)

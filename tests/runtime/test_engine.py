@@ -1,4 +1,4 @@
-"""Tests for the parallel functional engine.
+"""Tests for the functional engine.
 
 The headline invariant of the whole reproduction: for any workload,
 the FRA, SRA, DA and hybrid executions produce the same answer as the
@@ -17,38 +17,14 @@ from repro.aggregation.functions import (
     MeanAggregation,
     SumAggregation,
 )
-from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
-from repro.decluster.hilbert import HilbertDeclusterer
 from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_query
 from repro.planner.validate import validate_plan
 from repro.runtime.engine import execute_plan
 from repro.runtime.serial import execute_serial
 
-from helpers import make_functional_setup
-
-
-def build_problem(chunks, mapping, grid, spec, n_procs, memory, seed=0):
-    """Assemble a geometry-derived problem over payload chunks."""
-    metas = [c.meta for c in chunks]
-    inputs = ChunkSet.from_metas(metas)
-    decl = HilbertDeclusterer()
-    inputs = decl.place(inputs, n_procs)
-    outputs = decl.place(grid.chunkset(), n_procs)
-    graph = ChunkGraph.from_geometry(inputs, outputs, mapping)
-    acc = np.asarray(
-        [spec.acc_bytes(grid.cells_in_chunk(o)) for o in range(grid.n_chunks)],
-        dtype=np.int64,
-    )
-    return PlanningProblem(
-        n_procs=n_procs,
-        memory_per_proc=np.int64(memory),
-        inputs=inputs,
-        outputs=outputs,
-        graph=graph,
-        acc_nbytes=acc,
-    )
+from helpers import build_problem, make_functional_setup
 
 
 STRATEGIES = ["FRA", "SRA", "DA", "HYBRID"]
@@ -155,9 +131,9 @@ class TestCountersAndBookkeeping:
         prob = build_problem(chunks, mapping, grid, spec, n_procs=2, memory=1 << 15)
         result = execute_plan(plan_query(prob, "FRA"), lambda i: chunks[i], mapping, grid, spec)
         o = int(result.output_ids[0])
-        np.testing.assert_array_equal(result.value_of(o), result.chunk_values[0])
-        with pytest.raises(KeyError):
-            result.value_of(10_000)
+        by_id = result.as_dict()
+        np.testing.assert_array_equal(by_id[o], result.chunk_values[0])
+        assert len(by_id) == len(result.output_ids) and 10_000 not in by_id
         full = result.assemble(grid)
         assert full.shape == grid.grid_shape + (1,)
 
@@ -203,22 +179,19 @@ class TestEmptyResults:
         assert full.shape == grid.grid_shape + (1,)
         assert np.isnan(full).all()
 
-    def test_empty_plan_same_on_both_backends(self, rng):
-        """Both backends assemble an empty plan's result in one place,
-        so it keeps the cross-backend contract: every phase key, the
-        plan's tile count, complete."""
+    def test_empty_plan_keeps_the_counter_contract(self, rng):
+        """An empty plan's result is assembled in the one place every
+        result is, so it keeps the counter contract: every phase key,
+        the plan's tile count, complete."""
         from repro.runtime.phases import PHASES
 
         spec = SumAggregation(1)
         _, _, chunks, mapping, grid = make_functional_setup(rng)
         plan = plan_query(self.empty_problem(rng), "FRA")
-        seq, par = (
-            execute_plan(plan, lambda i: chunks[i], mapping, grid, spec, backend=b)
-            for b in ("sequential", "parallel")
-        )
-        assert set(seq.phase_times) == set(par.phase_times) == set(PHASES)
-        assert seq.n_tiles == par.n_tiles == plan.n_tiles
-        assert seq.completeness == par.completeness == 1.0
+        res = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec)
+        assert set(res.phase_times) == set(PHASES)
+        assert res.n_tiles == plan.n_tiles
+        assert res.completeness == 1.0 and res.n_reads == 0
 
 
 @given(seed=st.integers(0, 2**31), strategy=st.sampled_from(STRATEGIES),

@@ -337,15 +337,6 @@ class TestRoutingCache:
         assert cache.evictions == 1
         assert cache.get(routing_key(0, mapping, grid, None)) is None  # evicted LRU
 
-    def test_invalidate_chunk_ids(self, rng):
-        _, _, chunks, mapping, grid = make_functional_setup(rng)
-        cache = RoutingCache()
-        key = routing_key(7, mapping, grid, None)
-        route_chunk(chunks[0], mapping, grid, None, cache=cache, key=key)
-        assert len(cache) == 1
-        cache.invalidate_chunk_ids([7])
-        assert len(cache) == 0 and cache.nbytes == 0
-
     def test_custom_mapping_not_cached(self, rng):
         _, _, chunks, mapping, grid = make_functional_setup(rng)
 

@@ -1,10 +1,9 @@
-"""Tests for the unified phase pipeline (:mod:`repro.runtime.phases`).
+"""Tests for the phase pipeline (:mod:`repro.runtime.phases`).
 
-One :class:`PhaseExecutor` serves every backend; these tests pin the
-cross-backend contract: the sequential and parallel backends agree
-bit for bit -- values, counters and ``phase_times`` key set --
-and the simulator prices literally the same :class:`PhaseSchedule`
-arrays the functional backends execute.
+These pin the executor's contract -- counters, ``phase_times`` key
+set, batch bounds that change nothing, every segment applied where the
+plan put its edge -- and that the simulator prices literally the same
+:class:`PhaseSchedule` arrays the executor walks.
 """
 
 import numpy as np
@@ -13,41 +12,19 @@ import pytest
 from repro.aggregation.accumulator import AccumulatorSet
 from repro.aggregation.extra import VarianceAggregation
 from repro.aggregation.functions import BestValueComposite, MeanAggregation
-from repro.dataset.chunkset import ChunkSet
-from repro.dataset.graph import ChunkGraph
-from repro.decluster.hilbert import HilbertDeclusterer
-from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_query
 from repro.faults import FaultInjector, FaultPlan
-from repro.runtime import engine, phases
+from repro.runtime import phases
 from repro.runtime.engine import BatchReader, execute_plan
 from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
-from repro.runtime.transport import InprocTransport
+from repro.runtime.serial import execute_serial
 from repro.store.format import CorruptChunkError
 
-from helpers import SMALL_COSTS, make_functional_setup, small_machine
+from helpers import SMALL_COSTS, build_problem, make_functional_setup, small_machine
 
 COUNTERS = ("n_reads", "bytes_read", "n_aggregations", "n_combines")
-
-
-def build_problem(chunks, mapping, grid, spec, n_procs, memory):
-    inputs = ChunkSet.from_metas([c.meta for c in chunks])
-    decl = HilbertDeclusterer()
-    inputs = decl.place(inputs, n_procs)
-    outputs = decl.place(grid.chunkset(), n_procs)
-    graph = ChunkGraph.from_geometry(inputs, outputs, mapping)
-    acc = np.asarray(
-        [spec.acc_bytes(grid.cells_in_chunk(o)) for o in range(grid.n_chunks)],
-        dtype=np.int64,
-    )
-    return PlanningProblem(
-        n_procs=n_procs,
-        memory_per_proc=np.int64(memory),
-        inputs=inputs,
-        outputs=outputs,
-        graph=graph,
-        acc_nbytes=acc,
-    )
+#: the executor's own methods, which :func:`run_bounded` wraps afresh per run
+REDUCE_BATCH, APPLY = PhaseExecutor._reduce_batch, PhaseExecutor._apply
 
 
 @pytest.fixture
@@ -58,39 +35,19 @@ def workload(rng):
     return chunks, mapping, grid, spec, prob
 
 
-class TestBackendEquivalence:
-    """The tentpole invariant: hosting is invisible."""
-
-    @pytest.mark.parametrize("strategy", ["FRA", "DA"])
-    @pytest.mark.parametrize("backend", ["parallel"])
-    def test_bitwise_equal(self, workload, strategy, backend):
-        chunks, mapping, grid, spec, prob = workload
-        plan = plan_query(prob, strategy)
-        assert plan.n_tiles > 1  # memory chosen to force real tiling
-        seq = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec)
-        res = execute_plan(
-            plan, lambda i: chunks[i], mapping, grid, spec,
-            backend=backend,
-        )
-        assert_same_result(res, seq)
-        assert sorted(res.phase_times) == sorted(PHASES)
-        assert sorted(seq.phase_times) == sorted(PHASES)
-
-    @pytest.mark.parametrize("backend", ["sequential", "parallel"])
-    def test_read_ahead_request_raises(self, workload, backend):
+class TestReadAhead:
+    def test_read_ahead_request_raises(self, workload):
         """Execution reads synchronously; ``prefetch`` survives only as
         a keyword that must stay unset."""
         chunks, mapping, grid, spec, prob = workload
         plan = plan_query(prob, "FRA")
         with pytest.raises(ValueError, match="prefetch"):
-            execute_plan(
-                plan, lambda i: chunks[i], mapping, grid, spec,
-                backend=backend, prefetch=True,
-            )
+            execute_plan(plan, lambda i: chunks[i], mapping, grid, spec, prefetch=True)
         res = execute_plan(
             plan, lambda i: chunks[i], mapping, grid, spec, prefetch=None
         )
         assert res.n_reads > 0
+        assert sorted(res.phase_times) == sorted(PHASES)
 
 
 def planned_recipients(plan, r):
@@ -150,7 +107,7 @@ class TestSimulatorSharesSchedule:
         )
         sched = plan.schedule()
         # Identity, not equality: the simulator walks the very arrays
-        # the functional backends execute.
+        # the executor walks.
         assert sim.cu_tile is sched.cu_tile
         assert sim.cu_pairs is sched.cu_pairs
         assert sim.init_counts is sched.init_counts
@@ -172,7 +129,7 @@ class TestCounterContract:
     def test_spec_without_prereduce_matches_too(self, rng, monkeypatch):
         """Aggregations without a pre-reduction (variance, best value)
         take the executor's fallback -- one scalar ``aggregate`` per
-        applied segment -- and both backends agree on it bit for bit."""
+        applied segment -- and still match the serial oracle."""
         calls = []
         scalar = AccumulatorSet.aggregate
 
@@ -190,69 +147,37 @@ class TestCounterContract:
             calls.clear()
             seq = execute_plan(plan, lambda i: chunks[i], mapping, grid, spec)
             assert len(calls) == seq.n_aggregations > 0, type(spec).__name__
-            par = execute_plan(
-                plan, lambda i: chunks[i], mapping, grid, spec, backend="parallel"
-            )
-            assert par.output_ids.tolist() == seq.output_ids.tolist()
-            for a, b in zip(par.chunk_values, seq.chunk_values):
-                assert np.array_equal(a, b, equal_nan=True), type(spec).__name__
-            for counter in COUNTERS:
-                assert getattr(par, counter) == getattr(seq, counter), counter
-
-
-class LoggingTransport(InprocTransport):
-    """An :class:`InprocTransport` that writes down what it is asked:
-    ``calls`` is every message operation in order, payload bytes
-    included (taken at the call: ghosts travel by reference)."""
-
-    created = []
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-        LoggingTransport.created.append(self)
-
-    def __getattribute__(self, name):
-        attr = super().__getattribute__(name)
-        if name.split("_")[0] not in ("send", "recv", "emit"):
-            return attr
-
-        def logged(*args):
-            seen = [
-                [(kind, o, idx.tobytes(), rows.tobytes()) for kind, o, idx, rows in a]
-                if isinstance(a, list) else a.tobytes() if isinstance(a, np.ndarray) else a
-                for a in args
-            ]
-            self.calls.append((name, *seen))
-            return attr(*args)
-
-        return logged
+            serial = execute_serial(chunks, mapping, grid, spec)
+            for o, vals in zip(seq.output_ids.tolist(), seq.chunk_values):
+                np.testing.assert_allclose(vals, serial[o], err_msg=type(spec).__name__)
 
 
 def run_bounded(monkeypatch, bound, plan, chunks, mapping, grid, spec, **kwargs):
     """``execute_plan`` with the reduce batch bound at *bound* bytes;
-    returns the result, the sizes of the batches the (sequential)
-    executor reduced, its transport log and the global chunk ids of
+    returns the result, the sizes of the batches the executor reduced,
+    every segment it applied in order as ``(rank, edge, kind, output
+    chunk, cell bytes, payload bytes)`` and the global chunk ids of
     each provider call, in order."""
-    sizes, reads = [], []
-    reduce_batch = PhaseExecutor._reduce_batch
+    sizes, applied, reads = [], [], []
 
     def counting(self, t, batch):
         sizes.append(len(batch))
-        return reduce_batch(self, t, batch)
+        return REDUCE_BATCH(self, t, batch)
+
+    def logged(self, rank, edge, kind, o, cell_idx, payload):
+        applied.append((rank, edge, kind, o, cell_idx.tobytes(), payload.tobytes()))
+        return APPLY(self, rank, edge, kind, o, cell_idx, payload)
 
     monkeypatch.setattr(phases, "_BATCH_BYTES", bound)
     monkeypatch.setattr(PhaseExecutor, "_reduce_batch", counting)
-    monkeypatch.setattr(engine, "InprocTransport", LoggingTransport)
-    LoggingTransport.created.clear()
+    monkeypatch.setattr(PhaseExecutor, "_apply", logged)
 
     def provider(ids):
         reads.append(list(ids))
         return [chunks[i] for i in ids]
 
     res = execute_plan(plan, BatchReader(provider), mapping, grid, spec, **kwargs)
-    log = LoggingTransport.created[-1] if LoggingTransport.created else None
-    return res, sizes, log, reads
+    return res, sizes, applied, reads
 
 
 def assert_same_result(res, ref):
@@ -277,7 +202,7 @@ class TestReduceBatches:
     """Local Reduction fetches a run of reads, groups it with one sort,
     then applies read by read: how the tile's reads are cut into
     batches must be invisible -- in the values, the counters and the
-    order of every transport call."""
+    order of every applied segment."""
 
     @pytest.mark.parametrize("strategy", ["FRA", "SRA", "DA", "HYBRID"])
     def test_batch_bound_is_invisible(self, monkeypatch, workload, strategy):
@@ -286,7 +211,7 @@ class TestReduceBatches:
         assert plan.n_tiles > 1
         args = (plan, chunks, mapping, grid, spec)
         two = 2 * int(prob.inputs.nbytes.max())
-        whole, sizes, log, reads = run_bounded(monkeypatch, float("inf"), *args)
+        whole, sizes, applied, reads = run_bounded(monkeypatch, float("inf"), *args)
         tile_reads = [len(plan.schedule().reads_of(t)) for t in range(plan.n_tiles)]
         assert sizes == [n for n in tile_reads if n] and max(sizes) > 2
         for bound, largest in ((0, 1), (two, 2)):
@@ -297,50 +222,45 @@ class TestReduceBatches:
             # chunks are read in the same order.
             assert [len(ids) for ids in other_reads] == sizes
             assert sum(other_reads, []) == sum(reads, [])
-            assert other.calls == log.calls
-            par, *_ = run_bounded(monkeypatch, bound, *args, backend="parallel")
-            assert_same_result(par, whole)
+            assert other == applied
         assert sum(reads, []) == [
             int(prob.input_global_ids[plan.reads.chunk[r]])
             for t in range(plan.n_tiles) for r in plan.schedule().reads_of(t)
         ]
-        par, *_ = run_bounded(monkeypatch, float("inf"), *args, backend="parallel")
-        assert_same_result(par, whole)
-        # The log is the forwarding the plan's edge assignment implies:
-        # per tile and read in schedule order, one message to each
-        # processor of the read's active edges other than its reader.
-        sent = [(c[0], c[2], c[3], c[1]) for c in log.calls if c[0] == "send_segments"]
-        assert sent == [
-            ("send_segments", t, r, q)
-            for t in range(plan.n_tiles)
-            for r in plan.schedule().reads_of(t).tolist()
-            for q in planned_recipients(plan, r)
-        ]
+        # Every segment lands on the processor the plan assigned its
+        # edge to; one that leaves its reader goes to a recipient the
+        # plan's edge assignment implies for that read.
+        read_of = np.searchsorted(
+            plan.reads.tile * prob.n_in + plan.reads.chunk,
+            plan.edge_tile * prob.n_in + plan.edge_arrays[0],
+        )
+        forwarded = 0
+        for rank, edge, *_ in applied:
+            r = int(read_of[edge])
+            assert rank == plan.edge_proc[edge]
+            if rank != plan.reads.proc[r]:
+                forwarded += 1
+                assert rank in planned_recipients(plan, r)
+        assert (forwarded > 0) == any(len(q) for q in plan.schedule().recipients)
 
-    def test_degraded_read_inside_a_batch_ships_empty_messages(self, monkeypatch, workload):
+    def test_degraded_read_inside_a_batch_applies_nothing(self, monkeypatch, workload):
+        """A degraded read in the middle of a batch -- one whose items
+        the plan forwards -- drops exactly its own segments: everything
+        else is applied as in the clean run, in the same order."""
         chunks, mapping, grid, spec, prob = workload
         plan = plan_query(prob, "DA")
         victim_read = mid_batch_read(plan, forwarding=True)
         victim = int(plan.reads.chunk[victim_read])
-        inject = lambda: FaultInjector(FaultPlan.corrupt_chunk(victim))  # noqa: E731
-        seq, _, log, _ = run_bounded(
-            monkeypatch, float("inf"), plan, chunks, mapping, grid, spec,
-            on_error="degrade", fault_injector=inject(),
+        args = (monkeypatch, float("inf"), plan, chunks, mapping, grid, spec)
+        _, _, clean, _ = run_bounded(*args)
+        res, _, applied, _ = run_bounded(
+            *args, on_error="degrade",
+            fault_injector=FaultInjector(FaultPlan.corrupt_chunk(victim)),
         )
-        assert set(seq.chunk_errors) == {victim}
-        shipped = {
-            c[1]: c[4] for c in log.calls
-            if c[0] == "send_segments" and c[3] == victim_read
-        }
-        recipients = plan.schedule().recipients[victim_read].tolist()
-        assert shipped == {q: [] for q in recipients} and recipients
-        # The peers of a worker host block on those messages: a parallel
-        # run that finishes, bit-identically, received every one.
-        par = execute_plan(
-            plan, lambda i: chunks[i], mapping, grid, spec, backend="parallel",
-            on_error="degrade", fault_injector=inject(),
-        )
-        assert_same_result(par, seq)
+        assert set(res.chunk_errors) == {victim}
+        edge_in = plan.edge_arrays[0]
+        kept = [c for c in clean if edge_in[c[1]] != victim]
+        assert applied == kept and len(kept) < len(clean)
 
     def test_failed_read_inside_a_batch_raises_its_own_error(self, workload):
         chunks, mapping, grid, spec, prob = workload
