@@ -11,7 +11,6 @@ spatial meaning and only the Hilbert placement separates neighbours.
 """
 
 import numpy as np
-import pytest
 
 import repro_grid as grid
 from repro.decluster import (

@@ -8,8 +8,6 @@ and shows where the bottleneck moves from the disk arm to the CPU.
 
 import dataclasses
 
-import pytest
-
 import repro_grid as grid
 from repro.machine.presets import ibm_sp
 from repro.planner.strategies import plan_fra

@@ -12,8 +12,6 @@ This bench executes each application under FRA with the pipeline
 enabled and disabled and reports the speedup from overlap.
 """
 
-import pytest
-
 import repro_grid as grid
 from repro.machine.presets import ibm_sp
 from repro.sim.query_sim import simulate_query

@@ -13,8 +13,6 @@ count -- largest for FRA on the skewed SAT workload, small for DA
 (one tile) and for the regular VM workload.
 """
 
-import pytest
-
 import repro_grid as grid
 from repro.machine.presets import ibm_sp
 from repro.sim.query_sim import simulate_query

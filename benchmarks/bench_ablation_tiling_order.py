@@ -13,7 +13,6 @@ orders and reports tiles, read multiplicity and simulated time.
 """
 
 import numpy as np
-import pytest
 
 import repro_grid as grid
 from repro.machine.presets import ibm_sp

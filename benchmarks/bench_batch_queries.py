@@ -8,7 +8,6 @@ executed as one ordered batch vs independently.
 """
 
 import numpy as np
-import pytest
 
 import repro_grid as grid
 from repro.machine.presets import ibm_sp

@@ -22,7 +22,6 @@ worse than the hand-entered simple model's.
 """
 
 import numpy as np
-import pytest
 
 import repro_grid as grid
 from repro.machine.presets import ibm_sp

@@ -11,8 +11,6 @@ hotspot-skewed input distribution, and prints the winning strategy per
 cell.
 """
 
-import pytest
-
 import repro_grid as grid
 from repro.emulator.generic import GenericEmulator
 from repro.machine.config import ComputeCosts

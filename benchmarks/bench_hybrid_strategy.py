@@ -6,8 +6,6 @@ against the three published strategies across the applications and
 both ends of the processor axis, and reports where it lands.
 """
 
-import pytest
-
 import repro_grid as grid
 from repro.machine.presets import ibm_sp
 from repro.planner.hybrid import plan_hybrid

@@ -18,10 +18,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.dataset.chunkset import ChunkSet
-from repro.dataset.partition import regular_grid_chunkset
 from repro.space.attribute_space import AttributeSpace
 from repro.util.arrays import frozen
-from repro.util.geometry import Rect
 
 __all__ = ["OutputGrid", "PlacedGrids"]
 
@@ -106,11 +104,6 @@ class OutputGrid:
         start = np.stack(coords, axis=1) * np.asarray(self.chunk_shape)
         stop = np.minimum(start + np.asarray(self.chunk_shape), self.grid_shape)
         return start, stop
-
-    def chunk_cell_counts(self) -> np.ndarray:
-        """``(n_chunks,)`` cells per chunk (edge chunks may be smaller)."""
-        start, stop = self._chunk_blocks()
-        return np.prod(stop - start, axis=1, dtype=np.int64)
 
     # -- chunk metadata ---------------------------------------------------
 

@@ -58,7 +58,6 @@ from repro.planner.strategies import plan_query
 from repro.runtime.engine import BatchReader, QueryResult, assemble_result, execute_plan
 from repro.runtime.serial import execute_serial
 from repro.space.mapping import GridMapping
-from repro.store.chunk_store import read_each
 from repro.util.geometry import Rect
 from repro.util.rng import make_rng
 from repro.util.units import KB, MB
@@ -250,7 +249,7 @@ class Workload:
         return select_chunks(
             self.query(where=where), self.mapping.input_space,
             BruteForceIndex.build(self.inputs), self.inputs,
-            PlacedGrids(HilbertDeclusterer(), self.n_procs), drop_pruned=True,
+            PlacedGrids(HilbertDeclusterer(), self.n_procs),
         ).problem(self.n_procs, self.memory)
 
     def run(self, plan, **kw) -> QueryResult:
@@ -425,12 +424,18 @@ def verify_fault_corpus(
       ``chunk_errors`` with ``completeness == 1 - 1/n_in`` -- with and
       without a value predicate;
     - **flaky disk + retry**: the first two reads raise ``OSError``; a
-      zero-backoff :class:`~repro.store.retry.RetryPolicy` absorbs them
-      and the result is the clean run, bit for bit.
+      zero-backoff :class:`~repro.store.retry.RetryingChunkStore`
+      absorbs them and the result is the clean run, bit for bit.
+
+    Faults are injected where ``ADR`` and ``ShardCluster`` inject them:
+    reads go through a :class:`~repro.faults.FaultyChunkStore` over a
+    :class:`~repro.store.chunk_store.MemoryChunkStore` holding the
+    workload's chunks.
     """
     from repro.dataset.predicate import ValuePredicate
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.store.retry import RetryPolicy
+    from repro.faults import FaultInjector, FaultPlan, FaultyChunkStore
+    from repro.store.chunk_store import MemoryChunkStore
+    from repro.store.retry import RetryingChunkStore, RetryPolicy
 
     failures: List[Tuple[str, str]] = []
     n_scenarios = 0
@@ -440,6 +445,12 @@ def verify_fault_corpus(
         strategy = strategies[i % len(strategies)]
         plan = plan_query(problem, strategy)
         clean = w.run(plan)
+        store = MemoryChunkStore()
+        store.write_chunks("corpus", w.chunks, [(0, 0)] * len(w.chunks))
+
+        def run_through(stage, **kw) -> QueryResult:
+            reader = BatchReader(lambda ids: stage.read_batch("corpus", ids))
+            return execute_plan(plan, reader, w.mapping, w.grid, w.spec, **kw)
 
         n_scenarios += 1
         tag = f"{label} / {strategy} / corrupt+degrade"
@@ -448,10 +459,8 @@ def verify_fault_corpus(
                 "completeness": 1.0 - 1.0 / problem.n_in}
 
         def corrupt(**kw) -> QueryResult:
-            return w.run(
-                plan, fault_injector=FaultInjector(FaultPlan.corrupt_chunk(victim)),
-                on_error="degrade", **kw,
-            )
+            faulty = FaultyChunkStore(store, FaultInjector(FaultPlan.corrupt_chunk(victim)))
+            return run_through(faulty, on_error="degrade", **kw)
 
         for got, want in (
             (corrupt(), w.oracle(skip=victim, **lost)),
@@ -463,13 +472,9 @@ def verify_fault_corpus(
             failures += [(tag, m) for m in _diff(got, want, exact=False, fields=_OUTCOME)]
 
         n_scenarios += 1
-        policy = RetryPolicy(max_attempts=4, base_delay=0.0)
-        flaky = FaultInjector(FaultPlan.flaky_read(times=2)).wrap_provider(
-            lambda ids: read_each(w.chunks.__getitem__, ids)
-        )
-        retried = execute_plan(
-            plan, BatchReader(lambda ids: policy.run_batch(flaky, ids)),
-            w.mapping, w.grid, w.spec,
+        flaky = FaultyChunkStore(store, FaultInjector(FaultPlan.flaky_read(times=2)))
+        retried = run_through(
+            RetryingChunkStore(flaky, RetryPolicy(max_attempts=4, base_delay=0.0))
         )
         failures += [(f"{label} / {strategy} / flaky+retry", m)
                      for m in _diff(retried, clean, exact=True, fields=_ALL)]

@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, List
 
 import numpy as np
 
-from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector, Severity
+from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector
 from repro.planner.select import FIXED_STRATEGIES, FRA, SRA
 
 if TYPE_CHECKING:  # avoid a hard import cycle with repro.planner

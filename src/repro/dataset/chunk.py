@@ -8,7 +8,7 @@ all its items, and -- once loaded -- with a placement (node, disk).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np

@@ -10,7 +10,7 @@ materialized only on demand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class ChunkSet:
             disk=int(self.disk[chunk_id]),
         )
 
-    def iter_metas(self) -> Iterator[ChunkMeta]:
-        for i in range(len(self)):
-            yield self.meta(i)
-
     # -- queries ------------------------------------------------------------
 
     def intersecting(self, query: Rect) -> np.ndarray:
@@ -210,16 +206,6 @@ class ChunkSet:
             self.los, self.his, self.nbytes, self.n_items, self.node,
             self.disk, synopsis=synopsis,
         )
-
-    def chunks_on_node(self, node: int) -> np.ndarray:
-        return np.flatnonzero(self.node == node)
-
-    def bytes_per_node(self, n_nodes: int) -> np.ndarray:
-        """Total chunk bytes placed on each of *n_nodes* nodes."""
-        out = np.zeros(n_nodes, dtype=np.int64)
-        valid = self.node >= 0
-        np.add.at(out, self.node[valid], self.nbytes[valid])
-        return out
 
     # -- transformation --------------------------------------------------------
 

@@ -10,7 +10,7 @@ stored in the ADR back end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -70,10 +70,6 @@ class Dataset:
     @property
     def n_chunks(self) -> int:
         return len(self.chunks)
-
-    @property
-    def has_payloads(self) -> bool:
-        return self.payloads is not None
 
     def payload(self, chunk_id: int) -> Chunk:
         if self.payloads is None:

@@ -77,12 +77,6 @@ class ChunkGraph:
         self._rev_indptr = frozen(csr_indptr(edge_out, n_out))
         self._rev_ids = frozen(edge_in[self._rev_to_fwd])
 
-    def __getstate__(self) -> tuple:
-        return self.n_in, self.n_out, self._edge_in, self._fwd_ids
-
-    def __setstate__(self, state: tuple) -> None:
-        self._set_edges(*state)
-
     # -- construction ---------------------------------------------------
 
     @staticmethod

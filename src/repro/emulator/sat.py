@@ -31,7 +31,7 @@ from repro.machine.config import ComputeCosts
 from repro.machine.presets import IBM_SP_COSTS
 from repro.space.attribute_space import AttributeSpace
 from repro.util.rng import make_rng
-from repro.util.units import KB, MB
+from repro.util.units import KB
 
 __all__ = ["SATEmulator"]
 

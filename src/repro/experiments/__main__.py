@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.grid import APPS, METRICS, SCALINGS, ExperimentGrid
+from repro.experiments.grid import APPS, SCALINGS, ExperimentGrid
 
 FIGURES = {
     ("fig8", "fixed"): ("Figure 8 (left): execution time", "time"),

@@ -2,8 +2,8 @@
 
 One injector instance is threaded through the execution stack and
 consulted at chunk reads: :meth:`FaultInjector.read_batch` (behind
-:class:`repro.faults.store.FaultyChunkStore` and
-:meth:`FaultInjector.wrap_provider`) consults
+:class:`repro.faults.store.FaultyChunkStore`, the one place read
+faults are injected) consults
 :meth:`FaultInjector.read_faults` per slot of a batch, in order, and
 can fail a slot with :class:`InjectedFault` (an ``OSError``), stall the
 read, or corrupt the payload so the on-disk CRC trips a real
@@ -133,8 +133,3 @@ class FaultInjector:
             if isinstance(out[i], Chunk):
                 out[i] = corruption(out[i])
         return out
-
-    def wrap_provider(self, provider, dataset: Optional[str] = None):
-        """Wrap a batch chunk provider (ids -> slots) with read-fault
-        injection (:meth:`read_batch`)."""
-        return lambda chunk_ids: self.read_batch(provider, dataset, chunk_ids)

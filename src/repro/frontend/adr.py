@@ -176,8 +176,7 @@ class ADR:
         (:func:`repro.planner.problem.select_chunks`)."""
         ds = self.dataset(query.dataset)
         return select_chunks(
-            query, ds.space, self.index(query.dataset), ds.chunks,
-            self._placed_grids, drop_pruned=True,
+            query, ds.space, self.index(query.dataset), ds.chunks, self._placed_grids
         ).problem(self.machine.n_procs, self.machine.memory_per_proc)
 
     def plan(self, query: RangeQuery) -> QueryPlan:

@@ -10,7 +10,7 @@ forwards to the back end: the input dataset, the output grid, the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from repro.aggregation.functions import AGGREGATIONS, AggregationSpec

@@ -197,9 +197,7 @@ class ADRServer(socketserver.ThreadingTCPServer):
         try:
             result = ticket.result()
         except _BAD_REQUEST_ERRORS as e:
-            result = self._stand_in(query, message, e)
-            if result is None:
-                return error_to_dict("bad_request", e)
+            return error_to_dict("bad_request", e)
         except Exception as e:
             return error_to_dict("internal", e)
         response: Dict[str, Any] = {"ok": True, "result": result_to_dict(result)}
@@ -210,13 +208,6 @@ class ADRServer(socketserver.ThreadingTCPServer):
     def _submitted(self, query: RangeQuery, message: dict) -> RangeQuery:
         """Hook: the query submitted to the service for *message*."""
         return query
-
-    def _stand_in(
-        self, query: RangeQuery, message: dict, error: Exception
-    ) -> Optional[QueryResult]:
-        """Hook: a result to answer with although the query failed with
-        the bad-request *error*; ``None`` relays the error."""
-        return None
 
     # -- liveness / drain -----------------------------------------------------
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.util.units import MB
 
 __all__ = ["MachineConfig", "ComputeCosts"]

@@ -25,7 +25,7 @@ it runs a batch in submission order over the LRU payload cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 

@@ -46,13 +46,7 @@ import numpy as np
 from repro.planner.costmodel import CostEstimate
 from repro.planner.plan import QueryPlan
 from repro.planner.stats import load_grids
-from repro.planner.telemetry import (
-    CANONICAL_PHASES,
-    FEATURES,
-    MeasuredRun,
-    TelemetryLog,
-    grid_features,
-)
+from repro.planner.telemetry import CANONICAL_PHASES, MeasuredRun, TelemetryLog, grid_features
 
 __all__ = [
     "CONSTANTS",

@@ -220,8 +220,8 @@ class QueryPlan:
         """The plan's cached :class:`repro.runtime.phases.PhaseSchedule`.
 
         One derivation of everything schedule-shaped -- per-tile
-        read/transfer/output orders, per-read forwarding recipients,
-        per-(tile, processor) work tallies -- shared by the phase
+        read/transfer/output orders and per-(tile, processor) work
+        tallies -- shared by the phase
         executor and the discrete-event simulator.
         Imported lazily: the planner package stays importable without
         the runtime layer.
@@ -235,7 +235,6 @@ class QueryPlan:
         return sched
 
     def summary(self) -> str:
-        p = self.problem
         sent, _ = self.comm_bytes_per_proc()
         return (
             f"{self.strategy}: {self.n_tiles} tiles, "

@@ -13,7 +13,7 @@ emulators construct problems directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -142,22 +142,6 @@ class PlanningProblem:
         """Input chunks dropped by value-synopsis pruning."""
         return len(self.pruned_input_ids)
 
-    def pruned_in_plan_mask(self) -> Optional[np.ndarray]:
-        """Boolean mask over the dense input ids marking chunks that
-        value-synopsis pruning will skip at execution time even though
-        they are part of this planning universe.
-
-        Normally ``None``: the front end drops pruned chunks *before*
-        planning, so ``pruned_input_ids`` and ``input_global_ids`` are
-        disjoint.  A caller pricing plans over an unpruned universe --
-        the shard router's global pricing problem, where each shard
-        prunes locally at execution time -- lists the prunable chunks
-        here instead, and the cost model subtracts their reads,
-        aggregation pairs and forwards (a ``where=`` query priced
-        without that correction is systematically over-estimated).
-        """
-        return self._pruned_mask
-
     @property
     def input_owner(self) -> np.ndarray:
         return self.inputs.node
@@ -181,13 +165,6 @@ class PlanningProblem:
     @cached_property
     def _hilbert_order(self) -> np.ndarray:
         return frozen(self.outputs.hilbert_order(self.hilbert_bits))
-
-    @cached_property
-    def _pruned_mask(self) -> Optional[np.ndarray]:
-        if self.n_pruned == 0:
-            return None
-        mask = np.isin(self.input_global_ids, self.pruned_input_ids)
-        return frozen(mask) if mask.any() else None
 
     @cached_property
     def edge_owner(self) -> np.ndarray:
@@ -217,10 +194,6 @@ class PlanningProblem:
         """``(n_procs,)`` output bytes each processor owns and writes."""
         return frozen(tally(self.output_owner, self.outputs.nbytes, self.n_procs))
 
-    def __getstate__(self) -> dict:
-        # the substrate is rebuilt on demand, never pickled
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     def procs_with_input_for(self, output_id: int) -> np.ndarray:
         """The SRA set ``So``: processors owning at least one input
         chunk that projects to *output_id* (Figure 5, step 5)."""
@@ -248,8 +221,7 @@ class QuerySelection:
     """What a range query selects from one chunk population: the
     dataset-global input and output chunk ids every later step works
     from.  ``pruned_ids`` are the inputs whose value synopsis rules out
-    the query's predicate -- disjoint from ``in_ids`` when they were
-    dropped, a subset of them when they were kept and listed."""
+    the query's predicate, dropped from ``in_ids``."""
 
     query: object
     chunks: ChunkSet
@@ -258,6 +230,11 @@ class QuerySelection:
     #: the placed chunk population of the whole output grid
     grid_chunks: ChunkSet
     out_ids: np.ndarray
+
+    @property
+    def pruned_bytes(self) -> int:
+        """Input bytes the pruned chunks would have cost to read."""
+        return int(self.chunks.nbytes[self.pruned_ids].sum())
 
     def problem(
         self,
@@ -293,27 +270,19 @@ class QuerySelection:
             input_global_ids=self.in_ids,
             output_global_ids=self.out_ids,
             pruned_input_ids=self.pruned_ids,
-            pruned_bytes=int(self.chunks.nbytes[self.pruned_ids].sum()),
+            pruned_bytes=self.pruned_bytes,
         )
 
 
-def select_chunks(
-    query, space, index, chunks: ChunkSet, placed_grids, drop_pruned: bool
-) -> QuerySelection:
+def select_chunks(query, space, index, chunks: ChunkSet, placed_grids) -> QuerySelection:
     """Restrict the universe to *query*: select the intersecting input
-    chunks of *chunks* through *index*, prune those whose value synopsis
+    chunks of *chunks* through *index*, drop those whose value synopsis
     rules out the ``where`` predicate, and project the region onto the
     output grid (placed once per grid by *placed_grids*).
 
-    With *drop_pruned* a prunable chunk is never planned, scheduled or
-    read -- the kernels re-apply the predicate exactly to every
-    surviving chunk, so pruning cannot change results.  Without it the
-    prunable chunks stay selected and are only listed (the overlapping
-    convention of :meth:`PlanningProblem.pruned_in_plan_mask`): a shard
-    router scatters the unpruned selection, because each shard prunes
-    locally and the completeness denominator must keep covering what
-    was planned, yet prices its plans without the work they will not
-    cost.
+    A pruned chunk is never planned, scheduled or read -- the kernels
+    re-apply the predicate exactly to every surviving chunk, so pruning
+    cannot change results.
     """
     region = space.validate_query(query.region)
     in_ids = index.query(region)
@@ -325,14 +294,13 @@ def select_chunks(
     if predicate is not None and chunks.synopsis is not None:
         prunable = predicate.prunable_chunks(chunks.synopsis.subset(in_ids))
         pruned_ids = in_ids[prunable]
-        if drop_pruned:
-            in_ids = in_ids[~prunable]
-            if len(in_ids) == 0:
-                raise ValueError(
-                    f"query region {region} selects no input chunks after "
-                    f"value-synopsis pruning (predicate excluded all "
-                    f"{len(pruned_ids)} intersecting chunks)"
-                )
+        in_ids = in_ids[~prunable]
+        if len(in_ids) == 0:
+            raise ValueError(
+                f"query region {region} selects no input chunks after "
+                f"value-synopsis pruning (predicate excluded all "
+                f"{len(pruned_ids)} intersecting chunks)"
+            )
 
     grid_chunks = placed_grids.get(query.grid)
     out_ids = grid_chunks.intersecting(query.mapping.project_rect(region))

@@ -29,10 +29,7 @@ class LoadGrids:
 
     Every row is an ``(S, T, P)`` array of counts or byte sums per
     (candidate, tile, processor); ``T`` is the largest tile count, and a
-    candidate's tiles past its own are zero.  Chunks that value-synopsis
-    pruning will skip (:meth:`PlanningProblem.pruned_in_plan_mask`) are
-    left out of every row: execution neither reads, aggregates nor
-    forwards them.
+    candidate's tiles past its own are zero.
     """
 
     problem: PlanningProblem
@@ -106,15 +103,8 @@ def load_grids(plans: Sequence[QueryPlan]) -> LoadGrids:
     out_of = np.arange(S * n_out) % max(n_out, 1)
     out_base = out_st.ravel() * P
 
-    # Edges of chunks that pruning will skip leave here, once.
     edge_in, edge_out = p.graph.edge_arrays()
     edge_proc = stacked([plan.edge_proc for plan in plans])
-    edge_owner = p.edge_owner
-    pruned = p.pruned_in_plan_mask()
-    if pruned is not None:
-        keep = ~pruned[edge_in]
-        edge_in, edge_out, edge_owner = edge_in[keep], edge_out[keep], edge_owner[keep]
-        edge_proc = edge_proc[:, keep]
     edge_st = out_st[:, edge_out]
     edge_read = edge_st * n_in + edge_in
 
@@ -122,7 +112,7 @@ def load_grids(plans: Sequence[QueryPlan]) -> LoadGrids:
     # and forwarded once per tile to every other processor aggregating it.
     r_st, r_chunk = np.divmod(np.unique(edge_read), n_in)
     read_at = r_st * P + p.input_owner[r_chunk]
-    remote = edge_proc != edge_owner
+    remote = edge_proc != p.edge_owner
     f_read, f_dst = np.divmod(np.unique((edge_read * P + edge_proc)[remote]), P)
     f_st, f_chunk = np.divmod(f_read, n_in)
     f_st *= P
@@ -206,14 +196,6 @@ class PlanStats:
         """max/mean of reduction pairs across processors (1.0 = perfect)."""
         mean = self.reduction_pairs.mean()
         return float(self.reduction_pairs.max() / mean) if mean > 0 else 1.0
-
-    def table_row(self) -> str:
-        return (
-            f"{self.strategy:>6} | tiles {self.n_tiles:3d} | "
-            f"comm/proc {self.comm_bytes_per_proc.mean() / 2**20:9.1f} MB | "
-            f"read/proc {self.read_bytes.mean() / 2**20:9.1f} MB | "
-            f"pairs max/mean {self.load_imbalance:5.2f}"
-        )
 
 
 def plan_stats(plan: QueryPlan) -> PlanStats:

@@ -154,8 +154,8 @@ def assemble_result(
 
     *emitted* maps output chunk ids to their final values: the plan's
     local ids under a *plan*, listed in the plan's output order; without
-    one (a router's merge of shard partials, an empty partial, the
-    serial oracle), dataset-level ids in the given order.  *tallies* --
+    one (a router's merge of shard partials, the serial oracle),
+    dataset-level ids in the given order.  *tallies* --
     one per executor or shard, none when nothing ran --
     merge by :func:`~repro.runtime.phases.merge_tallies`.  The plan
     states the strategy, ``n_tiles``, the pruning counters and the
@@ -204,7 +204,6 @@ def execute_plan(
     prior: Optional[Callable[[int], np.ndarray]] = None,
     routing_cache: Optional[RoutingCache] = None,
     on_error: str = "raise",
-    fault_injector=None,
     predicate=None,
     # Stub for benchmarks/e2e/workloads.py:326; ROADMAP item 2 (benchmarks-scoped) drops it.
     prefetch=None,
@@ -254,9 +253,6 @@ def execute_plan(
         chunks incorporated; only
         :data:`~repro.store.chunk_store.RECOVERABLE_READ_ERRORS` are
         absorbed.
-    fault_injector:
-        Optional :class:`repro.faults.FaultInjector` arming
-        deterministic fault injection on the read path.
     predicate:
         Optional :class:`~repro.dataset.predicate.ValuePredicate`
         residual filter: items of retrieved chunks whose values fail
@@ -272,15 +268,12 @@ def execute_plan(
         )
     if prefetch:
         raise ValueError("prefetch was removed: execution reads chunks synchronously")
-    provider = _provider(chunks)
-    if fault_injector is not None:
-        provider = fault_injector.wrap_provider(provider)
     executor = PhaseExecutor(
         plan,
         grid,
         spec,
         mapping,
-        provider,
+        _provider(chunks),
         enforce_memory=enforce_memory,
         region=region,
         prior=prior,

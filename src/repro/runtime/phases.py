@@ -6,9 +6,9 @@ Global Combine, Output Handling loop per tile.  This module is the
 single home of that loop:
 
 - :class:`PhaseSchedule` derives everything schedule-shaped from the
-  plan once: the per-tile read/transfer/output orders, the per-read
-  forwarding recipients, and the per-(tile, processor) work tallies
-  the simulator turns into events.  ``plan.schedule()`` caches one.
+  plan once: the per-tile read/transfer/output orders and the
+  per-(tile, processor) work tallies the simulator turns into events.
+  ``plan.schedule()`` caches one.
 - :class:`PhaseExecutor` walks the four phases, hosting every virtual
   processor in one address space with its own accumulator set, and
   checks every access against the plan's placement.  The engine is a
@@ -77,7 +77,6 @@ from repro.runtime.kernels import (
 )
 from repro.space.mapping import GridMapping
 from repro.store.chunk_store import RECOVERABLE_READ_ERRORS, ReadSlot
-from repro.util.arrays import unique_rows
 
 __all__ = [
     "PHASES",
@@ -176,11 +175,6 @@ class PhaseSchedule:
         order the executor walks, which is what makes two executions
         comparable bit for bit.  :meth:`reads_of` /
         :meth:`transfers_of` / :meth:`outputs_of` slice them.
-    recipients:
-        Per read, the ranks beyond the reader that receive a forwarded
-        segment message.  Derived from the plan's edge assignment
-        restricted to the read's tile: the only processors a read may
-        forward a segment to.
     cu_tile, cu_in, cu_proc, cu_pairs, cu_bounds:
         The *compute units*: unique (tile, input chunk, processor)
         triples with the number of (input, accumulator) pairs each
@@ -209,25 +203,10 @@ class PhaseSchedule:
         self.out_order = np.argsort(plan.tile_of_output, kind="stable")
         self.out_bounds = np.searchsorted(plan.tile_of_output[self.out_order], ticks)
 
-        # Every edge belongs to exactly one read -- the one of its
-        # (tile, input chunk), and ``plan.reads`` is sorted by that
-        # pair -- so all reads' recipients come out of one sorted pass
-        # over the distinct (read, edge processor) pairs.
-        edge_in, _ = plan.edge_arrays
-        n_in = problem.n_in
-        edge_read = np.searchsorted(
-            reads.tile * n_in + reads.chunk, plan.edge_tile * n_in + edge_in
-        )
-        forwarded = plan.edge_proc != reads.proc[edge_read]
-        pair_read, procs = unique_rows(edge_read[forwarded], plan.edge_proc[forwarded])
-        bounds = np.searchsorted(pair_read, np.arange(len(reads) + 1)).tolist()
-        self.recipients: List[np.ndarray] = [
-            procs[a:b] for a, b in zip(bounds, bounds[1:])
-        ]
-
         # What the simulator-only tables below are derived from, on
         # first use (no reference to the plan: it owns this object).
-        self._edges = (plan.edge_tile, edge_in, plan.edge_proc, n_in)
+        edge_in, _ = plan.edge_arrays
+        self._edges = (plan.edge_tile, edge_in, plan.edge_proc, problem.n_in)
         self._holders = (plan.holders_indptr, plan.holders_ids, plan.tile_of_output)
 
     @cached_property
@@ -466,7 +445,6 @@ class PhaseExecutor:
         seg_in = plan.reads.chunk[batch][segs.seg_read]
         seg_edges = self._edge_positions(seg_in, segs.seg_out).tolist()
         seg_out = segs.seg_out.tolist()
-        rb = segs.read_bounds.tolist()
         rows = spec.prereduce_groups(segs.values, segs.group_starts)
         if rows is None:
             kind, idx, rows = "raw", segs.flat, segs.values
@@ -475,27 +453,15 @@ class PhaseExecutor:
             kind, idx = "red", segs.flat[segs.group_starts]
             lo = segs.group_bounds.tolist()
             hi = lo[1:]
-        readers = plan.reads.proc[batch].tolist()
-        # Walk the reads in schedule order, each read's segments in
-        # output-chunk order.  A segment whose edge the plan assigned
-        # to another processor than the reader is forwarded (the DA
-        # communication): it is applied on that processor, which the
-        # schedule must name as one of the read's recipients.  Each
+        # The segments come in schedule order: by read, each read's in
+        # output-chunk order.  A segment whose edge the plan assigned to
+        # another processor than the reader is forwarded (the DA
+        # communication) and applied on that processor.  Each
         # accumulator receives at most one segment per read, so its
         # operation order is the schedule's.
-        for k, (r, reader) in enumerate(zip(batch, readers)):
-            recipients = None
-            for j in range(rb[k], rb[k + 1]):
-                edge = seg_edges[j]
-                q = self._edge_proc[edge]
-                if q != reader:
-                    if recipients is None:
-                        recipients = self.schedule.recipients[r].tolist()
-                    assert q in recipients, (
-                        f"read {r} forwards a segment to processor {q}, "
-                        "which is not among the schedule's recipients"
-                    )
-                self._apply(q, edge, kind, seg_out[j], idx[lo[j] : hi[j]], rows[lo[j] : hi[j]])
+        for j, (edge, o) in enumerate(zip(seg_edges, seg_out)):
+            rank = self._edge_proc[edge]
+            self._apply(rank, edge, kind, o, idx[lo[j] : hi[j]], rows[lo[j] : hi[j]])
 
     # -- phase 3: global combine ---------------------------------------
 

@@ -28,7 +28,6 @@ from repro.shard.partial import (
     PartialAggregationSpec,
     as_partial,
     combine_partials,
-    empty_partial_result,
 )
 from repro.shard.router import (
     RouterPolicy,
@@ -53,7 +52,6 @@ __all__ = [
     "PartialAggregationSpec",
     "as_partial",
     "combine_partials",
-    "empty_partial_result",
     "ShardServer",
     "ShardClient",
     "ShardEndpoint",

@@ -28,7 +28,7 @@ endpoints and the servers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.dataset.chunk import Chunk
 from repro.faults.injector import FaultInjector

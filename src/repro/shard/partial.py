@@ -27,21 +27,13 @@ import numpy as np
 from repro.aggregation.functions import AggregationSpec
 from repro.aggregation.output_grid import OutputGrid
 from repro.frontend.query import RangeQuery
-from repro.runtime.engine import QueryResult, assemble_result
+from repro.runtime.engine import QueryResult
 
 __all__ = [
     "PartialAggregationSpec",
     "as_partial",
-    "empty_partial_result",
     "combine_partials",
 ]
-
-#: Substring of the planner's empty-selection errors ("selects no
-#: input chunks", "... after value-synopsis pruning").  A shard whose
-#: local index selects nothing for a query is not an error in a
-#: scatter -- it contributes an empty partial.
-EMPTY_SELECTION_MARK = "selects no input chunks"
-
 
 class PartialAggregationSpec(AggregationSpec):
     """Wrap a spec so the output phase returns the raw accumulator."""
@@ -93,19 +85,6 @@ class PartialAggregationSpec(AggregationSpec):
 def as_partial(query: RangeQuery) -> RangeQuery:
     """The same query with its aggregation wrapped for partial output."""
     return replace(query, aggregation=PartialAggregationSpec(query.spec()))
-
-
-def empty_partial_result(query: RangeQuery) -> QueryResult:
-    """The partial of a shard that owns no chunk the query selects.
-
-    Zero everywhere: nothing was read, aggregated, or pruned.  (A
-    shard whose *entire* selection is value-synopsis-pruned also lands
-    here -- the planner refuses to plan an empty selection before any
-    counters exist -- so such a shard reports ``chunks_pruned = 0``;
-    the router's completeness denominator keeps its planned chunks,
-    which is conservative and documented in ``docs/sharding.md``.)
-    """
-    return assemble_result(None, {}, strategy=query.strategy.upper(), n_tiles=0)
 
 
 def combine_partials(

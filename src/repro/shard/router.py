@@ -4,11 +4,13 @@ The paper's deployment: "the back-end processes carry out retrieval
 and processing of the data, and the partial results are combined".
 :class:`ShardRouter` is the front of that deployment -- it plans a
 query *once* against the global :class:`~repro.shard.topology.ShardTopology`
-(spatial selection, output projection, the same empty-selection errors
-a single-process ADR raises), fans the query out to every shard owning
-a selected chunk, and merges the returned raw accumulators with the
-FRA global-combine semantics
-(:func:`repro.shard.partial.combine_partials`).
+with the selection ``ADR.build_problem`` makes (spatial selection,
+value-synopsis pruning, output projection, the same empty-selection
+errors), fans the query out to the shards that hold a selected chunk,
+and merges the returned raw accumulators with the FRA global-combine
+semantics (:func:`repro.shard.partial.combine_partials`).  The
+selection is authoritative: the pruning counters and the completeness
+denominator come from it, not from the shards.
 
 Robustness is the router's job, not the shards':
 
@@ -26,9 +28,10 @@ Robustness is the router's job, not the shards':
   ``bad_request`` is never retried: the query itself is at fault.
 - **Degrade.**  Under ``on_error='degrade'`` a shard that stays dead
   is recorded in ``QueryResult.shard_errors`` and its planned chunks
-  in ``chunk_errors`` (dataset-global ids); ``completeness`` accounts
-  for both shard- and chunk-level loss.  Under ``on_error='raise'``
-  any dead shard raises :class:`ShardUnavailableError`.
+  in ``chunk_errors`` (dataset-global ids); ``completeness`` is the
+  ADR's, one minus the lost share of the selected chunks.  Under
+  ``on_error='raise'`` any dead shard raises
+  :class:`ShardUnavailableError`.
 
 See ``docs/sharding.md`` for the merged-counter and completeness
 contracts.
@@ -49,7 +52,7 @@ from repro.frontend.protocol import DeadlineExceededError, ProtocolError
 from repro.frontend.query import RangeQuery
 from repro.frontend.service import RemoteQueryError
 from repro.machine.config import MachineConfig
-from repro.planner.problem import select_chunks
+from repro.planner.problem import QuerySelection, select_chunks
 from repro.planner.select import StrategyChoice, choose_strategy, is_auto
 from repro.runtime.engine import QueryResult, assemble_result
 from repro.runtime.phases import Tally, merge_tallies
@@ -141,7 +144,7 @@ class RouterPolicy:
 
 @dataclass
 class ScatterPlan:
-    """One query's scatter: which shards serve which global chunks.
+    """One query's scatter: which shards serve which selected chunks.
 
     ``query`` always carries a *concrete* strategy: when the client
     submitted ``strategy='auto'``, the router resolved it once against
@@ -151,11 +154,17 @@ class ScatterPlan:
     """
 
     query: RangeQuery
-    output_ids: np.ndarray
-    #: shard id -> dataset-global input chunk ids it must serve
+    #: the global selection, pruned as ``ADR.build_problem`` prunes
+    selection: QuerySelection
+    #: shard id -> dataset-global input chunk ids it must serve; only
+    #: shards holding a selected chunk appear
     in_ids_by_shard: Dict[int, np.ndarray]
     #: the auto-selection audit trail; ``None`` for explicit strategies
     choice: Optional[StrategyChoice] = None
+
+    @property
+    def output_ids(self) -> np.ndarray:
+        return self.selection.out_ids
 
     @property
     def shard_ids(self) -> List[int]:
@@ -163,7 +172,7 @@ class ScatterPlan:
 
     @property
     def n_planned(self) -> int:
-        return sum(len(ids) for ids in self.in_ids_by_shard.values())
+        return len(self.selection.in_ids)
 
 
 def _socket_client_factory(address: Any, timeout: float) -> ShardClient:
@@ -232,9 +241,9 @@ class ShardRouter:
         winning strategy, so every shard partitions its work the same
         way and the partial accumulators merge consistently.
 
-        Empty selections/projections raise from the builder
-        ``ADR.build_problem`` shares, so clients cannot tell a router
-        from a standalone server.
+        The selection is ``ADR.build_problem``'s, pruning included, and
+        empty selections/projections raise from the same builder, so
+        clients cannot tell a router from a standalone server.
         """
         topo = self.topology
         if query.dataset != topo.dataset:
@@ -242,11 +251,8 @@ class ShardRouter:
                 f"query targets dataset {query.dataset!r}; this router "
                 f"serves {topo.dataset!r}"
             )
-        # The scatter is *not* pruned (see ``select_chunks``): prunable
-        # chunks stay planned and are only listed for pricing.
         selection = select_chunks(
-            query, topo.space, topo.index, topo.chunks, self._placed_grids,
-            drop_pruned=False,
+            query, topo.space, topo.index, topo.chunks, self._placed_grids
         )
         in_ids = selection.in_ids
         shard_of = topo.assignment.shard_of[in_ids]
@@ -265,8 +271,7 @@ class ShardRouter:
             int(sid): in_ids[shard_of == sid] for sid in np.unique(shard_of)
         }
         return ScatterPlan(
-            query=query, output_ids=selection.out_ids,
-            in_ids_by_shard=by_shard, choice=choice,
+            query=query, selection=selection, in_ids_by_shard=by_shard, choice=choice
         )
 
     # -- execution ------------------------------------------------------
@@ -422,20 +427,17 @@ class ShardRouter:
             }))
         tally = merge_tallies(tallies)
 
-        # Completeness over the *effective* plan: every contacted
-        # shard's spatially planned chunks, minus what live shards
-        # provably pruned (a dead shard's chunks stay in the
-        # denominator unpruned -- conservative; see docs/sharding.md).
-        n_effective = plan.n_planned - tally.chunks_pruned
-        completeness = (
-            1.0 - len(tally.chunk_errors) / n_effective if n_effective > 0 else 1.0
-        )
+        # The router's selection states what the ADR's plan states: the
+        # pruning counters and the completeness denominator.
+        selection = plan.selection
         choice = plan.choice
         return assemble_result(
             None, dict(zip(plan.output_ids.tolist(), values)), [tally],
             strategy=query.strategy.upper(),
             n_tiles=max((r.n_tiles for _, r in partials), default=0),
-            completeness=completeness,
+            completeness=1.0 - len(tally.chunk_errors) / plan.n_planned,
+            chunks_pruned=len(selection.pruned_ids),
+            bytes_pruned=selection.pruned_bytes,
             shard_errors=shard_errors,
             selected_strategy=choice.selected if choice is not None else "",
             strategy_ranking=choice.ranking_dict() if choice is not None else {},

@@ -8,10 +8,9 @@ the query's aggregation in
 :class:`~repro.shard.partial.PartialAggregationSpec` before submitting
 it into its :class:`~repro.frontend.queryservice.QueryService`, so the
 response carries raw accumulators for the router's global combine.
-A query that selects none of this shard's chunks answers an *empty
-partial* (nothing read, nothing aggregated) rather than an error:
-emptiness is a normal outcome of scattering a range query over a
-declustered deployment.
+The router contacts a shard only when it holds a chunk the query
+selects after pruning; a query that selects none of this shard's
+chunks is answered ``bad_request`` like on any ADR.
 
 Shards are hosted in threads by
 :class:`repro.shard.cluster.ShardCluster` (tests, corpus) or as OS
@@ -28,11 +27,7 @@ from repro.frontend.query import RangeQuery
 from repro.frontend.queryservice import QueryService, ServicePolicy
 from repro.frontend.service import ADRClient, ADRServer
 from repro.runtime.engine import QueryResult
-from repro.shard.partial import (
-    EMPTY_SELECTION_MARK,
-    as_partial,
-    empty_partial_result,
-)
+from repro.shard.partial import as_partial
 
 __all__ = ["ShardServer", "ShardClient"]
 
@@ -59,17 +54,6 @@ class ShardServer(ADRServer):
 
     def _submitted(self, query: RangeQuery, message: dict) -> RangeQuery:
         return as_partial(query) if message.get("partial") else query
-
-    def _stand_in(
-        self, query: RangeQuery, message: dict, error: Exception
-    ) -> Optional[QueryResult]:
-        if (
-            message.get("partial")
-            and isinstance(error, ValueError)
-            and EMPTY_SELECTION_MARK in str(error)
-        ):
-            return empty_partial_result(query)
-        return None
 
 
 class ShardClient(ADRClient):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 __all__ = ["Simulator", "Resource", "Barrier"]
 

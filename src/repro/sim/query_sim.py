@@ -32,7 +32,7 @@ Modeling decisions (also recorded in DESIGN.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -76,10 +76,6 @@ class SimResult:
         """Busiest processor's CPU time (the Figure 9 c/d metric: load
         imbalance shows up here, as the paper discusses)."""
         return float(self.cpu_busy.max())
-
-    @property
-    def computation_time_mean(self) -> float:
-        return float(self.cpu_busy.mean())
 
     @property
     def comm_volume_per_proc(self) -> float:

@@ -9,10 +9,8 @@ datasets, queries and mappings can be validated against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
-
-import numpy as np
 
 from repro.util.geometry import Rect
 
@@ -82,12 +80,6 @@ class AttributeSpace:
         """The full extent of the space as a Rect."""
         return Rect(tuple(d.lo for d in self.dims), tuple(d.hi for d in self.dims))
 
-    def dim_index(self, name: str) -> int:
-        for i, d in enumerate(self.dims):
-            if d.name == name:
-                return i
-        raise KeyError(f"no dimension named {name!r} in space {self.name!r}")
-
     def contains(self, rect: Rect) -> bool:
         """True when *rect* lies fully inside the space bounds."""
         return self.bounds.contains_rect(rect)
@@ -111,11 +103,6 @@ class AttributeSpace:
         if clipped is None:
             raise ValueError(f"query {rect} lies outside space {self.name!r}")
         return clipped
-
-    def random_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Uniform sample of *n* points inside the space (for tests)."""
-        lo, hi = self.bounds.as_arrays()
-        return rng.uniform(lo, hi, size=(n, self.ndim))
 
 
 class AttributeSpaceRegistry:

@@ -212,11 +212,6 @@ class GridMapping(AffineMapping):
             footprint,
         )
 
-    def cells_for_points(self, points: np.ndarray) -> np.ndarray:
-        """Grid cell index per point (no footprint), shape ``(n, d_out)``."""
-        mapped = self.map_points(points)
-        return self.cells_for_coords(mapped)
-
     def cells_for_coords(self, coords: np.ndarray) -> np.ndarray:
         """Snap output-space coordinates to grid cell indices."""
         lo, hi = self.output_space.bounds.as_arrays()

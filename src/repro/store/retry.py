@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Type
 
-from repro.store.chunk_store import ChunkStore, ChunkStoreStage, ReadSlot, unwrap
+from repro.store.chunk_store import ChunkStore, ChunkStoreStage, ReadSlot
 from repro.store.format import CorruptChunkError
 
 __all__ = ["RetryPolicy", "RetryingChunkStore", "DEFAULT_RETRY_ON"]
@@ -79,24 +79,6 @@ class RetryPolicy:
     def delays(self) -> Iterator[float]:
         """The full backoff schedule (``max_attempts - 1`` entries)."""
         return (self.delay(k) for k in range(self.max_attempts - 1))
-
-    def run(
-        self,
-        fn: Callable[[], "object"],
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        """Call *fn* under this policy; re-raise its last error when
-        attempts or the deadline are exhausted (the one-slot case of
-        :meth:`run_batch`)."""
-
-        def once(_keys):
-            try:
-                return [fn()]
-            except self.retry_on as e:
-                return [e]
-
-        return unwrap(self.run_batch(once, [None], clock, sleep)[0])
 
     def run_batch(
         self,

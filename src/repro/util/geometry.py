@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import gt
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -104,11 +104,6 @@ class Rect:
             a <= d and c <= b
             for a, b, c, d in zip(self.lo, self.hi, other.lo, other.hi)
         )
-
-    def contains_point(self, point: Sequence[float]) -> bool:
-        if len(point) != self.ndim:
-            raise ValueError("point dimensionality mismatch")
-        return all(a <= p <= b for a, b, p in zip(self.lo, self.hi, point))
 
     def contains_rect(self, other: "Rect") -> bool:
         self._check_ndim(other)

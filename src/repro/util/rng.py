@@ -8,7 +8,7 @@ normalizes both into a Generator so results are reproducible.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -26,7 +26,7 @@ class TestShape:
     def test_uneven_blocking(self):
         g = make_grid(grid=(10, 10), chunk=(4, 4))
         assert g.blocks == (3, 3)
-        counts = g.chunk_cell_counts()
+        counts = g.chunkset().n_items
         assert counts.sum() == 100
         assert counts.max() == 16 and counts.min() == 4  # corner block 2x2
 
@@ -63,8 +63,8 @@ class TestChunkset:
         "grid,chunk", [((12, 8), (4, 4)), ((10, 7), (4, 3)), ((5, 5), (5, 1))]
     )
     def test_all_chunks_at_once_equal_one_chunk_at_a_time(self, grid, chunk):
-        """``chunkset`` / ``chunk_cell_counts`` unravel every chunk id at
-        once; ``chunk_block`` (one id) is the reference."""
+        """``chunkset`` unravels every chunk id at once; ``chunk_block``
+        (one id) is the reference."""
         g = make_grid(grid, chunk)
         cs = g.chunkset()
         lo, hi = g.space.bounds.as_arrays()
@@ -75,8 +75,6 @@ class TestChunkset:
             assert cs.his[cid].tolist() == (lo + np.asarray(stop) * cell).tolist()
             assert cs.n_items[cid] == g.cells_in_chunk(cid)
             assert cs.nbytes[cid] == g.cells_in_chunk(cid) * g.cell_value_bytes
-        assert g.chunk_cell_counts().tolist() == cs.n_items.tolist()
-        assert g.chunk_cell_counts().dtype == np.int64
 
     def test_three_dimensions(self):
         space = AttributeSpace.regular("o", ("u", "v", "w"), (0, 0, 0), (1, 2, 4))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dataset.chunk import Chunk
 from repro.dataset.dataset import Dataset, DatasetCatalog
 from repro.dataset.partition import hilbert_partition
 from repro.space.attribute_space import AttributeSpace
@@ -21,7 +20,6 @@ class TestDataset:
     def test_from_chunks(self, rng):
         ds = build_dataset(rng)
         assert ds.n_chunks == 6
-        assert ds.has_payloads
         assert ds.payload(2).chunk_id == 2
 
     def test_metadata_only_payload_access(self, rng):

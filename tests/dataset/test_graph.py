@@ -1,7 +1,5 @@
 """Tests for the bipartite chunk graph."""
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,10 +196,3 @@ class TestSharedArrays:
         rev_out = np.repeat(np.arange(g.n_out), np.diff(rev_indptr))
         assert edge_in[g.reverse_to_forward].tolist() == rev_ids.tolist()
         assert edge_out[g.reverse_to_forward].tolist() == rev_out.tolist()
-
-    def test_pickle_round_trip_rebuilds_both_directions(self):
-        g = self.graph()
-        loaded = pickle.loads(pickle.dumps(g))
-        loaded.validate()
-        assert loaded.reverse_csr[1].tolist() == g.reverse_csr[1].tolist()
-        assert not loaded.edge_arrays()[0].flags.writeable

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dataset.chunkset import ChunkSet
 from repro.dataset.partition import regular_grid_chunkset
 from repro.decluster.hilbert import HilbertDeclusterer
 from repro.decluster.metrics import placement_report, query_balance

@@ -52,7 +52,6 @@ class TestItemLevelFiltering:
         result = adr.execute(q)
         # manual: only items with y <= 5, binned at 4x4
         inside = coords[:, 1] <= 5
-        cells = np.clip((coords[inside] * 0.4).astype(int), 0, 3)
         vals = values[inside]
         total_expected = vals.sum()
         total_measured = sum(np.nansum(v) for v in result.chunk_values)
@@ -103,10 +102,9 @@ class TestWriteBack:
         adr, coords, values, mapping, grid = one_chunk_instance(rng)
         q = RangeQuery("d", Rect((0, 0), (10, 10)), mapping, grid,
                        aggregation="sum", strategy="FRA")
-        first = adr.execute(q, store_as="level1")
+        adr.execute(q, store_as="level1")
         out_space = grid.space
         grid2 = OutputGrid(out_space, (2, 2), (1, 1))
-        from repro.space.mapping import IdentityMapping
 
         mapping2 = GridMapping(out_space, out_space, (2, 2))
         q2 = RangeQuery("level1", Rect((0, 0), (1, 1)), mapping2, grid2,

@@ -6,11 +6,25 @@ import numpy as np
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.chunkset import ChunkSet
 from repro.dataset.graph import ChunkGraph
+from repro.faults import FaultInjector, FaultPlan, FaultyChunkStore
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.problem import PlanningProblem
+from repro.runtime.engine import BatchReader
 from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping
+from repro.store.chunk_store import MemoryChunkStore
 from repro.util.units import KB, MB
+
+
+def faulty_reader(chunks, faults: FaultPlan) -> BatchReader:
+    """A :class:`BatchReader` over *chunks* (ids their positions) read
+    through a :class:`FaultyChunkStore` armed with *faults* over a
+    :class:`MemoryChunkStore` -- the store stack ``ADR`` and
+    ``ShardCluster`` inject faults through."""
+    store = MemoryChunkStore()
+    store.write_chunks("d", chunks, [(0, 0)] * len(chunks))
+    faulty = FaultyChunkStore(store, FaultInjector(faults))
+    return BatchReader(lambda ids: faulty.read_batch("d", ids))
 
 
 def random_rects(rng: np.random.Generator, n: int, ndim: int, extent: float = 100.0):

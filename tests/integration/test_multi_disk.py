@@ -13,7 +13,7 @@ import pytest
 
 from repro.decluster.hilbert import HilbertDeclusterer
 from repro.emulator import VMEmulator
-from repro.machine.config import ComputeCosts, MachineConfig
+from repro.machine.config import MachineConfig
 from repro.machine.presets import ibm_sp
 from repro.planner.strategies import plan_fra
 from repro.sim.query_sim import simulate_query

@@ -4,7 +4,6 @@ Each test pins one claim from Section 4 of the paper, using smaller
 chunk populations than the full benches so the suite stays fast.
 """
 
-import numpy as np
 import pytest
 
 from repro.emulator import SATEmulator, VMEmulator, WCSEmulator

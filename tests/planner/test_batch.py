@@ -1,13 +1,9 @@
 """Tests for batch (multi-query) planning and scan sharing."""
 
-import numpy as np
 import pytest
 
-from repro.dataset.chunkset import ChunkSet
-from repro.dataset.graph import ChunkGraph
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.batch import BatchPlan, plan_batch, simulate_batch
-from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_fra
 from repro.sim.query_sim import simulate_query
 from repro.util.units import KB, MB

@@ -1,8 +1,5 @@
 """Tests for cost-model calibration from measured runs."""
 
-import json
-
-import numpy as np
 import pytest
 
 from repro.machine.presets import ibm_sp

@@ -1,6 +1,5 @@
 """Tests for the cost model and strategy selection."""
 
-import numpy as np
 import pytest
 
 from repro.emulator import SATEmulator, VMEmulator
@@ -67,63 +66,6 @@ class TestSelection:
     def test_empty_candidates_rejected(self, problem):
         with pytest.raises(ValueError):
             choose_strategy(problem, CostModel(small_machine(), SMALL_COSTS), [])
-
-
-class TestPrunePricing:
-    """The model must price value-synopsis pruning: chunks the problem
-    marks as prunable are never read or aggregated, so their reads,
-    bytes and pairs must come off the estimate."""
-
-    def _marked(self, problem, stride=2):
-        from repro.planner.problem import PlanningProblem
-
-        n_in = len(problem.inputs)
-        return PlanningProblem(
-            n_procs=problem.n_procs,
-            memory_per_proc=problem.memory_per_proc,
-            inputs=problem.inputs,
-            outputs=problem.outputs,
-            graph=problem.graph,
-            acc_nbytes=problem.acc_nbytes,
-            input_global_ids=np.arange(n_in, dtype=np.int64),
-            pruned_input_ids=np.arange(0, n_in, stride, dtype=np.int64),
-            pruned_bytes=int(problem.inputs.nbytes[::stride].sum()),
-        )
-
-    @pytest.mark.parametrize("per_tile", [False, True])
-    def test_pruned_strictly_cheaper(self, problem, per_tile):
-        model = CostModel(small_machine(), SMALL_COSTS, per_tile=per_tile)
-        plain = model.estimate(plan_fra(problem)).total
-        pruned = model.estimate(plan_fra(self._marked(problem))).total
-        assert pruned < plain
-
-    @pytest.mark.parametrize("strategy", ["FRA", "SRA", "DA"])
-    def test_all_strategies_priced(self, problem, strategy):
-        model = CostModel(small_machine(), SMALL_COSTS)
-        plain = model.estimate(plan_query(problem, strategy)).total
-        pruned = model.estimate(
-            plan_query(self._marked(problem), strategy)
-        ).total
-        assert pruned < plain
-
-    def test_no_prune_info_is_identity(self, problem):
-        """A problem without prune markings prices exactly as before."""
-        from repro.planner.problem import PlanningProblem
-
-        n_in = len(problem.inputs)
-        unmarked = PlanningProblem(
-            n_procs=problem.n_procs,
-            memory_per_proc=problem.memory_per_proc,
-            inputs=problem.inputs,
-            outputs=problem.outputs,
-            graph=problem.graph,
-            acc_nbytes=problem.acc_nbytes,
-            input_global_ids=np.arange(n_in, dtype=np.int64),
-        )
-        model = CostModel(small_machine(), SMALL_COSTS)
-        assert model.estimate(plan_fra(unmarked)).total == pytest.approx(
-            model.estimate(plan_fra(problem)).total
-        )
 
 
 class TestAccuracyAgainstSimulator:

@@ -1,7 +1,6 @@
 """Tests for the hybrid (graph-based) strategy."""
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from repro.emulator import SATEmulator

@@ -1,7 +1,6 @@
 """The one problem builder: ``ADR.build_problem`` and
 ``ShardRouter.plan`` run the same selection -> prune -> projection ->
-graph steps and differ only in input placement and in whether prunable
-chunks are dropped or kept and listed."""
+graph steps and differ only in input placement."""
 
 import numpy as np
 import pytest
@@ -28,13 +27,12 @@ OUT_SPACE = AttributeSpace.regular("out", ("u", "v"), (0, 0), (1, 1))
 FAR_SPACE = AttributeSpace.regular("far", ("u", "v"), (5, 5), (6, 6))
 
 
-def edges_by_global_id(problem, skip=()):
+def edges_by_global_id(problem):
     edge_in, edge_out = problem.graph.edge_arrays()
-    pairs = zip(
+    return sorted(zip(
         problem.input_global_ids[edge_in].tolist(),
         problem.output_global_ids[edge_out].tolist(),
-    )
-    return sorted(p for p in pairs if p[0] not in skip)
+    ))
 
 
 def build_or_message(build):
@@ -83,29 +81,16 @@ class TestRouterAndSoloShareOneBuilder:
         theirs, their_error = build_or_message(
             lambda: router.plan(query).choice.plan.problem
         )
-        if my_error is not None and "after value-synopsis pruning" in my_error:
-            # keep-and-list never empties the selection: all of it is
-            # listed, and the next step gets its turn to fail
-            if theirs is None:
-                assert their_error == "query region projects onto no output chunks"
-            else:
-                assert sorted(theirs.pruned_input_ids) == sorted(theirs.input_global_ids)
-            return
+        # the same text when pruning, the region or the projection
+        # leaves nothing to plan
         assert my_error == their_error
         if mine is None:
             return
 
-        assert mine.output_global_ids.tolist() == theirs.output_global_ids.tolist()
-        assert mine.acc_nbytes.tolist() == theirs.acc_nbytes.tolist()
-        pruned = set(mine.pruned_input_ids.tolist())
-        assert pruned == set(theirs.pruned_input_ids.tolist())
-        assert pruned.isdisjoint(mine.input_global_ids.tolist())  # dropped
-        assert pruned <= set(theirs.input_global_ids.tolist())  # kept and listed
-        assert sorted(pruned | set(mine.input_global_ids.tolist())) == sorted(
-            theirs.input_global_ids.tolist()
-        )
+        for name in ("input_global_ids", "pruned_input_ids", "output_global_ids", "acc_nbytes"):
+            assert getattr(mine, name).tolist() == getattr(theirs, name).tolist(), name
         assert mine.pruned_bytes == theirs.pruned_bytes
-        assert edges_by_global_id(mine) == edges_by_global_id(theirs, skip=pruned)
+        assert edges_by_global_id(mine) == edges_by_global_id(theirs)
         # placement is the other parameter: inputs sit on their shard
         shard_of = router.topology.assignment.shard_of
         assert theirs.input_owner.tolist() == shard_of[theirs.input_global_ids].tolist()

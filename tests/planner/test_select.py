@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.machine.config import ComputeCosts
 from repro.planner.costmodel import CostModel
 from repro.planner.select import (
     ALL_STRATEGIES,

@@ -55,35 +55,10 @@ def oracle_stats(plan):
     }
 
 
-def oracle_unpruned(plan):
-    """Reads, pairs and forwards with the prunable chunks subtracted."""
-    p = plan.problem
-    P = p.n_procs
-    stats = oracle_stats(plan)
-    pruned = p.pruned_in_plan_mask()
-    read_count = stats["read_count"].astype(float)
-    read_bytes = stats["read_bytes"].astype(float)
-    pairs = stats["reduction_pairs"].astype(float)
-    it = plan.input_transfers
-    t_chunk, t_src, t_dst = it.chunk, it.src, it.dst
-    if pruned is not None:
-        r = plan.reads
-        drop = pruned[r.chunk]
-        read_count -= np.bincount(r.proc[drop], minlength=P)
-        read_bytes -= np.bincount(
-            r.proc[drop], weights=p.inputs.nbytes[r.chunk[drop]], minlength=P
-        )
-        edge_in, _ = plan.edge_arrays
-        pairs -= np.bincount(plan.edge_proc[pruned[edge_in]], minlength=P)
-        keep = ~pruned[t_chunk]
-        t_chunk, t_src, t_dst = t_chunk[keep], t_src[keep], t_dst[keep]
-    return stats, read_count, read_bytes, pairs, (t_chunk, t_src, t_dst)
-
-
 def oracle_simple(model, plan):
     m, c, p = model.machine, model.costs, plan.problem
     P = p.n_procs
-    stats, read_count, read_bytes, pairs, (t_chunk, t_src, t_dst) = oracle_unpruned(plan)
+    stats = oracle_stats(plan)
     t_init = c.init * stats["init_chunks"].max(initial=0)
     if p.init_from_output:
         it = plan.init_transfers
@@ -93,15 +68,16 @@ def oracle_simple(model, plan):
             stats["output_chunks"].max(initial=0) * m.disk_seek
             + float(stats["write_bytes"].max()) / m.disk_bandwidth
         )
-    io = read_count * m.disk_seek + read_bytes / m.disk_bandwidth
+    io = stats["read_count"] * m.disk_seek + stats["read_bytes"] / m.disk_bandwidth
     if p.init_from_output:
         io = io - (
             stats["output_chunks"] * m.disk_seek
             + stats["write_bytes"] / m.disk_bandwidth
         )
-    sent = tally(t_src, p.inputs.nbytes[t_chunk], P)
-    recv = tally(t_dst, p.inputs.nbytes[t_chunk], P)
-    cpu = c.reduction * pairs + (sent + recv) * m.cpu_per_byte
+    it = plan.input_transfers
+    sent = tally(it.src, p.inputs.nbytes[it.chunk], P)
+    recv = tally(it.dst, p.inputs.nbytes[it.chunk], P)
+    cpu = c.reduction * stats["reduction_pairs"] + (sent + recv) * m.cpu_per_byte
     net = np.maximum(sent, recv) / m.link_bandwidth
     t_lr = float(np.maximum(np.maximum(io, cpu), net).max(initial=0))
     gt = plan.ghost_transfers
@@ -135,28 +111,14 @@ def oracle_per_tile(model, plan):
     flat_out = np.repeat(np.arange(p.n_out, dtype=np.int64), counts)
     alloc = grid(plan.tile_of_output[flat_out], plan.holders_ids)
     t_init = float((c.init * alloc).max(axis=1).sum())
-    pruned = p.pruned_in_plan_mask()
     r = plan.reads
-    r_tile, r_proc, r_chunk = r.tile, r.proc, r.chunk
-    if pruned is not None and len(r_chunk):
-        keep = ~pruned[r_chunk]
-        r_tile, r_proc, r_chunk = r_tile[keep], r_proc[keep], r_chunk[keep]
-    io = grid(r_tile, r_proc) * m.disk_seek + grid(
-        r_tile, r_proc, p.inputs.nbytes[r_chunk]
+    io = grid(r.tile, r.proc) * m.disk_seek + grid(
+        r.tile, r.proc, p.inputs.nbytes[r.chunk]
     ) / (m.disk_bandwidth * m.disks_per_node)
-    edge_in, _ = plan.edge_arrays
-    e_tile, e_proc = plan.edge_tile, plan.edge_proc
-    if pruned is not None and len(edge_in):
-        ekeep = ~pruned[edge_in]
-        e_tile, e_proc = e_tile[ekeep], e_proc[ekeep]
-    pairs = grid(e_tile, e_proc)
+    pairs = grid(plan.edge_tile, plan.edge_proc)
     it = plan.input_transfers
-    i_tile, i_src, i_dst, i_chunk = it.tile, it.src, it.dst, it.chunk
-    if pruned is not None and len(i_chunk):
-        ikeep = ~pruned[i_chunk]
-        i_tile, i_src, i_dst, i_chunk = i_tile[ikeep], i_src[ikeep], i_dst[ikeep], i_chunk[ikeep]
-    sent = grid(i_tile, i_src, p.inputs.nbytes[i_chunk])
-    recv = grid(i_tile, i_dst, p.inputs.nbytes[i_chunk])
+    sent = grid(it.tile, it.src, p.inputs.nbytes[it.chunk])
+    recv = grid(it.tile, it.dst, p.inputs.nbytes[it.chunk])
     cpu = c.reduction * pairs + (sent + recv) * m.cpu_per_byte
     net = np.maximum(sent, recv) / m.link_bandwidth
     t_lr = float(np.maximum(np.maximum(io, cpu), net).max(axis=1).sum())
@@ -184,15 +146,16 @@ def oracle_per_tile(model, plan):
 def oracle_features(plan):
     p = plan.problem
     P = p.n_procs
-    stats, read_count, read_bytes, pairs, (t_chunk, t_src, t_dst) = oracle_unpruned(plan)
-    lr_messages = np.bincount(t_src, minlength=P) + np.bincount(t_dst, minlength=P)
+    stats = oracle_stats(plan)
+    it = plan.input_transfers
+    lr_messages = np.bincount(it.src, minlength=P) + np.bincount(it.dst, minlength=P)
     gt = plan.ghost_transfers
     gc_messages = np.bincount(gt.src, minlength=P) + np.bincount(gt.dst, minlength=P)
     rows = {
         "init_chunks": stats["init_chunks"],
-        "reduction_pairs": pairs,
-        "read_count": read_count,
-        "read_bytes": read_bytes,
+        "reduction_pairs": stats["reduction_pairs"],
+        "read_count": stats["read_count"],
+        "read_bytes": stats["read_bytes"],
         "lr_messages": lr_messages,
         "combine_ops": stats["combine_ops"],
         "gc_messages": gc_messages,
@@ -214,7 +177,7 @@ def oracle_calibrated(model, plan):
 # -- problems ---------------------------------------------------------------
 
 
-def build(seed: int, pruned: bool, init_from_output: bool):
+def build(seed: int, init_from_output: bool):
     """A random problem with uneven chunk sizes and per-processor
     budgets from one accumulator per tile to all in one."""
     rng = np.random.default_rng(seed)
@@ -234,9 +197,6 @@ def build(seed: int, pruned: bool, init_from_output: bool):
         memory_per_proc=rng.integers(40_000, 1_500_000, n_procs),
         init_from_output=init_from_output,
     )
-    if pruned:
-        ids = base.input_global_ids
-        changes["pruned_input_ids"] = ids[rng.random(n_in) < 0.4]
     return dataclasses.replace(base, **changes)
 
 
@@ -284,16 +244,15 @@ def assert_same_order(totals, want_totals):
 @given(
     seed=st.integers(0, 2**31),
     model=st.sampled_from(sorted(MODELS)),
-    pruned=st.booleans(),
     init_from_output=st.booleans(),
 )
 @settings(max_examples=150, deadline=None)
-def test_stacked_pass_equals_the_per_plan_oracle(seed, model, pruned, init_from_output):
-    problem = build(seed, pruned, init_from_output)
+def test_stacked_pass_equals_the_per_plan_oracle(seed, model, init_from_output):
+    problem = build(seed, init_from_output)
     cost_model, oracle = MODELS[model], ORACLES[model]
     choice = choose_strategy(problem, cost_model)
 
-    fresh = build(seed, pruned, init_from_output)
+    fresh = build(seed, init_from_output)
     want = {}
     for plan in candidates(fresh, cost_model):
         want[plan.strategy] = oracle(cost_model, plan)
@@ -315,9 +274,9 @@ def test_stacked_pass_equals_the_per_plan_oracle(seed, model, pruned, init_from_
 @given(seed=st.integers(0, 2**31), init_from_output=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_plan_stats_equals_the_traffic_tables(seed, init_from_output):
-    """Without prunable chunks the whole-query totals are exactly what
-    the plan's own tables add up to, dtype included."""
-    problem = build(seed, pruned=False, init_from_output=init_from_output)
+    """The whole-query totals are exactly what the plan's own tables add
+    up to, dtype included."""
+    problem = build(seed, init_from_output=init_from_output)
     for plan in candidates(problem, MODELS["simple"]):
         stats = plan_stats(plan)
         for name, want in oracle_stats(plan).items():
@@ -330,7 +289,7 @@ def test_several_tiles_are_covered():
     tile counts among the candidates of one problem."""
     counts = set()
     for seed in range(40):
-        problem = build(seed, pruned=False, init_from_output=False)
+        problem = build(seed, init_from_output=False)
         tiles = [plan.n_tiles for plan in candidates(problem, MODELS["simple"])]
         if max(tiles) > 1 and len(set(tiles)) > 1:
             counts.add(seed)
@@ -341,7 +300,7 @@ def test_padding_tiles_change_no_bit():
     """A candidate priced beside others with more tiles costs exactly
     what it costs alone."""
     for seed in range(40):
-        problem = build(seed, pruned=True, init_from_output=False)
+        problem = build(seed, init_from_output=False)
         plans = candidates(problem, MODELS["per_tile"])
         if len({plan.n_tiles for plan in plans}) < 2:
             continue
@@ -353,7 +312,7 @@ def test_padding_tiles_change_no_bit():
 
 
 def test_grids_need_one_problem():
-    a = build(1, pruned=False, init_from_output=False)
-    b = build(1, pruned=False, init_from_output=False)
+    a = build(1, init_from_output=False)
+    b = build(1, init_from_output=False)
     with pytest.raises(ValueError, match="share one problem"):
         load_grids([plan_query(a, "FRA"), plan_query(b, "FRA")])

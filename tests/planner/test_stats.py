@@ -1,6 +1,5 @@
 """Tests for plan statistics: conservation laws and known totals."""
 
-import numpy as np
 import pytest
 
 from repro.planner.stats import plan_stats
@@ -67,7 +66,3 @@ class TestStrategySpecificTotals:
     def test_load_imbalance_at_least_one(self, problem):
         for name in ("FRA", "DA"):
             assert plan_stats(plan_query(problem, name)).load_imbalance >= 1.0
-
-    def test_table_row_smoke(self, problem):
-        row = plan_stats(plan_fra(problem)).table_row()
-        assert "FRA" in row and "tiles" in row

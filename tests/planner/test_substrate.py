@@ -18,7 +18,7 @@ from helpers import SMALL_COSTS, make_problem, small_machine
 PLAN_ARRAYS = ("tile_of_output", "holders_indptr", "holders_ids", "edge_proc")
 
 
-def build(seed: int, pruned: bool, init_from_output: bool = False):
+def build(seed: int, init_from_output: bool = False):
     """A problem that is a pure function of its arguments, so building
     it again gives a *fresh* one: nothing cached, nothing shared."""
     rng = np.random.default_rng(seed)
@@ -30,12 +30,7 @@ def build(seed: int, pruned: bool, init_from_output: bool = False):
         memory=int(rng.integers(40_000, 400_000)),  # one to many tiles
         fan_out=int(rng.integers(1, 4)),
     )
-    changes = {"init_from_output": init_from_output}
-    if pruned:
-        # the router's convention: prunable chunks stay in the universe
-        ids = problem.input_global_ids
-        changes["pruned_input_ids"] = ids[rng.random(len(ids)) < 0.4]
-    return dataclasses.replace(problem, **changes)
+    return dataclasses.replace(problem, init_from_output=init_from_output)
 
 
 def plan_alone(problem, name, model):
@@ -44,10 +39,10 @@ def plan_alone(problem, name, model):
     return plan_query(problem, name)
 
 
-def assert_same_choice(choice, seed, pruned, model, init_from_output=False):
+def assert_same_choice(choice, seed, model, init_from_output=False):
     best = None
     for name in ALL_STRATEGIES:
-        fresh = build(seed, pruned, init_from_output)
+        fresh = build(seed, init_from_output)
         plan = plan_alone(fresh, name, model)
         estimate = model.estimate(plan)
         assert choice.estimates[name] == estimate  # every float, exactly
@@ -61,27 +56,27 @@ def assert_same_choice(choice, seed, pruned, model, init_from_output=False):
 
 
 class TestSharedEqualsSeparate:
-    @given(st.integers(0, 2**31), st.booleans(), st.booleans())
+    @given(st.integers(0, 2**31), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_one_shared_problem_equals_four_fresh_ones(self, seed, pruned, per_tile):
+    def test_one_shared_problem_equals_four_fresh_ones(self, seed, per_tile):
         model = CostModel(small_machine(8), SMALL_COSTS, per_tile=per_tile)
-        shared = build(seed, pruned)
-        assert_same_choice(choose_strategy(shared, model), seed, pruned, model)
+        shared = build(seed)
+        assert_same_choice(choose_strategy(shared, model), seed, model)
         # ADR.update and the benchmark harness set the flag only after
         # build_problem returned, on a problem that may have been planned
         shared.init_from_output = True
         assert_same_choice(
-            choose_strategy(shared, model), seed, pruned, model, init_from_output=True
+            choose_strategy(shared, model), seed, model, init_from_output=True
         )
 
     def test_each_plan_keeps_its_own_tables(self):
         model = CostModel(small_machine(8), SMALL_COSTS)
-        shared = build(11, pruned=False)
+        shared = build(11)
         plans = {name: plan_alone(shared, name, model) for name in ALL_STRATEGIES}
         for plan in plans.values():
             model.estimate(plan)
         for name, plan in plans.items():
-            alone = plan_alone(build(11, pruned=False), name, model)
+            alone = plan_alone(build(11), name, model)
             assert plan.reads.chunk.tolist() == alone.reads.chunk.tolist()
             assert plan.total_comm_bytes == alone.total_comm_bytes
 
@@ -91,11 +86,10 @@ class TestSubstrate:
         return [
             problem.output_hilbert_order(), problem.edge_owner, *problem.so_csr,
             problem.output_chunks_per_proc, problem.write_bytes_per_proc,
-            problem.pruned_in_plan_mask(),
         ]
 
     def test_computed_once_and_read_only(self):
-        problem = build(7, pruned=True)
+        problem = build(7)
         first = self.shared_arrays(problem)
         assert all(a is b for a, b in zip(first, self.shared_arrays(problem)))
         assert not any(a.flags.writeable for a in first)
@@ -128,10 +122,3 @@ class TestSubstrate:
         problem.output_hilbert_order()
         copy = dataclasses.replace(problem, hilbert_bits=4)
         assert "_hilbert_order" not in vars(copy)
-
-    def test_pickled_state_is_the_declared_fields_only(self):
-        problem = build(3, pruned=True)
-        self.shared_arrays(problem)
-        names = {f.name for f in dataclasses.fields(problem)}
-        assert set(vars(problem)) > names  # the substrate is there ...
-        assert set(problem.__getstate__()) == names  # ... and stays behind

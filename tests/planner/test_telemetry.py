@@ -3,11 +3,9 @@
 import json
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.machine.presets import ibm_sp
-from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_fra, plan_query
 from repro.planner.telemetry import (
     CANONICAL_PHASES,
@@ -33,28 +31,6 @@ class TestPlanFeatures:
         assert all(v >= 0 for v in feats.values())
         assert feats["read_bytes"] > 0
         assert feats["reduction_pairs"] > 0
-
-    def test_prune_marked_problem_has_smaller_features(self, problem):
-        """Marking planned chunks as prunable must subtract their
-        reads, bytes and aggregation pairs from the busiest-processor
-        features -- execution will skip them."""
-        n_in = len(problem.inputs)
-        marked = PlanningProblem(
-            n_procs=problem.n_procs,
-            memory_per_proc=problem.memory_per_proc,
-            inputs=problem.inputs,
-            outputs=problem.outputs,
-            graph=problem.graph,
-            acc_nbytes=problem.acc_nbytes,
-            input_global_ids=np.arange(n_in, dtype=np.int64),
-            pruned_input_ids=np.arange(0, n_in, 2, dtype=np.int64),
-            pruned_bytes=int(problem.inputs.nbytes[::2].sum()),
-        )
-        plain = plan_features(plan_fra(problem))
-        pruned = plan_features(plan_fra(marked))
-        assert pruned["read_bytes"] < plain["read_bytes"]
-        assert pruned["read_count"] < plain["read_count"]
-        assert pruned["reduction_pairs"] < plain["reduction_pairs"]
 
 
 class TestMeasuredRun:

@@ -13,12 +13,12 @@ import pytest
 
 from repro.aggregation.functions import SumAggregation
 from repro.dataset.chunk import Chunk
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.planner.strategies import plan_query
 from repro.runtime.engine import execute_plan
 from repro.store.format import CorruptChunkError
 
-from helpers import build_problem, make_functional_setup
+from helpers import build_problem, faulty_reader, make_functional_setup
 
 
 def make_plan(rng, strategy, n_procs=3, memory=1 << 11, n_items=250):
@@ -28,8 +28,14 @@ def make_plan(rng, strategy, n_procs=3, memory=1 << 11, n_items=250):
     return plan_query(prob, strategy), chunks, mapping, grid, spec
 
 
-def run(plan, chunks, mapping, grid, spec, **kw):
-    return execute_plan(plan, lambda i: chunks[i], mapping, grid, spec, **kw)
+def run(plan, chunks, mapping, grid, spec, victim=None, **kw):
+    """Execute *plan* over *chunks*; with a *victim*, through the
+    fault-injecting store stack with that chunk corrupt."""
+    source = (
+        (lambda i: chunks[i]) if victim is None
+        else faulty_reader(chunks, FaultPlan.corrupt_chunk(victim))
+    )
+    return execute_plan(plan, source, mapping, grid, spec, **kw)
 
 
 class TestDegradedExecution:
@@ -39,7 +45,7 @@ class TestDegradedExecution:
         plan, chunks, mapping, grid, spec = make_plan(rng, "FRA")
         res = run(
             plan, chunks, mapping, grid, spec, on_error="degrade",
-            fault_injector=FaultInjector(FaultPlan.corrupt_chunk(self.VICTIM)),
+            victim=self.VICTIM,
         )
         assert set(res.chunk_errors) == {self.VICTIM}
         assert "CorruptChunkError" in res.chunk_errors[self.VICTIM]
@@ -50,7 +56,7 @@ class TestDegradedExecution:
         plan, chunks, mapping, grid, spec = make_plan(rng, strategy)
         degraded = run(
             plan, chunks, mapping, grid, spec, on_error="degrade",
-            fault_injector=FaultInjector(FaultPlan.corrupt_chunk(self.VICTIM)),
+            victim=self.VICTIM,
         )
         emptied = list(chunks)
         victim = chunks[self.VICTIM]
@@ -74,7 +80,7 @@ class TestDegradedExecution:
         clean = run(plan, chunks, mapping, grid, spec)
         degraded = run(
             plan, chunks, mapping, grid, spec, on_error="degrade",
-            fault_injector=FaultInjector(FaultPlan.corrupt_chunk(self.VICTIM)),
+            victim=self.VICTIM,
         )
         assert degraded.n_reads == clean.n_reads - 1
         assert degraded.bytes_read < clean.bytes_read
@@ -84,7 +90,7 @@ class TestDegradedExecution:
         with pytest.raises(CorruptChunkError):
             run(
                 plan, chunks, mapping, grid, spec,
-                fault_injector=FaultInjector(FaultPlan.corrupt_chunk(self.VICTIM)),
+                victim=self.VICTIM,
             )
 
     def test_on_error_validation(self, rng):

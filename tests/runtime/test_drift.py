@@ -1,6 +1,6 @@
 """An executor that drifts from its plan is caught by the checks that
 run on every query: the executor's placement assertions (edge on its
-assigned processor, ``holds``, owner, scheduled recipient) and a
+assigned processor, ``holds``, owner) and a
 comparison against a clean run of the same plan (what the functional
 corpus does).
 
@@ -120,34 +120,3 @@ def test_combine_drift_asserts(monkeypatch, spread, drift):
         )))
     with pytest.raises(AssertionError):
         run(spread)
-
-
-def test_segment_for_a_dropped_recipient_asserts(monkeypatch, rng):
-    """A DA read forwards a segment to a rank its schedule no longer
-    names as a recipient."""
-    forwarding = planned(rng, "DA")
-    plan = forwarding[0]
-    applied = []
-    clean = PhaseExecutor._apply
-
-    def _apply(self, rank, edge, *rest):
-        applied.append((rank, edge))
-        clean(self, rank, edge, *rest)
-
-    with monkeypatch.context() as m:
-        m.setattr(PhaseExecutor, "_apply", _apply)
-        run(forwarding)
-    # Each edge's read is the one of its (tile, input chunk).
-    n_in = plan.problem.n_in
-    read_of = np.searchsorted(
-        plan.reads.tile * n_in + plan.reads.chunk,
-        plan.edge_tile * n_in + plan.edge_arrays[0],
-    )
-    read, dropped = next(
-        (int(read_of[edge]), rank) for rank, edge in applied
-        if rank != plan.reads.proc[read_of[edge]]
-    )
-    recipients = plan.schedule().recipients
-    recipients[read] = recipients[read][recipients[read] != dropped]
-    with pytest.raises(AssertionError, match=f"read {read} forwards a segment to processor {dropped},"):
-        run(forwarding)

@@ -105,7 +105,6 @@ class TestCountersAndBookkeeping:
 
     def test_dataset_source(self, rng):
         from repro.dataset.dataset import Dataset
-        from repro.space.attribute_space import AttributeSpace
 
         spec = SumAggregation(1)
         in_space, _, chunks, mapping, grid = make_functional_setup(rng)

@@ -13,14 +13,14 @@ from repro.aggregation.accumulator import AccumulatorSet
 from repro.aggregation.extra import VarianceAggregation
 from repro.aggregation.functions import BestValueComposite, MeanAggregation
 from repro.planner.strategies import plan_query
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.runtime import phases
 from repro.runtime.engine import BatchReader, execute_plan
 from repro.runtime.phases import PHASES, PhaseExecutor, PhaseSchedule
 from repro.runtime.serial import execute_serial
 from repro.store.format import CorruptChunkError
 
-from helpers import SMALL_COSTS, build_problem, make_functional_setup, small_machine
+from helpers import SMALL_COSTS, build_problem, faulty_reader, make_functional_setup, small_machine
 
 COUNTERS = ("n_reads", "bytes_read", "n_aggregations", "n_combines")
 #: the executor's own methods, which :func:`run_bounded` wraps afresh per run
@@ -86,14 +86,6 @@ class TestPhaseSchedule:
         )
         assert sorted(got.tolist()) == list(range(len(plan.reads)))
 
-    def test_recipients_match_edge_assignment(self, workload):
-        chunks, mapping, grid, spec, prob = workload
-        plan = plan_query(prob, "DA")
-        sched = plan.schedule()
-        assert len(sched.recipients) == len(plan.reads)
-        for r in range(len(plan.reads)):
-            assert sched.recipients[r].tolist() == planned_recipients(plan, r)
-
 
 class TestSimulatorSharesSchedule:
     def test_sim_prices_the_executed_schedule(self, workload):
@@ -152,12 +144,13 @@ class TestCounterContract:
                 np.testing.assert_allclose(vals, serial[o], err_msg=type(spec).__name__)
 
 
-def run_bounded(monkeypatch, bound, plan, chunks, mapping, grid, spec, **kwargs):
-    """``execute_plan`` with the reduce batch bound at *bound* bytes;
-    returns the result, the sizes of the batches the executor reduced,
-    every segment it applied in order as ``(rank, edge, kind, output
-    chunk, cell bytes, payload bytes)`` and the global chunk ids of
-    each provider call, in order."""
+def run_bounded(monkeypatch, bound, plan, chunks, mapping, grid, spec, faults=None, **kwargs):
+    """``execute_plan`` with the reduce batch bound at *bound* bytes,
+    reading through the fault-injecting store stack when *faults* is
+    given; returns the result, the sizes of the batches the executor
+    reduced, every segment it applied in order as ``(rank, edge, kind,
+    output chunk, cell bytes, payload bytes)`` and the global chunk ids
+    of each provider call, in order."""
     sizes, applied, reads = [], [], []
 
     def counting(self, t, batch):
@@ -172,9 +165,14 @@ def run_bounded(monkeypatch, bound, plan, chunks, mapping, grid, spec, **kwargs)
     monkeypatch.setattr(PhaseExecutor, "_reduce_batch", counting)
     monkeypatch.setattr(PhaseExecutor, "_apply", logged)
 
+    read = (
+        (lambda ids: [chunks[i] for i in ids]) if faults is None
+        else faulty_reader(chunks, faults).read
+    )
+
     def provider(ids):
         reads.append(list(ids))
-        return [chunks[i] for i in ids]
+        return read(ids)
 
     res = execute_plan(plan, BatchReader(provider), mapping, grid, spec, **kwargs)
     return res, sizes, applied, reads
@@ -193,7 +191,7 @@ def mid_batch_read(plan, forwarding=False):
     default bound), optionally one with forwarding recipients."""
     sched = plan.schedule()
     reads = sched.reads_of(0).tolist()
-    inner = [r for r in reads[1:-1] if len(sched.recipients[r]) or not forwarding]
+    inner = [r for r in reads[1:-1] if planned_recipients(plan, r) or not forwarding]
     assert inner, "tile 0 needs an inner read"
     return inner[len(inner) // 2]
 
@@ -241,7 +239,7 @@ class TestReduceBatches:
             if rank != plan.reads.proc[r]:
                 forwarded += 1
                 assert rank in planned_recipients(plan, r)
-        assert (forwarded > 0) == any(len(q) for q in plan.schedule().recipients)
+        assert (forwarded > 0) == any(planned_recipients(plan, r) for r in range(len(plan.reads)))
 
     def test_degraded_read_inside_a_batch_applies_nothing(self, monkeypatch, workload):
         """A degraded read in the middle of a batch -- one whose items
@@ -254,8 +252,7 @@ class TestReduceBatches:
         args = (monkeypatch, float("inf"), plan, chunks, mapping, grid, spec)
         _, _, clean, _ = run_bounded(*args)
         res, _, applied, _ = run_bounded(
-            *args, on_error="degrade",
-            fault_injector=FaultInjector(FaultPlan.corrupt_chunk(victim)),
+            *args, on_error="degrade", faults=FaultPlan.corrupt_chunk(victim),
         )
         assert set(res.chunk_errors) == {victim}
         edge_in = plan.edge_arrays[0]
@@ -268,6 +265,6 @@ class TestReduceBatches:
         victim = int(plan.reads.chunk[mid_batch_read(plan)])
         with pytest.raises(CorruptChunkError, match="CRC"):
             execute_plan(
-                plan, lambda i: chunks[i], mapping, grid, spec,
-                fault_injector=FaultInjector(FaultPlan.corrupt_chunk(victim)),
+                plan, faulty_reader(chunks, FaultPlan.corrupt_chunk(victim)),
+                mapping, grid, spec,
             )

@@ -1,7 +1,6 @@
 """Tests for partial aggregation and the FRA global combine."""
 
 import numpy as np
-import pytest
 
 from helpers import make_functional_setup
 from repro.aggregation.functions import (
@@ -13,11 +12,9 @@ from repro.frontend.adr import ADR
 from repro.frontend.query import RangeQuery
 from repro.machine.config import MachineConfig
 from repro.shard.partial import (
-    EMPTY_SELECTION_MARK,
     PartialAggregationSpec,
     as_partial,
     combine_partials,
-    empty_partial_result,
 )
 from repro.util.geometry import Rect
 from repro.util.units import MB
@@ -78,47 +75,6 @@ class TestPartialAggregationSpec:
         assert wrapped.aggregation.inner.value_components == 2
         # The original query is untouched (dataclasses.replace).
         assert isinstance(query.aggregation, MinAggregation)
-
-
-class TestEmptyPartial:
-    def test_zero_everywhere(self):
-        _, _, chunks, mapping, grid = make_functional_setup(
-            np.random.default_rng(0)
-        )
-        query = RangeQuery(
-            "d", Rect((0, 0), (1, 1)), mapping, grid,
-            aggregation="sum", strategy="FRA",
-        )
-        r = empty_partial_result(query)
-        assert len(r.output_ids) == 0
-        assert r.chunk_values == []
-        assert r.n_reads == 0 and r.bytes_read == 0
-        assert r.n_aggregations == 0 and r.n_combines == 0
-        assert r.chunks_pruned == 0
-        assert r.completeness == 1.0
-        assert r.strategy == "FRA"
-
-    def test_mark_matches_planner_message(self, rng):
-        """The mark must keep matching the planner's actual message --
-        it is how shard servers tell "this shard owns nothing here"
-        apart from genuinely bad queries."""
-        from repro.dataset.partition import hilbert_partition
-        from repro.space.attribute_space import AttributeSpace
-
-        in_space = AttributeSpace.regular("in", ("x", "y"), (0, 0), (10, 10))
-        # Items clustered in one corner leave (8,8)-(9,9) inside the
-        # space but outside every chunk MBR.
-        coords = rng.uniform(0, 4, size=(100, 2))
-        values = rng.integers(1, 10, size=(100, 1)).astype(float)
-        adr = ADR(machine=MachineConfig(n_procs=2, memory_per_proc=MB))
-        adr.load("corner", in_space, hilbert_partition(coords, values, 20))
-        _, _, _, mapping, grid = make_functional_setup(rng)
-        nothing = RangeQuery(
-            "corner", Rect((8, 8), (9, 9)), mapping, grid,
-            aggregation="sum", strategy="FRA",
-        )
-        with pytest.raises(ValueError, match=EMPTY_SELECTION_MARK):
-            adr.execute(nothing)
 
 
 class TestCombinePartials:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import make_functional_setup
+from repro.dataset.chunk import Chunk
 from repro.frontend.adr import ADR
 from repro.frontend.protocol import DeadlineExceededError, ProtocolError
 from repro.frontend.query import RangeQuery
@@ -228,6 +229,71 @@ class TestDegradeAndRaise:
         got = cluster.execute(query(on_error="degrade"))
         assert set(got.shard_errors) == {2}
         assert "shard_unavailable" in got.shard_errors[2]
+
+
+@pytest.fixture
+def pruned_deployment(rng):
+    """A deployment whose values follow x, so a ``where`` bound keeps
+    exactly the chunks it names: ``keep_one`` keeps the one chunk
+    holding the smallest value, on shard ``kept``, and otherwise the
+    bound keeps nothing."""
+    in_space, _, chunks, mapping, grid = make_functional_setup(rng)
+    chunks = [Chunk(c.meta, c.coords, c.coords[:, :1] * 10.0) for c in chunks]
+    cluster = ShardCluster.build(
+        "d", in_space, chunks, n_shards=N_SHARDS, router_policy=fast_policy(),
+    )
+    solo = ADR(machine=MachineConfig(n_procs=2, memory_per_proc=MB))
+    solo.load("d", in_space, chunks)
+    mins = [float(c.values.min()) for c in chunks]
+    lowest = min(mins)
+    kept = int(cluster.topology.assignment.shard_of[mins.index(lowest)])
+
+    def query(keep_one=True, **kw):
+        bound = lowest if keep_one else lowest - 1.0
+        return RangeQuery(
+            "d", Rect((0, 0), (10, 10)), mapping, grid, aggregation="sum",
+            strategy="FRA", where={0: (None, bound)}, **kw,
+        )
+
+    with cluster:
+        yield cluster, solo, query, kept
+
+
+class TestPrunedSelection:
+    """The router prunes as ``ADR.build_problem`` does and states the
+    pruning counters and the completeness denominator from its own
+    selection; it contacts only shards that keep a selected chunk."""
+
+    def test_predicate_pruning_everything_raises_the_adr_error(self, pruned_deployment):
+        cluster, solo, query, _ = pruned_deployment
+        q = query(keep_one=False)
+        with pytest.raises(ValueError, match="after value-synopsis pruning") as want:
+            solo.execute(q)
+        with pytest.raises(ValueError) as got:
+            cluster.execute(q)
+        assert str(got.value) == str(want.value)
+
+    def test_fully_pruned_shards_keep_the_solo_counters(self, pruned_deployment):
+        cluster, solo, query, kept = pruned_deployment
+        q = query()
+        got, want = cluster.execute(q), solo.execute(q)
+        assert want.chunks_pruned == len(cluster.topology.assignment) - 1
+        assert (got.chunks_pruned, got.bytes_pruned) == (want.chunks_pruned, want.bytes_pruned)
+        assert got.n_reads == want.n_reads == 1
+        for a, b in zip(got.chunk_values, want.chunk_values):
+            np.testing.assert_allclose(a, b, equal_nan=True)
+        assert cluster.router.plan(q).shard_ids == [kept]
+
+    def test_dead_shard_completeness_counts_selected_chunks_only(self, pruned_deployment):
+        cluster, _, query, kept = pruned_deployment
+        q = query(on_error="degrade")
+        holder = cluster.execute_local(q, down=frozenset({kept}))
+        assert holder.completeness == 0.0
+        assert set(holder.shard_errors) == {kept} and len(holder.chunk_errors) == 1
+        idle = next(sid for sid in range(N_SHARDS) if sid != kept)
+        other = cluster.execute_local(q, down=frozenset({idle}))
+        assert other.completeness == 1.0
+        assert not other.shard_errors and not other.chunk_errors
 
 
 class FlakyFactory:

@@ -2,7 +2,6 @@
 retrieval + forwarding of existing output chunks)."""
 
 import numpy as np
-import pytest
 
 from repro.machine.config import ComputeCosts, MachineConfig
 from repro.planner.strategies import plan_da, plan_fra

@@ -1,6 +1,5 @@
 """Tests for timeline recording and rendering."""
 
-import numpy as np
 import pytest
 
 from repro.machine.config import ComputeCosts, MachineConfig

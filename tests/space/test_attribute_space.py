@@ -1,6 +1,5 @@
 """Tests for the attribute space service."""
 
-import numpy as np
 import pytest
 
 from repro.space.attribute_space import AttributeSpace, AttributeSpaceRegistry, Dimension
@@ -42,11 +41,6 @@ class TestAttributeSpace:
         with pytest.raises(ValueError):
             AttributeSpace("s", ())
 
-    def test_dim_index(self):
-        assert earth().dim_index("lat") == 1
-        with pytest.raises(KeyError):
-            earth().dim_index("alt")
-
     def test_contains_and_clip(self):
         s = earth()
         assert s.contains(Rect((0, 0), (10, 10)))
@@ -65,13 +59,6 @@ class TestAttributeSpace:
     def test_validate_query_wrong_dims(self):
         with pytest.raises(ValueError, match="dims"):
             earth().validate_query(Rect((0,), (1,)))
-
-    def test_random_points_inside(self, rng):
-        s = earth()
-        pts = s.random_points(100, rng)
-        assert pts.shape == (100, 2)
-        lo, hi = s.bounds.as_arrays()
-        assert (pts >= lo).all() and (pts <= hi).all()
 
 
 class TestRegistry:

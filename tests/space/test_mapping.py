@@ -94,14 +94,14 @@ class TestGridMapping:
     def test_cells_for_points(self):
         s_in, s_out = spaces()
         m = GridMapping(s_in, s_out, grid_shape=(10, 10), dim_select=(0, 1))
-        cells = m.cells_for_points(np.array([[0.0, 0.0, 0.0], [9.99, 19.99, 0.0]]))
+        cells = m.cells_for_coords(m.map_points(np.array([[0.0, 0.0, 0.0], [9.99, 19.99, 0.0]])))
         assert cells[0].tolist() == [0, 0]
         assert cells[1].tolist() == [9, 9]
 
     def test_upper_boundary_clamped(self):
         s_in, s_out = spaces()
         m = GridMapping(s_in, s_out, grid_shape=(10, 10), dim_select=(0, 1))
-        cells = m.cells_for_points(np.array([[10.0, 20.0, 0.0]]))
+        cells = m.cells_for_coords(m.map_points(np.array([[10.0, 20.0, 0.0]])))
         assert cells[0].tolist() == [9, 9]
 
     def test_cell_ranges_footprint(self):

@@ -154,13 +154,9 @@ class TestFaultSlots:
         store.read_batch("d", [0, 1, 2, 4])
         assert reads == [[0, 2]]  # one inner batch, the io_error slots left out
 
-    def test_wrapped_provider_fires_like_the_store(self):
-        chunks = make_chunks()
-        injector = FaultInjector(fault_plan(), sleep=lambda s: None)
-        provider = injector.wrap_provider(
-            lambda ids: [chunks[i] if i < len(chunks) else KeyError(i) for i in ids]
-        )
-        slots = provider([3, 2, 1, 4, 0])
+    def test_slots_fire_in_read_order(self):
+        store, injector, _ = build(None, "memory", True, False, False)
+        slots = store.read_batch("d", [3, 2, 1, 4, 0])
         assert [type(s).__name__ for s in slots] == [
             "Chunk", "CorruptChunkError", "InjectedFault", "InjectedFault", "Chunk"
         ]
@@ -219,7 +215,7 @@ class TestCacheBatch:
 
 class TestRetryBatch:
     """``RetryPolicy.run_batch`` on a fake clock: each key keeps the
-    attempt budget and deadline ``run`` gives it alone."""
+    attempt budget and deadline it has when read alone."""
 
     @staticmethod
     def flaky(failures):
@@ -260,19 +256,9 @@ class TestRetryBatch:
             assert self.attempts_alone(policy, key) == sum(b.count(key) for b in batches), key
 
     def attempts_alone(self, policy, key):
-        """How many times ``run`` calls the read of *key* on its own."""
+        """How many times ``run_batch`` reads *key* in a batch of its own."""
         read, batches, _ = self.flaky({key: self.FAILURES[key]})
-
-        def once():
-            slot = read([key])[0]
-            if isinstance(slot, Exception):
-                raise slot
-            return slot
-
-        try:
-            policy.run(once, clock=FakeClock().clock, sleep=lambda s: None)
-        except (OSError, KeyError):
-            pass
+        policy.run_batch(read, [key], clock=FakeClock().clock, sleep=lambda s: None)
         return len(batches)
 
     def test_absent_key_never_retried(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataset.chunk import Chunk
-from repro.store.chunk_store import FileChunkStore, MemoryChunkStore
+from repro.store.chunk_store import FileChunkStore, MemoryChunkStore, unwrap
 from repro.store.format import CorruptChunkError
 from repro.store.retry import DEFAULT_RETRY_ON, RetryPolicy, RetryingChunkStore
 
@@ -45,6 +45,19 @@ class Flaky:
         if self.calls <= self.n:
             raise self.exc
         return self.value
+
+
+def run_one(policy, fn, **kw):
+    """*fn* under *policy* as the one slot of a batch: its value, or
+    its last error raised."""
+
+    def once(_keys):
+        try:
+            return [fn()]
+        except Exception as e:
+            return [e]
+
+    return unwrap(policy.run_batch(once, [None], **kw)[0])
 
 
 class TestBackoffArithmetic:
@@ -93,7 +106,7 @@ class TestRunSemantics:
         fake = FakeClock()
         policy = RetryPolicy(max_attempts=4, base_delay=0.1, multiplier=2.0)
         fn = Flaky(2, OSError("flaky disk"))
-        assert policy.run(fn, clock=fake.clock, sleep=fake.sleep) == "ok"
+        assert run_one(policy, fn, clock=fake.clock, sleep=fake.sleep) == "ok"
         assert fn.calls == 3
         assert fake.sleeps == [0.1, 0.2]
 
@@ -103,7 +116,7 @@ class TestRunSemantics:
         err = CorruptChunkError("CRC mismatch")
         fn = Flaky(99, err)
         with pytest.raises(CorruptChunkError) as excinfo:
-            policy.run(fn, clock=fake.clock, sleep=fake.sleep)
+            run_one(policy, fn, clock=fake.clock, sleep=fake.sleep)
         assert excinfo.value is err
         assert fn.calls == 3
         assert fake.sleeps == [0.1, 0.2]  # no sleep after the last attempt
@@ -113,7 +126,7 @@ class TestRunSemantics:
         policy = RetryPolicy(max_attempts=5, base_delay=0.1)
         fn = Flaky(99, KeyError("absent"))
         with pytest.raises(KeyError):
-            policy.run(fn, clock=fake.clock, sleep=fake.sleep)
+            run_one(policy, fn, clock=fake.clock, sleep=fake.sleep)
         assert fn.calls == 1 and fake.sleeps == []
 
     def test_deadline_checked_before_sleeping(self):
@@ -124,7 +137,7 @@ class TestRunSemantics:
                              max_delay=0.6, deadline=1.0)
         fn = Flaky(99, OSError("down"))
         with pytest.raises(OSError):
-            policy.run(fn, clock=fake.clock, sleep=fake.sleep)
+            run_one(policy, fn, clock=fake.clock, sleep=fake.sleep)
         # attempt 0 fails -> sleep 0.6 (0.0 + 0.6 <= 1.0);
         # attempt 1 fails -> next 0.6 would reach 1.2 > 1.0 -> raise now.
         assert fake.sleeps == [0.6]
@@ -141,7 +154,7 @@ class TestRunSemantics:
                              multiplier=2.0, max_delay=5.0, deadline=deadline)
         fn = Flaky(99, OSError("down"))
         with pytest.raises(OSError):
-            policy.run(fn, clock=fake.clock, sleep=fake.sleep)
+            run_one(policy, fn, clock=fake.clock, sleep=fake.sleep)
         assert fake.now <= deadline + 1e-9
 
     def test_default_retry_on(self):
@@ -229,8 +242,8 @@ class TestFileStoreRetry:
 
         heal = lambda: path.write_bytes(good)  # noqa: E731
         policy = RetryPolicy(max_attempts=3, base_delay=0)
-        chunk = policy.run(
-            lambda: FileChunkStore(tmp_path).read_chunk("d", 0),
+        (chunk,) = policy.run_batch(
+            lambda ids: FileChunkStore(tmp_path).read_batch("d", ids), [0],
             sleep=lambda _pause: heal(),
         )
         assert chunk.chunk_id == 0

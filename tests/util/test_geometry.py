@@ -134,11 +134,6 @@ class TestRectPredicates:
     def test_disjoint_in_one_dim_only(self):
         assert not Rect((0, 0), (1, 1)).intersects(Rect((0, 2), (1, 3)))
 
-    def test_contains_point_boundary(self):
-        r = Rect((0, 0), (1, 1))
-        assert r.contains_point((1.0, 0.0))
-        assert not r.contains_point((1.00001, 0.5))
-
     def test_contains_rect(self):
         assert Rect((0, 0), (4, 4)).contains_rect(Rect((1, 1), (2, 2)))
         assert not Rect((0, 0), (4, 4)).contains_rect(Rect((1, 1), (5, 2)))
