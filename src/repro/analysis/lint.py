@@ -35,9 +35,9 @@ ADR305    Python loop calling ``aggregate`` inside the runtime hot
           ``scatter_groups`` instead (the preserved reference oracles
           opt out with ``noqa``).  In
           ``src/repro/runtime/phases.py`` also a loop calling
-          ``group_read`` / ``prereduce_groups``: the phase executor
-          groups and pre-reduces a whole batch of reads at once
-          (``group_reads``), never per read.  In
+          ``route_batch`` / ``group_reads`` / ``prereduce_groups``:
+          the phase executor routes, groups and pre-reduces a whole
+          batch of reads at once, never per read.  In
           ``src/repro/planner/select.py`` a loop calling ``.estimate``
           / ``plan_stats`` / ``plan_features``: strategy selection
           prices every candidate in one stacked pass
@@ -570,11 +570,11 @@ RULES: Tuple[Rule, ...] = (
     Rule(
         "per-read-loop", "ADR305", ("runtime/phases.py",), (), _LOOPS,
         _loop_calls(
-            ("group_read", "prereduce_groups"),
+            ("route_batch", "group_reads", "prereduce_groups"),
             "Python loop calling {name}() in the phase executor; the "
-            "reduce phase groups and pre-reduces a batch of reads with "
-            "one repro.runtime.kernels.group_reads / prereduce_groups "
-            "call, not one per read",
+            "reduce phase routes, groups and pre-reduces a batch of "
+            "reads with one repro.runtime.kernels.route_batch / "
+            "group_reads / prereduce_groups call, not one per read",
         ),
     ),
     Rule(

@@ -88,8 +88,8 @@ class ADR:
             self.cache = self.store
         elif cache_bytes > 0:
             self.cache = self.store = CachedChunkStore(self.store, max_bytes=cache_bytes)
-        # Per-dataset memo of chunk->cell routing, reused across
-        # tiles and queries; dropped when the dataset is (re)loaded.
+        # Per-dataset memo of each read batch's item->cell routing,
+        # reused across queries; dropped when the dataset is (re)loaded.
         # The creation lock makes first-use from concurrent service
         # workers race-free (the caches themselves are internally
         # locked).

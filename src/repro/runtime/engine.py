@@ -241,8 +241,9 @@ def execute_plan(
         the prior.
     routing_cache:
         Optional :class:`repro.runtime.kernels.RoutingCache` memoizing
-        ``map_chunk_to_cells`` per (chunk, region) across tiles and
-        queries; hit counters land in ``QueryResult.cache_stats``.
+        each read batch's routing per (batch chunk ids, region) across
+        queries; its hit and miss counters count batches and land in
+        ``QueryResult.cache_stats``.
     on_error:
         ``"raise"`` (default): the first unreadable input chunk aborts
         the query with its error (``CorruptChunkError`` for damage,

@@ -9,28 +9,35 @@ operands every time).  On realistic workloads that loop, not the disk,
 dominated wall-clock.
 
 This module replaces it with fused, fully vectorized kernels, the
-phase executor's local-reduction path:
+phase executor's local-reduction path, each called once per batch of
+reads:
 
+- :func:`route_batch` maps every in-region item of the batch to its
+  output cells in one pass: one region mask, one
+  ``cell_ranges_for_points``, and a unit-footprint fast path or one
+  ``expand_cell_ranges``;
 - :meth:`~repro.aggregation.output_grid.OutputGrid.locate_cells`
   resolves *all* mapped cells of a batch to (output chunk, flat local
   accumulator index) with one ``divmod`` per dimension (the old path
   called ``grid.local_cell_index`` once per segment);
 - :func:`group_reads` performs **one lexsort per batch of reads** over
   ``(read, output chunk, flat cell)`` and hands back contiguous,
-  cell-sorted segments (:func:`group_read` is its one-read case), which
-  lets
+  cell-sorted segments, which lets
   :meth:`~repro.aggregation.functions.AggregationSpec.prereduce_groups`
   pre-reduce duplicate cells with ``ufunc.reduceat`` and
   ``scatter_groups`` update the accumulator with plain fancy indexing
   instead of ``np.add.at``;
 - :func:`coerce_values` does the dtype-stable float coercion once per
   chunk instead of once per segment;
-- :class:`RoutingCache` memoizes the item->cell routing of a chunk per
-  (chunk, region, mapping, grid) across tiles and across queries -- an
-  input chunk straddling several tiles (the multiple-retrieval cost
-  tiling tries to minimize) is mapped once.  The (region, mapping,
-  grid) part of the key is the same for every chunk of a query, so
-  :func:`routing_tail` builds it once per query.
+- :class:`RoutingCache` memoizes a batch's routing per (batch input
+  chunk ids, region, mapping, grid) across queries: a repeated query
+  routes nothing.  The (region, mapping, grid) part of the key is the
+  same for every batch of a query, so :func:`routing_tail` builds it
+  once per query.
+
+The serial oracle keeps its own per-chunk routing
+(:func:`repro.runtime.serial.map_chunk_to_cells`); nothing here calls
+it, so a fault in one side's region filter shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -45,17 +52,15 @@ import numpy as np
 from repro.aggregation.output_grid import OutputGrid
 from repro.dataset.chunk import Chunk
 from repro.space.mapping import GridMapping, Mapping
+from repro.util.cells import expand_cell_ranges
 from repro.util.geometry import Rect
 
 __all__ = [
     "ReadSegments",
     "RoutingCache",
     "coerce_values",
-    "filter_predicate",
-    "group_read",
     "group_reads",
-    "route_chunk",
-    "routing_key",
+    "route_batch",
     "routing_tail",
 ]
 
@@ -80,8 +85,39 @@ def coerce_values(values: np.ndarray, value_components: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Routing cache
+# Batch routing and its cache
 # ---------------------------------------------------------------------------
+
+
+def route_batch(
+    chunks: Sequence[Chunk],
+    mapping: GridMapping,
+    grid: OutputGrid,
+    region: Optional[Rect],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Map the in-region items of a batch of chunks into output grid
+    cells with one pass over the batch.
+
+    Returns ``(item, cells)``: which item produced each mapped cell --
+    an index into the chunks' items laid end to end -- and the
+    ``(m, d_out)`` cell coordinates, clipped into the grid.  Items come
+    in batch order, each item's fan-out cells in row-major order: per
+    chunk, exactly the rows ``map_chunk_to_cells`` gives, offset by the
+    items of the chunks before it.  The query box is closed, so an
+    item on a face is in the region.
+    """
+    coords = np.concatenate([c.coords for c in chunks])
+    if region is None:
+        idx = np.arange(len(coords))
+    else:
+        lo, hi = region.as_arrays()
+        idx = np.flatnonzero(np.all((coords >= lo) & (coords <= hi), axis=1))
+    lo_cells, hi_cells = mapping.cell_ranges_for_points(coords[idx])
+    if np.array_equal(lo_cells, hi_cells):
+        # Unit footprints: every item maps to exactly one cell.
+        return idx, grid.clip_cells(lo_cells)
+    item_idx, cells = expand_cell_ranges(lo_cells, hi_cells)
+    return idx[item_idx], grid.clip_cells(cells)
 
 
 def _mapping_fingerprint(mapping: Mapping) -> Optional[tuple]:
@@ -102,7 +138,7 @@ def _mapping_fingerprint(mapping: Mapping) -> Optional[tuple]:
 def routing_tail(
     mapping: Mapping, grid: OutputGrid, region: Optional[Rect]
 ) -> Optional[tuple]:
-    """The part of a routing key every chunk of one query shares, or
+    """The part of a routing key every batch of one query shares, or
     None when the mapping is uncacheable."""
     mkey = _mapping_fingerprint(mapping)
     if mkey is None:
@@ -112,25 +148,16 @@ def routing_tail(
     return (rkey, mkey, gkey)
 
 
-def routing_key(
-    chunk_id: int,
-    mapping: Mapping,
-    grid: OutputGrid,
-    region: Optional[Rect],
-) -> Optional[tuple]:
-    """Cache key for one chunk's routing, or None when uncacheable."""
-    tail = routing_tail(mapping, grid, region)
-    return None if tail is None else (int(chunk_id), *tail)
-
-
 class RoutingCache:
-    """Bounded LRU memo of ``map_chunk_to_cells`` results.
+    """Bounded LRU memo of :func:`route_batch` results.
 
-    The same input chunk is re-routed once per tile it straddles and
-    once per query that retrieves it; the mapping is pure, so the
-    (item_idx, cells) arrays can be reused as long as the (chunk,
-    region, mapping, grid) key matches.  Entries are immutable (the
-    arrays are marked read-only) and evicted LRU by byte size.
+    The phase executor routes each read batch once; the mapping is
+    pure, so a batch's ``(item, cells)`` arrays can be reused as long
+    as the key -- the batch's input chunk ids followed by the query's
+    :func:`routing_tail` (region, mapping, grid) -- matches.  A repeated
+    query hits once per batch; a query whose batches differ misses.
+    Entries are immutable (the arrays are marked read-only) and evicted
+    LRU by byte size.
 
     Thread safety: the concurrent query service executes several
     queries over the same dataset -- and therefore the same per-dataset
@@ -195,61 +222,6 @@ class RoutingCache:
             }
 
 
-def route_chunk(
-    chunk: Chunk,
-    mapping: Mapping,
-    grid: OutputGrid,
-    region: Optional[Rect],
-    cache: Optional[RoutingCache] = None,
-    key: Optional[tuple] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``map_chunk_to_cells`` with optional memoization.
-
-    ``key`` is the chunk's :func:`routing_key` (a caller routing many
-    chunks of one query builds it from one :func:`routing_tail`); with
-    no cache or no key the call takes the uncached path.
-    """
-    from repro.runtime.serial import map_chunk_to_cells
-
-    if cache is not None and key is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    item_idx, cells = map_chunk_to_cells(chunk, mapping, grid, region)
-    if cache is not None and key is not None:
-        cache.put(key, item_idx, cells)
-    return item_idx, cells
-
-
-# ---------------------------------------------------------------------------
-# Residual value-predicate filtering
-# ---------------------------------------------------------------------------
-
-
-def filter_predicate(
-    chunk: Chunk,
-    item_idx: np.ndarray,
-    cells: np.ndarray,
-    predicate,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Drop routed items whose values fail the query's ``where``
-    predicate.
-
-    Applied *after* :func:`route_chunk` so :class:`RoutingCache`
-    entries stay predicate-independent (the same chunk routing serves
-    queries with different -- or no -- predicates).  This is the exact
-    residual filter matching the planner's synopsis pruning: pruning
-    only skips chunks this filter would empty entirely, which is what
-    keeps pruned and unpruned runs bit-identical.
-    """
-    if predicate is None or len(item_idx) == 0:
-        return item_idx, cells
-    keep = predicate.mask(chunk.values)[item_idx]
-    if keep.all():
-        return item_idx, cells
-    return item_idx[keep], cells[keep]
-
-
 # ---------------------------------------------------------------------------
 # Fused read grouping
 # ---------------------------------------------------------------------------
@@ -258,13 +230,12 @@ def filter_predicate(
 @dataclass
 class ReadSegments:
     """A batch of reads' scatter work, lexsorted by (read, output
-    chunk, cell); one read's work when the batch holds one.
+    chunk, cell).
 
     ``starts[k]:ends[k]`` slices ``flat``/``values`` for the segment
     read ``seg_read[k]`` (a position in the batch) aims at local output
     chunk ``seg_out[k]``; within a segment the flat cell indices are
-    sorted ascending.  Batch position *p* owns segments
-    ``read_bounds[p]:read_bounds[p+1]``.
+    sorted ascending.
 
     ``group_starts``/``group_bounds`` describe the *cell runs* (maximal
     runs of one (read, output chunk, cell) triple): run ``j`` is
@@ -283,11 +254,13 @@ class ReadSegments:
     values: np.ndarray  # (m, value_components) float64
     group_starts: np.ndarray  # (g,) run starts into flat/values
     group_bounds: np.ndarray  # (k+1,) segment -> run range
-    read_bounds: np.ndarray  # (n_parts+1,) batch position -> segment range
 
 
 def group_reads(
-    parts: Sequence[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    read: np.ndarray,
+    item: np.ndarray,
+    cells: np.ndarray,
+    values: np.ndarray,
     grid: OutputGrid,
     sel_map: np.ndarray,
     tile_of_output: np.ndarray,
@@ -296,29 +269,19 @@ def group_reads(
     """Filter a batch of reads' mapped cells to the current tile and
     group them into cell-sorted segments with a single lexsort.
 
-    ``parts[p]`` is ``(item_idx, cells, values)`` of batch position *p*
-    -- ``item_idx``/``cells`` from :func:`route_chunk`, ``values`` the
-    chunk's payload already through :func:`coerce_values` -- or None
-    for a read that contributes nothing.  The sort's primary key is the
-    batch position, so each (read, output chunk, cell) run holds
-    exactly the items, in exactly the order, that grouping the read on
-    its own would: pre-reduced rows are bit-identical however reads are
-    batched.  Returns None when nothing lands in this tile.
+    Row *i* of the flat arrays is one mapped cell: ``cells[i]``,
+    produced by item ``item[i]`` -- a row of ``values``, the batch's
+    payloads through :func:`coerce_values`, laid end to end -- of the
+    read at batch position ``read[i]``.  ``read`` must be ascending.
+    The sort's primary key is the batch position, so each (read, output
+    chunk, cell) run holds exactly the items, in exactly the order,
+    that grouping the read on its own would: pre-reduced rows are
+    bit-identical however reads are batched.  Returns None when nothing
+    lands in this tile.
     """
-    live = [p for p, part in enumerate(parts) if part is not None and len(part[1])]
-    if not live:
+    if not len(cells):
         return None
     n_local = len(tile_of_output)
-    if len(live) == 1:
-        item_idx, cells, values = parts[live[0]]
-        read_key = live[0] * n_local
-    else:
-        sizes = [len(parts[p][1]) for p in live]
-        n_items = np.cumsum([0] + [len(parts[p][2]) for p in live[:-1]])
-        item_idx = np.concatenate([parts[p][0] for p in live]) + np.repeat(n_items, sizes)
-        cells = np.concatenate([parts[p][1] for p in live])
-        values = np.concatenate([parts[p][2] for p in live])
-        read_key = np.repeat(np.asarray(live) * n_local, sizes)
     out_chunks, flat = grid.locate_cells(cells)
     local_out = sel_map[out_chunks]
     keep = local_out >= 0
@@ -326,9 +289,9 @@ def group_reads(
     if not keep.any():
         return None
     flat = flat[keep]
-    # Batch positions ascend along the concatenation, so (read, output
-    # chunk) folds into one key and the sort stays a two-key lexsort.
-    seg_key = (local_out + read_key)[keep]
+    # Batch positions ascend along the rows, so (read, output chunk)
+    # folds into one key and the sort stays a two-key lexsort.
+    seg_key = (local_out + read * n_local)[keep]
 
     order = np.lexsort((flat, seg_key))
     key_sorted = seg_key[order]
@@ -352,21 +315,7 @@ def group_reads(
         starts=starts,
         ends=ends,
         flat=flat_sorted,
-        values=values[item_idx[keep][order]],
+        values=values[item[keep][order]],
         group_starts=group_starts,
         group_bounds=group_bounds,
-        read_bounds=np.searchsorted(seg_read, np.arange(len(parts) + 1)),
     )
-
-
-def group_read(
-    item_idx: np.ndarray,
-    cells: np.ndarray,
-    values: np.ndarray,
-    grid: OutputGrid,
-    sel_map: np.ndarray,
-    tile_of_output: np.ndarray,
-    tile: int,
-) -> Optional[ReadSegments]:
-    """The one-read case of :func:`group_reads`."""
-    return group_reads([(item_idx, cells, values)], grid, sel_map, tile_of_output, tile)

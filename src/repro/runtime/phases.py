@@ -70,9 +70,8 @@ from repro.planner.plan import QueryPlan
 from repro.runtime.kernels import (
     RoutingCache,
     coerce_values,
-    filter_predicate,
     group_reads,
-    route_chunk,
+    route_batch,
     routing_tail,
 )
 from repro.space.mapping import GridMapping
@@ -310,7 +309,7 @@ class PhaseExecutor:
             for p in range(problem.n_procs)
         ]
 
-        # Only the chunk id of a routing key varies from read to read.
+        # Only the chunk ids of a routing key vary from batch to batch.
         self._routing_tail = (
             None if routing_cache is None else routing_tail(mapping, grid, region)
         )
@@ -366,18 +365,18 @@ class PhaseExecutor:
             )
         return pos
 
-    def _fetch(self, batch: List[int]) -> List[Optional[tuple]]:
-        """The reads of *batch*, read with one provider call, then routed
-        and filtered: per read ``(item_idx, cells, values)`` for
-        :func:`group_reads`, or None when it contributes nothing
-        (degraded, unrouted or fully filtered)."""
+    def _fetch(self, batch: List[int]) -> Optional[Tuple[np.ndarray, ...]]:
+        """The reads of *batch*, read with one provider call and routed
+        with one :func:`route_batch` pass (one memo entry per batch):
+        the flat ``(read, item, cells, values)`` arrays
+        :func:`group_reads` takes, or None when no read survived."""
         problem = self.problem
         inputs = self.plan.reads.chunk[batch]
         gids = problem.input_global_ids[inputs].tolist()
         nbytes = problem.inputs.nbytes[inputs].tolist()
         slots = self.provider(gids)
-        parts: List[Optional[tuple]] = [None] * len(batch)
-        tail = self._routing_tail
+        alive: List[int] = []
+        chunks = []
         for k, (gid, chunk) in enumerate(zip(gids, slots)):
             if isinstance(chunk, Exception):
                 if self.on_error != "degrade" or not isinstance(chunk, RECOVERABLE_READ_ERRORS):
@@ -386,16 +385,31 @@ class PhaseExecutor:
                 continue
             self.tally.n_reads += 1
             self.tally.bytes_read += nbytes[k]
-            item_idx, cells = route_chunk(
-                chunk, self.mapping, self.grid, self.region, self.routing_cache,
-                None if tail is None else (gid, *tail),
-            )
-            # Residual value filter *after* routing, so the routing cache
-            # stays predicate-independent.
-            item_idx, cells = filter_predicate(chunk, item_idx, cells, self.predicate)
-            if len(cells):
-                parts[k] = item_idx, cells, coerce_values(chunk.values, self.spec.value_components)
-        return parts
+            alive.append(k)
+            chunks.append(chunk)
+        if not chunks:
+            return None
+        cache, tail = self.routing_cache, self._routing_tail
+        key = None if tail is None else (tuple(gids[k] for k in alive), *tail)
+        routed = None if key is None else cache.get(key)
+        if routed is None:
+            routed = route_batch(chunks, self.mapping, self.grid, self.region)
+            if key is not None:
+                cache.put(key, *routed)
+        item, cells = routed
+        values = np.concatenate(
+            [coerce_values(c.values, self.spec.value_components) for c in chunks]
+        )
+        # Residual value filter *after* routing, so the routing cache
+        # stays predicate-independent.  Synopsis pruning skips only the
+        # chunks this filter would empty, so pruned and unpruned runs
+        # stay bit-identical.
+        if self.predicate is not None:
+            keep = self.predicate.mask(values)[item]
+            item, cells = item[keep], cells[keep]
+        ends = np.cumsum([c.n_items for c in chunks])
+        read = np.asarray(alive)[np.searchsorted(ends, item, side="right")]
+        return read, item, cells, values
 
     def _apply(self, rank: int, edge: int, kind: str, o: int, cell_idx, payload) -> None:
         """Aggregate one segment -- the items of graph edge *edge* (a
@@ -439,7 +453,10 @@ class PhaseExecutor:
         # aggregation supports it): each segment is then one
         # fancy-indexed scatter -- the same arithmetic, in the same
         # order, for every batch bound.
-        segs = group_reads(self._fetch(batch), self.grid, self._sel_map, plan.tile_of_output, t)
+        fetched = self._fetch(batch)
+        if fetched is None:
+            return
+        segs = group_reads(*fetched, self.grid, self._sel_map, plan.tile_of_output, t)
         if segs is None:
             return
         seg_in = plan.reads.chunk[batch][segs.seg_read]

@@ -194,21 +194,23 @@ class TestAggregateLoop:
 
     PER_READ = """\
         for r in reads_of(t):
-            segs = group_read(item_idx, cells, values, grid, sel_map, tiles, t)
+            segs = group_reads(read, item, cells, values, grid, sel_map, tiles, t)
             reduced = spec.prereduce_groups(segs.values, segs.group_starts)
     """
 
     def test_per_read_grouping_flagged_in_the_phase_executor(self):
         out = findings(self.PER_READ, path=PHASES)
         assert [d.code for d in out] == ["ADR305"]
-        assert "group_read()" in out[0].message
-        src = """\
-            while pending:
-                rows = self.spec.prereduce_groups(values, starts)
-        """
-        out = findings(src, path=PHASES)
-        assert [d.code for d in out] == ["ADR305"]
-        assert "prereduce_groups()" in out[0].message
+        assert "group_reads()" in out[0].message
+        for src, name in (
+            ("while pending:\n    rows = self.spec.prereduce_groups(values, starts)\n",
+             "prereduce_groups()"),
+            ("for chunk in chunks:\n    item, cells = route_batch([chunk], m, grid, region)\n",
+             "route_batch()"),
+        ):
+            out = findings(src, path=PHASES)
+            assert [d.code for d in out] == ["ADR305"]
+            assert name in out[0].message
 
     def test_per_read_grouping_rule_is_scoped_to_the_phase_executor(self):
         """Kernels, the serial oracle and benchmarks may group one read."""
@@ -217,7 +219,8 @@ class TestAggregateLoop:
 
     def test_batched_grouping_ok(self):
         src = """\
-            segs = group_reads([fetch(r) for r in batch], grid, sel_map, tiles, t)
+            item, cells = route_batch(chunks, mapping, grid, region)
+            segs = group_reads(*self._fetch(batch), grid, sel_map, tiles, t)
             rows = spec.prereduce_groups(segs.values, segs.group_starts)
             for k, r in enumerate(batch):
                 accs.scatter_groups(reader, o, idx[lo[k] : hi[k]], rows[lo[k] : hi[k]])
@@ -228,7 +231,7 @@ class TestAggregateLoop:
         src = """\
             for t in range(n_tiles):
                 for r in reads_of(t):  # noqa: ADR305 -- measuring the old path
-                    segs = group_read(item_idx, cells, values, grid, sel_map, tiles, t)
+                    segs = group_reads(read, item, cells, values, grid, sel_map, tiles, t)
         """
         assert codes(src, path=PHASES) == set()
         out = findings(src.replace("  # noqa: ADR305 -- measuring the old path", ""), path=PHASES)
@@ -795,7 +798,7 @@ class TestRuleTable:
         "chunk-mutation": ("ADR303", "chunk.values = new\n"),
         "aggregate-loop": ("ADR305", textwrap.dedent(TestAggregateLoop.LOOP)),
         "per-read-loop": (
-            "ADR305", "for r in batch:\n    segs = group_read(*fetch(r), grid, t)\n"
+            "ADR305", "for r in batch:\n    segs = group_reads(*fetch(r), grid, t)\n"
         ),
         "per-candidate-loop": ("ADR305", textwrap.dedent(TestAggregateLoop.PER_CANDIDATE)),
         "per-rect-loop": ("ADR306", textwrap.dedent(TestPerRectangleLoop.GRAPH_LOOP)),

@@ -8,6 +8,7 @@ from repro.dataset.chunk import Chunk
 from repro.frontend.adr import ADR
 from repro.frontend.query import RangeQuery
 from repro.machine.config import MachineConfig
+from repro.runtime.engine import execute_plan
 from repro.runtime.serial import execute_serial, filter_items
 from repro.space.attribute_space import AttributeSpace
 from repro.space.mapping import GridMapping
@@ -114,3 +115,60 @@ class TestWriteBack:
         total0 = values.sum()
         total2 = sum(np.nansum(v) for v in second.chunk_values)
         assert total2 == pytest.approx(total0)
+
+
+class TestClosedQueryBox:
+    """The query box is closed: items exactly on a face or a corner are
+    in it, through every execution path, for point and fan-out
+    footprints alike.  Each item's value is a distinct power of two, so
+    the total names exactly which items counted."""
+
+    BOX = Rect((2.5, 2.5), (6.5, 6.5))
+    #: the four faces, the four corners and the middle: in the box
+    IN_BOX = [(2.5, 4.5), (6.5, 4.5), (4.5, 2.5), (4.5, 6.5),
+              (2.5, 2.5), (6.5, 6.5), (2.5, 6.5), (6.5, 2.5), (4.5, 4.5)]
+    #: just past each face, and far off: out of it
+    OFF_BOX = [(2.4, 4.5), (6.6, 4.5), (4.5, 2.4), (4.5, 6.6), (8.5, 1.5)]
+    #: cells each item covers on the 10x10 grid: a footprint half-width
+    #: of 0.075 around a cell centre spans three cells per dimension
+    FOOTPRINTS = {"point": (None, 1), "fan": ((0.075, 0.075), 9)}
+
+    def instance(self, footprint):
+        space = AttributeSpace.regular("s", ("x", "y"), (0, 0), (10, 10))
+        out_space = AttributeSpace.regular("o", ("u", "v"), (0, 0), (1, 1))
+        coords = np.array(self.IN_BOX + self.OFF_BOX, dtype=float)
+        values = 2.0 ** np.arange(len(coords))
+        # Two chunks split at the box's hi x face: the second one's MBR
+        # only touches the box.
+        right = coords[:, 0] >= 6.5
+        chunks = [
+            Chunk.from_items(0, coords[~right], values[~right]),
+            Chunk.from_items(1, coords[right], values[right]),
+        ]
+        adr = ADR(machine=MachineConfig(n_procs=2, memory_per_proc=MB))
+        adr.load("d", space, chunks)
+        grid = OutputGrid(out_space, (10, 10), (2, 2))
+        mapping = GridMapping(space, out_space, (10, 10), footprint=footprint)
+        query = RangeQuery("d", self.BOX, mapping, grid, aggregation="sum", strategy="FRA")
+        return adr, chunks, mapping, grid, query
+
+    @pytest.mark.parametrize("kind", ["point", "fan"])
+    def test_face_and_corner_items_count_on_every_path(self, kind):
+        footprint, cells_per_item = self.FOOTPRINTS[kind]
+        adr, chunks, mapping, grid, query = self.instance(footprint)
+        # the nine in-box items carry 2**0 .. 2**8
+        want = cells_per_item * float(2**9 - 1)
+
+        via_adr = adr.execute(query)
+        plan = adr.plan(query)
+        via_plan = execute_plan(
+            plan, lambda cid: adr.store.read_chunk("d", cid), mapping, grid,
+            query.spec(), region=self.BOX,
+        )
+        serial = execute_serial(chunks, mapping, grid, query.spec(), region=self.BOX)
+        totals = {
+            "ADR.execute": sum(np.nansum(v) for v in via_adr.chunk_values),
+            "execute_plan": sum(np.nansum(v) for v in via_plan.chunk_values),
+            "execute_serial": sum(np.nansum(v) for v in serial.values()),
+        }
+        assert totals == dict.fromkeys(totals, want)

@@ -18,11 +18,18 @@ from repro.aggregation.functions import (
     SumAggregation,
 )
 from repro.dataset.graph import ChunkGraph
+from repro.faults import FaultInjector, FaultPlan, FaultyChunkStore
+from repro.frontend.adr import ADR
+from repro.frontend.query import RangeQuery
+from repro.machine.config import MachineConfig
 from repro.planner.problem import PlanningProblem
 from repro.planner.strategies import plan_query
 from repro.planner.validate import validate_plan
 from repro.runtime.engine import execute_plan
+from repro.runtime.kernels import RoutingCache
 from repro.runtime.serial import execute_serial
+from repro.store.chunk_store import MemoryChunkStore
+from repro.util.geometry import Rect
 
 from helpers import build_problem, make_functional_setup
 
@@ -212,3 +219,92 @@ def test_property_parallel_equals_serial(seed, strategy, n_procs):
     serial = execute_serial(chunks, mapping, grid, spec)
     for o, vals in zip(result.output_ids, result.chunk_values):
         np.testing.assert_allclose(vals, serial[int(o)])
+
+
+class BatchCountingStore(MemoryChunkStore):
+    """A memory store that counts the read batches the executor asks for."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.batches = 0
+
+    def read_batch(self, dataset, chunk_ids):
+        self.batches += 1
+        return super().read_batch(dataset, chunk_ids)
+
+
+def same_result(a, b) -> bool:
+    """Bitwise-equal values, output ids and counters."""
+    return (
+        a.output_ids.tolist() == b.output_ids.tolist()
+        and all(np.array_equal(x, y, equal_nan=True)
+                for x, y in zip(a.chunk_values, b.chunk_values, strict=True))
+        and (a.n_reads, a.bytes_read, a.n_aggregations, a.n_combines, a.chunk_errors)
+        == (b.n_reads, b.bytes_read, b.n_aggregations, b.n_combines, b.chunk_errors)
+    )
+
+
+class TestRoutingMemo:
+    """The per-dataset routing memo keeps one entry per read batch: a
+    repeated query routes nothing, and no entry ever changes an answer."""
+
+    REGION = Rect((1.0, 0.5), (9.0, 8.5))
+
+    @staticmethod
+    def adr_over(setup, store=None, memory=256):
+        in_space, _, chunks, _, _ = setup
+        adr = ADR(MachineConfig(n_procs=3, memory_per_proc=memory), store=store, cache_bytes=0)
+        adr.load("d", in_space, chunks)
+        return adr
+
+    def query(self, setup, on_error="raise"):
+        _, _, _, mapping, grid = setup
+        return RangeQuery("d", self.REGION, mapping, grid, aggregation="sum",
+                          strategy="FRA", on_error=on_error)
+
+    def test_repeat_hits_once_per_batch(self, rng):
+        setup = make_functional_setup(rng, footprint=(0.05, 0.05))
+        store = BatchCountingStore()
+        adr, q = self.adr_over(setup, store=store), self.query(setup)
+        first = adr.execute(q)
+        assert first.n_tiles > 1  # a tight budget: several tiles, several batches
+        store.batches = 0
+        second = adr.execute(q)
+        assert store.batches > 1
+        hits = second.cache_stats["routing_hits"] - first.cache_stats["routing_hits"]
+        assert hits == store.batches
+        assert second.cache_stats["routing_misses"] == first.cache_stats["routing_misses"]
+        assert same_result(first, second)
+
+    def test_multi_tile_plan_equal_with_and_without_memo(self, rng):
+        spec = SumAggregation(1)
+        _, _, chunks, mapping, grid = make_functional_setup(rng, footprint=(0.08, 0.05))
+        prob = build_problem(chunks, mapping, grid, spec, n_procs=3, memory=256)
+        plan = plan_query(prob, "SRA")
+        assert plan.n_tiles > 1
+        cache = RoutingCache()
+        runs = [
+            execute_plan(plan, lambda i: chunks[i], mapping, grid, spec,
+                         region=self.REGION, routing_cache=memo)
+            for memo in (None, cache, cache)
+        ]
+        assert runs[2].cache_stats["routing_hits"] > 0
+        assert same_result(runs[0], runs[1]) and same_result(runs[0], runs[2])
+
+    def test_degraded_run_leaves_no_stale_entry(self, rng):
+        """A batch with one corrupt chunk is memoized under the ids that
+        survived, so the clean run after it misses and routes afresh."""
+        setup = make_functional_setup(rng, footprint=(0.05, 0.05))
+        victim = 3
+        faults = FaultPlan.corrupt_chunk(victim, dataset="d", times=1)
+        adr = self.adr_over(
+            setup, store=FaultyChunkStore(MemoryChunkStore(), FaultInjector(faults)),
+            memory=1 << 20,
+        )
+        bad = adr.execute(self.query(setup, on_error="degrade"))
+        assert set(bad.chunk_errors) == {victim}
+        clean = adr.execute(self.query(setup))
+        want = self.adr_over(setup, memory=1 << 20).execute(self.query(setup))
+        assert not clean.chunk_errors
+        assert clean.cache_stats["routing_misses"] > bad.cache_stats["routing_misses"]
+        assert same_result(clean, want)
